@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use twrs_core::{TwoWayReplacementSelection, TwrsConfig};
-use twrs_extsort::{ExternalSorter, ReplacementSelection, RunGenerator, SorterConfig};
+use twrs_extsort::{ReplacementSelection, ShardableGenerator, SortJob};
 use twrs_storage::ModelId;
 use twrs_storage::SimDevice;
 use twrs_workloads::{Distribution, DistributionKind};
@@ -11,14 +11,14 @@ use twrs_workloads::{Distribution, DistributionKind};
 const RECORDS: u64 = 20_000;
 const MEMORY: usize = 200;
 
-fn sort<G: RunGenerator>(generator: G, sections: u32) -> u64 {
+fn sort<G: ShardableGenerator>(generator: G, sections: u32) -> u64 {
     let device = SimDevice::with_model(ModelId::Hdd7200);
-    let mut sorter = ExternalSorter::with_config(generator, SorterConfig::default());
-    let mut input =
-        Distribution::new(DistributionKind::Alternating { sections }, RECORDS, 1).records();
-    sorter
-        .sort_iter(&device, &mut input, "out")
+    let input = Distribution::new(DistributionKind::Alternating { sections }, RECORDS, 1).records();
+    SortJob::new(generator)
+        .on(&device)
+        .run_iter(input, "out")
         .expect("sort succeeds")
+        .report
         .records
 }
 

@@ -1,13 +1,10 @@
 //! Criterion bench behind Figures 6.2–6.5 and 6.7: end-to-end sorting
 //! (run generation + merge) of RS vs 2WRS per input distribution, plus the
-//! 1-vs-N-thread comparison of the parallel sorter on the same pipeline.
+//! 1-vs-N-thread comparison of the same pipeline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use twrs_core::{TwoWayReplacementSelection, TwrsConfig};
-use twrs_extsort::{
-    ExternalSorter, MergeConfig, ParallelExternalSorter, ParallelSorterConfig,
-    ReplacementSelection, RunGenerator, SorterConfig,
-};
+use twrs_extsort::{MergeConfig, ReplacementSelection, ShardableGenerator, SortJob};
 use twrs_storage::ModelId;
 use twrs_storage::SimDevice;
 use twrs_workloads::{Distribution, DistributionKind};
@@ -15,20 +12,19 @@ use twrs_workloads::{Distribution, DistributionKind};
 const RECORDS: u64 = 20_000;
 const MEMORY: usize = 400;
 
-fn sort<G: RunGenerator>(generator: G, kind: DistributionKind) -> u64 {
+fn sort<G: ShardableGenerator>(generator: G, kind: DistributionKind, threads: usize) -> u64 {
     let device = SimDevice::with_model(ModelId::Hdd7200);
-    let config = SorterConfig {
-        merge: MergeConfig {
+    let input = Distribution::new(kind, RECORDS, 1).records();
+    SortJob::new(generator)
+        .on(&device)
+        .threads(threads)
+        .merge(MergeConfig {
             fan_in: 10,
             read_ahead_records: 256,
-        },
-        verify: false,
-    };
-    let mut sorter = ExternalSorter::with_config(generator, config);
-    let mut input = Distribution::new(kind, RECORDS, 1).records();
-    sorter
-        .sort_iter(&device, &mut input, "out")
+        })
+        .run_iter(input, "out")
         .expect("sort succeeds")
+        .report
         .records
 }
 
@@ -42,13 +38,14 @@ fn bench_total_sort(c: &mut Criterion) {
         DistributionKind::ReverseSorted,
     ] {
         group.bench_with_input(BenchmarkId::new("rs", kind.label()), &kind, |b, kind| {
-            b.iter(|| sort(ReplacementSelection::new(MEMORY), *kind))
+            b.iter(|| sort(ReplacementSelection::new(MEMORY), *kind, 1))
         });
         group.bench_with_input(BenchmarkId::new("twrs", kind.label()), &kind, |b, kind| {
             b.iter(|| {
                 sort(
                     TwoWayReplacementSelection::new(TwrsConfig::recommended(MEMORY)),
                     *kind,
+                    1,
                 )
             })
         });
@@ -56,34 +53,8 @@ fn bench_total_sort(c: &mut Criterion) {
     group.finish();
 }
 
-fn sort_parallel(threads: usize, kind: DistributionKind) -> u64 {
-    let device = SimDevice::with_model(ModelId::Hdd7200);
-    let config = ParallelSorterConfig {
-        threads,
-        merge: MergeConfig {
-            fan_in: 10,
-            read_ahead_records: 256,
-        },
-        verify: false,
-        spill_queue_pages: 64,
-        prefetch_batches: 4,
-        shard_batch_records: 256,
-    };
-    let mut sorter = ParallelExternalSorter::with_config(
-        TwoWayReplacementSelection::new(TwrsConfig::recommended(MEMORY)),
-        config,
-    );
-    let mut input = Distribution::new(kind, RECORDS, 1).records();
-    sorter
-        .sort_iter(&device, &mut input, "out")
-        .expect("sort succeeds")
-        .report
-        .records
-}
-
-/// 1-vs-N threads on the random distribution: the sequential sorter as the
-/// baseline, then the parallel sorter at increasing shard counts with the
-/// same total memory budget.
+/// 1-vs-N threads on the random distribution: one thread as the baseline,
+/// then increasing shard counts with the same total memory budget.
 fn bench_parallel_total_sort(c: &mut Criterion) {
     let mut group = c.benchmark_group("total_sort_parallel");
     group.throughput(Throughput::Elements(RECORDS));
@@ -97,15 +68,24 @@ fn bench_parallel_total_sort(c: &mut Criterion) {
                 sort(
                     TwoWayReplacementSelection::new(TwrsConfig::recommended(MEMORY)),
                     *kind,
+                    1,
                 )
             })
         },
     );
-    for threads in [1usize, 2, 4] {
+    for threads in [2usize, 4] {
         group.bench_with_input(
             BenchmarkId::new("twrs-parallel", threads),
             &threads,
-            |b, threads| b.iter(|| sort_parallel(*threads, kind)),
+            |b, threads| {
+                b.iter(|| {
+                    sort(
+                        TwoWayReplacementSelection::new(TwrsConfig::recommended(MEMORY)),
+                        kind,
+                        *threads,
+                    )
+                })
+            },
         );
     }
     group.finish();

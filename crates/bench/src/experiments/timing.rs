@@ -11,7 +11,7 @@
 use crate::report::{fmt_duration, Table};
 use std::time::Duration;
 use twrs_core::{TwoWayReplacementSelection, TwrsConfig};
-use twrs_extsort::{ExternalSorter, MergeConfig, ReplacementSelection, RunGenerator, SorterConfig};
+use twrs_extsort::{MergeConfig, ReplacementSelection, ShardableGenerator, SortJob};
 use twrs_storage::ModelId;
 use twrs_storage::SimDevice;
 use twrs_workloads::{Distribution, DistributionKind};
@@ -91,29 +91,27 @@ impl TimingPoint {
     }
 }
 
-fn sort_with<G: RunGenerator>(
+fn sort_with<G: ShardableGenerator>(
     generator: G,
     kind: DistributionKind,
     records: u64,
     fan_in: usize,
 ) -> (Duration, Duration, usize) {
     let device = SimDevice::with_model(ModelId::Hdd7200);
-    let config = SorterConfig {
-        merge: MergeConfig {
+    let input = Distribution::new(kind, records, 11).records();
+    let report = SortJob::new(generator)
+        .on(&device)
+        .merge(MergeConfig {
             fan_in,
             // A generous per-run read-ahead (16 KiB per run), mirroring the
             // paper's per-run input buffers, so the simulated merge is not
             // artificially seek-bound.
             read_ahead_records: 1_024,
-        },
-        verify: false,
-    };
-    let mut sorter = ExternalSorter::with_config(generator, config);
-    let mut input = Distribution::new(kind, records, 11).records();
-    let report = sorter
-        .sort_iter(&device, &mut input, "sorted")
+        })
+        .run_iter(input, "sorted")
         // twrs-lint: allow(no-lib-panic) bench drivers treat device failure as fatal by design
-        .expect("sort succeeds");
+        .expect("sort succeeds")
+        .report;
     (
         report.run_generation.modelled_total(),
         report.total_modelled(),

@@ -17,23 +17,22 @@
 //!   the paper analyses with ANOVA in Chapter 5.
 //!
 //! The entry point is [`TwoWayReplacementSelection`], which implements the
-//! [`twrs_extsort::RunGenerator`] trait and therefore plugs directly into
-//! [`twrs_extsort::ExternalSorter`]:
+//! [`twrs_extsort::RunGenerator`] and [`twrs_extsort::ShardableGenerator`]
+//! traits and therefore plugs directly into [`twrs_extsort::SortJob`]:
 //!
 //! ```
 //! use twrs_core::{TwoWayReplacementSelection, TwrsConfig};
-//! use twrs_extsort::{ExternalSorter, SorterConfig};
+//! use twrs_extsort::SortJob;
 //! use twrs_storage::{ModelId, SimDevice};
 //! use twrs_workloads::{Distribution, DistributionKind};
 //!
 //! let device = SimDevice::with_model(ModelId::Hdd7200);
 //! let twrs = TwoWayReplacementSelection::new(TwrsConfig::recommended(1_000));
-//! let mut sorter = ExternalSorter::with_config(twrs, SorterConfig::default());
-//! let mut input = Distribution::new(DistributionKind::ReverseSorted, 10_000, 1).records();
-//! let report = sorter.sort_iter(&device, &mut input, "sorted").unwrap();
+//! let input = Distribution::new(DistributionKind::ReverseSorted, 10_000, 1).records();
+//! let report = SortJob::new(twrs).on(&device).run_iter(input, "sorted").unwrap();
 //! // Reverse-sorted input: 2WRS produces a single run (Theorem 4), where
 //! // classic RS would have produced 10 memory-sized runs.
-//! assert_eq!(report.num_runs, 1);
+//! assert_eq!(report.num_runs(), 1);
 //! ```
 
 #![warn(missing_docs)]

@@ -2,8 +2,8 @@
 //!
 //! A [`CancellationToken`] is a shared flag threaded from
 //! [`JobHandle::cancel`](crate::service::JobHandle::cancel) through the
-//! [`SortJob`](crate::sort_job::SortJob) execution spine into the phase
-//! loops of both engines. The pipeline polls it at phase and page
+//! [`SortJob`](crate::sort_job::SortJob) pipeline into its phase loops.
+//! The pipeline polls it at phase and page
 //! boundaries — run generation checks it on every record pulled into the
 //! selection heap, the merge scheduler between passes and every
 //! [`CANCEL_CHECK_INTERVAL`] merged records — and surfaces a set flag as

@@ -449,7 +449,7 @@ mod tests {
     #[test]
     fn agrees_with_merge_based_sorter() {
         use crate::replacement_selection::ReplacementSelection;
-        use crate::sorter::{ExternalSorter, SorterConfig};
+        use crate::sort_job::SortJob;
 
         let input = Distribution::new(DistributionKind::MixedBalanced, 8_000, 11).collect();
 
@@ -463,10 +463,10 @@ mod tests {
         );
 
         let device = SimDevice::with_model(ModelId::Hdd7200);
-        let mut sorter =
-            ExternalSorter::with_config(ReplacementSelection::new(400), SorterConfig::default());
-        let mut iter = input.into_iter();
-        sorter.sort_iter(&device, &mut iter, "merge_out").unwrap();
+        SortJob::new(ReplacementSelection::new(400))
+            .on(&device)
+            .run_iter(input.into_iter(), "merge_out")
+            .unwrap();
         let mut cursor =
             RunCursor::<Record>::open(&device, &RunHandle::Forward("merge_out".into())).unwrap();
         let merge_output = cursor.read_all().unwrap();

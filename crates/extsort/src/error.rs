@@ -25,8 +25,8 @@ pub enum SortError {
     Canceled(String),
     /// The sort pipeline panicked while the job was running. The service
     /// worker catches the unwind, releases the job's memory lease and
-    /// completes the job as `Failed` with this error; the engines' drop
-    /// guards sweep the job's spill files during the unwind.
+    /// completes the job as `Failed` with this error; the pipeline's drop
+    /// guard sweeps the job's spill files during the unwind.
     JobPanicked(String),
 }
 

@@ -16,12 +16,12 @@
 //!   merging with a configurable fan-in and per-run read-ahead (§2.1.2,
 //!   §6.1.1), plus polyphase merge (Table 2.1);
 //! * [`distribution_sort`] — external bucket/distribution sort (§2.2);
-//! * [`sorter`] — [`sorter::ExternalSorter`], the run-generation + merge
-//!   pipeline measured in Chapter 6, instrumented with per-phase I/O and
-//!   timing reports;
 //! * [`sort_job`] — [`sort_job::SortJob`], the builder-style front door
-//!   that drives either sorter from one description of the work
+//!   and the only way to run a sort
 //!   (`SortJob::new(g).on(&device).threads(n).run_iter(input, "out")`);
+//! * [`sorter`] — the staged pipeline a job runs (generate → reduce →
+//!   finish), the run-generation + merge pipeline measured in Chapter 6,
+//!   instrumented with per-phase I/O and timing reports;
 //! * [`sink`] — the [`sink::RecordSink`] output abstraction: the final
 //!   merge pass drains into a device file, a `Vec`, a callback or a bounded
 //!   channel (`run_iter`/`run_file` are thin wrappers over the file sink);
@@ -40,12 +40,11 @@
 //!   cancellation flag the service threads into the phase loops so a
 //!   *running* job observes `cancel()` at the next phase/page boundary,
 //!   cleans up its spill files and completes as `Canceled`;
-//! * [`parallel`] — [`parallel::ParallelExternalSorter`], the sharded
-//!   variant of the same pipeline: run generation fans out over
-//!   budget-divided worker threads, spill writes move to dedicated writer
-//!   threads behind bounded channels, and the merge prefetches every input
-//!   run in the background. Produces byte-identical output to the
-//!   sequential sorter.
+//! * [`parallel`] — the pipeline's stages at `threads > 1`: run
+//!   generation fans out over budget-divided worker threads, spill writes
+//!   move to dedicated writer threads behind bounded channels, and the
+//!   merge prefetches every input run in the background. Produces output
+//!   byte-identical to a one-thread job.
 
 #![warn(missing_docs)]
 
@@ -69,10 +68,7 @@ pub use error::{Result, SortError};
 pub use load_sort_store::LoadSortStore;
 pub use merge::kway::{KWayMerger, MergeConfig};
 pub use merge::polyphase::{polyphase_merge, polyphase_schedule};
-pub use parallel::{
-    shard_budget, ParallelExternalSorter, ParallelSortReport, ParallelSorterConfig, ShardReport,
-    ShardableGenerator, SpillWriteDevice,
-};
+pub use parallel::{shard_budget, ShardReport, ShardableGenerator, SpillWriteDevice};
 pub use replacement_selection::ReplacementSelection;
 pub use run_generation::{
     BudgetedGenerator, Device, ForwardRunBuilder, ReverseRunBuilder, RunCursor, RunGenerator,
@@ -84,5 +80,5 @@ pub use service::{
 };
 pub use sink::{CallbackSink, ChannelSink, FileSink, RecordSink, VecSink};
 pub use sort_job::{BoundSortJob, SortJob, SortJobReport};
-pub use sorter::{ExternalSorter, FinalPassKind, PhaseReport, SortReport, SorterConfig};
+pub use sorter::{FinalPassKind, PhaseReport, SortReport, SorterConfig};
 pub use stream::SortedStream;

@@ -15,7 +15,7 @@ use crate::merge::loser_tree::LoserTree;
 use crate::run_generation::{Device, RunCursor, RunHandle};
 use crate::sink::{FileSink, RecordSink};
 use std::collections::VecDeque;
-use twrs_storage::{RunWriter, SortableRecord, SpillNamer};
+use twrs_storage::{SortableRecord, SpillNamer};
 
 /// Configuration of the k-way merge phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,59 +104,31 @@ impl KWayMerger {
         runs: Vec<RunHandle>,
         output: &str,
     ) -> Result<MergeReport> {
-        self.merge_into_outcome::<D, R>(device, namer, runs, output)
-            .map(|outcome| outcome.report)
-    }
-
-    /// [`merge_into`](KWayMerger::merge_into) plus the final-pass page
-    /// attribution the sorters report.
-    pub(crate) fn merge_into_outcome<D: Device, R: SortableRecord>(
-        &self,
-        device: &D,
-        namer: &SpillNamer,
-        runs: Vec<RunHandle>,
-        output: &str,
-    ) -> Result<MergePhaseOutcome> {
-        merge_passes::<D, R, _>(
+        let ReducedRuns {
+            remaining,
+            mut report,
+        } = reduce_to_fan_in::<BufferedCursor<R>, R, D>(
             device,
             namer,
             runs,
-            output,
-            self.config.fan_in,
+            self.config,
             &self.cancel,
-            |batch, name| self.merge_batch::<D, R>(device, batch, name),
-        )
-    }
-
-    /// Opens each run of `batch` behind a read-ahead buffer, ready to feed
-    /// the merge tree (or a suspended stream).
-    pub(crate) fn open_sources<D: Device, R: SortableRecord>(
-        &self,
-        device: &D,
-        batch: &[RunHandle],
-    ) -> Result<Vec<BufferedCursor<R>>> {
-        batch
-            .iter()
-            .map(|handle| {
-                RunCursor::open(device, handle)
-                    .map(|cursor| BufferedCursor::new(cursor, self.config.read_ahead_records))
-            })
-            .collect()
-    }
-
-    /// Merges one batch of runs into the forward run `output`.
-    pub(crate) fn merge_batch<D: Device, R: SortableRecord>(
-        &self,
-        device: &D,
-        batch: &[RunHandle],
-        output: &str,
-    ) -> Result<u64> {
-        // Step boundary: a cancel() lands here before the batch's sources
-        // are even opened.
-        self.cancel.check()?;
-        let mut sources = self.open_sources::<D, R>(device, batch)?;
-        let writer = RunWriter::<R>::create(device, output)?;
-        merge_sources(&mut sources, writer, &self.cancel)
+        )?;
+        // The final step always writes `output`: an empty run when there
+        // was no input, a copy when a single run is left.
+        let written = merge_step::<BufferedCursor<R>, R, D>(
+            device,
+            &remaining,
+            output,
+            self.config.read_ahead_records,
+            &self.cancel,
+        )?;
+        if !remaining.is_empty() {
+            report.merge_steps += 1;
+        }
+        report.records_written += written;
+        report.output_records = written;
+        Ok(report)
     }
 }
 
@@ -172,45 +144,41 @@ pub(crate) struct ReducedRuns {
     pub(crate) report: MergeReport,
 }
 
-/// The intermediate half of the multi-pass merge scheduler shared by
-/// [`KWayMerger`] and the parallel sorter's prefetching merger: batches at
-/// most `fan_in` runs per step and queues the intermediate outputs until no
-/// more than `fan_in` runs remain, removing consumed inputs as it goes.
-/// `merge_batch(batch, name)` performs one step and returns the records
-/// written. The final pass over the survivors is the caller's business —
-/// that is where the file, sink and stream outputs diverge.
-pub(crate) fn reduce_to_fan_in<D, F>(
+/// The intermediate half of the multi-pass merge scheduler: batches at
+/// most `fan_in` runs per step and queues the intermediate outputs until
+/// no more than `fan_in` runs remain, removing consumed inputs as it goes.
+/// Every step reads its inputs through sources of type `S`. The final pass
+/// over the survivors is the caller's business — that is where the file,
+/// sink and stream outputs diverge.
+pub(crate) fn reduce_to_fan_in<S, R, D>(
     device: &D,
     namer: &SpillNamer,
     runs: Vec<RunHandle>,
-    fan_in: usize,
+    merge: MergeConfig,
     cancel: &CancellationToken,
-    merge_batch: &mut F,
 ) -> Result<ReducedRuns>
 where
+    S: RunSource<R>,
+    R: SortableRecord,
     D: Device,
-    F: FnMut(&[RunHandle], &str) -> Result<u64>,
 {
-    if fan_in < 2 {
+    if merge.fan_in < 2 {
         return Err(SortError::InvalidConfig(
             "merge fan-in must be at least 2".into(),
         ));
     }
     let mut report = MergeReport::default();
     let mut queue: VecDeque<RunHandle> = runs.into();
-    while queue.len() > fan_in {
+    while queue.len() > merge.fan_in {
         // Pass boundary: the merge scheduler observes a cancel() between
         // any two intermediate passes.
         cancel.check()?;
-        let batch: Vec<RunHandle> = queue.drain(..fan_in).collect();
+        let batch: Vec<RunHandle> = queue.drain(..merge.fan_in).collect();
         let name = namer.next_name("merge");
-        let written = merge_batch(&batch, &name)?;
+        let written =
+            merge_step::<S, R, D>(device, &batch, &name, merge.read_ahead_records, cancel)?;
         report.merge_steps += 1;
         report.records_written += written;
-        // Intermediate inputs are no longer needed.
-        for handle in &batch {
-            remove_run(device, handle)?;
-        }
         queue.push_back(RunHandle::Forward(name));
     }
     Ok(ReducedRuns {
@@ -219,102 +187,67 @@ where
     })
 }
 
-/// Outcome of the full merge phase when it runs to completion (file and
-/// sink outputs; a suspended stream never gets this far eagerly).
-pub(crate) struct MergePhaseOutcome {
-    /// The completed merge report.
-    pub(crate) report: MergeReport,
-    /// Pages the final pass alone wrote — the write I/O a streaming
-    /// consumer avoids entirely.
-    pub(crate) final_pass_pages_written: u64,
-}
-
-/// The shared final pass of the sink and stream sorters: drains the
-/// surviving runs' `sources` into `sink`, finishes the sink, removes the
-/// consumed runs and folds the step into `report`. Returns the pages the
-/// pass wrote on `device` (whatever the sink itself wrote — zero for the
-/// in-memory sinks), measured in its own snapshot window.
-pub(crate) fn finish_into_sink<D, R, S, K>(
+/// One merge step: opens every run of `batch` as an `S` source, merges
+/// them into the new forward run `output` and removes them, since nothing
+/// reads a merged input again; returns the records written.
+pub(crate) fn merge_step<S, R, D>(
     device: &D,
-    sources: &mut [S],
-    sink: &mut K,
-    remaining: &[RunHandle],
-    report: &mut MergeReport,
+    batch: &[RunHandle],
+    output: &str,
+    read_ahead: usize,
     cancel: &CancellationToken,
 ) -> Result<u64>
 where
-    D: Device,
+    S: RunSource<R>,
     R: SortableRecord,
-    S: MergeSource<R>,
-    K: RecordSink<R> + ?Sized,
+    D: Device,
 {
-    let before = device.stats();
-    let delivered = merge_sources_into(sources, sink, cancel)?;
-    sink.finish()?;
-    for handle in remaining {
+    // Step boundary: a cancel() lands here before the batch's sources
+    // are even opened.
+    cancel.check()?;
+    let mut sources = open_sources::<S, R, D>(device, batch, read_ahead)?;
+    let mut sink = FileSink::create(device, output)?;
+    let written = merge_sources(&mut sources, &mut sink, cancel)?;
+    sources.into_iter().for_each(S::close);
+    for handle in batch {
         remove_run(device, handle)?;
     }
-    if !remaining.is_empty() {
-        report.merge_steps += 1;
-    }
-    report.records_written += delivered;
-    report.output_records = delivered;
-    Ok(device.stats().counters.pages_written - before.counters.pages_written)
+    Ok(written)
 }
 
-/// The complete multi-pass merge into a named output file:
-/// [`reduce_to_fan_in`] followed by one final `merge_batch` into `output`
-/// (an empty run when `runs` is empty, a copy step when a single run is
-/// left, exactly as before the reduce/final split). The final pass's page
-/// writes are measured in their own snapshot window.
-pub(crate) fn merge_passes<D, R, F>(
+/// Opens one `S` source per run of `runs`, in order.
+pub(crate) fn open_sources<S, R, D>(
     device: &D,
-    namer: &SpillNamer,
-    runs: Vec<RunHandle>,
-    output: &str,
-    fan_in: usize,
-    cancel: &CancellationToken,
-    mut merge_batch: F,
-) -> Result<MergePhaseOutcome>
+    runs: &[RunHandle],
+    read_ahead: usize,
+) -> Result<Vec<S>>
 where
-    D: Device,
+    S: RunSource<R>,
     R: SortableRecord,
-    F: FnMut(&[RunHandle], &str) -> Result<u64>,
+    D: Device,
 {
-    let ReducedRuns {
-        remaining,
-        mut report,
-    } = reduce_to_fan_in(device, namer, runs, fan_in, cancel, &mut merge_batch)?;
-    let before_final = device.stats();
-
-    if remaining.is_empty() {
-        // No input at all: produce an empty output run for uniformity.
-        let writer = RunWriter::<R>::create(device, output)?;
-        writer.finish()?;
-    } else {
-        // The final step also covers the single-run case: the run is copied
-        // to the output name so the caller always finds its result there.
-        let written = merge_batch(&remaining, output)?;
-        for handle in &remaining {
-            remove_run(device, handle)?;
-        }
-        report.merge_steps += 1;
-        report.records_written += written;
-        report.output_records = written;
-    }
-    let final_writes = device.stats().counters.pages_written - before_final.counters.pages_written;
-    Ok(MergePhaseOutcome {
-        report,
-        final_pass_pages_written: final_writes,
-    })
+    runs.iter()
+        .map(|run| S::open(device, run, read_ahead))
+        .collect()
 }
 
-/// A stream of ascending records feeding one leaf of the merge tree: a
-/// [`BufferedCursor`] reading synchronously, or the consumer end of a
-/// background prefetch thread in the parallel sorter.
+/// A stream of ascending records feeding one leaf of the merge tree.
 pub(crate) trait MergeSource<R: SortableRecord> {
     /// The next record of the stream, or `None` at the end.
     fn next_record(&mut self) -> Result<Option<R>>;
+}
+
+/// A [`MergeSource`] that reads one run: a [`BufferedCursor`] reading
+/// inline, or a background prefetch thread
+/// ([`PrefetchSource`](crate::parallel::PrefetchSource)). A merge stage picks
+/// the type once, so its merge loop is compiled for exactly one of them.
+pub(crate) trait RunSource<R: SortableRecord>: MergeSource<R> + Sized {
+    /// Starts reading `run` on `device`, `read_ahead` records at a time.
+    fn open<D: Device>(device: &D, run: &RunHandle, read_ahead: usize) -> Result<Self>;
+
+    /// Releases a fully merged source; a reader thread's panic resumes
+    /// here instead of being swallowed by a plain drop.
+    fn close(self) {}
 }
 
 impl<R: SortableRecord> MergeSource<R> for BufferedCursor<R> {
@@ -323,61 +256,56 @@ impl<R: SortableRecord> MergeSource<R> for BufferedCursor<R> {
     }
 }
 
-/// The inner loop shared by the sequential and parallel mergers: drains
-/// `sources` through a loser tree into `writer` and returns the number of
-/// records written. A thin wrapper of [`merge_sources_into`] over the file
-/// sink, which is what makes `run_iter`'s output byte-identical to a
-/// hand-rolled [`FileSink`] drain.
-pub(crate) fn merge_sources<R: SortableRecord, S: MergeSource<R>>(
-    sources: &mut [S],
-    writer: RunWriter<R>,
-    cancel: &CancellationToken,
-) -> Result<u64> {
-    let mut sink = FileSink::from_writer(writer);
-    let written = merge_sources_into(sources, &mut sink, cancel)?;
-    sink.finish()?;
-    Ok(written)
+impl<R: SortableRecord> RunSource<R> for BufferedCursor<R> {
+    fn open<D: Device>(device: &D, run: &RunHandle, read_ahead: usize) -> Result<Self> {
+        Ok(BufferedCursor::new(
+            RunCursor::open(device, run)?,
+            read_ahead,
+        ))
+    }
 }
 
-/// Drains `sources` through a loser tree into any [`RecordSink`] and
-/// returns the number of records delivered. The caller finishes the sink
-/// (so sink ownership stays with it — a failed push must still be able to
-/// clean up).
-pub(crate) fn merge_sources_into<R: SortableRecord, S: MergeSource<R>, K>(
+/// Drains `sources` through a loser tree into `sink`, then finishes the
+/// sink; returns the number of records delivered. Every merge step and the
+/// final pass of file and sink outputs go through here, which is what makes
+/// `run_iter`'s output byte-identical to a hand-rolled [`FileSink`] drain.
+pub(crate) fn merge_sources<R, S, K>(
     sources: &mut [S],
     sink: &mut K,
     cancel: &CancellationToken,
 ) -> Result<u64>
 where
+    R: SortableRecord,
+    S: MergeSource<R>,
     K: RecordSink<R> + ?Sized,
 {
-    if sources.is_empty() {
-        return Ok(0);
-    }
     let mut heads: Vec<Option<R>> = sources
         .iter_mut()
         .map(|s| s.next_record())
         .collect::<Result<_>>()?;
-    let mut tree = LoserTree::new(&heads);
     let mut written = 0u64;
-    loop {
-        // Page-grained cancellation point: roughly one output page of
-        // small records between checks, so a running merge observes
-        // cancel() within a bounded amount of I/O.
-        if written % CANCEL_CHECK_INTERVAL == 0 {
-            cancel.check()?;
-        }
-        let winner = tree.winner();
-        match heads[winner].take() {
-            Some(record) => {
-                sink.push(record)?;
-                written += 1;
-                heads[winner] = sources[winner].next_record()?;
-                tree.replay(&heads, winner);
+    if !sources.is_empty() {
+        let mut tree = LoserTree::new(&heads);
+        loop {
+            // Page-grained cancellation point: roughly one output page of
+            // small records between checks, so a running merge observes
+            // cancel() within a bounded amount of I/O.
+            if written % CANCEL_CHECK_INTERVAL == 0 {
+                cancel.check()?;
             }
-            None => break,
+            let winner = tree.winner();
+            match heads[winner].take() {
+                Some(record) => {
+                    sink.push(record)?;
+                    written += 1;
+                    heads[winner] = sources[winner].next_record()?;
+                    tree.replay(&heads, winner);
+                }
+                None => break,
+            }
         }
     }
+    sink.finish()?;
     Ok(written)
 }
 

@@ -1,12 +1,11 @@
-//! The parallel external sorter: sharded run generation with asynchronous
-//! spill writing, followed by a k-way merge fed by background prefetch
-//! threads.
+//! The threaded stages of the sort pipeline: what a
+//! [`SortJob`](crate::SortJob) with `threads > 1` runs instead of the
+//! inline ones.
 //!
-//! The sequential [`ExternalSorter`](crate::sorter::ExternalSorter) is the
-//! reference implementation: one thread generates runs and the same thread
-//! merges them, so heap work, spill writes and merge reads all serialise.
-//! [`ParallelExternalSorter`] keeps the exact same building blocks — any
-//! [`RunGenerator`] plugs in unchanged — and overlaps the three:
+//! At one thread the pipeline ([`sorter`](crate::sorter)) generates runs on
+//! the calling thread, so heap work, spill writes and merge reads all
+//! serialise. With more threads it keeps the exact same building blocks —
+//! any [`RunGenerator`] plugs in unchanged — and overlaps the three:
 //!
 //! 1. **Sharded generation.** The input stream is dealt round-robin (in
 //!    small batches) to `threads` workers. Each worker runs its own clone of
@@ -17,10 +16,9 @@
 //!    [`SpillWriteDevice`], which ships page writes over a bounded channel
 //!    to a dedicated writer thread; heap operations overlap spill I/O, and
 //!    the bounded queue applies back-pressure so memory stays bounded.
-//! 3. **Prefetched merging.** The final multi-pass k-way merge (same
-//!    scheduling as [`KWayMerger`](crate::merge::kway::KWayMerger)) reads
-//!    every input run through a background prefetch thread that stays one
-//!    read-ahead batch ahead of the loser tree.
+//! 3. **Prefetched merging.** Every merge step reads each input run through
+//!    a background prefetch thread that stays a few read-ahead batches
+//!    ahead of the loser tree.
 //!
 //! On a striped device (`twrs_storage::StripedDevice`) each shard spills
 //! through a member-pinned shard view (shard `i` → member `i % members`),
@@ -31,42 +29,39 @@
 //! bench suite pin concrete seek counts for multi-threaded striped runs.
 //!
 //! Because [`SortableRecord`] requires a *total* order, the fully merged
-//! output is **byte-identical** to the
-//! sequential sorter's output for every thread count — the equivalence test
-//! suite (`tests/parallel_equivalence.rs`) pins this. Phases are attributed
-//! from device-level snapshot deltas exactly like the sequential sorter
-//! (coordinator-side input reads included), while per-shard I/O recorded on
-//! [`ScopedDevice`]s provides the breakdown — the shards perform all of the
-//! generation phase's writes, so the aggregated `pages_written` equals the
-//! shard sum by construction.
+//! output is **byte-identical** for every thread count — the equivalence
+//! test suite (`tests/parallel_equivalence.rs`) pins this. Per-shard I/O
+//! recorded on [`ScopedDevice`]s provides the breakdown of the generation
+//! phase; the shards perform all of its writes, so the aggregated
+//! `pages_written` equals the shard sum by construction.
 
 use crate::cancel::CancellationToken;
 use crate::error::{Result, SortError};
 use crate::merge::kway::{
-    finish_into_sink, merge_passes, merge_sources, reduce_to_fan_in, remove_run, BufferedCursor,
-    MergeConfig, MergeReport, MergeSource, ReducedRuns,
+    merge_step, reduce_to_fan_in, BufferedCursor, MergeConfig, MergeReport, MergeSource,
+    ReducedRuns, RunSource,
 };
-use crate::run_generation::{
-    sort_dataset_file, Device, RunCursor, RunGenerator, RunHandle, RunSet,
-};
-use crate::sink::RecordSink;
-use crate::sort_job::SortJobReport;
-use crate::sorter::{
-    assemble_report, verify_phase_report, FinalPassKind, PhaseReport, SortReport, SorterConfig,
-    SpillSweeper,
-};
-use crate::stream::{unique_namespace, SortedStream, StreamSource};
+use crate::run_generation::{Device, RunCursor, RunGenerator, RunHandle, RunSet};
 use crate::sync::lock_or_poison;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 use twrs_storage::{
-    IoStatsSnapshot, PageFile, RunWriter, ScopedDevice, SortableRecord, SpillNamer, StorageDevice,
+    IoStatsSnapshot, PageFile, ScopedDevice, SortableRecord, SpillNamer, StorageDevice,
     StorageError,
 };
+
+/// Capacity (in queued operations, i.e. pages) of each shard's bounded
+/// spill-writer channel.
+const SPILL_QUEUE_PAGES: usize = 64;
+/// How many read-ahead batches each merge prefetch thread may buffer.
+const PREFETCH_BATCHES: usize = 4;
+/// Records per round-robin parcel when dealing the input to shards. Fixes
+/// the (deterministic) shard contents; larger parcels amortise channel
+/// traffic.
+const SHARD_BATCH_RECORDS: usize = 256;
 
 // ---------------------------------------------------------------------------
 // Memory-budget sharding
@@ -92,7 +87,7 @@ pub fn shard_budget(total: usize, index: usize, shards: usize) -> usize {
 ///
 /// Implementations must divide their memory budget with [`shard_budget`] (or
 /// equivalently) so that the shard budgets of one sort sum to the original
-/// budget — the parallel sorter keeps total memory fixed no matter how many
+/// budget — a sharded sort keeps total memory fixed no matter how many
 /// threads it uses.
 pub trait ShardableGenerator: RunGenerator + Clone + Send + 'static {
     /// A copy of this generator configured for shard `index` of `shards`.
@@ -370,10 +365,11 @@ impl<D: Device> StorageDevice for SpillWriteDevice<D> {
 // ---------------------------------------------------------------------------
 
 /// The consumer end of one background prefetch thread: the thread reads the
-/// run in `read_ahead`-record batches and stays up to `queue_batches`
+/// run in `read_ahead`-record batches and stays up to [`PREFETCH_BATCHES`]
 /// batches ahead of the merge loop. Dropping the source disconnects the
 /// channel and joins the worker, so a half-consumed source (an early-dropped
-/// [`SortedStream`], an error path) never leaves a reader thread behind.
+/// [`SortedStream`](crate::SortedStream), an error path) never leaves a
+/// reader thread behind.
 pub(crate) struct PrefetchSource<R: SortableRecord> {
     rx: Option<Receiver<std::result::Result<Vec<R>, SortError>>>,
     buffer: VecDeque<R>,
@@ -381,17 +377,16 @@ pub(crate) struct PrefetchSource<R: SortableRecord> {
     done: bool,
 }
 
-impl<R: SortableRecord> PrefetchSource<R> {
-    pub(crate) fn spawn<D: Device>(
-        device: D,
-        handle: RunHandle,
-        read_ahead: usize,
-        queue_batches: usize,
-    ) -> Self {
-        let (tx, rx) = sync_channel(queue_batches.max(1));
+impl<R: SortableRecord> RunSource<R> for PrefetchSource<R> {
+    /// Spawns the prefetch thread; an error opening the run surfaces from
+    /// the first [`next_record`](MergeSource::next_record).
+    fn open<D: Device>(device: &D, run: &RunHandle, read_ahead: usize) -> Result<Self> {
+        let (tx, rx) = sync_channel(PREFETCH_BATCHES);
         let batch = read_ahead.max(1);
+        let device = device.clone();
+        let run = run.clone();
         let worker = std::thread::spawn(move || {
-            let mut cursor = match RunCursor::<R>::open(&device, &handle) {
+            let mut cursor = match RunCursor::<R>::open(&device, &run) {
                 Ok(cursor) => cursor,
                 Err(e) => {
                     let _ = tx.send(Err(e));
@@ -420,15 +415,15 @@ impl<R: SortableRecord> PrefetchSource<R> {
                 }
             }
         });
-        PrefetchSource {
+        Ok(PrefetchSource {
             rx: Some(rx),
             buffer: VecDeque::new(),
             worker: Some(worker),
             done: false,
-        }
+        })
     }
 
-    fn join(mut self) {
+    fn close(mut self) {
         if let Some(worker) = self.worker.take() {
             if let Err(panic) = worker.join() {
                 std::panic::resume_unwind(panic);
@@ -440,8 +435,8 @@ impl<R: SortableRecord> PrefetchSource<R> {
 impl<R: SortableRecord> Drop for PrefetchSource<R> {
     fn drop(&mut self) {
         // Disconnect first so a worker blocked on a full queue wakes up and
-        // exits, then wait for it (panics are swallowed here; the explicit
-        // `join` on the success path propagates them).
+        // exits, then wait for it (panics are swallowed here; `close` on the
+        // success path propagates them).
         drop(self.rx.take());
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
@@ -467,139 +462,9 @@ impl<R: SortableRecord> MergeSource<R> for PrefetchSource<R> {
     }
 }
 
-/// One multi-pass merge step with a prefetch thread per input run.
-fn merge_batch_prefetched<D: Device, R: SortableRecord>(
-    device: &D,
-    batch: &[RunHandle],
-    output: &str,
-    read_ahead: usize,
-    queue_batches: usize,
-    cancel: &CancellationToken,
-) -> Result<u64> {
-    // Step boundary: a cancel() lands here before the prefetchers spawn.
-    cancel.check()?;
-    let mut sources: Vec<PrefetchSource<R>> = batch
-        .iter()
-        .map(|handle| {
-            PrefetchSource::spawn(device.clone(), handle.clone(), read_ahead, queue_batches)
-        })
-        .collect();
-    let writer = RunWriter::<R>::create(device, output)?;
-    let written = merge_sources(&mut sources, writer, cancel)?;
-    for source in sources {
-        source.join();
-    }
-    Ok(written)
-}
-
-/// Merges one stripe member's runs down to at most one run *on that member*.
-///
-/// Runs single-threaded with plain [`BufferedCursor`] sources (no prefetch
-/// threads), so the member observes one strictly deterministic read
-/// interleaving — which keeps its seek counters reproducible even when
-/// several generation shards spilled to the same disk. `device` must be the
-/// member-pinned shard view, so the merged output lands on the same disk the
-/// inputs live on.
-fn reduce_disk_runs<D: Device, R: SortableRecord>(
-    device: &D,
-    namer: &SpillNamer,
-    runs: Vec<RunHandle>,
-    fan_in: usize,
-    read_ahead: usize,
-    cancel: &CancellationToken,
-) -> Result<(Vec<RunHandle>, MergeReport)> {
-    if runs.len() <= 1 {
-        return Ok((runs, MergeReport::default()));
-    }
-    let mut merge_batch = |batch: &[RunHandle], name: &str| -> Result<u64> {
-        cancel.check()?;
-        let mut sources = Vec::with_capacity(batch.len());
-        for handle in batch {
-            let cursor = RunCursor::<R>::open(device, handle)?;
-            sources.push(BufferedCursor::new(cursor, read_ahead));
-        }
-        let writer = RunWriter::<R>::create(device, name)?;
-        merge_sources(&mut sources, writer, cancel)
-    };
-    let ReducedRuns {
-        remaining,
-        mut report,
-    } = reduce_to_fan_in(device, namer, runs, fan_in, cancel, &mut merge_batch)?;
-    if remaining.len() <= 1 {
-        return Ok((remaining, report));
-    }
-    let name = namer.next_name("disk");
-    let written = merge_batch(&remaining, &name)?;
-    for handle in &remaining {
-        remove_run(device, handle)?;
-    }
-    report.merge_steps += 1;
-    report.records_written += written;
-    Ok((vec![RunHandle::Forward(name)], report))
-}
-
 // ---------------------------------------------------------------------------
-// The parallel sorter
+// Sharded generation
 // ---------------------------------------------------------------------------
-
-/// Configuration of the parallel sorting pipeline.
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelSorterConfig {
-    /// Number of generation shards (worker threads). The memory budget of
-    /// the run-generation algorithm is divided over the shards so total
-    /// memory stays fixed; see [`ShardableGenerator`].
-    pub threads: usize,
-    /// Merge-phase configuration, exactly as in the sequential sorter; the
-    /// read-ahead also sets the prefetch batch size.
-    pub merge: MergeConfig,
-    /// When `true`, the output is scanned after the merge and verified to
-    /// be sorted and complete (reported separately, like the sequential
-    /// sorter's verify phase).
-    pub verify: bool,
-    /// Capacity (in queued operations, i.e. pages) of each shard's bounded
-    /// spill-writer channel.
-    pub spill_queue_pages: usize,
-    /// How many read-ahead batches each merge prefetch thread may buffer.
-    pub prefetch_batches: usize,
-    /// Records per round-robin parcel when dealing the input to shards.
-    /// Determines the (deterministic) shard contents; larger parcels
-    /// amortise channel traffic.
-    pub shard_batch_records: usize,
-}
-
-impl Default for ParallelSorterConfig {
-    fn default() -> Self {
-        ParallelSorterConfig {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            merge: MergeConfig::default(),
-            verify: false,
-            spill_queue_pages: 64,
-            prefetch_batches: 4,
-            shard_batch_records: 256,
-        }
-    }
-}
-
-impl ParallelSorterConfig {
-    /// A configuration with an explicit thread count and defaults elsewhere.
-    pub fn with_threads(threads: usize) -> Self {
-        ParallelSorterConfig {
-            threads,
-            ..Self::default()
-        }
-    }
-
-    /// The sequential [`SorterConfig`] this parallel configuration mirrors
-    /// (same merge parameters and verify flag).
-    pub fn sequential(&self) -> SorterConfig {
-        SorterConfig {
-            merge: self.merge,
-            verify: self.verify,
-        }
-    }
-}
 
 /// What one generation shard did: its slice of the input, its runs and the
 /// I/O its worker (including its spill writer) performed, measured on the
@@ -616,712 +481,200 @@ pub struct ShardReport {
     pub io: IoStatsSnapshot,
 }
 
-/// Report of one parallel sort: the familiar aggregated [`SortReport`] plus
-/// the per-shard breakdown.
-///
-/// The aggregated report attributes phases from device-level snapshot
-/// deltas, exactly like the sequential sorter — so run generation includes
-/// coordinator-side input reads (e.g. the `sort_file` dataset scan). The
-/// shards perform all of the phase's *writes*, so the aggregated
-/// `pages_written` equals the field-wise shard sum ([`shard_io_sum`]) by
-/// construction; shard seeks are measured by each shard's private head
-/// model (see [`ScopedDevice`]).
-///
-/// [`shard_io_sum`]: ParallelSortReport::shard_io_sum
-#[derive(Debug, Clone)]
-pub struct ParallelSortReport {
-    /// The aggregated report, directly comparable with the sequential
-    /// sorter's.
-    pub report: SortReport,
-    /// Number of generation shards used.
-    pub threads: usize,
-    /// Per-shard breakdown, indexed by shard.
-    pub shards: Vec<ShardReport>,
-}
-
-impl ParallelSortReport {
-    /// Field-wise sum of the per-shard run-generation I/O counters.
-    pub fn shard_io_sum(&self) -> IoStatsSnapshot {
-        let model = self.shards.first().map(|s| s.io.model).unwrap_or_default();
-        self.shards
-            .iter()
-            .fold(IoStatsSnapshot::zero(model), |acc, s| acc.merged(&s.io))
-    }
-
-    /// `true` when the report's I/O accounting is internally consistent —
-    /// the invariant the equivalence suite pins:
-    ///
-    /// * the aggregated run-generation `pages_written` equals the
-    ///   field-wise sum of the per-shard counters (the shards perform all
-    ///   of the phase's writes);
-    /// * the aggregated `pages_read` covers at least the shards' own reads
-    ///   (the remainder is coordinator-side input reading, which belongs
-    ///   to the phase but to no shard);
-    /// * the shard record counts sum to the total.
-    pub fn io_is_consistent(&self) -> bool {
-        let sum = self.shard_io_sum();
-        let gen = &self.report.run_generation;
-        let records: u64 = self.shards.iter().map(|s| s.records).sum();
-        sum.counters.pages_written == gen.pages_written
-            && gen.pages_read >= sum.counters.pages_read
-            && records == self.report.records
-    }
-}
-
-/// What a finished generation worker hands back to the coordinator.
-struct ShardOutcome {
-    set: RunSet,
-    io: IoStatsSnapshot,
-}
-
-/// Everything the generation phase produced, kept per shard so a striped
-/// device can route each shard's runs back to the stripe member that holds
-/// them (shard `i` spills to member `i % members`, see `generate_sharded`).
-struct GeneratedRuns {
-    run_set: RunSet,
-    runs_by_shard: Vec<Vec<RunHandle>>,
-    shards: Vec<ShardReport>,
-    run_phase: PhaseReport,
-    after_runs: IoStatsSnapshot,
-}
-
-/// An external sorter that parallelises run generation across budget-divided
-/// shards, overlaps spill writes with heap work, and prefetches merge input
-/// in the background. See the module documentation for the architecture.
-pub struct ParallelExternalSorter<G: ShardableGenerator> {
-    generator: G,
-    config: ParallelSorterConfig,
-    cancel: CancellationToken,
-}
-
-impl<G: ShardableGenerator> ParallelExternalSorter<G> {
-    /// Creates a parallel sorter with the default configuration (one shard
-    /// per available core).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the `SortJob` builder front door instead: \
-                `SortJob::new(generator).on(&device).threads(n).run_iter(input, \"out\")`"
-    )]
-    pub fn new(generator: G) -> Self {
-        ParallelExternalSorter {
-            generator,
-            config: ParallelSorterConfig::default(),
-            cancel: CancellationToken::new(),
-        }
-    }
-
-    /// Creates a parallel sorter with an explicit configuration.
-    pub fn with_config(generator: G, config: ParallelSorterConfig) -> Self {
-        ParallelExternalSorter {
-            generator,
-            config,
-            cancel: CancellationToken::new(),
-        }
-    }
-
-    /// Installs a cooperative cancellation token; see
-    /// [`ExternalSorter::set_cancel_token`](crate::sorter::ExternalSorter::set_cancel_token).
-    /// On the parallel path the coordinator stops dealing input parcels to
-    /// the generation shards once the flag is set, and the merge checks it
-    /// between passes and every few hundred merged records.
-    pub fn set_cancel_token(&mut self, cancel: CancellationToken) {
-        self.cancel = cancel;
-    }
-
-    /// The pipeline configuration.
-    pub fn config(&self) -> ParallelSorterConfig {
-        self.config
-    }
-
-    /// A reference to the run-generation algorithm being sharded.
-    pub fn generator(&self) -> &G {
-        &self.generator
-    }
-
-    /// Sorts the records produced by `input` into the forward run file
-    /// `output` on `device`. The output is byte-identical to what
-    /// [`ExternalSorter::sort_iter`](crate::sorter::ExternalSorter::sort_iter)
-    /// produces for the same input.
-    pub fn sort_iter<D: Device, R: SortableRecord>(
-        &mut self,
-        device: &D,
-        input: &mut dyn Iterator<Item = R>,
-        output: &str,
-    ) -> Result<ParallelSortReport> {
-        let threads = self.config.threads;
-        if threads == 0 {
-            return Err(SortError::InvalidConfig(
-                "parallel sorter needs at least one thread".into(),
-            ));
-        }
-        let namer = Arc::new(SpillNamer::new(format!("psort-{output}")));
-        let mut sweeper = SpillSweeper::new(device, &namer, Some(output));
-        let result = self.sort_iter_inner(device, input, output, &namer);
-        sweeper.disarm();
-        // Clean up spill files on success *and* on error — by this point
-        // every worker thread has been joined (generate_sharded joins all
-        // shards before reporting a failure), so no detached writer can
-        // recreate a removed name. A canceled or failed merge may also
-        // have left a partial output file.
-        let cleanup = namer.cleanup(device);
-        if result.is_err() && device.exists(output) {
-            let _ = device.remove(output);
-        }
-        let report = result?;
-        cleanup?;
-        Ok(report)
-    }
-
-    fn sort_iter_inner<D: Device, R: SortableRecord>(
-        &mut self,
-        device: &D,
-        input: &mut dyn Iterator<Item = R>,
-        output: &str,
-        namer: &Arc<SpillNamer>,
-    ) -> Result<ParallelSortReport> {
-        let threads = self.config.threads;
-        let GeneratedRuns {
-            run_set,
-            runs_by_shard,
-            shards,
-            run_phase,
-            after_runs,
-        } = self.generate_phase(device, namer, input)?;
-
-        // --- Prefetched merge ------------------------------------------
-        let merge = self.config.merge;
-        let prefetch = self.config.prefetch_batches;
-        let started = Instant::now();
-        let (merge_input, disk_report) =
-            self.reduce_per_disk::<D, R>(device, namer, run_set.runs.clone(), &runs_by_shard)?;
-        let mut outcome = merge_passes::<D, R, _>(
-            device,
-            namer.as_ref(),
-            merge_input,
-            output,
-            merge.fan_in,
-            &self.cancel,
-            |batch, name| {
-                merge_batch_prefetched::<D, R>(
-                    device,
-                    batch,
-                    name,
-                    merge.read_ahead_records,
-                    prefetch,
-                    &self.cancel,
-                )
-            },
-        )?;
-        outcome.report.merge_steps += disk_report.merge_steps;
-        outcome.report.records_written += disk_report.records_written;
-        let merge_wall = started.elapsed();
-        let after_merge = device.stats();
-        let merge_phase = PhaseReport::from_delta(merge_wall, after_merge.since(&after_runs));
-
-        // --- Optional verification (own snapshot window) ----------------
-        let verify_phase = verify_phase_report::<D, R>(
-            device,
-            self.config.verify,
-            output,
-            run_set.records,
-            &after_merge,
-        )?;
-
-        Ok(ParallelSortReport {
-            report: self.report(
-                &run_set,
-                run_phase,
-                merge_phase,
-                verify_phase,
-                outcome.report,
-                FinalPassKind::File,
-                outcome.final_pass_pages_written,
-            ),
-            threads,
-            shards,
-        })
-    }
-
-    /// Sorts the records produced by `input` straight into `sink`: the
-    /// final merge pass, fed by per-run background prefetch threads, drains
-    /// into the sink instead of writing an output file. See
-    /// [`ExternalSorter::sort_iter_sink`](crate::sorter::ExternalSorter::sort_iter_sink)
-    /// for the shared semantics (no verify phase, spill cleanup on a sink
-    /// failure).
-    pub fn sort_iter_sink<D: Device, R: SortableRecord, K>(
-        &mut self,
-        device: &D,
-        input: &mut dyn Iterator<Item = R>,
-        sink: &mut K,
-    ) -> Result<ParallelSortReport>
-    where
-        K: RecordSink<R> + ?Sized,
-    {
-        if self.config.threads == 0 {
-            return Err(SortError::InvalidConfig(
-                "parallel sorter needs at least one thread".into(),
-            ));
-        }
-        let namer = Arc::new(SpillNamer::new(unique_namespace("psort-sink")));
-        let mut sweeper = SpillSweeper::new(device, &namer, None);
-        let result = self.sort_sink_inner(device, input, sink, &namer);
-        sweeper.disarm();
-        let cleanup = namer.cleanup(device);
-        let report = result?;
-        cleanup?;
-        Ok(report)
-    }
-
-    fn sort_sink_inner<D: Device, R: SortableRecord, K>(
-        &mut self,
-        device: &D,
-        input: &mut dyn Iterator<Item = R>,
-        sink: &mut K,
-        namer: &Arc<SpillNamer>,
-    ) -> Result<ParallelSortReport>
-    where
-        K: RecordSink<R> + ?Sized,
-    {
-        let threads = self.config.threads;
-        let GeneratedRuns {
-            run_set,
-            runs_by_shard,
-            shards,
-            run_phase,
-            after_runs,
-        } = self.generate_phase(device, namer, input)?;
-
-        let started = Instant::now();
-        let (reduce_input, disk_report) =
-            self.reduce_per_disk::<D, R>(device, namer, run_set.runs.clone(), &runs_by_shard)?;
-        let ReducedRuns {
-            remaining,
-            report: mut merge_report,
-        } = self.reduce_phase::<D, R>(device, namer, reduce_input)?;
-        merge_report.merge_steps += disk_report.merge_steps;
-        merge_report.records_written += disk_report.records_written;
-
-        // --- Final pass: prefetch threads feed the sink ----------------
-        let mut sources = self.spawn_prefetchers::<D, R>(device, &remaining);
-        let final_writes = finish_into_sink(
-            device,
-            &mut sources,
-            sink,
-            &remaining,
-            &mut merge_report,
-            &self.cancel,
-        )?;
-        // Propagate any prefetcher panic (a plain drop would swallow it).
-        for source in sources {
-            source.join();
-        }
-        let merge_wall = started.elapsed();
-        let merge_phase = PhaseReport::from_delta(merge_wall, device.stats().since(&after_runs));
-
-        Ok(ParallelSortReport {
-            report: self.report(
-                &run_set,
-                run_phase,
-                merge_phase,
-                None,
-                merge_report,
-                FinalPassKind::Sink,
-                final_writes,
-            ),
-            threads,
-            shards,
-        })
-    }
-
-    /// Sorts the records produced by `input` into a lazy [`SortedStream`]
-    /// whose suspended final merge is fed by one background prefetch thread
-    /// per surviving run — the stream consumer overlaps with the
-    /// prefetchers' read I/O. See
-    /// [`ExternalSorter::sort_iter_stream`](crate::sorter::ExternalSorter::sort_iter_stream)
-    /// for the shared semantics (stream owns the spill files, zero
-    /// final-pass writes).
-    pub fn sort_iter_stream<D: Device, R: SortableRecord>(
-        &mut self,
-        device: &D,
-        input: &mut dyn Iterator<Item = R>,
-    ) -> Result<SortedStream<R>> {
-        if self.config.threads == 0 {
-            return Err(SortError::InvalidConfig(
-                "parallel sorter needs at least one thread".into(),
-            ));
-        }
-        let namer = Arc::new(SpillNamer::new(unique_namespace("psort-stream")));
-        let mut sweeper = SpillSweeper::new(device, &namer, None);
-        match self.sort_stream_inner(device, input, &namer) {
-            Ok(stream) => {
-                // The stream owns the spill files from here on.
-                sweeper.disarm();
-                Ok(stream)
-            }
-            // The sweeper removes whatever the failed (or panicked) sort
-            // left behind when it drops.
-            Err(error) => Err(error),
-        }
-    }
-
-    fn sort_stream_inner<D: Device, R: SortableRecord>(
-        &mut self,
-        device: &D,
-        input: &mut dyn Iterator<Item = R>,
-        namer: &Arc<SpillNamer>,
-    ) -> Result<SortedStream<R>> {
-        let threads = self.config.threads;
-        let GeneratedRuns {
-            run_set,
-            runs_by_shard,
-            shards,
-            run_phase,
-            after_runs,
-        } = self.generate_phase(device, namer, input)?;
-
-        let started = Instant::now();
-        let (reduce_input, disk_report) =
-            self.reduce_per_disk::<D, R>(device, namer, run_set.runs.clone(), &runs_by_shard)?;
-        let ReducedRuns {
-            remaining,
-            report: mut merge_report,
-        } = self.reduce_phase::<D, R>(device, namer, reduce_input)?;
-        merge_report.merge_steps += disk_report.merge_steps;
-        merge_report.records_written += disk_report.records_written;
-        // Close the merge window at the suspension point, *before* the
-        // prefetch threads spawn: their background reads would otherwise
-        // race the snapshot and make the phase counters nondeterministic.
-        let merge_wall = started.elapsed();
-        let merge_phase = PhaseReport::from_delta(merge_wall, device.stats().since(&after_runs));
-        let sources: Vec<StreamSource<R>> = self
-            .spawn_prefetchers::<D, R>(device, &remaining)
-            .into_iter()
-            .map(StreamSource::Prefetch)
-            .collect();
-
-        let report = SortJobReport::parallel(ParallelSortReport {
-            report: self.report(
-                &run_set,
-                run_phase,
-                merge_phase,
-                None,
-                merge_report,
-                FinalPassKind::Streamed,
-                0,
-            ),
-            threads,
-            shards,
-        });
-        let cleanup_device = device.clone();
-        let cleanup_namer = Arc::clone(namer);
-        SortedStream::new(
-            sources,
-            report,
-            Box::new(move || {
-                cleanup_namer
-                    .cleanup(&cleanup_device)
-                    .map_err(SortError::from)
-            }),
-        )
-    }
-
-    /// Runs sharded generation in its own snapshot window and flattens the
-    /// shard outcomes.
-    ///
-    /// The phase is attributed from the device-level delta, exactly like
-    /// the sequential sorter: that way coordinator-side input reads (a
-    /// `sort_file` input dataset, or any caller iterator that reads the
-    /// same device) land in `run_generation` instead of being dropped. The
-    /// per-shard scoped statistics provide the breakdown of the work the
-    /// shards themselves did (all of the phase's writes).
-    fn generate_phase<D: Device, R: SortableRecord>(
-        &self,
-        device: &D,
-        namer: &Arc<SpillNamer>,
-        input: &mut dyn Iterator<Item = R>,
-    ) -> Result<GeneratedRuns> {
-        let before = device.stats();
-        let started = Instant::now();
-        let outcomes = self.generate_sharded(device, namer, input)?;
-        // A cancellation observed while dealing parcels stops the feed;
-        // surface it here (after every shard has been joined) so the
-        // truncated prefix never masquerades as a completed generation.
-        self.cancel.check()?;
-        let run_wall = started.elapsed();
-        let after_runs = device.stats();
-
-        let mut runs: Vec<RunHandle> = Vec::new();
-        let mut runs_by_shard = Vec::with_capacity(outcomes.len());
-        let mut records = 0u64;
-        let mut shards = Vec::with_capacity(outcomes.len());
-        for (index, outcome) in outcomes.into_iter().enumerate() {
-            records += outcome.set.records;
-            shards.push(ShardReport {
-                shard: index,
-                records: outcome.set.records,
-                num_runs: outcome.set.num_runs(),
-                io: outcome.io,
-            });
-            runs.extend(outcome.set.runs.iter().cloned());
-            runs_by_shard.push(outcome.set.runs);
-        }
-        let run_set = RunSet { runs, records };
-        let run_phase = PhaseReport::from_delta(run_wall, after_runs.since(&before));
-        Ok(GeneratedRuns {
-            run_set,
-            runs_by_shard,
-            shards,
-            run_phase,
-            after_runs,
-        })
-    }
-
-    /// On a striped device with sharded generation, folds each stripe
-    /// member's runs into at most one run per member before the global
-    /// merge; otherwise returns the runs untouched.
-    ///
-    /// Generation pins shard `i`'s spill files to member `i % members`, so
-    /// each member's runs can be merged by a dedicated single-threaded
-    /// reducer on the member-pinned view ([`reduce_disk_runs`]) — per-disk
-    /// read order stays deterministic no matter how the reducer threads
-    /// interleave, because each touches a different disk's head. The
-    /// survivors (≤ one per member) then feed the ordinary merge machinery,
-    /// whose final pass reads at most one run per member and is therefore
-    /// deterministic too. This is what restores concrete per-disk seek
-    /// counters at `threads > 1`.
-    fn reduce_per_disk<D: Device, R: SortableRecord>(
-        &self,
-        device: &D,
-        namer: &Arc<SpillNamer>,
-        runs: Vec<RunHandle>,
-        runs_by_shard: &[Vec<RunHandle>],
-    ) -> Result<(Vec<RunHandle>, MergeReport)> {
-        let disks = device.stripe_members();
-        if disks <= 1 || self.config.threads <= 1 {
-            return Ok((runs, MergeReport::default()));
-        }
-        let mut disk_runs: Vec<Vec<RunHandle>> = vec![Vec::new(); disks];
-        for (shard, shard_runs) in runs_by_shard.iter().enumerate() {
-            disk_runs[shard % disks].extend(shard_runs.iter().cloned());
-        }
-        let merge = self.config.merge;
-        let mut reducers = Vec::with_capacity(disks);
-        for (disk, member_runs) in disk_runs.into_iter().enumerate() {
-            let view = device.shard_view(disk);
-            let namer = Arc::clone(namer);
-            let cancel = self.cancel.clone();
-            reducers.push(std::thread::spawn(
-                move || -> Result<(Vec<RunHandle>, MergeReport)> {
-                    reduce_disk_runs::<D, R>(
-                        &view,
-                        namer.as_ref(),
-                        member_runs,
-                        merge.fan_in,
-                        merge.read_ahead_records,
-                        &cancel,
-                    )
-                },
-            ));
-        }
-        // Join every reducer before reporting anything (mirrors
-        // `generate_sharded`): no disk is left merging after an error.
-        type ReducerOutcome = Result<(Vec<RunHandle>, MergeReport)>;
-        let results: Vec<std::thread::Result<ReducerOutcome>> =
-            reducers.into_iter().map(|reducer| reducer.join()).collect();
-        let mut remaining = Vec::new();
-        let mut combined = MergeReport::default();
-        for result in results {
-            match result {
-                Ok(outcome) => {
-                    let (member_remaining, report) = outcome?;
-                    remaining.extend(member_remaining);
-                    combined.merge_steps += report.merge_steps;
-                    combined.records_written += report.records_written;
-                }
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        Ok((remaining, combined))
-    }
-
-    /// Runs the intermediate prefetched merge passes until at most `fan_in`
-    /// runs remain.
-    fn reduce_phase<D: Device, R: SortableRecord>(
-        &self,
-        device: &D,
-        namer: &Arc<SpillNamer>,
-        runs: Vec<RunHandle>,
-    ) -> Result<ReducedRuns> {
-        let merge = self.config.merge;
-        let prefetch = self.config.prefetch_batches;
-        reduce_to_fan_in(
-            device,
-            namer.as_ref(),
-            runs,
-            merge.fan_in,
-            &self.cancel,
-            &mut |batch: &[RunHandle], name: &str| {
-                merge_batch_prefetched::<D, R>(
-                    device,
-                    batch,
-                    name,
-                    merge.read_ahead_records,
-                    prefetch,
-                    &self.cancel,
-                )
-            },
-        )
-    }
-
-    /// Spawns one background prefetch thread per run of `batch`.
-    fn spawn_prefetchers<D: Device, R: SortableRecord>(
-        &self,
-        device: &D,
-        batch: &[RunHandle],
-    ) -> Vec<PrefetchSource<R>> {
-        batch
-            .iter()
-            .map(|handle| {
-                PrefetchSource::spawn(
-                    device.clone(),
-                    handle.clone(),
-                    self.config.merge.read_ahead_records,
-                    self.config.prefetch_batches,
-                )
-            })
-            .collect()
-    }
-
-    /// Assembles the aggregated [`SortReport`] from the measured phases
-    /// (shared constructor with the sequential engine).
-    #[allow(clippy::too_many_arguments)]
-    fn report(
-        &self,
-        run_set: &RunSet,
-        run_generation: PhaseReport,
-        merge: PhaseReport,
-        verify: Option<PhaseReport>,
-        merge_report: crate::merge::kway::MergeReport,
-        final_pass: FinalPassKind,
-        final_pass_pages_written: u64,
-    ) -> SortReport {
-        assemble_report(
-            self.generator.label(),
-            self.generator.memory_records(),
-            run_set,
-            run_generation,
-            merge,
-            verify,
-            merge_report,
-            final_pass,
-            final_pass_pages_written,
-        )
-    }
-
-    /// Sorts a dataset of `R` records previously materialised on the
-    /// device (see `twrs_workloads::materialize`) into the forward run file
-    /// `output`.
-    ///
-    /// The record type cannot be inferred from the file names, so call this
-    /// as `sorter.sort_file_as::<_, MyRecord>(…)`. For the default paper
-    /// record the facade crate provides a `sort_file` extension method with
-    /// the historical signature.
-    ///
-    /// A corrupt or truncated input dataset surfaces as an
-    /// [`SortError::Storage`] error, never as a panic. The pipeline sorts
-    /// the readable prefix before the error is detected (the generators
-    /// see an ordinary end of stream), but the partial output file and the
-    /// spill files are cleaned up, so no valid-looking truncated result
-    /// survives.
-    pub fn sort_file_as<D: Device, R: SortableRecord>(
-        &mut self,
-        device: &D,
-        input: &str,
-        output: &str,
-    ) -> Result<ParallelSortReport> {
-        sort_dataset_file::<D, R, _>(device, input, Some(output), |iter| {
-            self.sort_iter(device, iter, output)
-        })
-    }
-
-    /// Spawns the generation workers, deals the input to them round-robin
-    /// and collects their run sets in shard order.
-    fn generate_sharded<D: Device, R: SortableRecord>(
-        &self,
-        device: &D,
-        namer: &Arc<SpillNamer>,
-        input: &mut dyn Iterator<Item = R>,
-    ) -> Result<Vec<ShardOutcome>> {
-        let threads = self.config.threads;
-        let queue_depth = self.config.spill_queue_pages;
-        let mut senders: Vec<Option<SyncSender<Vec<R>>>> = Vec::with_capacity(threads);
-        let mut workers = Vec::with_capacity(threads);
-        for index in 0..threads {
-            let (tx, rx) = sync_channel::<Vec<R>>(2);
-            senders.push(Some(tx));
-            let mut generator = self.generator.shard(index, threads);
-            // On a striped device the shard view pins this worker's spill
-            // files to stripe member `index % members` (plain devices return
-            // a clone), so each shard's write traffic — and later its
-            // reduction merge — stays on one disk.
-            let scoped = ScopedDevice::new(device.shard_view(index));
-            let namer = Arc::clone(namer);
-            workers.push(std::thread::spawn(move || -> Result<ShardOutcome> {
-                let spill = SpillWriteDevice::new(scoped.clone(), queue_depth);
+/// Spawns `threads` generation workers, deals `input` to them round-robin
+/// and joins them all. Returns every run in shard order — shard 0's runs
+/// first — and one [`ShardReport`] per shard.
+pub(crate) fn generate_sharded<G, D, R>(
+    generator: &G,
+    threads: usize,
+    device: &D,
+    namer: &Arc<SpillNamer>,
+    cancel: &CancellationToken,
+    input: &mut dyn Iterator<Item = R>,
+) -> Result<(RunSet, Vec<ShardReport>)>
+where
+    G: ShardableGenerator,
+    D: Device,
+    R: SortableRecord,
+{
+    let mut senders: Vec<Option<SyncSender<Vec<R>>>> = Vec::with_capacity(threads);
+    let mut workers = Vec::with_capacity(threads);
+    for index in 0..threads {
+        let (tx, rx) = sync_channel::<Vec<R>>(2);
+        senders.push(Some(tx));
+        let mut generator = generator.shard(index, threads);
+        // On a striped device the shard view pins this worker's spill
+        // files to stripe member `index % members` (plain devices return
+        // a clone), so each shard's write traffic — and later its
+        // reduction merge — stays on one disk.
+        let scoped = ScopedDevice::new(device.shard_view(index));
+        let namer = Arc::clone(namer);
+        workers.push(std::thread::spawn(
+            move || -> Result<(RunSet, IoStatsSnapshot)> {
+                let spill = SpillWriteDevice::new(scoped.clone(), SPILL_QUEUE_PAGES);
                 let mut shard_input = rx.into_iter().flatten();
                 let set = generator.generate(&spill, namer.as_ref(), &mut shard_input)?;
                 // Drain the spill queue (and surface writer errors) before
                 // reading the shard's I/O statistics.
                 spill.barrier()?;
                 drop(spill);
-                Ok(ShardOutcome {
-                    set,
-                    io: scoped.local_stats(),
-                })
-            }));
-        }
-
-        // Deal the input in round-robin parcels. A worker that failed early
-        // drops its receiver; we stop feeding it and let the join below
-        // surface its error. When every worker is gone there is no point
-        // draining the rest of the input.
-        let parcel = self.config.shard_batch_records.max(1);
-        let mut shard = 0usize;
-        let mut live = threads;
-        while live > 0 {
-            // Heap-refill-grained cancellation point: stop feeding the
-            // shards; they finish their current runs and the post-join
-            // check in `generate_phase` surfaces the cancellation.
-            if self.cancel.is_canceled() {
-                break;
-            }
-            let batch: Vec<R> = input.take(parcel).collect();
-            if batch.is_empty() {
-                break;
-            }
-            if let Some(tx) = senders[shard].as_ref() {
-                if tx.send(batch).is_err() {
-                    senders[shard] = None;
-                    live -= 1;
-                }
-            }
-            shard = (shard + 1) % threads;
-        }
-        drop(senders);
-
-        // Join every worker before reporting anything, so no shard is left
-        // running (and writing spill files) after this function returns.
-        let results: Vec<std::thread::Result<Result<ShardOutcome>>> =
-            workers.into_iter().map(|worker| worker.join()).collect();
-        let mut outcomes = Vec::with_capacity(threads);
-        for result in results {
-            match result {
-                Ok(outcome) => outcomes.push(outcome?),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        Ok(outcomes)
+                Ok((set, scoped.local_stats()))
+            },
+        ));
     }
+
+    // Deal the input in round-robin parcels. A worker that failed early
+    // drops its receiver; we stop feeding it and let the join below
+    // surface its error. When every worker is gone there is no point
+    // draining the rest of the input.
+    let mut shard = 0usize;
+    let mut live = threads;
+    while live > 0 {
+        // Heap-refill-grained cancellation point: stop feeding the shards;
+        // they finish their current runs and the generate stage's
+        // post-join check surfaces the cancellation.
+        if cancel.is_canceled() {
+            break;
+        }
+        let batch: Vec<R> = input.take(SHARD_BATCH_RECORDS).collect();
+        if batch.is_empty() {
+            break;
+        }
+        if let Some(tx) = senders[shard].as_ref() {
+            if tx.send(batch).is_err() {
+                senders[shard] = None;
+                live -= 1;
+            }
+        }
+        shard = (shard + 1) % threads;
+    }
+    drop(senders);
+
+    // Join every worker before reporting anything, so no shard is left
+    // running (and writing spill files) after this function returns.
+    let results: Vec<std::thread::Result<Result<(RunSet, IoStatsSnapshot)>>> =
+        workers.into_iter().map(|worker| worker.join()).collect();
+    let mut run_set = RunSet::default();
+    let mut shards = Vec::with_capacity(threads);
+    for (index, result) in results.into_iter().enumerate() {
+        let (set, io) = match result {
+            Ok(outcome) => outcome?,
+            Err(panic) => std::panic::resume_unwind(panic),
+        };
+        shards.push(ShardReport {
+            shard: index,
+            records: set.records,
+            num_runs: set.num_runs(),
+            io,
+        });
+        run_set.records += set.records;
+        run_set.runs.extend(set.runs);
+    }
+    Ok((run_set, shards))
+}
+
+// ---------------------------------------------------------------------------
+// Per-disk reduction
+// ---------------------------------------------------------------------------
+
+/// On a striped device, folds each stripe member's runs into at most one
+/// run per member, one reducer thread per member; returns the survivors
+/// and the merge work done.
+///
+/// `runs` are in shard order, as [`generate_sharded`] returns them, and
+/// `shards` says how many belong to each shard. Generation pinned shard
+/// `i`'s spill files to member `i % members`, so each member's runs can be
+/// merged by a dedicated single-threaded reducer on the member-pinned view
+/// ([`reduce_disk_runs`]) — per-disk read order stays deterministic no
+/// matter how the reducer threads interleave, because each touches a
+/// different disk's head. The survivors (≤ one per member) then feed the
+/// ordinary merge passes, whose final pass reads at most one run per member
+/// and is therefore deterministic too. This is what restores concrete
+/// per-disk seek counters at `threads > 1`.
+pub(crate) fn reduce_per_disk<D: Device, R: SortableRecord>(
+    device: &D,
+    namer: &Arc<SpillNamer>,
+    runs: Vec<RunHandle>,
+    shards: &[ShardReport],
+    merge: MergeConfig,
+    cancel: &CancellationToken,
+) -> Result<(Vec<RunHandle>, MergeReport)> {
+    let disks = device.stripe_members();
+    let mut disk_runs: Vec<Vec<RunHandle>> = vec![Vec::new(); disks];
+    let mut runs = runs.into_iter();
+    for shard in shards {
+        disk_runs[shard.shard % disks].extend(runs.by_ref().take(shard.num_runs));
+    }
+    let mut reducers = Vec::with_capacity(disks);
+    for (disk, member_runs) in disk_runs.into_iter().enumerate() {
+        let view = device.shard_view(disk);
+        let namer = Arc::clone(namer);
+        let cancel = cancel.clone();
+        reducers.push(std::thread::spawn(
+            move || -> Result<(Vec<RunHandle>, MergeReport)> {
+                reduce_disk_runs::<D, R>(&view, namer.as_ref(), member_runs, merge, &cancel)
+            },
+        ));
+    }
+    // Join every reducer before reporting anything (mirrors
+    // `generate_sharded`): no disk is left merging after an error.
+    type ReducerOutcome = Result<(Vec<RunHandle>, MergeReport)>;
+    let results: Vec<std::thread::Result<ReducerOutcome>> =
+        reducers.into_iter().map(|reducer| reducer.join()).collect();
+    let mut remaining = Vec::new();
+    let mut combined = MergeReport::default();
+    for result in results {
+        match result {
+            Ok(outcome) => {
+                let (member_remaining, report) = outcome?;
+                remaining.extend(member_remaining);
+                combined.merge_steps += report.merge_steps;
+                combined.records_written += report.records_written;
+            }
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    }
+    Ok((remaining, combined))
+}
+
+/// Merges one stripe member's runs down to at most one run *on that member*.
+///
+/// Runs single-threaded with inline [`BufferedCursor`] sources (no prefetch
+/// threads), so the member observes one strictly deterministic read
+/// interleaving — which keeps its seek counters reproducible even when
+/// several generation shards spilled to the same disk. `device` must be the
+/// member-pinned shard view, so the merged output lands on the same disk the
+/// inputs live on.
+fn reduce_disk_runs<D: Device, R: SortableRecord>(
+    device: &D,
+    namer: &SpillNamer,
+    runs: Vec<RunHandle>,
+    merge: MergeConfig,
+    cancel: &CancellationToken,
+) -> Result<(Vec<RunHandle>, MergeReport)> {
+    if runs.len() <= 1 {
+        return Ok((runs, MergeReport::default()));
+    }
+    let ReducedRuns {
+        remaining,
+        mut report,
+    } = reduce_to_fan_in::<BufferedCursor<R>, R, D>(device, namer, runs, merge, cancel)?;
+    if remaining.len() <= 1 {
+        return Ok((remaining, report));
+    }
+    // Pass boundary before the fold into the member's single run.
+    cancel.check()?;
+    let name = namer.next_name("disk");
+    let written = merge_step::<BufferedCursor<R>, R, D>(
+        device,
+        &remaining,
+        &name,
+        merge.read_ahead_records,
+        cancel,
+    )?;
+    report.merge_steps += 1;
+    report.records_written += written;
+    Ok((vec![RunHandle::Forward(name)], report))
 }
 
 #[cfg(test)]
@@ -1329,22 +682,15 @@ mod tests {
     use super::*;
     use crate::load_sort_store::LoadSortStore;
     use crate::replacement_selection::ReplacementSelection;
-    use crate::sorter::ExternalSorter;
+    use crate::sort_job::SortJob;
     use twrs_storage::ModelId;
     use twrs_storage::SimDevice;
     use twrs_workloads::{Distribution, DistributionKind, Record};
 
-    fn config(threads: usize) -> ParallelSorterConfig {
-        ParallelSorterConfig {
-            threads,
-            merge: MergeConfig {
-                fan_in: 4,
-                read_ahead_records: 64,
-            },
-            verify: true,
-            spill_queue_pages: 8,
-            prefetch_batches: 2,
-            shard_batch_records: 100,
+    fn merge() -> MergeConfig {
+        MergeConfig {
+            fan_in: 4,
+            read_ahead_records: 64,
         }
     }
 
@@ -1369,21 +715,22 @@ mod tests {
 
     #[test]
     fn parallel_sort_matches_sequential_output() {
+        let input = || Distribution::new(DistributionKind::RandomUniform, 4_000, 5).records();
         for threads in [1, 2, 3, 5] {
             let device = SimDevice::with_model(ModelId::Hdd7200);
-            let mut seq = ExternalSorter::with_config(
-                ReplacementSelection::new(120),
-                config(threads).sequential(),
-            );
-            let mut input = Distribution::new(DistributionKind::RandomUniform, 4_000, 5).records();
-            seq.sort_iter(&device, &mut input, "seq").unwrap();
-
-            let mut par = ParallelExternalSorter::with_config(
-                ReplacementSelection::new(120),
-                config(threads),
-            );
-            let mut input = Distribution::new(DistributionKind::RandomUniform, 4_000, 5).records();
-            let report = par.sort_iter(&device, &mut input, "par").unwrap();
+            SortJob::new(ReplacementSelection::new(120))
+                .on(&device)
+                .merge(merge())
+                .verify(true)
+                .run_iter(input(), "seq")
+                .unwrap();
+            let report = SortJob::new(ReplacementSelection::new(120))
+                .on(&device)
+                .threads(threads)
+                .merge(merge())
+                .verify(true)
+                .run_iter(input(), "par")
+                .unwrap();
 
             assert_eq!(report.threads, threads);
             assert_eq!(report.report.records, 4_000);
@@ -1401,22 +748,24 @@ mod tests {
         use twrs_storage::DeviceSpec;
 
         let threads = 4;
-        let single = SimDevice::with_model(ModelId::Hdd7200);
-        let mut par =
-            ParallelExternalSorter::with_config(ReplacementSelection::new(120), config(threads));
-        let mut input = Distribution::new(DistributionKind::RandomUniform, 4_000, 5).records();
-        par.sort_iter(&single, &mut input, "out").unwrap();
+        let sort = |device: &twrs_storage::AnyDevice| {
+            let input = Distribution::new(DistributionKind::RandomUniform, 4_000, 5).records();
+            SortJob::new(ReplacementSelection::new(120))
+                .on(device)
+                .threads(threads)
+                .merge(merge())
+                .verify(true)
+                .run_iter(input, "out")
+                .unwrap()
+        };
+        let single = twrs_storage::AnyDevice::Sim(SimDevice::with_model(ModelId::Hdd7200));
+        sort(&single);
         let expected = read_records(&single, "out");
 
         let run_striped = || {
             let spec: DeviceSpec = "striped:4:sim:hdd-7200".parse().unwrap();
             let device = spec.build().unwrap();
-            let mut par = ParallelExternalSorter::with_config(
-                ReplacementSelection::new(120),
-                config(threads),
-            );
-            let mut input = Distribution::new(DistributionKind::RandomUniform, 4_000, 5).records();
-            let report = par.sort_iter(&device, &mut input, "out").unwrap();
+            let report = sort(&device);
             assert!(report.io_is_consistent());
             let members = device.as_striped().unwrap().member_stats();
             let totals = device.stats();
@@ -1446,9 +795,13 @@ mod tests {
     #[test]
     fn empty_input_produces_empty_output() {
         let device = SimDevice::with_model(ModelId::Hdd7200);
-        let mut par = ParallelExternalSorter::with_config(LoadSortStore::new(64), config(4));
-        let mut input = std::iter::empty::<Record>();
-        let report = par.sort_iter(&device, &mut input, "out").unwrap();
+        let report = SortJob::new(LoadSortStore::new(64))
+            .on(&device)
+            .threads(4)
+            .merge(merge())
+            .verify(true)
+            .run_iter(std::iter::empty::<Record>(), "out")
+            .unwrap();
         assert_eq!(report.report.records, 0);
         assert_eq!(report.report.num_runs, 0);
         assert!(report.io_is_consistent());
@@ -1457,21 +810,32 @@ mod tests {
 
     #[test]
     fn zero_threads_is_rejected() {
+        // Every output kind validates the thread count before any I/O.
         let device = SimDevice::with_model(ModelId::Hdd7200);
-        let mut par = ParallelExternalSorter::with_config(LoadSortStore::new(64), config(0));
-        let mut input = std::iter::empty::<Record>();
+        let job = SortJob::new(LoadSortStore::new(64)).on(&device).threads(0);
+        let mut sink = crate::sink::VecSink::new();
         assert!(matches!(
-            par.sort_iter(&device, &mut input, "out"),
+            job.clone()
+                .sink_iter(std::iter::empty::<Record>(), &mut sink),
             Err(SortError::InvalidConfig(_))
         ));
+        assert!(matches!(
+            job.stream_iter(std::iter::empty::<Record>()),
+            Err(SortError::InvalidConfig(_))
+        ));
+        assert!(device.list().is_empty());
     }
 
     #[test]
     fn temporary_files_are_cleaned_up() {
         let device = SimDevice::with_model(ModelId::Hdd7200);
-        let mut par = ParallelExternalSorter::with_config(ReplacementSelection::new(50), config(3));
-        let mut input = Distribution::new(DistributionKind::MixedBalanced, 2_000, 2).records();
-        par.sort_iter(&device, &mut input, "final").unwrap();
+        let input = Distribution::new(DistributionKind::MixedBalanced, 2_000, 2).records();
+        SortJob::new(ReplacementSelection::new(50))
+            .on(&device)
+            .threads(3)
+            .merge(merge())
+            .run_iter(input, "final")
+            .unwrap();
         assert_eq!(device.list(), vec!["final".to_string()]);
     }
 

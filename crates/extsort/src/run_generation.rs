@@ -231,7 +231,7 @@ impl<R: SortableRecord> Iterator for FallibleRecords<'_, R> {
     }
 }
 
-/// Shared `sort_file` plumbing of the sequential and parallel sorters:
+/// The `run_file` / `stream_file` plumbing of [`SortJob`](crate::SortJob):
 /// opens the dataset `input` on `device`, feeds it to `sort` through a
 /// [`FallibleRecords`] adapter, and — when the dataset turned out corrupt
 /// or truncated — removes the partial `output` file (when the sort writes

@@ -12,8 +12,8 @@
 //!
 //! Rebalance points are job start (lease) and job finish (release): grants
 //! shrink as concurrency rises and grow back as jobs drain, using the same
-//! [`shard_budget`] split the parallel sorter uses to divide one budget
-//! across shards.
+//! [`shard_budget`] split a sharded sort uses to divide one budget across
+//! shards.
 //!
 //! Grants are *weighted*: a tenant with priority weight `w` counts as `w`
 //! shares in the split, so a weight-3 tenant's cap is three times a

@@ -34,9 +34,8 @@
 //!   boundary, removes its spill files and partial output, releases its
 //!   memory lease, and completes as [`Canceled`](JobStatus::Canceled).
 //!
-//! Every job funnels through the same internal
-//! `BoundSortJob::execute` spine the direct `run_*`/`sink_*`/`stream_*`
-//! methods use, so a service job is byte-identical to the same job run
+//! Every job runs through the same `run_iter`/`sink_iter` calls a direct
+//! caller uses, so a service job is byte-identical to the same job run
 //! directly (sorted output does not depend on the memory budget, only the
 //! run/merge counts do).
 //!
@@ -673,8 +672,8 @@ fn worker_loop(shared: &Arc<Shared>) {
         job.state.set_running();
         let started = Instant::now();
         // Catch a panicking pipeline: the lease must go back and the
-        // worker must survive to serve the next job. The engines' own
-        // drop guards already swept the job's spill files during the
+        // worker must survive to serve the next job. The pipeline's own
+        // drop guard already swept the job's spill files during the
         // unwind.
         let result =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (job.thunk)(granted)));

@@ -59,15 +59,6 @@ impl<R: SortableRecord> FileSink<R> {
         })
     }
 
-    /// Wraps an already created writer (the merge phase's intermediate
-    /// outputs go through here).
-    pub(crate) fn from_writer(writer: RunWriter<R>) -> Self {
-        FileSink {
-            writer: Some(writer),
-            name: "<unnamed>".to_string(),
-        }
-    }
-
     /// Name of the output file this sink writes.
     pub fn name(&self) -> &str {
         &self.name

@@ -1,9 +1,7 @@
 //! The builder-style front door of the whole sorting pipeline.
 //!
-//! [`ExternalSorter`] and
-//! [`ParallelExternalSorter`] are
-//! the two engines of the pipeline; [`SortJob`] is the single entry point
-//! that drives either of them from one description of the work:
+//! [`SortJob`] is the only way to run a sort: it describes the work once
+//! and runs it through the staged pipeline of [`sorter`](crate::sorter):
 //!
 //! ```
 //! use twrs_extsort::{ReplacementSelection, SortJob};
@@ -22,38 +20,44 @@
 //! assert_eq!(report.threads, 4);
 //! ```
 //!
-//! `threads(1)` (the default) runs the sequential sorter; any larger count
-//! runs the sharded parallel sorter. Both paths produce **byte-identical**
-//! output for the same input, so the thread count is purely a performance
-//! knob. The record type is a free parameter: `run_iter` infers it from the
-//! input iterator, `run_file_as` takes it explicitly (a file name cannot
-//! reveal it).
+//! `threads(1)` (the default) runs every stage inline on the calling
+//! thread; any larger count shards run generation over worker threads and
+//! reads merge input through prefetch threads. Every thread count produces
+//! **byte-identical** output for the same input, so it is purely a
+//! performance knob. The record type is a free parameter: `run_iter`
+//! infers it from the input iterator, `run_file_as` takes it explicitly (a
+//! file name cannot reveal it).
 
 use crate::cancel::CancellationToken;
-use crate::error::{Result, SortError};
+use crate::error::Result;
 use crate::merge::kway::MergeConfig;
-use crate::parallel::{
-    ParallelExternalSorter, ParallelSortReport, ParallelSorterConfig, ShardReport,
-    ShardableGenerator,
-};
+use crate::parallel::{ShardReport, ShardableGenerator};
 use crate::run_generation::{sort_dataset_file, Device};
 use crate::sink::RecordSink;
-use crate::sorter::{ExternalSorter, FinalPassKind, PhaseReport, SortReport, SorterConfig};
-use crate::stream::SortedStream;
-use twrs_storage::SortableRecord;
+use crate::sorter::{FinalPassKind, Output, PhaseReport, Pipeline, SortReport, SorterConfig};
+use crate::stream::{unique_namespace, SortedStream};
+use twrs_storage::{IoStatsSnapshot, SortableRecord};
 
-/// The report of one [`SortJob`] run: the familiar aggregated
-/// [`SortReport`] plus, when the job ran in parallel, the per-shard
-/// breakdown.
+/// The report of one [`SortJob`] run: the per-phase [`SortReport`], how the
+/// final pass delivered the output and, when the job ran sharded, the
+/// per-shard breakdown of run generation.
+///
+/// Phases are attributed from device-level snapshot deltas at every thread
+/// count, so run generation includes coordinator-side input reads (e.g.
+/// the `run_file` dataset scan). The shards perform all of the phase's
+/// *writes*, so for a sharded job the aggregated `pages_written` equals
+/// the field-wise shard sum ([`shard_io_sum`](SortJobReport::shard_io_sum))
+/// by construction; shard seeks are measured by each shard's private head
+/// model (see [`ScopedDevice`](twrs_storage::ScopedDevice)).
 #[derive(Debug, Clone)]
 pub struct SortJobReport {
-    /// Aggregated per-phase report, identical in shape for the sequential
-    /// and the parallel path (directly comparable across thread counts).
+    /// Aggregated per-phase report, identical in shape at every thread
+    /// count (directly comparable across thread counts).
     pub report: SortReport,
-    /// Number of generation threads the job used (1 = sequential path).
+    /// Number of generation threads the job used (1 = every stage inline).
     pub threads: usize,
     /// Per-shard breakdown of the run-generation phase; `None` when the
-    /// job ran on the sequential path.
+    /// job ran on one thread.
     pub shards: Option<Vec<ShardReport>>,
     /// How the final merge pass delivered the output: a device file
     /// (`run_iter`/`run_file`), a caller [`RecordSink`] (`sink_iter`), or a
@@ -65,27 +69,7 @@ pub struct SortJobReport {
 }
 
 impl SortJobReport {
-    /// Wraps a sequential engine report.
-    pub(crate) fn sequential(report: SortReport) -> Self {
-        SortJobReport {
-            final_pass: report.final_pass,
-            report,
-            threads: 1,
-            shards: None,
-        }
-    }
-
-    /// Wraps a parallel engine report.
-    pub(crate) fn parallel(parallel: ParallelSortReport) -> Self {
-        SortJobReport {
-            final_pass: parallel.report.final_pass,
-            report: parallel.report,
-            threads: parallel.threads,
-            shards: Some(parallel.shards),
-        }
-    }
-
-    /// `true` when the job ran the sharded parallel pipeline.
+    /// `true` when the job sharded run generation over worker threads.
     pub fn is_parallel(&self) -> bool {
         self.shards.is_some()
     }
@@ -152,25 +136,39 @@ impl SortJobReport {
         }
     }
 
-    /// `true` when the report's I/O accounting is internally consistent:
-    /// for a parallel run, exactly
-    /// [`ParallelSortReport::io_is_consistent`] (the aggregated
-    /// run-generation writes equal the field-wise shard sums, the phase's
-    /// reads cover the shards' own reads, and the shard record counts sum
-    /// to the total); trivially `true` for a sequential run, whose phases
-    /// are measured directly on the device.
+    /// Field-wise sum of the per-shard run-generation I/O counters (zero
+    /// for a job that did not shard its input).
+    pub fn shard_io_sum(&self) -> IoStatsSnapshot {
+        let shards = self.shards.as_deref().unwrap_or_default();
+        let model = shards.first().map(|s| s.io.model).unwrap_or_default();
+        shards
+            .iter()
+            .fold(IoStatsSnapshot::zero(model), |acc, s| acc.merged(&s.io))
+    }
+
+    /// `true` when the report's I/O accounting is internally consistent —
+    /// the invariant the equivalence suite pins. For a sharded job:
+    ///
+    /// * the aggregated run-generation `pages_written` equals the
+    ///   field-wise sum of the per-shard counters (the shards perform all
+    ///   of the phase's writes);
+    /// * the aggregated `pages_read` covers at least the shards' own reads
+    ///   (the remainder is coordinator-side input reading, which belongs
+    ///   to the phase but to no shard);
+    /// * the shard record counts sum to the total.
+    ///
+    /// Trivially `true` for a one-thread job, whose phases are measured
+    /// directly on the device.
     pub fn io_is_consistent(&self) -> bool {
-        match &self.shards {
-            None => true,
-            // Delegate to the engine's invariant so the two reports can
-            // never drift apart.
-            Some(shards) => ParallelSortReport {
-                report: self.report.clone(),
-                threads: self.threads,
-                shards: shards.clone(),
-            }
-            .io_is_consistent(),
-        }
+        let Some(shards) = &self.shards else {
+            return true;
+        };
+        let sum = self.shard_io_sum();
+        let gen = &self.report.run_generation;
+        let records: u64 = shards.iter().map(|s| s.records).sum();
+        sum.counters.pages_written == gen.pages_written
+            && gen.pages_read >= sum.counters.pages_read
+            && records == self.report.records
     }
 }
 
@@ -189,9 +187,8 @@ pub struct SortJob<G> {
 impl<G> SortJob<G> {
     /// Starts describing a sort that uses `generator` for run generation.
     ///
-    /// Defaults: one thread (the sequential pipeline), no verification
-    /// pass, and the default [`MergeConfig`] — exactly the behaviour of
-    /// `ExternalSorter` with a default [`SorterConfig`].
+    /// Defaults: one thread (every stage inline), no verification pass, and
+    /// the default [`MergeConfig`] — a default [`SorterConfig`].
     pub fn new(generator: G) -> Self {
         SortJob {
             generator,
@@ -201,9 +198,10 @@ impl<G> SortJob<G> {
         }
     }
 
-    /// Sets the number of generation threads. `1` (the default) selects
-    /// the sequential pipeline; larger counts select the sharded parallel
-    /// pipeline with the generator's memory budget divided across shards.
+    /// Sets the number of generation threads. `1` (the default) runs every
+    /// stage inline on the calling thread; larger counts shard run
+    /// generation with the generator's memory budget divided across shards,
+    /// and read merge input through prefetch threads.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -229,11 +227,11 @@ impl<G> SortJob<G> {
         self
     }
 
-    /// Installs a cooperative [`CancellationToken`]. The phase loops of
-    /// either engine poll it at phase/page boundaries; once a clone of the
+    /// Installs a cooperative [`CancellationToken`]. The pipeline's phase
+    /// loops poll it at phase/page boundaries; once a clone of the
     /// token is [`cancel`](CancellationToken::cancel)ed, the job stops at
     /// the next boundary, removes its spill files (and any partial output)
-    /// and returns [`SortError::Canceled`]. The
+    /// and returns [`SortError::Canceled`](crate::SortError::Canceled). The
     /// [`SortService`](crate::service::SortService) wires the token of
     /// every submitted job to its [`JobHandle`](crate::service::JobHandle).
     pub fn cancel_token(mut self, cancel: CancellationToken) -> Self {
@@ -261,64 +259,6 @@ impl<G> SortJob<G> {
 pub struct BoundSortJob<G, D: Device> {
     pub(crate) job: SortJob<G>,
     pub(crate) device: D,
-}
-
-/// What a [`BoundSortJob`] should do with the merged output — the one
-/// description both the direct `run_*`/`sink_*`/`stream_*` methods and the
-/// [`SortService`](crate::service::SortService) hand to
-/// [`BoundSortJob::execute`], the single execution spine of the pipeline.
-pub(crate) enum ExecutionPlan<'a, R: SortableRecord> {
-    /// Write the sorted sequence into the forward run file `output`.
-    File {
-        /// The unsorted input records.
-        input: &'a mut dyn Iterator<Item = R>,
-        /// Name of the output file on the bound device.
-        output: &'a str,
-    },
-    /// Drain the final merge pass into a caller-provided sink.
-    Sink {
-        /// The unsorted input records.
-        input: &'a mut dyn Iterator<Item = R>,
-        /// Destination of the sorted sequence.
-        sink: &'a mut dyn RecordSink<R>,
-    },
-    /// Suspend the final merge into a lazy [`SortedStream`].
-    Stream {
-        /// The unsorted input records.
-        input: &'a mut dyn Iterator<Item = R>,
-    },
-}
-
-/// Result of [`BoundSortJob::execute`]: a report for the eager plans, a
-/// suspended stream for [`ExecutionPlan::Stream`].
-pub(crate) enum ExecutionOutcome<R: SortableRecord> {
-    /// The job ran to completion ([`ExecutionPlan::File`] / `Sink`).
-    Report(SortJobReport),
-    /// The final merge was suspended ([`ExecutionPlan::Stream`]).
-    Stream(SortedStream<R>),
-}
-
-impl<R: SortableRecord> ExecutionOutcome<R> {
-    fn into_report(self) -> SortJobReport {
-        match self {
-            ExecutionOutcome::Report(report) => report,
-            // `execute` maps File/Sink plans to reports by construction.
-            ExecutionOutcome::Stream(_) => {
-                // twrs-lint: allow(no-lib-panic) eager plans construct only report outcomes
-                unreachable!("an eager execution plan produced a stream")
-            }
-        }
-    }
-
-    fn into_stream(self) -> SortedStream<R> {
-        match self {
-            ExecutionOutcome::Stream(stream) => stream,
-            ExecutionOutcome::Report(_) => {
-                // twrs-lint: allow(no-lib-panic) stream plans construct only stream outcomes
-                unreachable!("a stream execution plan produced a report")
-            }
-        }
-    }
 }
 
 impl<G, D: Device> BoundSortJob<G, D> {
@@ -353,74 +293,6 @@ impl<G, D: Device> BoundSortJob<G, D> {
         self
     }
 
-    /// The parallel configuration this job expands to for its thread count
-    /// (also meaningful for `threads == 1`, where it mirrors the
-    /// sequential [`SorterConfig`]).
-    fn parallel_config(&self) -> ParallelSorterConfig {
-        ParallelSorterConfig {
-            threads: self.job.threads,
-            merge: self.job.config.merge,
-            verify: self.job.config.verify,
-            ..ParallelSorterConfig::default()
-        }
-    }
-
-    /// Runs this job according to `plan` — **the** execution spine of the
-    /// pipeline. Every public entry point (`run_iter`, `sink_iter`,
-    /// `stream_iter`, the `*_file*` wrappers) and the
-    /// [`SortService`](crate::service::SortService) worker pool funnel
-    /// through here, so sequential-vs-parallel dispatch exists exactly
-    /// once.
-    pub(crate) fn execute<R: SortableRecord>(
-        self,
-        plan: ExecutionPlan<'_, R>,
-    ) -> Result<ExecutionOutcome<R>>
-    where
-        G: ShardableGenerator,
-    {
-        // Admit this job as one I/O client for the duration of the run: on
-        // a striped device every concurrently executing job then fair-shares
-        // the simulated bandwidth (see `twrs_storage::SharedBandwidthModel`);
-        // on plain devices this is a no-op.
-        let _io_client = self.device.attach_io_client();
-        match self.job.threads {
-            0 => Err(SortError::InvalidConfig(
-                "a sort job needs at least one thread".into(),
-            )),
-            1 => {
-                let mut sorter = ExternalSorter::with_config(self.job.generator, self.job.config);
-                sorter.set_cancel_token(self.job.cancel.clone());
-                match plan {
-                    ExecutionPlan::File { input, output } => sorter
-                        .sort_iter(&self.device, input, output)
-                        .map(|report| ExecutionOutcome::Report(SortJobReport::sequential(report))),
-                    ExecutionPlan::Sink { input, sink } => sorter
-                        .sort_iter_sink(&self.device, input, sink)
-                        .map(|report| ExecutionOutcome::Report(SortJobReport::sequential(report))),
-                    ExecutionPlan::Stream { input } => sorter
-                        .sort_iter_stream(&self.device, input)
-                        .map(ExecutionOutcome::Stream),
-                }
-            }
-            _ => {
-                let config = self.parallel_config();
-                let mut sorter = ParallelExternalSorter::with_config(self.job.generator, config);
-                sorter.set_cancel_token(self.job.cancel.clone());
-                match plan {
-                    ExecutionPlan::File { input, output } => sorter
-                        .sort_iter(&self.device, input, output)
-                        .map(|report| ExecutionOutcome::Report(SortJobReport::parallel(report))),
-                    ExecutionPlan::Sink { input, sink } => sorter
-                        .sort_iter_sink(&self.device, input, sink)
-                        .map(|report| ExecutionOutcome::Report(SortJobReport::parallel(report))),
-                    ExecutionPlan::Stream { input } => sorter
-                        .sort_iter_stream(&self.device, input)
-                        .map(ExecutionOutcome::Stream),
-                }
-            }
-        }
-    }
-
     /// Sorts the records produced by `input` into the forward run file
     /// `output` on the bound device and returns the unified report.
     pub fn run_iter<R: SortableRecord>(
@@ -431,11 +303,7 @@ impl<G, D: Device> BoundSortJob<G, D> {
     where
         G: ShardableGenerator,
     {
-        self.execute(ExecutionPlan::File {
-            input: &mut input,
-            output,
-        })
-        .map(ExecutionOutcome::into_report)
+        Pipeline::new(self, format!("sort-{output}"))?.run(&mut input, Output::File(output))
     }
 
     /// Sorts the records produced by `input` straight into `sink`: the
@@ -467,19 +335,15 @@ impl<G, D: Device> BoundSortJob<G, D> {
                 self.0.finish()
             }
         }
-        let mut sink = Reborrow(sink);
-        self.execute(ExecutionPlan::Sink {
-            input: &mut input,
-            sink: &mut sink,
-        })
-        .map(ExecutionOutcome::into_report)
+        Pipeline::new(self, unique_namespace("sort-sink"))?
+            .run(&mut input, Output::Sink(&mut Reborrow(sink)))
     }
 
     /// Sorts the records produced by `input` into a lazy [`SortedStream`]:
     /// run generation and the intermediate merge passes execute eagerly,
     /// but the final k-way merge is suspended into the returned iterator
     /// and performed on `next()` — no output file, zero final-pass write
-    /// I/O, and on the parallel path one background prefetch thread per
+    /// I/O, and at `threads > 1` one background prefetch thread per
     /// surviving run keeps feeding the stream.
     ///
     /// The stream yields exactly the record sequence `run_iter` would have
@@ -494,8 +358,7 @@ impl<G, D: Device> BoundSortJob<G, D> {
     where
         G: ShardableGenerator,
     {
-        self.execute(ExecutionPlan::Stream { input: &mut input })
-            .map(ExecutionOutcome::into_stream)
+        Pipeline::new(self, unique_namespace("sort-stream"))?.stream(&mut input)
     }
 
     /// Sorts a dataset of `R` records previously materialised on the bound
@@ -538,6 +401,7 @@ impl<G, D: Device> BoundSortJob<G, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::SortError;
     use crate::load_sort_store::LoadSortStore;
     use crate::replacement_selection::ReplacementSelection;
     use crate::run_generation::{RunCursor, RunHandle};

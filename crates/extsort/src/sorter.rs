@@ -1,21 +1,42 @@
-//! The end-to-end external sorter: run generation followed by a multi-pass
-//! k-way merge.
+//! The sort pipeline behind [`SortJob`](crate::SortJob): run generation
+//! followed by a multi-pass k-way merge, in three stages.
 //!
 //! This is the pipeline the paper times in Chapter 6: the run-generation
 //! algorithm (classic RS, Load-Sort-Store or 2WRS from the `twrs-core`
 //! crate) is a plug-in, the merge phase and its fan-in are shared, and the
 //! report splits wall-clock time and I/O between the two phases exactly like
 //! the "run" and "total" series of Figures 6.2–6.7.
+//!
+//! 1. **generate** runs the generator inline on the calling thread at one
+//!    thread; with more, it shards the input over worker threads that
+//!    spill through writer threads (see [`parallel`](crate::parallel)).
+//! 2. **reduce** merges the runs down to at most the merge fan-in: first
+//!    per disk (sharded sorts on a stripe only), then by intermediate merge
+//!    passes. At one thread every merge step reads its runs through inline
+//!    read-ahead cursors; with more, through prefetch threads. The choice
+//!    is made once per stage, so each merge loop is compiled for one kind
+//!    of source.
+//! 3. **finish** drains the final merge into a [`RecordSink`] — file
+//!    output is a [`FileSink`] followed by the optional verify scan — or
+//!    suspends it into a [`SortedStream`].
+//!
+//! At one thread the pipeline spawns no thread and creates no channel, so
+//! its page-level I/O order, and with it every seek counter, is exactly
+//! that of a plain single-threaded sort.
 
 use crate::cancel::CancellationToken;
 use crate::error::{Result, SortError};
-use crate::merge::kway::{finish_into_sink, KWayMerger, MergeConfig, MergeReport, ReducedRuns};
-use crate::run_generation::{
-    sort_dataset_file, Device, RunCursor, RunGenerator, RunHandle, RunSet,
+use crate::merge::kway::{
+    merge_sources, open_sources, reduce_to_fan_in, remove_run, BufferedCursor, MergeConfig,
+    MergeReport, ReducedRuns, RunSource,
 };
-use crate::sink::RecordSink;
-use crate::sort_job::SortJobReport;
-use crate::stream::{unique_namespace, SortedStream, StreamSource};
+use crate::parallel::{
+    generate_sharded, reduce_per_disk, PrefetchSource, ShardReport, ShardableGenerator,
+};
+use crate::run_generation::{Device, RunCursor, RunHandle, RunSet};
+use crate::sink::{FileSink, RecordSink};
+use crate::sort_job::{BoundSortJob, SortJobReport};
+use crate::stream::{SortedStream, StreamSource};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use twrs_storage::{IoStatsSnapshot, SortableRecord, SpillNamer};
@@ -84,7 +105,9 @@ pub enum FinalPassKind {
     Streamed,
 }
 
-/// Full report of one external sort.
+/// Per-phase report of one external sort; the `report` field of
+/// [`SortJobReport`], which also says how the final pass delivered the
+/// output.
 #[derive(Debug, Clone)]
 pub struct SortReport {
     /// Label of the run-generation algorithm ("RS", "2WRS", "LSS", …).
@@ -110,8 +133,6 @@ pub struct SortReport {
     /// this covers the intermediate passes only — the suspended final pass
     /// has not produced output when the report is taken.
     pub merge_report: MergeReport,
-    /// How the final merge pass delivered the sorted output.
-    pub final_pass: FinalPassKind,
     /// Pages the final merge pass alone wrote, out of
     /// [`merge`](SortReport::merge)'s total: the output-file write for
     /// [`FinalPassKind::File`], whatever the sink wrote for
@@ -133,48 +154,32 @@ impl SortReport {
     }
 }
 
-/// An external sorter parameterised by its run-generation algorithm.
-pub struct ExternalSorter<G: RunGenerator> {
-    generator: G,
-    config: SorterConfig,
-    cancel: CancellationToken,
-}
-
 /// Drop guard that removes a sort's spill files — and optionally its
-/// partial output — if the scope unwinds. The panic-safety net behind the
-/// explicit cleanup the success and error paths run: a generator or merge
-/// panic unwinds through the guard instead of orphaning run files on the
-/// device. Shared by the sequential and parallel engines.
-pub(crate) struct SpillSweeper<'a, D: Device> {
-    device: &'a D,
-    namer: &'a SpillNamer,
-    output: Option<&'a str>,
+/// partial output — unless the sort succeeded. Covers the error paths and
+/// a generator or merge panic alike: both unwind through the guard instead
+/// of orphaning run files on the device.
+struct SpillSweeper<D: Device> {
+    device: D,
+    namer: Arc<SpillNamer>,
+    output: Option<String>,
     armed: bool,
 }
 
-impl<'a, D: Device> SpillSweeper<'a, D> {
-    pub(crate) fn new(device: &'a D, namer: &'a SpillNamer, output: Option<&'a str>) -> Self {
-        SpillSweeper {
-            device,
-            namer,
-            output,
-            armed: true,
-        }
-    }
-
-    /// Disarms the guard: the caller takes over cleanup responsibility.
-    pub(crate) fn disarm(&mut self) {
+impl<D: Device> SpillSweeper<D> {
+    /// Disarms the guard: the sort succeeded, and whatever spill files are
+    /// left now belong to the caller (a [`SortedStream`]) or its cleanup.
+    fn disarm(mut self) {
         self.armed = false;
     }
 }
 
-impl<D: Device> Drop for SpillSweeper<'_, D> {
+impl<D: Device> Drop for SpillSweeper<D> {
     fn drop(&mut self) {
         if !self.armed {
             return;
         }
-        let _ = self.namer.cleanup(self.device);
-        if let Some(output) = self.output {
+        let _ = self.namer.cleanup(&self.device);
+        if let Some(output) = &self.output {
             if self.device.exists(output) {
                 let _ = self.device.remove(output);
             }
@@ -182,412 +187,305 @@ impl<D: Device> Drop for SpillSweeper<'_, D> {
     }
 }
 
-impl<G: RunGenerator> ExternalSorter<G> {
-    /// Creates a sorter with the default pipeline configuration.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the `SortJob` builder front door instead \
-                (`SortJob::new(generator).on(&device).run_iter(input, \"out\")`), \
-                or `ExternalSorter::with_config` for a generator that does not \
-                implement `ShardableGenerator`"
-    )]
-    pub fn new(generator: G) -> Self {
-        ExternalSorter {
-            generator,
-            config: SorterConfig::default(),
-            cancel: CancellationToken::new(),
+/// Where the final merge pass delivers a completed sort.
+pub(crate) enum Output<'a, R> {
+    /// A forward run file of this name on the sort's device, created at
+    /// the start of the final pass and then optionally verified.
+    File(&'a str),
+    /// A caller-provided sink.
+    Sink(&'a mut dyn RecordSink<R>),
+}
+
+/// What the generate stage left on the device.
+struct Generated {
+    /// Every run, in shard order when the input was sharded.
+    run_set: RunSet,
+    /// Per-shard breakdown; `None` for an inline (one-thread) generation.
+    shards: Option<Vec<ShardReport>>,
+    /// The generation phase's cost.
+    phase: PhaseReport,
+    /// Device snapshot that closed the generation phase.
+    after: IoStatsSnapshot,
+}
+
+/// One sort job on its way through the stages.
+pub(crate) struct Pipeline<G, D> {
+    generator: G,
+    threads: usize,
+    config: SorterConfig,
+    cancel: CancellationToken,
+    device: D,
+    namer: Arc<SpillNamer>,
+}
+
+impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
+    /// Prepares `job` to run with its spill files named inside
+    /// `namespace`; rejects a zero thread count before any I/O.
+    pub(crate) fn new(job: BoundSortJob<G, D>, namespace: String) -> Result<Self> {
+        let BoundSortJob { job, device } = job;
+        if job.threads == 0 {
+            return Err(SortError::InvalidConfig(
+                "a sort job needs at least one thread".into(),
+            ));
         }
-    }
-
-    /// Creates a sorter with an explicit pipeline configuration.
-    pub fn with_config(generator: G, config: SorterConfig) -> Self {
-        ExternalSorter {
-            generator,
-            config,
-            cancel: CancellationToken::new(),
-        }
-    }
-
-    /// Installs a cooperative cancellation token. The pipeline polls it at
-    /// phase and page boundaries — run generation on every record pulled
-    /// into the heap, the merge between passes and every few hundred
-    /// output records — and a set flag surfaces as
-    /// [`SortError::Canceled`] after spill files (and any partial output)
-    /// have been removed.
-    pub fn set_cancel_token(&mut self, cancel: CancellationToken) {
-        self.cancel = cancel;
-    }
-
-    /// The pipeline configuration.
-    pub fn config(&self) -> SorterConfig {
-        self.config
-    }
-
-    /// A reference to the run-generation algorithm.
-    pub fn generator(&self) -> &G {
-        &self.generator
-    }
-
-    /// Sorts the records produced by `input` into the forward run file
-    /// `output` on `device`.
-    ///
-    /// This is the file-sink specialisation of the pipeline: the final
-    /// merge pass drains into a `RunWriter` on the device. For other
-    /// destinations see [`sort_iter_sink`](ExternalSorter::sort_iter_sink)
-    /// and [`sort_iter_stream`](ExternalSorter::sort_iter_stream).
-    pub fn sort_iter<D: Device, R: SortableRecord>(
-        &mut self,
-        device: &D,
-        input: &mut dyn Iterator<Item = R>,
-        output: &str,
-    ) -> Result<SortReport> {
-        let namer = SpillNamer::new(format!("sort-{output}"));
-        let mut sweeper = SpillSweeper::new(device, &namer, Some(output));
-        let result = self.sort_iter_inner(device, input, output, &namer);
-        sweeper.disarm();
-        // Spill files are removed on success *and* on error, so a failed
-        // sort never leaves run or intermediate-merge files behind; a
-        // canceled or failed merge may also have left a partial output.
-        let cleanup = namer.cleanup(device);
-        if result.is_err() && device.exists(output) {
-            let _ = device.remove(output);
-        }
-        let report = result?;
-        cleanup?;
-        Ok(report)
-    }
-
-    fn sort_iter_inner<D: Device, R: SortableRecord>(
-        &mut self,
-        device: &D,
-        input: &mut dyn Iterator<Item = R>,
-        output: &str,
-        namer: &SpillNamer,
-    ) -> Result<SortReport> {
-        // --- Run generation phase -------------------------------------
-        let (run_set, run_phase, after_runs) = self.generate_phase(device, namer, input)?;
-
-        // --- Merge phase -----------------------------------------------
-        let merger = KWayMerger::new(self.config.merge).with_cancel(self.cancel.clone());
-        let started = Instant::now();
-        let outcome =
-            merger.merge_into_outcome::<D, R>(device, namer, run_set.runs.clone(), output)?;
-        let merge_wall = started.elapsed();
-        let after_merge = device.stats();
-        let merge_phase = PhaseReport::from_delta(merge_wall, after_merge.since(&after_runs));
-
-        // --- Optional verification -------------------------------------
-        let verify_phase = verify_phase_report::<D, R>(
+        Ok(Pipeline {
+            generator: job.generator,
+            threads: job.threads,
+            config: job.config,
+            cancel: job.cancel,
             device,
-            self.config.verify,
-            output,
-            run_set.records,
-            &after_merge,
-        )?;
-
-        Ok(self.report(
-            &run_set,
-            run_phase,
-            merge_phase,
-            verify_phase,
-            outcome.report,
-            FinalPassKind::File,
-            outcome.final_pass_pages_written,
-        ))
+            namer: Arc::new(SpillNamer::new(namespace)),
+        })
     }
 
-    /// Sorts the records produced by `input` straight into `sink` —
-    /// the final merge pass drains into the sink instead of writing an
-    /// output file, so a non-file sink pays no final write pass at all.
+    /// Runs every stage and delivers the sorted records to `output`.
     ///
-    /// The verification flag is file-specific and ignored here (the sink
-    /// receives the records in ascending order by construction); the
-    /// report's `verify` phase is `None` and its `final_pass` is
-    /// [`FinalPassKind::Sink`]. A failing sink aborts the sort; the spill
-    /// files are removed before the error is returned.
-    pub fn sort_iter_sink<D: Device, R: SortableRecord, K>(
-        &mut self,
-        device: &D,
+    /// Spill files are removed on success *and* on error; a failed sort
+    /// also removes whatever partial output file it left.
+    pub(crate) fn run<R: SortableRecord>(
+        mut self,
         input: &mut dyn Iterator<Item = R>,
-        sink: &mut K,
-    ) -> Result<SortReport>
-    where
-        K: RecordSink<R> + ?Sized,
-    {
-        let namer = SpillNamer::new(unique_namespace("sort-sink"));
-        let mut sweeper = SpillSweeper::new(device, &namer, None);
-        let result = self.sort_sink_inner(device, input, sink, &namer);
-        sweeper.disarm();
-        let cleanup = namer.cleanup(device);
-        let report = result?;
-        cleanup?;
-        Ok(report)
-    }
-
-    fn sort_sink_inner<D: Device, R: SortableRecord, K>(
-        &mut self,
-        device: &D,
-        input: &mut dyn Iterator<Item = R>,
-        sink: &mut K,
-        namer: &SpillNamer,
-    ) -> Result<SortReport>
-    where
-        K: RecordSink<R> + ?Sized,
-    {
-        let (run_set, run_phase, after_runs) = self.generate_phase(device, namer, input)?;
-
-        let merger = KWayMerger::new(self.config.merge).with_cancel(self.cancel.clone());
+        output: Output<'_, R>,
+    ) -> Result<SortJobReport> {
+        // One I/O client for the duration of the run: on a striped device
+        // every concurrently executing job fair-shares the simulated
+        // bandwidth (see `twrs_storage::SharedBandwidthModel`); on plain
+        // devices this is a no-op.
+        let _io_client = self.device.attach_io_client();
+        let (file, final_pass) = match &output {
+            Output::File(name) => (Some(*name), FinalPassKind::File),
+            Output::Sink(_) => (None, FinalPassKind::Sink),
+        };
+        let sweeper = self.sweeper(file);
+        let generated = self.generate(input)?;
         let started = Instant::now();
         let ReducedRuns {
             remaining,
             report: mut merge_report,
-        } = self.reduce_phase::<D, R>(device, namer, &merger, run_set.runs.clone())?;
-
-        // --- Final pass: straight into the sink ------------------------
-        let mut sources = merger.open_sources::<D, R>(device, &remaining)?;
-        let final_writes = finish_into_sink(
-            device,
-            &mut sources,
-            sink,
-            &remaining,
-            &mut merge_report,
-            &self.cancel,
-        )?;
-        let merge_wall = started.elapsed();
-        let merge_phase = PhaseReport::from_delta(merge_wall, device.stats().since(&after_runs));
-
-        Ok(self.report(
-            &run_set,
-            run_phase,
-            merge_phase,
-            None,
-            merge_report,
-            FinalPassKind::Sink,
-            final_writes,
-        ))
-    }
-
-    /// Sorts the records produced by `input` into a lazy [`SortedStream`]:
-    /// runs are generated and reduced to at most the merge fan-in as usual,
-    /// but the final k-way merge is suspended into the returned iterator
-    /// and performed on `next()` — no output file, zero final-pass write
-    /// I/O.
-    ///
-    /// The stream owns the sort's spill files and removes them when it is
-    /// consumed, closed or dropped. The verification flag is file-specific
-    /// and ignored here.
-    pub fn sort_iter_stream<D: Device, R: SortableRecord>(
-        &mut self,
-        device: &D,
-        input: &mut dyn Iterator<Item = R>,
-    ) -> Result<SortedStream<R>> {
-        let namer = Arc::new(SpillNamer::new(unique_namespace("sort-stream")));
-        let mut sweeper = SpillSweeper::new(device, &namer, None);
-        match self.sort_stream_inner(device, input, &namer) {
-            Ok(stream) => {
-                // The stream owns the spill files from here on.
-                sweeper.disarm();
-                Ok(stream)
-            }
-            // The sweeper removes whatever the failed (or panicked) sort
-            // left behind when it drops.
-            Err(error) => Err(error),
+        } = self.reduce::<R>(&generated)?;
+        let final_writes = match self.threads {
+            1 => self.finish::<R, BufferedCursor<R>>(&remaining, output, &mut merge_report)?,
+            _ => self.finish::<R, PrefetchSource<R>>(&remaining, output, &mut merge_report)?,
+        };
+        let after_merge = self.device.stats();
+        let merge = PhaseReport::from_delta(started.elapsed(), after_merge.since(&generated.after));
+        let records = generated.run_set.records;
+        let mut report = self.report(generated, merge, merge_report, final_pass, final_writes);
+        if let (Some(name), true) = (file, self.config.verify) {
+            report.report.verify = Some(self.verify::<R>(name, records, &after_merge)?);
         }
+        sweeper.disarm();
+        self.namer.cleanup(&self.device)?;
+        Ok(report)
     }
 
-    fn sort_stream_inner<D: Device, R: SortableRecord>(
-        &mut self,
-        device: &D,
+    /// Runs generate and reduce, then suspends the final merge into a
+    /// [`SortedStream`] that owns the remaining spill files.
+    pub(crate) fn stream<R: SortableRecord>(
+        mut self,
         input: &mut dyn Iterator<Item = R>,
-        namer: &Arc<SpillNamer>,
     ) -> Result<SortedStream<R>> {
-        let (run_set, run_phase, after_runs) = self.generate_phase(device, namer, input)?;
-
-        let merger = KWayMerger::new(self.config.merge).with_cancel(self.cancel.clone());
+        let _io_client = self.device.attach_io_client();
+        let sweeper = self.sweeper(None);
+        let generated = self.generate(input)?;
         let started = Instant::now();
         let ReducedRuns {
             remaining,
             report: merge_report,
-        } = self.reduce_phase::<D, R>(device, namer, &merger, run_set.runs.clone())?;
+        } = self.reduce::<R>(&generated)?;
         // The merge window closes at the suspension point, before any
-        // source is opened: reads performed on behalf of the consumer
-        // (head pages, read-ahead) belong to consumption, not to the
-        // phases — which also keeps the phase counters deterministic.
-        let merge_wall = started.elapsed();
-        let merge_phase = PhaseReport::from_delta(merge_wall, device.stats().since(&after_runs));
-        let sources: Vec<StreamSource<R>> = merger
-            .open_sources::<D, R>(device, &remaining)?
-            .into_iter()
-            .map(StreamSource::Buffered)
-            .collect();
-
-        let report = SortJobReport::sequential(self.report(
-            &run_set,
-            run_phase,
-            merge_phase,
-            None,
-            merge_report,
-            FinalPassKind::Streamed,
-            0,
-        ));
-        let cleanup_device = device.clone();
-        let cleanup_namer = Arc::clone(namer);
-        SortedStream::new(
+        // source is opened: reads performed on behalf of the consumer (head
+        // pages, read-ahead, prefetch threads) belong to consumption, not to
+        // the phases — which also keeps the phase counters deterministic.
+        let merge = PhaseReport::from_delta(
+            started.elapsed(),
+            self.device.stats().since(&generated.after),
+        );
+        let read_ahead = self.config.merge.read_ahead_records;
+        let sources: Vec<StreamSource<R>> = match self.threads {
+            1 => open_sources::<BufferedCursor<R>, R, D>(&self.device, &remaining, read_ahead)?
+                .into_iter()
+                .map(StreamSource::Buffered)
+                .collect(),
+            _ => open_sources::<PrefetchSource<R>, R, D>(&self.device, &remaining, read_ahead)?
+                .into_iter()
+                .map(StreamSource::Prefetch)
+                .collect(),
+        };
+        let report = self.report(generated, merge, merge_report, FinalPassKind::Streamed, 0);
+        let Pipeline { device, namer, .. } = self;
+        let stream = SortedStream::new(
             sources,
             report,
-            Box::new(move || {
-                cleanup_namer
-                    .cleanup(&cleanup_device)
-                    .map_err(SortError::from)
-            }),
-        )
+            Box::new(move || namer.cleanup(&device).map_err(SortError::from)),
+        )?;
+        sweeper.disarm();
+        Ok(stream)
     }
 
-    /// Runs the generation phase in its own snapshot window.
-    fn generate_phase<D: Device, R: SortableRecord>(
+    fn sweeper(&self, output: Option<&str>) -> SpillSweeper<D> {
+        SpillSweeper {
+            device: self.device.clone(),
+            namer: Arc::clone(&self.namer),
+            output: output.map(str::to_string),
+            armed: true,
+        }
+    }
+
+    /// The generate stage, in its own snapshot window.
+    ///
+    /// The phase is attributed from the device-level delta, so
+    /// coordinator-side input reads (a `run_file` input dataset, or any
+    /// caller iterator that reads the same device) land in
+    /// `run_generation` at every thread count; the per-shard scoped
+    /// statistics break down the work the shards themselves did (all of the
+    /// phase's writes).
+    fn generate<R: SortableRecord>(
         &mut self,
-        device: &D,
-        namer: &SpillNamer,
         input: &mut dyn Iterator<Item = R>,
-    ) -> Result<(RunSet, PhaseReport, IoStatsSnapshot)> {
-        let before = device.stats();
+    ) -> Result<Generated> {
+        let before = self.device.stats();
         let started = Instant::now();
-        // Every record enters the heap through the cancellation gate, so
-        // the token is effectively checked on each heap refill; the
-        // explicit check below keeps a truncated prefix from masquerading
-        // as a completed generation phase.
-        let cancel = self.cancel.clone();
-        let mut gated = cancel.gate(input);
-        let run_set: RunSet = self.generator.generate(device, namer, &mut gated)?;
+        let (run_set, shards) = if self.threads == 1 {
+            // Every record enters the heap through the cancellation gate,
+            // so the token is effectively checked on each heap refill.
+            let mut gated = self.cancel.gate(input);
+            let set = self
+                .generator
+                .generate(&self.device, &self.namer, &mut gated)?;
+            (set, None)
+        } else {
+            let (set, shards) = generate_sharded(
+                &self.generator,
+                self.threads,
+                &self.device,
+                &self.namer,
+                &self.cancel,
+                input,
+            )?;
+            (set, Some(shards))
+        };
+        // A cancel observed mid-generation only truncates the input; check
+        // again so the truncated prefix never masquerades as a completed
+        // generation phase.
         self.cancel.check()?;
-        let run_wall = started.elapsed();
-        let after_runs = device.stats();
-        let run_phase = PhaseReport::from_delta(run_wall, after_runs.since(&before));
-        Ok((run_set, run_phase, after_runs))
+        let wall = started.elapsed();
+        let after = self.device.stats();
+        Ok(Generated {
+            run_set,
+            shards,
+            phase: PhaseReport::from_delta(wall, after.since(&before)),
+            after,
+        })
     }
 
-    /// Runs the intermediate merge passes until at most `fan_in` runs
-    /// remain.
-    fn reduce_phase<D: Device, R: SortableRecord>(
+    /// The reduce stage: merges the generated runs down to at most the
+    /// merge fan-in — per disk first for a sharded sort on a stripe.
+    fn reduce<R: SortableRecord>(&self, generated: &Generated) -> Result<ReducedRuns> {
+        let runs = generated.run_set.runs.clone();
+        let (runs, disk_report) = match &generated.shards {
+            Some(shards) if self.device.stripe_members() > 1 => reduce_per_disk::<D, R>(
+                &self.device,
+                &self.namer,
+                runs,
+                shards,
+                self.config.merge,
+                &self.cancel,
+            )?,
+            _ => (runs, MergeReport::default()),
+        };
+        let (device, namer, merge, cancel) =
+            (&self.device, &self.namer, self.config.merge, &self.cancel);
+        let mut reduced = match self.threads {
+            1 => reduce_to_fan_in::<BufferedCursor<R>, R, D>(device, namer, runs, merge, cancel)?,
+            _ => reduce_to_fan_in::<PrefetchSource<R>, R, D>(device, namer, runs, merge, cancel)?,
+        };
+        reduced.report.merge_steps += disk_report.merge_steps;
+        reduced.report.records_written += disk_report.records_written;
+        Ok(reduced)
+    }
+
+    /// The finish stage of a completed sort: merges the surviving runs
+    /// (read as `S` sources) into `output`, removes them and folds the step
+    /// into `report`. Returns the pages the pass wrote — the output file,
+    /// header page included, or whatever a sink wrote.
+    ///
+    /// An output file is created right after the sources are opened, inside
+    /// the pass's snapshot window; on a stripe its member therefore follows
+    /// from file-creation order like every other file's.
+    fn finish<R: SortableRecord, S: RunSource<R>>(
         &self,
-        device: &D,
-        namer: &SpillNamer,
-        merger: &KWayMerger,
-        runs: Vec<RunHandle>,
-    ) -> Result<ReducedRuns> {
-        crate::merge::kway::reduce_to_fan_in(
-            device,
-            namer,
-            runs,
-            self.config.merge.fan_in,
-            &self.cancel,
-            &mut |batch, name| merger.merge_batch::<D, R>(device, batch, name),
-        )
+        remaining: &[RunHandle],
+        output: Output<'_, R>,
+        report: &mut MergeReport,
+    ) -> Result<u64> {
+        let before = self.device.stats();
+        self.cancel.check()?;
+        let read_ahead = self.config.merge.read_ahead_records;
+        let mut sources = open_sources::<S, R, D>(&self.device, remaining, read_ahead)?;
+        let delivered = match output {
+            Output::File(name) => {
+                let mut file = FileSink::create(&self.device, name)?;
+                merge_sources(&mut sources, &mut file, &self.cancel)?
+            }
+            Output::Sink(sink) => merge_sources(&mut sources, sink, &self.cancel)?,
+        };
+        sources.into_iter().for_each(S::close);
+        for handle in remaining {
+            remove_run(&self.device, handle)?;
+        }
+        if !remaining.is_empty() {
+            report.merge_steps += 1;
+        }
+        report.records_written += delivered;
+        report.output_records = delivered;
+        Ok(self.device.stats().counters.pages_written - before.counters.pages_written)
     }
 
-    /// Assembles a [`SortReport`] from the measured phases.
-    #[allow(clippy::too_many_arguments)]
+    /// The verification scan of an output file, in its own snapshot window
+    /// starting at `after_merge`, so its read pass is attributed to the
+    /// `verify` report, never to the merge phase.
+    fn verify<R: SortableRecord>(
+        &self,
+        output: &str,
+        records: u64,
+        after_merge: &IoStatsSnapshot,
+    ) -> Result<PhaseReport> {
+        let started = Instant::now();
+        verify_sorted::<R>(&self.device, output, records)?;
+        Ok(PhaseReport::from_delta(
+            started.elapsed(),
+            self.device.stats().since(after_merge),
+        ))
+    }
+
     fn report(
         &self,
-        run_set: &RunSet,
-        run_generation: PhaseReport,
+        generated: Generated,
         merge: PhaseReport,
-        verify: Option<PhaseReport>,
         merge_report: MergeReport,
         final_pass: FinalPassKind,
         final_pass_pages_written: u64,
-    ) -> SortReport {
-        assemble_report(
-            self.generator.label(),
-            self.generator.memory_records(),
-            run_set,
-            run_generation,
-            merge,
-            verify,
-            merge_report,
+    ) -> SortJobReport {
+        let run_set = generated.run_set;
+        SortJobReport {
+            report: SortReport {
+                generator: self.generator.label(),
+                records: run_set.records,
+                num_runs: run_set.num_runs(),
+                average_run_length: run_set.average_run_length(),
+                relative_run_length: run_set.relative_run_length(self.generator.memory_records()),
+                run_generation: generated.phase,
+                merge,
+                verify: None,
+                merge_report,
+                final_pass_pages_written,
+            },
+            threads: self.threads,
+            shards: generated.shards,
             final_pass,
-            final_pass_pages_written,
-        )
+        }
     }
-
-    /// Sorts a dataset of `R` records previously materialised on the
-    /// device (see `twrs_workloads::materialize`) into the forward run file
-    /// `output`.
-    ///
-    /// The record type cannot be inferred from the file names, so call this
-    /// as `sorter.sort_file_as::<_, MyRecord>(…)`. For the default paper
-    /// record the facade crate provides a `sort_file` extension method with
-    /// the historical signature.
-    ///
-    /// A corrupt or truncated input dataset surfaces as an
-    /// [`SortError::Storage`] error, never as a panic. The pipeline sorts
-    /// the readable prefix before the error is detected (the generators
-    /// see an ordinary end of stream), but the partial output file is
-    /// removed, so no valid-looking truncated result survives.
-    pub fn sort_file_as<D: Device, R: SortableRecord>(
-        &mut self,
-        device: &D,
-        input: &str,
-        output: &str,
-    ) -> Result<SortReport> {
-        sort_dataset_file::<D, R, _>(device, input, Some(output), |iter| {
-            self.sort_iter(device, iter, output)
-        })
-    }
-}
-
-/// Assembles a [`SortReport`] from the measured phases of one sort; the
-/// single construction point shared by the sequential and parallel engines,
-/// so their reports can never drift in shape.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn assemble_report(
-    generator: &'static str,
-    memory_records: usize,
-    run_set: &RunSet,
-    run_generation: PhaseReport,
-    merge: PhaseReport,
-    verify: Option<PhaseReport>,
-    merge_report: MergeReport,
-    final_pass: FinalPassKind,
-    final_pass_pages_written: u64,
-) -> SortReport {
-    SortReport {
-        generator,
-        records: run_set.records,
-        num_runs: run_set.num_runs(),
-        average_run_length: run_set.average_run_length(),
-        relative_run_length: run_set.relative_run_length(memory_records),
-        run_generation,
-        merge,
-        verify,
-        merge_report,
-        final_pass,
-        final_pass_pages_written,
-    }
-}
-
-/// Runs the optional post-merge verification scan in its own snapshot
-/// window (starting at `after_merge`, the snapshot that closed the merge
-/// phase) so its read pass is attributed to the `verify` report, never to
-/// the merge phase. Shared by the sequential and parallel sorters.
-pub(crate) fn verify_phase_report<D: twrs_storage::StorageDevice, R: SortableRecord>(
-    device: &D,
-    enabled: bool,
-    output: &str,
-    records: u64,
-    after_merge: &IoStatsSnapshot,
-) -> Result<Option<PhaseReport>> {
-    if !enabled {
-        return Ok(None);
-    }
-    let started = Instant::now();
-    verify_sorted::<R>(device, output, records)?;
-    let verify_wall = started.elapsed();
-    let after_verify = device.stats();
-    Ok(Some(PhaseReport::from_delta(
-        verify_wall,
-        after_verify.since(after_merge),
-    )))
 }
 
 /// Checks that the run `output` is sorted and contains `expected_records`
@@ -624,6 +522,7 @@ mod tests {
     use super::*;
     use crate::load_sort_store::LoadSortStore;
     use crate::replacement_selection::ReplacementSelection;
+    use crate::sort_job::SortJob;
     use twrs_storage::ModelId;
     use twrs_storage::{SimDevice, StorageDevice};
     use twrs_workloads::{materialize, Distribution, DistributionKind, Record};
@@ -641,10 +540,13 @@ mod tests {
     #[test]
     fn rs_pipeline_sorts_random_input() {
         let device = SimDevice::with_model(ModelId::Hdd7200);
-        let mut sorter =
-            ExternalSorter::with_config(ReplacementSelection::new(200), sorted_config());
-        let mut input = Distribution::new(DistributionKind::RandomUniform, 10_000, 1).records();
-        let report = sorter.sort_iter(&device, &mut input, "out").unwrap();
+        let input = Distribution::new(DistributionKind::RandomUniform, 10_000, 1).records();
+        let report = SortJob::new(ReplacementSelection::new(200))
+            .config(sorted_config())
+            .on(&device)
+            .run_iter(input, "out")
+            .unwrap()
+            .report;
         assert_eq!(report.records, 10_000);
         assert_eq!(report.generator, "RS");
         assert!(report.num_runs > 1);
@@ -655,9 +557,13 @@ mod tests {
     #[test]
     fn lss_pipeline_sorts_and_reports_phases() {
         let device = SimDevice::with_model(ModelId::Hdd7200);
-        let mut sorter = ExternalSorter::with_config(LoadSortStore::new(128), sorted_config());
-        let mut input = Distribution::new(DistributionKind::MixedBalanced, 4_000, 3).records();
-        let report = sorter.sort_iter(&device, &mut input, "out").unwrap();
+        let input = Distribution::new(DistributionKind::MixedBalanced, 4_000, 3).records();
+        let report = SortJob::new(LoadSortStore::new(128))
+            .config(sorted_config())
+            .on(&device)
+            .run_iter(input, "out")
+            .unwrap()
+            .report;
         assert_eq!(report.records, 4_000);
         assert!(report.run_generation.pages_written > 0);
         assert!(report.merge.pages_read > 0);
@@ -669,11 +575,12 @@ mod tests {
         let device = SimDevice::with_model(ModelId::Hdd7200);
         let dist = Distribution::new(DistributionKind::ReverseSorted, 3_000, 9);
         materialize(&device, "input", dist.records()).unwrap();
-        let mut sorter =
-            ExternalSorter::with_config(ReplacementSelection::new(100), sorted_config());
-        let report = sorter
-            .sort_file_as::<_, Record>(&device, "input", "out")
-            .unwrap();
+        let report = SortJob::new(ReplacementSelection::new(100))
+            .config(sorted_config())
+            .on(&device)
+            .run_file_as::<Record>("input", "out")
+            .unwrap()
+            .report;
         assert_eq!(report.records, 3_000);
         // Reverse-sorted input is RS's worst case: runs equal to memory.
         assert_eq!(report.num_runs, 30);
@@ -708,16 +615,17 @@ mod tests {
         // identical, and the scan must show up only in the `verify` report.
         let sort = |verify: bool| {
             let device = SimDevice::with_model(ModelId::Hdd7200);
-            let config = SorterConfig {
-                merge: MergeConfig {
+            let input = Distribution::new(DistributionKind::RandomUniform, 5_000, 11).records();
+            SortJob::new(ReplacementSelection::new(128))
+                .on(&device)
+                .merge(MergeConfig {
                     fan_in: 4,
                     read_ahead_records: 32,
-                },
-                verify,
-            };
-            let mut sorter = ExternalSorter::with_config(ReplacementSelection::new(128), config);
-            let mut input = Distribution::new(DistributionKind::RandomUniform, 5_000, 11).records();
-            sorter.sort_iter(&device, &mut input, "out").unwrap()
+                })
+                .verify(verify)
+                .run_iter(input, "out")
+                .unwrap()
+                .report
         };
         let plain = sort(false);
         let verified = sort(true);
@@ -736,9 +644,12 @@ mod tests {
     #[test]
     fn empty_input_sorts_to_empty_output() {
         let device = SimDevice::with_model(ModelId::Hdd7200);
-        let mut sorter = ExternalSorter::with_config(LoadSortStore::new(16), sorted_config());
-        let mut input = std::iter::empty::<Record>();
-        let report = sorter.sort_iter(&device, &mut input, "out").unwrap();
+        let report = SortJob::new(LoadSortStore::new(16))
+            .config(sorted_config())
+            .on(&device)
+            .run_iter(std::iter::empty::<Record>(), "out")
+            .unwrap()
+            .report;
         assert_eq!(report.records, 0);
         assert_eq!(report.num_runs, 0);
     }
@@ -746,10 +657,12 @@ mod tests {
     #[test]
     fn temporary_files_are_cleaned_up() {
         let device = SimDevice::with_model(ModelId::Hdd7200);
-        let mut sorter =
-            ExternalSorter::with_config(ReplacementSelection::new(64), sorted_config());
-        let mut input = Distribution::new(DistributionKind::RandomUniform, 2_000, 4).records();
-        sorter.sort_iter(&device, &mut input, "final").unwrap();
+        let input = Distribution::new(DistributionKind::RandomUniform, 2_000, 4).records();
+        SortJob::new(ReplacementSelection::new(64))
+            .config(sorted_config())
+            .on(&device)
+            .run_iter(input, "final")
+            .unwrap();
         let files = device.list();
         assert_eq!(files, vec!["final".to_string()]);
     }

@@ -6,7 +6,7 @@
 //! dedup, bulk load). [`SortedStream`] removes that pass: after run
 //! generation and the intermediate merge passes have reduced the run count
 //! to at most the merge fan-in, the last merge step is *not* executed.
-//! Instead its input cursors (or, on the parallel path, its background
+//! Instead its input cursors (or, at `threads > 1`, its background
 //! prefetch threads) and the loser tree are packaged into an iterator that
 //! performs the final merge incrementally, one record per
 //! [`next()`](Iterator::next) call.
@@ -39,13 +39,13 @@ pub(crate) fn unique_namespace(prefix: &str) -> String {
     format!("{prefix}.{id:06}")
 }
 
-/// One leaf of a suspended final merge: a synchronous read-ahead cursor
-/// (sequential pipeline) or the consumer end of a background prefetch
-/// thread (parallel pipeline).
+/// One leaf of a suspended final merge: an inline read-ahead cursor (a
+/// one-thread job) or the consumer end of a background prefetch thread
+/// (`threads > 1`).
 pub(crate) enum StreamSource<R: SortableRecord> {
-    /// Synchronous cursor with read-ahead, as the sequential merger uses.
+    /// Inline cursor with read-ahead.
     Buffered(BufferedCursor<R>),
-    /// Background prefetch thread, as the parallel merger uses.
+    /// Background prefetch thread.
     Prefetch(PrefetchSource<R>),
 }
 
@@ -64,12 +64,12 @@ type Cleanup = Box<dyn FnOnce() -> Result<()> + Send>;
 
 /// A lazily merged sorted record stream.
 ///
-/// Returned by `SortJob::stream_iter` / `stream_file_as` (and the engines'
-/// `sort_iter_stream`). Yields every input record exactly once, in
-/// ascending order — the same sequence `run_iter` would have written to its
-/// output file — without ever writing that file. Errors surface as `Err`
-/// items; after the first `Err` (and after normal exhaustion) the stream is
-/// finished and its spill files are gone.
+/// Returned by `SortJob::stream_iter` / `stream_file_as`. Yields every
+/// input record exactly once, in ascending order — the same sequence
+/// `run_iter` would have written to its output file — without ever writing
+/// that file. Errors surface as `Err` items; after the first `Err` (and
+/// after normal exhaustion) the stream is finished and its spill files are
+/// gone.
 ///
 /// ```
 /// use twrs_extsort::{ReplacementSelection, SortJob};

@@ -4,9 +4,8 @@
 
 use proptest::prelude::*;
 use twrs_extsort::{
-    polyphase_merge, ExternalSorter, KWayMerger, LoadSortStore, MergeConfig,
-    ParallelExternalSorter, ParallelSorterConfig, ReplacementSelection, RunCursor, RunGenerator,
-    RunHandle, SorterConfig,
+    polyphase_merge, KWayMerger, LoadSortStore, MergeConfig, ReplacementSelection, RunCursor,
+    RunGenerator, RunHandle, SortJob,
 };
 use twrs_storage::ModelId;
 use twrs_storage::{SimDevice, SpillNamer};
@@ -67,14 +66,13 @@ proptest! {
     ) {
         let device = SimDevice::with_model(ModelId::Hdd7200);
         let input = records_from(&keys);
-        let config = SorterConfig {
-            merge: MergeConfig { fan_in, read_ahead_records: read_ahead },
-            verify: true,
-        };
-        let mut sorter = ExternalSorter::with_config(ReplacementSelection::new(memory), config);
-        let mut iter = input.clone().into_iter();
-        let report = sorter.sort_iter(&device, &mut iter, "out").unwrap();
-        prop_assert_eq!(report.records as usize, input.len());
+        let report = SortJob::new(ReplacementSelection::new(memory))
+            .on(&device)
+            .merge(MergeConfig { fan_in, read_ahead_records: read_ahead })
+            .verify(true)
+            .run_iter(input.clone().into_iter(), "out")
+            .unwrap();
+        prop_assert_eq!(report.report.records as usize, input.len());
 
         let output = RunCursor::<Record>::open(&device, &RunHandle::Forward("out".into()))
             .unwrap()
@@ -83,12 +81,11 @@ proptest! {
         prop_assert_eq!(output, sorted_copy(&input));
     }
 
-    /// The parallel sorter equals a std sort (and therefore the sequential
-    /// sorter) for arbitrary inputs, thread counts, fan-ins, read-aheads
-    /// and pipeline queue depths — and its I/O accounting is honest: the
-    /// aggregated counters are exactly the shard sums, and splitting the
-    /// memory budget across shards never *reduces* the spill volume below
-    /// the single-threaded sorter's.
+    /// A sharded sort equals a std sort (and therefore the one-thread
+    /// sort) for arbitrary inputs, thread counts, fan-ins and read-aheads —
+    /// and its I/O accounting is honest: the aggregated counters are
+    /// exactly the shard sums, and splitting the memory budget across
+    /// shards never *reduces* the spill volume below the one-thread sort's.
     #[test]
     fn parallel_sorter_matches_sequential_and_accounts_io(
         keys in prop::collection::vec(0u64..1_000_000, 0..1_200),
@@ -96,38 +93,26 @@ proptest! {
         threads in 1usize..8,
         fan_in in 2usize..8,
         read_ahead in 1usize..256,
-        queue in 1usize..64,
-        parcel in 1usize..200,
     ) {
         let input = records_from(&keys);
-        let merge = MergeConfig { fan_in, read_ahead_records: read_ahead };
+        let sort = |device: &SimDevice, threads: usize| {
+            SortJob::new(ReplacementSelection::new(memory))
+                .on(device)
+                .threads(threads)
+                .merge(MergeConfig { fan_in, read_ahead_records: read_ahead })
+                .verify(true)
+                .run_iter(input.clone().into_iter(), "out")
+                .unwrap()
+        };
 
-        // Sequential reference on its own device.
-        let seq_device = SimDevice::with_model(ModelId::Hdd7200);
-        let mut seq = ExternalSorter::with_config(
-            ReplacementSelection::new(memory),
-            SorterConfig { merge, verify: true },
-        );
-        let mut iter = input.clone().into_iter();
-        let seq_report = seq.sort_iter(&seq_device, &mut iter, "out").unwrap();
+        // One-thread reference on its own device.
+        let seq_report = sort(&SimDevice::with_model(ModelId::Hdd7200), 1).report;
 
-        // Parallel sorter with the same total budget and merge parameters.
+        // The same total budget and merge parameters over `threads` threads.
         let par_device = SimDevice::with_model(ModelId::Hdd7200);
-        let mut par = ParallelExternalSorter::with_config(
-            ReplacementSelection::new(memory),
-            ParallelSorterConfig {
-                threads,
-                merge,
-                verify: true,
-                spill_queue_pages: queue,
-                prefetch_batches: 1 + queue % 4,
-                shard_batch_records: parcel,
-            },
-        );
-        let mut iter = input.clone().into_iter();
-        let report = par.sort_iter(&par_device, &mut iter, "out").unwrap();
+        let report = sort(&par_device, threads);
 
-        // Output equals the sorted input (hence the sequential output).
+        // Output equals the sorted input (hence the one-thread output).
         let output = RunCursor::<Record>::open(&par_device, &RunHandle::Forward("out".into()))
             .unwrap()
             .read_all()
@@ -138,13 +123,15 @@ proptest! {
         // Honest accounting: the shards own all generation writes, and the
         // phase's reads cover everything the shards read…
         prop_assert!(report.io_is_consistent());
-        let sum = report.shard_io_sum();
-        prop_assert_eq!(sum.counters.pages_written, report.report.run_generation.pages_written);
-        prop_assert!(report.report.run_generation.pages_read >= sum.counters.pages_read);
-        // …every shard that generated runs also reports the writes for
-        // them…
-        for shard in &report.shards {
-            prop_assert!(shard.num_runs == 0 || shard.io.counters.pages_written > 0);
+        if let Some(shards) = &report.shards {
+            let sum = report.shard_io_sum();
+            prop_assert_eq!(sum.counters.pages_written, report.report.run_generation.pages_written);
+            prop_assert!(report.report.run_generation.pages_read >= sum.counters.pages_read);
+            // …every shard that generated runs also reports the writes for
+            // them…
+            for shard in shards {
+                prop_assert!(shard.num_runs == 0 || shard.io.counters.pages_written > 0);
+            }
         }
         // …and dividing memory across shards can only produce more runs
         // and more spill pages than the single big heap, never fewer

@@ -68,12 +68,14 @@ pub const LOCK_ORDER: [(&str, &str, &str); 3] = [
 /// Functions that form a phase loop of the sort pipeline: each must poll
 /// the cooperative cancellation token, so a future phase can't silently
 /// drop preemption. `(file suffix, function name)`.
-pub const CANCEL_POLL_MANIFEST: [(&str, &str); 5] = [
-    ("crates/extsort/src/sorter.rs", "generate_phase"),
-    ("crates/extsort/src/parallel.rs", "generate_phase"),
-    ("crates/extsort/src/parallel.rs", "merge_batch_prefetched"),
+pub const CANCEL_POLL_MANIFEST: [(&str, &str); 7] = [
+    ("crates/extsort/src/sorter.rs", "generate"),
+    ("crates/extsort/src/sorter.rs", "finish"),
+    ("crates/extsort/src/parallel.rs", "generate_sharded"),
+    ("crates/extsort/src/parallel.rs", "reduce_disk_runs"),
     ("crates/extsort/src/merge/kway.rs", "reduce_to_fan_in"),
-    ("crates/extsort/src/merge/kway.rs", "merge_sources_into"),
+    ("crates/extsort/src/merge/kway.rs", "merge_step"),
+    ("crates/extsort/src/merge/kway.rs", "merge_sources"),
 ];
 
 /// Directory whose files must route device I/O through `ScopedDevice`.

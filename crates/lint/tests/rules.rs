@@ -340,13 +340,18 @@ fn reduce_to_fan_in(cancel: &CancellationToken) -> Result<()> {
     }
 }
 
-fn merge_sources_into() -> Result<()> {
+fn merge_step(cancel: &CancellationToken) -> Result<()> {
+    cancel.check()?;
+    merge_sources()
+}
+
+fn merge_sources() -> Result<()> {
     loop {
         step();
     }
 }
 ";
-    assert_eq!(findings_for(KWAY_PATH, src, CANCEL_POLL), vec![8]);
+    assert_eq!(findings_for(KWAY_PATH, src, CANCEL_POLL), vec![13]);
 }
 
 #[test]
@@ -359,8 +364,15 @@ fn reduce_to_fan_in(token: &CancellationToken) -> Result<()> {
     Ok(())
 }
 
-fn merge_sources_into(cancel: &CancellationToken) -> Result<()> {
+fn merge_step(cancel: &CancellationToken) -> Result<()> {
     cancel.gate(|| ())?;
+    Ok(())
+}
+
+fn merge_sources(written: u64, token: &CancellationToken) -> Result<()> {
+    if written % CANCEL_CHECK_INTERVAL == 0 {
+        poll(token)?;
+    }
     Ok(())
 }
 ";
@@ -370,6 +382,10 @@ fn merge_sources_into(cancel: &CancellationToken) -> Result<()> {
     // so a rename can't silently drop the invariant.
     let missing = "\
 fn reduce_to_fan_in(cancel: &CancellationToken) -> Result<()> {
+    cancel.check()
+}
+
+fn merge_step(cancel: &CancellationToken) -> Result<()> {
     cancel.check()
 }
 ";

@@ -181,34 +181,6 @@ pub struct SimDevice {
 }
 
 impl SimDevice {
-    /// Creates a simulated device with the default page size and the
-    /// historical `hdd-7200` model.
-    ///
-    /// Deprecated: device construction goes through the device-model
-    /// catalog now — [`SimDevice::with_model`] /
-    /// [`SimDevice::custom`], or a
-    /// [`DeviceSpec`](crate::spec::DeviceSpec) string such as
-    /// `"sim:hdd-7200"` when the choice comes from configuration.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use SimDevice::with_model(ModelId::…), SimDevice::custom(…) or DeviceSpec"
-    )]
-    pub fn new() -> Self {
-        Self::with_model(ModelId::Hdd7200)
-    }
-
-    /// Creates a simulated device with an explicit page size and disk-model
-    /// parameter block.
-    ///
-    /// Deprecated: use [`SimDevice::custom`], which accepts a catalog
-    /// [`ModelId`], a raw
-    /// [`DiskModel`] parameter set, or any
-    /// [`DeviceModel`] instance.
-    #[deprecated(since = "0.9.0", note = "use SimDevice::custom(page_size, model)")]
-    pub fn with_config(page_size: usize, model: DiskModel) -> Self {
-        Self::custom(page_size, model)
-    }
-
     /// Creates a simulated device with the default page size, charging
     /// costs from the given device model (a catalog
     /// [`ModelId`], a raw

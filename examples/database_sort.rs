@@ -15,22 +15,18 @@
 use two_way_replacement_selection::prelude::*;
 use two_way_replacement_selection::workloads::AnticorrelatedTable;
 
-fn sort_with<G: RunGenerator>(generator: G, table: &AnticorrelatedTable) -> SortReport {
+fn sort_with<G: ShardableGenerator>(generator: G, table: &AnticorrelatedTable) -> SortReport {
     let device = SimDevice::with_model(ModelId::Hdd7200);
-    let mut sorter = ExternalSorter::with_config(
-        generator,
-        SorterConfig {
-            merge: MergeConfig {
-                fan_in: 10,
-                read_ahead_records: 1_024,
-            },
-            verify: true,
-        },
-    );
-    let mut input = table.sort_by_b_input();
-    sorter
-        .sort_iter(&device, &mut input, "by_b")
+    SortJob::new(generator)
+        .on(&device)
+        .merge(MergeConfig {
+            fan_in: 10,
+            read_ahead_records: 1_024,
+        })
+        .verify(true)
+        .run_iter(table.sort_by_b_input(), "by_b")
         .expect("sort succeeds")
+        .report
 }
 
 fn main() {

@@ -15,8 +15,8 @@
 //!   distributions.
 //! * [`extsort`] — run-generation trait and baselines (classic replacement
 //!   selection, Load-Sort-Store), k-way and polyphase merging, distribution
-//!   sort, the sequential and parallel external sorters, and the
-//!   [`SortJob`](extsort::SortJob) builder that fronts them all.
+//!   sort, and the [`SortJob`](extsort::SortJob) builder that runs the
+//!   external sort pipeline at any thread count.
 //! * [`core`] — two-way replacement selection itself (the paper's
 //!   contribution).
 //! * [`analysis`] — ANOVA, the design-of-experiments runner, the snowplow
@@ -50,12 +50,12 @@
 //! # Going parallel
 //!
 //! The thread count is the only thing that changes; `threads(1)` (the
-//! default) runs the sequential pipeline, anything larger shards run
-//! generation over worker threads, moves spill writes to dedicated writer
-//! threads and prefetches every merge input in the background. The *total*
-//! memory budget is unchanged — each shard's generator gets
-//! `memory / threads` records — and the sorted output is **byte-identical**
-//! across thread counts:
+//! default) runs every stage inline on the calling thread, anything larger
+//! shards run generation over worker threads, moves spill writes to
+//! dedicated writer threads and prefetches every merge input in the
+//! background. The *total* memory budget is unchanged — each shard's
+//! generator gets `memory / threads` records — and the sorted output is
+//! **byte-identical** across thread counts:
 //!
 //! ```
 //! use two_way_replacement_selection::prelude::*;
@@ -199,9 +199,9 @@
 //! round-robin order, and a global
 //! [`MemoryArbiter`](extsort::MemoryArbiter) re-leases each job's budget
 //! at admission so `sum(per-job budgets) <= global` holds at every
-//! rebalance point. Submitted jobs and the blocking `run_*`/`sink_*`/
-//! `stream_*` calls funnel through the same internal execution spine, so a
-//! service job's output is byte-identical to the same job run directly.
+//! rebalance point. Submitted jobs run through the same staged pipeline as
+//! the blocking `run_*`/`sink_*`/`stream_*` calls, so a service job's
+//! output is byte-identical to the same job run directly.
 //!
 //! Cancellation is cooperative preemption: `cancel()` sets a
 //! [`CancellationToken`](extsort::CancellationToken) the pipeline polls at
@@ -240,10 +240,6 @@
 //!
 //! | before                                                   | after                                                        |
 //! |----------------------------------------------------------|--------------------------------------------------------------|
-//! | `ExternalSorter::new(g).sort_iter(&d, &mut it, "out")`   | `SortJob::new(g).on(&d).run_iter(it, "out")`                 |
-//! | `ExternalSorter::with_config(g, cfg).sort_iter(…)`       | `SortJob::new(g).config(cfg).on(&d).run_iter(…)`             |
-//! | `ParallelExternalSorter::new(g).sort_iter(…)`            | `SortJob::new(g).on(&d).threads(n).run_iter(…)`              |
-//! | `sorter.sort_file(&d, "in", "out")`                      | `SortJob::new(g).on(&d).run_file("in", "out")`¹              |
 //! | `RunCursor::open(…)` (implicitly `Record`)               | `RecordRunCursor::open(…)` or `RunCursor::<R>::open(…)`      |
 //! | `run_iter(it, "out")` + `RecordRunCursor` scan of `"out"` | `stream_iter(it)` — same records, no `"out"` file, no final write pass |
 //! | `run_iter(it, "out")` + custom post-processing of `"out"` | `sink_iter(it, &mut sink)` with a [`RecordSink`](extsort::RecordSink) |
@@ -251,17 +247,12 @@
 //! | hand-rolled worker threads + per-job memory bookkeeping   | [`SortService`](extsort::SortService) with a [`MemoryArbiter`](extsort::MemoryArbiter); the arbiter enforces `sum(leases) <= global` at every rebalance |
 //! | killing a worker thread to abandon a sort                 | `JobHandle::cancel()` — the running job observes its [`CancellationToken`](extsort::CancellationToken) at the next phase/page boundary, deletes its spill files, returns its lease and completes `Canceled` |
 //! | a dedicated "high-priority" service instance per tenant tier | one service with [`ServiceConfig::tenant_priority`](extsort::ServiceConfig::tenant_priority)`("gold", `[`Priority::with_weight`](extsort::Priority::with_weight)`(3))` — weighted queue turns and memory caps, one global budget |
-//! | `SimDevice::new()` / `SimDevice::with_config(ps, m)`      | `SimDevice::with_model(`[`ModelId`](storage::ModelId)`::Hdd7200)` / `SimDevice::custom(ps, m)` — `m` can be a catalog [`ModelId`](storage::ModelId), a raw [`DiskModel`](storage::DiskModel), or [`storage::custom`]`(name, params)` |
 //! | a hard-wired device constructor in CLI/bench plumbing     | parse a [`DeviceSpec`](storage::DeviceSpec) (`"sim:nvme"`, `"real:/path:8192"`) and [`build`](storage::DeviceSpec::build) it — the returned [`AnyDevice`](storage::AnyDevice) plugs into every job/service entry point |
 //!
-//! ¹ `run_file` (and the `sort_file` method on the old sorters) is provided
-//! for the default [`Record`] by the [`RecordSortExt`]
-//! and [`RecordJobExt`] extension traits in the [`prelude`]; for any other
-//! record type use `run_file_as::<R>` / `sort_file_as::<_, R>`, since a
-//! file name cannot reveal its record type. The old `ExternalSorter` /
-//! `ParallelExternalSorter` constructors keep working (they are what the
-//! builder drives) — only the `new` constructors are deprecated in favour
-//! of the builder; `with_config` remains the power-user escape hatch.
+//! `run_file` and `stream_file` are provided for the default [`Record`] by
+//! the [`RecordJobExt`] extension trait in the [`prelude`]; for any other
+//! record type use `run_file_as::<R>` / `stream_file_as::<R>`, since a file
+//! name cannot reveal its record type.
 
 #![warn(missing_docs)]
 
@@ -272,10 +263,7 @@ pub use twrs_heaps as heaps;
 pub use twrs_storage as storage;
 pub use twrs_workloads as workloads;
 
-use extsort::{
-    BoundSortJob, Device, ParallelSortReport, Result, RunGenerator, ShardableGenerator,
-    SortJobReport, SortReport, SortedStream,
-};
+use extsort::{BoundSortJob, Device, Result, ShardableGenerator, SortJobReport, SortedStream};
 use workloads::Record;
 
 /// Cursor over runs of the default paper [`Record`] —
@@ -284,53 +272,6 @@ pub type RecordRunCursor = extsort::RunCursor<Record>;
 
 /// Reader over datasets of the default paper [`Record`].
 pub type RecordRunReader = storage::RunReader<Record>;
-
-/// Record-typed `sort_file` for the two sorter engines, specialised to the
-/// default paper [`Record`].
-///
-/// The generic engines expose `sort_file_as::<_, R>` because a file name
-/// cannot reveal its record type; this extension trait restores the
-/// historical `sort_file` signature for the default record. It is exported
-/// by the [`prelude`].
-pub trait RecordSortExt {
-    /// The engine's report type ([`SortReport`] or [`ParallelSortReport`]).
-    type Report;
-
-    /// Sorts a materialised dataset of default records into the forward
-    /// run file `output`. Corrupt input surfaces as an error, not a panic.
-    fn sort_file<D: Device>(
-        &mut self,
-        device: &D,
-        input: &str,
-        output: &str,
-    ) -> Result<Self::Report>;
-}
-
-impl<G: RunGenerator> RecordSortExt for extsort::ExternalSorter<G> {
-    type Report = SortReport;
-
-    fn sort_file<D: Device>(
-        &mut self,
-        device: &D,
-        input: &str,
-        output: &str,
-    ) -> Result<SortReport> {
-        self.sort_file_as::<D, Record>(device, input, output)
-    }
-}
-
-impl<G: ShardableGenerator> RecordSortExt for extsort::ParallelExternalSorter<G> {
-    type Report = ParallelSortReport;
-
-    fn sort_file<D: Device>(
-        &mut self,
-        device: &D,
-        input: &str,
-        output: &str,
-    ) -> Result<ParallelSortReport> {
-        self.sort_file_as::<D, Record>(device, input, output)
-    }
-}
 
 /// Record-typed `run_file` and `stream_file` for the
 /// [`SortJob`](extsort::SortJob) builder, specialised to the default paper
@@ -362,15 +303,14 @@ impl<G: ShardableGenerator, D: Device> RecordJobExt for BoundSortJob<G, D> {
 
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
-    pub use crate::{RecordJobExt, RecordRunCursor, RecordRunReader, RecordSortExt};
+    pub use crate::{RecordJobExt, RecordRunCursor, RecordRunReader};
     pub use twrs_core::{
         BufferSetup, InputHeuristic, OutputHeuristic, TwoWayReplacementSelection, TwrsConfig,
     };
     pub use twrs_extsort::{
         BoundSortJob, BudgetedGenerator, CallbackSink, CancellationToken, ChannelSink,
-        CompletedJob, ExternalSorter, FileSink, FinalPassKind, GrantPolicy, JobHandle, JobStatus,
-        LoadSortStore, MergeConfig, ParallelExternalSorter, ParallelSortReport,
-        ParallelSorterConfig, Priority, RecordSink, ReplacementSelection, RunCursor, RunGenerator,
+        CompletedJob, FileSink, FinalPassKind, GrantPolicy, JobHandle, JobStatus, LoadSortStore,
+        MergeConfig, Priority, RecordSink, ReplacementSelection, RunCursor, RunGenerator,
         RunHandle, ServiceConfig, ServiceReport, ShardableGenerator, SortJob, SortJobReport,
         SortReport, SortService, SortedStream, SorterConfig, VecSink,
     };

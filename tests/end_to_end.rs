@@ -10,27 +10,23 @@ use two_way_replacement_selection::extsort::sorter::verify_sorted;
 use two_way_replacement_selection::prelude::*;
 use two_way_replacement_selection::workloads::{materialize, read_dataset};
 
-fn full_sort_and_verify<G: RunGenerator, D: StorageDevice + Clone + Send + 'static>(
+fn full_sort_and_verify<G: ShardableGenerator, D: StorageDevice + Clone + Send + 'static>(
     device: &D,
     generator: G,
     kind: DistributionKind,
     records: u64,
 ) {
-    let mut sorter = ExternalSorter::with_config(
-        generator,
-        SorterConfig {
-            merge: MergeConfig {
-                fan_in: 6,
-                read_ahead_records: 256,
-            },
-            verify: true,
-        },
-    );
-    let mut input = Distribution::new(kind, records, 17).records();
-    let report = sorter
-        .sort_iter(device, &mut input, "sorted")
+    let input = Distribution::new(kind, records, 17).records();
+    let report = SortJob::new(generator)
+        .on(device)
+        .merge(MergeConfig {
+            fan_in: 6,
+            read_ahead_records: 256,
+        })
+        .verify(true)
+        .run_iter(input, "sorted")
         .expect("sort succeeds");
-    assert_eq!(report.records, records);
+    assert_eq!(report.report.records, records);
     verify_sorted::<Record>(device, "sorted", records).expect("output verified");
     device.remove("sorted").expect("cleanup");
 }

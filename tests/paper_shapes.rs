@@ -91,24 +91,23 @@ fn chapter_6_conclusion_fewer_runs_means_fewer_merge_steps() {
         },
         verify: true,
     };
-    let run = |generator: &mut dyn FnMut() -> SortReport| generator();
+    let input = || Distribution::new(DistributionKind::ReverseSorted, RECORDS, 3).records();
 
-    let mut rs_sorter = ExternalSorter::with_config(ReplacementSelection::new(MEMORY), config);
-    let rs_report = run(&mut || {
-        let mut input = Distribution::new(DistributionKind::ReverseSorted, RECORDS, 3).records();
-        rs_sorter.sort_iter(&device, &mut input, "rs_out").unwrap()
-    });
+    let rs_report = SortJob::new(ReplacementSelection::new(MEMORY))
+        .config(config)
+        .on(&device)
+        .run_iter(input(), "rs_out")
+        .unwrap()
+        .report;
 
-    let mut twrs_sorter = ExternalSorter::with_config(
-        TwoWayReplacementSelection::new(TwrsConfig::recommended(MEMORY)),
-        config,
-    );
-    let twrs_report = run(&mut || {
-        let mut input = Distribution::new(DistributionKind::ReverseSorted, RECORDS, 3).records();
-        twrs_sorter
-            .sort_iter(&device, &mut input, "twrs_out")
-            .unwrap()
-    });
+    let twrs_report = SortJob::new(TwoWayReplacementSelection::new(TwrsConfig::recommended(
+        MEMORY,
+    )))
+    .config(config)
+    .on(&device)
+    .run_iter(input(), "twrs_out")
+    .unwrap()
+    .report;
 
     assert!(twrs_report.num_runs < rs_report.num_runs / 10);
     assert!(twrs_report.merge_report.merge_steps <= rs_report.merge_report.merge_steps);

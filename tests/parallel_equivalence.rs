@@ -1,12 +1,12 @@
-//! Equivalence suite for the parallel external sorter.
+//! Equivalence suite for sharded sort jobs.
 //!
-//! The single-threaded [`ExternalSorter`] is the reference implementation;
-//! [`ParallelExternalSorter`] must be an *observably identical* drop-in for
-//! every input shape and thread count. For all six paper distributions and
-//! thread counts {1, 2, 4, 7} this suite pins that:
+//! A one-thread [`SortJob`] is the reference implementation; a job with
+//! more threads must be *observably identical* for every input shape and
+//! thread count. For all six paper distributions and thread counts
+//! {1, 2, 4, 7} this suite pins that:
 //!
 //! * the sorted output file is **byte-identical** (page-for-page) to the
-//!   sequential sorter's output on the same seed;
+//!   one-thread output on the same seed;
 //! * the record counts match, and the parallel run-set totals are
 //!   internally consistent (shard records and run counts sum to the
 //!   aggregated totals);
@@ -17,9 +17,6 @@
 //! Degenerate inputs — empty, a single record, fewer records than shards —
 //! get the same treatment.
 
-use two_way_replacement_selection::extsort::{
-    ParallelExternalSorter, ParallelSortReport, ParallelSorterConfig, ShardableGenerator,
-};
 use two_way_replacement_selection::prelude::*;
 use two_way_replacement_selection::storage::IoStatsSnapshot;
 
@@ -32,17 +29,6 @@ fn merge_config() -> MergeConfig {
     MergeConfig {
         fan_in: 6,
         read_ahead_records: 128,
-    }
-}
-
-fn parallel_config(threads: usize) -> ParallelSorterConfig {
-    ParallelSorterConfig {
-        threads,
-        merge: merge_config(),
-        verify: true,
-        spill_queue_pages: 32,
-        prefetch_batches: 2,
-        shard_batch_records: 128,
     }
 }
 
@@ -59,29 +45,18 @@ fn file_bytes(device: &SimDevice, name: &str) -> Vec<u8> {
     bytes
 }
 
-/// Sorts `kind` sequentially on a fresh device; returns the output bytes
+/// Sorts `kind` on one thread on a fresh device; returns the output bytes
 /// and the report.
-fn sort_sequential<G: RunGenerator>(
+fn sort_sequential<G: ShardableGenerator>(
     generator: G,
     kind: DistributionKind,
     records: u64,
 ) -> (Vec<u8>, SortReport) {
-    let device = SimDevice::with_model(ModelId::Hdd7200);
-    let mut sorter = ExternalSorter::with_config(
-        generator,
-        SorterConfig {
-            merge: merge_config(),
-            verify: true,
-        },
-    );
-    let mut input = Distribution::new(kind, records, SEED).records();
-    let report = sorter
-        .sort_iter(&device, &mut input, "out")
-        .expect("sequential sort succeeds");
-    (file_bytes(&device, "out"), report)
+    let (bytes, report, _) = sort_parallel(generator, kind, records, 1);
+    (bytes, report.report)
 }
 
-/// Sorts `kind` with the parallel sorter on a fresh device; returns the
+/// Sorts `kind` with `threads` threads on a fresh device; returns the
 /// output bytes, the report and the device-level total page counters so
 /// accounting can be reconciled externally.
 fn sort_parallel<G: ShardableGenerator>(
@@ -89,28 +64,31 @@ fn sort_parallel<G: ShardableGenerator>(
     kind: DistributionKind,
     records: u64,
     threads: usize,
-) -> (Vec<u8>, ParallelSortReport, IoStatsSnapshot) {
+) -> (Vec<u8>, SortJobReport, IoStatsSnapshot) {
     let device = SimDevice::with_model(ModelId::Hdd7200);
-    let mut sorter = ParallelExternalSorter::with_config(generator, parallel_config(threads));
-    let mut input = Distribution::new(kind, records, SEED).records();
-    let report = sorter
-        .sort_iter(&device, &mut input, "out")
-        .expect("parallel sort succeeds");
+    let input = Distribution::new(kind, records, SEED).records();
+    let report = SortJob::new(generator)
+        .on(&device)
+        .threads(threads)
+        .merge(merge_config())
+        .verify(true)
+        .run_iter(input, "out")
+        .expect("sort succeeds");
     // Snapshot the device before reading the output back, so the totals
     // cover exactly the sort's own traffic.
     let totals = device.stats();
     (file_bytes(&device, "out"), report, totals)
 }
 
-/// The invariants every parallel report must satisfy, against its
-/// sequential reference.
+/// The invariants every report must satisfy, against its one-thread
+/// reference.
 fn assert_equivalent(
     label: &str,
     threads: usize,
     seq_bytes: &[u8],
     seq: &SortReport,
     par_bytes: &[u8],
-    par: &ParallelSortReport,
+    par: &SortJobReport,
     device_totals: &IoStatsSnapshot,
 ) {
     let context = format!("{label}, {threads} thread(s)");
@@ -118,31 +96,35 @@ fn assert_equivalent(
     assert_eq!(par_bytes, seq_bytes, "output bytes differ ({context})");
     assert_eq!(par.report.records, seq.records, "record count ({context})");
     assert_eq!(par.threads, threads, "thread count echoed ({context})");
-    assert_eq!(
-        par.shards.len(),
-        threads,
-        "one report per shard ({context})"
-    );
-
-    // Run-set totals: shard sums equal the aggregated totals.
-    let shard_records: u64 = par.shards.iter().map(|s| s.records).sum();
-    let shard_runs: usize = par.shards.iter().map(|s| s.num_runs).sum();
-    assert_eq!(
-        shard_records, par.report.records,
-        "shard records ({context})"
-    );
-    assert_eq!(
-        shard_runs, par.report.num_runs,
-        "shard run counts ({context})"
-    );
-
-    // I/O accounting: aggregated counters are the shard sums…
     assert!(par.io_is_consistent(), "io consistency ({context})");
-    let sum = par.shard_io_sum();
-    assert_eq!(
-        sum.counters.pages_written, par.report.run_generation.pages_written,
-        "aggregated generation writes ({context})"
-    );
+    // A one-thread job generates inline and has no shards to reconcile.
+    if let Some(shards) = &par.shards {
+        assert_eq!(shards.len(), threads, "one report per shard ({context})");
+
+        // Run-set totals: shard sums equal the aggregated totals.
+        let shard_records: u64 = shards.iter().map(|s| s.records).sum();
+        let shard_runs: usize = shards.iter().map(|s| s.num_runs).sum();
+        assert_eq!(
+            shard_records, par.report.records,
+            "shard records ({context})"
+        );
+        assert_eq!(
+            shard_runs, par.report.num_runs,
+            "shard run counts ({context})"
+        );
+
+        // I/O accounting: aggregated counters are the shard sums…
+        let sum = par.shard_io_sum();
+        assert_eq!(
+            sum.counters.pages_written, par.report.run_generation.pages_written,
+            "aggregated generation writes ({context})"
+        );
+    } else {
+        assert_eq!(
+            threads, 1,
+            "only a one-thread job has no shards ({context})"
+        );
+    }
     // …and nothing was dropped: generation + merge + verify page traffic
     // accounts for everything the shared device saw.
     let accounted_written = par.report.run_generation.pages_written
@@ -160,7 +142,7 @@ fn assert_equivalent(
         "pages read reconcile with the device ({context})"
     );
 
-    // One shard is the sequential algorithm with the full budget: its run
+    // One thread is the reference algorithm with the full budget: its run
     // set must match the reference exactly.
     if threads == 1 {
         assert_eq!(par.report.num_runs, seq.num_runs, "run count ({context})");
@@ -278,33 +260,14 @@ fn input_smaller_than_one_shard_is_equivalent() {
 fn sort_file_attributes_input_reads_to_run_generation() {
     // When the input is a materialised dataset, the coordinator reads it
     // from the same device the shards spill to. Those reads belong to the
-    // run-generation phase (the sequential sorter attributes them there via
-    // its device-level delta) and must not be dropped from the accounting.
+    // run-generation phase (its device-level delta attributes them there
+    // at every thread count) and must not be dropped from the accounting.
     use two_way_replacement_selection::workloads::materialize;
 
     let kind = DistributionKind::RandomUniform;
     let records = RECORDS;
 
-    // Sequential reference via sort_file.
-    let seq_device = SimDevice::with_model(ModelId::Hdd7200);
-    materialize(
-        &seq_device,
-        "input",
-        Distribution::new(kind, records, SEED).records(),
-    )
-    .expect("materialize input");
-    let mut seq_sorter = ExternalSorter::with_config(
-        TwoWayReplacementSelection::new(TwrsConfig::recommended(MEMORY)),
-        SorterConfig {
-            merge: merge_config(),
-            verify: true,
-        },
-    );
-    let seq = seq_sorter
-        .sort_file(&seq_device, "input", "out")
-        .expect("sequential sort_file succeeds");
-
-    for threads in THREADS {
+    let materialized = || {
         let device = SimDevice::with_model(ModelId::Hdd7200);
         materialize(
             &device,
@@ -312,14 +275,32 @@ fn sort_file_attributes_input_reads_to_run_generation() {
             Distribution::new(kind, records, SEED).records(),
         )
         .expect("materialize input");
+        device
+    };
+    let job = |threads: usize| {
+        SortJob::new(TwoWayReplacementSelection::new(TwrsConfig::recommended(
+            MEMORY,
+        )))
+        .threads(threads)
+        .merge(merge_config())
+        .verify(true)
+    };
+
+    // One-thread reference via run_file.
+    let seq_device = materialized();
+    let seq = job(1)
+        .on(&seq_device)
+        .run_file("input", "out")
+        .expect("one-thread run_file succeeds")
+        .report;
+
+    for threads in THREADS {
+        let device = materialized();
         let before = device.stats();
-        let mut sorter = ParallelExternalSorter::with_config(
-            TwoWayReplacementSelection::new(TwrsConfig::recommended(MEMORY)),
-            parallel_config(threads),
-        );
-        let par = sorter
-            .sort_file(&device, "input", "out")
-            .expect("parallel sort_file succeeds");
+        let par = job(threads)
+            .on(&device)
+            .run_file("input", "out")
+            .expect("run_file succeeds");
         let after = device.stats();
 
         assert_eq!(
@@ -329,27 +310,27 @@ fn sort_file_attributes_input_reads_to_run_generation() {
         );
         assert!(par.io_is_consistent(), "{threads} threads");
 
-        // Input reads are attributed to run generation, like the
-        // sequential sorter — not dropped.
+        // Input reads are attributed to run generation at every thread
+        // count — not dropped.
         assert!(
             par.report.run_generation.pages_read > par.shard_io_sum().counters.pages_read,
             "input reads show up in the phase ({threads} threads)"
         );
-        // With a single shard the generator is the sequential algorithm
-        // with the full budget, so the phase reads match exactly; with
-        // more shards the generators' own reads (2WRS reverse part files)
-        // may differ slightly, but never below the input scan itself.
+        // With one thread the generator is the reference algorithm with
+        // the full budget, so the phase reads match exactly; with more
+        // shards the generators' own reads (2WRS reverse part files) may
+        // differ slightly, but never below the input scan itself.
         if threads == 1 {
             assert_eq!(
                 par.report.run_generation.pages_read, seq.run_generation.pages_read,
-                "same generation reads as the sequential sorter (1 thread)"
+                "same generation reads as the reference (1 thread)"
             );
         }
 
         // Every page the device saw during the sort is attributed to
         // exactly one phase — except the input file's header page, which
-        // `sort_file` reads when opening the dataset, before any phase
-        // window starts (the sequential sorter behaves identically).
+        // `run_file` reads when opening the dataset, before any phase
+        // window starts (at every thread count).
         let sorted_delta = after.since(&before);
         let accounted_read = par.report.run_generation.pages_read
             + par.report.merge.pages_read

@@ -1,15 +1,17 @@
 //! Pinning suite for the `SortJob` builder front door.
 //!
 //! * `threads(1)` and `threads(4)` produce **byte-identical** output files;
-//! * builder defaults reproduce the old `ExternalSorter::new` behaviour
+//! * builder defaults equal an explicit default configuration
 //!   field-for-field on a fixed seed;
 //! * a corrupt/truncated input dataset surfaces as an `Err` from
-//!   `run_file` / `sort_file`, never a panic (regression for the old
-//!   `.expect("input dataset is readable")` paths).
+//!   `run_file` / `stream_file`, never a panic (regression for the old
+//!   `.expect("input dataset is readable")` paths), and leaves nothing but
+//!   the dataset on the device.
 
 mod common;
 
 use common::file_bytes;
+use two_way_replacement_selection::extsort::SortError;
 use two_way_replacement_selection::prelude::*;
 use two_way_replacement_selection::storage::{PageBuf, StorageError};
 use two_way_replacement_selection::workloads::materialize;
@@ -55,56 +57,48 @@ fn one_thread_and_four_threads_produce_byte_identical_output() {
 }
 
 #[test]
-fn builder_defaults_match_the_old_sequential_front_door() {
-    // The deprecated `ExternalSorter::new` is the pre-redesign default
-    // entry point; `SortJob::new(g).on(&device)` must behave identically.
-    let old_device = SimDevice::with_model(ModelId::Hdd7200);
-    #[allow(deprecated)]
-    let mut old = ExternalSorter::new(ReplacementSelection::new(MEMORY));
-    let mut iter = input().records();
-    let old_report = old
-        .sort_iter(&old_device, &mut iter, "out")
-        .expect("old front door sorts");
+fn builder_defaults_match_an_explicit_default_configuration() {
+    let sort = |job: SortJob<ReplacementSelection>| {
+        let device = SimDevice::with_model(ModelId::Hdd7200);
+        let report = job
+            .on(&device)
+            .run_iter(input().records(), "out")
+            .expect("builder sorts");
+        (report, file_bytes(&device, "out"))
+    };
+    let (defaults, default_bytes) = sort(SortJob::new(ReplacementSelection::new(MEMORY)));
+    let (explicit, explicit_bytes) = sort(
+        SortJob::new(ReplacementSelection::new(MEMORY))
+            .threads(1)
+            .config(SorterConfig::default()),
+    );
 
-    let new_device = SimDevice::with_model(ModelId::Hdd7200);
-    let new_report = SortJob::new(ReplacementSelection::new(MEMORY))
-        .on(&new_device)
-        .run_iter(input().records(), "out")
-        .expect("builder sorts");
-
+    // Defaults: one thread, no shards, no verification pass.
+    assert_eq!(defaults.threads, 1);
+    assert!(defaults.shards.is_none());
+    assert!(defaults.report.verify.is_none());
     // Same defaults ⇒ same report, field for field (wall-clock aside).
-    assert_eq!(new_report.threads, 1);
-    assert!(new_report.shards.is_none());
-    let (old_r, new_r) = (&old_report, &new_report.report);
-    assert_eq!(new_r.generator, old_r.generator);
-    assert_eq!(new_r.records, old_r.records);
-    assert_eq!(new_r.num_runs, old_r.num_runs);
-    assert_eq!(new_r.average_run_length, old_r.average_run_length);
-    assert_eq!(new_r.relative_run_length, old_r.relative_run_length);
-    assert_eq!(new_r.merge_report, old_r.merge_report);
+    let (d, e) = (&defaults.report, &explicit.report);
+    assert_eq!(d.generator, e.generator);
+    assert_eq!(d.records, e.records);
+    assert_eq!(d.num_runs, e.num_runs);
+    assert_eq!(d.average_run_length, e.average_run_length);
+    assert_eq!(d.relative_run_length, e.relative_run_length);
+    assert_eq!(d.merge_report, e.merge_report);
     assert_eq!(
-        new_r.run_generation.pages_written,
-        old_r.run_generation.pages_written
+        d.run_generation.pages_written,
+        e.run_generation.pages_written
     );
-    assert_eq!(
-        new_r.run_generation.pages_read,
-        old_r.run_generation.pages_read
-    );
-    assert_eq!(new_r.run_generation.seeks, old_r.run_generation.seeks);
-    assert_eq!(new_r.merge.pages_written, old_r.merge.pages_written);
-    assert_eq!(new_r.merge.pages_read, old_r.merge.pages_read);
-    assert_eq!(new_r.merge.seeks, old_r.merge.seeks);
-    // Default = no verification pass, like the old constructor.
-    assert!(new_r.verify.is_none());
-    assert!(old_r.verify.is_none());
-    assert_eq!(
-        file_bytes(&new_device, "out"),
-        file_bytes(&old_device, "out")
-    );
+    assert_eq!(d.run_generation.pages_read, e.run_generation.pages_read);
+    assert_eq!(d.run_generation.seeks, e.run_generation.seeks);
+    assert_eq!(d.merge.pages_written, e.merge.pages_written);
+    assert_eq!(d.merge.pages_read, e.merge.pages_read);
+    assert_eq!(d.merge.seeks, e.merge.seeks);
+    assert_eq!(default_bytes, explicit_bytes);
 }
 
 #[test]
-fn builder_config_matches_with_config() {
+fn builder_config_matches_the_merge_and_verify_setters() {
     let cfg = SorterConfig {
         merge: MergeConfig {
             fan_in: 3,
@@ -112,23 +106,29 @@ fn builder_config_matches_with_config() {
         },
         verify: true,
     };
-    let old_device = SimDevice::with_model(ModelId::Hdd7200);
-    let mut old = ExternalSorter::with_config(LoadSortStore::new(MEMORY), cfg);
-    let mut iter = input().records();
-    let old_report = old.sort_iter(&old_device, &mut iter, "out").unwrap();
-
-    let new_device = SimDevice::with_model(ModelId::Hdd7200);
-    let new_report = SortJob::new(LoadSortStore::new(MEMORY))
+    let config_device = SimDevice::with_model(ModelId::Hdd7200);
+    let config_report = SortJob::new(LoadSortStore::new(MEMORY))
         .config(cfg)
-        .on(&new_device)
+        .on(&config_device)
         .run_iter(input().records(), "out")
         .unwrap();
 
-    assert_eq!(new_report.report.merge_report, old_report.merge_report);
-    assert!(new_report.report.verify.is_some());
+    let setters_device = SimDevice::with_model(ModelId::Hdd7200);
+    let setters_report = SortJob::new(LoadSortStore::new(MEMORY))
+        .on(&setters_device)
+        .merge(cfg.merge)
+        .verify(cfg.verify)
+        .run_iter(input().records(), "out")
+        .unwrap();
+
     assert_eq!(
-        file_bytes(&new_device, "out"),
-        file_bytes(&old_device, "out")
+        config_report.report.merge_report,
+        setters_report.report.merge_report
+    );
+    assert!(config_report.report.verify.is_some());
+    assert_eq!(
+        file_bytes(&config_device, "out"),
+        file_bytes(&setters_device, "out")
     );
 }
 
@@ -149,53 +149,59 @@ fn write_truncated_dataset(device: &SimDevice, name: &str, claimed: u64) {
     file.flush().expect("flush");
 }
 
+/// Sorts the dataset `input` with both `run_file` and `stream_file` at
+/// `threads`; each must fail with an error `expected` accepts and leave
+/// nothing but the dataset on the device — no spill file, no partial
+/// output.
+fn assert_sorting_file_fails(
+    device: &SimDevice,
+    input: &str,
+    threads: usize,
+    expected: fn(&SortError) -> bool,
+) {
+    let job = || {
+        SortJob::new(ReplacementSelection::new(MEMORY))
+            .on(device)
+            .threads(threads)
+    };
+    let file = job().run_file(input, "out");
+    assert!(
+        matches!(&file, Err(error) if expected(error)),
+        "run_file ({threads} threads): got {file:?}"
+    );
+    assert_eq!(
+        device.list(),
+        vec![input.to_string()],
+        "run_file ({threads} threads)"
+    );
+    let stream = job().stream_file(input);
+    assert!(
+        matches!(&stream, Err(error) if expected(error)),
+        "stream_file ({threads} threads): got {stream:?}"
+    );
+    assert_eq!(
+        device.list(),
+        vec![input.to_string()],
+        "stream_file ({threads} threads)"
+    );
+}
+
+fn is_storage_error(error: &SortError) -> bool {
+    matches!(error, SortError::Storage(_))
+}
+
 #[test]
 fn sequential_sort_file_reports_truncated_input_as_an_error() {
     let device = SimDevice::with_model(ModelId::Hdd7200);
     write_truncated_dataset(&device, "truncated", 100_000);
-    let mut sorter =
-        ExternalSorter::with_config(ReplacementSelection::new(MEMORY), SorterConfig::default());
-    let result = sorter.sort_file(&device, "truncated", "out");
-    assert!(
-        matches!(
-            result,
-            Err(two_way_replacement_selection::extsort::SortError::Storage(
-                _
-            ))
-        ),
-        "expected a storage error, got {result:?}"
-    );
-    // No valid-looking partial output may survive the failure.
-    assert!(!device.exists("out"), "partial output left behind");
+    assert_sorting_file_fails(&device, "truncated", 1, is_storage_error);
 }
 
 #[test]
 fn parallel_sort_file_reports_truncated_input_as_an_error() {
     let device = SimDevice::with_model(ModelId::Hdd7200);
     write_truncated_dataset(&device, "truncated", 100_000);
-    let mut sorter = ParallelExternalSorter::with_config(
-        ReplacementSelection::new(MEMORY),
-        ParallelSorterConfig::with_threads(3),
-    );
-    let result = sorter.sort_file(&device, "truncated", "out");
-    assert!(
-        matches!(
-            result,
-            Err(two_way_replacement_selection::extsort::SortError::Storage(
-                _
-            ))
-        ),
-        "expected a storage error, got {result:?}"
-    );
-    // The failed sort must not leave spill files or a partial output
-    // behind.
-    let mut leftovers = device.list();
-    leftovers.retain(|name| name.starts_with("psort-"));
-    assert!(
-        leftovers.is_empty(),
-        "spill files left behind: {leftovers:?}"
-    );
-    assert!(!device.exists("out"), "partial output left behind");
+    assert_sorting_file_fails(&device, "truncated", 4, is_storage_error);
 }
 
 #[test]
@@ -243,13 +249,9 @@ fn record_size_mismatch_is_an_error_not_a_panic() {
     }
     writer.finish().expect("finish");
 
-    let mut sorter =
-        ExternalSorter::with_config(ReplacementSelection::new(MEMORY), SorterConfig::default());
-    let result = sorter.sort_file(&device, "keys", "out");
-    match result {
-        Err(two_way_replacement_selection::extsort::SortError::Storage(
-            StorageError::CorruptHeader(_),
-        )) => {}
-        other => panic!("expected a corrupt-header error, got {other:?}"),
+    for threads in [1, 4] {
+        assert_sorting_file_fails(&device, "keys", threads, |error| {
+            matches!(error, SortError::Storage(StorageError::CorruptHeader(_)))
+        });
     }
 }

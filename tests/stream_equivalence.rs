@@ -178,6 +178,138 @@ fn sink_iter_delivers_the_same_sequence_with_zero_device_writes() {
     }
 }
 
+/// The three ways a sort can deliver its output.
+#[derive(Debug, Clone, Copy)]
+enum OutputKind {
+    File,
+    Sink,
+    Stream,
+}
+
+/// One sort on a fresh two-disk stripe: the records it delivered, its
+/// report, and each stripe member's seek count once the output was
+/// delivered (before a file output is read back).
+fn sort_on_stripe<G: ShardableGenerator>(
+    generator: G,
+    threads: usize,
+    output: OutputKind,
+) -> (Vec<Record>, SortJobReport, Vec<u64>) {
+    let device: AnyDevice = "striped:2:sim:hdd-7200"
+        .parse::<DeviceSpec>()
+        .and_then(|spec| spec.build())
+        .expect("stripe builds");
+    let input = Distribution::new(DistributionKind::RandomUniform, 6_000, 29).records();
+    let job = SortJob::new(generator)
+        .on(&device)
+        .threads(threads)
+        .merge(MergeConfig {
+            fan_in: 4,
+            read_ahead_records: 64,
+        });
+    let member_seeks = |device: &AnyDevice| -> Vec<u64> {
+        let stripe = device.as_striped().expect("a striped device");
+        stripe
+            .member_stats()
+            .iter()
+            .map(|m| m.counters.seeks)
+            .collect()
+    };
+    match output {
+        OutputKind::File => {
+            let report = job.run_iter(input, "out").expect("file sort runs");
+            let seeks = member_seeks(&device);
+            let records = RecordRunCursor::open(&device, &RunHandle::Forward("out".into()))
+                .and_then(|mut cursor| cursor.read_all())
+                .expect("output readable");
+            (records, report, seeks)
+        }
+        OutputKind::Sink => {
+            let mut sink = VecSink::new();
+            let report = job.sink_iter(input, &mut sink).expect("sink sort runs");
+            (sink.into_vec(), report, member_seeks(&device))
+        }
+        OutputKind::Stream => {
+            let stream = job.stream_iter(input).expect("stream sort runs");
+            let report = stream.report().clone();
+            let records = stream.collect::<Result<_, _>>().expect("stream drains");
+            (records, report, member_seeks(&device))
+        }
+    }
+}
+
+#[test]
+fn output_kind_changes_only_the_final_pass_on_a_stripe() {
+    fn check<G: ShardableGenerator>(make: impl Fn() -> G) {
+        let reference_device = SimDevice::with_model(ModelId::Hdd7200);
+        let input = Distribution::new(DistributionKind::RandomUniform, 6_000, 29).records();
+        let reference = SortJob::new(make())
+            .on(&reference_device)
+            .run_iter(input, "out")
+            .expect("single-disk sort runs");
+        let expected = RecordRunCursor::open(&reference_device, &RunHandle::Forward("out".into()))
+            .and_then(|mut cursor| cursor.read_all())
+            .expect("reference output readable");
+        assert_eq!(expected.len() as u64, reference.report.records);
+
+        for threads in [1, 2, 4] {
+            let [file, sink, stream] = [OutputKind::File, OutputKind::Sink, OutputKind::Stream]
+                .map(|output| {
+                    let (records, report, seeks) = sort_on_stripe(make(), threads, output);
+                    let label = format!(
+                        "{} {output:?}, {threads} thread(s)",
+                        report.report.generator
+                    );
+                    assert_eq!(records, expected, "{label}: records");
+                    let (_, _, repeat_seeks) = sort_on_stripe(make(), threads, output);
+                    assert_eq!(seeks, repeat_seeks, "{label}: per-member seeks repeat");
+                    (report.report, label)
+                });
+            let (file, label) = file;
+            let (sink, _) = sink;
+            let (stream, _) = stream;
+
+            // Run generation does not know where the output goes.
+            for other in [&sink, &stream] {
+                assert_eq!(other.num_runs, file.num_runs, "{label}: runs");
+                let (a, b) = (&other.run_generation, &file.run_generation);
+                assert_eq!(a.pages_read, b.pages_read, "{label}: generation reads");
+                assert_eq!(
+                    a.pages_written, b.pages_written,
+                    "{label}: generation writes"
+                );
+                assert_eq!(a.seeks, b.seeks, "{label}: generation seeks");
+            }
+            // File and sink both run the final pass inside the merge phase;
+            // the stream suspends it.
+            let steps = file.merge_report.merge_steps;
+            assert_eq!(sink.merge_report.merge_steps, steps, "{label}: sink steps");
+            assert_eq!(
+                stream.merge_report.merge_steps + 1,
+                steps,
+                "{label}: stream steps"
+            );
+            // Only the output file's own pages tell the merge phases apart.
+            let before_final = file.merge.pages_written - file.final_pass_pages_written;
+            assert_eq!(
+                sink.merge.pages_written, before_final,
+                "{label}: sink writes"
+            );
+            assert_eq!(
+                stream.merge.pages_written, before_final,
+                "{label}: stream writes"
+            );
+            assert_eq!(
+                sink.merge.pages_read, file.merge.pages_read,
+                "{label}: sink reads"
+            );
+        }
+    }
+
+    check(|| ReplacementSelection::new(300));
+    check(|| LoadSortStore::new(300));
+    check(|| TwoWayReplacementSelection::new(TwrsConfig::recommended(300)));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
