@@ -235,4 +235,73 @@ mod tests {
         let table = FactorialAnova::fit(&data, &[vec![0], vec![1], vec![2], vec![3]]);
         assert!(table.total_sum_of_squares.abs() < 1e-9);
     }
+
+    /// The main-effects model of Table 5.2 over the paper's four factors.
+    fn main_effects(data: &FactorialData) -> crate::anova::AnovaTable {
+        FactorialAnova::fit(data, &[vec![0], vec![1], vec![2], vec![3]])
+    }
+
+    #[test]
+    fn random_input_is_dominated_by_buffer_size() {
+        // Tables 5.2/5.3: for random input the only factor that matters is
+        // the fraction of memory taken away from the heaps.
+        let (data, _) = paper_factorial_experiment(
+            DistributionKind::RandomUniform,
+            8_000,
+            200,
+            &PaperFactors::reduced(),
+        );
+        let model = main_effects(&data);
+        let buffer_size = &model.terms[1];
+        for (i, term) in model.terms.iter().enumerate() {
+            if i != 1 {
+                assert!(
+                    buffer_size.sum_of_squares >= term.sum_of_squares,
+                    "buffer size should dominate, but {} has SS {} > {}",
+                    term.name,
+                    term.sum_of_squares,
+                    buffer_size.sum_of_squares
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_input_buffer_setup_matters() {
+        // §5.2.5/Figure 5.5: on mixed input the configurations without the
+        // victim buffer behave very differently, so the buffer-setup factor
+        // carries real variance.
+        let (data, _) = paper_factorial_experiment(
+            DistributionKind::MixedBalanced,
+            8_000,
+            200,
+            &PaperFactors::reduced(),
+        );
+        let model = main_effects(&data);
+        assert!(model.terms[0].sum_of_squares > 0.0);
+        assert!(model.total_sum_of_squares > 0.0);
+        // The first-order interaction model, fitted with WLS weights per
+        // buffer-size level as in §5.2.5, fits.
+        let mut weighted = data.clone();
+        weighted.weight_by_factor_variance(1);
+        let mut terms: Vec<Vec<usize>> = (0..4).map(|f| vec![f]).collect();
+        terms.extend((0..4).flat_map(|a| (a + 1..4).map(move |b| vec![a, b])));
+        assert!(FactorialAnova::fit(&weighted, &terms).r_squared >= 0.0);
+    }
+
+    #[test]
+    fn tukey_and_per_input_summaries_are_well_formed() {
+        let factors = PaperFactors::reduced();
+        let (data, _) =
+            paper_factorial_experiment(DistributionKind::MixedBalanced, 4_000, 100, &factors);
+        let model = main_effects(&data);
+        assert!(!FactorialAnova::tukey(&data, 2, &model).is_empty());
+        assert!(model.to_text().contains("R^2"));
+        // Figure 5.2 summarises the number of runs per paper input.
+        for kind in DistributionKind::paper_set() {
+            let (_, points) = paper_factorial_experiment(kind, 2_000, 100, &factors);
+            assert_eq!(points.len(), factors.executions(), "{kind:?}");
+            assert!(points.iter().all(|p| p.runs >= 1.0), "{kind:?}");
+        }
+    }
 }

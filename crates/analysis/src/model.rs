@@ -271,4 +271,18 @@ mod tests {
         let model = SnowplowModel::with_input_density(vec![1.0; 3]);
         assert!(model.cells() >= 8);
     }
+
+    #[test]
+    fn uniform_density_falls_with_x_after_three_runs() {
+        // Figure 3.8: the density near x = 0.1 grows toward 1.8 and near
+        // x = 0.9 falls toward 0.2 (the 2 − 2x profile).
+        let snapshots = SnowplowModel::uniform(128).simulate(3);
+        assert_eq!(snapshots.len(), 4);
+        let last = snapshots.last().unwrap();
+        let (low, high) = (last.density[12], last.density[115]);
+        assert!(
+            low > high,
+            "profile should decrease with x ({low} vs {high})"
+        );
+    }
 }

@@ -1,7 +1,8 @@
-//! Microbenchmarks of the merge phase: multi-pass k-way merge vs polyphase
-//! merge, and the distribution-sort alternative (Chapter 2 context).
+//! Microbenchmarks of the merge phase: multi-pass k-way merge at several
+//! fan-ins (Figure 6.1 context) vs polyphase merge, and the
+//! distribution-sort alternative (Chapter 2 context).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use twrs_extsort::distribution_sort::{DistributionSort, DistributionSortConfig};
 use twrs_extsort::{
     polyphase_merge, KWayMerger, LoadSortStore, MergeConfig, RunGenerator, RunHandle,
@@ -24,20 +25,29 @@ fn bench_merges(c: &mut Criterion) {
     let mut group = c.benchmark_group("merge_strategies");
     group.sample_size(10);
 
-    group.bench_function("kway_fan_in_10", |b| {
-        b.iter(|| {
-            let device = SimDevice::with_model(ModelId::Hdd7200);
-            let namer = SpillNamer::new("kway");
-            let runs = build_runs(&device, &namer, 20, 1_024);
-            KWayMerger::new(MergeConfig {
-                fan_in: 10,
-                read_ahead_records: 256,
-            })
-            .merge_into::<_, Record>(&device, &namer, runs, "out")
-            .expect("merge succeeds")
-            .output_records
-        })
-    });
+    // A fixed read-ahead budget divided by the fan-in, as in Figure 6.1:
+    // a larger fan-in needs fewer passes but reads each run in smaller
+    // bursts.
+    for fan_in in [2usize, 5, 10, 16] {
+        group.bench_with_input(
+            BenchmarkId::new("kway_fan_in", fan_in),
+            &fan_in,
+            |b, &fan_in| {
+                b.iter(|| {
+                    let device = SimDevice::with_model(ModelId::Hdd7200);
+                    let namer = SpillNamer::new("kway");
+                    let runs = build_runs(&device, &namer, 20, 1_024);
+                    KWayMerger::new(MergeConfig {
+                        fan_in,
+                        read_ahead_records: 2_560 / fan_in,
+                    })
+                    .merge_into::<_, Record>(&device, &namer, runs, "out")
+                    .expect("merge succeeds")
+                    .output_records
+                })
+            },
+        );
+    }
 
     group.bench_function("polyphase_6_tapes", |b| {
         b.iter(|| {

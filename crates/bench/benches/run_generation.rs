@@ -1,8 +1,8 @@
 //! Criterion bench of the run-generation algorithms alone (Figure 5.4
-//! context): RS, LSS and 2WRS with different buffer sizes on random input —
-//! plus a redesign guard pinning the generic (`SortableRecord`) code path
-//! against a pre-redesign concrete reimplementation for the default
-//! `Record`.
+//! context): RS, LSS and 2WRS with different buffer sizes on random input,
+//! 2WRS on each of the paper's six inputs (Table 5.13 context) — plus a
+//! redesign guard pinning the generic (`SortableRecord`) code path against
+//! a pre-redesign concrete reimplementation for the default `Record`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use twrs_core::{BufferSetup, TwoWayReplacementSelection, TwrsConfig};
@@ -17,10 +17,14 @@ use twrs_workloads::{Distribution, DistributionKind, Record};
 const RECORDS: u64 = 20_000;
 const MEMORY: usize = 500;
 
-fn generate<G: RunGenerator>(mut generator: G) -> usize {
+fn generate<G: RunGenerator>(generator: G) -> usize {
+    generate_from(generator, DistributionKind::RandomUniform)
+}
+
+fn generate_from<G: RunGenerator>(mut generator: G, kind: DistributionKind) -> usize {
     let device = SimDevice::with_model(ModelId::Hdd7200);
     let namer = SpillNamer::new("bench");
-    let mut input = Distribution::new(DistributionKind::RandomUniform, RECORDS, 1).records();
+    let mut input = Distribution::new(kind, RECORDS, 1).records();
     generator
         .generate(&device, &namer, &mut input)
         .expect("run generation succeeds")
@@ -47,6 +51,25 @@ fn bench_run_generation(c: &mut Criterion) {
                     generate(TwoWayReplacementSelection::new(
                         TwrsConfig::recommended(MEMORY).with_buffers(BufferSetup::Both, *fraction),
                     ))
+                })
+            },
+        );
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("run_generation_paper_inputs");
+    group.throughput(Throughput::Elements(RECORDS));
+    group.sample_size(10);
+    for kind in DistributionKind::paper_set() {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(kind.label()),
+            &kind,
+            |b, kind| {
+                b.iter(|| {
+                    generate_from(
+                        TwoWayReplacementSelection::new(TwrsConfig::recommended(MEMORY)),
+                        *kind,
+                    )
                 })
             },
         );

@@ -1,34 +1,28 @@
-//! Experiment harness regenerating every table and figure of the 2WRS
-//! evaluation (Chapters 5 and 6 of the paper plus the model of §3.6).
+//! The measurement harness: the scenario-matrix bench suite and the
+//! criterion benches.
 //!
-//! Each experiment lives in [`experiments`] as a pure function returning
-//! structured rows; the `src/bin/*` binaries are thin wrappers that pick a
-//! scale (laptop-scale defaults, paper scale behind a flag) and print the
-//! rows as a paper-style table. The Criterion benches under `benches/`
-//! exercise the same code paths at micro scale so `cargo bench` gives
-//! wall-clock numbers for the main pipelines.
+//! Everything measurable runs through [`suite`]: a declarative scenario
+//! matrix executed by the `bench_suite` binary through `SortJob` into
+//! machine-readable `BENCH_<id>.json` reports, with a deterministic-I/O
+//! baseline gate CI runs on every PR. The paper's sort-based artefacts are
+//! named matrices of the same suite; the quick matrix carries each of them
+//! at quick scale, so the baseline pins their counters too. The Criterion
+//! benches under `benches/` give wall-clock numbers for the main code
+//! paths at micro scale.
 //!
-//! | Paper artefact | Module | Binary |
-//! |---|---|---|
-//! | Table 5.13 / conference Table 1 | [`experiments::run_length`] | `run_length_table` |
-//! | Figure 5.4 (run length vs buffer size) | [`experiments::buffer_sweep`] | `buffer_size_sweep` |
-//! | Tables 5.2–5.12, Figures 5.2–5.12 | [`experiments::anova`] | `anova_experiments` |
-//! | Figure 6.1 (fan-in analysis) | [`experiments::fan_in`] | `fan_in_analysis` |
-//! | Figures 6.2–6.7 (timing) | [`experiments::timing`] | `timing_figures` |
-//! | Figure 3.8 (snowplow model) | [`experiments::model`] | `snowplow_model` |
-//! | Table 2.1 (polyphase merge) | [`experiments::merge_phase`] | `merge_phase` |
+//! | Paper artefact | Reproduced by |
+//! |---|---|
+//! | Table 5.13 / conference Table 1 (run lengths) | `bench_suite --figure 5.13` |
+//! | Figure 5.4 (run length vs buffer size) | `bench_suite --figure 5.4` |
+//! | Figure 6.1 (merge cost vs fan-in) | `bench_suite --figure 6.1` |
+//! | Figures 6.2–6.7 (RS vs 2WRS timing) | `bench_suite --figure 6.2` … `6.7` |
+//! | Tables 5.2–5.11, Figure 5.2 (ANOVA) | example `anova_analysis` |
+//! | Figure 3.8 (snowplow model) | example `snowplow_model` |
+//! | Table 2.1 (polyphase merge) | example `polyphase_merge` |
 //!
-//! Beyond the paper's artefacts, the [`suite`] module is the repo's
-//! measurement backbone: a declarative scenario matrix executed by the
-//! `bench_suite` binary into machine-readable `BENCH_<id>.json` reports,
-//! with a deterministic-I/O baseline gate CI runs on every PR.
+//! `bench_suite --figure all --scale quick|laptop|paper` runs every
+//! figure; see [`suite::figures`].
 
 #![warn(missing_docs)]
 
-pub mod experiments;
-pub mod report;
-pub mod scale;
 pub mod suite;
-
-pub use report::Table;
-pub use scale::Scale;

@@ -162,31 +162,20 @@ pub fn compare(baseline: &Json, report: &BenchReport) -> Vec<Drift> {
             });
             continue;
         };
-        counter_drift(
-            &mut drifts,
-            id,
-            "pages_read",
-            entry.get("pages_read"),
-            Some(det.pages_read),
-        );
-        counter_drift(
-            &mut drifts,
-            id,
-            "pages_written",
-            entry.get("pages_written"),
-            Some(det.pages_written),
-        );
-        // For stream scenarios this pins the headline invariant: zero
-        // final-pass pages, forever.
-        counter_drift(
-            &mut drifts,
-            id,
-            "final_pass_pages_written",
-            entry.get("final_pass_pages_written"),
-            Some(det.final_pass_pages_written),
-        );
-        counter_drift(&mut drifts, id, "runs", entry.get("runs"), Some(det.runs));
-        counter_drift(&mut drifts, id, "seeks", entry.get("seeks"), det.seeks);
+        // For stream scenarios `final_pass_pages_written` pins the headline
+        // invariant: zero final-pass pages, forever.
+        for (field, value) in [
+            ("pages_read", Some(det.pages_read)),
+            ("pages_written", Some(det.pages_written)),
+            (
+                "final_pass_pages_written",
+                Some(det.final_pass_pages_written),
+            ),
+            ("runs", Some(det.runs)),
+            ("seeks", det.seeks),
+        ] {
+            counter_drift(&mut drifts, id, field, entry.get(field), value);
+        }
     }
 
     // Baseline entries whose scenario the matrix no longer produces.
@@ -206,39 +195,18 @@ pub fn compare(baseline: &Json, report: &BenchReport) -> Vec<Drift> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::suite::matrix::{GeneratorKind, RecordType, Scenario, ScenarioMatrix, SinkMode};
-    use twrs_storage::ModelId;
+    use crate::suite::matrix::{GeneratorKind, Scenario, ScenarioMatrix};
     use twrs_workloads::DistributionKind;
 
     fn report() -> BenchReport {
         let matrix = ScenarioMatrix {
             name: "quick",
-            scenarios: vec![
-                Scenario {
-                    generator: GeneratorKind::Lss,
-                    distribution: DistributionKind::Sorted,
-                    records: 1_000,
-                    memory: 100,
-                    threads: 1,
-                    record_type: RecordType::Record,
-                    sink: SinkMode::File,
-                    device: ModelId::Hdd7200,
-                    disks: 1,
-                    seed: 42,
-                },
-                Scenario {
-                    generator: GeneratorKind::Lss,
-                    distribution: DistributionKind::Sorted,
-                    records: 1_000,
-                    memory: 100,
-                    threads: 4,
-                    record_type: RecordType::Record,
-                    sink: SinkMode::File,
-                    device: ModelId::Hdd7200,
-                    disks: 1,
-                    seed: 42,
-                },
-            ],
+            scenarios: [1, 4]
+                .map(|threads| Scenario {
+                    threads,
+                    ..Scenario::new(GeneratorKind::Lss, DistributionKind::Sorted, 1_000, 100)
+                })
+                .to_vec(),
         };
         BenchReport::run(&matrix, "test", |_| {}).unwrap()
     }

@@ -5,9 +5,11 @@
 //! [`run`].
 
 use super::baseline::{baseline_from_report, compare};
+use super::figures::{self, Figure, Scale};
 use super::json::Json;
 use super::matrix::ScenarioMatrix;
-use super::report::BenchReport;
+use super::report::{BenchReport, Table};
+use super::runner::per_disk_counters;
 use super::service::service_slice;
 use std::path::Path;
 
@@ -34,6 +36,11 @@ OPTIONS:
     --check-baseline       Compare deterministic counters against the baseline;
                            exit 1 on any drift
     --update-baseline      Rewrite the baseline from this run (commit the result)
+    --figure <ID>          Run one of the paper's sort figures instead of a matrix
+                           and print it as the paper's table: 5.13, 5.4, 6.1,
+                           6.2 … 6.7, or all (no baseline gate)
+    --scale <SCALE>        Size of a --figure run: quick, laptop or paper
+                           [default: laptop]
     --list                 Print the scenario ids of the selected matrix and exit
     --smoke <SPEC>         Run one small end-to-end sort on the device described
                            by SPEC (e.g. \"real:\" for an O_DIRECT-capable temp
@@ -45,7 +52,7 @@ OPTIONS:
 ";
 
 /// Parsed command line.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Options {
     /// Run the reduced matrix.
     pub quick: bool,
@@ -63,6 +70,10 @@ pub struct Options {
     pub check_baseline: bool,
     /// Rewrite the baseline from this run.
     pub update_baseline: bool,
+    /// The paper figures to run instead of a matrix.
+    pub figures: Option<Vec<Figure>>,
+    /// Size of a figure run.
+    pub scale: Option<Scale>,
     /// Only list scenario ids.
     pub list: bool,
     /// Run one small sort on the device described by this spec and exit.
@@ -75,17 +86,9 @@ impl Options {
     /// Parses the argument list (without the program name).
     pub fn parse(args: &[String]) -> Result<Options, String> {
         let mut options = Options {
-            quick: false,
-            service: false,
             id: "local".to_string(),
-            out: String::new(),
-            markdown: None,
             baseline: DEFAULT_BASELINE.to_string(),
-            check_baseline: false,
-            update_baseline: false,
-            list: false,
-            smoke: None,
-            help: false,
+            ..Options::default()
         };
         let mut iter = args.iter();
         while let Some(arg) = iter.next() {
@@ -103,6 +106,24 @@ impl Options {
                 "--baseline" => options.baseline = value("--baseline")?,
                 "--check-baseline" => options.check_baseline = true,
                 "--update-baseline" => options.update_baseline = true,
+                "--figure" => {
+                    let id = value("--figure")?;
+                    let figures = match id.as_str() {
+                        "all" => Some(Figure::all().to_vec()),
+                        number => Figure::parse(number).map(|figure| vec![figure]),
+                    };
+                    let expected = "5.13, 5.4, 6.1, 6.2 … 6.7 or all";
+                    options.figures =
+                        Some(figures.ok_or(format!("unknown figure {id} (expected {expected})"))?);
+                }
+                "--scale" => {
+                    let name = value("--scale")?;
+                    let expected = "quick, laptop or paper";
+                    options.scale = Some(
+                        Scale::parse(&name)
+                            .ok_or(format!("unknown scale {name} (expected {expected})"))?,
+                    );
+                }
                 "--list" => options.list = true,
                 "--smoke" => options.smoke = Some(value("--smoke")?),
                 "-h" | "--help" => options.help = true,
@@ -112,17 +133,28 @@ impl Options {
         if options.out.is_empty() {
             options.out = format!("BENCH_{}.json", options.id);
         }
+        let gated = options.check_baseline || options.update_baseline;
         if options.check_baseline && options.update_baseline {
             return Err("--check-baseline and --update-baseline are mutually exclusive".into());
         }
-        if options.smoke.is_some() && (options.check_baseline || options.update_baseline) {
+        if options.smoke.is_some() && gated {
             return Err(
                 "--smoke runs one standalone scenario outside the matrix; the baseline \
                  gate only applies to matrix runs"
                     .into(),
             );
         }
-        if options.service && (options.check_baseline || options.update_baseline) {
+        if options.figures.is_some() && (options.quick || options.service || gated) {
+            return Err(
+                "--figure runs the figure's own scenarios; it takes no --quick, --service or \
+                 baseline flag (the quick matrix holds every figure at quick scale)"
+                    .into(),
+            );
+        }
+        if options.scale.is_some() && options.figures.is_none() {
+            return Err("--scale sizes a --figure run; the matrices have fixed sizes".into());
+        }
+        if options.service && gated {
             return Err(
                 "--service runs only the service slice; the baseline covers the whole \
                  matrix, so gate or update it with a plain --quick / full run (the slice \
@@ -133,7 +165,17 @@ impl Options {
         Ok(options)
     }
 
+    fn scale(&self) -> Scale {
+        self.scale.unwrap_or(Scale::LAPTOP)
+    }
+
     fn matrix(&self) -> ScenarioMatrix {
+        if let Some(figures) = &self.figures {
+            return ScenarioMatrix {
+                name: "figures",
+                scenarios: figures::scenarios(figures, self.scale()),
+            };
+        }
         let mut matrix = if self.quick {
             ScenarioMatrix::quick()
         } else {
@@ -204,31 +246,12 @@ pub fn run_smoke(spec_text: &str) -> Result<i32, String> {
             stats.counters.pages_written, stats.counters.pages_read
         ));
     }
-    if let Some(stripe) = device.as_striped() {
-        let members = stripe.member_stats();
-        let mut folded = (0u64, 0u64, 0u64);
-        for (index, member) in members.iter().enumerate() {
-            println!(
-                "  disk {index}: {} pages written / {} read, {} seeks",
-                member.counters.pages_written, member.counters.pages_read, member.counters.seeks
-            );
-            folded.0 += member.counters.pages_written;
-            folded.1 += member.counters.pages_read;
-            folded.2 += member.counters.seeks;
-        }
-        if folded
-            != (
-                stats.counters.pages_written,
-                stats.counters.pages_read,
-                stats.counters.seeks,
-            )
-        {
-            return Err(format!(
-                "smoke sort on `{spec}`: member counters {folded:?} do not fold into \
-                 the stripe totals ({}, {}, {})",
-                stats.counters.pages_written, stats.counters.pages_read, stats.counters.seeks
-            ));
-        }
+    let per_disk = per_disk_counters(&device, &format!("smoke sort on `{spec}`"))?;
+    for (index, disk) in per_disk.iter().enumerate() {
+        println!(
+            "  disk {index}: {} pages written / {} read, {} seeks",
+            disk.pages_written, disk.pages_read, disk.seeks
+        );
     }
     println!(
         "smoke ok: {} records in {} runs, {} pages written / {} read, {} seeks",
@@ -274,14 +297,24 @@ pub fn run(args: &[String]) -> Result<i32, String> {
 
     write_file(&options.out, &report.to_json().render())?;
     eprintln!("wrote {}", options.out);
-    if let Some(markdown) = &options.markdown {
-        write_file(markdown, &report.to_markdown())?;
-        eprintln!("wrote {markdown}");
+    let tables = match &options.figures {
+        Some(figures) => figures::tables(figures, options.scale(), &report.results)?,
+        None => [Some(report.to_table()), report.service_table()]
+            .into_iter()
+            .flatten()
+            .collect(),
+    };
+    let join =
+        |render: fn(&Table) -> String| tables.iter().map(render).collect::<Vec<_>>().join("\n");
+    let markdown = match options.figures {
+        Some(_) => join(Table::to_markdown),
+        None => report.to_markdown(),
+    };
+    if let Some(path) = &options.markdown {
+        write_file(path, &markdown)?;
+        eprintln!("wrote {path}");
     }
-    print!("{}", report.to_table().render());
-    if let Some(service_table) = report.service_table() {
-        print!("{}", service_table.render());
-    }
+    print!("{}", join(Table::render));
 
     if options.update_baseline {
         write_file(&options.baseline, &baseline_from_report(&report).render())?;
@@ -356,6 +389,30 @@ mod tests {
         // slice-only run cannot meaningfully face the whole-matrix baseline.
         assert!(parse(&["--service", "--check-baseline"]).is_err());
         assert!(parse(&["--service", "--update-baseline"]).is_err());
+    }
+
+    #[test]
+    fn figure_and_scale_are_validated() {
+        let options = parse(&["--figure", "all", "--scale", "quick"]).unwrap();
+        assert_eq!(options.figures.as_deref(), Some(&Figure::all()[..]));
+        assert_eq!(options.matrix().len(), 106);
+        let options = parse(&["--figure", "5.13"]).unwrap();
+        assert_eq!(options.scale(), Scale::LAPTOP, "laptop by default");
+        assert_eq!(options.matrix().len(), 30);
+        // Bad input is an error, never a silent fallback.
+        assert!(parse(&["--figure", "9.9"])
+            .unwrap_err()
+            .contains("unknown figure 9.9"));
+        assert!(parse(&["--figure", "6.2", "--scale", "quikc"])
+            .unwrap_err()
+            .contains("unknown scale quikc"));
+        assert!(parse(&["--scale", "quick"]).is_err());
+        assert!(parse(&["--figure", "6.1", "--check-baseline"]).is_err());
+        assert!(parse(&["--figure", "6.1", "--quick"]).is_err());
+        assert_eq!(
+            run(&["--figure", "6.1", "--list"].map(String::from)).unwrap(),
+            0
+        );
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
-    /// A number from any integer that fits f64's exact range.
-    pub fn num(value: impl Into<f64>) -> Json {
-        Json::Num(value.into())
-    }
-
     /// A u64 counter; panics in debug builds if the value would lose
     /// precision (counters in this workspace stay far below 2^53).
     pub fn counter(value: u64) -> Json {
@@ -150,11 +145,14 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document. Errors carry the byte offset of the problem.
+    /// Parses a JSON document. Errors carry the byte offset of the problem;
+    /// arrays and objects nested deeper than [`MAX_DEPTH`] are an error,
+    /// not a stack overflow.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut parser = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_whitespace();
         let value = parser.value()?;
@@ -202,9 +200,15 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level; the suite's own documents nest at most five
+/// levels (a bench report), so this bounds the stack with room to spare.
+pub const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -250,54 +254,56 @@ impl Parser<'_> {
     }
 
     fn array(&mut self) -> Result<Json, String> {
-        self.expect_byte(b'[')?;
-        let mut items = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_whitespace();
-            items.push(self.value()?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
+        self.items(b']', Self::value).map(Json::Arr)
     }
 
     fn object(&mut self) -> Result<Json, String> {
-        self.expect_byte(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
+        let pair = |parser: &mut Self| {
+            let key = parser.string()?;
+            parser.skip_whitespace();
+            parser.expect_byte(b':')?;
+            parser.skip_whitespace();
+            Ok((key, parser.value()?))
+        };
+        self.items(b'}', pair).map(Json::Obj)
+    }
+
+    /// Parses the comma-separated items after an opening bracket up to the
+    /// `close` byte, one nesting level deeper. An error ends the parse, so
+    /// only the success path has to restore the depth.
+    fn items<T>(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
         }
-        loop {
-            self.skip_whitespace();
-            let key = self.string()?;
-            self.skip_whitespace();
-            self.expect_byte(b':')?;
-            self.skip_whitespace();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
+        self.depth += 1;
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_whitespace();
+        if self.peek() != Some(close) {
+            loop {
+                self.skip_whitespace();
+                items.push(item(self)?);
+                self.skip_whitespace();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(byte) if byte == close => break,
+                    _ => {
+                        let close = close as char;
+                        return Err(format!("expected ',' or '{close}' at byte {}", self.pos));
+                    }
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
             }
         }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(items)
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -424,6 +430,17 @@ mod tests {
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("{}extra").is_err());
         assert!(Json::parse(r#"{"unterminated": "x"#).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        for depth in [MAX_DEPTH + 1, 100_000] {
+            let err = Json::parse(&nested(depth)).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+            assert!(Json::parse(&"{\"a\":".repeat(depth)).is_err());
+        }
     }
 
     #[test]

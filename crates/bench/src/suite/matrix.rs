@@ -2,12 +2,16 @@
 //!
 //! A [`Scenario`] is one fully specified sort — run-generation algorithm ×
 //! input distribution × memory budget × generation threads × record type ×
-//! output sink (file or stream) — always executed on a fresh simulated
-//! device with a fixed seed, so every scenario is deterministic and its I/O
-//! counters are machine-independent.
+//! output sink (file or stream) × device × merge configuration — always
+//! executed on a fresh simulated device with a fixed seed, so every
+//! scenario is deterministic and its I/O counters are machine-independent.
 //! [`ScenarioMatrix::quick`] is the reduced matrix PR CI runs on every
 //! change; [`ScenarioMatrix::full`] is the on-demand evaluation matrix.
+//! Both carry the paper's sort figures ([`super::figures`]).
 
+use super::figures::{self, Figure, Scale};
+use twrs_core::{BufferSetup, TwrsConfig};
+use twrs_extsort::MergeConfig;
 use twrs_storage::ModelId;
 use twrs_workloads::DistributionKind;
 
@@ -131,37 +135,80 @@ pub struct Scenario {
     pub disks: usize,
     /// Seed of the input distribution.
     pub seed: u64,
+    /// Merge fan-in and per-run read-ahead.
+    pub merge: MergeConfig,
+    /// The 2WRS buffer setup and the fraction of memory the buffers take
+    /// (§5.2's factors α and β); RS and LSS ignore it.
+    pub buffers: (BufferSetup, f64),
+}
+
+/// The buffer setup and fraction of a 2WRS configuration.
+pub fn buffers_of(config: &TwrsConfig) -> (BufferSetup, f64) {
+    (config.buffer_setup, config.buffer_fraction)
 }
 
 impl Scenario {
+    /// A single-threaded file sort of the paper's `Record` on one
+    /// `hdd-7200` disk, with [`MATRIX_SEED`], the default merge and the
+    /// recommended 2WRS buffers — the base every matrix varies.
+    pub fn new(
+        generator: GeneratorKind,
+        distribution: DistributionKind,
+        records: u64,
+        memory: usize,
+    ) -> Self {
+        Scenario {
+            generator,
+            distribution,
+            records,
+            memory,
+            threads: 1,
+            record_type: RecordType::Record,
+            sink: SinkMode::File,
+            device: ModelId::Hdd7200,
+            disks: 1,
+            seed: MATRIX_SEED,
+            merge: MergeConfig::default(),
+            buffers: buffers_of(&TwrsConfig::recommended(memory)),
+        }
+    }
+
     /// A stable, human-readable identifier, unique within a matrix; the key
-    /// the baseline gate matches scenarios by. Scenarios on the historical
-    /// `hdd-7200` model keep the pre-device-axis id shape; other models
-    /// carry their catalog id as a segment (before any `-stream` suffix).
+    /// the baseline gate matches scenarios by. A value at its default adds
+    /// no segment, so ids keep their historical shape:
+    /// `<gen>[-<buffers>]-<distribution>[-sections<n>]-<record>-n<records>-m<memory>-t<threads>`
+    /// then, when not at the default, `-<model>`, `-d<disks>`,
+    /// `-k<fan-in>-ra<read-ahead>`, `-seed<seed>`, and last `-stream`.
     pub fn id(&self) -> String {
-        let device = match self.device {
-            ModelId::Hdd7200 => String::new(),
-            other => format!("-{}", other.name()),
+        let (setup, fraction) = self.buffers;
+        let custom_buffers = self.generator == GeneratorKind::Twrs
+            && self.buffers != buffers_of(&TwrsConfig::recommended(0));
+        let (fan_in, read_ahead) = (self.merge.fan_in, self.merge.read_ahead_records);
+        let sections = match self.distribution {
+            DistributionKind::Alternating { sections } => format!("-sections{sections}"),
+            _ => String::new(),
         };
-        let disks = match self.disks {
-            0 | 1 => String::new(),
-            n => format!("-d{n}"),
-        };
-        let sink = match self.sink {
-            SinkMode::File => "",
-            SinkMode::Stream => "-stream",
-        };
+        let unless_default = |custom: bool, text: String| if custom { text } else { String::new() };
         format!(
-            "{}-{}-{}-n{}-m{}-t{}{}{}{}",
+            "{}{}-{}{sections}-{}-n{}-m{}-t{}{}{}{}{}{}",
             self.generator.slug(),
+            unless_default(custom_buffers, format!("-{}{fraction}", setup.label())),
             self.distribution.label(),
             self.record_type.slug(),
             self.records,
             self.memory,
             self.threads,
-            device,
-            disks,
-            sink
+            unless_default(
+                self.device != ModelId::Hdd7200,
+                format!("-{}", self.device.name())
+            ),
+            unless_default(self.disks > 1, format!("-d{}", self.disks)),
+            unless_default(
+                self.merge != MergeConfig::default(),
+                format!("-k{fan_in}-ra{read_ahead}")
+            ),
+            unless_default(self.seed != MATRIX_SEED, format!("-seed{}", self.seed)),
+            unless_default(self.sink == SinkMode::Stream, "-stream".into()),
         )
     }
 
@@ -192,15 +239,15 @@ pub fn matrix_distributions() -> [DistributionKind; 5] {
     ]
 }
 
-/// The seed every scenario uses (one fixed seed keeps reports comparable
-/// across runs and machines).
+/// The seed every scenario uses unless a paper figure fixes another (one
+/// fixed seed keeps reports comparable across runs and machines).
 pub const MATRIX_SEED: u64 = 42;
 
 /// A named list of scenarios.
 #[derive(Debug, Clone)]
 pub struct ScenarioMatrix {
-    /// `"quick"` or `"full"`; recorded in the report and the baseline so a
-    /// baseline is never compared against the wrong matrix.
+    /// `"quick"`, `"full"` or `"figures"`; recorded in the report and the
+    /// baseline so a baseline is never compared against the wrong matrix.
     pub name: &'static str,
     /// The scenarios, in execution order.
     pub scenarios: Vec<Scenario>,
@@ -210,10 +257,11 @@ impl ScenarioMatrix {
     /// The reduced matrix PR CI runs on every change: every generator ×
     /// the five matrix distributions × both thread counts on the default
     /// record, record-type coverage on the random and duplicate-heavy
-    /// inputs, plus the stream-sink slice (every generator × both thread
-    /// counts through `stream_iter`) and the multi-disk slice (every
-    /// generator across two stripe shapes). 62 scenarios, each small enough
-    /// that the whole matrix runs in seconds.
+    /// inputs, the stream-sink slice (every generator × both thread counts
+    /// through `stream_iter`), the nvme device slice, the multi-disk slice
+    /// (every generator across two stripe shapes), and every paper figure
+    /// at [`Scale::QUICK`]. 168 scenarios; the whole matrix runs in
+    /// seconds.
     pub fn quick() -> Self {
         let mut scenarios = Vec::new();
         let records = 6_000;
@@ -222,16 +270,8 @@ impl ScenarioMatrix {
             for distribution in matrix_distributions() {
                 for threads in [1, 4] {
                     scenarios.push(Scenario {
-                        generator,
-                        distribution,
-                        records,
-                        memory,
                         threads,
-                        record_type: RecordType::Record,
-                        sink: SinkMode::File,
-                        device: ModelId::Hdd7200,
-                        disks: 1,
-                        seed: MATRIX_SEED,
+                        ..Scenario::new(generator, distribution, records, memory)
                     });
                 }
             }
@@ -242,16 +282,9 @@ impl ScenarioMatrix {
             for record_type in [RecordType::UserEvent, RecordType::U64] {
                 for threads in [1, 4] {
                     scenarios.push(Scenario {
-                        generator,
-                        distribution: DistributionKind::RandomUniform,
-                        records,
-                        memory,
                         threads,
                         record_type,
-                        sink: SinkMode::File,
-                        device: ModelId::Hdd7200,
-                        disks: 1,
-                        seed: MATRIX_SEED,
+                        ..Scenario::new(generator, DistributionKind::RandomUniform, records, memory)
                     });
                 }
             }
@@ -260,35 +293,40 @@ impl ScenarioMatrix {
         // density, since equal keys have no payload tie-breaker.
         for threads in [1, 4] {
             scenarios.push(Scenario {
-                generator: GeneratorKind::Twrs,
-                distribution: DistributionKind::DuplicateHeavy { distinct: 16 },
-                records,
-                memory,
                 threads,
                 record_type: RecordType::U64,
-                sink: SinkMode::File,
-                device: ModelId::Hdd7200,
-                disks: 1,
-                seed: MATRIX_SEED,
+                ..Scenario::new(
+                    GeneratorKind::Twrs,
+                    DistributionKind::DuplicateHeavy { distinct: 16 },
+                    records,
+                    memory,
+                )
             });
         }
         // Sink axis: the same random/record slice through `stream_iter`,
         // pinning that a streamed sort writes zero final-pass pages while
         // its generation and intermediate-merge counters match the file
         // scenarios above.
-        scenarios.extend(Self::stream_slice(records, memory));
+        scenarios.extend(Self::random_slice(records, memory).map(|s| Scenario {
+            sink: SinkMode::Stream,
+            ..s
+        }));
         // Device axis: the random/record slice re-costed under the nvme
         // model. The pinned counters are identical to the hdd-7200 twins
         // (same pages, runs and seeks — the catalog shares one
         // seek-detection rule); only simulated I/O time drops, re-testing
         // the paper's seek-dominated conclusion under a near-seek-free
         // device.
-        scenarios.extend(Self::device_slice(records, memory, [ModelId::Nvme]));
+        scenarios.extend(Self::random_slice(records, memory).map(|s| Scenario {
+            device: ModelId::Nvme,
+            ..s
+        }));
         // Multi-disk axis: the random/record slice spilling across a
         // stripe. Shard-pinned spills make the per-disk seek counts
         // deterministic, so — unlike the plain `-t4` scenarios — these
         // multi-threaded runs pin concrete seek totals in the baseline.
         scenarios.extend(Self::striped_slice(records, memory));
+        scenarios.extend(figures::scenarios(&Figure::all(), Scale::QUICK));
         ScenarioMatrix {
             name: "quick",
             scenarios,
@@ -304,78 +342,32 @@ impl ScenarioMatrix {
         for (disks, device) in [(4, ModelId::Hdd7200), (2, ModelId::Nvme)] {
             for generator in GeneratorKind::all() {
                 scenarios.push(Scenario {
-                    generator,
-                    distribution: DistributionKind::RandomUniform,
-                    records,
-                    memory,
                     threads: 4,
-                    record_type: RecordType::Record,
-                    sink: SinkMode::File,
                     device,
                     disks,
-                    seed: MATRIX_SEED,
+                    ..Scenario::new(generator, DistributionKind::RandomUniform, records, memory)
                 });
             }
         }
         scenarios
     }
 
-    /// The device-axis slice: every generator on random input, both thread
-    /// counts, default record, once per requested non-default model.
-    fn device_slice(
-        records: u64,
-        memory: usize,
-        models: impl IntoIterator<Item = ModelId>,
-    ) -> Vec<Scenario> {
-        let mut scenarios = Vec::new();
-        for device in models {
-            for generator in GeneratorKind::all() {
-                for threads in [1, 4] {
-                    scenarios.push(Scenario {
-                        generator,
-                        distribution: DistributionKind::RandomUniform,
-                        records,
-                        memory,
-                        threads,
-                        record_type: RecordType::Record,
-                        sink: SinkMode::File,
-                        device,
-                        disks: 1,
-                        seed: MATRIX_SEED,
-                    });
-                }
-            }
-        }
-        scenarios
-    }
-
-    /// The stream-sink slice shared by both matrices: every generator on
-    /// random input, both thread counts, default record.
-    fn stream_slice(records: u64, memory: usize) -> Vec<Scenario> {
-        let mut scenarios = Vec::new();
-        for generator in GeneratorKind::all() {
-            for threads in [1, 4] {
-                scenarios.push(Scenario {
-                    generator,
-                    distribution: DistributionKind::RandomUniform,
-                    records,
-                    memory,
-                    threads,
-                    record_type: RecordType::Record,
-                    sink: SinkMode::Stream,
-                    device: ModelId::Hdd7200,
-                    disks: 1,
-                    seed: MATRIX_SEED,
-                });
-            }
-        }
-        scenarios
+    /// Every generator on random input, both thread counts, default record
+    /// — the slice the sink and device axes re-run with one value changed.
+    fn random_slice(records: u64, memory: usize) -> impl Iterator<Item = Scenario> {
+        GeneratorKind::all().into_iter().flat_map(move |generator| {
+            [1, 4].map(|threads| Scenario {
+                threads,
+                ..Scenario::new(generator, DistributionKind::RandomUniform, records, memory)
+            })
+        })
     }
 
     /// The full evaluation matrix: the five matrix distributions plus the
     /// paper's alternating and mixed shapes, two memory budgets, both
-    /// thread counts on the default record, and full record-type coverage
-    /// at the small budget.
+    /// thread counts on the default record, full record-type coverage at
+    /// the small budget, every catalog device model, and every paper
+    /// figure at [`Scale::LAPTOP`].
     pub fn full() -> Self {
         let mut scenarios = Vec::new();
         let records = 20_000;
@@ -387,16 +379,8 @@ impl ScenarioMatrix {
                 for memory in [300, 1_200] {
                     for threads in [1, 4] {
                         scenarios.push(Scenario {
-                            generator,
-                            distribution,
-                            records,
-                            memory,
                             threads,
-                            record_type: RecordType::Record,
-                            sink: SinkMode::File,
-                            device: ModelId::Hdd7200,
-                            disks: 1,
-                            seed: MATRIX_SEED,
+                            ..Scenario::new(generator, distribution, records, memory)
                         });
                     }
                 }
@@ -407,29 +391,24 @@ impl ScenarioMatrix {
                 for record_type in [RecordType::UserEvent, RecordType::U64] {
                     for threads in [1, 4] {
                         scenarios.push(Scenario {
-                            generator,
-                            distribution,
-                            records,
-                            memory: 300,
                             threads,
                             record_type,
-                            sink: SinkMode::File,
-                            device: ModelId::Hdd7200,
-                            disks: 1,
-                            seed: MATRIX_SEED,
+                            ..Scenario::new(generator, distribution, records, 300)
                         });
                     }
                 }
             }
         }
-        scenarios.extend(Self::stream_slice(records, 300));
+        scenarios.extend(Self::random_slice(records, 300).map(|s| Scenario {
+            sink: SinkMode::Stream,
+            ..s
+        }));
         // Full device coverage: every non-default catalog model.
-        scenarios.extend(Self::device_slice(
-            records,
-            300,
-            [ModelId::SataSsd, ModelId::Nvme, ModelId::Pmem],
-        ));
+        for device in [ModelId::SataSsd, ModelId::Nvme, ModelId::Pmem] {
+            scenarios.extend(Self::random_slice(records, 300).map(|s| Scenario { device, ..s }));
+        }
         scenarios.extend(Self::striped_slice(records, 300));
+        scenarios.extend(figures::scenarios(&Figure::all(), Scale::LAPTOP));
         ScenarioMatrix {
             name: "full",
             scenarios,
@@ -519,6 +498,8 @@ mod tests {
             device: ModelId::Hdd7200,
             disks: 1,
             seed: MATRIX_SEED,
+            merge: MergeConfig::default(),
+            buffers: buffers_of(&TwrsConfig::recommended(300)),
         };
         // File-sink ids keep the pre-sink-axis shape, so the historical
         // baseline entries stay addressable.
@@ -610,5 +591,53 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn figure_ids_carry_a_segment_for_each_non_default_value() {
+        let base = Scenario::new(
+            GeneratorKind::Twrs,
+            DistributionKind::RandomUniform,
+            20_000,
+            400,
+        );
+        assert_eq!(base.id(), "2wrs-random-record-n20000-m400-t1");
+        let cfg1 = Scenario {
+            buffers: buffers_of(&TwrsConfig::table_5_13_cfg1(400)),
+            ..base
+        };
+        assert_eq!(cfg1.id(), "2wrs-input0.0002-random-record-n20000-m400-t1");
+        // RS and LSS ignore the buffers, so their ids do too.
+        let rs = Scenario {
+            generator: GeneratorKind::Rs,
+            ..cfg1
+        };
+        assert_eq!(rs.id(), "rs-random-record-n20000-m400-t1");
+        let timing = Scenario {
+            distribution: DistributionKind::Alternating { sections: 25 },
+            merge: MergeConfig {
+                fan_in: 10,
+                read_ahead_records: 1_024,
+            },
+            seed: 11,
+            ..base
+        };
+        assert_eq!(
+            timing.id(),
+            "2wrs-alternating-sections25-record-n20000-m400-t1-k10-ra1024-seed11"
+        );
+        let fan_in = Scenario {
+            device: ModelId::SataSsd,
+            ..timing
+        };
+        assert!(fan_in.id().ends_with("-t1-sata-ssd-k10-ra1024-seed11"));
+    }
+
+    #[test]
+    fn quick_matrix_carries_every_figure_at_quick_scale() {
+        let quick = ScenarioMatrix::quick();
+        let figures = figures::scenarios(&Figure::all(), Scale::QUICK);
+        assert_eq!(quick.len(), 62 + 106);
+        assert_eq!(&quick.scenarios[62..], figures.as_slice());
     }
 }

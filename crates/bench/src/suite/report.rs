@@ -17,7 +17,7 @@
 //!       "final_pass_pages_written": 97,
 //!       "records": 6000, "memory_records": 300, "threads": 1, "seed": 42,
 //!       "wall_us": 1234, "simulated_io_us": 56789, "records_per_sec": 4861448.2,
-//!       "runs": 10, "avg_run_length": 600.0,
+//!       "runs": 10, "merge_steps": 2, "avg_run_length": 600.0,
 //!       "relative_run_length": 2.0, "predicted_relative_run_length": 2.0,
 //!       "phases": {
 //!         "run_generation": { "wall_us": 1, "pages_read": 0, "pages_written": 24, "seeks": 0, "simulated_io_us": 1200 },
@@ -50,11 +50,82 @@ use super::json::Json;
 use super::matrix::ScenarioMatrix;
 use super::runner::{run_scenario, suite_disk_model, PhaseMetrics, ScenarioResult};
 use super::service::{run_service_scenario, service_slice, ServiceScenarioResult};
-use crate::report::Table;
+use std::fmt::Write as _;
 use twrs_extsort::LatencyPercentiles;
 
 /// Identifier of the report format, bumped on breaking schema changes.
 pub const SCHEMA: &str = "twrs-bench-suite/v1";
+
+/// A column-aligned text table with a title: what the CLI prints, and
+/// what a paper figure renders as.
+#[derive(Debug, Clone)]
+pub struct Table {
+    title: String,
+    header: Vec<String>,
+    rows: Vec<Vec<String>>,
+}
+
+impl Table {
+    /// Creates a table with a title and column headers.
+    pub fn new(title: impl Into<String>, header: &[&str]) -> Self {
+        Table {
+            title: title.into(),
+            header: header.iter().map(|s| s.to_string()).collect(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Appends a row of already formatted cells.
+    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
+        self.rows.push(cells);
+        self
+    }
+
+    /// The data rows.
+    pub fn rows(&self) -> &[Vec<String>] {
+        &self.rows
+    }
+
+    /// Renders the table as right-aligned plain text under a `== title ==`
+    /// line.
+    pub fn render(&self) -> String {
+        let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
+        for row in &self.rows {
+            for (width, cell) in widths.iter_mut().zip(row) {
+                *width = (*width).max(cell.len());
+            }
+        }
+        let line = |cells: &[String]| {
+            let mut line = String::new();
+            for (cell, &width) in cells.iter().zip(&widths) {
+                let _ = write!(line, "{cell:>width$}  ");
+            }
+            line.trim_end().to_string()
+        };
+        let header = line(&self.header);
+        let mut out = format!(
+            "== {} ==\n{header}\n{}\n",
+            self.title,
+            "-".repeat(header.len())
+        );
+        for row in &self.rows {
+            out.push_str(&line(row));
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Renders the table as a GitHub-flavoured markdown section.
+    pub fn to_markdown(&self) -> String {
+        let line = |cells: &[String]| format!("| {} |\n", cells.join(" | "));
+        let mut out = format!("### {}\n\n{}", self.title, line(&self.header));
+        out.push_str(&format!("|{}\n", "---:|".repeat(self.header.len())));
+        for row in &self.rows {
+            out.push_str(&line(row));
+        }
+        out
+    }
+}
 
 /// A fully executed scenario matrix.
 #[derive(Debug, Clone)]
@@ -136,79 +207,20 @@ impl BenchReport {
         ])
     }
 
-    /// Renders the human-facing summary table as GitHub-flavoured markdown.
+    /// Renders the summary tables as GitHub-flavoured markdown: the rows
+    /// the CLI prints, plus a note on what the service columns measure.
     pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "# Bench suite report `{}` ({} matrix, {} scenarios)\n\n",
-            self.id,
-            self.matrix,
-            self.results.len()
-        ));
-        out.push_str(
-            "| scenario | krec/s | runs | avg run len | rel (meas/pred) | pages R | pages W | final W | seeks | sim I/O ms |\n",
-        );
-        out.push_str("|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n");
-        for result in &self.results {
-            let det = result.deterministic();
-            let predicted = result
-                .predicted_relative_run_length
-                .map_or("—".to_string(), |p| format!("{p:.2}"));
-            out.push_str(&format!(
-                "| {} | {:.0} | {} | {:.1} | {:.2} / {} | {} | {} | {} | {} | {:.1} |\n",
-                result.scenario.id(),
-                result.records_per_sec / 1_000.0,
-                det.runs,
-                result.average_run_length,
-                result.relative_run_length,
-                predicted,
-                det.pages_read,
-                det.pages_written,
-                det.final_pass_pages_written,
-                det.seeks.map_or("—".to_string(), |s| s.to_string()),
-                result.simulated_io_us as f64 / 1_000.0,
-            ));
-        }
-        if !self.service_results.is_empty() {
+        let mut out = self.to_table().to_markdown();
+        if let Some(service) = self.service_table() {
             out.push_str(
-                "\n## Service scenarios\n\n\
-                 Queue latency is submission → memory lease held; sort latency is\n\
-                 execution only; cancel latency is cancel request → the probe job\n\
-                 completing as Canceled. All three are wall-clock (reported, not\n\
-                 gated); the page/run/seek sums are deterministic and\n\
-                 baseline-gated. `grants` lists each tenant's fixed-share memory\n\
-                 grant — in a `service-prio-` scenario the weighted tenant's share\n\
-                 is proportionally larger.\n\n",
+                "\n## Service scenarios\n\nQueue latency is submission → memory lease held; \
+                 sort latency is execution only; cancel latency is cancel request → the probe \
+                 job completing as Canceled. All three are wall-clock (reported, not gated); \
+                 the page/run/seek sums are deterministic and baseline-gated. `grants` lists \
+                 each tenant's fixed-share memory grant — in a `service-prio-` scenario the \
+                 weighted tenant's share is proportionally larger.\n\n",
             );
-            out.push_str(
-                "| scenario | jobs | grants | queue p50 ms | queue p99 ms | sort p50 ms | sort p99 ms | cancel p50 ms | cancel p95 ms | pages R | pages W | runs | seeks |\n",
-            );
-            out.push_str("|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n");
-            for result in &self.service_results {
-                let det = result.deterministic();
-                let grants = result
-                    .tenant_grants
-                    .iter()
-                    .map(|(_, grant)| grant.to_string())
-                    .collect::<Vec<_>>()
-                    .join("/");
-                out.push_str(&format!(
-                    "| {} | {} | {} | {:.2} | {:.2} | {:.2} | {:.2} | {:.2} | {:.2} | {} | {} | {} | {} |\n",
-                    result.scenario.id(),
-                    result.jobs_completed,
-                    grants,
-                    result.queue_latency.p50.as_secs_f64() * 1_000.0,
-                    result.queue_latency.p99.as_secs_f64() * 1_000.0,
-                    result.sort_latency.p50.as_secs_f64() * 1_000.0,
-                    result.sort_latency.p99.as_secs_f64() * 1_000.0,
-                    result.cancel_latency.p50.as_secs_f64() * 1_000.0,
-                    result.cancel_latency.p95.as_secs_f64() * 1_000.0,
-                    det.pages_read,
-                    det.pages_written,
-                    det.runs,
-                    det.seeks.map_or("—".to_string(), |s| s.to_string()),
-                ));
-            }
+            out.push_str(&service.to_markdown());
         }
         out
     }
@@ -222,8 +234,19 @@ impl BenchReport {
         let mut table = Table::new(
             format!("service scenarios — {} matrix", self.matrix),
             &[
-                "scenario", "jobs", "grants", "q p50", "q p99", "s p50", "s p99", "c p50", "c p95",
-                "pR", "pW", "runs", "seeks",
+                "scenario",
+                "jobs",
+                "grants",
+                "queue p50",
+                "queue p99",
+                "sort p50",
+                "sort p99",
+                "cancel p50",
+                "cancel p95",
+                "pages R",
+                "pages W",
+                "runs",
+                "seeks",
             ],
         );
         for result in &self.service_results {
@@ -253,14 +276,18 @@ impl BenchReport {
         Some(table)
     }
 
-    /// Renders the plain-text summary the CLI prints to stdout (same rows
-    /// as the markdown, in the experiment binaries' table style).
+    /// The per-scenario summary the CLI prints to stdout.
     pub fn to_table(&self) -> Table {
         let mut table = Table::new(
-            format!("bench suite `{}` — {} matrix", self.id, self.matrix),
+            format!(
+                "bench suite `{}` — {} matrix, {} scenarios",
+                self.id,
+                self.matrix,
+                self.results.len()
+            ),
             &[
-                "scenario", "krec/s", "runs", "avg", "rel", "pred", "pR", "pW", "fpW", "seeks",
-                "simIO",
+                "scenario", "krec/s", "runs", "avg run", "rel", "pred", "pages R", "pages W",
+                "final W", "seeks", "sim I/O",
             ],
         );
         for result in &self.results {
@@ -325,6 +352,7 @@ fn scenario_json(result: &ScenarioResult) -> Json {
         ("simulated_io_us", Json::counter(result.simulated_io_us)),
         ("records_per_sec", Json::Num(result.records_per_sec)),
         ("runs", Json::counter(result.num_runs)),
+        ("merge_steps", Json::counter(u64::from(result.merge_steps))),
         ("avg_run_length", Json::Num(result.average_run_length)),
         ("relative_run_length", Json::Num(result.relative_run_length)),
         (
@@ -441,30 +469,42 @@ pub(crate) fn deterministic_json(det: &super::runner::DeterministicCounters) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::suite::matrix::{GeneratorKind, RecordType, Scenario, SinkMode, MATRIX_SEED};
-    use twrs_storage::ModelId;
+    use crate::suite::matrix::{GeneratorKind, Scenario};
     use twrs_workloads::DistributionKind;
 
     fn tiny_matrix() -> ScenarioMatrix {
         let scenarios = [1usize, 4]
             .into_iter()
             .map(|threads| Scenario {
-                generator: GeneratorKind::Rs,
-                distribution: DistributionKind::RandomUniform,
-                records: 1_500,
-                memory: 128,
                 threads,
-                record_type: RecordType::Record,
-                sink: SinkMode::File,
-                device: ModelId::Hdd7200,
-                disks: 1,
-                seed: MATRIX_SEED,
+                ..Scenario::new(
+                    GeneratorKind::Rs,
+                    DistributionKind::RandomUniform,
+                    1_500,
+                    128,
+                )
             })
             .collect();
         ScenarioMatrix {
             name: "quick",
             scenarios,
         }
+    }
+
+    #[test]
+    fn renders_aligned_columns() {
+        let mut table = Table::new("Demo", &["name", "value"]);
+        table.row(vec!["alpha".into(), "1".into()]);
+        table.row(vec!["b".into(), "12345".into()]);
+        assert_eq!(
+            table.render(),
+            "== Demo ==\n name  value\n------------\nalpha      1\n    b  12345\n"
+        );
+        assert_eq!(table.rows().len(), 2);
+        assert_eq!(
+            table.to_markdown(),
+            "### Demo\n\n| name | value |\n|---:|---:|\n| alpha | 1 |\n| b | 12345 |\n"
+        );
     }
 
     #[test]
@@ -496,16 +536,14 @@ mod tests {
         let matrix = ScenarioMatrix {
             name: "striped-report-test",
             scenarios: vec![Scenario {
-                generator: GeneratorKind::Twrs,
-                distribution: DistributionKind::RandomUniform,
-                records: 1_500,
-                memory: 128,
                 threads: 4,
-                record_type: RecordType::Record,
-                sink: SinkMode::File,
-                device: ModelId::Hdd7200,
                 disks: 2,
-                seed: MATRIX_SEED,
+                ..Scenario::new(
+                    GeneratorKind::Twrs,
+                    DistributionKind::RandomUniform,
+                    1_500,
+                    128,
+                )
             }],
         };
         let report = BenchReport::run(&matrix, "test", |_| {}).unwrap();

@@ -90,6 +90,9 @@ pub struct ScenarioResult {
     pub records_per_sec: f64,
     /// Number of runs the generation phase produced.
     pub num_runs: u64,
+    /// Number of k-way merge steps the merge phase executed (reported;
+    /// not part of the gated counters).
+    pub merge_steps: u32,
     /// Measured average run length, in records.
     pub average_run_length: f64,
     /// Measured average run length relative to the memory budget.
@@ -158,7 +161,11 @@ pub fn suite_disk_model() -> DiskModel {
 /// Reads the per-member counters off a striped device and checks they
 /// fold into the device totals exactly; `[]` for single-disk devices.
 /// Call only once all I/O has happened (for streams: after the drain).
-fn per_disk_counters(device: &AnyDevice, scenario: &Scenario) -> Result<Vec<DiskCounters>, String> {
+/// `label` names the run in the error.
+pub(crate) fn per_disk_counters(
+    device: &AnyDevice,
+    label: &str,
+) -> Result<Vec<DiskCounters>, String> {
     let Some(stripe) = device.as_striped() else {
         return Ok(Vec::new());
     };
@@ -181,12 +188,9 @@ fn per_disk_counters(device: &AnyDevice, scenario: &Scenario) -> Result<Vec<Disk
     });
     if fold != [totals.pages_read, totals.pages_written, totals.seeks] {
         return Err(format!(
-            "scenario {}: stripe member counters {fold:?} do not fold into \
+            "{label}: stripe member counters {fold:?} do not fold into \
              the device totals [{}, {}, {}]",
-            scenario.id(),
-            totals.pages_read,
-            totals.pages_written,
-            totals.seeks
+            totals.pages_read, totals.pages_written, totals.seeks
         ));
     }
     Ok(members)
@@ -218,6 +222,7 @@ where
         let job = SortJob::new(generator)
             .on(&device)
             .threads(scenario.threads)
+            .merge(scenario.merge)
             .verify(true);
         let report = match scenario.sink {
             SinkMode::File => job
@@ -259,18 +264,18 @@ where
                 report
             }
         };
-        let per_disk = per_disk_counters(&device, scenario)?;
+        let per_disk = per_disk_counters(&device, &format!("scenario {}", scenario.id()))?;
         Ok((report, per_disk))
     }
 
     match scenario.generator {
         GeneratorKind::Rs => go(ReplacementSelection::new(scenario.memory), scenario, input),
         GeneratorKind::Lss => go(LoadSortStore::new(scenario.memory), scenario, input),
-        GeneratorKind::Twrs => go(
-            TwoWayReplacementSelection::new(TwrsConfig::recommended(scenario.memory)),
-            scenario,
-            input,
-        ),
+        GeneratorKind::Twrs => {
+            let (setup, fraction) = scenario.buffers;
+            let config = TwrsConfig::recommended(scenario.memory).with_buffers(setup, fraction);
+            go(TwoWayReplacementSelection::new(config), scenario, input)
+        }
     }
 }
 
@@ -303,6 +308,7 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioResult, String> {
         simulated_io_us: job.total_simulated_io().as_micros() as u64,
         records_per_sec: job.records_per_second(),
         num_runs: job.num_runs() as u64,
+        merge_steps: job.report.merge_report.merge_steps,
         average_run_length: job.average_run_length(),
         relative_run_length: job.report.relative_run_length,
         predicted_relative_run_length: predicted,
@@ -323,16 +329,9 @@ mod tests {
 
     fn scenario(generator: GeneratorKind, threads: usize) -> Scenario {
         Scenario {
-            generator,
-            distribution: DistributionKind::RandomUniform,
-            records: 3_000,
-            memory: 200,
             threads,
-            record_type: RecordType::Record,
-            sink: SinkMode::File,
-            device: ModelId::Hdd7200,
-            disks: 1,
             seed: 7,
+            ..Scenario::new(generator, DistributionKind::RandomUniform, 3_000, 200)
         }
     }
 

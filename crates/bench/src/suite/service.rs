@@ -63,28 +63,15 @@ impl ServiceScenario {
     /// (always `service-` prefixed; `service-prio-` when one tenant is
     /// weighted), used as the baseline key.
     pub fn id(&self) -> String {
-        if self.high_weight > 1 {
-            format!(
-                "service-prio-j{}-x{}-w{}-g{}-n{}-m{}-hw{}",
-                self.jobs,
-                self.tenants,
-                self.workers,
-                self.global_memory,
-                self.records,
-                self.memory,
-                self.high_weight
-            )
+        let (prio, weight) = if self.high_weight > 1 {
+            ("prio-", format!("-hw{}", self.high_weight))
         } else {
-            format!(
-                "service-j{}-x{}-w{}-g{}-n{}-m{}",
-                self.jobs,
-                self.tenants,
-                self.workers,
-                self.global_memory,
-                self.records,
-                self.memory
-            )
-        }
+            ("", String::new())
+        };
+        format!(
+            "service-{prio}j{}-x{}-w{}-g{}-n{}-m{}{weight}",
+            self.jobs, self.tenants, self.workers, self.global_memory, self.records, self.memory
+        )
     }
 }
 
@@ -106,14 +93,11 @@ pub fn service_slice(matrix_name: &str) -> Vec<ServiceScenario> {
     // records: tenant-0 is capped at 180, tenant-1 at 60, so the grant
     // ratio — and every counter downstream of it — is deterministic.
     let prioritized = ServiceScenario {
-        jobs: 8,
-        tenants: 2,
         workers: 4,
         global_memory: 240,
-        records: 1_500,
         memory: 200,
-        seed: MATRIX_SEED,
         high_weight: 3,
+        ..contended
     };
     match matrix_name {
         "quick" => vec![contended, prioritized],
@@ -127,8 +111,7 @@ pub fn service_slice(matrix_name: &str) -> Vec<ServiceScenario> {
                 global_memory: 400,
                 records: 4_000,
                 memory: 200,
-                seed: MATRIX_SEED,
-                high_weight: 1,
+                ..contended
             },
         ],
         _ => Vec::new(),

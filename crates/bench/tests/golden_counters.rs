@@ -12,24 +12,13 @@
 //! fail for the same reason, and both must be updated in the same PR
 //! (`cargo run --release --bin bench_suite -- --quick --update-baseline`).
 
-use twrs_bench::suite::{
-    run_scenario, DeterministicCounters, GeneratorKind, RecordType, Scenario, SinkMode,
-};
-use twrs_storage::ModelId;
+use twrs_bench::suite::{run_scenario, DeterministicCounters, GeneratorKind, Scenario, SinkMode};
 use twrs_workloads::DistributionKind;
 
 fn base_scenario(generator: GeneratorKind, sink: SinkMode) -> Scenario {
     Scenario {
-        generator,
-        distribution: DistributionKind::RandomUniform,
-        records: 6_000,
-        memory: 300,
-        threads: 1,
-        record_type: RecordType::Record,
         sink,
-        device: ModelId::Hdd7200,
-        disks: 1,
-        seed: 42,
+        ..Scenario::new(generator, DistributionKind::RandomUniform, 6_000, 300)
     }
 }
 
@@ -117,38 +106,14 @@ fn streamed_sorts_write_zero_final_pass_pages() {
     }
 }
 
-/// The thread count a scenario id encodes (`...-t4`, `...-t1-stream`),
-/// or `None` for ids without a `-t<n>` segment (service scenarios).
-fn threads_in_id(id: &str) -> Option<u64> {
-    for (pos, _) in id.match_indices("-t") {
-        let rest = &id[pos + 2..];
-        let digits: &str = &rest[..rest
-            .char_indices()
-            .find(|(_, c)| !c.is_ascii_digit())
-            .map_or(rest.len(), |(i, _)| i)];
-        let terminated = rest.len() == digits.len() || rest.as_bytes()[digits.len()] == b'-';
-        if !digits.is_empty() && terminated {
-            return digits.parse().ok();
-        }
-    }
-    None
-}
-
-/// The stripe width a scenario id encodes (`...-t4-d4`), or `None` for
-/// single-disk ids without a `-d<n>` segment.
-fn disks_in_id(id: &str) -> Option<u64> {
-    for (pos, _) in id.match_indices("-d") {
-        let rest = &id[pos + 2..];
-        let digits: &str = &rest[..rest
-            .char_indices()
-            .find(|(_, c)| !c.is_ascii_digit())
-            .map_or(rest.len(), |(i, _)| i)];
-        let terminated = rest.len() == digits.len() || rest.as_bytes()[digits.len()] == b'-';
-        if !digits.is_empty() && terminated {
-            return digits.parse().ok();
-        }
-    }
-    None
+/// The number after `prefix` in a scenario id — the thread count after
+/// `-t` (`...-t1-stream`), the stripe width after `-d` (`...-t4-d4`) — or
+/// `None` without such a segment (service ids, single-disk ids).
+fn number_in_id(id: &str, prefix: &str) -> Option<u64> {
+    id.match_indices(prefix).find_map(|(pos, _)| {
+        let segment = id[pos + prefix.len()..].split('-').next()?;
+        segment.parse().ok()
+    })
 }
 
 #[test]
@@ -215,10 +180,10 @@ fn baseline_pins_seeks_exactly_for_single_threaded_scenarios() {
             assert!(pinned.is_some(), "{id}: service seeks are deterministic");
             continue;
         }
-        if disks_in_id(id).is_some() {
+        if number_in_id(id, "-d").is_some() {
             striped += 1;
             assert!(
-                threads_in_id(id).is_some_and(|t| t > 1),
+                number_in_id(id, "-t").is_some_and(|t| t > 1),
                 "{id}: the striped slice exists to pin multi-threaded seeks"
             );
             assert!(
@@ -228,7 +193,7 @@ fn baseline_pins_seeks_exactly_for_single_threaded_scenarios() {
             );
             continue;
         }
-        match threads_in_id(id) {
+        match number_in_id(id, "-t") {
             Some(1) => {
                 single += 1;
                 assert!(

@@ -263,4 +263,39 @@ mod tests {
         expected.sort_unstable();
         assert_eq!(output, expected);
     }
+
+    #[test]
+    fn both_merge_strategies_run() {
+        use twrs_storage::StorageDevice;
+        // Polyphase (6 tapes) and multi-pass k-way (fan-in 10) merging of
+        // the same 12 runs both complete, and both pay seeks on a disk.
+        let merge = |polyphase: bool| {
+            let device = SimDevice::with_model(ModelId::Hdd7200);
+            let namer = SpillNamer::new("cmp");
+            let mut input =
+                Distribution::new(DistributionKind::RandomUniform, 12 * 512, 3).records();
+            let runs = LoadSortStore::new(512)
+                .generate(&device, &namer, &mut input)
+                .unwrap()
+                .runs;
+            device.reset_stats();
+            if polyphase {
+                polyphase_merge::<_, Record>(&device, &namer, runs, 6, "out").unwrap();
+            } else {
+                crate::KWayMerger::new(crate::MergeConfig {
+                    fan_in: 10,
+                    read_ahead_records: 256,
+                })
+                .merge_into::<_, Record>(&device, &namer, runs, "out")
+                .unwrap();
+            }
+            assert_eq!(
+                read_output::<_, Record>(&device, "out").unwrap().len(),
+                12 * 512
+            );
+            device.stats().counters.seeks
+        };
+        assert!(merge(false) > 0);
+        assert!(merge(true) > 0);
+    }
 }
