@@ -505,9 +505,13 @@ mod tests {
     }
 
     #[test]
-    fn duration_and_relative_formatting() {
+    fn duration_formatting() {
         assert_eq!(fmt_duration(Duration::from_millis(5)), "5.0 ms");
         assert_eq!(fmt_duration(Duration::from_secs(12)), "12.00 s");
+    }
+
+    #[test]
+    fn relative_formatting() {
         assert_eq!(fmt_relative(2.0), "2.00");
         assert_eq!(fmt_relative(1e9), "inf");
     }
