@@ -5,8 +5,8 @@
 //! combination with several random seeds and recording the number of runs
 //! generated. [`paper_factorial_experiment`] reproduces that experiment at a
 //! configurable scale and returns a [`FactorialData`] ready for the ANOVA of
-//! [`crate::anova`], together with the raw observation list used by the
-//! plotting/reporting binaries.
+//! [`crate::anova`], together with the raw observation list (the
+//! `anova_analysis` example prints both).
 
 use crate::anova::FactorialData;
 use twrs_core::{

@@ -13,7 +13,7 @@
 
 use crate::error::{Result, SortError};
 use crate::merge::kway::{KWayMerger, MergeConfig};
-use crate::run_generation::{Device, RunCursor, RunHandle};
+use crate::run_generation::{Device, RunHandle};
 use std::collections::VecDeque;
 use twrs_storage::{RunWriter, SortableRecord, SpillNamer};
 
@@ -159,21 +159,20 @@ pub fn polyphase_merge<D: Device, R: SortableRecord>(
     }
 }
 
-/// Reads a polyphase output for verification (test helper, also used by the
-/// merge-phase experiment binary).
-pub fn read_output<D: Device, R: SortableRecord>(device: &D, output: &str) -> Result<Vec<R>> {
-    let mut cursor = RunCursor::<R>::open(device, &RunHandle::Forward(output.to_string()))?;
-    cursor.read_all()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::load_sort_store::LoadSortStore;
-    use crate::run_generation::RunGenerator;
+    use crate::run_generation::{RunCursor, RunGenerator};
     use twrs_storage::ModelId;
     use twrs_storage::SimDevice;
     use twrs_workloads::{Distribution, DistributionKind, Record};
+
+    /// Reads a polyphase output for verification.
+    fn read_output<D: Device, R: SortableRecord>(device: &D, output: &str) -> Result<Vec<R>> {
+        let mut cursor = RunCursor::<R>::open(device, &RunHandle::Forward(output.to_string()))?;
+        cursor.read_all()
+    }
 
     #[test]
     fn schedule_matches_paper_table_2_1() {

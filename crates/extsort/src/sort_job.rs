@@ -140,10 +140,9 @@ impl SortJobReport {
     /// for a job that did not shard its input).
     pub fn shard_io_sum(&self) -> IoStatsSnapshot {
         let shards = self.shards.as_deref().unwrap_or_default();
-        let model = shards.first().map(|s| s.io.model).unwrap_or_default();
         shards
             .iter()
-            .fold(IoStatsSnapshot::zero(model), |acc, s| acc.merged(&s.io))
+            .fold(IoStatsSnapshot::default(), |acc, s| acc.merged(&s.io))
     }
 
     /// `true` when the report's I/O accounting is internally consistent —

@@ -249,7 +249,7 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
     ) -> Result<SortJobReport> {
         // One I/O client for the duration of the run: on a striped device
         // every concurrently executing job fair-shares the simulated
-        // bandwidth (see `twrs_storage::SharedBandwidthModel`); on plain
+        // bandwidth (see `twrs_storage::contention`); on plain
         // devices this is a no-op.
         let _io_client = self.device.attach_io_client();
         let (file, final_pass) = match &output {

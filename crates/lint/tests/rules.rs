@@ -469,7 +469,7 @@ fn build(members: Vec<AnyDevice>) -> Result<()> {
     // But a raw `*_device` receiver next to it still flags.
     let mixed = "\
 fn build(members: Vec<AnyDevice>, raw_device: &impl StorageDevice) -> Result<()> {
-    let spill_device = StripedDevice::with_policy(members, StripePolicy::RoundRobin)?;
+    let spill_device = StripedDevice::new(members)?;
     spill_device.create(\"probe\")?;
     raw_device.flush()?;
     Ok(())

@@ -6,10 +6,12 @@
 //! sort jobs. This module adds the missing effect in the style of
 //! dslab-storage's shared-disk model: clients *admit* themselves to the
 //! device (an [`IoClientGuard`] marks one outstanding request stream) and
-//! every access is charged a **proportional slowdown** — the modelled
-//! microseconds are multiplied by the number of admitted clients, i.e.
-//! each stream gets `1/n` of the device's bandwidth while `n` streams are
-//! admitted.
+//! every access is charged a **proportional slowdown** — the
+//! [`IoStats`](crate::io_stats::IoStats) of each stripe member multiply
+//! the modelled microseconds by the number of admitted clients, i.e. each
+//! stream gets `1/n` of the device's bandwidth while `n` streams are
+//! admitted. With zero or one admitted client the cost is unchanged, so
+//! single-job runs reproduce the historical simulated times bit for bit.
 //!
 //! The slowdown is driven by the logical admission count, not wall-clock
 //! overlap, so simulated latencies stay deterministic: the same job run
@@ -18,19 +20,15 @@
 //! never touched — contention changes *time*, not *behaviour* — which is
 //! what keeps baseline-pinned counter sets valid across contention states.
 
-use crate::io_stats::DiskModel;
-use crate::model::{AccessCost, DeviceModel};
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Shared admission book-keeping for one device (or one stripe of devices):
-/// how many request streams are currently outstanding.
+/// Shared admission book-keeping for one stripe of devices: how many
+/// request streams are currently outstanding.
 ///
-/// One state instance is shared by every [`SharedBandwidthModel`] wrapping
-/// the members of a stripe, so a client admitted to the stripe slows down
-/// all of its disks — the stripe shares one bus, as a multi-disk spill
-/// array would.
+/// Every member of a stripe charges its accesses under one shared state,
+/// so a client admitted to the stripe slows down all of its disks — the
+/// stripe shares one bus, as a multi-disk spill array would.
 #[derive(Debug, Default)]
 pub struct ContentionState {
     outstanding: AtomicU64,
@@ -66,103 +64,54 @@ pub struct IoClientGuard {
     state: Arc<ContentionState>,
 }
 
-impl IoClientGuard {
-    /// The admission state this guard is attached to.
-    pub fn state(&self) -> &Arc<ContentionState> {
-        &self.state
-    }
-}
-
 impl Drop for IoClientGuard {
     fn drop(&mut self) {
         self.state.outstanding.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-/// A [`DeviceModel`] decorator that fair-shares the wrapped model's
-/// bandwidth among the clients admitted to a shared [`ContentionState`].
-///
-/// Seek *detection* (and therefore every deterministic counter) delegates
-/// unchanged to the inner model; only the charged microseconds scale with
-/// the admission count. With zero or one admitted client the decorator is
-/// cost-transparent, so single-job runs reproduce the historical simulated
-/// times bit for bit.
-pub struct SharedBandwidthModel {
-    inner: Arc<dyn DeviceModel>,
-    state: Arc<ContentionState>,
-}
-
-impl SharedBandwidthModel {
-    /// Wraps `inner` so its costs are fair-shared under `state`.
-    pub fn new(inner: Arc<dyn DeviceModel>, state: Arc<ContentionState>) -> Self {
-        SharedBandwidthModel { inner, state }
-    }
-
-    /// The multiplicative slowdown currently in force (`max(1, clients)`).
-    pub fn slowdown(&self) -> u64 {
-        self.state.active_clients().max(1)
-    }
-}
-
-impl fmt::Debug for SharedBandwidthModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SharedBandwidthModel")
-            .field("inner", &self.inner)
-            .field("clients", &self.state.active_clients())
-            .finish()
-    }
-}
-
-impl DeviceModel for SharedBandwidthModel {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn access_cost(
-        &self,
-        head: Option<(u64, u64)>,
-        file_id: u64,
-        page: u64,
-        pages: u64,
-        write: bool,
-    ) -> AccessCost {
-        let mut cost = self.inner.access_cost(head, file_id, page, pages, write);
-        cost.micros *= self.slowdown() as f64;
-        cost
-    }
-
-    fn params(&self) -> DiskModel {
-        self.inner.params()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io_stats::{IoStats, IoStatsSnapshot};
     use crate::model::ModelId;
+
+    /// Stats for `model` charging under `state`.
+    fn contended(model: ModelId, state: &Arc<ContentionState>) -> IoStats {
+        let stats = IoStats::new(model.into());
+        stats.share_contention(Arc::clone(state));
+        stats
+    }
+
+    /// What one cold read of `pages` pages costs on `stats`, from zero.
+    fn cold_read(stats: &IoStats, pages: u64) -> IoStatsSnapshot {
+        stats.reset();
+        stats.record_access(1, 0, pages, false);
+        stats.snapshot()
+    }
 
     #[test]
     fn zero_or_one_client_is_cost_transparent() {
         let state = ContentionState::new();
-        let shared = SharedBandwidthModel::new(ModelId::Nvme.model(), Arc::clone(&state));
-        let bare = ModelId::Nvme.model();
-        let solo = shared.access_cost(None, 1, 0, 4, false);
-        assert_eq!(solo, bare.access_cost(None, 1, 0, 4, false));
+        let shared = contended(ModelId::Nvme, &state);
+        let bare = IoStats::new(ModelId::Nvme.into());
+        let solo = cold_read(&shared, 4);
+        assert_eq!(solo, cold_read(&bare, 4));
         let _one = state.attach();
-        assert_eq!(shared.access_cost(None, 1, 0, 4, false), solo);
+        assert_eq!(cold_read(&shared, 4), solo);
     }
 
     #[test]
     fn each_admitted_client_scales_the_cost_proportionally() {
         let state = ContentionState::new();
-        let shared = SharedBandwidthModel::new(ModelId::Hdd7200.model(), Arc::clone(&state));
-        let solo = shared.access_cost(None, 1, 0, 1, false).micros;
+        let shared = contended(ModelId::Hdd7200, &state);
+        let solo = cold_read(&shared, 1).sim_io;
         let _a = state.attach();
         let _b = state.attach();
-        let contended = shared.access_cost(None, 1, 0, 1, false);
-        assert_eq!(contended.micros, solo * 2.0);
+        let contended = cold_read(&shared, 1);
+        assert_eq!(contended.sim_io, solo * 2);
         let _c = state.attach();
-        assert_eq!(shared.access_cost(None, 1, 0, 1, false).micros, solo * 3.0);
+        assert_eq!(cold_read(&shared, 1).sim_io, solo * 3);
     }
 
     #[test]
@@ -177,23 +126,22 @@ mod tests {
     #[test]
     fn contention_never_changes_seek_detection_or_params() {
         let state = ContentionState::new();
-        let shared = SharedBandwidthModel::new(ModelId::Hdd7200.model(), Arc::clone(&state));
+        let shared = contended(ModelId::Hdd7200, &state);
         let _a = state.attach();
         let _b = state.attach();
-        let bare = ModelId::Hdd7200.model();
+        let bare = IoStats::new(ModelId::Hdd7200.into());
         let sequence = [
-            (None, 1, 0, 1, false),
-            (Some((1, 1)), 1, 1, 1, false),
-            (Some((1, 2)), 2, 0, 1, false),
-            (Some((2, 1)), 2, 5, 1, true),
+            (1, 0, 1, false),
+            (1, 1, 1, false),
+            (2, 0, 1, false),
+            (2, 5, 1, true),
         ];
-        for (head, f, p, n, w) in sequence {
-            assert_eq!(
-                shared.access_cost(head, f, p, n, w).seek,
-                bare.access_cost(head, f, p, n, w).seek
-            );
+        for (f, p, n, w) in sequence {
+            shared.record_access(f, p, n, w);
+            bare.record_access(f, p, n, w);
+            assert_eq!(shared.snapshot().counters, bare.snapshot().counters);
         }
-        assert_eq!(shared.params(), bare.params());
-        assert_eq!(shared.name(), bare.name());
+        // Same parameters underneath: exactly the bare cost, twice over.
+        assert_eq!(shared.snapshot().sim_io, bare.snapshot().sim_io * 2);
     }
 }

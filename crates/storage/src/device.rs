@@ -1,24 +1,23 @@
-//! Storage devices: the real-file backend and the simulated disk.
+//! Storage devices: the page-oriented traits and the simulated disk.
 //!
-//! Both devices expose the same page-oriented interface so the sorting
+//! Every backend exposes the same page-oriented interface so the sorting
 //! algorithms and the experiment harness are agnostic to where the runs
-//! live. Every page access flows through a shared [`IoStats`] so seeks and
-//! transfers can be attributed to phases of the sort; [`SimDevice`]
-//! additionally keeps the file contents in memory, making experiments
-//! deterministic and independent of the host file system (the substitution
-//! for the paper's dedicated SATA disk, see DESIGN.md §2).
+//! live: [`SimDevice`] here, [`RealFileDevice`](crate::real_device::RealFileDevice)
+//! over real files, and [`StripedDevice`](crate::striped::StripedDevice)
+//! over several of either. Every page access flows through a shared
+//! [`IoStats`] so seeks and transfers can be attributed to phases of the
+//! sort; [`SimDevice`] additionally keeps the file contents in memory,
+//! making experiments deterministic and independent of the host file system
+//! (the substitution for the paper's dedicated SATA disk, see DESIGN.md §2).
 
 use crate::contention::IoClientGuard;
 use crate::error::{Result, StorageError};
 use crate::io_stats::{DiskModel, IoStats, IoStatsSnapshot};
-use crate::model::{DeviceModel, ModelId};
+use crate::model::ModelId;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A page-addressed file handle.
 ///
@@ -111,38 +110,8 @@ pub trait StorageDevice: Send + Sync {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Root-directory collision guard
-// ---------------------------------------------------------------------------
-
-/// Root directories currently claimed by a live file-backed device, so two
-/// devices cannot silently share files (an easy mistake when hand-building
-/// stripe members over real directories).
-fn active_roots() -> &'static Mutex<HashSet<PathBuf>> {
-    static ROOTS: OnceLock<Mutex<HashSet<PathBuf>>> = OnceLock::new();
-    ROOTS.get_or_init(|| Mutex::new(HashSet::new()))
-}
-
-/// Claims `root` for a new file-backed device; errors when another live
-/// device already owns it. Returns the canonical path to release later.
-pub(crate) fn claim_root(root: &Path) -> Result<PathBuf> {
-    // The directory exists by the time devices claim it, so canonicalize
-    // resolves symlinks and relative spellings of the same directory; fall
-    // back to the literal path when resolution fails.
-    let canonical = root.canonicalize().unwrap_or_else(|_| root.to_path_buf());
-    let mut roots = active_roots().lock();
-    if !roots.insert(canonical.clone()) {
-        return Err(StorageError::DeviceRootBusy(canonical));
-    }
-    Ok(canonical)
-}
-
-/// Releases a root previously returned by [`claim_root`].
-pub(crate) fn release_root(canonical: &Path) {
-    active_roots().lock().remove(canonical);
-}
-
-fn check_page_len(len: usize, page_size: usize) -> Result<()> {
+/// Errors unless a caller buffer is exactly one page long.
+pub(crate) fn check_page_len(len: usize, page_size: usize) -> Result<()> {
     if len != page_size {
         return Err(StorageError::PageSizeMismatch {
             got: len,
@@ -182,34 +151,22 @@ pub struct SimDevice {
 
 impl SimDevice {
     /// Creates a simulated device with the default page size, charging
-    /// costs from the given device model (a catalog
-    /// [`ModelId`], a raw
-    /// [`DiskModel`] parameter set, or an
-    /// `Arc<dyn DeviceModel>` from [`crate::model::custom`]).
-    pub fn with_model(model: impl Into<Arc<dyn DeviceModel>>) -> Self {
+    /// costs from the given model (a catalog [`ModelId`] or a raw
+    /// [`DiskModel`] parameter set).
+    pub fn with_model(model: impl Into<DiskModel>) -> Self {
         Self::custom(crate::page::DEFAULT_PAGE_SIZE, model)
     }
 
-    /// Creates a simulated device with an explicit page size and device
-    /// model.
-    pub fn custom(page_size: usize, model: impl Into<Arc<dyn DeviceModel>>) -> Self {
+    /// Creates a simulated device with an explicit page size and model.
+    pub fn custom(page_size: usize, model: impl Into<DiskModel>) -> Self {
         SimDevice {
             shared: Arc::new(SimShared {
                 files: Mutex::new(HashMap::new()),
-                stats: IoStats::with_model(model.into()),
+                stats: IoStats::new(model.into()),
                 page_size,
                 next_file_id: AtomicU64::new(1),
             }),
         }
-    }
-
-    /// Total bytes currently held by all files (for memory-budget tests).
-    pub fn total_bytes(&self) -> usize {
-        let files = self.shared.files.lock();
-        files
-            .values()
-            .map(|f| f.lock().pages.len() * self.shared.page_size)
-            .sum()
     }
 }
 
@@ -339,241 +296,10 @@ impl StorageDevice for SimDevice {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Real-file device
-// ---------------------------------------------------------------------------
-
-struct FileShared {
-    root: PathBuf,
-    stats: IoStats,
-    page_size: usize,
-    next_file_id: AtomicU64,
-    /// Remove the root directory when the device is dropped.
-    cleanup: bool,
-    /// Canonical root registered in the collision guard, released on drop.
-    claimed: PathBuf,
-}
-
-impl Drop for FileShared {
-    fn drop(&mut self) {
-        if self.cleanup {
-            let _ = std::fs::remove_dir_all(&self.root);
-        }
-        release_root(&self.claimed);
-    }
-}
-
-/// A device backed by real files under a root directory.
-///
-/// Used for wall-clock timing experiments (Chapter 6). The same seek
-/// accounting as [`SimDevice`] is performed so logical I/O can be compared
-/// between the two backends.
-#[derive(Clone)]
-pub struct FileDevice {
-    shared: Arc<FileShared>,
-}
-
-impl FileDevice {
-    /// Creates a device rooted at a fresh unique directory inside the system
-    /// temporary directory; the directory is removed when the last clone of
-    /// the device is dropped.
-    pub fn temp() -> Result<Self> {
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let unique = format!(
-            "twrs-{}-{}",
-            std::process::id(),
-            COUNTER.fetch_add(1, Ordering::Relaxed)
-        );
-        let root = std::env::temp_dir().join(unique);
-        std::fs::create_dir_all(&root)?;
-        let claimed = claim_root(&root)?;
-        Ok(FileDevice {
-            shared: Arc::new(FileShared {
-                root,
-                stats: IoStats::new(DiskModel::default()),
-                page_size: crate::page::DEFAULT_PAGE_SIZE,
-                next_file_id: AtomicU64::new(1),
-                cleanup: true,
-                claimed,
-            }),
-        })
-    }
-
-    /// Creates a device rooted at an existing directory; files are kept on
-    /// drop. Errors with [`StorageError::DeviceRootBusy`] while another
-    /// live device owns the same directory.
-    pub fn at(root: impl Into<PathBuf>, page_size: usize) -> Result<Self> {
-        let root = root.into();
-        std::fs::create_dir_all(&root)?;
-        let claimed = claim_root(&root)?;
-        Ok(FileDevice {
-            shared: Arc::new(FileShared {
-                root,
-                stats: IoStats::new(DiskModel::default()),
-                page_size,
-                next_file_id: AtomicU64::new(1),
-                cleanup: false,
-                claimed,
-            }),
-        })
-    }
-
-    /// The directory the device stores its files under.
-    pub fn root(&self) -> &std::path::Path {
-        &self.shared.root
-    }
-
-    fn path_of(&self, name: &str) -> PathBuf {
-        // Keep names flat; replace path separators defensively.
-        let safe: String = name
-            .chars()
-            .map(|c| if c == '/' || c == '\\' { '_' } else { c })
-            .collect();
-        self.shared.root.join(safe)
-    }
-}
-
-struct RealPageFile {
-    name: String,
-    file_id: u64,
-    file: File,
-    stats: IoStats,
-    page_size: usize,
-    pages: u64,
-    /// Keeps the device's root directory (and its drop-time cleanup) alive
-    /// until the last open page file is gone — without this, dropping a
-    /// [`FileDevice::temp`] while a file handle is still in use (an error
-    /// path unwinding, a writer thread finishing late) would delete the
-    /// directory under the handle and silently lose subsequent writes.
-    _device: Arc<FileShared>,
-}
-
-impl PageFile for RealPageFile {
-    fn page_size(&self) -> usize {
-        self.page_size
-    }
-
-    fn num_pages(&self) -> u64 {
-        self.pages
-    }
-
-    fn read_page(&mut self, index: u64, buf: &mut [u8]) -> Result<()> {
-        check_page_len(buf.len(), self.page_size)?;
-        if index >= self.pages {
-            return Err(StorageError::PageOutOfBounds {
-                file: self.name.clone(),
-                page: index,
-                pages: self.pages,
-            });
-        }
-        self.file
-            .seek(SeekFrom::Start(index * self.page_size as u64))?;
-        self.file.read_exact(buf)?;
-        self.stats.record_access(self.file_id, index, 1, false);
-        Ok(())
-    }
-
-    fn write_page(&mut self, index: u64, data: &[u8]) -> Result<()> {
-        check_page_len(data.len(), self.page_size)?;
-        self.file
-            .seek(SeekFrom::Start(index * self.page_size as u64))?;
-        self.file.write_all(data)?;
-        if index >= self.pages {
-            // Writing past the end extends the file; intermediate pages
-            // become a sparse hole that reads back as zeroes.
-            self.pages = index + 1;
-        }
-        self.stats.record_access(self.file_id, index, 1, true);
-        Ok(())
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        self.file.flush()?;
-        Ok(())
-    }
-}
-
-impl StorageDevice for FileDevice {
-    fn page_size(&self) -> usize {
-        self.shared.page_size
-    }
-
-    fn create(&self, name: &str) -> Result<Box<dyn PageFile>> {
-        let path = self.path_of(name);
-        if path.exists() {
-            return Err(StorageError::AlreadyExists(name.to_string()));
-        }
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create_new(true)
-            .open(&path)?;
-        self.shared.stats.record_create();
-        Ok(Box::new(RealPageFile {
-            name: name.to_string(),
-            file_id: self.shared.next_file_id.fetch_add(1, Ordering::Relaxed),
-            file,
-            stats: self.shared.stats.clone(),
-            page_size: self.shared.page_size,
-            pages: 0,
-            _device: Arc::clone(&self.shared),
-        }))
-    }
-
-    fn open(&self, name: &str) -> Result<Box<dyn PageFile>> {
-        let path = self.path_of(name);
-        if !path.exists() {
-            return Err(StorageError::NotFound(name.to_string()));
-        }
-        let file = OpenOptions::new().read(true).write(true).open(&path)?;
-        let len = file.metadata()?.len();
-        let pages = len / self.shared.page_size as u64;
-        Ok(Box::new(RealPageFile {
-            name: name.to_string(),
-            file_id: self.shared.next_file_id.fetch_add(1, Ordering::Relaxed),
-            file,
-            stats: self.shared.stats.clone(),
-            page_size: self.shared.page_size,
-            pages,
-            _device: Arc::clone(&self.shared),
-        }))
-    }
-
-    fn remove(&self, name: &str) -> Result<()> {
-        let path = self.path_of(name);
-        if !path.exists() {
-            return Err(StorageError::NotFound(name.to_string()));
-        }
-        std::fs::remove_file(path)?;
-        self.shared.stats.record_remove();
-        Ok(())
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.path_of(name).exists()
-    }
-
-    fn list(&self) -> Vec<String> {
-        let mut names: Vec<String> = std::fs::read_dir(&self.shared.root)
-            .map(|entries| {
-                entries
-                    .filter_map(|e| e.ok())
-                    .filter_map(|e| e.file_name().into_string().ok())
-                    .collect()
-            })
-            .unwrap_or_default();
-        names.sort_unstable();
-        names
-    }
-
-    fn io_stats(&self) -> &IoStats {
-        &self.shared.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::real_device::RealFileDevice;
 
     fn device_round_trip(device: &dyn StorageDevice) {
         let page_size = device.page_size();
@@ -606,7 +332,7 @@ mod tests {
 
     #[test]
     fn file_device_round_trip() {
-        let device = FileDevice::temp().unwrap();
+        let device = RealFileDevice::temp().unwrap();
         device_round_trip(&device);
     }
 
@@ -734,7 +460,7 @@ mod tests {
             );
         };
         check(&SimDevice::with_model(ModelId::Hdd7200));
-        check(&FileDevice::temp().unwrap());
+        check(&RealFileDevice::temp().unwrap());
     }
 
     #[test]
@@ -742,7 +468,7 @@ mod tests {
         // An error path that abandons spill files must not leak the temp
         // directory: dropping the last device clone removes the root with
         // everything still in it.
-        let device = FileDevice::temp().unwrap();
+        let device = RealFileDevice::temp().unwrap();
         let root = device.root().to_path_buf();
         let page = vec![1u8; device.page_size()];
         for name in ["run.0", "run.1"] {
@@ -755,38 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn temp_cleanup_waits_for_open_page_files() {
-        // A page file handle keeps the directory alive: a late writer (or
-        // an unwinding error path) must not have the root deleted under it.
-        let device = FileDevice::temp().unwrap();
-        let root = device.root().to_path_buf();
-        let mut file = device.create("late").unwrap();
-        drop(device);
-        assert!(root.exists(), "open page file keeps the root alive");
-        let page = vec![7u8; file.page_size()];
-        file.write_page(0, &page).unwrap();
-        file.flush().unwrap();
-        drop(file);
-        assert!(!root.exists(), "last handle gone → directory removed");
-    }
-
-    #[test]
-    fn two_devices_over_one_directory_collide_cleanly() {
-        let root = std::env::temp_dir().join(format!("twrs-collide-{}", std::process::id()));
-        let first = FileDevice::at(&root, 4096).unwrap();
-        // A second device over the live root must error, not share files.
-        assert!(matches!(
-            FileDevice::at(&root, 4096),
-            Err(StorageError::DeviceRootBusy(_))
-        ));
-        drop(first);
-        // The claim dies with the device; the directory is reusable.
-        let again = FileDevice::at(&root, 4096).unwrap();
-        drop(again);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
     fn plain_devices_report_one_stripe_member_and_no_contention() {
         let device = SimDevice::with_model(ModelId::Hdd7200);
         assert_eq!(device.stripe_members(), 1);
@@ -796,16 +490,6 @@ mod tests {
         view.create("from-view").unwrap();
         assert!(device.exists("from-view"));
         assert_eq!(device.stats().counters.files_created, 1);
-    }
-
-    #[test]
-    fn sim_device_total_bytes_tracks_pages() {
-        let device = SimDevice::custom(256, DiskModel::default());
-        let mut f = device.create("f").unwrap();
-        let page = vec![0u8; 256];
-        f.write_page(0, &page).unwrap();
-        f.write_page(1, &page).unwrap();
-        assert_eq!(device.total_bytes(), 512);
     }
 
     #[test]

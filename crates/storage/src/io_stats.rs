@@ -3,22 +3,28 @@
 //! The paper's timing results (Chapter 6) depend on two storage effects:
 //! the number of sequential page transfers and the number of seeks the merge
 //! phase causes when it interleaves reads from many runs (the fan-in
-//! analysis of §6.1.1). [`IoStats`] counts both; [`DiskModel`] converts the
-//! counts into a simulated elapsed time so experiments can be run
+//! analysis of §6.1.1). [`IoStats`] counts both and charges every access
+//! under one rule priced by a [`DiskModel`], so experiments can be run
 //! deterministically on the in-memory device and still show the same shapes
 //! as the paper's wall-clock measurements.
 
-use crate::model::{DeviceModel, ModelId};
+use crate::contention::ContentionState;
+use crate::model::ModelId;
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Cost model of a spinning disk, in the spirit of the 60 GB SATA drive the
-/// paper used.
+/// The parameters of the cost rule, in the spirit of the 60 GB SATA drive
+/// the paper used.
 ///
 /// All costs are expressed in microseconds; the defaults correspond to a
 /// 7 200 rpm disk with ~8 ms average seek, ~4.2 ms rotational latency and
-/// ~80 MB/s sequential transfer (≈ 50 µs per 4 KiB page).
+/// ~80 MB/s sequential transfer (≈ 50 µs per 4 KiB page). The catalog
+/// ([`ModelId`]) names the parameter sets of other media.
+///
+/// The rule every device charges with: an access of `n` pages costs
+/// `n × transfer_page_us`, and a read that finds the head elsewhere also
+/// seeks, adding `seek_us + rotational_us`. Writes never seek.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskModel {
     /// Average cost of moving the head to a non-adjacent position, in µs.
@@ -37,20 +43,32 @@ impl Default for DiskModel {
 }
 
 impl DiskModel {
-    /// A model with no seek penalty; useful to isolate transfer volume.
-    pub fn seekless() -> Self {
-        DiskModel {
-            seek_us: 0.0,
-            rotational_us: 0.0,
-            transfer_page_us: 50.0,
+    /// The one seek rule, shared by every device: whether an access of
+    /// `pages` pages of file `file_id` starting at `page` seeks, given the
+    /// read head `head` left by the previous read (`None` after a reset),
+    /// and what it costs in microseconds.
+    ///
+    /// Reads seek whenever the head is not already at the requested page
+    /// (reads are synchronous and the merge phase interleaves them across
+    /// many run files — the effect behind the fan-in analysis of §6.1.1).
+    /// Writes pay transfer time but never seek: as the paper argues in
+    /// Appendix A.1, the operating system's write-behind cache absorbs and
+    /// reorders them (including the reverse-file format's back-to-front
+    /// writes), so they do not thrash the head the way reads do.
+    fn access(
+        &self,
+        head: Option<(u64, u64)>,
+        file_id: u64,
+        page: u64,
+        pages: u64,
+        write: bool,
+    ) -> (bool, f64) {
+        let transfer = pages as f64 * self.transfer_page_us;
+        if write || head == Some((file_id, page)) {
+            (false, transfer)
+        } else {
+            (true, transfer + self.seek_us + self.rotational_us)
         }
-    }
-
-    /// Simulated time for the given operation counts.
-    pub fn elapsed(&self, seeks: u64, pages: u64) -> Duration {
-        let us = seeks as f64 * (self.seek_us + self.rotational_us)
-            + pages as f64 * self.transfer_page_us;
-        Duration::from_nanos((us * 1_000.0) as u64)
     }
 }
 
@@ -86,17 +104,12 @@ impl IoCounters {
 }
 
 /// A point-in-time snapshot of the device counters together with the
-/// simulated elapsed time the device's [`DeviceModel`] charged for them.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// simulated elapsed time charged for them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStatsSnapshot {
     /// The raw counters.
     pub counters: IoCounters,
-    /// Parameter view of the cost model in force when the snapshot was
-    /// taken (for report headers; the authoritative per-access costs are
-    /// already accumulated in [`sim_io`](IoStatsSnapshot::sim_io)).
-    pub model: DiskModel,
-    /// Simulated elapsed time accumulated access by access under the
-    /// device's [`DeviceModel`].
+    /// Simulated elapsed time, accumulated access by access.
     pub sim_io: Duration,
 }
 
@@ -106,36 +119,19 @@ impl IoStatsSnapshot {
         self.counters.pages_read + self.counters.pages_written
     }
 
-    /// Simulated elapsed time under the device's model. For every
-    /// parameter-defined model this equals
-    /// `model.elapsed(seeks, pages_total())`; a custom [`DeviceModel`] may
-    /// charge position-dependent costs, which only the accumulated value
-    /// reflects.
+    /// Simulated elapsed time under the device's cost model.
     pub fn simulated_time(&self) -> Duration {
         self.sim_io
     }
 
-    /// Field-wise sum of two snapshots, keeping `self`'s disk model. The
-    /// aggregation used when per-thread [`IoStats`] of a sharded sort are
-    /// rolled up into one total; seeks are summed as measured by each
-    /// thread's own head model.
+    /// Field-wise sum of two snapshots; the aggregation used when
+    /// per-thread [`IoStats`] of a sharded sort are rolled up into one
+    /// total (the [`Default`] snapshot is its identity). Seeks are summed
+    /// as measured by each thread's own head model.
     pub fn merged(&self, other: &IoStatsSnapshot) -> IoStatsSnapshot {
         IoStatsSnapshot {
             counters: self.counters.merged(&other.counters),
-            model: self.model,
             sim_io: self.sim_io + other.sim_io,
-        }
-    }
-
-    /// A zeroed snapshot carrying `model`; the identity of [`merged`]
-    /// (useful as the starting accumulator when summing shard snapshots).
-    ///
-    /// [`merged`]: IoStatsSnapshot::merged
-    pub fn zero(model: DiskModel) -> IoStatsSnapshot {
-        IoStatsSnapshot {
-            counters: IoCounters::default(),
-            model,
-            sim_io: Duration::ZERO,
         }
     }
 
@@ -150,7 +146,6 @@ impl IoStatsSnapshot {
                 files_created: self.counters.files_created - earlier.counters.files_created,
                 files_removed: self.counters.files_removed - earlier.counters.files_removed,
             },
-            model: self.model,
             sim_io: self.sim_io.saturating_sub(earlier.sim_io),
         }
     }
@@ -168,7 +163,11 @@ pub struct IoStats {
 #[derive(Debug)]
 struct Inner {
     counters: IoCounters,
-    model: Arc<dyn DeviceModel>,
+    model: DiskModel,
+    /// The admission state of the stripe this device is a member of, if
+    /// any: every access then costs `max(1, admitted clients)` times as
+    /// much (see [`crate::contention`]).
+    contention: Option<Arc<ContentionState>>,
     /// Last read head position as (file id, page index); `None` right after
     /// a reset or before any access.
     head: Option<(u64, u64)>,
@@ -177,44 +176,50 @@ struct Inner {
 }
 
 impl IoStats {
-    /// Creates a new statistics block charging costs from an ad-hoc
-    /// parameter set (a `"custom"` [`DeviceModel`]); use
-    /// [`with_model`](IoStats::with_model) to attach a catalog model.
+    /// Creates a new statistics block charging costs from `model`.
     pub fn new(model: DiskModel) -> Self {
-        Self::with_model(model.into())
+        Self::build(model, None)
     }
 
-    /// Creates a new statistics block charging per-access costs from the
-    /// given device model.
-    pub fn with_model(model: Arc<dyn DeviceModel>) -> Self {
+    fn build(model: DiskModel, contention: Option<Arc<ContentionState>>) -> Self {
         IoStats {
             inner: Arc::new(Mutex::new(Inner {
                 counters: IoCounters::default(),
                 model,
+                contention,
                 head: None,
                 sim_ns: 0,
             })),
         }
     }
 
+    /// Zeroed statistics that charge the same costs as these: the same
+    /// model and the same shared contention. This is how wrappers like
+    /// [`ScopedDevice`](crate::scoped::ScopedDevice) mirror a device's
+    /// per-access costs exactly.
+    pub(crate) fn fresh(&self) -> IoStats {
+        let inner = self.inner.lock();
+        Self::build(inner.model, inner.contention.clone())
+    }
+
+    /// Makes every later access fair-share the bandwidth of the clients
+    /// admitted to `state`, keeping counters, head position and accumulated
+    /// simulated time. [`StripedDevice`](crate::striped::StripedDevice)
+    /// calls this on each member after the member has been built.
+    pub(crate) fn share_contention(&self, state: Arc<ContentionState>) {
+        self.inner.lock().contention = Some(state);
+    }
+
     /// Records an access of `pages` consecutive pages of file `file_id`
-    /// starting at `page`.
-    ///
-    /// The device model decides what the access costs. Under the catalog
-    /// rule, reads pay a seek whenever the head is not already positioned
-    /// at the requested page (reads are synchronous and the merge phase
-    /// interleaves them across many run files — the effect behind the
-    /// fan-in analysis of §6.1.1), while writes are charged transfer time
-    /// but no seeks: as the paper argues in Appendix A.1, the operating
-    /// system's write-behind cache absorbs and reorders writes (including
-    /// the reverse-file format's back-to-front writes), so they do not
-    /// thrash the head the way synchronous reads do.
+    /// starting at `page`, counting and charging it under
+    /// [`DiskModel`]'s seek rule.
     pub fn record_access(&self, file_id: u64, page: u64, pages: u64, write: bool) {
         let mut inner = self.inner.lock();
-        let cost = inner
-            .model
-            .access_cost(inner.head, file_id, page, pages, write);
-        if cost.seek {
+        let (seek, mut micros) = inner.model.access(inner.head, file_id, page, pages, write);
+        if let Some(state) = &inner.contention {
+            micros *= state.active_clients().max(1) as f64;
+        }
+        if seek {
             inner.counters.seeks += 1;
         }
         if write {
@@ -223,7 +228,7 @@ impl IoStats {
             inner.counters.pages_read += pages;
             inner.head = Some((file_id, page + pages));
         }
-        inner.sim_ns += (cost.micros * 1_000.0) as u64;
+        inner.sim_ns += (micros * 1_000.0) as u64;
     }
 
     /// Records a file creation.
@@ -241,7 +246,6 @@ impl IoStats {
         let inner = self.inner.lock();
         IoStatsSnapshot {
             counters: inner.counters,
-            model: inner.model.params(),
             sim_io: Duration::from_nanos(inner.sim_ns),
         }
     }
@@ -253,29 +257,6 @@ impl IoStats {
         inner.counters = IoCounters::default();
         inner.head = None;
         inner.sim_ns = 0;
-    }
-
-    /// Parameter view of the configured cost model.
-    pub fn model(&self) -> DiskModel {
-        self.inner.lock().model.params()
-    }
-
-    /// The configured cost model itself (shared), so wrappers like
-    /// [`ScopedDevice`](crate::scoped::ScopedDevice) can mirror per-access
-    /// costs exactly — including custom models a parameter view cannot
-    /// express.
-    pub fn device_model(&self) -> Arc<dyn DeviceModel> {
-        Arc::clone(&self.inner.lock().model)
-    }
-
-    /// Replaces the cost model in force, keeping counters, head position
-    /// and accumulated simulated time. This is how
-    /// [`StripedDevice`](crate::striped::StripedDevice) wraps each stripe
-    /// member's model in a
-    /// [`SharedBandwidthModel`](crate::contention::SharedBandwidthModel)
-    /// after the member device has already been built.
-    pub fn set_model(&self, model: Arc<dyn DeviceModel>) {
-        self.inner.lock().model = model;
     }
 }
 
@@ -372,28 +353,47 @@ mod tests {
         let stats = IoStats::new(DiskModel::default());
         stats.record_access(1, 0, 4, true);
         let snap = stats.snapshot();
-        let total = IoStatsSnapshot::zero(snap.model).merged(&snap);
+        let total = IoStatsSnapshot::default().merged(&snap);
         assert_eq!(total, snap);
     }
 
     #[test]
-    fn set_model_swaps_costs_but_keeps_counters_and_head() {
+    fn sharing_contention_scales_costs_but_keeps_counters_and_head() {
         let stats = IoStats::new(DiskModel::default());
         stats.record_access(1, 0, 1, false);
         let before = stats.snapshot();
-        stats.set_model(ModelId::Pmem.model());
+        let state = ContentionState::new();
+        let _a = state.attach();
+        let _b = state.attach();
+        stats.share_contention(Arc::clone(&state));
         let snap = stats.snapshot();
         assert_eq!(snap.counters, before.counters);
         assert_eq!(snap.sim_io, before.sim_io);
-        assert_eq!(snap.model, ModelId::Pmem.params());
-        // The head survives the swap: the next sequential read is seekless.
+        // The head survives: the next sequential read is seekless, and the
+        // two admitted clients double its transfer cost.
         stats.record_access(1, 1, 1, false);
-        assert_eq!(stats.snapshot().counters.seeks, 1);
+        let after = stats.snapshot();
+        assert_eq!(after.counters.seeks, 1);
+        assert_eq!(after.sim_io - snap.sim_io, Duration::from_micros(100));
+        // A fresh copy starts at zero but charges the same costs.
+        let fresh = stats.fresh();
+        assert_eq!(fresh.snapshot(), IoStatsSnapshot::default());
+        fresh.record_access(1, 0, 1, true);
+        assert_eq!(fresh.snapshot().sim_io, Duration::from_micros(100));
     }
 
     #[test]
     fn seekless_model_only_counts_transfers() {
-        let model = DiskModel::seekless();
-        assert_eq!(model.elapsed(100, 10), Duration::from_micros(500));
+        let stats = IoStats::new(DiskModel {
+            seek_us: 0.0,
+            rotational_us: 0.0,
+            transfer_page_us: 50.0,
+        });
+        for file in 0..10 {
+            stats.record_access(file, 0, 1, false); // a new file: a seek
+        }
+        let snap = stats.snapshot();
+        assert_eq!(snap.counters.seeks, 10);
+        assert_eq!(snap.sim_io, Duration::from_micros(500));
     }
 }

@@ -6,30 +6,25 @@
 //! I/O; this crate substitutes that hardware with a small, explicit storage
 //! model that preserves the behaviour the algorithms care about:
 //!
-//! * a page-oriented [`device::StorageDevice`] abstraction with three
-//!   implementations —
-//!   [`device::FileDevice`] backed by real files in a temporary directory
-//!   (for wall-clock benchmarks), [`device::SimDevice`], an in-memory
-//!   simulated disk with a pluggable latency model and full I/O accounting
-//!   (for deterministic experiments such as the fan-in analysis of §6.1.1),
-//!   and [`real_device::RealFileDevice`], a page-aligned backend that opens
-//!   files with `O_DIRECT` where the filesystem supports it;
-//! * [`model`] — the [`model::DeviceModel`] trait and the named catalog
-//!   ([`model::ModelId`]: `hdd-7200`, `sata-ssd`, `nvme`, `pmem`) that
-//!   turns page accesses into simulated latency;
+//! * a page-oriented [`device::StorageDevice`] abstraction with one
+//!   backend per medium — [`device::SimDevice`], an in-memory simulated
+//!   disk with full I/O accounting (for deterministic experiments such as
+//!   the fan-in analysis of §6.1.1), and [`real_device::RealFileDevice`],
+//!   real files in a directory, opened with `O_DIRECT` where the
+//!   filesystem supports it (for wall-clock benchmarks);
+//! * [`io_stats::IoStats`] — counters for sequential page transfers and
+//!   seeks plus the simulated elapsed time, charged access by access under
+//!   one seek rule priced by an [`io_stats::DiskModel`];
+//! * [`model`] — the named catalog of those prices ([`model::ModelId`]:
+//!   `hdd-7200`, `sata-ssd`, `nvme`, `pmem`);
 //! * [`spec`] — [`spec::DeviceSpec`], the `"sim:nvme"` / `"real:/path"` /
 //!   `"striped:2:sim:nvme"` string grammar that is the one way CLIs and
 //!   benches obtain a device;
 //! * [`striped`] — [`striped::StripedDevice`], N member devices behind one
-//!   front with per-file placement ([`striped::StripePolicy`]), independent
-//!   per-disk [`io_stats::IoStats`] and shard-pinned views for the parallel
-//!   sorter;
-//! * [`contention`] — [`contention::SharedBandwidthModel`], the fair-share
-//!   slowdown charged while several request streams
-//!   ([`contention::IoClientGuard`]) are admitted to one stripe;
-//! * [`io_stats::IoStats`] — counters for sequential page transfers and
-//!   seeks plus the simulated elapsed time derived from a
-//!   [`io_stats::DiskModel`];
+//!   front with round-robin per-file placement, independent per-disk
+//!   [`io_stats::IoStats`] and shard-pinned views for the parallel sorter;
+//! * [`contention`] — the fair-share slowdown charged while several request
+//!   streams ([`contention::IoClientGuard`]) are admitted to one stripe;
 //! * [`run_file`] — buffered, forward-sequential run writers and readers for
 //!   fixed-size records;
 //! * [`reverse_file`] — the Appendix A file format that stores a stream of
@@ -62,11 +57,11 @@ pub mod spill;
 pub mod striped;
 
 pub use bytes::{array_at, u32_le_at, u64_le_at};
-pub use contention::{ContentionState, IoClientGuard, SharedBandwidthModel};
-pub use device::{FileDevice, PageFile, SimDevice, StorageDevice};
+pub use contention::{ContentionState, IoClientGuard};
+pub use device::{PageFile, SimDevice, StorageDevice};
 pub use error::{Result, StorageError};
 pub use io_stats::{DiskModel, IoCounters, IoStats, IoStatsSnapshot};
-pub use model::{custom, AccessCost, DeviceModel, ModelId};
+pub use model::ModelId;
 pub use page::{PageBuf, DEFAULT_PAGE_SIZE};
 pub use real_device::{DirectIoStatus, RealFileDevice};
 pub use record::{FixedSizeRecord, SortableRecord};
@@ -75,4 +70,4 @@ pub use run_file::{RunReader, RunWriter};
 pub use scoped::ScopedDevice;
 pub use spec::{AnyDevice, DeviceSpec};
 pub use spill::SpillNamer;
-pub use striped::{StripePolicy, StripedDevice};
+pub use striped::StripedDevice;

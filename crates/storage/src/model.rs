@@ -1,126 +1,24 @@
-//! The device-model catalog: named latency models behind one trait.
+//! The device-model catalog: named parameter sets for the one cost rule.
 //!
 //! The paper's conclusions — run-length wins, seek-dominated merge costs,
 //! the 2WRS victim-buffer payoff — were measured against one spinning SATA
-//! disk. [`DeviceModel`] extracts that latency math out of the device so a
-//! sort can be re-costed under any storage technology without re-running
-//! it: the same page/seek *counts* are produced by every catalog model (the
-//! seek-detection logic is shared), only the simulated time they imply
-//! differs. `hdd-7200` reproduces the historical default bit for bit;
-//! `nvme` and `pmem` answer the question the paper could not: what remains
-//! of the seek-dominated argument when seeks are nearly free?
+//! disk. Every device prices page accesses with one rule (see
+//! [`DiskModel`]): sequential transfers plus seeks, with writes absorbed by
+//! the write-behind cache. A sort can therefore be re-costed under any
+//! storage technology by swapping the rule's parameters: every catalog
+//! model produces the same page/seek *counts*, only the simulated time
+//! they imply differs. `hdd-7200` reproduces the historical default bit for
+//! bit; `nvme` and `pmem` answer the question the paper could not: what
+//! remains of the seek-dominated argument when seeks are nearly free?
 //!
-//! Models are obtained from the catalog by [`ModelId`] (parsed from ids like
-//! `"nvme"`, used in [`DeviceSpec`](crate::spec::DeviceSpec) strings and
-//! bench-matrix scenario ids) or built ad hoc with [`custom`].
+//! Models are named by [`ModelId`] (parsed from ids like `"nvme"`, used in
+//! [`DeviceSpec`](crate::spec::DeviceSpec) strings and bench-matrix
+//! scenario ids); an ad-hoc [`DiskModel`] prices accesses the same way.
 
 use crate::error::{Result, StorageError};
 use crate::io_stats::DiskModel;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::Arc;
-
-/// What one page access costs, as decided by a [`DeviceModel`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AccessCost {
-    /// Whether the access repositioned the head (counted as a seek).
-    pub seek: bool,
-    /// Simulated cost of the access, in microseconds.
-    pub micros: f64,
-}
-
-/// A storage-device latency model: per-operation cost from the page index,
-/// the file accessed, and the access history (the head position left behind
-/// by the previous read).
-///
-/// Implementations must keep the *counting* semantics stable — which
-/// accesses report `seek: true` — if their counters are to be comparable
-/// with the catalog models; the catalog itself shares one seek-detection
-/// rule (reads seek when the head is elsewhere, writes are absorbed by the
-/// OS write-behind cache, paper Appendix A.1) and differs only in the
-/// microseconds each operation is charged.
-pub trait DeviceModel: fmt::Debug + Send + Sync {
-    /// The model's catalog id (e.g. `"hdd-7200"`), used in device-spec
-    /// strings, report headers and bench scenario ids.
-    fn name(&self) -> &str;
-
-    /// Cost of accessing `pages` consecutive pages of file `file_id`
-    /// starting at `page`, given the read head position `head` left by the
-    /// previous access (`None` right after a reset).
-    fn access_cost(
-        &self,
-        head: Option<(u64, u64)>,
-        file_id: u64,
-        page: u64,
-        pages: u64,
-        write: bool,
-    ) -> AccessCost;
-
-    /// The model's parameter view, carried in
-    /// [`IoStatsSnapshot`](crate::io_stats::IoStatsSnapshot) headers so
-    /// reports can print what the numbers mean.
-    fn params(&self) -> DiskModel;
-}
-
-/// A [`DeviceModel`] defined entirely by [`DiskModel`] parameters, using
-/// the catalog's shared seek-detection rule. Every named catalog entry is
-/// one of these; [`custom`] builds ad-hoc instances.
-#[derive(Debug, Clone)]
-pub struct ParamModel {
-    name: String,
-    params: DiskModel,
-}
-
-impl DeviceModel for ParamModel {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn access_cost(
-        &self,
-        head: Option<(u64, u64)>,
-        file_id: u64,
-        page: u64,
-        pages: u64,
-        write: bool,
-    ) -> AccessCost {
-        let transfer = pages as f64 * self.params.transfer_page_us;
-        if write {
-            // Writes pay transfer time but never seeks: the OS write-behind
-            // cache absorbs and reorders them (Appendix A.1).
-            return AccessCost {
-                seek: false,
-                micros: transfer,
-            };
-        }
-        let sequential = matches!(head, Some((f, p)) if f == file_id && p == page);
-        if sequential {
-            AccessCost {
-                seek: false,
-                micros: transfer,
-            }
-        } else {
-            AccessCost {
-                seek: true,
-                micros: transfer + self.params.seek_us + self.params.rotational_us,
-            }
-        }
-    }
-
-    fn params(&self) -> DiskModel {
-        self.params
-    }
-}
-
-/// Builds an ad-hoc [`DeviceModel`] from explicit parameters. The model
-/// uses the same seek-detection rule as the catalog, so its counters stay
-/// comparable; only the charged microseconds differ.
-pub fn custom(name: impl Into<String>, params: DiskModel) -> Arc<dyn DeviceModel> {
-    Arc::new(ParamModel {
-        name: name.into(),
-        params,
-    })
-}
 
 /// The named device-model catalog.
 ///
@@ -190,11 +88,6 @@ impl ModelId {
             },
         }
     }
-
-    /// Instantiates the catalog model.
-    pub fn model(&self) -> Arc<dyn DeviceModel> {
-        custom(self.name(), self.params())
-    }
 }
 
 impl fmt::Display for ModelId {
@@ -214,22 +107,16 @@ impl FromStr for ModelId {
     }
 }
 
-impl From<ModelId> for Arc<dyn DeviceModel> {
+impl From<ModelId> for DiskModel {
     fn from(id: ModelId) -> Self {
-        id.model()
-    }
-}
-
-/// An unnamed parameter set becomes a `"custom"` model.
-impl From<DiskModel> for Arc<dyn DeviceModel> {
-    fn from(params: DiskModel) -> Self {
-        custom("custom", params)
+        id.params()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io_stats::IoStats;
 
     #[test]
     fn hdd_7200_matches_the_historical_default_parameters() {
@@ -241,7 +128,8 @@ mod tests {
     fn catalog_ids_round_trip_through_from_str() {
         for id in ModelId::all() {
             assert_eq!(id.name().parse::<ModelId>().unwrap(), id);
-            assert_eq!(id.model().name(), id.name());
+            assert_eq!(id.to_string(), id.name());
+            assert_eq!(DiskModel::from(id), id.params());
         }
         assert!(matches!(
             "floppy".parse::<ModelId>(),
@@ -254,17 +142,21 @@ mod tests {
         // Same access sequence → same seek flags on every model; only the
         // charged microseconds differ.
         let sequence = [
-            (None, 1, 0, 1, false),         // cold read: seek
-            (Some((1, 1)), 1, 1, 1, false), // sequential read: no seek
-            (Some((1, 2)), 2, 0, 1, false), // file switch: seek
-            (Some((2, 1)), 2, 5, 1, true),  // write: never a seek
-            (Some((2, 1)), 2, 9, 2, false), // jump within file: seek
+            (1, 0, 1, false), // cold read: seek
+            (1, 1, 1, false), // sequential read: no seek
+            (2, 0, 1, false), // file switch: seek
+            (2, 5, 1, true),  // write: never a seek
+            (2, 9, 2, false), // jump within file: seek
         ];
         for id in ModelId::all() {
-            let model = id.model();
+            let stats = IoStats::new(id.into());
             let flags: Vec<bool> = sequence
                 .iter()
-                .map(|&(head, f, p, n, w)| model.access_cost(head, f, p, n, w).seek)
+                .map(|&(f, p, n, w)| {
+                    let before = stats.snapshot().counters.seeks;
+                    stats.record_access(f, p, n, w);
+                    stats.snapshot().counters.seeks > before
+                })
                 .collect();
             assert_eq!(flags, [true, false, true, false, true], "{id}");
         }
@@ -272,20 +164,13 @@ mod tests {
 
     #[test]
     fn models_order_by_seek_cost() {
-        let cost = |id: ModelId| id.model().access_cost(None, 1, 0, 1, false).micros;
+        let cost = |id: ModelId| {
+            let stats = IoStats::new(id.into());
+            stats.record_access(1, 0, 1, false);
+            stats.snapshot().sim_io
+        };
         assert!(cost(ModelId::Hdd7200) > cost(ModelId::SataSsd));
         assert!(cost(ModelId::SataSsd) > cost(ModelId::Nvme));
         assert!(cost(ModelId::Nvme) > cost(ModelId::Pmem));
-    }
-
-    #[test]
-    fn custom_models_name_themselves() {
-        let model = custom("lab-disk", DiskModel::seekless());
-        assert_eq!(model.name(), "lab-disk");
-        let cost = model.access_cost(None, 1, 0, 2, false);
-        // Seekless: the seek is still *counted* (head did move) but costs
-        // only the transfer.
-        assert!(cost.seek);
-        assert!((cost.micros - 100.0).abs() < 1e-9);
     }
 }

@@ -1,4 +1,4 @@
-//! A real-disk backend that bypasses the page cache where it can.
+//! The real-file backend, bypassing the page cache where it can.
 //!
 //! The paper's measurements were taken against a dedicated SATA disk opened
 //! with direct I/O so the OS page cache could not hide the seek costs under
@@ -14,21 +14,22 @@
 //! The device implements the same [`StorageDevice`] trait as the simulated
 //! backend, so `SortJob`, `SortService` and the bench suite run on it
 //! unmodified; counters (pages, seeks) are recorded with the same shared
-//! seek-detection rule, charged to a zero-cost `"real"` model so simulated
-//! time stays zero and wall-clock time is the only time that matters here.
+//! seek rule, charged to a zero-cost model so simulated time stays zero and
+//! wall-clock time is the only time that matters here.
 
-use crate::device::{PageFile, StorageDevice};
+use crate::device::{check_page_len, PageFile, StorageDevice};
 use crate::error::{Result, StorageError};
 use crate::io_stats::{DiskModel, IoStats};
-use crate::model::custom;
+use parking_lot::Mutex;
 use std::alloc::Layout;
+use std::collections::HashSet;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Whether the device got `O_DIRECT`, and if not, why.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -166,6 +167,33 @@ fn write_all_at(file: &File, buf: &[u8], offset: u64) -> io::Result<()> {
     }
 }
 
+/// Root directories currently claimed by a live device, so two devices
+/// cannot silently share files (an easy mistake when hand-building stripe
+/// members over real directories).
+fn active_roots() -> &'static Mutex<HashSet<PathBuf>> {
+    static ROOTS: OnceLock<Mutex<HashSet<PathBuf>>> = OnceLock::new();
+    ROOTS.get_or_init(|| Mutex::new(HashSet::new()))
+}
+
+/// Claims `root` for a new device; errors when another live device already
+/// owns it. Returns the canonical path to release later.
+fn claim_root(root: &Path) -> Result<PathBuf> {
+    // The directory exists by the time devices claim it, so canonicalize
+    // resolves symlinks and relative spellings of the same directory; fall
+    // back to the literal path when resolution fails.
+    let canonical = root.canonicalize().unwrap_or_else(|_| root.to_path_buf());
+    let mut roots = active_roots().lock();
+    if !roots.insert(canonical.clone()) {
+        return Err(StorageError::DeviceRootBusy(canonical));
+    }
+    Ok(canonical)
+}
+
+/// Releases a root previously returned by [`claim_root`].
+fn release_root(canonical: &Path) {
+    active_roots().lock().remove(canonical);
+}
+
 struct RealShared {
     root: PathBuf,
     stats: IoStats,
@@ -185,7 +213,7 @@ impl Drop for RealShared {
         if self.cleanup {
             let _ = std::fs::remove_dir_all(&self.root);
         }
-        crate::device::release_root(&self.claimed);
+        release_root(&self.claimed);
     }
 }
 
@@ -213,6 +241,7 @@ impl RealFileDevice {
 
     /// Like [`RealFileDevice::temp`] with an explicit page size.
     pub fn temp_with_page_size(page_size: usize) -> Result<Self> {
+        check_page_size(page_size)?;
         static COUNTER: AtomicU64 = AtomicU64::new(0);
         let unique = format!(
             "twrs-real-{}-{}",
@@ -229,18 +258,16 @@ impl RealFileDevice {
     /// [`StorageError::DeviceRootBusy`] while another live device owns the
     /// same directory.
     pub fn at(root: impl Into<PathBuf>, page_size: usize) -> Result<Self> {
+        check_page_size(page_size)?;
         let root = root.into();
         std::fs::create_dir_all(&root)?;
         Self::build(root, page_size, false)
     }
 
+    /// Claims `root`, then probes it for `O_DIRECT` — in that order, so the
+    /// probe never writes into a directory another live device owns.
     fn build(root: PathBuf, page_size: usize, cleanup: bool) -> Result<Self> {
-        if page_size == 0 {
-            return Err(StorageError::Io(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "page size must be non-zero",
-            )));
-        }
+        let claimed = claim_root(&root)?;
         let (direct, open_flags) = probe_direct(&root, page_size);
         if let DirectIoStatus::Fallback(reason) = &direct {
             eprintln!(
@@ -248,21 +275,17 @@ impl RealFileDevice {
                 root.display()
             );
         }
-        let claimed = crate::device::claim_root(&root)?;
         Ok(RealFileDevice {
             shared: Arc::new(RealShared {
                 root,
-                // Counters use the shared seek-detection rule; the zero-cost
-                // "real" model keeps simulated time at zero because on this
-                // backend only wall-clock time is meaningful.
-                stats: IoStats::with_model(custom(
-                    "real",
-                    DiskModel {
-                        seek_us: 0.0,
-                        rotational_us: 0.0,
-                        transfer_page_us: 0.0,
-                    },
-                )),
+                // Counters use the shared seek rule; the zero-cost model
+                // keeps simulated time at zero because on this backend only
+                // wall-clock time is meaningful.
+                stats: IoStats::new(DiskModel {
+                    seek_us: 0.0,
+                    rotational_us: 0.0,
+                    transfer_page_us: 0.0,
+                }),
                 page_size,
                 next_file_id: AtomicU64::new(1),
                 direct,
@@ -300,6 +323,17 @@ impl RealFileDevice {
         }
         opts
     }
+}
+
+/// Rejects a zero page size before anything touches the file system.
+fn check_page_size(page_size: usize) -> Result<()> {
+    if page_size == 0 {
+        return Err(StorageError::Io(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "page size must be non-zero",
+        )));
+    }
+    Ok(())
 }
 
 /// Probes whether `O_DIRECT` works for files under `root` with this page
@@ -364,8 +398,11 @@ struct RealDirectPageFile {
     /// Bounce buffer satisfying the memory-alignment requirement of
     /// `O_DIRECT`, so callers may pass unaligned slices.
     bounce: AlignedBuf,
-    /// Keeps the device root (and its drop-time cleanup) alive until the
-    /// last open page file is gone — same guarantee as `FileDevice`.
+    /// Keeps the device's root directory (and its drop-time cleanup) alive
+    /// until the last open page file is gone — without this, dropping a
+    /// [`RealFileDevice::temp`] while a file handle is still in use (an
+    /// error path unwinding, a writer thread finishing late) would delete
+    /// the directory under the handle and silently lose later writes.
     _device: Arc<RealShared>,
 }
 
@@ -379,12 +416,7 @@ impl PageFile for RealDirectPageFile {
     }
 
     fn read_page(&mut self, index: u64, buf: &mut [u8]) -> Result<()> {
-        if buf.len() != self.page_size {
-            return Err(StorageError::PageSizeMismatch {
-                got: buf.len(),
-                expected: self.page_size,
-            });
-        }
+        check_page_len(buf.len(), self.page_size)?;
         if index >= self.pages {
             return Err(StorageError::PageOutOfBounds {
                 file: self.name.clone(),
@@ -403,12 +435,7 @@ impl PageFile for RealDirectPageFile {
     }
 
     fn write_page(&mut self, index: u64, data: &[u8]) -> Result<()> {
-        if data.len() != self.page_size {
-            return Err(StorageError::PageSizeMismatch {
-                got: data.len(),
-                expected: self.page_size,
-            });
-        }
+        check_page_len(data.len(), self.page_size)?;
         self.bounce.as_mut_slice().copy_from_slice(data);
         write_all_at(
             &self.file,
@@ -594,14 +621,9 @@ mod tests {
     fn same_root_twice_is_rejected_across_backends() {
         let root = std::env::temp_dir().join(format!("twrs-real-collide-{}", std::process::id()));
         let first = RealFileDevice::at(&root, 4096).unwrap();
-        // A second real device over the live root must error cleanly…
+        // A second device over the live root must error cleanly.
         assert!(matches!(
             RealFileDevice::at(&root, 4096),
-            Err(StorageError::DeviceRootBusy(_))
-        ));
-        // …and so must a FileDevice: the claim registry spans backends.
-        assert!(matches!(
-            crate::device::FileDevice::at(&root, 4096),
             Err(StorageError::DeviceRootBusy(_))
         ));
         drop(first);

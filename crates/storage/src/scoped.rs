@@ -39,20 +39,14 @@ pub struct ScopedDevice<D> {
 }
 
 impl<D: StorageDevice> ScopedDevice<D> {
-    /// Wraps `inner`, starting with zeroed local statistics (the local disk
-    /// model is copied from the inner device).
+    /// Wraps `inner`, starting with zeroed local statistics that charge
+    /// the inner device's costs.
     pub fn new(inner: D) -> Self {
-        let model = inner.io_stats().device_model();
         ScopedDevice {
+            local: inner.io_stats().fresh(),
             inner,
-            local: IoStats::with_model(model),
             next_file_id: Arc::new(AtomicU64::new(1)),
         }
-    }
-
-    /// The wrapped device.
-    pub fn inner(&self) -> &D {
-        &self.inner
     }
 
     /// Snapshot of the scope-local statistics only.
@@ -132,7 +126,7 @@ impl<D: StorageDevice + Clone> StorageDevice for ScopedDevice<D> {
     }
 
     /// The scope-local statistics (so `stats()` / `reset_stats()` act on the
-    /// scope); use [`ScopedDevice::inner`] for the shared device statistics.
+    /// scope); the wrapped device keeps the shared statistics.
     fn io_stats(&self) -> &IoStats {
         &self.local
     }
@@ -203,7 +197,7 @@ mod tests {
         let total = shared.stats();
         assert_eq!(sum.counters, total.counters);
         assert_eq!(
-            IoStatsSnapshot::zero(total.model).merged(&total).counters,
+            IoStatsSnapshot::default().merged(&total).counters,
             total.counters
         );
     }

@@ -16,8 +16,9 @@
 //! `"real:/mnt/bench"`, `"real:/mnt/bench:8192"`, `"striped:2:sim:nvme"`,
 //! `"striped:[sim:nvme,real:/mnt/a]"`. The model names are the catalog ids
 //! of [`ModelId`]; when a `real` spec contains a colon after the path, the
-//! final segment must be a page size in bytes. Striped members follow the
-//! same grammar recursively, except that stripes do not nest and member
+//! final segment must be a page size in bytes, and the path itself must not
+//! contain a colon. Striped members follow the same grammar recursively,
+//! except that stripes do not nest, hold at most 64 members, and member
 //! paths must not contain commas (the list separator).
 //!
 //! [`build`](DeviceSpec::build) returns an [`AnyDevice`] — a closed enum
@@ -36,6 +37,9 @@ use crate::striped::StripedDevice;
 use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
+
+/// The most members a parsed stripe may have (the bench matrix uses 4).
+const MAX_STRIPE_MEMBERS: usize = 64;
 
 /// A parsed device description: which backend, configured how.
 ///
@@ -184,6 +188,13 @@ fn invalid(spec: &str, reason: impl Into<String>) -> StorageError {
     }
 }
 
+fn too_many_members(spec: &str) -> StorageError {
+    invalid(
+        spec,
+        format!("a stripe has at most {MAX_STRIPE_MEMBERS} members"),
+    )
+}
+
 fn parse_page_size(spec: &str, text: &str) -> Result<usize> {
     let size: usize = text
         .parse()
@@ -232,6 +243,9 @@ impl FromStr for DeviceSpec {
                     Some(text) => parse_page_size(s, text)?,
                     None => DEFAULT_PAGE_SIZE,
                 };
+                if path_text.contains(':') {
+                    return Err(invalid(s, "real paths must not contain ':'"));
+                }
                 let path = if path_text.is_empty() {
                     None
                 } else {
@@ -253,6 +267,9 @@ impl FromStr for DeviceSpec {
                     if body.trim().is_empty() {
                         return Err(invalid(s, "a stripe needs at least one member"));
                     }
+                    if body.split(',').count() > MAX_STRIPE_MEMBERS {
+                        return Err(too_many_members(s));
+                    }
                     body.split(',')
                         .map(|member| member.trim().parse::<DeviceSpec>())
                         .collect::<Result<Vec<_>>>()?
@@ -268,6 +285,9 @@ impl FromStr for DeviceSpec {
                     })?;
                     if count == 0 {
                         return Err(invalid(s, "member count must be non-zero"));
+                    }
+                    if count > MAX_STRIPE_MEMBERS {
+                        return Err(too_many_members(s));
                     }
                     vec![member_text.parse::<DeviceSpec>()?; count]
                 };

@@ -4,7 +4,7 @@
 //! real sort boxes stripe their spill across several drives. A
 //! [`StripedDevice`] composes any mix of [`AnyDevice`] members behind the
 //! ordinary [`StorageDevice`] trait: whole files (not pages) are placed on
-//! members by a [`StripePolicy`], every member keeps its own independent
+//! members round-robin, every member keeps its own independent
 //! [`IoStats`] — per-disk counters that stay deterministic — and all
 //! members share one [`ContentionState`] so concurrently admitted jobs
 //! fair-share the stripe's bandwidth (see [`crate::contention`]).
@@ -19,7 +19,7 @@
 //! [`StripedDevice::member_stats`] exposes the per-disk breakdown; the two
 //! agree by construction — member counters sum to the device totals.
 
-use crate::contention::{ContentionState, IoClientGuard, SharedBandwidthModel};
+use crate::contention::{ContentionState, IoClientGuard};
 use crate::device::{PageFile, StorageDevice};
 use crate::error::{Result, StorageError};
 use crate::io_stats::{IoStats, IoStatsSnapshot};
@@ -29,24 +29,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// How a [`StripedDevice`] chooses the member a new file is created on.
-///
-/// Placement is per *file*: a run written to member 2 is read back from
-/// member 2. Pinned views obtained via
-/// [`shard_view`](StorageDevice::shard_view) bypass the policy entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StripePolicy {
-    /// Cycle through the members in order (the default).
-    #[default]
-    RoundRobin,
-    /// Place each new file on the member with the fewest pages transferred
-    /// so far (ties break toward the lowest index).
-    LeastLoaded,
-    /// Place every new file on one explicit member (index modulo the
-    /// member count).
-    Pinned(usize),
-}
-
 struct StripedShared {
     members: Vec<AnyDevice>,
     /// File name → member index, for files created through this stripe.
@@ -55,17 +37,18 @@ struct StripedShared {
     /// pinned shard traffic cannot perturb coordinator-side placement.
     next: AtomicU64,
     contention: Arc<ContentionState>,
-    /// Serves `io_stats()` for unpinned views (wrappers read the device
-    /// model from it); it records nothing itself — the members hold the
-    /// real counters and `stats()` folds them.
+    /// Serves `io_stats()` for unpinned views (wrappers copy its costs);
+    /// it records nothing itself — the members hold the real counters and
+    /// `stats()` folds them.
     aggregate: IoStats,
-    policy: StripePolicy,
     page_size: usize,
 }
 
 /// N storage devices striped behind one [`StorageDevice`] front.
 ///
-/// Clones share the stripe; a clone can additionally be *pinned* to one
+/// Placement is per *file*, cycling through the members in order: a run
+/// written to member 2 is read back from member 2. Clones share the stripe
+/// (and its round-robin cursor); a clone can additionally be *pinned* to one
 /// member (see [`shard_view`](StorageDevice::shard_view)), in which case
 /// every file it creates lands on that member and its
 /// [`io_stats`](StorageDevice::io_stats) are the member's own.
@@ -76,20 +59,14 @@ pub struct StripedDevice {
 }
 
 impl StripedDevice {
-    /// Stripes `members` with the default round-robin placement policy.
-    pub fn new(members: Vec<AnyDevice>) -> Result<Self> {
-        Self::with_policy(members, StripePolicy::default())
-    }
-
-    /// Stripes `members` with an explicit placement policy.
+    /// Stripes `members`, placing new files round-robin.
     ///
     /// Fails with [`StorageError::BadStripe`] when the member list is
     /// empty, when members disagree on the page size, or when a member is
-    /// itself striped (stripes do not nest). Each member's cost model is
-    /// wrapped in a [`SharedBandwidthModel`] over one shared
-    /// [`ContentionState`], so clients admitted to the stripe slow every
-    /// member down proportionally.
-    pub fn with_policy(members: Vec<AnyDevice>, policy: StripePolicy) -> Result<Self> {
+    /// itself striped (stripes do not nest). Every member's [`IoStats`]
+    /// shares one [`ContentionState`], so clients admitted to the stripe
+    /// slow every member down proportionally.
+    pub fn new(members: Vec<AnyDevice>) -> Result<Self> {
         let Some(first) = members.first() else {
             return Err(StorageError::BadStripe(
                 "a stripe needs at least one member".into(),
@@ -110,14 +87,9 @@ impl StripedDevice {
         }
         let contention = ContentionState::new();
         for member in &members {
-            let stats = member.io_stats();
-            let model = stats.device_model();
-            stats.set_model(Arc::new(SharedBandwidthModel::new(
-                model,
-                Arc::clone(&contention),
-            )));
+            member.io_stats().share_contention(Arc::clone(&contention));
         }
-        let aggregate = IoStats::with_model(first.io_stats().device_model());
+        let aggregate = first.io_stats().fresh();
         Ok(StripedDevice {
             shared: Arc::new(StripedShared {
                 members,
@@ -125,7 +97,6 @@ impl StripedDevice {
                 next: AtomicU64::new(0),
                 contention,
                 aggregate,
-                policy,
                 page_size,
             }),
             pin: None,
@@ -137,47 +108,18 @@ impl StripedDevice {
         self.shared.members.len()
     }
 
-    /// The placement policy in force.
-    pub fn policy(&self) -> StripePolicy {
-        self.shared.policy
-    }
-
-    /// The member this view is pinned to, if any.
-    pub fn pinned_member(&self) -> Option<usize> {
-        self.pin
-    }
-
     /// One I/O snapshot per member, in member order. Summing these (see
     /// [`IoStatsSnapshot::merged`]) reproduces [`StorageDevice::stats`].
     pub fn member_stats(&self) -> Vec<IoStatsSnapshot> {
         self.shared.members.iter().map(|m| m.stats()).collect()
     }
 
-    /// The shared admission state driving the bandwidth fair-share.
-    pub fn contention(&self) -> &Arc<ContentionState> {
-        &self.shared.contention
-    }
-
-    /// The stripe member a new file would be created on right now.
+    /// The stripe member a new file is created on: the pinned member, or
+    /// the next one round-robin.
     fn member_for_create(&self) -> usize {
-        if let Some(pin) = self.pin {
-            return pin;
-        }
-        let count = self.members();
-        match self.shared.policy {
-            StripePolicy::Pinned(index) => index % count,
-            StripePolicy::RoundRobin => {
-                self.shared.next.fetch_add(1, Ordering::SeqCst) as usize % count
-            }
-            StripePolicy::LeastLoaded => self
-                .shared
-                .members
-                .iter()
-                .enumerate()
-                .map(|(index, member)| (member.stats().pages_total(), index))
-                .min()
-                .map(|(_, index)| index)
-                .unwrap_or(0),
+        match self.pin {
+            Some(pin) => pin,
+            None => self.shared.next.fetch_add(1, Ordering::SeqCst) as usize % self.members(),
         }
     }
 
@@ -239,7 +181,7 @@ impl StorageDevice for StripedDevice {
 
     /// A pinned view answers with its member's statistics (so wrappers like
     /// [`ScopedDevice`](crate::scoped::ScopedDevice) mirror the member's
-    /// cost model); an unpinned view answers with a dormant aggregate whose
+    /// costs); an unpinned view answers with a dormant aggregate whose
     /// counters stay zero — read [`stats`](StorageDevice::stats) (the
     /// member fold) or [`StripedDevice::member_stats`] for real numbers.
     fn io_stats(&self) -> &IoStats {
@@ -252,11 +194,12 @@ impl StorageDevice for StripedDevice {
     /// The stripe totals: the field-wise fold of every member's snapshot,
     /// regardless of pinning.
     fn stats(&self) -> IoStatsSnapshot {
-        let mut total = IoStatsSnapshot::zero(self.shared.aggregate.model());
-        for member in &self.shared.members {
-            total = total.merged(&member.stats());
-        }
-        total
+        self.shared
+            .members
+            .iter()
+            .fold(IoStatsSnapshot::default(), |total, m| {
+                total.merged(&m.stats())
+            })
     }
 
     fn reset_stats(&self) {
@@ -324,7 +267,6 @@ mod tests {
     fn pinned_views_route_to_their_member_without_advancing_round_robin() {
         let stripe = StripedDevice::new(sim_members(2, ModelId::Nvme)).unwrap();
         let shard1 = stripe.shard_view(1);
-        assert_eq!(shard1.pinned_member(), Some(1));
         shard1.create("spill.0").unwrap();
         shard1.create("spill.1").unwrap();
         assert_eq!(member_holding(&stripe, "spill.0"), 1);
@@ -334,7 +276,8 @@ mod tests {
         stripe.create("out").unwrap();
         assert_eq!(member_holding(&stripe, "out"), 0);
         // shard_view wraps around the member count.
-        assert_eq!(stripe.shard_view(5).pinned_member(), Some(1));
+        stripe.shard_view(5).create("spill.2").unwrap();
+        assert_eq!(member_holding(&stripe, "spill.2"), 1);
     }
 
     #[test]
@@ -352,9 +295,7 @@ mod tests {
         let folded = stripe
             .member_stats()
             .into_iter()
-            .fold(IoStatsSnapshot::zero(stripe.io_stats().model()), |a, b| {
-                a.merged(&b)
-            });
+            .fold(IoStatsSnapshot::default(), |a, b| a.merged(&b));
         let total = stripe.stats();
         assert_eq!(folded.counters, total.counters);
         assert_eq!(total.counters.pages_written, 13);
@@ -382,31 +323,6 @@ mod tests {
         );
         // stats() keeps reporting stripe totals even on pinned views.
         assert_eq!(shard0.stats().counters.pages_written, 1);
-    }
-
-    #[test]
-    fn least_loaded_places_on_the_emptiest_member() {
-        let stripe =
-            StripedDevice::with_policy(sim_members(2, ModelId::Nvme), StripePolicy::LeastLoaded)
-                .unwrap();
-        let page = vec![0u8; stripe.page_size()];
-        let mut f = stripe.shard_view(0).create("busy").unwrap();
-        for i in 0..5 {
-            f.write_page(i, &page).unwrap();
-        }
-        stripe.create("light").unwrap();
-        assert_eq!(member_holding(&stripe, "light"), 1);
-    }
-
-    #[test]
-    fn explicit_pinning_policy_holds_every_create() {
-        let stripe =
-            StripedDevice::with_policy(sim_members(3, ModelId::Nvme), StripePolicy::Pinned(2))
-                .unwrap();
-        for name in ["a", "b"] {
-            stripe.create(name).unwrap();
-            assert_eq!(member_holding(&stripe, name), 2);
-        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Property-based tests for the storage substrate: forward and reverse run
-//! files must round-trip arbitrary record sequences on both device
-//! backends.
+//! files must round-trip arbitrary record sequences, and the device-spec
+//! parser, which reads whatever text a CLI is given, must never panic.
 
 use proptest::prelude::*;
 use twrs_storage::{
-    DiskModel, ReverseRunReader, ReverseRunWriter, RunReader, RunWriter, SimDevice, StorageDevice,
+    DeviceSpec, DiskModel, ReverseRunReader, ReverseRunWriter, RunReader, RunWriter, SimDevice,
+    StorageDevice,
 };
 
 proptest! {
@@ -75,4 +76,53 @@ proptest! {
             prop_assert!(buf.iter().all(|b| *b == want), "page {index} mismatch");
         }
     }
+}
+
+/// Spec pieces, `|`-separated, so generated texts reach every branch of
+/// the device-spec grammar instead of failing on their first byte.
+const SPEC_STARTS: &str = "sim|real|striped|striped:[|striped:2|";
+const SPEC_PIECES: &str = ":|,|[|]| |:sim|:real|:striped|,sim|,real:/b|:nvme|:pmem|:hdd-7200|:4096|:8192|:0|:/x|:/x:1|:3|:18446744073709551615|é|:-1";
+
+fn piece(pieces: &str, index: usize) -> &str {
+    let pieces: Vec<&str> = pieces.split('|').collect();
+    pieces[index % pieces.len()]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary bytes, decoded as lossy UTF-8, parse to `Ok` or `Err`.
+    #[test]
+    fn arbitrary_text_never_panics_the_spec_parser(
+        bytes in prop::collection::vec(any::<u8>(), 0..96),
+    ) {
+        let _ = String::from_utf8_lossy(&bytes).parse::<DeviceSpec>();
+    }
+
+    /// Texts assembled from spec fragments parse to `Ok` or `Err`, and
+    /// every spec that parses reads back from its `Display` as itself.
+    #[test]
+    fn spec_like_text_never_panics_and_round_trips(
+        start in any::<usize>(),
+        picks in prop::collection::vec(any::<usize>(), 0..10),
+    ) {
+        let text: String = std::iter::once(piece(SPEC_STARTS, start))
+            .chain(picks.iter().map(|&i| piece(SPEC_PIECES, i)))
+            .collect();
+        if let Ok(spec) = text.parse::<DeviceSpec>() {
+            let shown = spec.to_string();
+            prop_assert_eq!(shown.parse::<DeviceSpec>().ok(), Some(spec), "{text:?} → {shown:?}");
+        }
+    }
+}
+
+#[test]
+fn former_spec_parser_defects_are_errors() {
+    // Used to panic with "capacity overflow" while allocating the members.
+    assert!("striped:18446744073709551615:sim"
+        .parse::<DeviceSpec>()
+        .is_err());
+    // Used to parse as path `/x:1`, which displays as `real:/x:1` and reads
+    // back as path `/x` with 1-byte pages.
+    assert!("real:/x:1:4096".parse::<DeviceSpec>().is_err());
 }

@@ -8,8 +8,8 @@
 //! The example materialises one million random records on a simulated disk,
 //! sorts them with the recommended 2WRS configuration through the standard
 //! external-sort pipeline, verifies the output and prints a phase-by-phase
-//! report. Swap `SimDevice` for `FileDevice::temp()` to run against real
-//! files.
+//! report. Swap `SimDevice` for `RealFileDevice::temp()` to run against
+//! real files.
 
 use two_way_replacement_selection::extsort::sorter::verify_sorted;
 use two_way_replacement_selection::prelude::*;

@@ -315,9 +315,8 @@ pub mod prelude {
         SortReport, SortService, SortedStream, SorterConfig, VecSink,
     };
     pub use twrs_storage::{
-        AnyDevice, DeviceModel, DeviceSpec, DirectIoStatus, FileDevice, ModelId, RealFileDevice,
-        ScopedDevice, SimDevice, SortableRecord, SpillNamer, StorageDevice, StripePolicy,
-        StripedDevice,
+        AnyDevice, DeviceSpec, DirectIoStatus, ModelId, RealFileDevice, ScopedDevice, SimDevice,
+        SortableRecord, SpillNamer, StorageDevice, StripedDevice,
     };
     pub use twrs_workloads::{ArrivalTrace, Distribution, DistributionKind, JobArrival, Record};
 }

@@ -48,7 +48,7 @@ fn every_generator_sorts_every_distribution_on_the_simulated_device() {
 
 #[test]
 fn twrs_sorts_on_the_real_file_device() {
-    let device = FileDevice::temp().expect("temporary directory");
+    let device = RealFileDevice::temp().expect("temporary directory");
     full_sort_and_verify(
         &device,
         TwoWayReplacementSelection::new(TwrsConfig::recommended(300)),
