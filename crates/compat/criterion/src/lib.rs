@@ -4,9 +4,12 @@
 //! workspace's benches use: benchmark groups, `Bencher::iter`,
 //! [`BenchmarkId`], [`Throughput`], `criterion_group!` and
 //! `criterion_main!`. Instead of criterion's statistical machinery it runs
-//! a short calibrated wall-clock loop and prints mean time per iteration
-//! (plus throughput when configured) — good enough for smoke runs and for
-//! `cargo bench --no-run` compile gating. See `crates/compat/README.md`.
+//! `sample_size` samples (default 10) of a short calibrated wall-clock loop
+//! and prints the minimum, median and 95th-percentile time per iteration
+//! over those samples (plus throughput at the median when configured) —
+//! good enough for smoke runs, for reading a before/after difference
+//! against its spread, and for `cargo bench --no-run` compile gating. See
+//! `crates/compat/README.md`.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -65,46 +68,79 @@ impl From<String> for BenchmarkId {
     }
 }
 
+/// Samples taken per benchmark unless a group sets
+/// [`sample_size`](BenchmarkGroup::sample_size) (criterion's default is
+/// 100; the stub keeps smoke runs short).
+const DEFAULT_SAMPLES: usize = 10;
+
+/// Wall-clock budget for all samples of one benchmark together.
+const BUDGET: Duration = Duration::from_millis(200);
+
 /// Times a single benchmark body.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Bencher {
+    samples: usize,
+    /// Iterations in each sample.
     iterations: u64,
-    elapsed: Duration,
+    /// Seconds per iteration of each sample, ascending once measured.
+    per_iter: Vec<f64>,
 }
 
 impl Bencher {
-    /// Calls `routine` repeatedly and records mean wall-clock time.
+    fn new(samples: usize) -> Self {
+        Bencher {
+            samples: samples.max(1),
+            iterations: 0,
+            per_iter: Vec::new(),
+        }
+    }
+
+    /// Calls `routine` repeatedly and records the wall-clock time per
+    /// iteration of each sample.
     ///
-    /// The routine is warmed up once, then run for a small fixed iteration
-    /// budget — a deliberate simplification of criterion's adaptive
+    /// The routine is warmed up once and timed once to calibrate how many
+    /// iterations one sample runs (a handful on slow bodies, up to a few
+    /// thousand on fast ones) so that all samples together take about
+    /// 200 ms — a deliberate simplification of criterion's adaptive
     /// sampling that keeps `cargo bench` smoke runs fast.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         black_box(routine());
-        // Calibrate: aim for a handful of iterations on slow bodies and a
-        // few thousand on fast ones, bounded by a total time budget.
         let probe_start = Instant::now();
         black_box(routine());
         let probe = probe_start.elapsed().max(Duration::from_nanos(1));
-        let budget = Duration::from_millis(200);
-        let iterations = (budget.as_nanos() / probe.as_nanos()).clamp(1, 2_000) as u64;
+        let per_sample = BUDGET.as_nanos() / self.samples as u128;
+        self.iterations = (per_sample / probe.as_nanos()).clamp(1, 2_000) as u64;
+        self.per_iter = (0..self.samples)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..self.iterations {
+                    black_box(routine());
+                }
+                start.elapsed().as_secs_f64() / self.iterations as f64
+            })
+            .collect();
+        self.per_iter.sort_by(f64::total_cmp);
+    }
 
-        let start = Instant::now();
-        for _ in 0..iterations {
-            black_box(routine());
-        }
-        self.elapsed = start.elapsed();
-        self.iterations = iterations;
+    /// The `q`-quantile (nearest rank) of the per-iteration times.
+    fn quantile(&self, q: f64) -> f64 {
+        let n = self.per_iter.len();
+        let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
+        self.per_iter[rank - 1]
     }
 
     fn report(&self, label: &str, throughput: Option<Throughput>) {
-        if self.iterations == 0 {
+        if self.per_iter.is_empty() {
             println!("{label:<50} (not run)");
             return;
         }
-        let per_iter = self.elapsed.as_secs_f64() / self.iterations as f64;
+        let per_iter = self.quantile(0.5);
         let mut line = format!(
-            "{label:<50} {:>12} /iter over {} iters",
+            "{label:<50} min {:>10}  median {:>10}  p95 {:>10} /iter  ({} samples × {} iters)",
+            format_seconds(self.quantile(0.0)),
             format_seconds(per_iter),
+            format_seconds(self.quantile(0.95)),
+            self.per_iter.len(),
             self.iterations
         );
         match throughput {
@@ -137,12 +173,14 @@ pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     name: String,
     throughput: Option<Throughput>,
+    samples: usize,
 }
 
 impl BenchmarkGroup<'_> {
-    /// Sets the sample count. Accepted for API compatibility; the stub's
-    /// fixed iteration budget ignores it.
-    pub fn sample_size(&mut self, _samples: usize) -> &mut Self {
+    /// Sets how many samples each benchmark of the group takes (at least
+    /// one); the time budget is split between them.
+    pub fn sample_size(&mut self, samples: usize) -> &mut Self {
+        self.samples = samples.max(1);
         self
     }
 
@@ -161,7 +199,7 @@ impl BenchmarkGroup<'_> {
         if !self.criterion.matches(&label) {
             return self;
         }
-        let mut bencher = Bencher::default();
+        let mut bencher = Bencher::new(self.samples);
         routine(&mut bencher);
         bencher.report(&label, self.throughput);
         self
@@ -211,6 +249,7 @@ impl Criterion {
             criterion: self,
             name,
             throughput: None,
+            samples: DEFAULT_SAMPLES,
         }
     }
 
@@ -221,7 +260,7 @@ impl Criterion {
     {
         let label = id.into().to_string();
         if self.matches(&label) {
-            let mut bencher = Bencher::default();
+            let mut bencher = Bencher::new(DEFAULT_SAMPLES);
             routine(&mut bencher);
             bencher.report(&label, None);
         }
@@ -296,6 +335,31 @@ mod tests {
         criterion
             .benchmark_group("g")
             .bench_function("skipped", |_| panic!("should not run"));
+    }
+
+    #[test]
+    fn sample_size_sets_the_samples_summarised() {
+        for (samples, expected) in [(3, 3), (0, 1)] {
+            let mut bencher = Bencher::new(samples);
+            bencher.iter(|| (0..64u64).sum::<u64>());
+            assert_eq!(bencher.per_iter.len(), expected);
+            assert!(bencher.iterations >= 1);
+            let (min, median, p95) = (
+                bencher.quantile(0.0),
+                bencher.quantile(0.5),
+                bencher.quantile(0.95),
+            );
+            assert!(min <= median && median <= p95);
+        }
+    }
+
+    #[test]
+    fn quantiles_use_the_nearest_rank() {
+        let mut bencher = Bencher::new(10);
+        bencher.per_iter = (1..=10).map(f64::from).collect();
+        assert_eq!(bencher.quantile(0.0), 1.0);
+        assert_eq!(bencher.quantile(0.5), 5.0);
+        assert_eq!(bencher.quantile(0.95), 10.0);
     }
 
     #[test]

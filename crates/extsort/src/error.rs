@@ -26,7 +26,9 @@ pub enum SortError {
     /// The sort pipeline panicked while the job was running. The service
     /// worker catches the unwind, releases the job's memory lease and
     /// completes the job as `Failed` with this error; the pipeline's drop
-    /// guard sweeps the job's spill files during the unwind.
+    /// guard sweeps the job's spill files during the unwind. A merge
+    /// prefetch thread that dies before delivering its whole run surfaces
+    /// as this error from the merge, or the stream, reading it.
     JobPanicked(String),
 }
 

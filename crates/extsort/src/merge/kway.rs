@@ -279,13 +279,13 @@ where
     S: MergeSource<R>,
     K: RecordSink<R> + ?Sized,
 {
-    let mut heads: Vec<Option<R>> = sources
+    let heads = sources
         .iter_mut()
         .map(|s| s.next_record())
         .collect::<Result<_>>()?;
+    let mut tree = LoserTree::new(heads);
     let mut written = 0u64;
     if !sources.is_empty() {
-        let mut tree = LoserTree::new(&heads);
         loop {
             // Page-grained cancellation point: roughly one output page of
             // small records between checks, so a running merge observes
@@ -293,16 +293,10 @@ where
             if written % CANCEL_CHECK_INTERVAL == 0 {
                 cancel.check()?;
             }
-            let winner = tree.winner();
-            match heads[winner].take() {
-                Some(record) => {
-                    sink.push(record)?;
-                    written += 1;
-                    heads[winner] = sources[winner].next_record()?;
-                    tree.replay(&heads, winner);
-                }
-                None => break,
-            }
+            let Some(record) = tree.pop() else { break };
+            sink.push(record)?;
+            written += 1;
+            tree.refill(sources[tree.winner()].next_record()?);
         }
     }
     sink.finish()?;
@@ -342,38 +336,46 @@ pub(crate) fn remove_run(
     Ok(())
 }
 
-/// A run cursor with a read-ahead buffer.
+/// A run cursor with a read-ahead buffer, refilled `read_ahead` records at
+/// a time with one batch read.
 pub(crate) struct BufferedCursor<R: SortableRecord> {
     cursor: RunCursor<R>,
-    buffer: VecDeque<R>,
+    /// The unread records of the last refill, in *descending* order, so
+    /// the next one is popped off the end.
+    buffer: Vec<R>,
     read_ahead: usize,
     exhausted: bool,
 }
 
 impl<R: SortableRecord> BufferedCursor<R> {
     pub(crate) fn new(cursor: RunCursor<R>, read_ahead: usize) -> Self {
+        let read_ahead = read_ahead.max(1);
         BufferedCursor {
+            buffer: Vec::with_capacity(buffer_capacity(read_ahead, &cursor)),
             cursor,
-            buffer: VecDeque::with_capacity(read_ahead.max(1)),
-            read_ahead: read_ahead.max(1),
+            read_ahead,
             exhausted: false,
         }
     }
 
     pub(crate) fn next_record(&mut self) -> Result<Option<R>> {
         if self.buffer.is_empty() && !self.exhausted {
-            for _ in 0..self.read_ahead {
-                match self.cursor.next_record()? {
-                    Some(r) => self.buffer.push_back(r),
-                    None => {
-                        self.exhausted = true;
-                        break;
-                    }
-                }
-            }
+            let read = self.cursor.read_batch(&mut self.buffer, self.read_ahead)?;
+            self.exhausted = read < self.read_ahead;
+            self.buffer.reverse();
         }
-        Ok(self.buffer.pop_front())
+        Ok(self.buffer.pop())
     }
+}
+
+/// The records one refill of a `read_ahead` buffer can hold: never more
+/// than the run has, so a read-ahead beyond any run length allocates only
+/// what the run needs.
+pub(crate) fn buffer_capacity<R: SortableRecord>(
+    read_ahead: usize,
+    cursor: &RunCursor<R>,
+) -> usize {
+    usize::try_from(cursor.len()).map_or(read_ahead, |len| read_ahead.min(len))
 }
 
 #[cfg(test)]

@@ -6,104 +6,170 @@
 //! there, so only one root-to-leaf path has to be replayed when a source
 //! produces its next record. This is the standard database implementation of
 //! the k-way merge described in §2.1.2.
+//!
+//! Every node caches the [`sort_key`](SortableRecord::sort_key) of its
+//! loser beside the source index, so a replay compares plain integers and
+//! picks the new winner with a select rather than a data-dependent branch.
+//! Only when two keys are equal does it compare the records with `Ord`, and
+//! then the source indices.
 
 use std::cmp::Ordering;
+use twrs_storage::SortableRecord;
 
-/// A tournament tree over `k` sources.
-///
-/// The tree itself stores only source indices; the caller keeps the current
-/// head record of every source in a slice of `Option<T>` (`None` marks an
-/// exhausted source and compares greater than every record) and passes it to
-/// every operation.
-#[derive(Debug, Clone)]
-pub struct LoserTree {
-    /// `tree[0]` is the overall winner; `tree[1..k]` store the loser of the
-    /// match played at that internal node.
-    tree: Vec<usize>,
-    k: usize,
+/// One player: a source and the cached key of its head record
+/// (`u64::MAX` once the source is exhausted).
+#[derive(Debug, Clone, Copy, Default)]
+struct Player {
+    key: u64,
+    source: usize,
 }
 
-impl LoserTree {
-    /// Builds a tree over `values` (one entry per source).
-    pub fn new<T: Ord>(values: &[Option<T>]) -> Self {
-        let k = values.len().max(1);
+/// A tournament tree over `k` sources that owns each source's head record.
+///
+/// The caller pops the smallest head with [`pop`](LoserTree::pop), then
+/// hands the tree that source's next record (or `None` once the source is
+/// exhausted) with [`refill`](LoserTree::refill). Exhausted sources order
+/// after every record, and records that compare equal leave in source
+/// order, so the merge is stable with respect to run order.
+///
+/// The key comparison relies on the [`SortableRecord::sort_key`] contract:
+/// `a < b` implies `a.sort_key() <= b.sort_key()`. A projection that breaks
+/// it misorders the merge output.
+#[derive(Debug, Clone)]
+pub struct LoserTree<T: SortableRecord> {
+    /// `losers[1..k]` hold the loser of the match played at that internal
+    /// node; the leaves are the implicit positions `k..2k`.
+    losers: Vec<Player>,
+    /// The head record of every source; `None` once it is exhausted.
+    heads: Vec<Option<T>>,
+    winner: Player,
+}
+
+impl<T: SortableRecord> LoserTree<T> {
+    /// Builds a tree over the first record of every source (`None` for a
+    /// source that is empty).
+    pub fn new(heads: Vec<Option<T>>) -> Self {
+        let k = heads.len();
         let mut tree = LoserTree {
-            tree: vec![0; k],
-            k,
+            losers: vec![Player::default(); k],
+            heads,
+            winner: Player::default(),
         };
-        tree.rebuild(values);
-        tree
-    }
-
-    /// Number of sources the tree was built over.
-    pub fn sources(&self) -> usize {
-        self.k
-    }
-
-    /// The index of the source currently holding the smallest record.
-    pub fn winner(&self) -> usize {
-        self.tree[0]
-    }
-
-    /// Rebuilds the whole tree; `O(k)`.
-    pub fn rebuild<T: Ord>(&mut self, values: &[Option<T>]) {
-        let k = self.k;
-        // winners[n] is the winner of the subtree rooted at node n, with
-        // leaves living at positions k..2k.
-        let mut winners = vec![usize::MAX; 2 * k];
-        for i in 0..k {
-            winners[k + i] = i;
+        if k == 0 {
+            return tree;
         }
+        // winners[n] is the winner of the subtree rooted at node n, with the
+        // leaves at positions k..2k; every internal node is filled from its
+        // two children before it is read.
+        let mut winners = vec![Player::default(); k];
+        winners.extend(tree.heads.iter().enumerate().map(|(source, head)| Player {
+            key: Self::key_of(head),
+            source,
+        }));
         for n in (1..k).rev() {
-            let left = winners[2 * n];
-            let right = winners[2 * n + 1];
-            let (winner, loser) = if Self::beats(values, left, right) {
+            let (left, right) = (winners[2 * n], winners[2 * n + 1]);
+            let (winner, loser) = if tree.beats(left, right) {
                 (left, right)
             } else {
                 (right, left)
             };
             winners[n] = winner;
-            self.tree[n] = loser;
+            tree.losers[n] = loser;
         }
-        self.tree[0] = if k == 1 { 0 } else { winners[1] };
+        tree.winner = winners[1];
+        tree
     }
 
-    /// After the current winner's source produced a new head record (or ran
-    /// out), replays its leaf-to-root path and returns the new winner.
-    pub fn replay<T: Ord>(&mut self, values: &[Option<T>], source: usize) -> usize {
-        let mut winner = source;
-        let mut node = (self.k + source) / 2;
+    /// Number of sources the tree was built over.
+    pub fn sources(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// The index of the source holding the smallest head record.
+    pub fn winner(&self) -> usize {
+        self.winner.source
+    }
+
+    /// Takes the smallest head record out of the tree, or returns `None`
+    /// when every source is exhausted. The winner's source must then be
+    /// refilled with [`refill`](LoserTree::refill) before the next `pop`.
+    pub fn pop(&mut self) -> Option<T> {
+        self.heads.get_mut(self.winner.source)?.take()
+    }
+
+    /// Installs `next` as the new head of the source the last
+    /// [`pop`](LoserTree::pop) emptied (`None` once that source is
+    /// exhausted), replays its leaf-to-root path and returns the new
+    /// winner.
+    pub fn refill(&mut self, next: Option<T>) -> usize {
+        let source = self.winner.source;
+        let key = Self::key_of(&next);
+        let Some(slot) = self.heads.get_mut(source) else {
+            return source;
+        };
+        *slot = next;
+        let mut winner = Player { key, source };
+        let mut node = (self.heads.len() + source) / 2;
         while node > 0 {
-            let contender = self.tree[node];
-            if Self::beats(values, contender, winner) {
-                self.tree[node] = winner;
-                winner = contender;
-            }
+            let contender = self.losers[node];
+            let swap = self.beats(contender, winner);
+            self.losers[node] = if swap { winner } else { contender };
+            winner = if swap { contender } else { winner };
             node /= 2;
         }
-        self.tree[0] = winner;
-        winner
+        self.winner = winner;
+        winner.source
     }
 
-    /// `true` when source `a` wins against source `b` (smaller record wins;
-    /// exhausted sources always lose; ties break on the source index so the
-    /// merge is stable with respect to run order).
-    fn beats<T: Ord>(values: &[Option<T>], a: usize, b: usize) -> bool {
-        if a == usize::MAX {
-            return false;
+    /// The cached key of a head: its `sort_key`, or `u64::MAX` once the
+    /// source is exhausted.
+    fn key_of(head: &Option<T>) -> u64 {
+        head.as_ref().map_or(u64::MAX, SortableRecord::sort_key)
+    }
+
+    /// `true` when `a` wins against `b`: the smaller key wins; equal keys
+    /// fall back to the records.
+    #[inline]
+    fn beats(&self, a: Player, b: Player) -> bool {
+        if a.key != b.key {
+            debug_assert!(
+                self.key_order_agrees(a, b),
+                "sort_key order disagrees with Ord: {:?} vs {:?}",
+                self.heads[a.source],
+                self.heads[b.source]
+            );
+            return a.key < b.key;
         }
-        if b == usize::MAX {
-            return true;
-        }
-        match (&values[a], &values[b]) {
+        self.beats_on_records(a, b)
+    }
+
+    /// Decides a match between equal keys: the smaller record wins, an
+    /// exhausted source always loses, and full ties go to the smaller
+    /// source index.
+    ///
+    /// Kept out of line on purpose: inlined, its constant outcomes let the
+    /// compiler turn the select in [`refill`](LoserTree::refill) back into
+    /// a data-dependent branch on every key comparison.
+    #[inline(never)]
+    fn beats_on_records(&self, a: Player, b: Player) -> bool {
+        match (&self.heads[a.source], &self.heads[b.source]) {
             (Some(x), Some(y)) => match x.cmp(y) {
                 Ordering::Less => true,
                 Ordering::Greater => false,
-                Ordering::Equal => a < b,
+                Ordering::Equal => a.source < b.source,
             },
             (Some(_), None) => true,
             (None, Some(_)) => false,
-            (None, None) => a < b,
+            (None, None) => a.source < b.source,
+        }
+    }
+
+    /// Whether the records of `a` and `b` (whose keys differ) are ordered
+    /// the way their keys are.
+    fn key_order_agrees(&self, a: Player, b: Player) -> bool {
+        match (&self.heads[a.source], &self.heads[b.source]) {
+            (Some(x), Some(y)) => (a.key < b.key) == (x < y),
+            _ => true,
         }
     }
 }
@@ -119,19 +185,13 @@ mod tests {
         }
         let mut cursors: Vec<std::vec::IntoIter<u64>> =
             sources.drain(..).map(|v| v.into_iter()).collect();
-        let mut heads: Vec<Option<u64>> = cursors.iter_mut().map(|c| c.next()).collect();
-        let mut tree = LoserTree::new(&heads);
+        let heads: Vec<Option<u64>> = cursors.iter_mut().map(|c| c.next()).collect();
+        let mut tree = LoserTree::new(heads);
         let mut out = Vec::new();
-        loop {
-            let winner = tree.winner();
-            match heads[winner].take() {
-                Some(value) => {
-                    out.push(value);
-                    heads[winner] = cursors[winner].next();
-                    tree.replay(&heads, winner);
-                }
-                None => break,
-            }
+        while let Some(value) = tree.pop() {
+            out.push(value);
+            let next = cursors[tree.winner()].next();
+            tree.refill(next);
         }
         out
     }
@@ -177,6 +237,35 @@ mod tests {
         let mut expected: Vec<u64> = sources.iter().flatten().copied().collect();
         expected.sort_unstable();
         assert_eq!(merge_with_tree(sources), expected);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "sort_key order disagrees with Ord")]
+    fn a_non_monotone_sort_key_trips_the_debug_check() {
+        /// A record whose `sort_key` runs against its order.
+        #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+        struct Backwards(u64);
+
+        impl twrs_storage::FixedSizeRecord for Backwards {
+            const SIZE: usize = 8;
+
+            fn write_to(&self, buf: &mut [u8]) {
+                self.0.write_to(buf);
+            }
+
+            fn read_from(buf: &[u8]) -> Self {
+                Backwards(u64::read_from(buf))
+            }
+        }
+
+        impl SortableRecord for Backwards {
+            fn sort_key(&self) -> u64 {
+                !self.0
+            }
+        }
+
+        LoserTree::new(vec![Some(Backwards(1)), Some(Backwards(2))]);
     }
 
     #[test]

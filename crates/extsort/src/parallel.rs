@@ -38,12 +38,12 @@
 use crate::cancel::CancellationToken;
 use crate::error::{Result, SortError};
 use crate::merge::kway::{
-    merge_step, reduce_to_fan_in, BufferedCursor, MergeConfig, MergeReport, MergeSource,
-    ReducedRuns, RunSource,
+    buffer_capacity, merge_step, reduce_to_fan_in, BufferedCursor, MergeConfig, MergeReport,
+    MergeSource, ReducedRuns, RunSource,
 };
 use crate::run_generation::{Device, RunCursor, RunGenerator, RunHandle, RunSet};
 use crate::sync::lock_or_poison;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -371,54 +371,48 @@ impl<D: Device> StorageDevice for SpillWriteDevice<D> {
 /// [`SortedStream`](crate::SortedStream), an error path) never leaves a
 /// reader thread behind.
 pub(crate) struct PrefetchSource<R: SortableRecord> {
-    rx: Option<Receiver<std::result::Result<Vec<R>, SortError>>>,
-    buffer: VecDeque<R>,
+    rx: Option<Receiver<Result<Vec<R>>>>,
+    /// The unread records of the last batch, in *descending* order, so the
+    /// next one is popped off the end.
+    buffer: Vec<R>,
     worker: Option<JoinHandle<()>>,
+    /// Records in the run, and records received so far: a channel that
+    /// closes before all of them arrived means the worker died.
+    expected: u64,
+    received: u64,
     done: bool,
 }
 
 impl<R: SortableRecord> RunSource<R> for PrefetchSource<R> {
-    /// Spawns the prefetch thread; an error opening the run surfaces from
-    /// the first [`next_record`](MergeSource::next_record).
+    /// Opens the run (reading its headers) and spawns the prefetch thread,
+    /// which takes over the cursor.
     fn open<D: Device>(device: &D, run: &RunHandle, read_ahead: usize) -> Result<Self> {
-        let (tx, rx) = sync_channel(PREFETCH_BATCHES);
+        let mut cursor = RunCursor::<R>::open(device, run)?;
+        let expected = cursor.len();
         let batch = read_ahead.max(1);
-        let device = device.clone();
-        let run = run.clone();
-        let worker = std::thread::spawn(move || {
-            let mut cursor = match RunCursor::<R>::open(&device, &run) {
-                Ok(cursor) => cursor,
-                Err(e) => {
-                    let _ = tx.send(Err(e));
-                    return;
-                }
-            };
-            loop {
-                let mut chunk = Vec::with_capacity(batch);
-                for _ in 0..batch {
-                    match cursor.next_record() {
-                        Ok(Some(record)) => chunk.push(record),
-                        Ok(None) => break,
-                        Err(e) => {
-                            let _ = tx.send(Err(e));
-                            return;
-                        }
-                    }
-                }
-                let finished = chunk.len() < batch;
-                if !chunk.is_empty() && tx.send(Ok(chunk)).is_err() {
-                    // Merge side hung up (error path): stop quietly.
-                    return;
-                }
-                if finished {
-                    return;
-                }
+        let capacity = buffer_capacity(batch, &cursor);
+        let (tx, rx) = sync_channel(PREFETCH_BATCHES);
+        let worker = std::thread::spawn(move || loop {
+            let mut chunk = Vec::with_capacity(capacity);
+            if let Err(e) = cursor.read_batch(&mut chunk, batch) {
+                let _ = tx.send(Err(e));
+                return;
+            }
+            let finished = chunk.len() < batch;
+            if !chunk.is_empty() && tx.send(Ok(chunk)).is_err() {
+                // Merge side hung up (error path): stop quietly.
+                return;
+            }
+            if finished {
+                return;
             }
         });
         Ok(PrefetchSource {
             rx: Some(rx),
-            buffer: VecDeque::new(),
+            buffer: Vec::new(),
             worker: Some(worker),
+            expected,
+            received: 0,
             done: false,
         })
     }
@@ -436,7 +430,8 @@ impl<R: SortableRecord> Drop for PrefetchSource<R> {
     fn drop(&mut self) {
         // Disconnect first so a worker blocked on a full queue wakes up and
         // exits, then wait for it (panics are swallowed here; `close` on the
-        // success path propagates them).
+        // success path propagates them, and a stream that lost its worker
+        // has already returned an error).
         drop(self.rx.take());
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
@@ -450,15 +445,29 @@ impl<R: SortableRecord> MergeSource<R> for PrefetchSource<R> {
             // `rx` is only `None` once `drop` has run; treat that like a
             // disconnected prefetcher instead of panicking.
             match self.rx.as_ref().map(|rx| rx.recv()) {
-                None | Some(Err(_)) => self.done = true,
-                Some(Ok(Ok(chunk))) => self.buffer = chunk.into(),
+                Some(Ok(Ok(mut chunk))) => {
+                    self.received += chunk.len() as u64;
+                    chunk.reverse();
+                    self.buffer = chunk;
+                }
                 Some(Ok(Err(e))) => {
                     self.done = true;
                     return Err(e);
                 }
+                None | Some(Err(_)) => {
+                    self.done = true;
+                    if self.received < self.expected {
+                        // The worker ended without sending the rest of the
+                        // run or an error: it panicked.
+                        return Err(SortError::JobPanicked(format!(
+                            "merge prefetch thread stopped after {} of {} records",
+                            self.received, self.expected
+                        )));
+                    }
+                }
             }
         }
-        Ok(self.buffer.pop_front())
+        Ok(self.buffer.pop())
     }
 }
 

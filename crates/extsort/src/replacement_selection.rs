@@ -85,27 +85,30 @@ impl RunGenerator for ReplacementSelection {
         let mut current_run = 0u64;
         let mut builder = ForwardRunBuilder::new(device, namer);
 
-        while let Some(top) = heap.pop() {
+        while let Some(top) = heap.peek() {
             // Did the top record open the next run?
             if top.run > current_run {
                 total += builder.finish_run(&mut runs)?;
                 builder = ForwardRunBuilder::new(device, namer);
                 current_run = top.run;
             }
-            let output = top.value;
-            builder.push(&output)?;
+            builder.push(&top.value)?;
 
-            // Read the next input record and insert it, marking it for the
-            // next run when it can no longer join the current one.
-            if let Some(next) = input.next() {
-                let run = if next < output {
-                    current_run + 1
-                } else {
-                    current_run
-                };
-                heap.push(RunRecord::new(next, run))
-                    // twrs-lint: allow(no-lib-panic) `pop` freed a slot immediately above
-                    .expect("a slot was just freed by pop");
+            // Read the next input record and let it take the top's place in
+            // one sift, marking it for the next run when it can no longer
+            // join the current one. Only an exhausted input shrinks the heap.
+            match input.next() {
+                Some(next) => {
+                    let run = if next < top.value {
+                        current_run + 1
+                    } else {
+                        current_run
+                    };
+                    heap.replace_top(RunRecord::new(next, run));
+                }
+                None => {
+                    heap.pop();
+                }
             }
         }
         total += builder.finish_run(&mut runs)?;

@@ -194,12 +194,36 @@ impl<R: SortableRecord> RunCursor<R> {
         }
     }
 
+    /// Appends up to `max` records (ascending) to `out` and returns how
+    /// many it appended; fewer than `max` only at the end of the run.
+    ///
+    /// Reads exactly the pages `max` calls to
+    /// [`next_record`](RunCursor::next_record) would, at the same moments.
+    /// A chain moves to its next part only once the current part came back
+    /// short, so a batch that fills up inside a part never touches the next
+    /// part's first page.
+    pub fn read_batch(&mut self, out: &mut Vec<R>, max: usize) -> Result<usize> {
+        match self {
+            RunCursor::Forward(r) => Ok(r.read_batch(out, max)?),
+            RunCursor::Reverse(r) => Ok(r.read_batch(out, max)?),
+            RunCursor::Chain { parts, current } => {
+                let mut read = 0;
+                while let Some(part) = parts.get_mut(*current) {
+                    read += part.read_batch(out, max - read)?;
+                    if read == max {
+                        break;
+                    }
+                    *current += 1;
+                }
+                Ok(read)
+            }
+        }
+    }
+
     /// Reads the whole remaining run into a vector (mainly for tests).
     pub fn read_all(&mut self) -> Result<Vec<R>> {
         let mut out = Vec::new();
-        while let Some(r) = self.next_record()? {
-            out.push(r);
-        }
+        self.read_batch(&mut out, usize::MAX)?;
         Ok(out)
     }
 }

@@ -86,8 +86,7 @@ type Cleanup = Box<dyn FnOnce() -> Result<()> + Send>;
 /// ```
 pub struct SortedStream<R: SortableRecord> {
     sources: Vec<StreamSource<R>>,
-    heads: Vec<Option<R>>,
-    tree: LoserTree,
+    tree: LoserTree<R>,
     report: SortJobReport,
     /// Records yielded so far; bounds `size_hint`.
     delivered: u64,
@@ -107,15 +106,14 @@ impl<R: SortableRecord> SortedStream<R> {
         report: SortJobReport,
         cleanup: Cleanup,
     ) -> Result<Self> {
-        let heads: Vec<Option<R>> = sources
+        let heads = sources
             .iter_mut()
             .map(|s| s.next_record())
             .collect::<Result<_>>()?;
-        let tree = LoserTree::new(&heads);
+        let tree = LoserTree::new(heads);
         let finished = sources.is_empty();
         Ok(SortedStream {
             sources,
-            heads,
             tree,
             report,
             delivered: 0,
@@ -171,8 +169,7 @@ impl<R: SortableRecord> Iterator for SortedStream<R> {
             let _ = self.release();
             return Some(Err(error));
         }
-        let winner = self.tree.winner();
-        let Some(record) = self.heads[winner].take() else {
+        let Some(record) = self.tree.pop() else {
             // Every source exhausted: the merge is complete. Spill files
             // are removed right here, not at drop, so a fully drained
             // stream leaves the device clean immediately; a cleanup
@@ -183,16 +180,15 @@ impl<R: SortableRecord> Iterator for SortedStream<R> {
                 Err(error) => Some(Err(error)),
             };
         };
-        match self.sources[winner].next_record() {
-            Ok(next) => {
-                self.heads[winner] = next;
-            }
+        let next = match self.sources[self.tree.winner()].next_record() {
+            Ok(next) => next,
             Err(error) => {
                 // Deliver the record in hand; the error is the next item.
                 self.pending_error = Some(error);
+                None
             }
-        }
-        self.tree.replay(&self.heads, winner);
+        };
+        self.tree.refill(next);
         self.delivered += 1;
         Some(Ok(record))
     }

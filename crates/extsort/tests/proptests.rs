@@ -1,14 +1,16 @@
 //! Property-based tests for the external-sort substrate: every
 //! run-generation algorithm and both merge strategies must sort arbitrary
-//! inputs correctly, and the storage round trip must be lossless.
+//! inputs correctly, the storage round trip must be lossless, and the loser
+//! tree must merge stably whatever `sort_key` a record type provides.
 
 use proptest::prelude::*;
+use twrs_extsort::merge::loser_tree::LoserTree;
 use twrs_extsort::{
     polyphase_merge, KWayMerger, LoadSortStore, MergeConfig, ReplacementSelection, RunCursor,
     RunGenerator, RunHandle, SortJob,
 };
 use twrs_storage::ModelId;
-use twrs_storage::{SimDevice, SpillNamer};
+use twrs_storage::{FixedSizeRecord, SimDevice, SortableRecord, SpillNamer};
 use twrs_workloads::Record;
 
 fn records_from(keys: &[u64]) -> Vec<Record> {
@@ -22,6 +24,85 @@ fn sorted_copy(records: &[Record]) -> Vec<Record> {
     let mut sorted = records.to_vec();
     sorted.sort_unstable();
     sorted
+}
+
+/// A `(key, payload)` test record ordered by key, then payload, whose
+/// `sort_key` is given by the optional closure-like expression; without
+/// one it keeps the trait's constant default.
+macro_rules! keyed_record {
+    ($name:ident $(, |$r:ident| $key:expr)?) => {
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        struct $name {
+            key: u64,
+            payload: u64,
+        }
+
+        impl From<(u64, u64)> for $name {
+            fn from((key, payload): (u64, u64)) -> Self {
+                $name { key, payload }
+            }
+        }
+
+        impl FixedSizeRecord for $name {
+            const SIZE: usize = 16;
+
+            fn write_to(&self, buf: &mut [u8]) {
+                buf[0..8].copy_from_slice(&self.key.to_le_bytes());
+                buf[8..16].copy_from_slice(&self.payload.to_le_bytes());
+            }
+
+            fn read_from(buf: &[u8]) -> Self {
+                $name {
+                    key: twrs_storage::u64_le_at(buf, 0),
+                    payload: twrs_storage::u64_le_at(buf, 8),
+                }
+            }
+        }
+
+        impl SortableRecord for $name {
+            $(fn sort_key(&self) -> u64 {
+                let $r = self;
+                $key
+            })?
+        }
+    };
+}
+
+keyed_record!(ExactKey, |r| r.key);
+keyed_record!(CoarseKey, |r| r.key >> 8);
+keyed_record!(DefaultKey);
+
+/// Merges `sources` (each sorted first) through a [`LoserTree`] driven
+/// directly and checks the output, with the source every record came
+/// from, against a stable sort by `(record, source index)`.
+fn assert_tree_merges_stably<T>(sources: &[Vec<(u64, u64)>])
+where
+    T: SortableRecord + From<(u64, u64)>,
+{
+    let runs: Vec<Vec<T>> = sources
+        .iter()
+        .map(|source| {
+            let mut run: Vec<T> = source.iter().map(|&pair| T::from(pair)).collect();
+            run.sort();
+            run
+        })
+        .collect();
+    let mut cursors: Vec<_> = runs.iter().map(|run| run.iter().cloned()).collect();
+    let heads = cursors.iter_mut().map(|cursor| cursor.next()).collect();
+    let mut tree = LoserTree::new(heads);
+    let mut merged = Vec::new();
+    while let Some(record) = tree.pop() {
+        let source = tree.winner();
+        merged.push((record, source));
+        tree.refill(cursors[source].next());
+    }
+    let mut expected: Vec<(T, usize)> = runs
+        .iter()
+        .enumerate()
+        .flat_map(|(source, run)| run.iter().map(move |record| (record.clone(), source)))
+        .collect();
+    expected.sort();
+    assert_eq!(merged, expected);
 }
 
 proptest! {
@@ -175,5 +256,26 @@ proptest! {
         let kway = run_and_merge(false);
         prop_assert_eq!(&polyphase, &kway);
         prop_assert_eq!(polyphase, sorted_copy(&input));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The loser tree's key fast path and its `Ord` fallback produce the
+    /// stable merge for exact, coarse (`key >> 8`, many ties between
+    /// distinct records) and constant (`sort_key` never decides) keys, over
+    /// 1–17 sources full of duplicates, including which source each fully
+    /// tied record leaves from.
+    #[test]
+    fn loser_tree_merges_stably_for_any_sort_key(
+        sources in prop::collection::vec(
+            prop::collection::vec((0u64..600, 0u64..2), 0..40),
+            1..18,
+        ),
+    ) {
+        assert_tree_merges_stably::<ExactKey>(&sources);
+        assert_tree_merges_stably::<CoarseKey>(&sources);
+        assert_tree_merges_stably::<DefaultKey>(&sources);
     }
 }

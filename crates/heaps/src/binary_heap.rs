@@ -192,10 +192,12 @@ impl<T: Ord> BinaryHeap<T> {
 
     /// Pops the top record and pushes a replacement in a single pass.
     ///
-    /// This is the inner-loop operation of replacement selection: the output
-    /// record leaves the heap and the freshly read input record takes its
-    /// place, so the heap size never changes. It costs a single `downheap`
-    /// instead of a `pop` followed by a `push`.
+    /// This is the inner-loop operation of replacement selection
+    /// (Algorithm 1): the run generator writes the top it peeked at, and
+    /// the freshly read input record takes its place, so the heap size
+    /// never changes. It costs a single `downheap` instead of a `pop`
+    /// followed by a `push`; the generator pops only once the input is
+    /// exhausted.
     pub fn replace_top(&mut self, value: T) -> Option<T> {
         if self.data.is_empty() {
             self.data.push(value);
@@ -251,23 +253,25 @@ impl<T: Ord> BinaryHeap<T> {
     }
 
     /// Sink the record at `idx` down until both children order after it.
+    ///
+    /// The better child is picked arithmetically (the right one only when
+    /// it orders strictly before the left, so ties go left), leaving one
+    /// data-dependent branch per level: whether to keep sinking.
     fn downheap(&mut self, mut idx: usize) {
         let len = self.data.len();
         loop {
             let left = 2 * idx + 1;
-            let right = 2 * idx + 2;
-            let mut best = idx;
-            if left < len && self.kind.before(&self.data[left], &self.data[best]) {
-                best = left;
-            }
-            if right < len && self.kind.before(&self.data[right], &self.data[best]) {
-                best = right;
-            }
-            if best == idx {
+            if left >= len {
                 break;
             }
-            self.data.swap(idx, best);
-            idx = best;
+            let right = left + 1;
+            let child = left
+                + usize::from(right < len && self.kind.before(&self.data[right], &self.data[left]));
+            if !self.kind.before(&self.data[child], &self.data[idx]) {
+                break;
+            }
+            self.data.swap(idx, child);
+            idx = child;
         }
     }
 

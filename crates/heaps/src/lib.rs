@@ -6,7 +6,11 @@
 //! * [`BinaryHeap`] — a classic array-backed binary heap with explicit
 //!   `upheap`/`downheap` procedures (paper §3.1), parameterised over the
 //!   ordering so the same code serves as a min-heap (TopHeap) and a
-//!   max-heap (BottomHeap).
+//!   max-heap (BottomHeap). Classic replacement selection runs Algorithm 1
+//!   on it as one sift per record: it writes the top it
+//!   [`peek`](BinaryHeap::peek)s at, and the next input record takes the
+//!   top's place through [`replace_top`](BinaryHeap::replace_top); it pops
+//!   only once the input is exhausted.
 //! * [`DualHeap`] — the paper's §4.1 structure: a TopHeap (min-heap) and a
 //!   BottomHeap (max-heap) stored in **one fixed array**, growing toward
 //!   each other so one heap can grow at the expense of the other without

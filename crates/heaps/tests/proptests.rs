@@ -1,7 +1,61 @@
 //! Property-based tests for the heap structures.
 
 use proptest::prelude::*;
+use std::cmp::Ordering;
 use twrs_heaps::{heapsort, heapsort_by, BinaryHeap, DualHeap, HeapKind, HeapSide, RunRecord};
+
+/// Ordered by `key` alone; `tag` tells records with equal keys apart, so a
+/// test can see where each duplicate ends up.
+#[derive(Debug, Clone, Copy)]
+struct Tagged {
+    key: u8,
+    tag: u16,
+}
+
+impl PartialEq for Tagged {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Tagged {}
+
+impl PartialOrd for Tagged {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Tagged {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key.cmp(&other.key)
+    }
+}
+
+/// The textbook two-comparison sift of §3.1.1: the left child first, the
+/// right one only when it orders strictly before the best so far.
+fn reference_downheap(data: &mut [Tagged], kind: HeapKind) {
+    let mut idx = 0;
+    loop {
+        let (left, right) = (2 * idx + 1, 2 * idx + 2);
+        let mut best = idx;
+        if left < data.len() && kind.before(&data[left], &data[best]) {
+            best = left;
+        }
+        if right < data.len() && kind.before(&data[right], &data[best]) {
+            best = right;
+        }
+        if best == idx {
+            return;
+        }
+        data.swap(idx, best);
+        idx = best;
+    }
+}
+
+fn layout(heap: &BinaryHeap<Tagged>) -> Vec<(u8, u16)> {
+    heap.iter().map(|t| (t.key, t.tag)).collect()
+}
 
 proptest! {
     /// Popping a min-heap yields the input in ascending order.
@@ -43,6 +97,41 @@ proptest! {
         b.push(replacement).unwrap();
         prop_assert_eq!(via_replace, via_pop);
         prop_assert_eq!(a.drain_sorted(), b.drain_sorted());
+    }
+
+    /// `replace_top` and `pop` sift exactly like the two-comparison
+    /// reference, duplicates included: every record, down to which of two
+    /// equal keys sits where, ends in the same array slot.
+    #[test]
+    fn sift_matches_the_two_comparison_reference(
+        initial in prop::collection::vec((0u8..4, any::<u16>()), 1..96),
+        ops in prop::collection::vec((0u8..6, any::<u16>()), 0..96),
+        max_heap in any::<bool>(),
+    ) {
+        let kind = if max_heap { HeapKind::Max } else { HeapKind::Min };
+        let tagged = |(key, tag): (u8, u16)| Tagged { key, tag };
+        let mut heap = BinaryHeap::from_vec(kind, initial.into_iter().map(tagged).collect());
+        let mut reference: Vec<Tagged> = heap.iter().copied().collect();
+        for (key, tag) in ops {
+            if key >= 4 {
+                // Pop: the last record moves to the root and sinks.
+                heap.pop();
+                let last = reference.len() - 1;
+                reference.swap(0, last);
+                reference.pop();
+            } else {
+                heap.replace_top(tagged((key, tag)));
+                reference[0] = tagged((key, tag));
+            }
+            reference_downheap(&mut reference, kind);
+            prop_assert_eq!(
+                layout(&heap),
+                reference.iter().map(|t| (t.key, t.tag)).collect::<Vec<_>>()
+            );
+            if reference.is_empty() {
+                break;
+            }
+        }
     }
 
     /// An arbitrary interleaving of pushes and pops never violates the heap

@@ -61,29 +61,52 @@ impl PageBuf {
 
     /// Writes record `record` into slot `slot` of the page.
     pub fn put<R: FixedSizeRecord>(&mut self, slot: usize, record: &R) -> Result<()> {
-        let start = slot * R::SIZE;
-        let end = start + R::SIZE;
-        if end > self.data.len() {
-            return Err(StorageError::BadRecordSize {
-                record: R::SIZE,
-                page: self.data.len(),
-            });
-        }
-        record.write_to(&mut self.data[start..end]);
+        self.check_slot::<R>(slot)?;
+        self.encode(slot, record);
         Ok(())
     }
 
     /// Reads the record stored in slot `slot`.
     pub fn get<R: FixedSizeRecord>(&self, slot: usize) -> Result<R> {
-        let start = slot * R::SIZE;
-        let end = start + R::SIZE;
-        if end > self.data.len() {
-            return Err(StorageError::BadRecordSize {
+        self.check_slot::<R>(slot)?;
+        Ok(self.decode(slot))
+    }
+
+    /// `Ok` when slot `slot` of `R`s lies wholly within the page.
+    fn check_slot<R: FixedSizeRecord>(&self, slot: usize) -> Result<()> {
+        match slot.checked_add(1).and_then(|end| end.checked_mul(R::SIZE)) {
+            Some(end) if end <= self.data.len() => Ok(()),
+            _ => Err(StorageError::BadRecordSize {
                 record: R::SIZE,
                 page: self.data.len(),
-            });
+            }),
         }
-        Ok(R::read_from(&self.data[start..end]))
+    }
+
+    /// Encodes `record` into slot `slot`, which must lie within the page:
+    /// the run writers derive their slot range from the page size, so the
+    /// per-record path carries no error.
+    pub(crate) fn encode<R: FixedSizeRecord>(&mut self, slot: usize, record: &R) {
+        let start = slot * R::SIZE;
+        record.write_to(&mut self.data[start..start + R::SIZE]);
+    }
+
+    /// Decodes the record in slot `slot`, which must lie within the page.
+    pub(crate) fn decode<R: FixedSizeRecord>(&self, slot: usize) -> R {
+        let start = slot * R::SIZE;
+        R::read_from(&self.data[start..start + R::SIZE])
+    }
+
+    /// Decodes slots `from..from + count` in one loop and appends them to
+    /// `out`; the slots must lie within the page.
+    pub(crate) fn decode_into<R: FixedSizeRecord>(
+        &self,
+        from: usize,
+        count: usize,
+        out: &mut Vec<R>,
+    ) {
+        let bytes = &self.data[from * R::SIZE..(from + count) * R::SIZE];
+        out.extend(bytes.chunks_exact(R::SIZE).map(R::read_from));
     }
 
     /// Zeroes the page contents.

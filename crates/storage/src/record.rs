@@ -46,15 +46,26 @@ pub trait FixedSizeRecord: Sized {
 /// a <= b  ⟹  a.sort_key() <= b.sort_key()
 /// ```
 ///
-/// The pipeline uses it only for cheap arithmetic that full `Ord`
-/// comparisons cannot provide — the Mean/Median input heuristics of 2WRS,
-/// the victim buffer's largest-gap split, and the bucket ranges of the
-/// distribution sort. It never affects *correctness*, only how well those
-/// heuristics partition the key space, so the default implementation
-/// (constant `0`) is always safe: heuristics degrade to their trivial
-/// behaviour and every sorter still produces fully sorted output.
-/// Implementors with an ordered numeric or byte-prefix key should override
-/// it (e.g. `u64::from_be_bytes(prefix)` for an 8-byte string prefix).
+/// The pipeline uses it in two ways:
+///
+/// * **Merge comparisons.** The k-way merge's loser tree caches every head
+///   record's key and decides a match on the keys alone whenever they
+///   differ; only equal keys fall back to `Ord` (and then to run order).
+///   With a key that separates most records, most merge comparisons are
+///   one integer compare.
+/// * **Key-space arithmetic** that full `Ord` comparisons cannot provide —
+///   the Mean/Median input heuristics of 2WRS, the victim buffer's
+///   largest-gap split, and the bucket ranges of the distribution sort.
+///
+/// Because the merge trusts key order, an override that breaks the
+/// monotonicity above **misorders the output**; `SortJob::verify(true)`
+/// catches that, and debug builds assert it in the merge. A coarse key
+/// (many records per key) is fine: ties fall back to `Ord`. The default
+/// implementation (constant `0`) is always correct — every merge match
+/// then costs one extra integer compare before `Ord`, and the heuristics
+/// degrade to their trivial behaviour. Implementors with an ordered
+/// numeric or byte-prefix key should override it (e.g.
+/// `u64::from_be_bytes(prefix)` for an 8-byte string prefix).
 ///
 /// `SortJob` is re-exported by the facade crate; see its documentation for
 /// a worked "bring your own record type" example.
@@ -62,9 +73,10 @@ pub trait FixedSizeRecord: Sized {
 /// [`SortJob`]: https://docs.rs/two_way_replacement_selection
 pub trait SortableRecord: FixedSizeRecord + Ord + Clone + Send + std::fmt::Debug + 'static {
     /// A `u64` projection of the sort key, monotone with respect to `Ord`
-    /// (see the trait documentation). Used by heuristics and gap
-    /// computations only; defaults to `0`, which is always correct but
-    /// makes key-space heuristics trivial.
+    /// (see the trait documentation). Decides merge comparisons between
+    /// records whose keys differ and feeds the key-space heuristics;
+    /// defaults to `0`, which is always correct but leaves every merge
+    /// comparison to `Ord` and makes the heuristics trivial.
     fn sort_key(&self) -> u64 {
         0
     }

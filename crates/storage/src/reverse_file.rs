@@ -174,7 +174,7 @@ impl<R: FixedSizeRecord> ReverseRunWriter<R> {
     /// Appends the next (smaller or equal) record of the decreasing stream.
     pub fn push(&mut self, record: &R) -> Result<()> {
         self.ensure_file()?;
-        self.page.put(self.next_slot, record)?;
+        self.page.encode(self.next_slot, record);
         self.records_in_file += 1;
         self.total_records += 1;
         if self.next_slot == 0 {
@@ -281,8 +281,39 @@ struct PartPlan {
     record_count: u64,
 }
 
+impl PartPlan {
+    /// Checks a part header against the file it came from: a non-empty
+    /// part must start on a data page inside the file, at a slot inside the
+    /// page, and its records must fit between that slot and the file's end.
+    fn validate(self, num_pages: u64, slots_per_page: usize) -> Result<Self> {
+        if self.record_count == 0 {
+            return Ok(self);
+        }
+        let slots = slots_per_page as u64;
+        let fits = self.start_page >= 1
+            && self.start_page < num_pages
+            && self.start_slot < slots_per_page
+            && (num_pages - self.start_page)
+                .checked_mul(slots)
+                .is_none_or(|held| self.record_count <= held - self.start_slot as u64);
+        if fits {
+            Ok(self)
+        } else {
+            Err(StorageError::CorruptHeader(format!(
+                "reverse part claims {} records from page {} slot {}, \
+                 but the file has {num_pages} pages of {slots_per_page} slots",
+                self.record_count, self.start_page, self.start_slot
+            )))
+        }
+    }
+}
+
 impl<R: FixedSizeRecord> ReverseRunReader<R> {
     /// Opens every part of the reverse run stored under `base`.
+    ///
+    /// A part header whose records cannot fit in its file, or part counts
+    /// whose sum overflows, are rejected with
+    /// [`StorageError::CorruptHeader`] here, before any record is read.
     pub fn open(device: &dyn StorageDevice, base: &str) -> Result<Self> {
         let page_size = device.page_size();
         let slots_per_page = page_size / R::SIZE;
@@ -299,7 +330,7 @@ impl<R: FixedSizeRecord> ReverseRunReader<R> {
         // Ascending order starts at the most recently written part.
         handles.reverse();
         let mut parts = Vec::with_capacity(handles.len());
-        let mut total = 0;
+        let mut total = 0u64;
         let mut header_page = PageBuf::new(page_size);
         for file in handles.iter_mut() {
             file.read_page(0, header_page.as_bytes_mut())?;
@@ -311,12 +342,16 @@ impl<R: FixedSizeRecord> ReverseRunReader<R> {
                     R::SIZE
                 )));
             }
-            total += header.record_count;
-            parts.push(PartPlan {
+            let plan = PartPlan {
                 start_page: header.start_page,
                 start_slot: header.start_slot as usize,
                 record_count: header.record_count,
-            });
+            }
+            .validate(file.num_pages(), slots_per_page)?;
+            total = total.checked_add(plan.record_count).ok_or_else(|| {
+                StorageError::CorruptHeader("reverse part counts overflow".into())
+            })?;
+            parts.push(plan);
         }
         Ok(ReverseRunReader {
             parts,
@@ -343,14 +378,15 @@ impl<R: FixedSizeRecord> ReverseRunReader<R> {
         self.total == 0
     }
 
-    /// Reads the next record in ascending order, or `None` at the end.
-    pub fn next_record(&mut self) -> Result<Option<R>> {
+    /// Makes the page holding the next record current, moving to the next
+    /// part and reading pages only as needed; `false` at the end of the
+    /// stream.
+    fn advance(&mut self) -> Result<bool> {
         loop {
             if !self.started {
-                if self.current_part >= self.parts.len() {
-                    return Ok(None);
-                }
-                let plan = self.parts[self.current_part];
+                let Some(plan) = self.parts.get(self.current_part).copied() else {
+                    return Ok(false);
+                };
                 self.remaining_in_part = plan.record_count;
                 self.current_page = plan.start_page;
                 self.current_slot = plan.start_slot;
@@ -371,19 +407,47 @@ impl<R: FixedSizeRecord> ReverseRunReader<R> {
                 let file = &mut self.device_files[self.current_part];
                 file.read_page(self.current_page, self.page.as_bytes_mut())?;
             }
-            let record = self.page.get::<R>(self.current_slot)?;
-            self.current_slot += 1;
-            self.remaining_in_part -= 1;
-            return Ok(Some(record));
+            return Ok(true);
         }
+    }
+
+    /// Reads the next record in ascending order, or `None` at the end.
+    pub fn next_record(&mut self) -> Result<Option<R>> {
+        if !self.advance()? {
+            return Ok(None);
+        }
+        let record = self.page.decode(self.current_slot);
+        self.current_slot += 1;
+        self.remaining_in_part -= 1;
+        Ok(Some(record))
+    }
+
+    /// Appends up to `max` records (ascending) to `out` and returns how
+    /// many it appended; fewer than `max` only at the end of the stream.
+    ///
+    /// Each page's slots are decoded in one loop. The pages read, and the
+    /// moments they are read at, are exactly those of `max` calls to
+    /// [`ReverseRunReader::next_record`]: a page — a part's first page
+    /// included — is read only once a record on it is wanted.
+    pub fn read_batch(&mut self, out: &mut Vec<R>, max: usize) -> Result<usize> {
+        let mut read = 0;
+        while read < max && self.advance()? {
+            let take = (max - read)
+                .min(self.slots_per_page - self.current_slot)
+                .min(usize::try_from(self.remaining_in_part).unwrap_or(usize::MAX));
+            self.page.decode_into(self.current_slot, take, out);
+            self.current_slot += take;
+            self.remaining_in_part -= take as u64;
+            read += take;
+        }
+        Ok(read)
     }
 
     /// Reads the whole remaining stream into a vector (ascending order).
     pub fn read_all(&mut self) -> Result<Vec<R>> {
-        let mut out = Vec::with_capacity(self.total as usize);
-        while let Some(r) = self.next_record()? {
-            out.push(r);
-        }
+        // `open` bounded every part's count by the pages its file has.
+        let mut out = Vec::with_capacity(usize::try_from(self.total).unwrap_or(0));
+        self.read_batch(&mut out, usize::MAX)?;
         Ok(out)
     }
 }
@@ -478,6 +542,96 @@ mod tests {
         let mut expected = stream.to_vec();
         expected.reverse();
         assert_eq!(reader.read_all().unwrap(), expected);
+    }
+
+    /// Rewrites the header of every part of `base` with `edit`.
+    fn edit_headers(device: &SimDevice, base: &str, edit: impl Fn(&mut ReverseHeader)) {
+        let mut index = 0;
+        while device.exists(&part_name(base, index)) {
+            let mut file = device.open(&part_name(base, index)).unwrap();
+            let mut page = PageBuf::new(device.page_size());
+            file.read_page(0, page.as_bytes_mut()).unwrap();
+            let mut header = ReverseHeader::read(&page).unwrap();
+            edit(&mut header);
+            header.write(&mut page);
+            file.write_page(0, page.as_bytes()).unwrap();
+            index += 1;
+        }
+    }
+
+    fn write_two_parts(device: &SimDevice) {
+        // 64-byte pages, 4 pages per file: 24 records fill part 0.
+        let mut writer = ReverseRunWriter::<u64>::with_pages_per_file(device, "rev", 4).unwrap();
+        for v in (0..30u64).rev() {
+            writer.push(&v).unwrap();
+        }
+        writer.finish().unwrap();
+        assert!(device.exists("rev.part1"));
+    }
+
+    fn assert_corrupt(device: &SimDevice) {
+        assert!(matches!(
+            ReverseRunReader::<u64>::open(device, "rev"),
+            Err(StorageError::CorruptHeader(_))
+        ));
+    }
+
+    #[test]
+    fn part_counts_that_cannot_fit_are_rejected_at_open() {
+        let device = SimDevice::custom(64, DiskModel::default());
+        write_two_parts(&device);
+        // Summed unchecked, two of these wrap to a small total.
+        edit_headers(&device, "rev", |h| h.record_count = u64::MAX - 1);
+        assert_corrupt(&device);
+
+        let device = SimDevice::custom(64, DiskModel::default());
+        write_two_parts(&device);
+        edit_headers(&device, "rev", |h| h.record_count += 1);
+        assert_corrupt(&device);
+    }
+
+    #[test]
+    fn part_start_positions_outside_the_file_are_rejected_at_open() {
+        for edit in [
+            (|h: &mut ReverseHeader| h.start_slot = 8) as fn(&mut ReverseHeader),
+            |h| h.start_page = 0,
+            |h| h.start_page = 4,
+            |h| h.start_page = u64::MAX,
+        ] {
+            let device = SimDevice::custom(64, DiskModel::default());
+            write_two_parts(&device);
+            edit_headers(&device, "rev", edit);
+            assert_corrupt(&device);
+        }
+    }
+
+    #[test]
+    fn batch_reads_match_record_by_record_reads_page_for_page() {
+        let device = SimDevice::custom(64, DiskModel::default());
+        let mut writer = ReverseRunWriter::<u64>::with_pages_per_file(&device, "rev", 3).unwrap();
+        for v in (0..45u64).rev() {
+            writer.push(&v).unwrap();
+        }
+        writer.finish().unwrap();
+        for max in [1, 3, 7, 8, 9, 16, 50] {
+            let mut one = ReverseRunReader::<u64>::open(&device, "rev").unwrap();
+            let mut batch = ReverseRunReader::<u64>::open(&device, "rev").unwrap();
+            let mut out = Vec::new();
+            loop {
+                device.reset_stats();
+                for _ in 0..max {
+                    one.next_record().unwrap();
+                }
+                let singles = device.stats().counters.pages_read;
+                device.reset_stats();
+                let read = batch.read_batch(&mut out, max).unwrap();
+                assert_eq!(device.stats().counters.pages_read, singles, "max {max}");
+                if read < max {
+                    break;
+                }
+            }
+            assert_eq!(out, (0..45).collect::<Vec<u64>>(), "max {max}");
+        }
     }
 
     #[test]

@@ -97,7 +97,7 @@ impl<R: FixedSizeRecord> RunWriter<R> {
 
     /// Appends one record to the run.
     pub fn push(&mut self, record: &R) -> Result<()> {
-        self.page.put(self.slot, record)?;
+        self.page.encode(self.slot, record);
         self.slot += 1;
         self.records += 1;
         if self.slot == self.slots_per_page {
@@ -145,11 +145,13 @@ impl<R: FixedSizeRecord> RunWriter<R> {
     }
 }
 
-/// Reads a run file forward, record by record.
+/// Reads a run file forward, record by record or a batch at a time.
 pub struct RunReader<R: FixedSizeRecord> {
     file: Box<dyn PageFile>,
     page: PageBuf,
     slots_per_page: usize,
+    /// Next slot of `page` to return; `slots_per_page` when the next record
+    /// lives on the next page, which is read only once it is asked for.
     slot: usize,
     current_page: u64,
     remaining: u64,
@@ -159,6 +161,10 @@ pub struct RunReader<R: FixedSizeRecord> {
 
 impl<R: FixedSizeRecord> RunReader<R> {
     /// Opens the named run file on `device`.
+    ///
+    /// A header whose record count cannot fit in the file's data pages is
+    /// rejected with [`StorageError::CorruptHeader`] here, before any
+    /// record is read.
     pub fn open(device: &dyn StorageDevice, name: &str) -> Result<Self> {
         let page_size = device.page_size();
         let mut file = device.open(name)?;
@@ -172,11 +178,22 @@ impl<R: FixedSizeRecord> RunReader<R> {
                 R::SIZE
             )));
         }
+        let slots_per_page = page_size / R::SIZE;
+        let capacity = file
+            .num_pages()
+            .saturating_sub(1)
+            .saturating_mul(slots_per_page as u64);
+        if header.record_count > capacity {
+            return Err(StorageError::CorruptHeader(format!(
+                "header claims {} records but the data pages hold at most {capacity}",
+                header.record_count
+            )));
+        }
         Ok(RunReader {
             file,
             page: PageBuf::new(page_size),
-            slots_per_page: page_size / R::SIZE,
-            slot: 0,
+            slots_per_page,
+            slot: slots_per_page,
             current_page: 0,
             remaining: header.record_count,
             total: header.record_count,
@@ -199,29 +216,58 @@ impl<R: FixedSizeRecord> RunReader<R> {
         self.remaining
     }
 
-    /// Reads the next record, or `None` at the end of the run.
-    pub fn next_record(&mut self) -> Result<Option<R>> {
+    /// Makes the page holding the next record current, reading it if
+    /// needed; `false` at the end of the run.
+    fn advance(&mut self) -> Result<bool> {
         if self.remaining == 0 {
-            return Ok(None);
+            return Ok(false);
         }
-        if self.slot == 0 || self.slot == self.slots_per_page {
+        if self.slot == self.slots_per_page {
             self.current_page += 1;
             self.file
                 .read_page(self.current_page, self.page.as_bytes_mut())?;
             self.slot = 0;
         }
-        let record = self.page.get::<R>(self.slot)?;
+        Ok(true)
+    }
+
+    /// Reads the next record, or `None` at the end of the run.
+    pub fn next_record(&mut self) -> Result<Option<R>> {
+        if !self.advance()? {
+            return Ok(None);
+        }
+        let record = self.page.decode(self.slot);
         self.slot += 1;
         self.remaining -= 1;
         Ok(Some(record))
     }
 
+    /// Appends up to `max` records to `out` and returns how many it
+    /// appended; fewer than `max` only at the end of the run.
+    ///
+    /// Each page's slots are decoded in one loop. The pages read, and the
+    /// moments they are read at, are exactly those of `max` calls to
+    /// [`RunReader::next_record`]: a page is read only once a record on it
+    /// is wanted.
+    pub fn read_batch(&mut self, out: &mut Vec<R>, max: usize) -> Result<usize> {
+        let mut read = 0;
+        while read < max && self.advance()? {
+            let take = (max - read)
+                .min(self.slots_per_page - self.slot)
+                .min(usize::try_from(self.remaining).unwrap_or(usize::MAX));
+            self.page.decode_into(self.slot, take, out);
+            self.slot += take;
+            self.remaining -= take as u64;
+            read += take;
+        }
+        Ok(read)
+    }
+
     /// Reads the whole remaining run into a vector.
     pub fn read_all(&mut self) -> Result<Vec<R>> {
-        let mut out = Vec::with_capacity(self.remaining as usize);
-        while let Some(r) = self.next_record()? {
-            out.push(r);
-        }
+        // `open` bounded the count by the pages the file really has.
+        let mut out = Vec::with_capacity(usize::try_from(self.remaining).unwrap_or(0));
+        self.read_batch(&mut out, usize::MAX)?;
         Ok(out)
     }
 }
@@ -309,6 +355,65 @@ mod tests {
             RunReader::<u64>::open(&device, "bogus"),
             Err(StorageError::CorruptHeader(_))
         ));
+    }
+
+    /// Rewrites the header of the run `name` to claim `count` records.
+    fn claim(device: &dyn StorageDevice, name: &str, count: u64) {
+        let mut header = PageBuf::new(device.page_size());
+        RunHeader {
+            record_size: 8,
+            record_count: count,
+        }
+        .write(&mut header);
+        let mut file = device.open(name).unwrap();
+        file.write_page(0, header.as_bytes()).unwrap();
+    }
+
+    #[test]
+    fn header_counts_beyond_the_data_pages_are_rejected_at_open() {
+        // 64-byte pages: one data page holds 8 `u64`s.
+        let device = SimDevice::custom(64, DiskModel::default());
+        write_run(&device, "run", &[1, 2, 3]);
+        for count in [1 << 63, u64::MAX, 9] {
+            claim(&device, "run", count);
+            assert!(
+                matches!(
+                    RunReader::<u64>::open(&device, "run"),
+                    Err(StorageError::CorruptHeader(_))
+                ),
+                "count {count}"
+            );
+        }
+        // A count the data page can hold still opens and reads.
+        claim(&device, "run", 8);
+        let mut reader = RunReader::<u64>::open(&device, "run").unwrap();
+        assert_eq!(reader.read_all().unwrap(), vec![1, 2, 3, 0, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn batch_reads_match_record_by_record_reads_page_for_page() {
+        let device = SimDevice::custom(64, DiskModel::default());
+        let values: Vec<u64> = (0..29).collect();
+        write_run(&device, "run", &values);
+        for max in [1, 3, 7, 8, 9, 16, 40] {
+            let mut one = RunReader::<u64>::open(&device, "run").unwrap();
+            let mut batch = RunReader::<u64>::open(&device, "run").unwrap();
+            let mut out = Vec::new();
+            loop {
+                device.reset_stats();
+                for _ in 0..max {
+                    one.next_record().unwrap();
+                }
+                let singles = device.stats().counters.pages_read;
+                device.reset_stats();
+                let read = batch.read_batch(&mut out, max).unwrap();
+                assert_eq!(device.stats().counters.pages_read, singles, "max {max}");
+                if read < max {
+                    break;
+                }
+            }
+            assert_eq!(out, values, "max {max}");
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property-based tests for the storage substrate: forward and reverse run
-//! files must round-trip arbitrary record sequences, and the device-spec
+//! files must round-trip arbitrary record sequences, run readers must never
+//! panic on whatever header bytes a damaged file holds, and the device-spec
 //! parser, which reads whatever text a CLI is given, must never panic.
 
 use proptest::prelude::*;
@@ -74,6 +75,95 @@ proptest! {
             file.read_page(index, &mut buf).unwrap();
             let want = expected.get(&index).copied().unwrap_or(0);
             prop_assert!(buf.iter().all(|b| *b == want), "page {index} mismatch");
+        }
+    }
+}
+
+/// The run-file magics ("TWRS" forward, "RWRS" reverse).
+const FORWARD_MAGIC: u32 = 0x5457_5253;
+const REVERSE_MAGIC: u32 = 0x5257_5253;
+/// 64-byte pages hold 8 `u64` records.
+const PAGE: usize = 64;
+
+/// Writes a file whose page 0 is `header` followed by `data_pages` pages of
+/// filler bytes.
+fn write_raw(device: &SimDevice, name: &str, header: &[u8], data_pages: u64) {
+    let mut page = vec![0u8; PAGE];
+    page[..header.len()].copy_from_slice(header);
+    let mut file = device.create(name).unwrap();
+    file.write_page(0, &page).unwrap();
+    for index in 1..=data_pages {
+        file.write_page(index, &[0x5A; PAGE]).unwrap();
+    }
+}
+
+/// Header bytes from `raw`; with `valid` set, the magic and record size a
+/// `u64` reader expects, and with `small` set, counts and positions near
+/// the file's real size, so both the checks and the reads are reached.
+fn header_bytes(magic: u32, raw: &[u64], valid: bool, small: bool) -> Vec<u8> {
+    let mut bytes: Vec<u8> = raw.iter().flat_map(|w| w.to_le_bytes()).collect();
+    if valid {
+        bytes[0..4].copy_from_slice(&magic.to_le_bytes());
+        bytes[4..8].copy_from_slice(&8u32.to_le_bytes());
+    }
+    if small {
+        // Forward: count at 8. Reverse: start page at 16, start slot at 24,
+        // count at 28.
+        let near = |at: usize, bound: u64, bytes: &mut Vec<u8>| {
+            let value = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) % bound;
+            bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        };
+        if magic == FORWARD_MAGIC {
+            near(8, 48, &mut bytes);
+        } else {
+            near(16, 8, &mut bytes);
+            bytes[24..28].copy_from_slice(&((raw[3] % 10) as u32).to_le_bytes());
+            near(28, 48, &mut bytes);
+        }
+    }
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A forward run whose header holds arbitrary bytes opens with an error
+    /// or reads exactly the count it claims; it never panics.
+    #[test]
+    fn arbitrary_forward_headers_never_panic(
+        raw in prop::collection::vec(any::<u64>(), 2..3),
+        valid in any::<bool>(),
+        small in any::<bool>(),
+        data_pages in 0u64..5,
+    ) {
+        let device = SimDevice::custom(PAGE, DiskModel::default());
+        write_raw(&device, "run", &header_bytes(FORWARD_MAGIC, &raw, valid, small), data_pages);
+        if let Ok(mut reader) = RunReader::<u64>::open(&device, "run") {
+            let claimed = reader.len();
+            prop_assert!(claimed <= data_pages * 8);
+            prop_assert_eq!(reader.read_all().unwrap().len() as u64, claimed);
+        }
+    }
+
+    /// A reverse run whose part headers hold arbitrary bytes opens with an
+    /// error or reads exactly the count it claims; it never panics.
+    #[test]
+    fn arbitrary_reverse_headers_never_panic(
+        raw in prop::collection::vec(any::<u64>(), 10..11),
+        parts in 1usize..3,
+        valid in any::<bool>(),
+        small in any::<bool>(),
+        data_pages in 0u64..6,
+    ) {
+        let device = SimDevice::custom(PAGE, DiskModel::default());
+        for part in 0..parts {
+            let header = header_bytes(REVERSE_MAGIC, &raw[part * 5..part * 5 + 5], valid, small);
+            write_raw(&device, &format!("rev.part{part}"), &header, data_pages);
+        }
+        if let Ok(mut reader) = ReverseRunReader::<u64>::open(&device, "rev") {
+            let claimed = reader.len();
+            prop_assert!(claimed <= parts as u64 * data_pages * 8);
+            prop_assert_eq!(reader.read_all().unwrap().len() as u64, claimed);
         }
     }
 }

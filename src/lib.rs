@@ -118,7 +118,8 @@
 //!
 //! impl SortableRecord for UserEvent {
 //!     // The cached-key hook: a u64 projection of the leading sort key,
-//!     // monotone with respect to Ord, used by the 2WRS heuristics.
+//!     // monotone with respect to Ord. The merge decides comparisons on it
+//!     // whenever two keys differ, and the 2WRS heuristics use it.
 //!     fn sort_key(&self) -> u64 {
 //!         u64::from_be_bytes(self.prefix)
 //!     }
