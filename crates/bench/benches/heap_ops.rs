@@ -1,8 +1,8 @@
-//! Microbenchmarks of the heap substrate: classic binary heap vs the shared
-//! dual-heap array used by 2WRS (Chapter 3.1 / §4.1 structures).
+//! Microbenchmarks of the heap substrate: classic binary heap vs the dual
+//! heap used by 2WRS (Chapter 3.1 / §4.1 structures).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use twrs_heaps::{BinaryHeap, DualHeap, HeapKind, HeapSide};
+use twrs_heaps::{BinaryHeap, DualHeap, HeapSide, RunRecord};
 
 const OPS: u64 = 10_000;
 
@@ -12,7 +12,7 @@ fn bench_heaps(c: &mut Criterion) {
 
     group.bench_function("binary_heap_push_pop", |b| {
         b.iter(|| {
-            let mut heap = BinaryHeap::with_capacity(HeapKind::Min, OPS as usize);
+            let mut heap = BinaryHeap::bounded(OPS as usize);
             for i in 0..OPS {
                 heap.push(i.wrapping_mul(2_654_435_761) % 1_000_000)
                     .unwrap();
@@ -27,10 +27,7 @@ fn bench_heaps(c: &mut Criterion) {
 
     group.bench_function("binary_heap_replace_top", |b| {
         b.iter(|| {
-            let mut heap = BinaryHeap::from_vec(
-                HeapKind::Min,
-                (0..1_000u64).map(|i| i * 7 % 1_000).collect(),
-            );
+            let mut heap = BinaryHeap::from_vec((0..1_000u64).map(|i| i * 7 % 1_000).collect());
             let mut out = 0u64;
             for i in 0..OPS {
                 out = out.wrapping_add(
@@ -51,15 +48,15 @@ fn bench_heaps(c: &mut Criterion) {
                 } else {
                     HeapSide::Bottom
                 };
-                dual.push(side, i.wrapping_mul(2_654_435_761) % 1_000_000)
-                    .unwrap();
+                let value = i.wrapping_mul(2_654_435_761) % 1_000_000;
+                dual.push(side, RunRecord::new(value, 0)).unwrap();
             }
             let mut out = 0u64;
-            while let Some(v) = dual.pop(HeapSide::Top) {
-                out = out.wrapping_add(v);
+            while let Some(r) = dual.pop(HeapSide::Top) {
+                out = out.wrapping_add(r.value);
             }
-            while let Some(v) = dual.pop(HeapSide::Bottom) {
-                out = out.wrapping_add(v);
+            while let Some(r) = dual.pop(HeapSide::Bottom) {
+                out = out.wrapping_add(r.value);
             }
             out
         })

@@ -9,7 +9,7 @@ use twrs_core::{BufferSetup, TwoWayReplacementSelection, TwrsConfig};
 use twrs_extsort::{
     ForwardRunBuilder, LoadSortStore, ReplacementSelection, RunGenerator, RunHandle, RunSet,
 };
-use twrs_heaps::{BinaryHeap, HeapKind, RunRecord};
+use twrs_heaps::{BinaryHeap, RunRecord};
 use twrs_storage::ModelId;
 use twrs_storage::{SimDevice, SpillNamer};
 use twrs_workloads::{Distribution, DistributionKind, Record};
@@ -89,8 +89,7 @@ fn concrete_rs_generate(
     namer: &SpillNamer,
     input: &mut dyn Iterator<Item = Record>,
 ) -> RunSet {
-    let mut heap: BinaryHeap<RunRecord<Record>> =
-        BinaryHeap::with_capacity(HeapKind::Min, memory_records);
+    let mut heap: BinaryHeap<RunRecord<Record>> = BinaryHeap::bounded(memory_records);
     while heap.len() < memory_records {
         match input.next() {
             Some(record) => heap

@@ -29,9 +29,10 @@ pub struct InputBuffer<R: SortableRecord> {
 
 impl<R: SortableRecord> InputBuffer<R> {
     /// Creates a buffer holding at most `capacity` records (0 disables it).
+    /// Nothing is reserved up front; the queue grows with the records held.
     pub fn new(capacity: usize) -> Self {
         InputBuffer {
-            queue: VecDeque::with_capacity(capacity),
+            queue: VecDeque::new(),
             capacity,
             key_sum: 0,
             seen_count: 0,

@@ -14,12 +14,15 @@
 //! back in ascending order by construction) yields the whole run sorted,
 //! so the merge phase sees one logical run per [`RunHandle::Chain`].
 //!
-//! [`RunStreams`] owns the four builders for the current run and tracks the
-//! boundary records needed to guarantee the non-overlap invariant
-//! `stream 4 ≤ stream 3 ≤ stream 2 ≤ stream 1` for *any* heuristic: a
-//! record that would violate it is simply not accepted, and the caller
-//! defers it to the next run (the same mechanism replacement selection
-//! already uses for records that arrive too late).
+//! [`RunStreams`] owns the four builders for the current run and keeps the
+//! smallest and the largest record written to any of them. That is all the
+//! non-overlap invariant `stream 4 ≤ stream 3 ≤ stream 2 ≤ stream 1` needs
+//! for *any* heuristic: stream 1 grows upward and lies above every other
+//! stream, so it may take a record exactly when the record is ≥ every
+//! record of the run; stream 4, symmetrically, takes a record ≤ every
+//! record of the run. A record that fits neither is simply not accepted,
+//! and the caller defers it to the next run (the same mechanism
+//! replacement selection already uses for records that arrive too late).
 
 use twrs_extsort::{Device, ForwardRunBuilder, Result, ReverseRunBuilder, RunHandle};
 use twrs_storage::{SortableRecord, SpillNamer};
@@ -31,38 +34,23 @@ pub struct RunStreams<'a, D: Device, R: SortableRecord> {
     stream3: ForwardRunBuilder<'a, D, R>,
     stream4: ReverseRunBuilder<'a, D, R>,
 
-    /// First and last record written to stream 1 (increasing).
-    s1_first: Option<R>,
-    s1_last: Option<R>,
-    /// First and last record written to stream 2 (decreasing).
-    s2_first: Option<R>,
-    s2_last: Option<R>,
-    /// First and last record written to stream 3 (increasing).
-    s3_first: Option<R>,
-    s3_last: Option<R>,
-    /// First and last record written to stream 4 (decreasing).
-    s4_first: Option<R>,
-    s4_last: Option<R>,
+    /// The smallest and the largest record written to any stream of the
+    /// run; `None` until the first one.
+    bounds: Option<(R, R)>,
 
     records: u64,
 }
 
 impl<'a, D: Device, R: SortableRecord> RunStreams<'a, D, R> {
-    /// Creates the stream set for a new run.
+    /// Creates the stream set for a new run. The builders open their files
+    /// on the first record, so an unused stream set costs no I/O.
     pub fn new(device: &'a D, namer: &'a SpillNamer, reverse_pages_per_file: u64) -> Self {
         RunStreams {
             stream1: ForwardRunBuilder::new(device, namer),
             stream2: ReverseRunBuilder::new(device, namer, reverse_pages_per_file),
             stream3: ForwardRunBuilder::new(device, namer),
             stream4: ReverseRunBuilder::new(device, namer, reverse_pages_per_file),
-            s1_first: None,
-            s1_last: None,
-            s2_first: None,
-            s2_last: None,
-            s3_first: None,
-            s3_last: None,
-            s4_first: None,
-            s4_last: None,
+            bounds: None,
             records: 0,
         }
     }
@@ -72,57 +60,45 @@ impl<'a, D: Device, R: SortableRecord> RunStreams<'a, D, R> {
         self.records
     }
 
-    /// The largest record that the "lower side" of the run (streams 4, 3
-    /// and 2) has committed to; stream 1 may only accept records ≥ this.
-    fn upper_floor(&self) -> Option<&R> {
-        [&self.s4_first, &self.s3_last, &self.s2_first, &self.s1_last]
-            .into_iter()
-            .filter_map(Option::as_ref)
-            .max()
-    }
-
-    /// The smallest record that the "upper side" of the run (streams 3, 2
-    /// and 1) has committed to; stream 4 may only accept records ≤ this.
-    fn lower_cap(&self) -> Option<&R> {
-        [&self.s3_first, &self.s2_last, &self.s1_first, &self.s4_last]
-            .into_iter()
-            .filter_map(Option::as_ref)
-            .min()
-    }
-
     /// `true` when `record` can be appended to stream 1 without breaking
-    /// either its monotonicity or the cross-stream ordering.
+    /// either its monotonicity or the cross-stream ordering: it is ≥ every
+    /// record of the run.
+    #[inline]
     pub fn accepts_stream1(&self, record: &R) -> bool {
-        self.upper_floor().is_none_or(|floor| record >= floor)
+        self.bounds.as_ref().is_none_or(|(_, max)| record >= max)
     }
 
     /// `true` when `record` can be appended to stream 4 without breaking
-    /// either its monotonicity or the cross-stream ordering.
+    /// either its monotonicity or the cross-stream ordering: it is ≤ every
+    /// record of the run.
+    #[inline]
     pub fn accepts_stream4(&self, record: &R) -> bool {
-        self.lower_cap().is_none_or(|cap| record <= cap)
+        self.bounds.as_ref().is_none_or(|(min, _)| record <= min)
     }
 
-    /// Appends a record to stream 1 (the TopHeap's increasing stream).
+    /// Appends a record to stream 1 (the TopHeap's increasing stream); it
+    /// becomes the run's largest.
     pub fn push_stream1(&mut self, record: R) -> Result<()> {
         debug_assert!(self.accepts_stream1(&record));
         self.stream1.push(&record)?;
-        if self.s1_first.is_none() {
-            self.s1_first = Some(record.clone());
-        }
-        self.s1_last = Some(record);
         self.records += 1;
+        match &mut self.bounds {
+            Some((_, max)) => *max = record,
+            None => self.bounds = Some((record.clone(), record)),
+        }
         Ok(())
     }
 
-    /// Appends a record to stream 4 (the BottomHeap's decreasing stream).
+    /// Appends a record to stream 4 (the BottomHeap's decreasing stream);
+    /// it becomes the run's smallest.
     pub fn push_stream4(&mut self, record: R) -> Result<()> {
         debug_assert!(self.accepts_stream4(&record));
         self.stream4.push(&record)?;
-        if self.s4_first.is_none() {
-            self.s4_first = Some(record.clone());
-        }
-        self.s4_last = Some(record);
         self.records += 1;
+        match &mut self.bounds {
+            Some((min, _)) => *min = record,
+            None => self.bounds = Some((record.clone(), record)),
+        }
         Ok(())
     }
 
@@ -131,30 +107,22 @@ impl<'a, D: Device, R: SortableRecord> RunStreams<'a, D, R> {
     /// format expects. Used by the run-start bootstrap flush (§4.3:
     /// "flushes the records to Streams 1 and 4").
     pub fn push_stream4_from_ascending(&mut self, records: &[R]) -> Result<()> {
+        debug_assert!(records.last().is_none_or(|r| self.accepts_stream4(r)));
         for record in records.iter().rev() {
-            debug_assert!(self.s4_last.as_ref().is_none_or(|last| record <= last));
             self.stream4.push(record)?;
-            if self.s4_first.is_none() {
-                self.s4_first = Some(record.clone());
-            }
-            self.s4_last = Some(record.clone());
-            self.records += 1;
         }
+        self.widen(records);
         Ok(())
     }
 
     /// Appends a batch of ascending records to stream 1. Used by the
     /// run-start bootstrap flush.
     pub fn push_stream1_ascending(&mut self, records: &[R]) -> Result<()> {
+        debug_assert!(records.first().is_none_or(|r| self.accepts_stream1(r)));
         for record in records {
-            debug_assert!(self.s1_last.as_ref().is_none_or(|last| record >= last));
             self.stream1.push(record)?;
-            if self.s1_first.is_none() {
-                self.s1_first = Some(record.clone());
-            }
-            self.s1_last = Some(record.clone());
-            self.records += 1;
         }
+        self.widen(records);
         Ok(())
     }
 
@@ -162,14 +130,9 @@ impl<'a, D: Device, R: SortableRecord> RunStreams<'a, D, R> {
     /// buffer's lower, increasing stream).
     pub fn push_stream3_ascending(&mut self, records: &[R]) -> Result<()> {
         for record in records {
-            debug_assert!(self.s3_last.as_ref().is_none_or(|last| record >= last));
             self.stream3.push(record)?;
-            if self.s3_first.is_none() {
-                self.s3_first = Some(record.clone());
-            }
-            self.s3_last = Some(record.clone());
-            self.records += 1;
         }
+        self.widen(records);
         Ok(())
     }
 
@@ -178,50 +141,31 @@ impl<'a, D: Device, R: SortableRecord> RunStreams<'a, D, R> {
     /// written in descending order as the reverse-file format expects.
     pub fn push_stream2_from_ascending(&mut self, records: &[R]) -> Result<()> {
         for record in records.iter().rev() {
-            debug_assert!(self.s2_last.as_ref().is_none_or(|last| record <= last));
             self.stream2.push(record)?;
-            if self.s2_first.is_none() {
-                self.s2_first = Some(record.clone());
-            }
-            self.s2_last = Some(record.clone());
-            self.records += 1;
         }
+        self.widen(records);
         Ok(())
     }
 
-    /// Debug snapshot of the stream boundary records (keys only), used by
-    /// temporary diagnostics.
-    pub fn debug_bounds(&self) -> String {
-        fn k<R: SortableRecord>(r: &Option<R>) -> String {
-            r.as_ref()
-                .map(|x| x.sort_key().to_string())
-                .unwrap_or_else(|| "-".into())
+    /// Counts a written batch of ascending records and moves the run's
+    /// bounds out to its first and last record.
+    fn widen(&mut self, records: &[R]) {
+        debug_assert!(records.windows(2).all(|w| w[0] <= w[1]));
+        let (Some(first), Some(last)) = (records.first(), records.last()) else {
+            return;
+        };
+        self.records += records.len() as u64;
+        match &mut self.bounds {
+            Some((min, max)) => {
+                if first < min {
+                    *min = first.clone();
+                }
+                if last > max {
+                    *max = last.clone();
+                }
+            }
+            None => self.bounds = Some((first.clone(), last.clone())),
         }
-        format!(
-            "s1[{},{}] s2[{},{}] s3[{},{}] s4[{},{}]",
-            k(&self.s1_first),
-            k(&self.s1_last),
-            k(&self.s2_first),
-            k(&self.s2_last),
-            k(&self.s3_first),
-            k(&self.s3_last),
-            k(&self.s4_first),
-            k(&self.s4_last)
-        )
-    }
-
-    /// The first record output in the current run through any stream, used
-    /// by the *MinDistance* output heuristic.
-    pub fn first_output(&self) -> Option<&R> {
-        [
-            &self.s1_first,
-            &self.s2_first,
-            &self.s3_first,
-            &self.s4_first,
-        ]
-        .into_iter()
-        .filter_map(Option::as_ref)
-        .min()
     }
 
     /// Closes the run: finishes every non-empty stream file and, when the
@@ -325,18 +269,6 @@ mod tests {
         streams.finish(&mut runs).unwrap();
         assert_eq!(runs.len(), 1);
         assert!(matches!(runs[0], RunHandle::Forward(_)));
-    }
-
-    #[test]
-    fn first_output_is_the_smallest_first_of_any_stream() {
-        let device = SimDevice::with_model(ModelId::Hdd7200);
-        let namer = SpillNamer::new("s");
-        let mut streams = RunStreams::new(&device, &namer, 4);
-        assert_eq!(streams.first_output(), None);
-        streams.push_stream1(rec(70)).unwrap();
-        streams.push_stream4(rec(30)).unwrap();
-        assert_eq!(streams.first_output().unwrap().key, 30);
-        assert_eq!(streams.records(), 2);
     }
 
     #[test]

@@ -31,29 +31,12 @@ use crate::heuristics::{HeuristicContext, InputHeuristic};
 use crate::input_buffer::InputBuffer;
 use crate::streams::RunStreams;
 use crate::victim::VictimBuffer;
-use std::cmp::Ordering;
 use twrs_extsort::{
     BudgetedGenerator, Device, Result, RunGenerator, RunHandle, RunSet, ShardableGenerator,
     SortError,
 };
-use twrs_heaps::{DualHeap, HeapSide, RunRecord, TwoWayOrder};
+use twrs_heaps::{DualHeap, HeapSide, RunRecord};
 use twrs_storage::{SortableRecord, SpillNamer};
-
-/// Ordering of run-tagged records inside the dual heap: both sides order by
-/// run first (so next-run records sink), then the top side ascending and the
-/// bottom side descending by record value.
-#[derive(Debug, Clone, Copy, Default)]
-struct RunOrder;
-
-impl<R: SortableRecord> TwoWayOrder<RunRecord<R>> for RunOrder {
-    fn cmp_top(&self, a: &RunRecord<R>, b: &RunRecord<R>) -> Ordering {
-        a.run.cmp(&b.run).then_with(|| a.value.cmp(&b.value))
-    }
-
-    fn cmp_bottom(&self, a: &RunRecord<R>, b: &RunRecord<R>) -> Ordering {
-        a.run.cmp(&b.run).then_with(|| b.value.cmp(&a.value))
-    }
-}
 
 /// Statistics accumulated over one [`RunGenerator::generate`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -164,14 +147,16 @@ struct Runner<'a, D: Device, R: SortableRecord> {
     namer: &'a SpillNamer,
     config: TwrsConfig,
 
-    dual: DualHeap<RunRecord<R>, RunOrder>,
+    dual: DualHeap<R>,
     input_buffer: InputBuffer<R>,
     victim: VictimBuffer<R>,
     input_heuristic: InputHeuristicState,
     output_heuristic: OutputHeuristicState,
 
     current_run: u64,
-    streams: Option<RunStreams<'a, D, R>>,
+    /// The streams of the current run; [`Runner::finalize_run`] swaps in a
+    /// fresh set for the next one.
+    streams: RunStreams<'a, D, R>,
     bootstrap_done: bool,
     first_output: Option<R>,
 
@@ -186,13 +171,13 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
             device,
             namer,
             config,
-            dual: DualHeap::with_order(config.heap_records(), RunOrder),
+            dual: DualHeap::new(config.heap_records()),
             input_buffer: InputBuffer::new(config.input_buffer_records()),
             victim: VictimBuffer::new(config.victim_buffer_records()),
             input_heuristic: InputHeuristicState::new(config.input_heuristic, config.seed),
             output_heuristic: OutputHeuristicState::new(config.output_heuristic, config.seed),
             current_run: 0,
-            streams: None,
+            streams: RunStreams::new(device, namer, config.reverse_pages_per_file),
             bootstrap_done: false,
             first_output: None,
             runs: Vec::new(),
@@ -202,17 +187,19 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
     }
 
     fn run(&mut self, input: &mut dyn Iterator<Item = R>) -> Result<RunSet> {
-        // Phase 1: fill both heaps from the input (doubleHeap.fill).
+        // Phase 1: fill both heaps from the input (doubleHeap.fill). No
+        // stream has a record yet, so the input heuristic places each one.
         while self.dual.len() < self.dual.capacity() {
             match self.input_buffer.next_from(input) {
                 Some(record) => {
-                    let side = self.choose_insert_side(&record);
+                    let ctx = self.context();
+                    let side = self.input_heuristic.choose(&record, &ctx);
                     self.push_dual(side, RunRecord::new(record, 0))?;
                 }
                 None => break,
             }
         }
-        self.start_run();
+        self.start_run()?;
 
         // Phase 2: main loop (Algorithm 2 lines 7–20).
         loop {
@@ -220,7 +207,7 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
                 OutputSide::Side(side) => side,
                 OutputSide::RunFinished => {
                     self.finalize_run()?;
-                    self.start_run();
+                    self.start_run()?;
                     continue;
                 }
                 OutputSide::Empty => break,
@@ -270,17 +257,13 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
     // Run lifecycle
     // ---------------------------------------------------------------------
 
-    fn start_run(&mut self) {
-        self.streams = Some(RunStreams::new(
-            self.device,
-            self.namer,
-            self.config.reverse_pages_per_file,
-        ));
+    fn start_run(&mut self) -> Result<()> {
         self.victim.reset();
         self.bootstrap_done = !self.victim.is_enabled();
         self.first_output = None;
-        self.repartition_heaps();
+        self.repartition_heaps()?;
         self.dual.reset_pop_counters();
+        Ok(())
     }
 
     /// Re-partitions the records currently held in memory between the two
@@ -299,9 +282,9 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
     /// rebalancing the paper describes for the *Balancing* input heuristic
     /// (§4.2) and keeps the cross-stream ordering of the four streams intact
     /// for every heuristic.
-    fn repartition_heaps(&mut self) {
+    fn repartition_heaps(&mut self) -> Result<()> {
         if self.dual.len() < 2 {
-            return;
+            return Ok(());
         }
         let mut records: Vec<R> = self
             .dual
@@ -335,17 +318,14 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
             } else {
                 HeapSide::Top
             };
-            self.dual
-                .push(side, RunRecord::new(record, self.current_run))
-                // twrs-lint: allow(no-lib-panic) the dual heap was drained above, so reinsertion cannot overflow
-                .expect("repartition reinserts into an empty dual heap");
+            self.push_dual(side, RunRecord::new(record, self.current_run))?;
         }
+        Ok(())
     }
 
     fn finalize_run(&mut self) -> Result<()> {
-        let Some(mut streams) = self.streams.take() else {
-            return Ok(());
-        };
+        let fresh = RunStreams::new(self.device, self.namer, self.config.reverse_pages_per_file);
+        let mut streams = std::mem::replace(&mut self.streams, fresh);
         // Whatever is still parked in the victim buffer belongs to the
         // current run: it is sorted and appended to stream 3 (all of it lies
         // between stream 3's last record and stream 2's first record).
@@ -417,8 +397,7 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
             }
             return Ok(EmitOutcome::Emitted);
         }
-        // twrs-lint: allow(no-lib-panic) `streams` is Some from run start until finalize
-        let streams = self.streams.as_mut().expect("streams exist inside a run");
+        let streams = &mut self.streams;
         let (native_fits, cross_fits) = match side {
             HeapSide::Top => (
                 streams.accepts_stream1(&record),
@@ -482,24 +461,20 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
         // respectively), so streams 2 and 3 only ever exist when the victim
         // buffer later captures records inside the gap.
         let (lower, upper) = self.victim.flush_split();
-        // twrs-lint: allow(no-lib-panic) `streams` is Some from run start until finalize
-        let streams = self.streams.as_mut().expect("streams exist inside a run");
         self.stats.stream4_records += lower.len() as u64;
         self.stats.stream1_records += upper.len() as u64;
-        streams.push_stream4_from_ascending(&lower)?;
-        streams.push_stream1_ascending(&upper)?;
+        self.streams.push_stream4_from_ascending(&lower)?;
+        self.streams.push_stream1_ascending(&upper)?;
         self.bootstrap_done = true;
         Ok(())
     }
 
     fn flush_victim(&mut self) -> Result<()> {
         let (lower, upper) = self.victim.flush_split();
-        // twrs-lint: allow(no-lib-panic) `streams` is Some from run start until finalize
-        let streams = self.streams.as_mut().expect("streams exist inside a run");
         self.stats.stream3_records += lower.len() as u64;
         self.stats.stream2_records += upper.len() as u64;
-        streams.push_stream3_ascending(&lower)?;
-        streams.push_stream2_from_ascending(&upper)?;
+        self.streams.push_stream3_ascending(&lower)?;
+        self.streams.push_stream2_from_ascending(&upper)?;
         Ok(())
     }
 
@@ -516,9 +491,7 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
             // buffer, so every record is still usable in the current run.
             return self.current_run;
         }
-        // twrs-lint: allow(no-lib-panic) `streams` is Some from run start until finalize
-        let streams = self.streams.as_ref().expect("streams exist inside a run");
-        if streams.accepts_stream1(record) || streams.accepts_stream4(record) {
+        if self.streams.accepts_stream1(record) || self.streams.accepts_stream4(record) {
             self.current_run
         } else {
             self.current_run + 1
@@ -529,28 +502,24 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
     /// the record could be emitted by either heap; otherwise the heap that
     /// can still emit it wins.
     fn choose_insert_side(&mut self, record: &R) -> HeapSide {
-        let (can_top, can_bottom) = match self.streams.as_ref() {
-            None => (true, true),
-            Some(_) if !self.bootstrap_done => {
-                // No stream boundary exists yet, but a record that outranks a
-                // heap's root would be popped straight into the bootstrap
-                // victim buffer and widen the run's valid range around a
-                // stray value; keep such records on the side whose output
-                // order they follow.
-                let ctx = self.context();
-                let above_top_root = ctx.top_root.is_none_or(|root| record.sort_key() >= root);
-                let below_bottom_root =
-                    ctx.bottom_root.is_none_or(|root| record.sort_key() <= root);
-                if above_top_root || below_bottom_root {
-                    (above_top_root, below_bottom_root)
-                } else {
-                    (true, true)
-                }
+        let (can_top, can_bottom) = if self.bootstrap_done {
+            (
+                self.streams.accepts_stream1(record),
+                self.streams.accepts_stream4(record),
+            )
+        } else {
+            // No stream boundary exists yet, but a record that outranks a
+            // heap's root would be popped straight into the bootstrap victim
+            // buffer and widen the run's valid range around a stray value;
+            // keep such records on the side whose output order they follow.
+            let ctx = self.context();
+            let above_top_root = ctx.top_root.is_none_or(|root| record.sort_key() >= root);
+            let below_bottom_root = ctx.bottom_root.is_none_or(|root| record.sort_key() <= root);
+            if above_top_root || below_bottom_root {
+                (above_top_root, below_bottom_root)
+            } else {
+                (true, true)
             }
-            Some(streams) => (
-                streams.accepts_stream1(record),
-                streams.accepts_stream4(record),
-            ),
         };
         match (can_top, can_bottom) {
             (true, false) => HeapSide::Top,

@@ -28,11 +28,11 @@ pub struct VictimBuffer<R: SortableRecord> {
 
 impl<R: SortableRecord> VictimBuffer<R> {
     /// Creates a victim buffer holding at most `capacity` records
-    /// (0 disables it).
+    /// (0 disables it). Nothing is reserved up front.
     pub fn new(capacity: usize) -> Self {
         VictimBuffer {
             capacity,
-            records: Vec::with_capacity(capacity),
+            records: Vec::new(),
             range: None,
         }
     }

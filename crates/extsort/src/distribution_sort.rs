@@ -99,8 +99,7 @@ impl DistributionSort {
         let mut writer = RunWriter::<R>::create(device, output)?;
 
         // Buffer up to a memory's worth; if everything fits, sort directly.
-        let mut head: Vec<R> = Vec::with_capacity(self.config.memory_records);
-        head.extend(input.take(self.config.memory_records));
+        let mut head: Vec<R> = input.take(self.config.memory_records).collect();
         if head.len() < self.config.memory_records {
             head.sort_unstable();
             report.records = head.len() as u64;

@@ -59,7 +59,9 @@ impl RunGenerator for LoadSortStore {
         }
         let mut runs = Vec::new();
         let mut total = 0u64;
-        let mut buffer: Vec<R> = Vec::with_capacity(self.memory_records);
+        // The buffer grows with the records loaded: a budget beyond the
+        // input reserves nothing.
+        let mut buffer: Vec<R> = Vec::new();
         loop {
             buffer.clear();
             buffer.extend(input.take(self.memory_records));

@@ -17,7 +17,7 @@
 use crate::error::{Result, SortError};
 use crate::parallel::{shard_budget, ShardableGenerator};
 use crate::run_generation::{Device, ForwardRunBuilder, RunGenerator, RunSet};
-use twrs_heaps::{BinaryHeap, HeapKind, RunRecord};
+use twrs_heaps::{BinaryHeap, RunRecord};
 use twrs_storage::{SortableRecord, SpillNamer};
 
 /// Classic replacement selection run generation.
@@ -65,8 +65,7 @@ impl RunGenerator for ReplacementSelection {
                 "replacement selection needs a heap of at least one record".into(),
             ));
         }
-        let mut heap: BinaryHeap<RunRecord<R>> =
-            BinaryHeap::with_capacity(HeapKind::Min, self.memory_records);
+        let mut heap: BinaryHeap<RunRecord<R>> = BinaryHeap::bounded(self.memory_records);
 
         // Phase 1: fill the heap (heap.fill in Algorithm 1). No record needs
         // a next-run mark because nothing has been output yet.

@@ -1,4 +1,5 @@
-//! Array-backed binary heap with explicit `upheap`/`downheap` procedures.
+//! Array-backed binary heap and the one *upheap*/*downheap* pair every
+//! heap in this crate runs on.
 //!
 //! The implementation follows §3.1 of the paper: the heap is a complete
 //! binary tree stored in a contiguous array where the node with index `i`
@@ -7,62 +8,98 @@
 //! (*upheap*); popping the top replaces the root with the last element and
 //! sinks it down (*downheap*). Both operations are `O(log n)`.
 //!
-//! Unlike `std::collections::BinaryHeap`, this heap:
+//! `sift_up` and `sift_down` work over a slice under a caller-supplied
+//! `before(a, b)` order, so [`BinaryHeap`], both sides of the
+//! [`DualHeap`](crate::DualHeap) and [`heapsort_by`](crate::heapsort_by)
+//! share them.
 //!
-//! * can be bounded to a fixed capacity (replacement selection works with a
-//!   fixed memory budget),
-//! * can be either a min-heap or a max-heap at runtime ([`HeapKind`]),
-//!   which is what lets the TopHeap and BottomHeap of 2WRS share code,
-//! * exposes [`BinaryHeap::debug_validate`] so tests can check the heap
-//!   property after arbitrary operation sequences.
+//! Unlike `std::collections::BinaryHeap`, [`BinaryHeap`] is a min-heap,
+//! can be bounded to a fixed capacity (replacement selection works with a
+//! fixed memory budget) and exposes [`BinaryHeap::debug_validate`] so tests
+//! can check the heap property after arbitrary operation sequences. Wrap
+//! records in [`std::cmp::Reverse`] for a max-heap.
 
 use std::cmp::Ordering;
 use std::fmt;
 
-/// Whether the heap keeps the smallest (`Min`) or the largest (`Max`)
-/// element at the root.
+/// Bubbles the record at `idx` up until its parent orders before it
+/// (*upheap*, §3.1.1). `before(a, b)` is `true` when `a` belongs strictly
+/// closer to the root than `b`.
+pub(crate) fn sift_up<T>(data: &mut [T], mut idx: usize, mut before: impl FnMut(&T, &T) -> bool) {
+    while idx > 0 {
+        let parent = (idx - 1) / 2;
+        if !before(&data[idx], &data[parent]) {
+            break;
+        }
+        data.swap(idx, parent);
+        idx = parent;
+    }
+}
+
+/// Sinks the record at `idx` until no child orders before it (*downheap*,
+/// §3.1.1), under the same `before` as [`sift_up`].
 ///
-/// The paper's TopHeap is a min-heap producing an increasing output stream,
-/// and the BottomHeap is a max-heap producing a decreasing output stream
-/// (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HeapKind {
-    /// Root holds the minimum element; popping yields a non-decreasing
-    /// sequence.
-    Min,
-    /// Root holds the maximum element; popping yields a non-increasing
-    /// sequence.
-    Max,
-}
-
-impl HeapKind {
-    /// Returns `true` when `a` should be closer to the root than `b`.
-    #[inline]
-    pub fn before<T: Ord>(self, a: &T, b: &T) -> bool {
-        match self {
-            HeapKind::Min => a.cmp(b) == Ordering::Less,
-            HeapKind::Max => a.cmp(b) == Ordering::Greater,
+/// The better child is picked arithmetically (the right one only when it
+/// orders strictly before the left, so ties go left), leaving one
+/// data-dependent branch per level: whether to keep sinking.
+pub(crate) fn sift_down<T>(data: &mut [T], mut idx: usize, mut before: impl FnMut(&T, &T) -> bool) {
+    let len = data.len();
+    loop {
+        let left = 2 * idx + 1;
+        if left >= len {
+            break;
         }
-    }
-
-    /// The opposite heap kind.
-    #[inline]
-    pub fn opposite(self) -> HeapKind {
-        match self {
-            HeapKind::Min => HeapKind::Max,
-            HeapKind::Max => HeapKind::Min,
+        let right = left + 1;
+        let child = left + usize::from(right < len && before(&data[right], &data[left]));
+        if !before(&data[child], &data[idx]) {
+            break;
         }
+        data.swap(idx, child);
+        idx = child;
     }
 }
 
-/// A bounded, array-backed binary heap.
+/// Appends `value` to the heap in `data` and restores the heap property.
+pub(crate) fn push_by<T>(data: &mut Vec<T>, value: T, before: impl FnMut(&T, &T) -> bool) {
+    data.push(value);
+    let last = data.len() - 1;
+    sift_up(data, last, before);
+}
+
+/// Removes the root of the heap in `data`: the last record takes its place
+/// and sinks.
+pub(crate) fn pop_by<T>(data: &mut Vec<T>, before: impl FnMut(&T, &T) -> bool) -> Option<T> {
+    if data.is_empty() {
+        return None;
+    }
+    let top = data.swap_remove(0);
+    sift_down(data, 0, before);
+    Some(top)
+}
+
+/// The first index whose record orders before its parent's, if any.
+pub(crate) fn first_violation<T>(
+    data: &[T],
+    mut before: impl FnMut(&T, &T) -> bool,
+) -> Option<usize> {
+    (1..data.len()).find(|&i| before(&data[i], &data[(i - 1) / 2]))
+}
+
+/// The min-heap order of [`BinaryHeap`].
+#[inline]
+fn less<T: Ord>(a: &T, b: &T) -> bool {
+    a.cmp(b) == Ordering::Less
+}
+
+/// A bounded, array-backed binary min-heap.
 ///
 /// # Examples
 ///
 /// ```
-/// use twrs_heaps::{BinaryHeap, HeapKind};
+/// use std::cmp::Reverse;
+/// use twrs_heaps::BinaryHeap;
 ///
-/// let mut heap = BinaryHeap::with_capacity(HeapKind::Min, 8);
+/// let mut heap = BinaryHeap::bounded(8);
 /// for x in [5, 1, 4, 2, 3] {
 ///     heap.push(x).unwrap();
 /// }
@@ -70,10 +107,13 @@ impl HeapKind {
 /// assert_eq!(heap.pop(), Some(1));
 /// assert_eq!(heap.pop(), Some(2));
 /// assert_eq!(heap.len(), 3);
+///
+/// // `Reverse` turns it into a max-heap.
+/// let mut max = BinaryHeap::from_vec(vec![Reverse(5), Reverse(9), Reverse(2)]);
+/// assert_eq!(max.pop(), Some(Reverse(9)));
 /// ```
 #[derive(Clone)]
 pub struct BinaryHeap<T> {
-    kind: HeapKind,
     data: Vec<T>,
     capacity: usize,
 }
@@ -92,42 +132,32 @@ impl fmt::Display for HeapFull {
 impl std::error::Error for HeapFull {}
 
 impl<T: Ord> BinaryHeap<T> {
-    /// Creates an empty heap of the given kind with a fixed capacity.
+    /// Creates an empty heap that holds at most `capacity` records.
     ///
-    /// The backing array is allocated once; the heap never reallocates.
-    pub fn with_capacity(kind: HeapKind, capacity: usize) -> Self {
+    /// Nothing is reserved up front: the backing array grows with the
+    /// records pushed, so a budget far beyond the input costs nothing.
+    pub fn bounded(capacity: usize) -> Self {
         BinaryHeap {
-            kind,
-            data: Vec::with_capacity(capacity),
+            data: Vec::new(),
             capacity,
         }
     }
 
-    /// Creates an unbounded heap of the given kind.
-    pub fn unbounded(kind: HeapKind) -> Self {
-        BinaryHeap {
-            kind,
-            data: Vec::new(),
-            capacity: usize::MAX,
-        }
+    /// Creates an unbounded heap.
+    pub fn unbounded() -> Self {
+        Self::bounded(usize::MAX)
     }
 
     /// Builds an unbounded heap from an existing vector in `O(n)` using
     /// Floyd's bottom-up heapify.
-    pub fn from_vec(kind: HeapKind, data: Vec<T>) -> Self {
-        let mut heap = BinaryHeap {
-            kind,
+    pub fn from_vec(mut data: Vec<T>) -> Self {
+        for i in (0..data.len() / 2).rev() {
+            sift_down(&mut data, i, less);
+        }
+        BinaryHeap {
             data,
             capacity: usize::MAX,
-        };
-        heap.heapify();
-        heap
-    }
-
-    /// The heap kind (min or max).
-    #[inline]
-    pub fn kind(&self) -> HeapKind {
-        self.kind
+        }
     }
 
     /// Number of records currently stored.
@@ -154,8 +184,7 @@ impl<T: Ord> BinaryHeap<T> {
         self.data.len() >= self.capacity
     }
 
-    /// Returns a reference to the top record (minimum for a min-heap,
-    /// maximum for a max-heap) without removing it.
+    /// Returns a reference to the smallest record without removing it.
     #[inline]
     pub fn peek(&self) -> Option<&T> {
         self.data.first()
@@ -170,24 +199,14 @@ impl<T: Ord> BinaryHeap<T> {
         if self.is_full() {
             return Err((HeapFull, value));
         }
-        self.data.push(value);
-        self.upheap(self.data.len() - 1);
+        push_by(&mut self.data, value, less);
         Ok(())
     }
 
-    /// Removes and returns the top record, restoring the heap property with
-    /// the *downheap* procedure of §3.1.1.
+    /// Removes and returns the smallest record, restoring the heap property
+    /// with the *downheap* procedure of §3.1.1.
     pub fn pop(&mut self) -> Option<T> {
-        if self.data.is_empty() {
-            return None;
-        }
-        let last = self.data.len() - 1;
-        self.data.swap(0, last);
-        let top = self.data.pop();
-        if !self.data.is_empty() {
-            self.downheap(0);
-        }
-        top
+        pop_by(&mut self.data, less)
     }
 
     /// Pops the top record and pushes a replacement in a single pass.
@@ -204,7 +223,7 @@ impl<T: Ord> BinaryHeap<T> {
             return None;
         }
         let old = std::mem::replace(&mut self.data[0], value);
-        self.downheap(0);
+        sift_down(&mut self.data, 0, less);
         Some(old)
     }
 
@@ -214,8 +233,7 @@ impl<T: Ord> BinaryHeap<T> {
         std::mem::take(&mut self.data)
     }
 
-    /// Removes every record and returns them in sorted output order
-    /// (ascending for a min-heap, descending for a max-heap).
+    /// Removes every record and returns them in ascending order.
     pub fn drain_sorted(&mut self) -> Vec<T> {
         let mut out = Vec::with_capacity(self.data.len());
         while let Some(v) = self.pop() {
@@ -229,71 +247,18 @@ impl<T: Ord> BinaryHeap<T> {
         self.data.iter()
     }
 
-    /// Restores the heap property over the whole array (Floyd heapify).
-    fn heapify(&mut self) {
-        if self.data.len() < 2 {
-            return;
-        }
-        for i in (0..self.data.len() / 2).rev() {
-            self.downheap(i);
-        }
-    }
-
-    /// Bubble the record at `idx` up until its parent orders before it.
-    fn upheap(&mut self, mut idx: usize) {
-        while idx > 0 {
-            let parent = (idx - 1) / 2;
-            if self.kind.before(&self.data[idx], &self.data[parent]) {
-                self.data.swap(idx, parent);
-                idx = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Sink the record at `idx` down until both children order after it.
-    ///
-    /// The better child is picked arithmetically (the right one only when
-    /// it orders strictly before the left, so ties go left), leaving one
-    /// data-dependent branch per level: whether to keep sinking.
-    fn downheap(&mut self, mut idx: usize) {
-        let len = self.data.len();
-        loop {
-            let left = 2 * idx + 1;
-            if left >= len {
-                break;
-            }
-            let right = left + 1;
-            let child = left
-                + usize::from(right < len && self.kind.before(&self.data[right], &self.data[left]));
-            if !self.kind.before(&self.data[child], &self.data[idx]) {
-                break;
-            }
-            self.data.swap(idx, child);
-            idx = child;
-        }
-    }
-
     /// Checks the heap property over the whole array.
     ///
     /// Intended for tests: returns the index of the first violating node, or
     /// `None` when the heap is valid.
     pub fn debug_validate(&self) -> Option<usize> {
-        for i in 1..self.data.len() {
-            let parent = (i - 1) / 2;
-            if self.kind.before(&self.data[i], &self.data[parent]) {
-                return Some(i);
-            }
-        }
-        None
+        first_violation(&self.data, less)
     }
 }
 
 impl<T: Ord + fmt::Debug> fmt::Debug for BinaryHeap<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BinaryHeap")
-            .field("kind", &self.kind)
             .field("len", &self.data.len())
             .field("capacity", &self.capacity)
             .field("data", &self.data)
@@ -304,10 +269,16 @@ impl<T: Ord + fmt::Debug> fmt::Debug for BinaryHeap<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+
+    /// Wraps every value for a max-heap.
+    fn max_heap(values: &[i32]) -> BinaryHeap<Reverse<i32>> {
+        BinaryHeap::from_vec(values.iter().copied().map(Reverse).collect())
+    }
 
     #[test]
     fn min_heap_pops_ascending() {
-        let mut heap = BinaryHeap::with_capacity(HeapKind::Min, 16);
+        let mut heap = BinaryHeap::bounded(16);
         for x in [9, 3, 7, 1, 8, 2, 6, 4, 5, 0] {
             heap.push(x).unwrap();
             assert_eq!(heap.debug_validate(), None);
@@ -318,12 +289,12 @@ mod tests {
 
     #[test]
     fn max_heap_pops_descending() {
-        let mut heap = BinaryHeap::with_capacity(HeapKind::Max, 16);
+        let mut heap = BinaryHeap::bounded(16);
         for x in [9, 3, 7, 1, 8, 2, 6, 4, 5, 0] {
-            heap.push(x).unwrap();
+            heap.push(Reverse(x)).unwrap();
             assert_eq!(heap.debug_validate(), None);
         }
-        let drained = heap.drain_sorted();
+        let drained: Vec<i32> = heap.drain_sorted().into_iter().map(|r| r.0).collect();
         assert_eq!(drained, vec![9, 8, 7, 6, 5, 4, 3, 2, 1, 0]);
     }
 
@@ -331,13 +302,13 @@ mod tests {
     fn paper_figure_3_3_insertion_example() {
         // Figure 3.3: inserting 91 into the max heap {93, 88, 82, 66, 20, 42, 7}
         // bubbles it up past 66 and 88 but not past 93.
-        let mut heap = BinaryHeap::from_vec(HeapKind::Max, vec![93, 88, 82, 66, 20, 42, 7]);
+        let mut heap = max_heap(&[93, 88, 82, 66, 20, 42, 7]);
         assert_eq!(heap.debug_validate(), None);
-        heap.push(91).unwrap();
-        assert_eq!(heap.peek(), Some(&93));
+        heap.push(Reverse(91)).unwrap();
+        assert_eq!(heap.peek(), Some(&Reverse(93)));
         assert_eq!(heap.debug_validate(), None);
         // After the upheap the second level must contain 91 and 82.
-        let level_two: Vec<i32> = heap.iter().skip(1).take(2).copied().collect();
+        let level_two: Vec<i32> = heap.iter().skip(1).take(2).map(|r| r.0).collect();
         assert!(level_two.contains(&91));
         assert!(level_two.contains(&82));
     }
@@ -346,15 +317,15 @@ mod tests {
     fn paper_figure_3_4_deletion_example() {
         // Figure 3.4: removing the top of {93, 91, 82, 88, 20, 42, 7, 66}
         // leaves 91 at the root.
-        let mut heap = BinaryHeap::from_vec(HeapKind::Max, vec![93, 91, 82, 88, 20, 42, 7, 66]);
-        assert_eq!(heap.pop(), Some(93));
-        assert_eq!(heap.peek(), Some(&91));
+        let mut heap = max_heap(&[93, 91, 82, 88, 20, 42, 7, 66]);
+        assert_eq!(heap.pop(), Some(Reverse(93)));
+        assert_eq!(heap.peek(), Some(&Reverse(91)));
         assert_eq!(heap.debug_validate(), None);
     }
 
     #[test]
     fn capacity_is_enforced() {
-        let mut heap = BinaryHeap::with_capacity(HeapKind::Min, 2);
+        let mut heap = BinaryHeap::bounded(2);
         heap.push(1).unwrap();
         heap.push(2).unwrap();
         let err = heap.push(3);
@@ -364,7 +335,7 @@ mod tests {
 
     #[test]
     fn replace_top_keeps_size_and_order() {
-        let mut heap = BinaryHeap::from_vec(HeapKind::Min, vec![2, 5, 9, 7, 6]);
+        let mut heap = BinaryHeap::from_vec(vec![2, 5, 9, 7, 6]);
         let old = heap.replace_top(4);
         assert_eq!(old, Some(2));
         assert_eq!(heap.len(), 5);
@@ -374,21 +345,21 @@ mod tests {
 
     #[test]
     fn replace_top_on_empty_heap_inserts() {
-        let mut heap: BinaryHeap<i32> = BinaryHeap::with_capacity(HeapKind::Min, 4);
+        let mut heap: BinaryHeap<i32> = BinaryHeap::bounded(4);
         assert_eq!(heap.replace_top(3), None);
         assert_eq!(heap.peek(), Some(&3));
     }
 
     #[test]
     fn from_vec_heapifies() {
-        let heap = BinaryHeap::from_vec(HeapKind::Min, vec![9, 8, 7, 6, 5, 4, 3, 2, 1]);
+        let heap = BinaryHeap::from_vec(vec![9, 8, 7, 6, 5, 4, 3, 2, 1]);
         assert_eq!(heap.peek(), Some(&1));
         assert_eq!(heap.debug_validate(), None);
     }
 
     #[test]
     fn duplicates_are_preserved() {
-        let mut heap = BinaryHeap::with_capacity(HeapKind::Min, 8);
+        let mut heap = BinaryHeap::bounded(8);
         for x in [3, 3, 1, 1, 2, 2] {
             heap.push(x).unwrap();
         }
@@ -397,20 +368,30 @@ mod tests {
 
     #[test]
     fn unbounded_heap_grows() {
-        let mut heap = BinaryHeap::unbounded(HeapKind::Max);
+        let mut heap = BinaryHeap::unbounded();
         for x in 0..1000 {
-            heap.push(x).unwrap();
+            heap.push(Reverse(x)).unwrap();
         }
         assert_eq!(heap.len(), 1000);
-        assert_eq!(heap.peek(), Some(&999));
+        assert_eq!(heap.peek(), Some(&Reverse(999)));
     }
 
     #[test]
     fn empty_heap_behaviour() {
-        let mut heap: BinaryHeap<u64> = BinaryHeap::with_capacity(HeapKind::Min, 4);
+        let mut heap: BinaryHeap<u64> = BinaryHeap::bounded(4);
         assert!(heap.is_empty());
         assert_eq!(heap.pop(), None);
         assert_eq!(heap.peek(), None);
         assert_eq!(heap.debug_validate(), None);
+    }
+
+    #[test]
+    fn a_budget_beyond_any_input_reserves_nothing() {
+        let mut heap = BinaryHeap::bounded(usize::MAX);
+        for x in [3, 1, 2] {
+            heap.push(x).unwrap();
+        }
+        assert_eq!(heap.capacity(), usize::MAX);
+        assert_eq!(heap.drain_sorted(), vec![1, 2, 3]);
     }
 }

@@ -3,18 +3,25 @@
 //! 2WRS keeps two heaps in memory: the **TopHeap**, a min-heap whose pops
 //! form an increasing stream, and the **BottomHeap**, a max-heap whose pops
 //! form a decreasing stream. Because the share of memory each heap needs
-//! changes with the input, the paper stores both in a *single fixed array*:
-//! the TopHeap grows from one end with increasing indexes and the BottomHeap
-//! from the other end with decreasing indexes (Figure 4.3), so either heap
-//! can grow exactly when the other shrinks and no dynamic allocation is ever
-//! required during run generation.
+//! changes with the input, the paper stores both in a single fixed array
+//! growing from its two ends (Figure 4.3), so either heap can grow exactly
+//! when the other shrinks.
 //!
-//! [`DualHeap`] reproduces that layout. Both sides are implemented as
-//! min-heaps under a side-specific ordering supplied by a [`TwoWayOrder`]
-//! (the natural choice, [`NaturalOrder`], makes the bottom side a max-heap
-//! over `T: Ord`); 2WRS itself supplies a run-aware ordering so next-run
-//! records sink in both heaps.
+//! [`DualHeap`] keeps that rule — one capacity shared by both sides, so a
+//! push fails only when the two heaps together hold `capacity` records —
+//! but stores each side in its own vector. A fixed array with a movable
+//! gap needs an occupancy tag per slot in safe Rust, which costs a test on
+//! every comparison; two vectors need none, and they grow with the records
+//! they hold instead of reserving the whole budget up front.
+//!
+//! The heap holds [`RunRecord`]s and fixes the paper's order itself: both
+//! sides order by run first, so records marked for the next run sink below
+//! every current-run record (§3.3); within a run the TopHeap is ascending
+//! and the BottomHeap descending. Both sides run the crate's one
+//! `sift_up`/`sift_down` pair.
 
+use crate::binary_heap::{first_violation, pop_by, push_by};
+use crate::RunRecord;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -38,67 +45,47 @@ impl HeapSide {
     }
 }
 
-/// Orderings for the two sides of a [`DualHeap`].
-///
-/// Both sides behave as min-heaps under their respective comparison: the
-/// element that compares `Less` is closer to the root and is popped first.
-/// For the bottom (decreasing-output) side the comparison is therefore
-/// usually the *reverse* of the natural order.
-pub trait TwoWayOrder<T> {
-    /// Ordering used by the top heap; its root is the minimum under this
-    /// comparison.
-    fn cmp_top(&self, a: &T, b: &T) -> Ordering;
-
-    /// Ordering used by the bottom heap; its root is the minimum under this
-    /// comparison (i.e. the record to emit next in the decreasing stream).
-    fn cmp_bottom(&self, a: &T, b: &T) -> Ordering;
+/// The TopHeap order: earlier runs first, then smaller records.
+#[inline]
+fn top_before<T: Ord>(a: &RunRecord<T>, b: &RunRecord<T>) -> bool {
+    a.cmp(b) == Ordering::Less
 }
 
-/// The default [`TwoWayOrder`]: the top heap is a min-heap over `T: Ord`
-/// and the bottom heap a max-heap over the same order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NaturalOrder;
-
-impl<T: Ord> TwoWayOrder<T> for NaturalOrder {
-    #[inline]
-    fn cmp_top(&self, a: &T, b: &T) -> Ordering {
-        a.cmp(b)
-    }
-
-    #[inline]
-    fn cmp_bottom(&self, a: &T, b: &T) -> Ordering {
-        b.cmp(a)
-    }
+/// The BottomHeap order: earlier runs first, then larger records.
+#[inline]
+fn bottom_before<T: Ord>(a: &RunRecord<T>, b: &RunRecord<T>) -> bool {
+    a.run.cmp(&b.run).then_with(|| b.value.cmp(&a.value)) == Ordering::Less
 }
 
-/// Two heaps sharing one fixed-capacity array, growing toward each other.
+/// Two heaps of run-tagged records under one shared capacity.
 ///
 /// # Examples
 ///
 /// ```
-/// use twrs_heaps::{DualHeap, HeapSide};
+/// use twrs_heaps::{DualHeap, HeapSide, RunRecord};
 ///
 /// let mut dual: DualHeap<u32> = DualHeap::new(8);
-/// dual.push(HeapSide::Top, 50).unwrap();
-/// dual.push(HeapSide::Top, 52).unwrap();
-/// dual.push(HeapSide::Bottom, 40).unwrap();
-/// dual.push(HeapSide::Bottom, 38).unwrap();
+/// dual.push(HeapSide::Top, RunRecord::new(50, 0)).unwrap();
+/// dual.push(HeapSide::Top, RunRecord::new(52, 0)).unwrap();
+/// dual.push(HeapSide::Bottom, RunRecord::new(40, 0)).unwrap();
+/// dual.push(HeapSide::Bottom, RunRecord::new(38, 0)).unwrap();
+/// // A record marked for the next run sinks on either side.
+/// dual.push(HeapSide::Bottom, RunRecord::new(45, 1)).unwrap();
 ///
 /// // The top side pops ascending, the bottom side pops descending.
-/// assert_eq!(dual.peek(HeapSide::Top), Some(&50));
-/// assert_eq!(dual.peek(HeapSide::Bottom), Some(&40));
-/// assert_eq!(dual.pop(HeapSide::Bottom), Some(40));
-/// assert_eq!(dual.pop(HeapSide::Top), Some(50));
+/// assert_eq!(dual.peek(HeapSide::Top), Some(&RunRecord::new(50, 0)));
+/// assert_eq!(dual.pop(HeapSide::Bottom), Some(RunRecord::new(40, 0)));
+/// assert_eq!(dual.pop(HeapSide::Bottom), Some(RunRecord::new(38, 0)));
+/// assert_eq!(dual.pop(HeapSide::Bottom), Some(RunRecord::new(45, 1)));
+/// assert_eq!(dual.pop(HeapSide::Top), Some(RunRecord::new(50, 0)));
 /// ```
-pub struct DualHeap<T, O = NaturalOrder> {
-    /// The shared array. `slots[0..top_len]` is the TopHeap in standard
-    /// array layout; `slots[capacity - bottom_len..capacity]` is the
-    /// BottomHeap laid out from the back (its root lives at
-    /// `capacity - 1`).
-    slots: Vec<Option<T>>,
-    top_len: usize,
-    bottom_len: usize,
-    order: O,
+pub struct DualHeap<T> {
+    /// The TopHeap in standard array layout.
+    top: Vec<RunRecord<T>>,
+    /// The BottomHeap in standard array layout.
+    bottom: Vec<RunRecord<T>>,
+    /// Records the two sides may hold together.
+    capacity: usize,
     /// Cumulative pops per side, used by the Useful heuristics.
     pops: [u64; 2],
 }
@@ -116,27 +103,14 @@ impl<T: fmt::Debug> fmt::Display for DualHeapFull<T> {
 
 impl<T: fmt::Debug> std::error::Error for DualHeapFull<T> {}
 
-impl<T> DualHeap<T, NaturalOrder>
-where
-    T: Ord,
-{
-    /// Creates a dual heap with the natural ordering and the given total
-    /// capacity shared by both sides.
+impl<T: Ord> DualHeap<T> {
+    /// Creates an empty dual heap whose two sides together hold at most
+    /// `capacity` records. Nothing is reserved up front.
     pub fn new(capacity: usize) -> Self {
-        Self::with_order(capacity, NaturalOrder)
-    }
-}
-
-impl<T, O: TwoWayOrder<T>> DualHeap<T, O> {
-    /// Creates a dual heap with a custom two-way ordering.
-    pub fn with_order(capacity: usize, order: O) -> Self {
-        let mut slots = Vec::with_capacity(capacity);
-        slots.resize_with(capacity, || None);
         DualHeap {
-            slots,
-            top_len: 0,
-            bottom_len: 0,
-            order,
+            top: Vec::new(),
+            bottom: Vec::new(),
+            capacity,
             pops: [0, 0],
         }
     }
@@ -144,22 +118,19 @@ impl<T, O: TwoWayOrder<T>> DualHeap<T, O> {
     /// Total capacity shared by the two heaps.
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Number of records currently stored on `side`.
     #[inline]
     pub fn len_of(&self, side: HeapSide) -> usize {
-        match side {
-            HeapSide::Top => self.top_len,
-            HeapSide::Bottom => self.bottom_len,
-        }
+        self.side(side).len()
     }
 
     /// Total number of records stored across both heaps.
     #[inline]
     pub fn len(&self) -> usize {
-        self.top_len + self.bottom_len
+        self.top.len() + self.bottom.len()
     }
 
     /// `true` when both heaps are empty.
@@ -168,16 +139,16 @@ impl<T, O: TwoWayOrder<T>> DualHeap<T, O> {
         self.len() == 0
     }
 
-    /// `true` when the shared array is full.
+    /// `true` when the two heaps together hold `capacity` records.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.len() >= self.capacity()
+        self.len() >= self.capacity
     }
 
-    /// Free slots remaining in the shared array.
+    /// Records either heap may still take.
     #[inline]
     pub fn free(&self) -> usize {
-        self.capacity() - self.len()
+        self.capacity - self.len()
     }
 
     /// Number of records popped from `side` since construction (or the last
@@ -186,7 +157,7 @@ impl<T, O: TwoWayOrder<T>> DualHeap<T, O> {
     /// divided by size (§4.2).
     #[inline]
     pub fn pops_from(&self, side: HeapSide) -> u64 {
-        self.pops[side_index(side)]
+        self.pops[side as usize]
     }
 
     /// Resets the per-side pop counters (used at run boundaries).
@@ -195,210 +166,91 @@ impl<T, O: TwoWayOrder<T>> DualHeap<T, O> {
     }
 
     /// Returns a reference to the root record of `side` without removing it.
-    pub fn peek(&self, side: HeapSide) -> Option<&T> {
-        match side {
-            HeapSide::Top => {
-                if self.top_len == 0 {
-                    None
-                } else {
-                    self.slots[0].as_ref()
-                }
-            }
-            HeapSide::Bottom => {
-                if self.bottom_len == 0 {
-                    None
-                } else {
-                    self.slots[self.capacity() - 1].as_ref()
-                }
-            }
-        }
+    #[inline]
+    pub fn peek(&self, side: HeapSide) -> Option<&RunRecord<T>> {
+        self.side(side).first()
     }
 
     /// Pushes a record onto `side`.
     ///
-    /// Fails with [`DualHeapFull`] when the *shared* array is full, i.e. the
-    /// combined size of both heaps has reached the capacity, regardless of
-    /// which side the record was destined for.
-    pub fn push(&mut self, side: HeapSide, value: T) -> Result<(), DualHeapFull<T>> {
+    /// Fails with [`DualHeapFull`], handing the record back, when the two
+    /// heaps together already hold `capacity` records, regardless of which
+    /// side the record was destined for.
+    pub fn push(
+        &mut self,
+        side: HeapSide,
+        record: RunRecord<T>,
+    ) -> Result<(), DualHeapFull<RunRecord<T>>> {
         if self.is_full() {
-            return Err(DualHeapFull(value));
+            return Err(DualHeapFull(record));
         }
         match side {
-            HeapSide::Top => {
-                let idx = self.top_len;
-                self.slots[idx] = Some(value);
-                self.top_len += 1;
-                self.upheap(HeapSide::Top, idx);
-            }
-            HeapSide::Bottom => {
-                let idx = self.bottom_len;
-                let slot = self.bottom_slot(idx);
-                self.slots[slot] = Some(value);
-                self.bottom_len += 1;
-                self.upheap(HeapSide::Bottom, idx);
-            }
+            HeapSide::Top => push_by(&mut self.top, record, top_before),
+            HeapSide::Bottom => push_by(&mut self.bottom, record, bottom_before),
         }
         Ok(())
     }
 
     /// Pops the root record of `side`, shrinking that heap by one and
-    /// freeing a slot either heap may subsequently use (Figure 4.4).
-    pub fn pop(&mut self, side: HeapSide) -> Option<T> {
-        let len = self.len_of(side);
-        if len == 0 {
-            return None;
-        }
-        self.pops[side_index(side)] += 1;
-        let root_slot = self.heap_slot(side, 0);
-        let last_slot = self.heap_slot(side, len - 1);
-        self.slots.swap(root_slot, last_slot);
-        let value = self.slots[last_slot].take();
-        match side {
-            HeapSide::Top => self.top_len -= 1,
-            HeapSide::Bottom => self.bottom_len -= 1,
-        }
-        if self.len_of(side) > 1 {
-            self.downheap(side, 0);
-        }
-        value
+    /// freeing room either heap may subsequently use (Figure 4.4).
+    pub fn pop(&mut self, side: HeapSide) -> Option<RunRecord<T>> {
+        let record = match side {
+            HeapSide::Top => pop_by(&mut self.top, top_before),
+            HeapSide::Bottom => pop_by(&mut self.bottom, bottom_before),
+        }?;
+        self.pops[side as usize] += 1;
+        Some(record)
     }
 
     /// Drains every record from both heaps in unspecified order.
-    pub fn drain(&mut self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.len());
-        for slot in self.slots.iter_mut() {
-            if let Some(v) = slot.take() {
-                out.push(v);
-            }
-        }
-        self.top_len = 0;
-        self.bottom_len = 0;
-        out
+    pub fn drain(&mut self) -> Vec<RunRecord<T>> {
+        let mut records = Vec::with_capacity(self.len());
+        records.append(&mut self.top);
+        records.extend(self.bottom.drain(..).rev());
+        records
     }
 
     /// Iterates over the records of `side` in unspecified (heap-array)
     /// order.
-    pub fn iter_side(&self, side: HeapSide) -> impl Iterator<Item = &T> + '_ {
-        let len = self.len_of(side);
-        (0..len).filter_map(move |i| self.slots[self.heap_slot(side, i)].as_ref())
+    pub fn iter_side(&self, side: HeapSide) -> std::slice::Iter<'_, RunRecord<T>> {
+        self.side(side).iter()
     }
 
-    /// Compare the records at logical positions `a` and `b` of `side`.
-    fn before(&self, side: HeapSide, a: usize, b: usize) -> bool {
-        let (sa, sb) = (self.heap_slot(side, a), self.heap_slot(side, b));
-        let (va, vb) = (
-            // twrs-lint: allow(no-lib-panic) `a < len(side)` so the slot is occupied
-            self.slots[sa].as_ref().expect("occupied heap slot"),
-            // twrs-lint: allow(no-lib-panic) `b < len(side)` so the slot is occupied
-            self.slots[sb].as_ref().expect("occupied heap slot"),
-        );
-        let ord = match side {
-            HeapSide::Top => self.order.cmp_top(va, vb),
-            HeapSide::Bottom => self.order.cmp_bottom(va, vb),
-        };
-        ord == Ordering::Less
-    }
-
-    /// Translate a logical heap index into a physical slot index.
-    #[inline]
-    fn heap_slot(&self, side: HeapSide, idx: usize) -> usize {
-        match side {
-            HeapSide::Top => idx,
-            HeapSide::Bottom => self.bottom_slot(idx),
-        }
-    }
-
-    /// Physical slot of the bottom heap's logical index `idx`: the bottom
-    /// heap is laid out from the end of the array towards the front.
-    #[inline]
-    fn bottom_slot(&self, idx: usize) -> usize {
-        self.capacity() - 1 - idx
-    }
-
-    fn swap_logical(&mut self, side: HeapSide, a: usize, b: usize) {
-        let (sa, sb) = (self.heap_slot(side, a), self.heap_slot(side, b));
-        self.slots.swap(sa, sb);
-    }
-
-    fn upheap(&mut self, side: HeapSide, mut idx: usize) {
-        while idx > 0 {
-            let parent = (idx - 1) / 2;
-            if self.before(side, idx, parent) {
-                self.swap_logical(side, idx, parent);
-                idx = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn downheap(&mut self, side: HeapSide, mut idx: usize) {
-        let len = self.len_of(side);
-        loop {
-            let left = 2 * idx + 1;
-            let right = 2 * idx + 2;
-            let mut best = idx;
-            if left < len && self.before(side, left, best) {
-                best = left;
-            }
-            if right < len && self.before(side, right, best) {
-                best = right;
-            }
-            if best == idx {
-                break;
-            }
-            self.swap_logical(side, idx, best);
-            idx = best;
-        }
-    }
-
-    /// Validates both heap properties and the disjointness of the two
-    /// regions. Returns a description of the first violation found, or
-    /// `None` when the structure is consistent. Intended for tests.
+    /// Validates both heap properties and the shared capacity. Returns a
+    /// description of the first violation found, or `None` when the
+    /// structure is consistent. Intended for tests.
     pub fn debug_validate(&self) -> Option<String> {
-        if self.top_len + self.bottom_len > self.capacity() {
+        if self.len() > self.capacity {
             return Some(format!(
-                "overlap: top_len={} bottom_len={} capacity={}",
-                self.top_len,
-                self.bottom_len,
-                self.capacity()
+                "overfull: top_len={} bottom_len={} capacity={}",
+                self.top.len(),
+                self.bottom.len(),
+                self.capacity
             ));
         }
-        for (i, slot) in self.slots.iter().enumerate() {
-            let in_top = i < self.top_len;
-            let in_bottom = i >= self.capacity() - self.bottom_len;
-            match (slot.is_some(), in_top || in_bottom) {
-                (true, false) => return Some(format!("slot {i} occupied but outside both heaps")),
-                (false, true) => return Some(format!("slot {i} empty but inside a heap")),
-                _ => {}
-            }
+        if let Some(i) = first_violation(&self.top, top_before) {
+            return Some(format!("heap property violated on Top at index {i}"));
         }
-        for side in [HeapSide::Top, HeapSide::Bottom] {
-            for i in 1..self.len_of(side) {
-                let parent = (i - 1) / 2;
-                if self.before(side, i, parent) {
-                    return Some(format!("heap property violated on {side:?} at index {i}"));
-                }
-            }
+        if let Some(i) = first_violation(&self.bottom, bottom_before) {
+            return Some(format!("heap property violated on Bottom at index {i}"));
         }
         None
     }
-}
 
-#[inline]
-fn side_index(side: HeapSide) -> usize {
-    match side {
-        HeapSide::Top => 0,
-        HeapSide::Bottom => 1,
+    fn side(&self, side: HeapSide) -> &[RunRecord<T>] {
+        match side {
+            HeapSide::Top => &self.top,
+            HeapSide::Bottom => &self.bottom,
+        }
     }
 }
 
-impl<T: fmt::Debug, O> fmt::Debug for DualHeap<T, O> {
+impl<T> fmt::Debug for DualHeap<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DualHeap")
-            .field("capacity", &self.slots.len())
-            .field("top_len", &self.top_len)
-            .field("bottom_len", &self.bottom_len)
+            .field("capacity", &self.capacity)
+            .field("top_len", &self.top.len())
+            .field("bottom_len", &self.bottom.len())
             .finish()
     }
 }
@@ -407,16 +259,28 @@ impl<T: fmt::Debug, O> fmt::Debug for DualHeap<T, O> {
 mod tests {
     use super::*;
 
-    /// Builds the two heaps of Figure 4.2 in a 14-slot shared array.
+    fn rec(value: u32) -> RunRecord<u32> {
+        RunRecord::new(value, 0)
+    }
+
+    fn values(records: impl IntoIterator<Item = RunRecord<u32>>) -> Vec<u32> {
+        records.into_iter().map(|r| r.value).collect()
+    }
+
+    fn drain_side(dual: &mut DualHeap<u32>, side: HeapSide) -> Vec<RunRecord<u32>> {
+        std::iter::from_fn(|| dual.pop(side)).collect()
+    }
+
+    /// Builds the two heaps of Figure 4.2 under a 14-record capacity.
     fn paper_figure_4_3() -> DualHeap<u32> {
         let mut dual = DualHeap::new(14);
         // BottomHeap (max heap) of Figure 4.2: {33, 28, 32, 16, 20, 22, 4}.
         for v in [33, 28, 32, 16, 20, 22, 4] {
-            dual.push(HeapSide::Bottom, v).unwrap();
+            dual.push(HeapSide::Bottom, rec(v)).unwrap();
         }
         // TopHeap (min heap) of Figure 4.2: {52, 54, 72, 75, 64, 81, 77}.
         for v in [52, 54, 72, 75, 64, 81, 77] {
-            dual.push(HeapSide::Top, v).unwrap();
+            dual.push(HeapSide::Top, rec(v)).unwrap();
         }
         dual
     }
@@ -425,8 +289,8 @@ mod tests {
     fn figure_4_3_roots() {
         let dual = paper_figure_4_3();
         assert!(dual.is_full());
-        assert_eq!(dual.peek(HeapSide::Bottom), Some(&33));
-        assert_eq!(dual.peek(HeapSide::Top), Some(&52));
+        assert_eq!(dual.peek(HeapSide::Bottom), Some(&rec(33)));
+        assert_eq!(dual.peek(HeapSide::Top), Some(&rec(52)));
         assert_eq!(dual.debug_validate(), None);
     }
 
@@ -434,27 +298,27 @@ mod tests {
     fn figure_4_4_and_4_5_grow_at_the_expense_of_the_other() {
         // Removing the BottomHeap root (33) frees one slot...
         let mut dual = paper_figure_4_3();
-        assert_eq!(dual.pop(HeapSide::Bottom), Some(33));
+        assert_eq!(dual.pop(HeapSide::Bottom), Some(rec(33)));
         assert_eq!(dual.len_of(HeapSide::Bottom), 6);
         assert_eq!(dual.free(), 1);
         assert_eq!(dual.debug_validate(), None);
         // ...which the TopHeap can then use (Figure 4.5: insert 53).
-        dual.push(HeapSide::Top, 53).unwrap();
+        dual.push(HeapSide::Top, rec(53)).unwrap();
         assert_eq!(dual.len_of(HeapSide::Top), 8);
         assert!(dual.is_full());
-        assert_eq!(dual.peek(HeapSide::Top), Some(&52));
+        assert_eq!(dual.peek(HeapSide::Top), Some(&rec(52)));
         assert_eq!(dual.debug_validate(), None);
     }
 
     #[test]
     fn push_fails_only_when_shared_array_is_full() {
         let mut dual: DualHeap<u32> = DualHeap::new(4);
-        dual.push(HeapSide::Top, 1).unwrap();
-        dual.push(HeapSide::Top, 2).unwrap();
-        dual.push(HeapSide::Bottom, 3).unwrap();
-        dual.push(HeapSide::Bottom, 4).unwrap();
-        let err = dual.push(HeapSide::Top, 5);
-        assert_eq!(err, Err(DualHeapFull(5)));
+        dual.push(HeapSide::Top, rec(1)).unwrap();
+        dual.push(HeapSide::Top, rec(2)).unwrap();
+        dual.push(HeapSide::Bottom, rec(3)).unwrap();
+        dual.push(HeapSide::Bottom, rec(4)).unwrap();
+        let err = dual.push(HeapSide::Top, rec(5));
+        assert_eq!(err, Err(DualHeapFull(rec(5))));
         assert_eq!(dual.len(), 4);
     }
 
@@ -463,17 +327,15 @@ mod tests {
         let mut dual: DualHeap<i64> = DualHeap::new(32);
         let values = [14, 3, 99, -7, 42, 0, 23, 8];
         for &v in &values {
-            dual.push(HeapSide::Top, v).unwrap();
-            dual.push(HeapSide::Bottom, v).unwrap();
+            dual.push(HeapSide::Top, RunRecord::new(v, 0)).unwrap();
+            dual.push(HeapSide::Bottom, RunRecord::new(v, 0)).unwrap();
         }
-        let mut ascending = Vec::new();
-        while let Some(v) = dual.pop(HeapSide::Top) {
-            ascending.push(v);
-        }
-        let mut descending = Vec::new();
-        while let Some(v) = dual.pop(HeapSide::Bottom) {
-            descending.push(v);
-        }
+        let ascending: Vec<i64> = std::iter::from_fn(|| dual.pop(HeapSide::Top))
+            .map(RunRecord::into_value)
+            .collect();
+        let descending: Vec<i64> = std::iter::from_fn(|| dual.pop(HeapSide::Bottom))
+            .map(RunRecord::into_value)
+            .collect();
         let mut sorted = values.to_vec();
         sorted.sort_unstable();
         assert_eq!(ascending, sorted);
@@ -482,31 +344,47 @@ mod tests {
     }
 
     #[test]
+    fn next_run_records_sink_on_both_sides() {
+        let mut dual: DualHeap<u32> = DualHeap::new(8);
+        for (value, run) in [(10, 1), (50, 0), (5, 1), (60, 0)] {
+            dual.push(HeapSide::Top, RunRecord::new(value, run))
+                .unwrap();
+            dual.push(HeapSide::Bottom, RunRecord::new(value, run))
+                .unwrap();
+        }
+        let top = drain_side(&mut dual, HeapSide::Top);
+        let bottom = drain_side(&mut dual, HeapSide::Bottom);
+        let tagged = |records: Vec<RunRecord<u32>>| -> Vec<(u32, u64)> {
+            records.into_iter().map(|r| (r.value, r.run)).collect()
+        };
+        assert_eq!(tagged(top), vec![(50, 0), (60, 0), (5, 1), (10, 1)]);
+        assert_eq!(tagged(bottom), vec![(60, 0), (50, 0), (10, 1), (5, 1)]);
+    }
+
+    #[test]
     fn one_sided_use_is_equivalent_to_a_single_heap() {
-        // When the TopHeap occupies the whole array and the BottomHeap stays
+        // When the TopHeap occupies the whole memory and the BottomHeap stays
         // empty, the structure degenerates to plain replacement selection
         // (§4.1 "If the TopHeap grows to occupy the whole memory ... the
         // algorithm is equivalent to RS").
         let mut dual: DualHeap<u32> = DualHeap::new(16);
         for v in [9, 1, 8, 2, 7, 3, 6, 4, 5] {
-            dual.push(HeapSide::Top, v).unwrap();
+            dual.push(HeapSide::Top, rec(v)).unwrap();
         }
         assert_eq!(dual.len_of(HeapSide::Bottom), 0);
-        let mut out = Vec::new();
-        while let Some(v) = dual.pop(HeapSide::Top) {
-            out.push(v);
-        }
+        let out = values(drain_side(&mut dual, HeapSide::Top));
         assert_eq!(out, vec![1, 2, 3, 4, 5, 6, 7, 8, 9]);
     }
 
     #[test]
     fn pop_counters_track_usefulness_inputs() {
         let mut dual: DualHeap<u32> = DualHeap::new(8);
-        dual.push(HeapSide::Top, 1).unwrap();
-        dual.push(HeapSide::Top, 2).unwrap();
-        dual.push(HeapSide::Bottom, 3).unwrap();
+        dual.push(HeapSide::Top, rec(1)).unwrap();
+        dual.push(HeapSide::Top, rec(2)).unwrap();
+        dual.push(HeapSide::Bottom, rec(3)).unwrap();
         dual.pop(HeapSide::Top);
         dual.pop(HeapSide::Top);
+        dual.pop(HeapSide::Bottom);
         dual.pop(HeapSide::Bottom);
         assert_eq!(dual.pops_from(HeapSide::Top), 2);
         assert_eq!(dual.pops_from(HeapSide::Bottom), 1);
@@ -530,36 +408,23 @@ mod tests {
         assert!(dual.is_empty());
         assert_eq!(dual.pop(HeapSide::Top), None);
         assert_eq!(dual.pop(HeapSide::Bottom), None);
-        assert_eq!(dual.push(HeapSide::Top, 1), Err(DualHeapFull(1)));
+        assert_eq!(dual.push(HeapSide::Top, rec(1)), Err(DualHeapFull(rec(1))));
     }
 
     #[test]
-    fn custom_order_is_respected() {
-        /// Orders both sides by the value modulo 10.
-        struct Mod10;
-        impl TwoWayOrder<u32> for Mod10 {
-            fn cmp_top(&self, a: &u32, b: &u32) -> Ordering {
-                (a % 10).cmp(&(b % 10))
-            }
-            fn cmp_bottom(&self, a: &u32, b: &u32) -> Ordering {
-                (b % 10).cmp(&(a % 10))
-            }
-        }
-        let mut dual = DualHeap::with_order(8, Mod10);
-        for v in [21, 13, 47, 95] {
-            dual.push(HeapSide::Top, v).unwrap();
-        }
-        assert_eq!(dual.pop(HeapSide::Top), Some(21));
-        assert_eq!(dual.pop(HeapSide::Top), Some(13));
-        assert_eq!(dual.pop(HeapSide::Top), Some(95));
-        assert_eq!(dual.pop(HeapSide::Top), Some(47));
+    fn a_budget_beyond_any_input_reserves_nothing() {
+        let mut dual: DualHeap<u32> = DualHeap::new(usize::MAX);
+        dual.push(HeapSide::Top, rec(2)).unwrap();
+        dual.push(HeapSide::Bottom, rec(1)).unwrap();
+        assert_eq!(dual.free(), usize::MAX - 2);
+        assert_eq!(dual.pop(HeapSide::Top), Some(rec(2)));
     }
 
     #[test]
     fn iter_side_visits_only_that_side() {
         let dual = paper_figure_4_3();
-        let top: Vec<u32> = dual.iter_side(HeapSide::Top).copied().collect();
-        let bottom: Vec<u32> = dual.iter_side(HeapSide::Bottom).copied().collect();
+        let top = values(dual.iter_side(HeapSide::Top).copied());
+        let bottom = values(dual.iter_side(HeapSide::Bottom).copied());
         assert_eq!(top.len(), 7);
         assert_eq!(bottom.len(), 7);
         assert!(top.iter().all(|v| *v >= 52));

@@ -3,14 +3,17 @@
 //!
 //! The paper describes heapsort with a separate heap next to the input
 //! array: every record is pushed into the heap and then popped back out in
-//! order, giving the familiar `O(n log n)` bound. This module keeps that
-//! formulation (it doubles as an executable description of §3.2) and is used
-//! by the victim buffer and by tests as an independent sorting oracle.
+//! order, giving the familiar `O(n log n)` bound. [`heapsort_via_heap`] is
+//! that literal formulation; [`heapsort`] and [`heapsort_by`] sort in place
+//! on the crate's one `sift_down`. The run generators themselves never sort
+//! with heapsort: the module is an executable description of §3.2 and an
+//! independent sorting oracle for tests.
 
-use crate::{BinaryHeap, HeapKind};
+use crate::binary_heap::sift_down;
+use crate::BinaryHeap;
 use std::cmp::Ordering;
 
-/// Sorts a slice ascending using heapsort with an auxiliary heap (§3.2).
+/// Sorts a slice ascending using heapsort (§3.2).
 ///
 /// # Examples
 ///
@@ -31,43 +34,16 @@ pub fn heapsort_by<T, F>(slice: &mut [T], mut compare: F)
 where
     F: FnMut(&T, &T) -> Ordering,
 {
-    let n = slice.len();
-    if n < 2 {
-        return;
-    }
     // Build a max-heap (by `compare`) over the slice itself, then repeatedly
     // move the root to the back of the shrinking heap region.
+    let mut after = |a: &T, b: &T| compare(a, b) == Ordering::Greater;
+    let n = slice.len();
     for i in (0..n / 2).rev() {
-        sift_down(slice, i, n, &mut compare);
+        sift_down(slice, i, &mut after);
     }
     for end in (1..n).rev() {
         slice.swap(0, end);
-        sift_down(slice, 0, end, &mut compare);
-    }
-}
-
-/// Sinks the record at `root` within `slice[..end]` so the max-heap property
-/// (under `compare`) holds again.
-fn sift_down<T, F>(slice: &mut [T], mut root: usize, end: usize, compare: &mut F)
-where
-    F: FnMut(&T, &T) -> Ordering,
-{
-    loop {
-        let left = 2 * root + 1;
-        if left >= end {
-            break;
-        }
-        let right = left + 1;
-        let mut child = left;
-        if right < end && compare(&slice[right], &slice[left]) == Ordering::Greater {
-            child = right;
-        }
-        if compare(&slice[child], &slice[root]) == Ordering::Greater {
-            slice.swap(root, child);
-            root = child;
-        } else {
-            break;
-        }
+        sift_down(&mut slice[..end], 0, &mut after);
     }
 }
 
@@ -78,8 +54,7 @@ where
 /// literal transcription of the paper's algorithm, and serves as an oracle in
 /// tests.
 pub fn heapsort_via_heap<T: Ord>(values: Vec<T>) -> Vec<T> {
-    let mut heap = BinaryHeap::from_vec(HeapKind::Min, values);
-    heap.drain_sorted()
+    BinaryHeap::from_vec(values).drain_sorted()
 }
 
 #[cfg(test)]

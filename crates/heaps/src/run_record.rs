@@ -71,7 +71,7 @@ impl<T: Ord> Ord for RunRecord<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BinaryHeap, HeapKind};
+    use crate::BinaryHeap;
 
     #[test]
     fn run_is_the_major_key() {
@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn min_heap_surfaces_current_run_first() {
-        let mut heap = BinaryHeap::with_capacity(HeapKind::Min, 8);
+        let mut heap = BinaryHeap::bounded(8);
         heap.push(RunRecord::new(40, 0)).unwrap();
         heap.push(RunRecord::new(5, 1)).unwrap();
         heap.push(RunRecord::new(60, 0)).unwrap();

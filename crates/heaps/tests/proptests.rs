@@ -1,8 +1,9 @@
 //! Property-based tests for the heap structures.
 
 use proptest::prelude::*;
-use std::cmp::Ordering;
-use twrs_heaps::{heapsort, heapsort_by, BinaryHeap, DualHeap, HeapKind, HeapSide, RunRecord};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap as StdHeap;
+use twrs_heaps::{heapsort, heapsort_by, BinaryHeap, DualHeap, HeapSide, RunRecord};
 
 /// Ordered by `key` alone; `tag` tells records with equal keys apart, so a
 /// test can see where each duplicate ends up.
@@ -34,15 +35,15 @@ impl Ord for Tagged {
 
 /// The textbook two-comparison sift of §3.1.1: the left child first, the
 /// right one only when it orders strictly before the best so far.
-fn reference_downheap(data: &mut [Tagged], kind: HeapKind) {
+fn reference_downheap<T: Ord>(data: &mut [T]) {
     let mut idx = 0;
     loop {
         let (left, right) = (2 * idx + 1, 2 * idx + 2);
         let mut best = idx;
-        if left < data.len() && kind.before(&data[left], &data[best]) {
+        if left < data.len() && data[left] < data[best] {
             best = left;
         }
-        if right < data.len() && kind.before(&data[right], &data[best]) {
+        if right < data.len() && data[right] < data[best] {
             best = right;
         }
         if best == idx {
@@ -53,15 +54,56 @@ fn reference_downheap(data: &mut [Tagged], kind: HeapKind) {
     }
 }
 
-fn layout(heap: &BinaryHeap<Tagged>) -> Vec<(u8, u16)> {
-    heap.iter().map(|t| (t.key, t.tag)).collect()
+/// Drives `replace_top` and `pop` on a heap of `wrap`ped records and on the
+/// reference, asserting after every step that each record, down to which of
+/// two equal keys sits where, is in the same array slot.
+fn sift_matches_reference<T: Ord + Copy>(
+    initial: Vec<(u8, u16)>,
+    ops: Vec<(u8, u16)>,
+    wrap: impl Fn(Tagged) -> T,
+    unwrap: impl Fn(&T) -> Tagged,
+) {
+    let tagged = |(key, tag): (u8, u16)| wrap(Tagged { key, tag });
+    let layout = |records: &[T]| -> Vec<(u8, u16)> {
+        records
+            .iter()
+            .map(&unwrap)
+            .map(|t| (t.key, t.tag))
+            .collect()
+    };
+    let mut heap = BinaryHeap::from_vec(initial.into_iter().map(tagged).collect());
+    let mut reference: Vec<T> = heap.iter().copied().collect();
+    for (key, tag) in ops {
+        if key >= 4 {
+            // Pop: the last record moves to the root and sinks.
+            heap.pop();
+            let last = reference.len() - 1;
+            reference.swap(0, last);
+            reference.pop();
+        } else {
+            heap.replace_top(tagged((key, tag)));
+            reference[0] = tagged((key, tag));
+        }
+        reference_downheap(&mut reference);
+        assert_eq!(layout(heap.iter().as_slice()), layout(&reference));
+        if reference.is_empty() {
+            break;
+        }
+    }
 }
+
+/// The order in which a [`DualHeap`] side pops, as a key for
+/// `std::collections::BinaryHeap` (which pops its largest element): the
+/// TopHeap pops the smallest `(run, value)`, the BottomHeap the earliest run
+/// and within it the largest value.
+type TopKey = Reverse<(u64, i32)>;
+type BottomKey = (Reverse<u64>, i32);
 
 proptest! {
     /// Popping a min-heap yields the input in ascending order.
     #[test]
     fn min_heap_sorts(values in prop::collection::vec(any::<i64>(), 0..256)) {
-        let mut heap = BinaryHeap::unbounded(HeapKind::Min);
+        let mut heap = BinaryHeap::unbounded();
         for &v in &values {
             heap.push(v).unwrap();
             prop_assert_eq!(heap.debug_validate(), None);
@@ -75,10 +117,9 @@ proptest! {
     /// Popping a max-heap yields the input in descending order.
     #[test]
     fn max_heap_sorts_descending(values in prop::collection::vec(any::<i64>(), 0..256)) {
-        let heap = BinaryHeap::from_vec(HeapKind::Max, values.clone());
+        let mut heap = BinaryHeap::from_vec(values.iter().copied().map(Reverse).collect());
         prop_assert_eq!(heap.debug_validate(), None);
-        let mut heap = heap;
-        let drained = heap.drain_sorted();
+        let drained: Vec<i64> = heap.drain_sorted().into_iter().map(|r| r.0).collect();
         let mut expected = values;
         expected.sort_unstable_by(|a, b| b.cmp(a));
         prop_assert_eq!(drained, expected);
@@ -90,8 +131,8 @@ proptest! {
         initial in prop::collection::vec(any::<i32>(), 1..128),
         replacement in any::<i32>(),
     ) {
-        let mut a = BinaryHeap::from_vec(HeapKind::Min, initial.clone());
-        let mut b = BinaryHeap::from_vec(HeapKind::Min, initial);
+        let mut a = BinaryHeap::from_vec(initial.clone());
+        let mut b = BinaryHeap::from_vec(initial);
         let via_replace = a.replace_top(replacement);
         let via_pop = b.pop();
         b.push(replacement).unwrap();
@@ -108,29 +149,10 @@ proptest! {
         ops in prop::collection::vec((0u8..6, any::<u16>()), 0..96),
         max_heap in any::<bool>(),
     ) {
-        let kind = if max_heap { HeapKind::Max } else { HeapKind::Min };
-        let tagged = |(key, tag): (u8, u16)| Tagged { key, tag };
-        let mut heap = BinaryHeap::from_vec(kind, initial.into_iter().map(tagged).collect());
-        let mut reference: Vec<Tagged> = heap.iter().copied().collect();
-        for (key, tag) in ops {
-            if key >= 4 {
-                // Pop: the last record moves to the root and sinks.
-                heap.pop();
-                let last = reference.len() - 1;
-                reference.swap(0, last);
-                reference.pop();
-            } else {
-                heap.replace_top(tagged((key, tag)));
-                reference[0] = tagged((key, tag));
-            }
-            reference_downheap(&mut reference, kind);
-            prop_assert_eq!(
-                layout(&heap),
-                reference.iter().map(|t| (t.key, t.tag)).collect::<Vec<_>>()
-            );
-            if reference.is_empty() {
-                break;
-            }
+        if max_heap {
+            sift_matches_reference(initial, ops, Reverse, |r: &Reverse<Tagged>| r.0);
+        } else {
+            sift_matches_reference(initial, ops, |t| t, |t: &Tagged| *t);
         }
     }
 
@@ -138,7 +160,7 @@ proptest! {
     /// property and the popped prefix is always consistent with a heap.
     #[test]
     fn heap_invariant_under_mixed_ops(ops in prop::collection::vec((any::<bool>(), any::<u16>()), 0..512)) {
-        let mut heap = BinaryHeap::unbounded(HeapKind::Min);
+        let mut heap = BinaryHeap::unbounded();
         for (is_pop, value) in ops {
             if is_pop {
                 heap.pop();
@@ -160,13 +182,13 @@ proptest! {
         let mut dual: DualHeap<i32> = DualHeap::new(n.max(1));
         for (i, &v) in values.iter().enumerate() {
             let side = if *sides.get(i).unwrap_or(&true) { HeapSide::Top } else { HeapSide::Bottom };
-            dual.push(side, v).unwrap();
+            dual.push(side, RunRecord::new(v, 0)).unwrap();
             prop_assert_eq!(dual.debug_validate(), None);
         }
-        let mut ascending = Vec::new();
-        while let Some(v) = dual.pop(HeapSide::Top) { ascending.push(v); }
-        let mut descending = Vec::new();
-        while let Some(v) = dual.pop(HeapSide::Bottom) { descending.push(v); }
+        let ascending: Vec<i32> =
+            std::iter::from_fn(|| dual.pop(HeapSide::Top)).map(RunRecord::into_value).collect();
+        let descending: Vec<i32> =
+            std::iter::from_fn(|| dual.pop(HeapSide::Bottom)).map(RunRecord::into_value).collect();
         prop_assert!(ascending.windows(2).all(|w| w[0] <= w[1]));
         prop_assert!(descending.windows(2).all(|w| w[0] >= w[1]));
         let mut all: Vec<i32> = ascending.into_iter().chain(descending).collect();
@@ -174,6 +196,68 @@ proptest! {
         let mut expected = values.clone();
         expected.sort_unstable();
         prop_assert_eq!(all, expected);
+    }
+
+    /// Any interleaving of pushes and pops on both sides, with run tags
+    /// 0–3, peeks and pops exactly like two standard-library heaps keyed to
+    /// the same order; a push fails exactly when the two sides together
+    /// hold `capacity` records and hands the record back.
+    #[test]
+    fn dual_heap_matches_two_reference_heaps(
+        capacity in 0usize..24,
+        ops in prop::collection::vec((0u8..6, 0u64..4, any::<i32>()), 0..256),
+    ) {
+        let mut dual: DualHeap<i32> = DualHeap::new(capacity);
+        let mut top: StdHeap<TopKey> = StdHeap::new();
+        let mut bottom: StdHeap<BottomKey> = StdHeap::new();
+        let (mut top_pops, mut bottom_pops) = (0, 0);
+        for (op, run, value) in ops {
+            let record = RunRecord::new(value, run);
+            match op {
+                // Push onto the top (0, 1) or the bottom (2, 3) side.
+                0..=3 => {
+                    let side = if op < 2 { HeapSide::Top } else { HeapSide::Bottom };
+                    let full = top.len() + bottom.len() == capacity;
+                    match dual.push(side, record) {
+                        Err(rejected) => {
+                            prop_assert!(full);
+                            prop_assert_eq!(rejected.0, record);
+                        }
+                        Ok(()) => {
+                            prop_assert!(!full);
+                            match side {
+                                HeapSide::Top => top.push(Reverse((run, value))),
+                                HeapSide::Bottom => bottom.push((Reverse(run), value)),
+                            }
+                        }
+                    }
+                }
+                4 => {
+                    let expected = top.pop().map(|Reverse((run, value))| RunRecord::new(value, run));
+                    top_pops += u64::from(expected.is_some());
+                    prop_assert_eq!(dual.pop(HeapSide::Top), expected);
+                }
+                _ => {
+                    let expected = bottom.pop().map(|(Reverse(run), value)| RunRecord::new(value, run));
+                    bottom_pops += u64::from(expected.is_some());
+                    prop_assert_eq!(dual.pop(HeapSide::Bottom), expected);
+                }
+            }
+            prop_assert_eq!(dual.debug_validate(), None);
+            prop_assert_eq!(
+                dual.peek(HeapSide::Top).copied(),
+                top.peek().map(|&Reverse((run, value))| RunRecord::new(value, run))
+            );
+            prop_assert_eq!(
+                dual.peek(HeapSide::Bottom).copied(),
+                bottom.peek().map(|&(Reverse(run), value)| RunRecord::new(value, run))
+            );
+            prop_assert_eq!(dual.len_of(HeapSide::Top), top.len());
+            prop_assert_eq!(dual.len_of(HeapSide::Bottom), bottom.len());
+            prop_assert_eq!(dual.is_full(), top.len() + bottom.len() == capacity);
+            prop_assert_eq!(dual.pops_from(HeapSide::Top), top_pops);
+            prop_assert_eq!(dual.pops_from(HeapSide::Bottom), bottom_pops);
+        }
     }
 
     /// Heapsort agrees with the standard library sort.
@@ -202,7 +286,7 @@ proptest! {
     fn run_records_respect_run_major_order(
         entries in prop::collection::vec((0u64..4, any::<i32>()), 1..256),
     ) {
-        let mut heap = BinaryHeap::unbounded(HeapKind::Min);
+        let mut heap = BinaryHeap::unbounded();
         for &(run, value) in &entries {
             heap.push(RunRecord::new(value, run)).unwrap();
         }
