@@ -46,8 +46,10 @@ OPTIONS:
                            by SPEC (e.g. \"real:\" for an O_DIRECT-capable temp
                            directory, \"sim:nvme\", or a stripe such as
                            \"striped:[sim:nvme,real:]\"), report the direct-I/O
-                           status — plus per-member counters for stripes — and
-                           exit. Skips the matrix and the baseline.
+                           status (plus per-member counters for stripes), sort
+                           the same input at 2 threads, fail unless both
+                           outputs are byte-identical, and exit. Skips the
+                           matrix and the baseline.
     -h, --help             Print this help
 ";
 
@@ -198,7 +200,10 @@ fn write_file(path: &str, contents: &str) -> Result<(), String> {
 /// the CI `real-device-smoke` step. Reports the backend's direct-I/O
 /// decision (`O_DIRECT` or the fallback reason) and fails if the sort or
 /// its verification fails, so the real-file path is exercised on every CI
-/// run even though its wall-clock numbers are machine-dependent.
+/// run even though its wall-clock numbers are machine-dependent. It then
+/// sorts the same input at two threads, through shard workers, spill
+/// writers and prefetch threads, and fails unless that output's bytes
+/// equal the one-thread sort's.
 pub fn run_smoke(spec_text: &str) -> Result<i32, String> {
     use twrs_extsort::{ReplacementSelection, SortJob};
     use twrs_storage::{DeviceSpec, StorageDevice};
@@ -228,11 +233,15 @@ pub fn run_smoke(spec_text: &str) -> Result<i32, String> {
         records,
         super::matrix::MATRIX_SEED,
     );
-    let report = SortJob::new(ReplacementSelection::new(200))
-        .on(&device)
-        .verify(true)
-        .run_iter(input.records(), "smoke-sorted")
-        .map_err(|e| format!("smoke sort failed on `{spec}`: {e}"))?;
+    let sort = |threads: usize, output: &str| {
+        SortJob::new(ReplacementSelection::new(200))
+            .on(&device)
+            .threads(threads)
+            .verify(true)
+            .run_iter(input.records(), output)
+            .map_err(|e| format!("smoke sort at {threads} thread(s) failed on `{spec}`: {e}"))
+    };
+    let report = sort(1, "smoke-sorted")?;
     let stats = device.stats();
     if report.report.records != records {
         return Err(format!(
@@ -261,7 +270,33 @@ pub fn run_smoke(spec_text: &str) -> Result<i32, String> {
         stats.counters.pages_read,
         stats.counters.seeks
     );
+
+    sort(2, "smoke-sorted-2")?;
+    let bytes = |name: &str| {
+        file_bytes(&device, name).map_err(|e| format!("smoke output `{name}` on `{spec}`: {e}"))
+    };
+    if bytes("smoke-sorted-2")? != bytes("smoke-sorted")? {
+        return Err(format!(
+            "smoke sort on `{spec}`: the output at 2 threads differs from the one-thread output"
+        ));
+    }
+    println!("smoke ok at 2 threads: the output bytes equal the one-thread sort's");
     Ok(0)
+}
+
+/// Every page of file `name` on `device`, headers and padding included.
+fn file_bytes(
+    device: &dyn twrs_storage::StorageDevice,
+    name: &str,
+) -> twrs_storage::Result<Vec<u8>> {
+    let mut file = device.open(name)?;
+    let mut page = vec![0u8; device.page_size()];
+    let mut bytes = Vec::new();
+    for index in 0..file.num_pages() {
+        file.read_page(index, &mut page)?;
+        bytes.extend_from_slice(&page);
+    }
+    Ok(bytes)
 }
 
 /// Runs the suite for the given arguments. Returns the process exit code

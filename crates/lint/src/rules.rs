@@ -22,7 +22,9 @@ pub const NO_LIB_PANIC: &str = "no-lib-panic";
 /// R2: nested lock acquisitions must follow the declared order, and no
 /// declared lock may be held across `send()` / `recv()` / `join()`.
 pub const LOCK_DISCIPLINE: &str = "lock-discipline";
-/// R3: every `thread::spawn` result must be bound, stored or returned.
+/// R3: every `thread::spawn` result must be bound, stored or returned, and
+/// library code starts threads through `thread::Builder`, never a bare
+/// `thread::spawn`.
 pub const NO_DETACHED_THREADS: &str = "no-detached-threads";
 /// R4: the manifest's phase-loop functions must poll their cancellation
 /// token.
@@ -279,7 +281,13 @@ fn no_detached_threads(path: &str, scanned: &ScannedFile, findings: &mut Vec<Fin
         if tok.in_test || tok.kind != TokKind::Ident || tok.text != "spawn" {
             continue;
         }
+        let bare = is_bare_thread_spawn(tokens, i);
         if !is_punct(tokens.get(i + 1), "(") {
+            // An import or a function value of `thread::spawn` still leads
+            // to a bare call.
+            if bare {
+                findings.push(bare_spawn_finding(path, tok.line));
+            }
             continue;
         }
         // Only thread spawns: `thread::spawn(…)` or a `.spawn(…)` chained
@@ -329,6 +337,7 @@ fn no_detached_threads(path: &str, scanned: &ScannedFile, findings: &mut Vec<Fin
                 ends_with_semicolon(tokens, close)
             }
         };
+        // One finding per site: a discarded handle is the graver fault.
         if discarded {
             findings.push(Finding {
                 file: path.to_string(),
@@ -338,7 +347,30 @@ fn no_detached_threads(path: &str, scanned: &ScannedFile, findings: &mut Vec<Fin
                           in a field that joins on drop/shutdown"
                     .to_string(),
             });
+        } else if bare {
+            findings.push(bare_spawn_finding(path, tok.line));
         }
+    }
+}
+
+/// `true` when the `spawn` at `at` is the path `thread::spawn`, which
+/// panics when the operating system refuses a thread; `Builder::spawn`
+/// returns that failure as an error instead.
+fn is_bare_thread_spawn(tokens: &[Tok], at: usize) -> bool {
+    at >= 3
+        && is_punct(tokens.get(at - 1), ":")
+        && is_punct(tokens.get(at - 2), ":")
+        && matches!(tokens.get(at - 3), Some(t) if t.kind == TokKind::Ident && t.text == "thread")
+}
+
+fn bare_spawn_finding(path: &str, line: u32) -> Finding {
+    Finding {
+        file: path.to_string(),
+        line,
+        rule: NO_DETACHED_THREADS,
+        message: "bare `thread::spawn` panics when the OS refuses a thread; start it with \
+                  `thread::Builder::spawn` and turn the error into a SortError"
+            .to_string(),
     }
 }
 

@@ -276,10 +276,13 @@ pub fn go() {
 
 #[test]
 fn r3_accepts_bound_stored_or_returned_handles() {
+    // Library code starts threads through `Builder` (a bare
+    // `thread::spawn` is a finding of its own, see below).
     let bound = "\
-pub fn go() {
-    let worker = std::thread::spawn(move || work());
+pub fn go() -> std::io::Result<()> {
+    let worker = std::thread::Builder::new().spawn(move || work())?;
     worker.join();
+    Ok(())
 }
 ";
     assert_eq!(
@@ -288,8 +291,9 @@ pub fn go() {
     );
 
     let pushed = "\
-pub fn go(workers: &mut Vec<JoinHandle<()>>) {
-    workers.push(std::thread::spawn(move || work()));
+pub fn go(workers: &mut Vec<JoinHandle<()>>) -> std::io::Result<()> {
+    workers.push(std::thread::Builder::new().spawn(move || work())?);
+    Ok(())
 }
 ";
     assert_eq!(
@@ -322,6 +326,56 @@ pub fn go(cmd: &mut Command) {
         findings_for("crates/foo/src/lib.rs", process, NO_DETACHED_THREADS),
         vec![]
     );
+}
+
+#[test]
+fn r3_flags_bare_thread_spawn_in_library_code_only() {
+    // A bare `thread::spawn` panics when the OS refuses a thread, so
+    // library code may not call it even when it keeps the handle; an
+    // import or a function value of it is flagged too.
+    let src = "\
+use std::thread::{self, JoinHandle};
+use std::thread::spawn;
+
+pub fn go() -> JoinHandle<()> {
+    let worker = thread::spawn(move || work());
+    worker
+}
+
+pub fn start(workers: &mut Vec<JoinHandle<()>>) {
+    workers.push(std::thread::spawn(move || work()));
+    let make = thread::spawn::<fn(), ()>;
+}
+
+pub fn built() -> std::io::Result<JoinHandle<()>> {
+    thread::Builder::new().name(\"w\".into()).spawn(move || work())
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn tests_may_spawn_bare() {
+        std::thread::spawn(move || work()).join().unwrap();
+    }
+}
+";
+    assert_eq!(
+        findings_for("crates/foo/src/lib.rs", src, NO_DETACHED_THREADS),
+        vec![2, 5, 10, 11]
+    );
+
+    // A discarded bare spawn is one finding, not two.
+    let discarded = "\
+pub fn go() {
+    std::thread::spawn(move || work());
+}
+";
+    let findings: Vec<_> = check_source("crates/foo/src/lib.rs", discarded)
+        .into_iter()
+        .filter(|f| f.rule == NO_DETACHED_THREADS)
+        .collect();
+    assert_eq!(findings.len(), 1);
+    assert!(findings[0].message.contains("discarded"));
 }
 
 // -------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 //! device backends, every run-generation algorithm, and the merge
 //! strategies, all verified for correctness.
 
+mod common;
+
+use common::file_bytes;
 use two_way_replacement_selection::extsort::distribution_sort::{
     DistributionSort, DistributionSortConfig,
 };
@@ -55,6 +58,39 @@ fn twrs_sorts_on_the_real_file_device() {
         DistributionKind::MixedBalanced,
         8_000,
     );
+}
+
+#[test]
+fn threaded_sorts_on_the_real_file_device_match_one_thread() {
+    // Shard workers, spill writers and prefetch threads on real files:
+    // every thread count writes the one-thread output byte for byte and
+    // leaves nothing but that output behind.
+    let device = RealFileDevice::temp().expect("temporary directory");
+    let sort = |threads: usize| {
+        let output = format!("sorted-{threads}");
+        let input = Distribution::new(DistributionKind::MixedBalanced, 20_000, 17).records();
+        let report = SortJob::new(TwoWayReplacementSelection::new(TwrsConfig::recommended(
+            300,
+        )))
+        .on(&device)
+        .threads(threads)
+        .merge(MergeConfig {
+            fan_in: 4,
+            read_ahead_records: 100,
+        })
+        .verify(true)
+        .run_iter(input, &output)
+        .expect("sort succeeds");
+        assert_eq!(report.threads, threads);
+        assert_eq!(device.list(), vec![output.clone()], "threads = {threads}");
+        let bytes = file_bytes(&device, &output);
+        device.remove(&output).expect("cleanup");
+        bytes
+    };
+    let expected = sort(1);
+    for threads in [2, 4] {
+        assert!(sort(threads) == expected, "threads = {threads}");
+    }
 }
 
 #[test]
