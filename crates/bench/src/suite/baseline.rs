@@ -1,8 +1,7 @@
 //! The deterministic-metrics regression gate.
 //!
-//! Under the simulated device, pages read/written, run counts and (on the
-//! sequential path) seeks are pure functions of the scenario — identical on
-//! every machine. `crates/bench/baseline.json` pins them for the quick
+//! Under the simulated device, pages read/written, run counts and seeks are
+//! pure functions of the scenario — identical on every machine. `crates/bench/baseline.json` pins them for the quick
 //! matrix; CI re-runs the matrix and fails on any drift, so an accounting
 //! or algorithmic regression cannot land silently. Intentional changes
 //! update the baseline in the same PR via `bench_suite --update-baseline`.
@@ -12,32 +11,28 @@
 //! multi-job ids share the namespace — each value the scenario's
 //! `deterministic` block from the bench report.
 //!
-//! ## `seeks` semantics
+//! ## Why seeks are deterministic
 //!
-//! The `seeks` field is an explicit `Option`: `null` **only** encodes "not
-//! deterministic for this scenario", never "zero" or "unknown". Seek counts
-//! depend on the order reads pass through the device's disk head, so:
+//! Seek counts depend on the order reads pass through a disk head, so they
+//! are pinned only because every head sees one reader at a time:
 //!
-//! * **single-threaded scenarios** (`-t1` ids) always pin a concrete
-//!   number — a `null` there would silently drop coverage and is itself a
-//!   drift (`counter_drift` treats a `Some`/`None` disagreement between
-//!   baseline and measurement as a failure, in both directions);
-//! * **multi-threaded scenarios** (`-t4` ids) pin `null`, because the
-//!   interleaving of generation and prefetch threads through the shared
-//!   head is scheduler-dependent;
-//! * **striped scenarios** (`-d<n>` ids, `disks > 1`) pin a concrete
-//!   number again even at `-t4`: each shard spills to its own stripe
-//!   member and the per-disk reduction keeps every member head
-//!   single-reader, so no scheduler-dependent interleaving ever reaches a
-//!   head (the per-member breakdown also rides in the bench report);
-//! * **service scenarios** (`service-` ids) pin a concrete sum even though
-//!   jobs run concurrently: every job is single-threaded on its own
+//! * **single-threaded scenarios** (`-t1` ids) read on the calling thread;
+//! * **multi-threaded scenarios** (`-t4` ids) start no prefetch thread,
+//!   because simulated I/O costs no wall-clock time (see
+//!   `StorageDevice::has_wall_clock_latency`): the shards only write, and
+//!   writes never move the head;
+//! * **striped scenarios** (`-d<n>` ids, `disks > 1`) pin each shard's
+//!   spill to one member, which one reducer then reads (the per-member
+//!   breakdown also rides in the bench report);
+//! * **service scenarios** (`service-` ids) pin a sum even though jobs
+//!   run concurrently: every job is single-threaded on its own
 //!   [`ScopedDevice`](twrs_storage::ScopedDevice) scope (a private head),
 //!   so the per-job counts — and their order-independent sum — stay
 //!   deterministic.
 //!
-//! The `baseline_pins_seeks_exactly_for_single_threaded_scenarios` test in
-//! `tests/golden_counters.rs` enforces this contract on the committed file.
+//! Every entry pins a number for every counter; a missing or `null` one is
+//! a drift. The `baseline_pins_seeks_exactly_for_single_threaded_scenarios`
+//! test in `tests/golden_counters.rs` checks the committed file.
 
 use super::json::Json;
 use super::report::{deterministic_json, BenchReport};
@@ -90,27 +85,17 @@ fn counter_drift(
     scenario: &str,
     field: &str,
     baseline: Option<&Json>,
-    measured: Option<u64>,
+    measured: u64,
 ) {
-    let pinned = baseline.and_then(Json::as_u64);
-    // A null (or absent) field on either side means "not comparable here"
-    // — that is itself a drift unless both sides agree it is absent.
-    match (pinned, measured) {
-        (Some(p), Some(m)) if p == m => {}
-        (None, None) => {}
-        (Some(p), Some(m)) => drifts.push(Drift {
-            scenario: scenario.to_string(),
-            detail: format!("{field}: baseline {p}, measured {m}"),
-        }),
-        (Some(p), None) => drifts.push(Drift {
-            scenario: scenario.to_string(),
-            detail: format!("{field}: baseline {p}, but no longer measured"),
-        }),
-        (None, Some(m)) => drifts.push(Drift {
-            scenario: scenario.to_string(),
-            detail: format!("{field}: measured {m}, but not pinned in the baseline"),
-        }),
-    }
+    let detail = match baseline.and_then(Json::as_u64) {
+        Some(pinned) if pinned == measured => return,
+        Some(pinned) => format!("{field}: baseline {pinned}, measured {measured}"),
+        None => format!("{field}: measured {measured}, but not pinned in the baseline"),
+    };
+    drifts.push(Drift {
+        scenario: scenario.to_string(),
+        detail,
+    });
 }
 
 /// Compares a fresh report against a parsed baseline document. Returns
@@ -165,13 +150,10 @@ pub fn compare(baseline: &Json, report: &BenchReport) -> Vec<Drift> {
         // For stream scenarios `final_pass_pages_written` pins the headline
         // invariant: zero final-pass pages, forever.
         for (field, value) in [
-            ("pages_read", Some(det.pages_read)),
-            ("pages_written", Some(det.pages_written)),
-            (
-                "final_pass_pages_written",
-                Some(det.final_pass_pages_written),
-            ),
-            ("runs", Some(det.runs)),
+            ("pages_read", det.pages_read),
+            ("pages_written", det.pages_written),
+            ("final_pass_pages_written", det.final_pass_pages_written),
+            ("runs", det.runs),
             ("seeks", det.seeks),
         ] {
             counter_drift(&mut drifts, id, field, entry.get(field), value);

@@ -12,6 +12,7 @@ use super::report::{BenchReport, Table};
 use super::runner::per_disk_counters;
 use super::service::service_slice;
 use std::path::Path;
+use twrs_storage::{AnyDevice, DeviceSpec};
 
 /// Default location of the committed baseline, relative to the workspace
 /// root (where both CI and `cargo run` execute).
@@ -196,17 +197,38 @@ fn write_file(path: &str, contents: &str) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
+/// What the smoke prints about `device`: its backend — or, for a stripe,
+/// each member's — and each real-file backend's direct-I/O decision
+/// (`O_DIRECT` or the fallback reason).
+fn describe_device(spec: &DeviceSpec, device: &AnyDevice) -> Vec<String> {
+    let backend = |device: &AnyDevice| match device.direct_io() {
+        Some(status) => format!("real files, {status}"),
+        None => "simulated".to_string(),
+    };
+    let Some(stripe) = device.as_striped() else {
+        return vec![format!("smoke device `{spec}`: {}", backend(device))];
+    };
+    let members = stripe.member_devices().iter().enumerate();
+    std::iter::once(format!(
+        "smoke device `{spec}`: stripe of {} members",
+        stripe.members()
+    ))
+    .chain(members.map(|(index, member)| format!("  member {index}: {}", backend(member))))
+    .collect()
+}
+
 /// Runs one small end-to-end sort on the device a spec string describes —
-/// the CI `real-device-smoke` step. Reports the backend's direct-I/O
-/// decision (`O_DIRECT` or the fallback reason) and fails if the sort or
-/// its verification fails, so the real-file path is exercised on every CI
-/// run even though its wall-clock numbers are machine-dependent. It then
-/// sorts the same input at two threads, through shard workers, spill
-/// writers and prefetch threads, and fails unless that output's bytes
-/// equal the one-thread sort's.
+/// the CI `real-device-smoke` and `striped-device-smoke` steps. Reports
+/// every backend's direct-I/O decision and fails if the sort or its
+/// verification fails, so the real-file path is exercised on every CI run
+/// even though its wall-clock numbers are machine-dependent. It then sorts
+/// the same input at two threads, says whether that sort runs spill
+/// writers and prefetch threads (it does when the device has wall-clock
+/// latency), and fails unless that output's bytes equal the one-thread
+/// sort's.
 pub fn run_smoke(spec_text: &str) -> Result<i32, String> {
     use twrs_extsort::{ReplacementSelection, SortJob};
-    use twrs_storage::{DeviceSpec, StorageDevice};
+    use twrs_storage::StorageDevice;
     use twrs_workloads::Distribution;
     use twrs_workloads::DistributionKind;
 
@@ -216,15 +238,8 @@ pub fn run_smoke(spec_text: &str) -> Result<i32, String> {
     let device = spec
         .build()
         .map_err(|e| format!("--smoke {spec_text}: {e}"))?;
-    match device.direct_io() {
-        Some(status) => println!("smoke device `{spec}`: real files, {status}"),
-        None => println!("smoke device `{spec}`: simulated"),
-    }
-    if let Some(stripe) = device.as_striped() {
-        println!(
-            "smoke device `{spec}`: stripe of {} members",
-            stripe.members()
-        );
+    for line in describe_device(&spec, &device) {
+        println!("{line}");
     }
 
     let records = 3_000u64;
@@ -271,6 +286,14 @@ pub fn run_smoke(spec_text: &str) -> Result<i32, String> {
         stats.counters.seeks
     );
 
+    println!(
+        "smoke helper threads at 2 threads: {}",
+        if device.has_wall_clock_latency() {
+            "yes (spill writers and prefetch threads)"
+        } else {
+            "no (the device's I/O has no wall-clock latency to hide)"
+        }
+    );
     sort(2, "smoke-sorted-2")?;
     let bytes = |name: &str| {
         file_bytes(&device, name).map_err(|e| format!("smoke output `{name}` on `{spec}`: {e}"))
@@ -458,6 +481,28 @@ mod tests {
         assert_eq!(matrix.name, "quick");
         assert!(matrix.is_empty(), "single-sort scenarios dropped");
         assert!(!service_slice(matrix.name).is_empty());
+    }
+
+    #[test]
+    fn smoke_reports_every_stripe_member_backend() {
+        let describe = |text: &str| {
+            let spec: DeviceSpec = text.parse().unwrap();
+            describe_device(&spec, &spec.build().unwrap())
+        };
+        assert_eq!(describe("sim:nvme"), ["smoke device `sim:nvme`: simulated"]);
+        let real = describe("real:");
+        assert_eq!(real.len(), 1);
+        assert!(real[0].contains(": real files, "), "{real:?}");
+        let mixed = describe("striped:[sim:nvme,real:]");
+        assert_eq!(mixed.len(), 3, "{mixed:?}");
+        assert!(mixed[0].ends_with("stripe of 2 members"), "{mixed:?}");
+        assert_eq!(mixed[1], "  member 0: simulated");
+        // The real member's O_DIRECT decision, whichever way it went.
+        assert!(
+            mixed[2].starts_with("  member 1: real files, ")
+                && (mixed[2].contains("O_DIRECT") || mixed[2].contains("buffered")),
+            "{mixed:?}"
+        );
     }
 
     #[test]

@@ -322,9 +322,8 @@ impl ScenarioMatrix {
             ..s
         }));
         // Multi-disk axis: the random/record slice spilling across a
-        // stripe. Shard-pinned spills make the per-disk seek counts
-        // deterministic, so — unlike the plain `-t4` scenarios — these
-        // multi-threaded runs pin concrete seek totals in the baseline.
+        // stripe, with shard-pinned spills and one reducer per member; the
+        // report adds each member's counters.
         scenarios.extend(Self::striped_slice(records, memory));
         scenarios.extend(figures::scenarios(&Figure::all(), Scale::QUICK));
         ScenarioMatrix {

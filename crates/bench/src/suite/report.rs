@@ -33,12 +33,9 @@
 //! ```
 //!
 //! Wall-clock fields vary by machine; everything under `deterministic` is
-//! identical everywhere (`seeks` is `null` for multi-threaded scenarios,
-//! where read interleaving through the one shared disk head is
-//! scheduler-dependent — except on striped scenarios, `"disks" > 1`, where
-//! shard-pinned spills and the per-disk reduction keep every member head
-//! single-reader and seeks concrete again) and is what the CI baseline
-//! gate pins. `per_disk` lists each stripe member's counters in stripe
+//! identical everywhere (seeks too: on the simulated device every disk
+//! head has one reader at a time at any thread count, see
+//! `suite::baseline`) and is what the CI baseline gate pins. `per_disk` lists each stripe member's counters in stripe
 //! order (empty on single-disk scenarios); the runner verifies the fold
 //! against the device totals before reporting. `"sink": "stream"` scenarios run through
 //! `SortJob::stream_iter`; their pinned `final_pass_pages_written` is `0` —
@@ -270,7 +267,7 @@ impl BenchReport {
                 det.pages_read.to_string(),
                 det.pages_written.to_string(),
                 det.runs.to_string(),
-                det.seeks.map_or("-".to_string(), |s| s.to_string()),
+                det.seeks.to_string(),
             ]);
         }
         Some(table)
@@ -304,7 +301,7 @@ impl BenchReport {
                 det.pages_read.to_string(),
                 det.pages_written.to_string(),
                 det.final_pass_pages_written.to_string(),
-                det.seeks.map_or("-".to_string(), |s| s.to_string()),
+                det.seeks.to_string(),
                 format!("{:.1}ms", result.simulated_io_us as f64 / 1_000.0),
             ]);
         }
@@ -462,7 +459,7 @@ pub(crate) fn deterministic_json(det: &super::runner::DeterministicCounters) -> 
             Json::counter(det.final_pass_pages_written),
         ),
         ("runs", Json::counter(det.runs)),
-        ("seeks", det.seeks.map_or(Json::Null, Json::counter)),
+        ("seeks", Json::counter(det.seeks)),
     ])
 }
 
@@ -522,9 +519,9 @@ mod tests {
         let det = first.get("deterministic").unwrap();
         assert!(det.get("pages_written").and_then(Json::as_u64).unwrap() > 0);
         assert!(det.get("seeks").and_then(Json::as_u64).is_some());
-        // The 4-thread scenario reports null seeks.
+        // So does the 4-thread scenario.
         let det4 = scenarios[1].get("deterministic").unwrap();
-        assert_eq!(det4.get("seeks"), Some(&Json::Null));
+        assert!(det4.get("seeks").and_then(Json::as_u64).is_some());
         // Single-disk scenarios carry an empty per-disk breakdown.
         assert_eq!(first.get("disks").and_then(Json::as_u64), Some(1));
         let per_disk = first.get("per_disk").and_then(Json::as_arr).unwrap();
@@ -550,7 +547,7 @@ mod tests {
         let parsed = Json::parse(&report.to_json().render()).unwrap();
         let scenario = &parsed.get("scenarios").and_then(Json::as_arr).unwrap()[0];
         assert_eq!(scenario.get("disks").and_then(Json::as_u64), Some(2));
-        // Striped multi-threaded scenarios pin concrete seeks...
+        // The totals carry seeks...
         let det = scenario.get("deterministic").unwrap();
         let total_seeks = det.get("seeks").and_then(Json::as_u64).expect("concrete");
         // ...and the serialized members fold back into the totals.

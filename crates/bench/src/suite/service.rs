@@ -177,7 +177,7 @@ fn job_counters(report: &SortJobReport) -> DeterministicCounters {
         pages_written: sum(|p| p.pages_written),
         final_pass_pages_written: report.report.final_pass_pages_written,
         runs: report.report.num_runs as u64,
-        seeks: Some(sum(|p| p.seeks)),
+        seeks: sum(|p| p.seeks),
     }
 }
 
@@ -255,7 +255,7 @@ pub fn run_service_scenario(scenario: &ServiceScenario) -> Result<ServiceScenari
         pages_written: 0,
         final_pass_pages_written: 0,
         runs: 0,
-        seeks: Some(0),
+        seeks: 0,
     };
     let mut tenant_grants: BTreeMap<String, usize> = BTreeMap::new();
     for (i, handle) in handles.into_iter().enumerate() {
@@ -287,7 +287,7 @@ pub fn run_service_scenario(scenario: &ServiceScenario) -> Result<ServiceScenari
         counters.pages_written += job.pages_written;
         counters.final_pass_pages_written += job.final_pass_pages_written;
         counters.runs += job.runs;
-        counters.seeks = counters.seeks.zip(job.seeks).map(|(a, b)| a + b);
+        counters.seeks += job.seeks;
     }
     let wall_us = started.elapsed().as_micros() as u64;
 
@@ -417,7 +417,7 @@ mod tests {
         assert_eq!(a.tenant_grants, b.tenant_grants);
         assert_eq!(a.jobs_completed, 8);
         assert!(a.counters.pages_written > 0);
-        assert!(a.counters.seeks.unwrap() > 0, "single-threaded jobs seek");
+        assert!(a.counters.seeks > 0, "single-threaded jobs seek");
         assert!(a.max_leased <= scenario.global_memory);
         assert!(a.queue_latency.p50 <= a.queue_latency.max);
     }

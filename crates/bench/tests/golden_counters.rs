@@ -44,7 +44,7 @@ fn rs_random_counters_are_pinned() {
             pages_written: 104,
             final_pass_pages_written: 26,
             runs: 11,
-            seeks: Some(45),
+            seeks: 45,
         },
     );
 }
@@ -59,7 +59,7 @@ fn lss_random_counters_are_pinned() {
             pages_written: 134,
             final_pass_pages_written: 26,
             runs: 20,
-            seeks: Some(83),
+            seeks: 83,
         },
     );
 }
@@ -74,7 +74,7 @@ fn twrs_random_counters_are_pinned() {
             pages_written: 159,
             final_pass_pages_written: 26,
             runs: 11,
-            seeks: Some(81),
+            seeks: 81,
         },
     );
 }
@@ -118,8 +118,8 @@ fn number_in_id(id: &str, prefix: &str) -> Option<u64> {
 
 #[test]
 fn striped_twrs_counters_are_pinned() {
-    // The striped slice's headline: 4 shards on a 4-disk stripe report
-    // concrete seeks again. Pinned to the committed baseline entry for
+    // The striped slice: 4 shards on a 4-disk stripe, one per member.
+    // Pinned to the committed baseline entry for
     // 2wrs-random-record-n6000-m300-t4-d4.
     let scenario = Scenario {
         threads: 4,
@@ -134,7 +134,7 @@ fn striped_twrs_counters_are_pinned() {
             pages_written: 309,
             final_pass_pages_written: 26,
             runs: 45,
-            seeks: Some(189),
+            seeks: 189,
         },
         "deterministic counters drifted for {} — if intentional, update this \
          test AND crates/bench/baseline.json in the same PR",
@@ -152,15 +152,11 @@ fn striped_twrs_counters_are_pinned() {
 
 #[test]
 fn baseline_pins_seeks_exactly_for_single_threaded_scenarios() {
-    // The `seeks` field is an explicit Option: `null` encodes "not
-    // deterministic for this scenario" and nothing else (see the
-    // `suite::baseline` docs). Enforce the contract on the committed file:
-    // every single-threaded scenario pins a concrete seek count, every
-    // multi-threaded single-disk one pins null, every striped scenario
-    // (`-d<n>` ids) pins a concrete count again — shard-pinned spills and
-    // the per-disk reduction keep every stripe head single-reader — and
-    // every service scenario pins a concrete sum (its jobs are
-    // single-threaded on private device scopes).
+    // Every disk head of a simulated sort has one reader at a time at any
+    // thread count (see the `suite::baseline` docs), so every entry of the
+    // committed file pins a seek count: single- and multi-threaded
+    // scenarios on one disk, striped scenarios (`-d<n>` ids) and service
+    // scenarios (single-threaded jobs on private device scopes) alike.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/baseline.json");
     let text = std::fs::read_to_string(path).expect("committed baseline exists");
     let baseline = twrs_bench::suite::Json::parse(&text).expect("baseline parses");
@@ -174,41 +170,24 @@ fn baseline_pins_seeks_exactly_for_single_threaded_scenarios() {
     let mut service = 0;
     for (id, entry) in scenarios {
         let seeks = entry.get("seeks").expect("seeks field is always present");
-        let pinned = seeks.as_u64();
+        assert!(
+            seeks.as_u64().is_some(),
+            "{id}: every scenario must pin a concrete seek count"
+        );
         if id.starts_with("service-") {
             service += 1;
-            assert!(pinned.is_some(), "{id}: service seeks are deterministic");
-            continue;
-        }
-        if number_in_id(id, "-d").is_some() {
+        } else if number_in_id(id, "-d").is_some() {
             striped += 1;
             assert!(
                 number_in_id(id, "-t").is_some_and(|t| t > 1),
-                "{id}: the striped slice exists to pin multi-threaded seeks"
+                "{id}: the striped slice runs multi-threaded sorts"
             );
-            assert!(
-                pinned.is_some(),
-                "{id}: striped scenarios keep every stripe head single-reader \
-                 and must pin a concrete seek count"
-            );
-            continue;
-        }
-        match number_in_id(id, "-t") {
-            Some(1) => {
-                single += 1;
-                assert!(
-                    pinned.is_some(),
-                    "{id}: single-threaded scenarios must pin a concrete seek count"
-                );
+        } else {
+            match number_in_id(id, "-t") {
+                Some(1) => single += 1,
+                Some(_) => multi += 1,
+                None => panic!("{id}: id encodes no thread count"),
             }
-            Some(_) => {
-                multi += 1;
-                assert!(
-                    pinned.is_none(),
-                    "{id}: multi-threaded seeks are scheduler-dependent and must be null"
-                );
-            }
-            None => panic!("{id}: id encodes no thread count"),
         }
     }
     assert!(

@@ -41,10 +41,10 @@
 //!   *running* job observes `cancel()` at the next phase/page boundary,
 //!   cleans up its spill files and completes as `Canceled`;
 //! * [`parallel`] — the pipeline's stages at `threads > 1`: run
-//!   generation fans out over budget-divided worker threads, spill writes
-//!   move to dedicated writer threads behind bounded channels, and the
-//!   merge prefetches every input run in the background. Produces output
-//!   byte-identical to a one-thread job.
+//!   generation fans out over budget-divided worker threads, and on a
+//!   device with wall-clock latency spill writes move to dedicated writer
+//!   threads and the merge prefetches every input run in the background.
+//!   Produces output byte-identical to a one-thread job.
 
 #![warn(missing_docs)]
 

@@ -2,43 +2,37 @@
 //! [`SortJob`](crate::SortJob) with `threads > 1` runs instead of the
 //! inline ones.
 //!
-//! At one thread the pipeline ([`sorter`](crate::sorter)) generates runs on
-//! the calling thread, so heap work, spill writes and merge reads all
-//! serialise. With more threads it keeps the exact same building blocks —
-//! any [`RunGenerator`] plugs in unchanged — and overlaps the three:
+//! The input is cut into parcels of `SHARD_BATCH_RECORDS` (256) records,
+//! and parcel `i` goes to shard worker `i % threads`. Each worker runs its
+//! own clone of the run-generation algorithm — any [`RunGenerator`] plugs
+//! in — with a proportional slice of the memory budget (see
+//! [`ShardableGenerator`]), so total memory stays fixed while the heap
+//! work parallelises.
 //!
-//! 1. **Sharded generation.** The input stream is cut into parcels of
-//!    `SHARD_BATCH_RECORDS` (256) records, and parcel `i` goes to worker
-//!    `i % threads`. Each worker runs its own clone of the run-generation
-//!    algorithm with a proportional slice of the memory budget (see
-//!    [`ShardableGenerator`]), so total memory stays fixed while the heap
-//!    work parallelises.
-//! 2. **Asynchronous spilling.** Each worker writes its runs through a
-//!    [`SpillWriteDevice`], which ships page writes over a bounded channel
-//!    to a dedicated writer thread; heap operations overlap spill I/O, and
-//!    the bounded queue applies back-pressure so memory stays bounded.
-//! 3. **Prefetched merging.** Every merge step reads each input run through
-//!    a background prefetch thread that stays a few read-ahead batches
-//!    ahead of the loser tree.
+//! Helper threads hide device latency, so they run only on a device with
+//! some ([`StorageDevice::has_wall_clock_latency`]): each worker then
+//! spills through a [`SpillWriteDevice`], whose writer thread performs the
+//! page writes while the heaps keep going, and every run of the merge
+//! passes (not of a stripe's per-disk reduction) is read by a prefetch
+//! thread a few read-ahead batches ahead of the loser tree. On a device whose I/O costs no wall-clock time, like `SimDevice`,
+//! a sharded sort runs only its shards and, on a stripe, its per-disk
+//! reducers.
 //!
-//! Every hand-off between threads moves data in bulk, on recycled
-//! buffers: one channel message carries 16 parcels to a shard, up to 16
-//! page writes to a spill writer, or 4 read-ahead batches to the merge,
-//! and the receiver sends each emptied buffer back for the next message.
-//! So a thread wakes its peer once per message rather than once per
-//! parcel, page or batch, and a steady-state sort allocates no buffer per
-//! unit. Batching changes only when a unit crosses a thread boundary:
-//! every shard gets the same records in the same order, every file the
-//! same page writes in the same order, and every run is read page for
-//! page as it would be one batch at a time.
+//! Every hand-off between threads goes through one bounded batch channel
+//! (`batch_channel`): a message carries 16 parcels to a shard, up to 16
+//! page writes to a spill writer, or 4 read-ahead batches to the merge, and
+//! the receiver returns each emptied buffer for the next message. So a
+//! thread wakes its peer once per message rather than once per unit, and a
+//! steady-state sort allocates no buffer per unit. Batching changes only
+//! when a unit crosses a thread boundary: every shard gets the same records
+//! in the same order, every file the same page writes in the same order,
+//! and every run is read page for page as it would be one batch at a time.
 //!
 //! On a striped device (`twrs_storage::StripedDevice`) each shard spills
 //! through a member-pinned shard view (shard `i` → member `i % members`),
 //! and before the global merge a per-disk reduction folds every member's
 //! runs into at most one run *on that member*, each by a single-threaded
-//! reducer. Per-disk read order — and with it every member's seek counters —
-//! therefore stays deterministic at any thread count, which is what lets the
-//! bench suite pin concrete seek counts for multi-threaded striped runs.
+//! reducer, so each member's read order and seek count stay deterministic.
 //!
 //! Because [`SortableRecord`] requires a *total* order, the fully merged
 //! output is **byte-identical** for every thread count — the equivalence
@@ -54,8 +48,7 @@
 use crate::cancel::CancellationToken;
 use crate::error::{Result, SortError};
 use crate::merge::kway::{
-    buffer_capacity, merge_step, reduce_to_fan_in, BufferedCursor, MergeConfig, MergeReport,
-    MergeSource, ReducedRuns, RunSource,
+    buffer_capacity, merge_step, reduce_to_fan_in, MergeConfig, MergeReport, ReducedRuns,
 };
 use crate::run_generation::{Device, RunCursor, RunGenerator, RunHandle, RunSet};
 use crate::sync::lock_or_poison;
@@ -93,7 +86,7 @@ const SPILL_BATCH_PAGES: usize = 16;
 /// writer is applying, at most 96 pages of one shard are in flight.
 const SPILL_QUEUE_PAGES: usize = 64;
 /// Read-ahead batches per message from a merge prefetch thread. The
-/// channel queues one message, so one source has at most three messages —
+/// channel queues one message, so one run has at most three messages —
 /// 12 batches of `read_ahead` records — in flight: one queued, one the
 /// thread is reading and one the merge is consuming.
 const PREFETCH_BATCHES: usize = 4;
@@ -109,6 +102,105 @@ where
         .name(name)
         .spawn(work)
         .map_err(|e| SortError::Storage(StorageError::Io(e)))
+}
+
+/// Joins every worker before reporting anything, so none is left running
+/// (and writing spill files) after an error. Then fails with `refused`, a
+/// thread the operating system refused, if there was one; otherwise
+/// returns the workers' results in order up to the first error, resuming
+/// a worker's panic on the way.
+fn join_all<T>(workers: Vec<JoinHandle<Result<T>>>, refused: Option<SortError>) -> Result<Vec<T>> {
+    let results: Vec<std::thread::Result<Result<T>>> =
+        workers.into_iter().map(JoinHandle::join).collect();
+    if let Some(e) = refused {
+        return Err(e);
+    }
+    results
+        .into_iter()
+        .map(|result| result.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+        .collect()
+}
+
+// ---------------------------------------------------------------------------
+// The hand-off between threads
+// ---------------------------------------------------------------------------
+
+/// The sending end of a bounded batch channel.
+struct BatchSender<B> {
+    full: SyncSender<B>,
+    empty: Receiver<B>,
+}
+
+/// The receiving end of a bounded batch channel; it returns each emptied
+/// buffer to the sender for reuse.
+pub(crate) struct BatchReceiver<B> {
+    full: Receiver<B>,
+    empty: SyncSender<B>,
+}
+
+/// A channel queuing at most `depth` batches. Up to `depth + 2` emptied
+/// buffers travel back, one for every batch that can be in flight:
+/// queued, being filled and being emptied.
+fn batch_channel<B>(depth: usize) -> (BatchSender<B>, BatchReceiver<B>) {
+    let (full_tx, full_rx) = sync_channel(depth);
+    let (empty_tx, empty_rx) = sync_channel(depth + 2);
+    (
+        BatchSender {
+            full: full_tx,
+            empty: empty_rx,
+        },
+        BatchReceiver {
+            full: full_rx,
+            empty: empty_tx,
+        },
+    )
+}
+
+impl<B> BatchSender<B> {
+    /// A buffer the receiver emptied, if one is back.
+    fn recycled(&self) -> Option<B> {
+        self.empty.try_recv().ok()
+    }
+
+    /// Queues `batch`, waiting while the channel is full; `false` once the
+    /// receiver is gone.
+    fn send(&self, batch: B) -> bool {
+        self.full.send(batch).is_ok()
+    }
+}
+
+impl<B> BatchReceiver<B> {
+    /// The next batch; `None` once the sender is gone and every batch it
+    /// sent has been received.
+    fn recv(&self) -> Option<B> {
+        self.full.recv().ok()
+    }
+
+    /// Hands an emptied buffer back to the sender.
+    fn give_back(&self, buffer: B) {
+        // A full return queue means the sender has spares enough.
+        let _ = self.empty.try_send(buffer);
+    }
+}
+
+impl<T> BatchReceiver<Vec<T>> {
+    /// Hands the drained `current` back and replaces it with the next
+    /// batch, reversed so that popping yields the batch in order; `false`
+    /// once the sender is gone.
+    pub(crate) fn next_into(&self, current: &mut Vec<T>) -> bool {
+        let drained = std::mem::take(current);
+        if drained.capacity() > 0 {
+            self.give_back(drained);
+        }
+        match self.recv() {
+            Some(mut batch) => {
+                batch.reverse();
+                *current = batch;
+                true
+            }
+            None => false,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -146,60 +238,55 @@ pub trait ShardableGenerator: RunGenerator + Clone + Send + 'static {
 // Asynchronous spill writing
 // ---------------------------------------------------------------------------
 
-/// Page writes in the order they were issued, bound for one spill writer:
-/// the target of each write, and the page images back to back.
+/// Spill operations in the order they were issued, bound for one spill
+/// writer.
 #[derive(Default)]
-struct PageBatch {
-    /// `(file, page)` of each write.
-    writes: Vec<(u64, u64)>,
-    /// One page image per write, in the same order.
-    data: Vec<u8>,
+struct SpillBatch {
+    ops: Vec<SpillOp>,
+    /// The page image of every [`SpillOp::Write`] in `ops`, back to back.
+    pages: Vec<u8>,
 }
 
-/// Operations shipped from the generation thread to the spill writer.
+/// One operation for the spill writer.
 enum SpillOp {
     /// Register a freshly created file under an id.
     Attach {
         file: u64,
         handle: Box<dyn PageFile>,
     },
-    /// Apply a batch of page writes, in order, to attached files; the
-    /// emptied batch goes back for reuse.
-    Write(PageBatch),
-    /// Apply every write queued so far, flush (`file = None` flushes all
-    /// attached files) and acknowledge.
+    /// Write the batch's next page image as page `page` of `file`.
+    Write { file: u64, page: u64 },
+    /// Flush `file` (every attached file for `None`) and acknowledge with
+    /// the first failure so far.
     Flush {
         file: Option<u64>,
         ack: SyncSender<twrs_storage::Result<()>>,
     },
-    /// Forget an attached file (its writes have all been queued before).
+    /// Forget an attached file; its writes were all issued before.
     Detach { file: u64 },
 }
 
 /// The generation side of one spill writer's channel.
 struct SpillQueue {
     /// `None` once the device is dropped.
-    sender: Option<SyncSender<SpillOp>>,
-    /// Page writes not sent yet, at most `batch_pages` of them.
-    pending: PageBatch,
-    /// Batches the writer thread has applied, for reuse.
-    returned: Receiver<PageBatch>,
+    sender: Option<BatchSender<SpillBatch>>,
+    /// Operations not sent yet, with fewer than `SPILL_BATCH_PAGES` writes.
+    pending: SpillBatch,
 }
 
 impl SpillQueue {
-    fn send(&mut self, op: SpillOp) -> twrs_storage::Result<()> {
-        let sender = self.sender.as_ref().ok_or_else(writer_gone)?;
-        sender.send(op).map_err(|_| writer_gone())
-    }
-
-    /// Sends the pending page writes, if any, as one message.
+    /// Sends the pending operations, if any, as one message.
     fn send_pending(&mut self) -> twrs_storage::Result<()> {
-        if self.pending.writes.is_empty() {
+        if self.pending.ops.is_empty() {
             return Ok(());
         }
-        let fresh = self.returned.try_recv().unwrap_or_default();
-        let batch = std::mem::replace(&mut self.pending, fresh);
-        self.send(SpillOp::Write(batch))
+        let sender = self.sender.as_ref().ok_or_else(writer_gone)?;
+        let fresh = sender.recycled().unwrap_or_default();
+        if sender.send(std::mem::replace(&mut self.pending, fresh)) {
+            Ok(())
+        } else {
+            Err(writer_gone())
+        }
     }
 }
 
@@ -207,46 +294,51 @@ struct SpillShared {
     queue: Mutex<SpillQueue>,
     worker: Option<JoinHandle<()>>,
     next_file_id: AtomicU64,
-    /// Page writes per message.
-    batch_pages: usize,
+    /// Bytes of page images per message.
+    batch_bytes: usize,
 }
 
 impl SpillShared {
-    /// Sends `op` after every pending page write, so the writer applies
-    /// operations in the order they were issued.
-    fn send(&self, op: SpillOp) -> twrs_storage::Result<()> {
-        let mut queue = lock_or_poison(&self.queue);
-        queue.send_pending()?;
-        queue.send(op)
+    /// Queues `op` behind every operation issued before it.
+    fn push(&self, op: SpillOp) {
+        lock_or_poison(&self.queue).pending.ops.push(op);
     }
 
-    /// Queues one page write; a full batch goes to the writer at once.
+    /// Queues one page write; a full batch of them goes to the writer at
+    /// once.
     fn write(&self, file: u64, page: u64, data: &[u8]) -> twrs_storage::Result<()> {
         let mut queue = lock_or_poison(&self.queue);
-        queue.pending.writes.push((file, page));
-        queue.pending.data.extend_from_slice(data);
-        if queue.pending.writes.len() < self.batch_pages {
+        queue.pending.ops.push(SpillOp::Write { file, page });
+        queue.pending.pages.extend_from_slice(data);
+        if queue.pending.pages.len() < self.batch_bytes {
             return Ok(());
         }
         queue.send_pending()
     }
 
-    /// Sends the pending writes and a flush of `file` (every attached file
-    /// for `None`), and waits until the writer has applied both.
+    /// Sends the pending operations and a flush of `file` (every attached
+    /// file for `None`), and waits until the writer has applied them.
     fn flush(&self, file: Option<u64>) -> twrs_storage::Result<()> {
-        let (ack_tx, ack_rx) = sync_channel(1);
-        self.send(SpillOp::Flush { file, ack: ack_tx })?;
-        ack_rx.recv().map_err(|_| writer_gone())?
+        let (ack, acked) = sync_channel(1);
+        {
+            let mut queue = lock_or_poison(&self.queue);
+            queue.pending.ops.push(SpillOp::Flush { file, ack });
+            queue.send_pending()?;
+        }
+        acked.recv().map_err(|_| writer_gone())?
     }
 }
 
 impl Drop for SpillShared {
     fn drop(&mut self) {
-        // Every file handle keeps this state alive and sent its pending
-        // writes when it was dropped. Disconnect the channel so the writer
-        // drains its queue and exits, then wait for it; queued writes are
-        // never lost.
-        lock_or_poison(&self.queue).sender = None;
+        // Every file handle keeps this state alive, so nothing is issued
+        // after this point. Send what is pending and disconnect, so the
+        // writer drains its queue and exits, then wait for it: queued
+        // writes are never lost.
+        let mut queue = lock_or_poison(&self.queue);
+        let _ = queue.send_pending();
+        queue.sender = None;
+        drop(queue);
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
         }
@@ -263,14 +355,14 @@ fn writer_gone() -> StorageError {
 /// Run generation pushes records as fast as its heaps allow while the writer
 /// thread performs the actual page writes, so CPU work overlaps spill I/O;
 /// when the writer falls behind, the bounded queue blocks the generator
-/// (back-pressure) instead of buffering unboundedly. Page writes travel in
-/// batches of up to 16, in the order they were issued; a batch is sent when
-/// it is full and before any flush, read, `open`, `remove`, barrier or
-/// file-handle drop. [`PageFile::flush`] is a barrier: it returns once
-/// every previously issued write of that file has been applied, which is
-/// what makes the run files safe to read after `RunWriter::finish`. Reads
-/// and `open` flush the queue first and then go straight to the wrapped
-/// device.
+/// (back-pressure) instead of buffering unboundedly. Operations travel in
+/// the order they were issued, in messages of up to 16 page writes; a
+/// message is sent when it holds 16 writes, at every flush, read, `open`,
+/// `remove` or barrier, and when the last handle of the device is dropped.
+/// [`PageFile::flush`] is a barrier: it returns once every previously
+/// issued write of that file has been applied, which is what makes the run
+/// files safe to read after `RunWriter::finish`. Reads and `open` flush the
+/// queue first and then go straight to the wrapped device.
 pub struct SpillWriteDevice<D: Device> {
     inner: D,
     shared: Arc<SpillShared>,
@@ -290,37 +382,31 @@ impl<D: Device> SpillWriteDevice<D> {
     /// `queue_depth` page writes.
     ///
     /// If the operating system refuses the writer thread, every later
-    /// operation of the device fails with an I/O error.
+    /// operation of the device that reaches the writer fails with an I/O
+    /// error.
     pub fn new(inner: D, queue_depth: usize) -> Self {
         let depth = queue_depth.max(1);
         let batch_pages = SPILL_BATCH_PAGES.min(depth);
-        let (tx, rx) = sync_channel::<SpillOp>(depth / batch_pages);
-        let (back_tx, back_rx) = sync_channel::<PageBatch>(depth / batch_pages + 1);
+        let (sender, batches) = batch_channel(depth / batch_pages);
         let page_size = inner.page_size();
-        // A refused writer drops its end of the channel with the closure,
-        // so the device reports `writer_gone` on first use.
+        // A refused writer drops the receiving end with the closure, so the
+        // device reports `writer_gone` on the first message.
         let worker = spawn("twrs-spill-writer".into(), move || {
-            spill_writer_loop(rx, back_tx, page_size)
+            spill_writer_loop(batches, page_size)
         })
         .ok();
         SpillWriteDevice {
             inner,
             shared: Arc::new(SpillShared {
                 queue: Mutex::new(SpillQueue {
-                    sender: Some(tx),
-                    pending: PageBatch::default(),
-                    returned: back_rx,
+                    sender: Some(sender),
+                    pending: SpillBatch::default(),
                 }),
                 worker,
                 next_file_id: AtomicU64::new(1),
-                batch_pages,
+                batch_bytes: batch_pages * page_size,
             }),
         }
-    }
-
-    /// The wrapped device.
-    pub fn inner(&self) -> &D {
-        &self.inner
     }
 
     /// Waits until every issued write has been applied and flushed, and
@@ -331,67 +417,64 @@ impl<D: Device> SpillWriteDevice<D> {
 }
 
 /// The writer thread: applies operations in order, remembers the first
-/// failure and reports it at the next flush barrier. Applied page batches
-/// go back through `returned` (dropped when it is full).
-fn spill_writer_loop(rx: Receiver<SpillOp>, returned: SyncSender<PageBatch>, page_size: usize) {
+/// failure, skips every write after it and reports it at each later flush.
+fn spill_writer_loop(batches: BatchReceiver<SpillBatch>, page_size: usize) {
     let mut files: HashMap<u64, Box<dyn PageFile>> = HashMap::new();
     let mut failure: Option<String> = None;
-    while let Ok(op) = rx.recv() {
-        match op {
-            SpillOp::Attach { file, handle } => {
-                files.insert(file, handle);
-            }
-            SpillOp::Write(mut batch) => {
-                if failure.is_none() {
-                    failure = apply_writes(&mut files, &batch, page_size).err();
+    while let Some(mut batch) = batches.recv() {
+        let mut pages = batch.pages.chunks(page_size.max(1));
+        for op in batch.ops.drain(..) {
+            match op {
+                SpillOp::Attach { file, handle } => {
+                    files.insert(file, handle);
                 }
-                batch.writes.clear();
-                batch.data.clear();
-                let _ = returned.try_send(batch);
-            }
-            SpillOp::Flush { file, ack } => {
-                if failure.is_none() {
-                    let targets: Vec<u64> = match file {
-                        Some(id) => files.contains_key(&id).then_some(id).into_iter().collect(),
-                        None => files.keys().copied().collect(),
-                    };
-                    for id in targets {
-                        let Some(handle) = files.get_mut(&id) else {
-                            continue;
-                        };
-                        if let Err(e) = handle.flush() {
-                            failure = Some(e.to_string());
-                            break;
-                        }
+                SpillOp::Write { file, page } => {
+                    let data = pages.next().unwrap_or_default();
+                    if failure.is_none() {
+                        failure = apply_write(&mut files, file, page, data).err();
                     }
                 }
-                let result = match &failure {
-                    Some(msg) => Err(StorageError::Io(std::io::Error::other(msg.clone()))),
-                    None => Ok(()),
-                };
-                let _ = ack.send(result);
-            }
-            SpillOp::Detach { file } => {
-                files.remove(&file);
+                SpillOp::Flush { file, ack } => {
+                    if failure.is_none() {
+                        failure = flush_files(&mut files, file).err();
+                    }
+                    let _ = ack.send(match &failure {
+                        Some(msg) => Err(StorageError::Io(std::io::Error::other(msg.clone()))),
+                        None => Ok(()),
+                    });
+                }
+                SpillOp::Detach { file } => {
+                    files.remove(&file);
+                }
             }
         }
+        batch.pages.clear();
+        batches.give_back(batch);
     }
 }
 
-/// Applies `batch`'s writes in order; stops at the first failure.
-fn apply_writes(
+fn apply_write(
     files: &mut HashMap<u64, Box<dyn PageFile>>,
-    batch: &PageBatch,
-    page_size: usize,
+    file: u64,
+    page: u64,
+    data: &[u8],
 ) -> std::result::Result<(), String> {
-    let pages = batch.data.chunks(page_size.max(1));
-    for (&(file, page), data) in batch.writes.iter().zip(pages) {
-        let handle = files
-            .get_mut(&file)
-            .ok_or_else(|| format!("write to unattached spill file {file}"))?;
-        handle.write_page(page, data).map_err(|e| e.to_string())?;
+    let handle = files
+        .get_mut(&file)
+        .ok_or_else(|| format!("write to unattached spill file {file}"))?;
+    handle.write_page(page, data).map_err(|e| e.to_string())
+}
+
+/// Flushes attached file `file`, or every attached file for `None`.
+fn flush_files(
+    files: &mut HashMap<u64, Box<dyn PageFile>>,
+    file: Option<u64>,
+) -> std::result::Result<(), String> {
+    match file {
+        Some(id) => files.get_mut(&id).map_or(Ok(()), |handle| handle.flush()),
+        None => files.values_mut().try_for_each(|handle| handle.flush()),
     }
-    Ok(())
+    .map_err(|e| e.to_string())
 }
 
 struct SpillPageFile<D: Device> {
@@ -438,7 +521,7 @@ impl<D: Device> PageFile for SpillPageFile<D> {
 
 impl<D: Device> Drop for SpillPageFile<D> {
     fn drop(&mut self) {
-        let _ = self.device.shared.send(SpillOp::Detach { file: self.file });
+        self.device.shared.push(SpillOp::Detach { file: self.file });
     }
 }
 
@@ -452,9 +535,7 @@ impl<D: Device> StorageDevice for SpillWriteDevice<D> {
         // only the page writes are deferred.
         let handle = self.inner.create(name)?;
         let file = self.shared.next_file_id.fetch_add(1, Ordering::Relaxed);
-        // Attaching ahead of the pending writes (all to other files) keeps
-        // batches whole across run boundaries; this file's writes follow.
-        lock_or_poison(&self.shared.queue).send(SpillOp::Attach { file, handle })?;
+        self.shared.push(SpillOp::Attach { file, handle });
         Ok(Box::new(SpillPageFile {
             device: self.clone(),
             name: name.to_string(),
@@ -485,147 +566,53 @@ impl<D: Device> StorageDevice for SpillWriteDevice<D> {
     fn io_stats(&self) -> &twrs_storage::IoStats {
         self.inner.io_stats()
     }
+
+    fn has_wall_clock_latency(&self) -> bool {
+        self.inner.has_wall_clock_latency()
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Prefetched merge sources
+// Merge prefetching
 // ---------------------------------------------------------------------------
 
-/// The consumer end of one background prefetch thread: the thread reads the
-/// run in `read_ahead`-record batches, sends them [`PREFETCH_BATCHES`] to a
-/// message and stays up to one queued message ahead of the merge loop.
-/// The merge side allocates the three message buffers when it opens the
-/// source, and hands each one back as soon as it is emptied, so the thread
-/// only fills buffers. Dropping the source disconnects the channel and
-/// joins the worker, so a half-consumed source (an early-dropped
-/// [`SortedStream`](crate::SortedStream), an error path) never leaves a
-/// reader thread behind.
-pub(crate) struct PrefetchSource<R: SortableRecord> {
-    rx: Option<Receiver<Result<Vec<R>>>>,
-    /// Emptied message buffers on their way back to the worker.
-    returned: SyncSender<Vec<R>>,
-    /// The unread records of the last message, in *descending* order, so
-    /// the next one is popped off the end.
-    buffer: Vec<R>,
-    worker: Option<JoinHandle<()>>,
-    /// Records in the run, and records received so far: a channel that
-    /// closes before all of them arrived means the worker died.
-    expected: u64,
-    received: u64,
-    done: bool,
-}
+/// The thread reading one merge input run ahead of the merge, and the
+/// channel its batches arrive on.
+pub(crate) type Prefetch<R> = (BatchReceiver<Vec<R>>, JoinHandle<Result<()>>);
 
-impl<R: SortableRecord> RunSource<R> for PrefetchSource<R> {
-    /// Opens the run (reading its headers) and spawns the prefetch thread,
-    /// which takes over the cursor.
-    fn open<D: Device>(device: &D, run: &RunHandle, read_ahead: usize) -> Result<Self> {
-        let mut cursor = RunCursor::<R>::open(device, run)?;
-        let expected = cursor.len();
-        let batch = read_ahead.max(1);
-        let capacity = buffer_capacity(batch.saturating_mul(PREFETCH_BATCHES), &cursor);
-        let (tx, rx) = sync_channel(1);
-        // One buffer queued, one being filled and one being merged.
-        let (back_tx, back_rx) = sync_channel::<Vec<R>>(3);
-        for _ in 0..3 {
-            let _ = back_tx.try_send(Vec::with_capacity(capacity));
-        }
-        let worker = spawn("twrs-prefetch".into(), move || loop {
-            let mut message = back_rx
-                .try_recv()
-                .unwrap_or_else(|_| Vec::with_capacity(capacity));
+/// Starts a prefetch thread that reads `cursor` in `read_ahead`-record
+/// batches, [`PREFETCH_BATCHES`] to a message, staying one queued message
+/// ahead of the merge. The thread ends when the run does, when the merge
+/// hangs up, or at a read error, which its handle returns; the channel
+/// closes when it ends.
+pub(crate) fn prefetch<R: SortableRecord>(
+    mut cursor: RunCursor<R>,
+    read_ahead: usize,
+) -> Result<Prefetch<R>> {
+    let capacity = buffer_capacity(read_ahead.saturating_mul(PREFETCH_BATCHES), &cursor);
+    let (sender, batches) = batch_channel(1);
+    let worker = spawn("twrs-prefetch".into(), move || -> Result<()> {
+        loop {
+            let mut message = sender
+                .recycled()
+                .unwrap_or_else(|| Vec::with_capacity(capacity));
             // The same `read_batch` calls as one batch per message would
             // make, so the run's pages are read in the same sequence.
             let mut finished = false;
             for _ in 0..PREFETCH_BATCHES {
-                match cursor.read_batch(&mut message, batch) {
-                    Ok(read) if read < batch => {
-                        finished = true;
-                        break;
-                    }
-                    Ok(_) => {}
-                    Err(e) => {
-                        let _ = tx.send(Err(e));
-                        return;
-                    }
+                if cursor.read_batch(&mut message, read_ahead)? < read_ahead {
+                    finished = true;
+                    break;
                 }
             }
-            if !message.is_empty() && tx.send(Ok(message)).is_err() {
-                // Merge side hung up (error path): stop quietly.
-                return;
-            }
-            if finished {
-                return;
-            }
-        })?;
-        Ok(PrefetchSource {
-            rx: Some(rx),
-            returned: back_tx,
-            buffer: Vec::new(),
-            worker: Some(worker),
-            expected,
-            received: 0,
-            done: false,
-        })
-    }
-
-    fn close(mut self) {
-        if let Some(worker) = self.worker.take() {
-            if let Err(panic) = worker.join() {
-                std::panic::resume_unwind(panic);
+            // A merge that hung up (an error path, a dropped stream) stops
+            // the thread quietly.
+            if (!message.is_empty() && !sender.send(message)) || finished {
+                return Ok(());
             }
         }
-    }
-}
-
-impl<R: SortableRecord> Drop for PrefetchSource<R> {
-    fn drop(&mut self) {
-        // Disconnect first so a worker blocked on a full queue wakes up and
-        // exits, then wait for it (panics are swallowed here; `close` on the
-        // success path propagates them, and a stream that lost its worker
-        // has already returned an error).
-        drop(self.rx.take());
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl<R: SortableRecord> MergeSource<R> for PrefetchSource<R> {
-    fn next_record(&mut self) -> Result<Option<R>> {
-        if self.buffer.is_empty() && !self.done {
-            // Hand the emptied buffer back before waiting, so the worker
-            // finds it when it starts its next message.
-            let emptied = std::mem::take(&mut self.buffer);
-            if emptied.capacity() > 0 {
-                let _ = self.returned.try_send(emptied);
-            }
-            // `rx` is only `None` once `drop` has run; treat that like a
-            // disconnected prefetcher instead of panicking.
-            match self.rx.as_ref().map(|rx| rx.recv()) {
-                Some(Ok(Ok(mut message))) => {
-                    self.received += message.len() as u64;
-                    message.reverse();
-                    self.buffer = message;
-                }
-                Some(Ok(Err(e))) => {
-                    self.done = true;
-                    return Err(e);
-                }
-                None | Some(Err(_)) => {
-                    self.done = true;
-                    if self.received < self.expected {
-                        // The worker ended without sending the rest of the
-                        // run or an error: it panicked.
-                        return Err(SortError::JobPanicked(format!(
-                            "merge prefetch thread stopped after {} of {} records",
-                            self.received, self.expected
-                        )));
-                    }
-                }
-            }
-        }
-        Ok(self.buffer.pop())
-    }
+    })?;
+    Ok((batches, worker))
 }
 
 // ---------------------------------------------------------------------------
@@ -633,8 +620,8 @@ impl<R: SortableRecord> MergeSource<R> for PrefetchSource<R> {
 // ---------------------------------------------------------------------------
 
 /// What one generation shard did: its slice of the input, its runs and the
-/// I/O its worker (including its spill writer) performed, measured on the
-/// shard's own [`ScopedDevice`].
+/// I/O its worker (including its spill writer, if it has one) performed,
+/// measured on the shard's own [`ScopedDevice`].
 #[derive(Debug, Clone)]
 pub struct ShardReport {
     /// Index of the shard (0-based).
@@ -648,10 +635,8 @@ pub struct ShardReport {
 }
 
 /// One shard's input: the records of the dealer's messages, in order.
-/// Every drained message buffer goes back to the dealer for reuse.
 struct ShardInput<R> {
-    messages: Receiver<Vec<R>>,
-    returned: SyncSender<Vec<R>>,
+    messages: BatchReceiver<Vec<R>>,
     /// The unread records of the current message, in *descending* order,
     /// so the next one is popped off the end.
     current: Vec<R>,
@@ -661,15 +646,8 @@ impl<R> Iterator for ShardInput<R> {
     type Item = R;
 
     fn next(&mut self) -> Option<R> {
-        if self.current.is_empty() {
-            // Hand the drained buffer back before waiting, so the dealer
-            // finds it when it starts this shard's next message.
-            let drained = std::mem::take(&mut self.current);
-            if drained.capacity() > 0 {
-                let _ = self.returned.try_send(drained);
-            }
-            self.current = self.messages.recv().ok()?;
-            self.current.reverse();
+        if self.current.is_empty() && !self.messages.next_into(&mut self.current) {
+            return None;
         }
         self.current.pop()
     }
@@ -678,11 +656,9 @@ impl<R> Iterator for ShardInput<R> {
 /// The dealer's side of the shards' input channels.
 struct Dealer<R> {
     /// Per shard, its channel; `None` once the shard hung up.
-    senders: Vec<Option<SyncSender<Vec<R>>>>,
+    senders: Vec<Option<BatchSender<Vec<R>>>>,
     /// Per shard, the message being filled.
     messages: Vec<Vec<R>>,
-    /// Message buffers the shards drained, for reuse.
-    returned: Receiver<Vec<R>>,
     /// Shards still taking input.
     live: usize,
 }
@@ -693,10 +669,10 @@ impl<R> Dealer<R> {
     fn message(&mut self, shard: usize) -> &mut Vec<R> {
         let message = &mut self.messages[shard];
         if message.capacity() == 0 {
-            *message = self
-                .returned
-                .try_recv()
-                .unwrap_or_else(|_| Vec::with_capacity(SHARD_MESSAGE_RECORDS));
+            *message = self.senders[shard]
+                .as_ref()
+                .and_then(BatchSender::recycled)
+                .unwrap_or_else(|| Vec::with_capacity(SHARD_MESSAGE_RECORDS));
         }
         message
     }
@@ -710,8 +686,8 @@ impl<R> Dealer<R> {
             return;
         }
         match &self.senders[shard] {
-            Some(tx) => {
-                if tx.send(std::mem::take(message)).is_err() {
+            Some(sender) => {
+                if !sender.send(std::mem::take(message)) {
                     self.senders[shard] = None;
                     self.live -= 1;
                 }
@@ -722,11 +698,14 @@ impl<R> Dealer<R> {
 }
 
 /// Spawns `threads` generation workers, deals `input` to them round-robin
-/// and joins them all. Returns every run in shard order — shard 0's runs
-/// first — and one [`ShardReport`] per shard.
+/// and joins them all. Each worker spills through a [`SpillWriteDevice`]
+/// when `spill_writers` is set, and straight to its device otherwise.
+/// Returns every run in shard order — shard 0's runs first — and one
+/// [`ShardReport`] per shard.
 pub(crate) fn generate_sharded<G, D, R>(
     generator: &G,
     threads: usize,
+    spill_writers: bool,
     device: &D,
     namer: &Arc<SpillNamer>,
     cancel: &CancellationToken,
@@ -737,15 +716,13 @@ where
     D: Device,
     R: SortableRecord,
 {
-    let (back_tx, back_rx) = sync_channel::<Vec<R>>(threads * SHARD_QUEUE_MESSAGES);
     let mut senders = Vec::with_capacity(threads);
     let mut workers = Vec::with_capacity(threads);
     let mut refused = None;
     for index in 0..threads {
-        let (tx, rx) = sync_channel::<Vec<R>>(SHARD_QUEUE_MESSAGES);
+        let (sender, messages) = batch_channel(SHARD_QUEUE_MESSAGES);
         let mut shard_input = ShardInput {
-            messages: rx,
-            returned: back_tx.clone(),
+            messages,
             current: Vec::new(),
         };
         let mut generator = generator.shard(index, threads);
@@ -758,18 +735,22 @@ where
         let spawned = spawn(
             format!("twrs-shard-{index}"),
             move || -> Result<(RunSet, IoStatsSnapshot)> {
-                let spill = SpillWriteDevice::new(scoped.clone(), SPILL_QUEUE_PAGES);
-                let set = generator.generate(&spill, namer.as_ref(), &mut shard_input)?;
-                // Drain the spill queue (and surface writer errors) before
-                // reading the shard's I/O statistics.
-                spill.barrier()?;
-                drop(spill);
+                let set = if spill_writers {
+                    let spill = SpillWriteDevice::new(scoped.clone(), SPILL_QUEUE_PAGES);
+                    let set = generator.generate(&spill, namer.as_ref(), &mut shard_input)?;
+                    // Drain the spill queue (and surface writer errors)
+                    // before reading the shard's I/O statistics.
+                    spill.barrier()?;
+                    set
+                } else {
+                    generator.generate(&scoped, namer.as_ref(), &mut shard_input)?
+                };
                 Ok((set, scoped.local_stats()))
             },
         );
         match spawned {
             Ok(worker) => {
-                senders.push(Some(tx));
+                senders.push(Some(sender));
                 workers.push(worker);
             }
             Err(e) => {
@@ -778,7 +759,6 @@ where
             }
         }
     }
-    drop(back_tx);
 
     // Deal the input in round-robin parcels, packed into one message per
     // shard until it holds `SHARD_MESSAGE_PARCELS` of them. When every
@@ -789,7 +769,6 @@ where
         live: if refused.is_none() { senders.len() } else { 0 },
         messages: senders.iter().map(|_| Vec::new()).collect(),
         senders,
-        returned: back_rx,
     };
     let mut shard = 0usize;
     let mut canceled = false;
@@ -820,20 +799,9 @@ where
     }
     drop(dealer);
 
-    // Join every worker before reporting anything, so no shard is left
-    // running (and writing spill files) after this function returns.
-    let results: Vec<std::thread::Result<Result<(RunSet, IoStatsSnapshot)>>> =
-        workers.into_iter().map(|worker| worker.join()).collect();
-    if let Some(e) = refused {
-        return Err(e);
-    }
     let mut run_set = RunSet::default();
     let mut shards = Vec::with_capacity(threads);
-    for (index, result) in results.into_iter().enumerate() {
-        let (set, io) = match result {
-            Ok(outcome) => outcome?,
-            Err(panic) => std::panic::resume_unwind(panic),
-        };
+    for (index, (set, io)) in join_all(workers, refused)?.into_iter().enumerate() {
         shards.push(ShardReport {
             shard: index,
             records: set.records,
@@ -898,36 +866,20 @@ pub(crate) fn reduce_per_disk<D: Device, R: SortableRecord>(
             }
         }
     }
-    // Join every reducer before reporting anything (mirrors
-    // `generate_sharded`): no disk is left merging after an error, or
-    // after a refused spawn, while the caller sweeps the spill files.
-    type ReducerOutcome = Result<(Vec<RunHandle>, MergeReport)>;
-    let results: Vec<std::thread::Result<ReducerOutcome>> =
-        reducers.into_iter().map(|reducer| reducer.join()).collect();
-    if let Some(e) = refused {
-        return Err(e);
-    }
     let mut remaining = Vec::new();
     let mut combined = MergeReport::default();
-    for result in results {
-        match result {
-            Ok(outcome) => {
-                let (member_remaining, report) = outcome?;
-                remaining.extend(member_remaining);
-                combined.merge_steps += report.merge_steps;
-                combined.records_written += report.records_written;
-            }
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
+    for (member_remaining, report) in join_all(reducers, refused)? {
+        remaining.extend(member_remaining);
+        combined.merge_steps += report.merge_steps;
+        combined.records_written += report.records_written;
     }
     Ok((remaining, combined))
 }
 
 /// Merges one stripe member's runs down to at most one run *on that member*.
 ///
-/// Runs single-threaded with inline [`BufferedCursor`] sources (no prefetch
-/// threads), so the member observes one strictly deterministic read
-/// interleaving — which keeps its seek counters reproducible even when
+/// Runs single-threaded and reads its inputs inline (no prefetch threads),
+/// so the member observes one strictly deterministic read interleaving — which keeps its seek counters reproducible even when
 /// several generation shards spilled to the same disk. `device` must be the
 /// member-pinned shard view, so the merged output lands on the same disk the
 /// inputs live on.
@@ -944,18 +896,19 @@ fn reduce_disk_runs<D: Device, R: SortableRecord>(
     let ReducedRuns {
         remaining,
         mut report,
-    } = reduce_to_fan_in::<BufferedCursor<R>, R, D>(device, namer, runs, merge, cancel)?;
+    } = reduce_to_fan_in::<R, D>(device, namer, runs, merge, false, cancel)?;
     if remaining.len() <= 1 {
         return Ok((remaining, report));
     }
     // Pass boundary before the fold into the member's single run.
     cancel.check()?;
     let name = namer.next_name("disk");
-    let written = merge_step::<BufferedCursor<R>, R, D>(
+    let written = merge_step::<R, D>(
         device,
         &remaining,
         &name,
         merge.read_ahead_records,
+        false,
         cancel,
     )?;
     report.merge_steps += 1;

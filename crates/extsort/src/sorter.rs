@@ -8,35 +8,37 @@
 //! the "run" and "total" series of Figures 6.2–6.7.
 //!
 //! 1. **generate** runs the generator inline on the calling thread at one
-//!    thread; with more, it shards the input over worker threads that
-//!    spill through writer threads (see [`parallel`](crate::parallel)).
+//!    thread; with more, it shards the input over worker threads (see
+//!    [`parallel`](crate::parallel)).
 //! 2. **reduce** merges the runs down to at most the merge fan-in: first
 //!    per disk (sharded sorts on a stripe only), then by intermediate merge
-//!    passes. At one thread every merge step reads its runs through inline
-//!    read-ahead cursors; with more, through prefetch threads. The choice
-//!    is made once per stage, so each merge loop is compiled for one kind
-//!    of source.
+//!    passes.
 //! 3. **finish** drains the final merge into a [`RecordSink`] — file
 //!    output is a [`FileSink`] followed by the optional verify scan — or
 //!    suspends it into a [`SortedStream`].
 //!
-//! At one thread the pipeline spawns no thread and creates no channel, so
-//! its page-level I/O order, and with it every seek counter, is exactly
-//! that of a plain single-threaded sort.
+//! Helper threads run only where there is latency to hide: at
+//! `threads > 1` on a device that has wall-clock latency
+//! ([`StorageDevice::has_wall_clock_latency`](twrs_storage::StorageDevice::has_wall_clock_latency)),
+//! each shard spills through a writer thread and every run of the merge
+//! passes after the per-disk reduction is read by a prefetch thread.
+//! Anywhere else every run is written by its shard and read inline, so
+//! each disk head has one reader at a time and
+//! the page-level I/O order — with it every seek counter and simulated
+//! nanosecond — is deterministic at any thread count. At one thread the
+//! pipeline spawns no thread and creates no channel at all.
 
 use crate::cancel::CancellationToken;
 use crate::error::{Result, SortError};
 use crate::merge::kway::{
-    merge_sources, open_sources, reduce_to_fan_in, remove_run, BufferedCursor, MergeConfig,
-    MergeReport, ReducedRuns, RunSource,
+    merge_sources, open_sources, reduce_to_fan_in, remove_run, MergeConfig, MergeReport,
+    ReducedRuns,
 };
-use crate::parallel::{
-    generate_sharded, reduce_per_disk, PrefetchSource, ShardReport, ShardableGenerator,
-};
+use crate::parallel::{generate_sharded, reduce_per_disk, ShardReport, ShardableGenerator};
 use crate::run_generation::{Device, RunCursor, RunHandle, RunSet};
 use crate::sink::{FileSink, RecordSink};
 use crate::sort_job::{BoundSortJob, SortJobReport};
-use crate::stream::{SortedStream, StreamSource};
+use crate::stream::SortedStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use twrs_storage::{IoStatsSnapshot, SortableRecord, SpillNamer};
@@ -212,6 +214,9 @@ struct Generated {
 pub(crate) struct Pipeline<G, D> {
     generator: G,
     threads: usize,
+    /// Whether spill writers and prefetch threads run: at `threads > 1` on
+    /// a device with wall-clock latency.
+    helpers: bool,
     config: SorterConfig,
     cancel: CancellationToken,
     device: D,
@@ -231,6 +236,7 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
         Ok(Pipeline {
             generator: job.generator,
             threads: job.threads,
+            helpers: job.threads > 1 && device.has_wall_clock_latency(),
             config: job.config,
             cancel: job.cancel,
             device,
@@ -263,10 +269,7 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
             remaining,
             report: mut merge_report,
         } = self.reduce::<R>(&generated)?;
-        let final_writes = match self.threads {
-            1 => self.finish::<R, BufferedCursor<R>>(&remaining, output, &mut merge_report)?,
-            _ => self.finish::<R, PrefetchSource<R>>(&remaining, output, &mut merge_report)?,
-        };
+        let final_writes = self.finish(&remaining, output, &mut merge_report)?;
         let after_merge = self.device.stats();
         let merge = PhaseReport::from_delta(started.elapsed(), after_merge.since(&generated.after));
         let records = generated.run_set.records;
@@ -302,16 +305,7 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
             self.device.stats().since(&generated.after),
         );
         let read_ahead = self.config.merge.read_ahead_records;
-        let sources: Vec<StreamSource<R>> = match self.threads {
-            1 => open_sources::<BufferedCursor<R>, R, D>(&self.device, &remaining, read_ahead)?
-                .into_iter()
-                .map(StreamSource::Buffered)
-                .collect(),
-            _ => open_sources::<PrefetchSource<R>, R, D>(&self.device, &remaining, read_ahead)?
-                .into_iter()
-                .map(StreamSource::Prefetch)
-                .collect(),
-        };
+        let sources = open_sources(&self.device, &remaining, read_ahead, self.helpers)?;
         let report = self.report(generated, merge, merge_report, FinalPassKind::Streamed, 0);
         let Pipeline { device, namer, .. } = self;
         let stream = SortedStream::new(
@@ -358,6 +352,7 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
             let (set, shards) = generate_sharded(
                 &self.generator,
                 self.threads,
+                self.helpers,
                 &self.device,
                 &self.namer,
                 &self.cancel,
@@ -394,26 +389,28 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
             )?,
             _ => (runs, MergeReport::default()),
         };
-        let (device, namer, merge, cancel) =
-            (&self.device, &self.namer, self.config.merge, &self.cancel);
-        let mut reduced = match self.threads {
-            1 => reduce_to_fan_in::<BufferedCursor<R>, R, D>(device, namer, runs, merge, cancel)?,
-            _ => reduce_to_fan_in::<PrefetchSource<R>, R, D>(device, namer, runs, merge, cancel)?,
-        };
+        let mut reduced = reduce_to_fan_in::<R, D>(
+            &self.device,
+            &self.namer,
+            runs,
+            self.config.merge,
+            self.helpers,
+            &self.cancel,
+        )?;
         reduced.report.merge_steps += disk_report.merge_steps;
         reduced.report.records_written += disk_report.records_written;
         Ok(reduced)
     }
 
     /// The finish stage of a completed sort: merges the surviving runs
-    /// (read as `S` sources) into `output`, removes them and folds the step
-    /// into `report`. Returns the pages the pass wrote — the output file,
-    /// header page included, or whatever a sink wrote.
+    /// into `output`, removes them and folds the step into `report`.
+    /// Returns the pages the pass wrote — the output file, header page
+    /// included, or whatever a sink wrote.
     ///
     /// An output file is created right after the sources are opened, inside
     /// the pass's snapshot window; on a stripe its member therefore follows
     /// from file-creation order like every other file's.
-    fn finish<R: SortableRecord, S: RunSource<R>>(
+    fn finish<R: SortableRecord>(
         &self,
         remaining: &[RunHandle],
         output: Output<'_, R>,
@@ -422,7 +419,7 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
         let before = self.device.stats();
         self.cancel.check()?;
         let read_ahead = self.config.merge.read_ahead_records;
-        let mut sources = open_sources::<S, R, D>(&self.device, remaining, read_ahead)?;
+        let mut sources = open_sources(&self.device, remaining, read_ahead, self.helpers)?;
         let delivered = match output {
             Output::File(name) => {
                 let mut file = FileSink::create(&self.device, name)?;
@@ -430,7 +427,7 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
             }
             Output::Sink(sink) => merge_sources(&mut sources, sink, &self.cancel)?,
         };
-        sources.into_iter().for_each(S::close);
+        drop(sources);
         for handle in remaining {
             remove_run(&self.device, handle)?;
         }

@@ -6,10 +6,10 @@
 //! dedup, bulk load). [`SortedStream`] removes that pass: after run
 //! generation and the intermediate merge passes have reduced the run count
 //! to at most the merge fan-in, the last merge step is *not* executed.
-//! Instead its input cursors (or, at `threads > 1`, its background
-//! prefetch threads) and the loser tree are packaged into an iterator that
-//! performs the final merge incrementally, one record per
-//! [`next()`](Iterator::next) call.
+//! Instead its input runs — read inline, or by prefetch threads when the
+//! job runs helper threads (see [`sorter`](crate::sorter)) — and the loser
+//! tree are packaged into an iterator that performs the final merge
+//! incrementally, one record per [`next()`](Iterator::next) call.
 //!
 //! The stream owns the sort's spill files. They are removed as soon as the
 //! stream is fully consumed, explicitly [`close`](SortedStream::close)d, or
@@ -21,9 +21,8 @@
 //! axis measures.
 
 use crate::error::{Result, SortError};
-use crate::merge::kway::{BufferedCursor, MergeSource};
+use crate::merge::kway::RunInput;
 use crate::merge::loser_tree::LoserTree;
-use crate::parallel::PrefetchSource;
 use crate::sort_job::SortJobReport;
 #[allow(unused_imports)] // rustdoc link
 use crate::sorter::FinalPassKind;
@@ -37,25 +36,6 @@ pub(crate) fn unique_namespace(prefix: &str) -> String {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let id = NEXT.fetch_add(1, Ordering::Relaxed);
     format!("{prefix}.{id:06}")
-}
-
-/// One leaf of a suspended final merge: an inline read-ahead cursor (a
-/// one-thread job) or the consumer end of a background prefetch thread
-/// (`threads > 1`).
-pub(crate) enum StreamSource<R: SortableRecord> {
-    /// Inline cursor with read-ahead.
-    Buffered(BufferedCursor<R>),
-    /// Background prefetch thread.
-    Prefetch(PrefetchSource<R>),
-}
-
-impl<R: SortableRecord> MergeSource<R> for StreamSource<R> {
-    fn next_record(&mut self) -> Result<Option<R>> {
-        match self {
-            StreamSource::Buffered(source) => source.next_record(),
-            StreamSource::Prefetch(source) => source.next_record(),
-        }
-    }
 }
 
 /// Cleanup action deferred until the stream is consumed, closed or dropped:
@@ -85,7 +65,7 @@ type Cleanup = Box<dyn FnOnce() -> Result<()> + Send>;
 /// assert_eq!(smallest, vec![0, 1, 2]);
 /// ```
 pub struct SortedStream<R: SortableRecord> {
-    sources: Vec<StreamSource<R>>,
+    sources: Vec<RunInput<R>>,
     tree: LoserTree<R>,
     report: SortJobReport,
     /// Records yielded so far; bounds `size_hint`.
@@ -102,7 +82,7 @@ impl<R: SortableRecord> SortedStream<R> {
     /// job report up to the suspension point; `cleanup` removes the sort's
     /// spill files and runs exactly once (consumption, close or drop).
     pub(crate) fn new(
-        mut sources: Vec<StreamSource<R>>,
+        mut sources: Vec<RunInput<R>>,
         report: SortJobReport,
         cleanup: Cleanup,
     ) -> Result<Self> {

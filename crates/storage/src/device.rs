@@ -108,6 +108,15 @@ pub trait StorageDevice: Send + Sync {
     fn attach_io_client(&self) -> Option<IoClientGuard> {
         None
     }
+
+    /// `true` when page operations take wall-clock time worth hiding
+    /// behind helper threads: a real-file device, or a stripe with one.
+    /// `false` (the default) for devices whose I/O costs no wall-clock
+    /// time, like [`SimDevice`]; a threaded sort on such a device starts
+    /// no spill-writer or prefetch thread.
+    fn has_wall_clock_latency(&self) -> bool {
+        false
+    }
 }
 
 /// Errors unless a caller buffer is exactly one page long.

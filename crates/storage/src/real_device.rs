@@ -535,6 +535,10 @@ impl StorageDevice for RealFileDevice {
     fn io_stats(&self) -> &IoStats {
         &self.shared.stats
     }
+
+    fn has_wall_clock_latency(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -149,6 +149,10 @@ impl<D: StorageDevice + Clone> StorageDevice for ScopedDevice<D> {
     fn attach_io_client(&self) -> Option<IoClientGuard> {
         self.inner.attach_io_client()
     }
+
+    fn has_wall_clock_latency(&self) -> bool {
+        self.inner.has_wall_clock_latency()
+    }
 }
 
 #[cfg(test)]

@@ -322,8 +322,8 @@ pub enum AnyDevice {
 
 impl AnyDevice {
     /// The direct-I/O status when the backend is real; `None` for a
-    /// simulated or striped device (a stripe may mix backends — ask its
-    /// members).
+    /// simulated or striped device (a stripe may mix backends — ask each
+    /// of its [`member_devices`](StripedDevice::member_devices)).
     pub fn direct_io(&self) -> Option<&DirectIoStatus> {
         match self {
             AnyDevice::Sim(_) | AnyDevice::Striped(_) => None,
@@ -429,6 +429,14 @@ impl StorageDevice for AnyDevice {
         match self {
             AnyDevice::Striped(d) => d.attach_io_client(),
             _ => None,
+        }
+    }
+
+    fn has_wall_clock_latency(&self) -> bool {
+        match self {
+            AnyDevice::Sim(d) => d.has_wall_clock_latency(),
+            AnyDevice::Real(d) => d.has_wall_clock_latency(),
+            AnyDevice::Striped(d) => d.has_wall_clock_latency(),
         }
     }
 }
@@ -661,6 +669,27 @@ mod tests {
                 .build(),
             Err(StorageError::BadStripe(_))
         ));
+    }
+
+    #[test]
+    fn wall_clock_latency_follows_the_backends() {
+        let build = |spec: &str| spec.parse::<DeviceSpec>().unwrap().build().unwrap();
+        for (spec, latency) in [
+            ("sim:nvme", false),
+            ("real:", true),
+            ("striped:2:sim:hdd-7200", false),
+            ("striped:[sim:nvme,real:]", true),
+        ] {
+            let device = build(spec);
+            assert_eq!(device.has_wall_clock_latency(), latency, "{spec}");
+            // Wrappers and shard views answer like the device they wrap.
+            let scoped = crate::scoped::ScopedDevice::new(device.shard_view(1));
+            assert_eq!(scoped.has_wall_clock_latency(), latency, "{spec}");
+        }
+        let stripe = build("striped:[sim:nvme,real:]");
+        let members = stripe.as_striped().unwrap().member_devices();
+        assert!(members[0].direct_io().is_none());
+        assert!(members[1].direct_io().is_some());
     }
 
     #[test]

@@ -108,6 +108,11 @@ impl StripedDevice {
         self.shared.members.len()
     }
 
+    /// The member devices, in member order.
+    pub fn member_devices(&self) -> &[AnyDevice] {
+        &self.shared.members
+    }
+
     /// One I/O snapshot per member, in member order. Summing these (see
     /// [`IoStatsSnapshot::merged`]) reproduces [`StorageDevice::stats`].
     pub fn member_stats(&self) -> Vec<IoStatsSnapshot> {
@@ -221,6 +226,13 @@ impl StorageDevice for StripedDevice {
 
     fn attach_io_client(&self) -> Option<IoClientGuard> {
         Some(self.shared.contention.attach())
+    }
+
+    /// `true` when any member has wall-clock latency.
+    fn has_wall_clock_latency(&self) -> bool {
+        self.member_devices()
+            .iter()
+            .any(StorageDevice::has_wall_clock_latency)
     }
 }
 

@@ -51,7 +51,8 @@
 //!
 //! The thread count is the only thing that changes; `threads(1)` (the
 //! default) runs every stage inline on the calling thread, anything larger
-//! shards run generation over worker threads, moves spill writes to
+//! shards run generation over worker threads — and, on a device with
+//! wall-clock latency such as a `RealFileDevice`, moves spill writes to
 //! dedicated writer threads and prefetches every merge input in the
 //! background. The *total* memory budget is unchanged — each shard's
 //! generator gets `memory / threads` records — and the sorted output is

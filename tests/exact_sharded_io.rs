@@ -9,9 +9,11 @@
 //! reducer per member folds that member's runs into one, and the final
 //! pass reads at most one run per member. The cases cover RS, LSS and 2WRS
 //! at threads 2, 3 and 4 on two- and four-disk stripes of `hdd-7200`, so
-//! members hold the runs of zero, one or two shards. On a plain device the
-//! prefetch threads of the merge interleave their reads on one head, so
-//! there only the pages read and written are pinned. Each configuration
+//! members hold the runs of zero, one or two shards. On a plain simulated
+//! device the sort starts no spill-writer or prefetch thread (its I/O
+//! costs no wall-clock time), so its one head has one reader at a time
+//! and its figures are as deterministic as a stripe member's; the cases
+//! there cover the three generators at threads 4. Each configuration
 //! runs through `run_iter`, a fully drained `stream_iter` and `sink_iter`,
 //! each on a fresh device; a change to how the threads of a sort exchange
 //! work must leave every figure here unchanged.
@@ -130,16 +132,11 @@ fn member_io(snap: &IoStatsSnapshot) -> [u64; 4] {
     ]
 }
 
-/// Per stripe member, [`member_io`]; on a plain device one "member" whose
-/// seeks and simulated ns read zero, since the merge's prefetch threads
-/// interleave their reads on its one head.
+/// Per stripe member, [`member_io`]; on a plain device, one "member".
 fn device_io(device: &AnyDevice) -> Vec<[u64; 4]> {
     match device.as_striped() {
         Some(stripe) => stripe.member_stats().iter().map(member_io).collect(),
-        None => {
-            let [read, written, _, _] = member_io(&device.stats());
-            vec![[read, written, 0, 0]]
-        }
+        None => vec![member_io(&device.stats())],
     }
 }
 
@@ -657,9 +654,9 @@ fn rs_on_one_disk_pins_pages_at_four_threads() {
                 [2816, 10, 39],
             ],
             io: [
-                &[[227, 332, 0, 0]],
-                &[[227, 283, 0, 0]],
-                &[[227, 283, 0, 0]],
+                &[[227, 332, 217, 2675350000]],
+                &[[227, 283, 217, 2672900000]],
+                &[[227, 283, 217, 2672900000]],
             ],
         }],
     );
@@ -680,9 +677,9 @@ fn lss_on_one_disk_pins_pages_at_four_threads() {
                 [2816, 19, 57],
             ],
             io: [
-                &[[314, 471, 0, 0]],
-                &[[314, 422, 0, 0]],
-                &[[314, 422, 0, 0]],
+                &[[314, 471, 301, 3711450000]],
+                &[[314, 422, 301, 3709000000]],
+                &[[314, 422, 301, 3709000000]],
             ],
         }],
     );
@@ -698,9 +695,9 @@ fn twrs_on_one_disk_pins_pages_at_four_threads() {
             runs: 12,
             shards: &[[3072, 3, 34], [3072, 3, 34], [3040, 3, 34], [2816, 3, 33]],
             io: [
-                &[[166, 238, 0, 0]],
-                &[[166, 189, 0, 0]],
-                &[[166, 189, 0, 0]],
+                &[[166, 238, 151, 1862400000]],
+                &[[166, 189, 151, 1859950000]],
+                &[[166, 189, 151, 1859950000]],
             ],
         }],
     );

@@ -5,7 +5,8 @@
 //!   exactly the I/O of a read-ahead larger than every run: each buffer is
 //!   sized by the run it reads, not by the read-ahead.
 //! * A prefetch thread that dies mid-run makes the stream return an `Err`
-//!   instead of silently ending early.
+//!   instead of silently ending early. Prefetch threads run only on a
+//!   device with wall-clock latency, so the failing device claims some.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -82,7 +83,9 @@ fn unbounded_read_ahead_sorts_like_one_larger_than_every_run() {
     }
 }
 
-/// A simulated disk whose page reads panic once it is armed.
+/// A simulated disk whose page reads panic once it is armed. It claims
+/// wall-clock latency, so a threaded sort reads its merge inputs through
+/// prefetch threads.
 #[derive(Clone)]
 struct FailingReads {
     inner: SimDevice,
@@ -153,6 +156,10 @@ impl StorageDevice for FailingReads {
 
     fn io_stats(&self) -> &IoStats {
         self.inner.io_stats()
+    }
+
+    fn has_wall_clock_latency(&self) -> bool {
+        true
     }
 }
 

@@ -16,9 +16,19 @@
 //!
 //! Degenerate inputs — empty, a single record, fewer records than shards —
 //! get the same treatment.
+//!
+//! A threaded sort starts spill-writer and prefetch threads only on a
+//! device with wall-clock latency, which no simulated device has. So the
+//! generator suites run every threaded sort twice: on a plain `SimDevice`
+//! and on an [`Observed`] one that claims latency, where the helper threads
+//! run; both must produce the same bytes and move the same pages. A last
+//! test records which threads touch the device's pages.
 
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 use two_way_replacement_selection::prelude::*;
-use two_way_replacement_selection::storage::IoStatsSnapshot;
+use two_way_replacement_selection::storage::Result as StorageResult;
+use two_way_replacement_selection::storage::{IoClientGuard, IoStats, IoStatsSnapshot, PageFile};
 
 const SEED: u64 = 41;
 const MEMORY: usize = 300;
@@ -32,9 +42,137 @@ fn merge_config() -> MergeConfig {
     }
 }
 
+/// A simulated device that answers `latency` when asked whether it has
+/// wall-clock latency, forwards every other call, and records the name of
+/// each thread that reads or writes one of its pages.
+#[derive(Clone)]
+struct Observed {
+    inner: SimDevice,
+    latency: bool,
+    threads: Arc<Mutex<BTreeSet<String>>>,
+}
+
+impl Observed {
+    fn new(latency: bool) -> Self {
+        Observed {
+            inner: SimDevice::with_model(ModelId::Hdd7200),
+            latency,
+            threads: Arc::default(),
+        }
+    }
+
+    /// Names of the threads that touched a page so far.
+    fn thread_names(&self) -> BTreeSet<String> {
+        self.threads.lock().unwrap().clone()
+    }
+
+    fn observe(&self, file: Box<dyn PageFile>) -> Box<dyn PageFile> {
+        Box::new(ObservedFile {
+            inner: file,
+            threads: Arc::clone(&self.threads),
+        })
+    }
+}
+
+struct ObservedFile {
+    inner: Box<dyn PageFile>,
+    threads: Arc<Mutex<BTreeSet<String>>>,
+}
+
+impl ObservedFile {
+    fn record(&self) {
+        let name = std::thread::current()
+            .name()
+            .unwrap_or("<unnamed>")
+            .to_string();
+        self.threads.lock().unwrap().insert(name);
+    }
+}
+
+impl PageFile for ObservedFile {
+    fn page_size(&self) -> usize {
+        self.inner.page_size()
+    }
+
+    fn num_pages(&self) -> u64 {
+        self.inner.num_pages()
+    }
+
+    fn read_page(&mut self, index: u64, buf: &mut [u8]) -> StorageResult<()> {
+        self.record();
+        self.inner.read_page(index, buf)
+    }
+
+    fn write_page(&mut self, index: u64, data: &[u8]) -> StorageResult<()> {
+        self.record();
+        self.inner.write_page(index, data)
+    }
+
+    fn flush(&mut self) -> StorageResult<()> {
+        self.inner.flush()
+    }
+}
+
+impl StorageDevice for Observed {
+    fn page_size(&self) -> usize {
+        self.inner.page_size()
+    }
+
+    fn create(&self, name: &str) -> StorageResult<Box<dyn PageFile>> {
+        Ok(self.observe(self.inner.create(name)?))
+    }
+
+    fn open(&self, name: &str) -> StorageResult<Box<dyn PageFile>> {
+        Ok(self.observe(self.inner.open(name)?))
+    }
+
+    fn remove(&self, name: &str) -> StorageResult<()> {
+        self.inner.remove(name)
+    }
+
+    fn exists(&self, name: &str) -> bool {
+        self.inner.exists(name)
+    }
+
+    fn list(&self) -> Vec<String> {
+        self.inner.list()
+    }
+
+    fn io_stats(&self) -> &IoStats {
+        self.inner.io_stats()
+    }
+
+    fn stats(&self) -> IoStatsSnapshot {
+        self.inner.stats()
+    }
+
+    fn reset_stats(&self) {
+        self.inner.reset_stats()
+    }
+
+    fn stripe_members(&self) -> usize {
+        self.inner.stripe_members()
+    }
+
+    fn shard_view(&self, index: usize) -> Self {
+        Observed {
+            inner: self.inner.shard_view(index),
+            ..self.clone()
+        }
+    }
+
+    fn attach_io_client(&self) -> Option<IoClientGuard> {
+        self.inner.attach_io_client()
+    }
+
+    fn has_wall_clock_latency(&self) -> bool {
+        self.latency
+    }
+}
+
 /// Every page of `name` on `device`, so comparisons cover the exact bytes
 /// (headers, payloads and trailing-page padding included).
-fn file_bytes(device: &SimDevice, name: &str) -> Vec<u8> {
+fn file_bytes(device: &dyn StorageDevice, name: &str) -> Vec<u8> {
     let mut file = device.open(name).expect("output exists");
     let mut bytes = Vec::new();
     let mut page = vec![0u8; device.page_size()];
@@ -66,9 +204,20 @@ fn sort_parallel<G: ShardableGenerator>(
     threads: usize,
 ) -> (Vec<u8>, SortJobReport, IoStatsSnapshot) {
     let device = SimDevice::with_model(ModelId::Hdd7200);
+    sort_on(&device, generator, kind, records, threads)
+}
+
+/// [`sort_parallel`] on `device`, which must be fresh.
+fn sort_on<G: ShardableGenerator, D: StorageDevice + Clone + 'static>(
+    device: &D,
+    generator: G,
+    kind: DistributionKind,
+    records: u64,
+    threads: usize,
+) -> (Vec<u8>, SortJobReport, IoStatsSnapshot) {
     let input = Distribution::new(kind, records, SEED).records();
     let report = SortJob::new(generator)
-        .on(&device)
+        .on(device)
         .threads(threads)
         .merge(merge_config())
         .verify(true)
@@ -77,7 +226,7 @@ fn sort_parallel<G: ShardableGenerator>(
     // Snapshot the device before reading the output back, so the totals
     // cover exactly the sort's own traffic.
     let totals = device.stats();
-    (file_bytes(&device, "out"), report, totals)
+    (file_bytes(device, "out"), report, totals)
 }
 
 /// The invariants every report must satisfy, against its one-thread
@@ -166,6 +315,27 @@ where
                 &par_bytes,
                 &par,
                 &totals,
+            );
+            // With helper threads: the same bytes and the same pages.
+            let device = Observed::new(true);
+            let (bytes, helped, helped_totals) = sort_on(&device, make(), kind, RECORDS, threads);
+            let label = format!("{} with helper threads", kind.label());
+            assert_equivalent(
+                &label,
+                threads,
+                &seq_bytes,
+                &seq,
+                &bytes,
+                &helped,
+                &helped_totals,
+            );
+            assert_eq!(
+                [
+                    helped_totals.counters.pages_read,
+                    helped_totals.counters.pages_written
+                ],
+                [totals.counters.pages_read, totals.counters.pages_written],
+                "pages moved ({label}, {threads} thread(s))"
             );
         }
     }
@@ -351,3 +521,38 @@ fn sort_file_attributes_input_reads_to_run_generation() {
 // covered at the unit level (`twrs_core::config` tests assert the sum, the
 // per-shard minimum and the seed offsets; `twrs_extsort::parallel` tests
 // pin `shard_budget` itself), so this suite does not repeat it.
+
+#[test]
+fn helper_threads_run_only_on_a_device_with_wall_clock_latency() {
+    const HELPERS: [&str; 2] = ["twrs-spill-writer", "twrs-prefetch"];
+    // The names of the threads that touched a page of a sort at `threads`
+    // threads, on a device that claims `latency` or not.
+    let names = |latency: bool, threads: usize| {
+        let device = Observed::new(latency);
+        let twrs = TwoWayReplacementSelection::new(TwrsConfig::recommended(MEMORY));
+        sort_on(
+            &device,
+            twrs,
+            DistributionKind::RandomUniform,
+            RECORDS,
+            threads,
+        );
+        device.thread_names()
+    };
+    for threads in [1, 2, 4] {
+        let seen = names(false, threads);
+        assert!(
+            HELPERS.iter().all(|helper| !seen.contains(*helper)),
+            "no latency, {threads} thread(s): {seen:?}"
+        );
+    }
+    let seen = names(true, 2);
+    for helper in HELPERS {
+        assert!(seen.contains(helper), "latency, 2 threads: {seen:?}");
+    }
+    let seen = names(true, 1);
+    assert!(
+        HELPERS.iter().all(|helper| !seen.contains(*helper)),
+        "latency, 1 thread: {seen:?}"
+    );
+}
