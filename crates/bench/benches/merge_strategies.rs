@@ -1,9 +1,7 @@
 //! Microbenchmarks of the merge phase: multi-pass k-way merge at several
-//! fan-ins (Figure 6.1 context) vs polyphase merge, and the
-//! distribution-sort alternative (Chapter 2 context).
+//! fan-ins (Figure 6.1 context) vs polyphase merge.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use twrs_extsort::distribution_sort::{DistributionSort, DistributionSortConfig};
 use twrs_extsort::{
     polyphase_merge, KWayMerger, LoadSortStore, MergeConfig, RunGenerator, RunHandle,
 };
@@ -55,23 +53,6 @@ fn bench_merges(c: &mut Criterion) {
             let namer = SpillNamer::new("poly");
             let runs = build_runs(&device, &namer, 20, 1_024);
             polyphase_merge::<_, Record>(&device, &namer, runs, 6, "out").expect("merge succeeds")
-        })
-    });
-
-    group.bench_function("distribution_sort", |b| {
-        b.iter(|| {
-            let device = SimDevice::with_model(ModelId::Hdd7200);
-            let namer = SpillNamer::new("dsort");
-            let sorter = DistributionSort::new(DistributionSortConfig {
-                memory_records: 1_024,
-                buckets: 16,
-                max_depth: 6,
-            });
-            let mut input = Distribution::new(DistributionKind::RandomUniform, 20_480, 5).records();
-            sorter
-                .sort(&device, &namer, &mut input, "out")
-                .expect("sort succeeds")
-                .records
         })
     });
 

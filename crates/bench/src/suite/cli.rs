@@ -221,16 +221,16 @@ fn describe_device(spec: &DeviceSpec, device: &AnyDevice) -> Vec<String> {
 /// the CI `real-device-smoke` and `striped-device-smoke` steps. Reports
 /// every backend's direct-I/O decision and fails if the sort or its
 /// verification fails, so the real-file path is exercised on every CI run
-/// even though its wall-clock numbers are machine-dependent. It then sorts
-/// the same input at two threads, says whether that sort runs spill
-/// writers and prefetch threads (it does when the device has wall-clock
-/// latency), and fails unless that output's bytes equal the one-thread
-/// sort's.
+/// even though its wall-clock numbers are machine-dependent. It then
+/// materialises the same input as a dataset on the device, sorts that at
+/// two threads through `run_file_as` (the dataset is read page by page and
+/// dealt to the shards), says whether that sort runs spill writers and
+/// prefetch threads (it does when the device has wall-clock latency), and
+/// fails unless that output's bytes equal the one-thread sort's.
 pub fn run_smoke(spec_text: &str) -> Result<i32, String> {
     use twrs_extsort::{ReplacementSelection, SortJob};
     use twrs_storage::StorageDevice;
-    use twrs_workloads::Distribution;
-    use twrs_workloads::DistributionKind;
+    use twrs_workloads::{materialize, Distribution, DistributionKind, Record};
 
     let spec: DeviceSpec = spec_text
         .parse()
@@ -248,15 +248,17 @@ pub fn run_smoke(spec_text: &str) -> Result<i32, String> {
         records,
         super::matrix::MATRIX_SEED,
     );
-    let sort = |threads: usize, output: &str| {
+    let job = |threads: usize| {
         SortJob::new(ReplacementSelection::new(200))
             .on(&device)
             .threads(threads)
             .verify(true)
-            .run_iter(input.records(), output)
-            .map_err(|e| format!("smoke sort at {threads} thread(s) failed on `{spec}`: {e}"))
     };
-    let report = sort(1, "smoke-sorted")?;
+    let failed =
+        |threads: usize, e| format!("smoke sort at {threads} thread(s) failed on `{spec}`: {e}");
+    let report = job(1)
+        .run_iter(input.records(), "smoke-sorted")
+        .map_err(|e| failed(1, e))?;
     let stats = device.stats();
     if report.report.records != records {
         return Err(format!(
@@ -294,7 +296,11 @@ pub fn run_smoke(spec_text: &str) -> Result<i32, String> {
             "no (the device's I/O has no wall-clock latency to hide)"
         }
     );
-    sort(2, "smoke-sorted-2")?;
+    materialize(&device, "smoke-input", input.records())
+        .map_err(|e| format!("smoke dataset on `{spec}`: {e}"))?;
+    job(2)
+        .run_file_as::<Record>("smoke-input", "smoke-sorted-2")
+        .map_err(|e| failed(2, e))?;
     let bytes = |name: &str| {
         file_bytes(&device, name).map_err(|e| format!("smoke output `{name}` on `{spec}`: {e}"))
     };
@@ -303,7 +309,7 @@ pub fn run_smoke(spec_text: &str) -> Result<i32, String> {
             "smoke sort on `{spec}`: the output at 2 threads differs from the one-thread output"
         ));
     }
-    println!("smoke ok at 2 threads: the output bytes equal the one-thread sort's");
+    println!("smoke ok at 2 threads from a dataset: the output bytes equal the one-thread sort's");
     Ok(0)
 }
 

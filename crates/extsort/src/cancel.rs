@@ -3,9 +3,10 @@
 //! A [`CancellationToken`] is a shared flag threaded from
 //! [`JobHandle::cancel`](crate::service::JobHandle::cancel) through the
 //! [`SortJob`](crate::sort_job::SortJob) pipeline into its phase loops.
-//! The pipeline polls it at phase and page
-//! boundaries — run generation checks it on every record pulled into the
-//! selection heap, the merge scheduler between passes and every
+//! The pipeline polls it at phase and batch
+//! boundaries — run generation once per batch of its input (256 records
+//! of a caller's iterator, one page of a dataset file, one message to a
+//! shard), the merge scheduler between passes and every
 //! [`CANCEL_CHECK_INTERVAL`] merged records — and surfaces a set flag as
 //! [`SortError::Canceled`], which unwinds through the normal error path:
 //! spill files are cleaned up, partial output removed, and the memory
@@ -14,7 +15,7 @@
 //! Cancellation is *cooperative*: nothing is interrupted mid-page. A job
 //! observes the flag at its next boundary, which bounds the latency between
 //! `cancel()` and the job completing as `Canceled` to roughly one page of
-//! I/O plus one heap refill.
+//! I/O plus one batch of input.
 
 use crate::error::{Result, SortError};
 use crate::sync::lock_or_poison;
@@ -97,18 +98,6 @@ impl CancellationToken {
         }
         waker();
     }
-
-    /// Wraps `input` so it stops yielding records once the token is
-    /// canceled. Run generation pulls every record through this gate, which
-    /// makes the token effective at every heap refill; the caller must
-    /// still [`check`](Self::check) afterwards so a truncated prefix can
-    /// never masquerade as a completed sort.
-    pub(crate) fn gate<'a, R>(&self, input: &'a mut dyn Iterator<Item = R>) -> GatedInput<'a, R> {
-        GatedInput {
-            cancel: self.clone(),
-            inner: input,
-        }
-    }
 }
 
 impl Default for CancellationToken {
@@ -122,23 +111,6 @@ impl fmt::Debug for CancellationToken {
         f.debug_struct("CancellationToken")
             .field("canceled", &self.is_canceled())
             .finish()
-    }
-}
-
-/// Iterator adapter produced by [`CancellationToken::gate`].
-pub(crate) struct GatedInput<'a, R> {
-    cancel: CancellationToken,
-    inner: &'a mut dyn Iterator<Item = R>,
-}
-
-impl<R> Iterator for GatedInput<'_, R> {
-    type Item = R;
-
-    fn next(&mut self) -> Option<R> {
-        if self.cancel.is_canceled() {
-            return None;
-        }
-        self.inner.next()
     }
 }
 
@@ -185,16 +157,5 @@ mod tests {
             });
         }
         assert_eq!(fired.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn gated_input_stops_at_the_flag() {
-        let token = CancellationToken::new();
-        let mut source = 0..10_u64;
-        let mut gated = token.gate(&mut source);
-        assert_eq!(gated.next(), Some(0));
-        assert_eq!(gated.next(), Some(1));
-        token.cancel();
-        assert_eq!(gated.next(), None);
     }
 }

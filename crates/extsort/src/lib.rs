@@ -1,5 +1,5 @@
 //! External merge-sort substrate: run generation baselines, the merge
-//! phase, distribution sort and the end-to-end external sorter.
+//! phase and the end-to-end external sorter.
 //!
 //! The paper's contribution (two-way replacement selection, crate
 //! `twrs-core`) is one *run-generation* algorithm inside a larger external
@@ -15,7 +15,6 @@
 //! * [`merge`] — the k-way merge with a tournament (loser) tree, multi-pass
 //!   merging with a configurable fan-in and per-run read-ahead (§2.1.2,
 //!   §6.1.1), plus polyphase merge (Table 2.1);
-//! * [`distribution_sort`] — external bucket/distribution sort (§2.2);
 //! * [`sort_job`] — [`sort_job::SortJob`], the builder-style front door
 //!   and the only way to run a sort
 //!   (`SortJob::new(g).on(&device).threads(n).run_iter(input, "out")`);
@@ -49,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod cancel;
-pub mod distribution_sort;
 pub mod error;
 pub mod load_sort_store;
 pub mod merge;

@@ -72,23 +72,12 @@ impl MergeReport {
 #[derive(Debug, Clone, Default)]
 pub struct KWayMerger {
     config: MergeConfig,
-    cancel: CancellationToken,
 }
 
 impl KWayMerger {
     /// Creates a merger with the given configuration.
     pub fn new(config: MergeConfig) -> Self {
-        KWayMerger {
-            config,
-            cancel: CancellationToken::new(),
-        }
-    }
-
-    /// Installs a cooperative cancellation token, checked at the start of
-    /// every merge step and every [`CANCEL_CHECK_INTERVAL`] merged records.
-    pub fn with_cancel(mut self, cancel: CancellationToken) -> Self {
-        self.cancel = cancel;
-        self
+        KWayMerger { config }
     }
 
     /// The configuration in force.
@@ -109,10 +98,12 @@ impl KWayMerger {
         runs: Vec<RunHandle>,
         output: &str,
     ) -> Result<MergeReport> {
+        // Nothing cancels a stand-alone merge.
+        let cancel = CancellationToken::new();
         let ReducedRuns {
             remaining,
             mut report,
-        } = reduce_to_fan_in::<R, D>(device, namer, runs, self.config, false, &self.cancel)?;
+        } = reduce_to_fan_in::<R, D>(device, namer, runs, self.config, false, &cancel)?;
         // The final step always writes `output`: an empty run when there
         // was no input, a copy when a single run is left.
         let written = merge_step::<R, D>(
@@ -121,7 +112,7 @@ impl KWayMerger {
             output,
             self.config.read_ahead_records,
             false,
-            &self.cancel,
+            &cancel,
         )?;
         if !remaining.is_empty() {
             report.merge_steps += 1;

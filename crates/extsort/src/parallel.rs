@@ -2,7 +2,7 @@
 //! [`SortJob`](crate::SortJob) with `threads > 1` runs instead of the
 //! inline ones.
 //!
-//! The input is cut into parcels of `SHARD_BATCH_RECORDS` (256) records,
+//! The input is cut into parcels of `INPUT_BATCH_RECORDS` (256) records,
 //! and parcel `i` goes to shard worker `i % threads`. Each worker runs its
 //! own clone of the run-generation algorithm — any [`RunGenerator`] plugs
 //! in — with a proportional slice of the memory budget (see
@@ -50,7 +50,9 @@ use crate::error::{Result, SortError};
 use crate::merge::kway::{
     buffer_capacity, merge_step, reduce_to_fan_in, MergeConfig, MergeReport, ReducedRuns,
 };
-use crate::run_generation::{Device, RunCursor, RunGenerator, RunHandle, RunSet};
+use crate::run_generation::{
+    Device, Feed, RecordSource, RunCursor, RunGenerator, RunHandle, RunSet, INPUT_BATCH_RECORDS,
+};
 use crate::sync::lock_or_poison;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,11 +64,9 @@ use twrs_storage::{
     StorageError,
 };
 
-/// Records per round-robin parcel when dealing the input to shards: parcel
-/// `i` goes to shard `i % threads`, which fixes every shard's records and
-/// their order for any input.
-const SHARD_BATCH_RECORDS: usize = 256;
-/// Parcels per message from the dealer to one shard. Each shard's channel
+/// Parcels of [`INPUT_BATCH_RECORDS`] (256) per message from the dealer
+/// to one shard; parcel `i` goes to shard `i % threads`, which fixes every
+/// shard's records and their order for any input. Each shard's channel
 /// queues `SHARD_QUEUE_MESSAGES` (2) messages, so at most
 /// 2 × 16 × 256 = 8,192 records wait for one shard, plus one message the
 /// dealer is filling and one the shard is draining: 16,384 records per
@@ -76,7 +76,7 @@ const SHARD_MESSAGE_PARCELS: usize = 16;
 /// records each.
 const SHARD_QUEUE_MESSAGES: usize = 2;
 /// Records in one full dealer message: 4,096.
-const SHARD_MESSAGE_RECORDS: usize = SHARD_MESSAGE_PARCELS * SHARD_BATCH_RECORDS;
+const SHARD_MESSAGE_RECORDS: usize = SHARD_MESSAGE_PARCELS * INPUT_BATCH_RECORDS;
 /// Page writes per message from a shard's spill device to its writer
 /// thread, kept in the order they were issued. At most this many pages
 /// wait on the shard's side before they are sent.
@@ -634,25 +634,6 @@ pub struct ShardReport {
     pub io: IoStatsSnapshot,
 }
 
-/// One shard's input: the records of the dealer's messages, in order.
-struct ShardInput<R> {
-    messages: BatchReceiver<Vec<R>>,
-    /// The unread records of the current message, in *descending* order,
-    /// so the next one is popped off the end.
-    current: Vec<R>,
-}
-
-impl<R> Iterator for ShardInput<R> {
-    type Item = R;
-
-    fn next(&mut self) -> Option<R> {
-        if self.current.is_empty() && !self.messages.next_into(&mut self.current) {
-            return None;
-        }
-        self.current.pop()
-    }
-}
-
 /// The dealer's side of the shards' input channels.
 struct Dealer<R> {
     /// Per shard, its channel; `None` once the shard hung up.
@@ -709,7 +690,7 @@ pub(crate) fn generate_sharded<G, D, R>(
     device: &D,
     namer: &Arc<SpillNamer>,
     cancel: &CancellationToken,
-    input: &mut dyn Iterator<Item = R>,
+    input: &mut RecordSource<'_, R>,
 ) -> Result<(RunSet, Vec<ShardReport>)>
 where
     G: ShardableGenerator,
@@ -721,10 +702,7 @@ where
     let mut refused = None;
     for index in 0..threads {
         let (sender, messages) = batch_channel(SHARD_QUEUE_MESSAGES);
-        let mut shard_input = ShardInput {
-            messages,
-            current: Vec::new(),
-        };
+        let cancel = cancel.clone();
         let mut generator = generator.shard(index, threads);
         // On a striped device the shard view pins this worker's spill
         // files to stripe member `index % members` (plain devices return
@@ -735,6 +713,7 @@ where
         let spawned = spawn(
             format!("twrs-shard-{index}"),
             move || -> Result<(RunSet, IoStatsSnapshot)> {
+                let mut shard_input = RecordSource::new(Feed::Dealt(messages), cancel);
                 let set = if spill_writers {
                     let spill = SpillWriteDevice::new(scoped.clone(), SPILL_QUEUE_PAGES);
                     let set = generator.generate(&spill, namer.as_ref(), &mut shard_input)?;
@@ -771,18 +750,10 @@ where
         senders,
     };
     let mut shard = 0usize;
-    let mut canceled = false;
     while dealer.live > 0 {
-        // Message-grained cancellation point: stop feeding the shards;
-        // they finish their current runs and the generate stage's
-        // post-join check surfaces the cancellation.
-        if dealer.messages[shard].is_empty() && cancel.is_canceled() {
-            canceled = true;
-            break;
-        }
         let message = dealer.message(shard);
         let before = message.len();
-        message.extend(input.take(SHARD_BATCH_RECORDS));
+        message.extend(input.by_ref().take(INPUT_BATCH_RECORDS));
         let after = message.len();
         if after == before {
             break;
@@ -792,7 +763,10 @@ where
         }
         shard = (shard + 1) % threads;
     }
-    if !canceled {
+    // The source polls the token at every refill and ends early once it is
+    // set; a canceled sort then sends the shards nothing more, and the
+    // generate stage's check surfaces the cancellation.
+    if !cancel.is_canceled() {
         for shard in 0..dealer.messages.len() {
             dealer.send(shard);
         }

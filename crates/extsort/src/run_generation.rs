@@ -7,9 +7,13 @@
 //! Appendix A format (streams whose records were produced in decreasing
 //! order). [`RunHandle`] names either kind and [`RunCursor`] reads both back
 //! in ascending order so the merge phase does not care which algorithm
-//! produced a run.
+//! produced a run. Inside a sort job, every algorithm reads its input
+//! through one record source that refills a batch at a time from a
+//! caller's iterator, a dataset file or a shard's dealt messages.
 
+use crate::cancel::CancellationToken;
 use crate::error::Result;
+use crate::parallel::BatchReceiver;
 use twrs_storage::{
     ReverseRunReader, ReverseRunWriter, RunReader, RunWriter, SortableRecord, SpillNamer,
     StorageDevice, StorageError,
@@ -228,76 +232,103 @@ impl<R: SortableRecord> RunCursor<R> {
     }
 }
 
-/// Iterator over a [`RunReader`] that stops at the first read error and
-/// parks it for the caller to inspect once iteration is over. This is how
-/// fallible dataset scans feed the `&mut dyn Iterator` inputs of the
-/// pipeline: a corrupt or truncated input surfaces as a [`StorageError`]
-/// from the caller instead of a panic mid-sort.
-pub(crate) struct FallibleRecords<'e, R: SortableRecord> {
-    pub(crate) reader: RunReader<R>,
-    pub(crate) error: &'e mut Option<StorageError>,
+/// Records a [`RecordSource`] takes from a caller's iterator per refill;
+/// also the parcel the threaded dealer hands one shard
+/// ([`parallel`](crate::parallel)).
+pub(crate) const INPUT_BATCH_RECORDS: usize = 256;
+
+/// Where a [`RecordSource`] refills from.
+pub(crate) enum Feed<'a, R: SortableRecord> {
+    /// A caller's iterator, [`INPUT_BATCH_RECORDS`] records at a time.
+    Iter(&'a mut dyn Iterator<Item = R>),
+    /// A dataset file, one page at a time, so each page is read when its
+    /// first record is wanted.
+    File {
+        reader: RunReader<R>,
+        page_records: usize,
+    },
+    /// One shard's messages from the threaded dealer.
+    Dealt(BatchReceiver<Vec<R>>),
 }
 
-impl<R: SortableRecord> Iterator for FallibleRecords<'_, R> {
-    type Item = R;
-
-    fn next(&mut self) -> Option<R> {
-        if self.error.is_some() {
-            return None;
-        }
-        match self.reader.next_record() {
-            Ok(record) => record,
-            Err(e) => {
-                *self.error = Some(e);
-                None
-            }
-        }
+impl<R: SortableRecord> Feed<'_, R> {
+    /// Opens the dataset `name` on `device`; a corrupt header fails here,
+    /// before the sort starts.
+    pub(crate) fn dataset(device: &dyn StorageDevice, name: &str) -> Result<Self> {
+        Ok(Feed::File {
+            reader: RunReader::open(device, name)?,
+            page_records: device.page_size() / R::SIZE,
+        })
     }
 }
 
-/// The `run_file` / `stream_file` plumbing of [`SortJob`](crate::SortJob):
-/// opens the dataset `input` on `device`, feeds it to `sort` through a
-/// [`FallibleRecords`] adapter, and — when the dataset turned out corrupt
-/// or truncated — removes the partial `output` file (when the sort writes
-/// one; stream and sink sorts pass `None`) and surfaces the read error
-/// instead of the sort result.
+/// The input of run generation: every record a generator or the threaded
+/// dealer reads comes through one of these, one batch per refill.
 ///
-/// The pipeline cannot abort mid-phase on a read error (the generators see
-/// an ordinary end of stream), so the sort runs to completion on the
-/// readable prefix before the error is reported; the valid-looking partial
-/// output never survives, though. A successfully constructed `SortedStream`
-/// over a truncated dataset is dropped here too, which removes its spill
-/// files.
-pub(crate) fn sort_dataset_file<D, R, T>(
-    device: &D,
-    input: &str,
-    output: Option<&str>,
-    sort: impl FnOnce(&mut FallibleRecords<'_, R>) -> Result<T>,
-) -> Result<T>
-where
-    D: StorageDevice,
-    R: SortableRecord,
-{
-    let reader = RunReader::<R>::open(device, input)?;
-    let mut read_error = None;
-    let mut iter = FallibleRecords {
-        reader,
-        error: &mut read_error,
-    };
-    let result = sort(&mut iter);
-    drop(iter);
-    match read_error {
-        Some(error) => {
-            // The sort ran to completion on the truncated prefix; do not
-            // leave that valid-looking partial output behind.
-            if let Some(output) = output {
-                if device.exists(output) {
-                    let _ = device.remove(output);
+/// Each refill first polls the job's [`CancellationToken`]. A canceled
+/// job or a read error ends the records early, which a generator cannot
+/// tell from the end of its input, so the generate stage fails afterwards
+/// with [`check`](RecordSource::check) and the token's own check.
+pub(crate) struct RecordSource<'a, R: SortableRecord> {
+    /// The unread records of the current batch, in descending order, so
+    /// the next one is popped off the end.
+    batch: Vec<R>,
+    feed: Feed<'a, R>,
+    cancel: CancellationToken,
+    error: Option<StorageError>,
+}
+
+impl<'a, R: SortableRecord> RecordSource<'a, R> {
+    pub(crate) fn new(feed: Feed<'a, R>, cancel: CancellationToken) -> Self {
+        RecordSource {
+            batch: Vec::new(),
+            feed,
+            cancel,
+            error: None,
+        }
+    }
+
+    /// Fills the empty batch from the feed, unless the job is canceled or
+    /// a read error stopped the source.
+    #[inline(never)]
+    fn refill(&mut self) {
+        if self.error.is_some() || self.cancel.is_canceled() {
+            return;
+        }
+        match &mut self.feed {
+            Feed::Iter(input) => self.batch.extend(input.take(INPUT_BATCH_RECORDS)),
+            Feed::File {
+                reader,
+                page_records,
+            } => {
+                if let Err(error) = reader.read_batch(&mut self.batch, *page_records) {
+                    self.error = Some(error);
                 }
             }
-            Err(error.into())
+            Feed::Dealt(messages) => {
+                // `next_into` hands the message over reversed already.
+                messages.next_into(&mut self.batch);
+                return;
+            }
         }
-        None => result,
+        self.batch.reverse();
+    }
+
+    /// Fails with the read error that ended the records early, if one did.
+    pub(crate) fn check(&mut self) -> Result<()> {
+        self.error.take().map_or(Ok(()), |error| Err(error.into()))
+    }
+}
+
+impl<R: SortableRecord> Iterator for RecordSource<'_, R> {
+    type Item = R;
+
+    #[inline]
+    fn next(&mut self) -> Option<R> {
+        if self.batch.is_empty() {
+            self.refill();
+        }
+        self.batch.pop()
     }
 }
 
@@ -462,6 +493,47 @@ mod tests {
         let mut rev = ReverseRunBuilder::<_, u64>::new(&device, &namer, 4);
         assert_eq!(rev.finish_run(&mut runs).unwrap(), 0);
         assert!(runs.is_empty());
+    }
+
+    #[test]
+    fn record_source_stops_at_the_flag() {
+        let token = CancellationToken::new();
+        let mut input = 0..1_000_u64;
+        let mut source = RecordSource::new(Feed::Iter(&mut input), token.clone());
+        assert_eq!(source.next(), Some(0));
+        assert_eq!(source.next(), Some(1));
+        token.cancel();
+        // The batch in hand drains; the next refill sees the flag.
+        assert_eq!(source.by_ref().count(), INPUT_BATCH_RECORDS - 2);
+        assert_eq!(source.next(), None);
+        assert!(source.check().is_ok());
+    }
+
+    #[test]
+    fn record_source_reads_a_dataset_one_page_per_refill() {
+        let device = SimDevice::with_model(ModelId::Hdd7200);
+        let mut writer = RunWriter::<u64>::create(&device, "input").unwrap();
+        for key in 0..1_200_u64 {
+            writer.push(&key).unwrap();
+        }
+        writer.finish().unwrap();
+        let page_records = device.page_size() / 8;
+        let pages_read = || device.stats().counters.pages_read;
+        let before = pages_read();
+        let feed = Feed::<u64>::dataset(&device, "input").unwrap();
+        let mut source = RecordSource::new(feed, CancellationToken::new());
+        assert_eq!(pages_read(), before + 1, "the header alone at open");
+        assert_eq!(source.next(), Some(0));
+        assert_eq!(pages_read(), before + 2);
+        // A page is read once its first record is wanted, never earlier.
+        assert_eq!(
+            source.by_ref().take(page_records - 1).count(),
+            page_records - 1
+        );
+        assert_eq!(pages_read(), before + 2);
+        assert_eq!(source.next(), Some(page_records as u64));
+        assert_eq!(pages_read(), before + 3);
+        assert_eq!(source.count(), 1_200 - page_records - 1);
     }
 
     #[test]

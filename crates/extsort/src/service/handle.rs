@@ -239,8 +239,8 @@ impl JobHandle {
     /// A queued job never starts and completes as
     /// [`Canceled`](JobStatus::Canceled) immediately. A **running** job is
     /// cooperatively preempted: the pipeline observes the request at the
-    /// next phase/page boundary (every heap refill during run generation,
-    /// between merge passes, and every
+    /// next phase/batch boundary (every 256-record batch of run-generation
+    /// input, between merge passes, and every
     /// [`CANCEL_CHECK_INTERVAL`](crate::cancel::CANCEL_CHECK_INTERVAL)
     /// records of merge output), removes its spill files and any partial
     /// output, releases its memory lease, and completes as Canceled —

@@ -21,9 +21,10 @@
 //! ```
 //!
 //! `threads(1)` (the default) runs every stage inline on the calling
-//! thread; any larger count shards run generation over worker threads and
-//! reads merge input through prefetch threads. Every thread count produces
-//! **byte-identical** output for the same input, so it is purely a
+//! thread; any larger count shards run generation over worker threads, and
+//! on a device with wall-clock latency also spills through writer threads
+//! and reads merge input through prefetch threads. Every thread count
+//! produces **byte-identical** output for the same input, so it is purely a
 //! performance knob. The record type is a free parameter: `run_iter`
 //! infers it from the input iterator, `run_file_as` takes it explicitly (a
 //! file name cannot reveal it).
@@ -32,7 +33,7 @@ use crate::cancel::CancellationToken;
 use crate::error::Result;
 use crate::merge::kway::MergeConfig;
 use crate::parallel::{ShardReport, ShardableGenerator};
-use crate::run_generation::{sort_dataset_file, Device};
+use crate::run_generation::{Device, Feed};
 use crate::sink::RecordSink;
 use crate::sorter::{FinalPassKind, Output, PhaseReport, Pipeline, SortReport, SorterConfig};
 use crate::stream::{unique_namespace, SortedStream};
@@ -199,8 +200,11 @@ impl<G> SortJob<G> {
 
     /// Sets the number of generation threads. `1` (the default) runs every
     /// stage inline on the calling thread; larger counts shard run
-    /// generation with the generator's memory budget divided across shards,
-    /// and read merge input through prefetch threads.
+    /// generation with the generator's memory budget divided across shards.
+    /// On a device with wall-clock latency
+    /// ([`has_wall_clock_latency`](twrs_storage::StorageDevice::has_wall_clock_latency))
+    /// they also spill through writer threads and read merge input through
+    /// prefetch threads.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -302,7 +306,8 @@ impl<G, D: Device> BoundSortJob<G, D> {
     where
         G: ShardableGenerator,
     {
-        Pipeline::new(self, format!("sort-{output}"))?.run(&mut input, Output::File(output))
+        Pipeline::new(self, format!("sort-{output}"))?
+            .run(Feed::Iter(&mut input), Output::File(output))
     }
 
     /// Sorts the records produced by `input` straight into `sink`: the
@@ -335,15 +340,16 @@ impl<G, D: Device> BoundSortJob<G, D> {
             }
         }
         Pipeline::new(self, unique_namespace("sort-sink"))?
-            .run(&mut input, Output::Sink(&mut Reborrow(sink)))
+            .run(Feed::Iter(&mut input), Output::Sink(&mut Reborrow(sink)))
     }
 
     /// Sorts the records produced by `input` into a lazy [`SortedStream`]:
     /// run generation and the intermediate merge passes execute eagerly,
     /// but the final k-way merge is suspended into the returned iterator
-    /// and performed on `next()` — no output file, zero final-pass write
-    /// I/O, and at `threads > 1` one background prefetch thread per
-    /// surviving run keeps feeding the stream.
+    /// and performed on `next()` — no output file and zero final-pass write
+    /// I/O. At `threads > 1` on a device with wall-clock latency, one
+    /// background prefetch thread per surviving run keeps feeding the
+    /// stream.
     ///
     /// The stream yields exactly the record sequence `run_iter` would have
     /// written, owns the sort's spill files, and removes them when it is
@@ -357,7 +363,7 @@ impl<G, D: Device> BoundSortJob<G, D> {
     where
         G: ShardableGenerator,
     {
-        Pipeline::new(self, unique_namespace("sort-stream"))?.stream(&mut input)
+        Pipeline::new(self, unique_namespace("sort-stream"))?.stream(Feed::Iter(&mut input))
     }
 
     /// Sorts a dataset of `R` records previously materialised on the bound
@@ -367,14 +373,17 @@ impl<G, D: Device> BoundSortJob<G, D> {
     /// record type); the facade crate provides a `stream_file` extension
     /// method for the default paper record.
     ///
-    /// A corrupt or truncated input surfaces as an error, never a panic,
-    /// and the sort's spill files are removed before the error is returned.
+    /// A corrupt or truncated input surfaces as an error, never a panic: a
+    /// header the file cannot hold fails before the sort starts, and a page
+    /// that fails to read ends the sort after run generation, before any
+    /// merge. The sort's spill files are removed before the error is
+    /// returned.
     pub fn stream_file_as<R: SortableRecord>(self, input: &str) -> Result<SortedStream<R>>
     where
         G: ShardableGenerator,
     {
-        let device = self.device.clone();
-        sort_dataset_file::<D, R, _>(&device, input, None, |iter| self.stream_iter(iter))
+        let input = Feed::dataset(&self.device, input)?;
+        Pipeline::new(self, unique_namespace("sort-stream"))?.stream(input)
     }
 
     /// Sorts a dataset of `R` records previously materialised on the bound
@@ -384,16 +393,16 @@ impl<G, D: Device> BoundSortJob<G, D> {
     /// The record type cannot be inferred from the file names, so call
     /// this as `.run_file_as::<MyRecord>(…)`. For the default paper record
     /// the facade crate provides a `run_file` extension method. A corrupt
-    /// or truncated input surfaces as an error, never a panic, and the
-    /// partial output file is removed.
+    /// or truncated input surfaces as an error, never a panic: a header the
+    /// file cannot hold fails before the sort starts, and a page that fails
+    /// to read ends the sort after run generation, before any merge, so
+    /// `output` is never created.
     pub fn run_file_as<R: SortableRecord>(self, input: &str, output: &str) -> Result<SortJobReport>
     where
         G: ShardableGenerator,
     {
-        let device = self.device.clone();
-        sort_dataset_file::<D, R, _>(&device, input, Some(output), |iter| {
-            self.run_iter(iter, output)
-        })
+        let input = Feed::<R>::dataset(&self.device, input)?;
+        Pipeline::new(self, format!("sort-{output}"))?.run(input, Output::File(output))
     }
 }
 

@@ -35,7 +35,7 @@ use crate::merge::kway::{
     ReducedRuns,
 };
 use crate::parallel::{generate_sharded, reduce_per_disk, ShardReport, ShardableGenerator};
-use crate::run_generation::{Device, RunCursor, RunHandle, RunSet};
+use crate::run_generation::{Device, Feed, RecordSource, RunCursor, RunHandle, RunSet};
 use crate::sink::{FileSink, RecordSink};
 use crate::sort_job::{BoundSortJob, SortJobReport};
 use crate::stream::SortedStream;
@@ -250,7 +250,7 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
     /// also removes whatever partial output file it left.
     pub(crate) fn run<R: SortableRecord>(
         mut self,
-        input: &mut dyn Iterator<Item = R>,
+        input: Feed<'_, R>,
         output: Output<'_, R>,
     ) -> Result<SortJobReport> {
         // One I/O client for the duration of the run: on a striped device
@@ -263,7 +263,8 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
             Output::Sink(_) => (None, FinalPassKind::Sink),
         };
         let sweeper = self.sweeper(file);
-        let generated = self.generate(input)?;
+        let mut source = RecordSource::new(input, self.cancel.clone());
+        let generated = self.generate(&mut source)?;
         let started = Instant::now();
         let ReducedRuns {
             remaining,
@@ -286,11 +287,12 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
     /// [`SortedStream`] that owns the remaining spill files.
     pub(crate) fn stream<R: SortableRecord>(
         mut self,
-        input: &mut dyn Iterator<Item = R>,
+        input: Feed<'_, R>,
     ) -> Result<SortedStream<R>> {
         let _io_client = self.device.attach_io_client();
         let sweeper = self.sweeper(None);
-        let generated = self.generate(input)?;
+        let mut source = RecordSource::new(input, self.cancel.clone());
+        let generated = self.generate(&mut source)?;
         let started = Instant::now();
         let ReducedRuns {
             remaining,
@@ -336,17 +338,12 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
     /// phase's writes).
     fn generate<R: SortableRecord>(
         &mut self,
-        input: &mut dyn Iterator<Item = R>,
+        source: &mut RecordSource<'_, R>,
     ) -> Result<Generated> {
         let before = self.device.stats();
         let started = Instant::now();
         let (run_set, shards) = if self.threads == 1 {
-            // Every record enters the heap through the cancellation gate,
-            // so the token is effectively checked on each heap refill.
-            let mut gated = self.cancel.gate(input);
-            let set = self
-                .generator
-                .generate(&self.device, &self.namer, &mut gated)?;
+            let set = self.generator.generate(&self.device, &self.namer, source)?;
             (set, None)
         } else {
             let (set, shards) = generate_sharded(
@@ -356,13 +353,14 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
                 &self.device,
                 &self.namer,
                 &self.cancel,
-                input,
+                source,
             )?;
             (set, Some(shards))
         };
-        // A cancel observed mid-generation only truncates the input; check
-        // again so the truncated prefix never masquerades as a completed
-        // generation phase.
+        // A read error or a cancel only ends the input early; fail here, so
+        // the prefix never passes for a completed generation phase and no
+        // merge starts.
+        source.check()?;
         self.cancel.check()?;
         let wall = started.elapsed();
         let after = self.device.stats();

@@ -70,7 +70,8 @@ pub const LOCK_ORDER: [(&str, &str, &str); 3] = [
 /// Functions that form a phase loop of the sort pipeline: each must poll
 /// the cooperative cancellation token, so a future phase can't silently
 /// drop preemption. `(file suffix, function name)`.
-pub const CANCEL_POLL_MANIFEST: [(&str, &str); 7] = [
+pub const CANCEL_POLL_MANIFEST: [(&str, &str); 8] = [
+    ("crates/extsort/src/run_generation.rs", "refill"),
     ("crates/extsort/src/sorter.rs", "generate"),
     ("crates/extsort/src/sorter.rs", "finish"),
     ("crates/extsort/src/parallel.rs", "generate_sharded"),
@@ -456,7 +457,7 @@ fn cancel_poll(path: &str, scanned: &ScannedFile, findings: &mut Vec<Finding>) {
                 rule: CANCEL_POLL,
                 message: format!(
                     "phase loop `{name}` never polls its CancellationToken \
-                     (`.check()`/`.is_canceled()`/`.gate()`); a running job could not be preempted here"
+                     (`.check()`/`.is_canceled()`); a running job could not be preempted here"
                 ),
             });
         }
@@ -516,10 +517,10 @@ fn polls_cancellation(body: &[Tok]) -> bool {
             continue;
         }
         match tok.text.as_str() {
-            // `<something-cancel-ish>.check()` / `.gate(` — require the
-            // receiver to mention "cancel" so unrelated `check` methods
-            // don't satisfy the rule.
-            "check" | "gate" => {
+            // `<something-cancel-ish>.check()` — require the receiver to
+            // mention "cancel" so unrelated `check` methods don't satisfy
+            // the rule.
+            "check" => {
                 let receiver = i
                     .checked_sub(2)
                     .and_then(|p| body.get(p))

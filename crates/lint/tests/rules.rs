@@ -406,6 +406,27 @@ fn merge_sources() -> Result<()> {
 }
 ";
     assert_eq!(findings_for(KWAY_PATH, src, CANCEL_POLL), vec![13]);
+
+    // Wrapping an iterator in a token adapter is no poll: only the forms
+    // that read the flag count.
+    let adapter = "\
+fn reduce_to_fan_in(cancel: &CancellationToken) -> Result<()> {
+    cancel.check()
+}
+
+fn merge_step(cancel: &CancellationToken) -> Result<()> {
+    let mut gated = cancel.gate(&mut input);
+    merge_sources(&mut gated)
+}
+
+fn merge_sources(written: u64) -> Result<()> {
+    if written % CANCEL_CHECK_INTERVAL == 0 {
+        poll()?;
+    }
+    Ok(())
+}
+";
+    assert_eq!(findings_for(KWAY_PATH, adapter, CANCEL_POLL), vec![5]);
 }
 
 #[test]
@@ -419,7 +440,7 @@ fn reduce_to_fan_in(token: &CancellationToken) -> Result<()> {
 }
 
 fn merge_step(cancel: &CancellationToken) -> Result<()> {
-    cancel.gate(|| ())?;
+    check_cancel(cancel)?;
     Ok(())
 }
 

@@ -54,8 +54,8 @@ pub trait FixedSizeRecord: Sized {
 ///   With a key that separates most records, most merge comparisons are
 ///   one integer compare.
 /// * **Key-space arithmetic** that full `Ord` comparisons cannot provide —
-///   the Mean/Median input heuristics of 2WRS, the victim buffer's
-///   largest-gap split, and the bucket ranges of the distribution sort.
+///   the Mean/Median input heuristics of 2WRS and the victim buffer's
+///   largest-gap split.
 ///
 /// Because the merge trusts key order, an override that breaks the
 /// monotonicity above **misorders the output**; `SortJob::verify(true)`

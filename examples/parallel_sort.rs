@@ -10,9 +10,10 @@
 //! once with one thread per available core — and compares the reports. The
 //! parallel path divides the *same* total memory budget across its shards
 //! (here: 10 000 records split over N workers, so per-shard heaps shrink as
-//! threads grow), ships spill writes to dedicated writer threads over
-//! bounded channels, and prefetches every merge input in the background.
-//! Its output is byte-identical to the sequential path's.
+//! threads grow); each shard writes its own runs. Spill-writer and merge
+//! prefetch threads start only on a device with wall-clock latency (real
+//! files), so this `SimDevice` sort runs none. Its output is
+//! byte-identical to the sequential path's.
 
 use two_way_replacement_selection::extsort::sorter::verify_sorted;
 use two_way_replacement_selection::prelude::*;

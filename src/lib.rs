@@ -14,9 +14,9 @@
 //! * [`workloads`] — the default paper record and the six evaluation input
 //!   distributions.
 //! * [`extsort`] — run-generation trait and baselines (classic replacement
-//!   selection, Load-Sort-Store), k-way and polyphase merging, distribution
-//!   sort, and the [`SortJob`](extsort::SortJob) builder that runs the
-//!   external sort pipeline at any thread count.
+//!   selection, Load-Sort-Store), k-way and polyphase merging, and the
+//!   [`SortJob`](extsort::SortJob) builder that runs the external sort
+//!   pipeline at any thread count.
 //! * [`core`] — two-way replacement selection itself (the paper's
 //!   contribution).
 //! * [`analysis`] — ANOVA, the design-of-experiments runner, the snowplow

@@ -5,9 +5,6 @@
 mod common;
 
 use common::file_bytes;
-use two_way_replacement_selection::extsort::distribution_sort::{
-    DistributionSort, DistributionSortConfig,
-};
 use two_way_replacement_selection::extsort::polyphase_merge;
 use two_way_replacement_selection::extsort::sorter::verify_sorted;
 use two_way_replacement_selection::prelude::*;
@@ -137,42 +134,6 @@ fn polyphase_merge_agrees_with_kway_merge() {
     let mut expected = input;
     expected.sort_unstable();
     assert_eq!(merged, expected);
-}
-
-#[test]
-fn distribution_sort_agrees_with_the_merge_pipeline() {
-    let device = SimDevice::with_model(ModelId::Hdd7200);
-    let namer = SpillNamer::new("dsort");
-    let input: Vec<Record> = Distribution::new(
-        DistributionKind::MixedImbalanced {
-            descending_per_ascending: 3,
-        },
-        9_000,
-        21,
-    )
-    .collect();
-
-    let sorter = DistributionSort::new(DistributionSortConfig {
-        memory_records: 300,
-        buckets: 8,
-        max_depth: 6,
-    });
-    let mut iter = input.clone().into_iter();
-    sorter
-        .sort(&device, &namer, &mut iter, "bucket_sorted")
-        .expect("distribution sort succeeds");
-
-    SortJob::new(TwoWayReplacementSelection::new(TwrsConfig::recommended(
-        300,
-    )))
-    .on(&device)
-    .run_iter(input.into_iter(), "merge_sorted")
-    .expect("merge sort succeeds");
-
-    let mut a =
-        RecordRunCursor::open(&device, &RunHandle::Forward("bucket_sorted".into())).unwrap();
-    let mut b = RecordRunCursor::open(&device, &RunHandle::Forward("merge_sorted".into())).unwrap();
-    assert_eq!(a.read_all().unwrap(), b.read_all().unwrap());
 }
 
 #[test]

@@ -1,11 +1,8 @@
 //! A memory budget larger than the input is never reserved up front: with
 //! a `usize::MAX` budget, RS, LSS and 2WRS sort 1,000 records through
 //! `run_iter` at one and two threads (one run per generation thread) and
-//! through `stream_iter`, and distribution sort sorts them in memory.
+//! through `stream_iter`.
 
-use two_way_replacement_selection::extsort::distribution_sort::{
-    DistributionSort, DistributionSortConfig,
-};
 use two_way_replacement_selection::extsort::sorter::verify_sorted;
 use two_way_replacement_selection::prelude::*;
 
@@ -54,23 +51,4 @@ fn two_way_replacement_selection_sorts_with_a_usize_max_budget() {
     sorts_with_a_huge_budget(TwoWayReplacementSelection::new(TwrsConfig::recommended(
         usize::MAX,
     )));
-}
-
-#[test]
-fn distribution_sort_sorts_with_a_usize_max_budget() {
-    let device = SimDevice::with_model(ModelId::Hdd7200);
-    let sorter = DistributionSort::new(DistributionSortConfig {
-        memory_records: usize::MAX,
-        ..DistributionSortConfig::default()
-    });
-    let report = sorter
-        .sort(
-            &device,
-            &SpillNamer::new("d"),
-            &mut input().into_iter(),
-            "out",
-        )
-        .expect("distribution sort runs");
-    assert_eq!(report.records, RECORDS);
-    verify_sorted::<Record>(&device, "out", RECORDS).expect("output verified");
 }

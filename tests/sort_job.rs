@@ -6,14 +6,17 @@
 //! * a corrupt/truncated input dataset surfaces as an `Err` from
 //!   `run_file` / `stream_file`, never a panic (regression for the old
 //!   `.expect("input dataset is readable")` paths), and leaves nothing but
-//!   the dataset on the device.
+//!   the dataset on the device: a header that does not fit the file is
+//!   rejected when the dataset is opened, and a page that fails to read
+//!   mid-dataset stops the sort before any merge.
 
 mod common;
 
 use common::file_bytes;
+use std::sync::{Arc, Mutex};
 use two_way_replacement_selection::extsort::SortError;
 use two_way_replacement_selection::prelude::*;
-use two_way_replacement_selection::storage::{PageBuf, StorageError};
+use two_way_replacement_selection::storage::{IoStats, PageBuf, PageFile, StorageError};
 use two_way_replacement_selection::workloads::materialize;
 
 const SEED: u64 = 20_107;
@@ -133,7 +136,8 @@ fn builder_config_matches_the_merge_and_verify_setters() {
 }
 
 /// Writes a structurally valid run-file header claiming `claimed` records
-/// but provides only one (partial) data page, so reading past it fails.
+/// but provides only one data page, so opening the dataset rejects the
+/// header before any record is read.
 fn write_truncated_dataset(device: &SimDevice, name: &str, claimed: u64) {
     let page_size = device.page_size();
     let mut file = device.create(name).expect("create dataset");
@@ -190,6 +194,9 @@ fn is_storage_error(error: &SortError) -> bool {
     matches!(error, SortError::Storage(_))
 }
 
+// The three truncated-dataset tests below cover rejection at open: the
+// header claims more records than the file's pages hold.
+
 #[test]
 fn sequential_sort_file_reports_truncated_input_as_an_error() {
     let device = SimDevice::with_model(ModelId::Hdd7200);
@@ -220,6 +227,131 @@ fn sort_job_run_file_reports_truncated_input_as_an_error() {
         assert!(
             !device.exists("out"),
             "partial output left behind ({threads} threads)"
+        );
+    }
+}
+
+/// The data page of `input` whose read fails: about the middle of the
+/// 20,000-record dataset (79 data pages of 256 records).
+const FAILING_PAGE: u64 = 40;
+
+/// A [`SimDevice`] whose file `input` fails the read of data page
+/// [`FAILING_PAGE`], and which records the name of every file created on
+/// it.
+#[derive(Clone)]
+struct FailingReadDevice {
+    inner: SimDevice,
+    created: Arc<Mutex<Vec<String>>>,
+}
+
+struct FailingReadFile {
+    inner: Box<dyn PageFile>,
+}
+
+impl PageFile for FailingReadFile {
+    fn page_size(&self) -> usize {
+        self.inner.page_size()
+    }
+
+    fn num_pages(&self) -> u64 {
+        self.inner.num_pages()
+    }
+
+    fn read_page(&mut self, index: u64, buf: &mut [u8]) -> Result<(), StorageError> {
+        if index == FAILING_PAGE {
+            return Err(StorageError::Io(std::io::Error::other(
+                "injected read failure",
+            )));
+        }
+        self.inner.read_page(index, buf)
+    }
+
+    fn write_page(&mut self, index: u64, data: &[u8]) -> Result<(), StorageError> {
+        self.inner.write_page(index, data)
+    }
+
+    fn flush(&mut self) -> Result<(), StorageError> {
+        self.inner.flush()
+    }
+}
+
+impl StorageDevice for FailingReadDevice {
+    fn page_size(&self) -> usize {
+        self.inner.page_size()
+    }
+
+    fn create(&self, name: &str) -> Result<Box<dyn PageFile>, StorageError> {
+        self.created.lock().unwrap().push(name.to_string());
+        self.inner.create(name)
+    }
+
+    fn open(&self, name: &str) -> Result<Box<dyn PageFile>, StorageError> {
+        let inner = self.inner.open(name)?;
+        if name == "input" {
+            return Ok(Box::new(FailingReadFile { inner }));
+        }
+        Ok(inner)
+    }
+
+    fn remove(&self, name: &str) -> Result<(), StorageError> {
+        self.inner.remove(name)
+    }
+
+    fn exists(&self, name: &str) -> bool {
+        self.inner.exists(name)
+    }
+
+    fn list(&self) -> Vec<String> {
+        self.inner.list()
+    }
+
+    fn io_stats(&self) -> &IoStats {
+        self.inner.io_stats()
+    }
+}
+
+#[test]
+fn a_read_error_mid_dataset_fails_the_sort_before_any_merge() {
+    for threads in [1, 4] {
+        let device = FailingReadDevice {
+            inner: SimDevice::with_model(ModelId::Hdd7200),
+            created: Arc::default(),
+        };
+        let records = Distribution::new(DistributionKind::RandomUniform, 20_000, SEED).records();
+        materialize(&device, "input", records).expect("materialise");
+        let job = || {
+            SortJob::new(ReplacementSelection::new(MEMORY))
+                .on(&device)
+                .threads(threads)
+        };
+        let file = job().run_file("input", "out");
+        assert!(
+            matches!(file, Err(SortError::Storage(StorageError::Io(_)))),
+            "run_file ({threads} threads): got {file:?}"
+        );
+        let stream = job().stream_file("input");
+        assert!(
+            matches!(&stream, Err(SortError::Storage(StorageError::Io(_)))),
+            "stream_file ({threads} threads): got {:?}",
+            stream.as_ref().err()
+        );
+        assert_eq!(
+            device.list(),
+            vec!["input".to_string()],
+            "{threads} threads"
+        );
+        let created = device.created.lock().unwrap().clone();
+        // The prefix before the failing page spilled runs; neither the
+        // output nor any merge run was ever created.
+        assert!(
+            created.iter().any(|name| name.contains(".run.")),
+            "{threads} threads: {created:?}"
+        );
+        assert!(
+            created
+                .iter()
+                .all(|name| name != "out" && !name.contains(".merge.")),
+            "{threads} threads: {created:?}"
         );
     }
 }

@@ -154,7 +154,8 @@ fn a_stream_over_a_truncated_dataset_cleans_up_and_errors() {
     let dist = Distribution::new(DistributionKind::RandomUniform, 3_000, 5);
     two_way_replacement_selection::workloads::materialize(&device, "input", dist.records())
         .unwrap();
-    // Truncate the dataset below what its header claims.
+    // Truncate the dataset below what its header claims, which opening it
+    // rejects before the sort starts.
     let pages = device.open("input").unwrap().num_pages();
     let mut truncated = Vec::new();
     {
