@@ -80,7 +80,8 @@ fn bench_run_generation(c: &mut Criterion) {
 /// Replacement selection exactly as it was written before the generic
 /// redesign: hard-coded to the concrete `Record` type, no `SortableRecord`
 /// indirection anywhere. Kept verbatim (modulo the builder's new type
-/// parameter) as the baseline the monomorphized generic path is pinned
+/// parameter, and the heap's cached keys, read straight from
+/// `Record::key`) as the baseline the monomorphized generic path is pinned
 /// against — if monomorphization ever stopped compiling down to this, the
 /// `run_generation_generic_pin` group would show the gap.
 fn concrete_rs_generate(
@@ -89,7 +90,9 @@ fn concrete_rs_generate(
     namer: &SpillNamer,
     input: &mut dyn Iterator<Item = Record>,
 ) -> RunSet {
-    let mut heap: BinaryHeap<RunRecord<Record>> = BinaryHeap::bounded(memory_records);
+    let mut heap = BinaryHeap::keyed(memory_records, |r: &RunRecord<Record>, run| {
+        r.heap_key(run, r.value.key)
+    });
     while heap.len() < memory_records {
         match input.next() {
             Some(record) => heap
@@ -107,6 +110,7 @@ fn concrete_rs_generate(
             total += builder.finish_run(&mut runs).expect("finish run");
             builder = ForwardRunBuilder::new(device, namer);
             current_run = top.run;
+            heap.start_run(current_run);
         }
         let output = top.value;
         builder.push(&output).expect("push record");

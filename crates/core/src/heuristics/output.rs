@@ -34,6 +34,13 @@ impl OutputHeuristic {
         ]
     }
 
+    /// Whether [`OutputHeuristicState::choose`] reads the context it is
+    /// handed. *Random* and *Alternate* decide without it, so a caller may
+    /// pass them [`HeuristicContext::default`] instead of building one.
+    pub fn reads_context(self) -> bool {
+        !matches!(self, OutputHeuristic::Random | OutputHeuristic::Alternate)
+    }
+
     /// Short label used in experiment tables.
     pub fn label(self) -> &'static str {
         match self {
@@ -141,6 +148,35 @@ mod tests {
         let b = state.choose(&ctx);
         assert_ne!(a, b);
         assert_eq!(a, state.choose(&ctx));
+    }
+
+    #[test]
+    fn heuristics_that_read_no_context_choose_alike_without_one() {
+        let populated = HeuristicContext {
+            top_len: 3,
+            bottom_len: 9,
+            top_pops: 40,
+            bottom_pops: 2,
+            input_mean: Some(7),
+            input_median: Some(8),
+            first_output: Some(100),
+            top_root: Some(140),
+            bottom_root: Some(90),
+        };
+        for heuristic in OutputHeuristic::all() {
+            if heuristic.reads_context() {
+                continue;
+            }
+            let mut with = OutputHeuristicState::new(heuristic, 11);
+            let mut without = OutputHeuristicState::new(heuristic, 11);
+            for _ in 0..64 {
+                assert_eq!(
+                    with.choose(&populated),
+                    without.choose(&HeuristicContext::default()),
+                    "{heuristic:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -171,7 +171,7 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
             device,
             namer,
             config,
-            dual: DualHeap::new(config.heap_records()),
+            dual: DualHeap::keyed(config.heap_records(), R::sort_key),
             input_buffer: InputBuffer::new(config.input_buffer_records()),
             victim: VictimBuffer::new(config.victim_buffer_records()),
             input_heuristic: InputHeuristicState::new(config.input_heuristic, config.seed),
@@ -199,7 +199,7 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
                 None => break,
             }
         }
-        self.start_run()?;
+        self.start_run();
 
         // Phase 2: main loop (Algorithm 2 lines 7–20).
         loop {
@@ -207,7 +207,7 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
                 OutputSide::Side(side) => side,
                 OutputSide::RunFinished => {
                     self.finalize_run()?;
-                    self.start_run()?;
+                    self.start_run();
                     continue;
                 }
                 OutputSide::Empty => break,
@@ -257,13 +257,12 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
     // Run lifecycle
     // ---------------------------------------------------------------------
 
-    fn start_run(&mut self) -> Result<()> {
+    fn start_run(&mut self) {
         self.victim.reset();
         self.bootstrap_done = !self.victim.is_enabled();
         self.first_output = None;
-        self.repartition_heaps()?;
+        self.repartition_heaps();
         self.dual.reset_pop_counters();
-        Ok(())
     }
 
     /// Re-partitions the records currently held in memory between the two
@@ -282,10 +281,12 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
     /// rebalancing the paper describes for the *Balancing* input heuristic
     /// (§4.2) and keeps the cross-stream ordering of the four streams intact
     /// for every heuristic.
-    fn repartition_heaps(&mut self) -> Result<()> {
-        if self.dual.len() < 2 {
-            return Ok(());
-        }
+    ///
+    /// The dual heap installs both sides straight from the sorted sample
+    /// and keys them for the new run ([`DualHeap::start_run`]). A lone
+    /// record stays on its side.
+    fn repartition_heaps(&mut self) {
+        let bottom_len = self.dual.len_of(HeapSide::Bottom);
         let mut records: Vec<R> = self
             .dual
             .drain()
@@ -293,34 +294,30 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
             .map(RunRecord::into_value)
             .collect();
         records.sort_unstable();
-        // Split at the largest key gap when the sample clearly falls into
-        // two clusters separated by a void (mixed and alternating inputs at
-        // a trend boundary); otherwise split at the median, which keeps the
-        // two sides equally provisioned and gives the 2×-memory behaviour
-        // on unstructured input.
-        let span = records[records.len() - 1]
-            .sort_key()
-            .saturating_sub(records[0].sort_key());
-        let gap_split = crate::victim::largest_gap_split(&records);
-        let split = if gap_split < records.len()
-            && records[gap_split]
-                .sort_key()
-                .saturating_sub(records[gap_split - 1].sort_key())
-                >= span / 2
-        {
-            gap_split
+        let split = if records.len() < 2 {
+            bottom_len
         } else {
-            records.len() / 2
-        };
-        for (i, record) in records.into_iter().enumerate() {
-            let side = if i < split {
-                HeapSide::Bottom
+            // Split at the largest key gap when the sample clearly falls
+            // into two clusters separated by a void (mixed and alternating
+            // inputs at a trend boundary); otherwise split at the median,
+            // which keeps the two sides equally provisioned and gives the
+            // 2×-memory behaviour on unstructured input.
+            let span = records[records.len() - 1]
+                .sort_key()
+                .saturating_sub(records[0].sort_key());
+            let gap_split = crate::victim::largest_gap_split(&records);
+            if gap_split < records.len()
+                && records[gap_split]
+                    .sort_key()
+                    .saturating_sub(records[gap_split - 1].sort_key())
+                    >= span / 2
+            {
+                gap_split
             } else {
-                HeapSide::Top
-            };
-            self.push_dual(side, RunRecord::new(record, self.current_run))?;
-        }
-        Ok(())
+                records.len() / 2
+            }
+        };
+        self.dual.start_run(self.current_run, records, split);
     }
 
     fn finalize_run(&mut self) -> Result<()> {
@@ -368,7 +365,11 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
                 }
             }
             (Some(true), Some(true)) => {
-                let ctx = self.context();
+                let ctx = if self.config.output_heuristic.reads_context() {
+                    self.context()
+                } else {
+                    HeuristicContext::default()
+                };
                 OutputSide::Side(self.output_heuristic.choose(&ctx))
             }
             (Some(true), _) => OutputSide::Side(HeapSide::Top),

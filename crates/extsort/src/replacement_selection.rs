@@ -65,7 +65,12 @@ impl RunGenerator for ReplacementSelection {
                 "replacement selection needs a heap of at least one record".into(),
             ));
         }
-        let mut heap: BinaryHeap<RunRecord<R>> = BinaryHeap::bounded(self.memory_records);
+        // Each record's sort key is cached beside it for the current run
+        // (next-run records take the largest key), so most sift steps
+        // compare two integers.
+        let mut heap = BinaryHeap::keyed(self.memory_records, |r: &RunRecord<R>, run| {
+            r.heap_key(run, r.value.sort_key())
+        });
 
         // Phase 1: fill the heap (heap.fill in Algorithm 1). No record needs
         // a next-run mark because nothing has been output yet.
@@ -85,11 +90,14 @@ impl RunGenerator for ReplacementSelection {
         let mut builder = ForwardRunBuilder::new(device, namer);
 
         while let Some(top) = heap.peek() {
-            // Did the top record open the next run?
+            // Did the top record open the next run? Then every record in
+            // the heap belongs to it: close the run and key them for it.
             if top.run > current_run {
+                current_run = top.run;
                 total += builder.finish_run(&mut runs)?;
                 builder = ForwardRunBuilder::new(device, namer);
-                current_run = top.run;
+                heap.start_run(current_run);
+                continue;
             }
             builder.push(&top.value)?;
 

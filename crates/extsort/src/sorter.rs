@@ -156,18 +156,27 @@ impl SortReport {
     }
 }
 
-/// Drop guard that removes a sort's spill files — and optionally its
-/// partial output — unless the sort succeeded. Covers the error paths and
-/// a generator or merge panic alike: both unwind through the guard instead
-/// of orphaning run files on the device.
+/// Drop guard that removes a sort's spill files — and the output file,
+/// once the sort has created it — unless the sort succeeded. Covers the
+/// error paths and a generator or merge panic alike: both unwind through
+/// the guard instead of orphaning run files on the device.
 struct SpillSweeper<D: Device> {
     device: D,
     namer: Arc<SpillNamer>,
+    /// The output file this sort created, if any. A file that merely
+    /// carries the output's name before the final pass is not the sort's
+    /// to remove.
     output: Option<String>,
     armed: bool,
 }
 
 impl<D: Device> SpillSweeper<D> {
+    /// Records that the sort has created its output file `name`, which a
+    /// failure from now on must remove.
+    fn created_output(&mut self, name: &str) {
+        self.output = Some(name.to_string());
+    }
+
     /// Disarms the guard: the sort succeeded, and whatever spill files are
     /// left now belong to the caller (a [`SortedStream`]) or its cleanup.
     fn disarm(mut self) {
@@ -246,8 +255,8 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
 
     /// Runs every stage and delivers the sorted records to `output`.
     ///
-    /// Spill files are removed on success *and* on error; a failed sort
-    /// also removes whatever partial output file it left.
+    /// Spill files are removed on success *and* on error; a sort that
+    /// fails after creating its output file also removes that file.
     pub(crate) fn run<R: SortableRecord>(
         mut self,
         input: Feed<'_, R>,
@@ -262,7 +271,7 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
             Output::File(name) => (Some(*name), FinalPassKind::File),
             Output::Sink(_) => (None, FinalPassKind::Sink),
         };
-        let sweeper = self.sweeper(file);
+        let mut sweeper = self.sweeper();
         let mut source = RecordSource::new(input, self.cancel.clone());
         let generated = self.generate(&mut source)?;
         let started = Instant::now();
@@ -270,7 +279,7 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
             remaining,
             report: mut merge_report,
         } = self.reduce::<R>(&generated)?;
-        let final_writes = self.finish(&remaining, output, &mut merge_report)?;
+        let final_writes = self.finish(&remaining, output, &mut merge_report, &mut sweeper)?;
         let after_merge = self.device.stats();
         let merge = PhaseReport::from_delta(started.elapsed(), after_merge.since(&generated.after));
         let records = generated.run_set.records;
@@ -290,7 +299,7 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
         input: Feed<'_, R>,
     ) -> Result<SortedStream<R>> {
         let _io_client = self.device.attach_io_client();
-        let sweeper = self.sweeper(None);
+        let sweeper = self.sweeper();
         let mut source = RecordSource::new(input, self.cancel.clone());
         let generated = self.generate(&mut source)?;
         let started = Instant::now();
@@ -319,11 +328,11 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
         Ok(stream)
     }
 
-    fn sweeper(&self, output: Option<&str>) -> SpillSweeper<D> {
+    fn sweeper(&self) -> SpillSweeper<D> {
         SpillSweeper {
             device: self.device.clone(),
             namer: Arc::clone(&self.namer),
-            output: output.map(str::to_string),
+            output: None,
             armed: true,
         }
     }
@@ -407,12 +416,14 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
     ///
     /// An output file is created right after the sources are opened, inside
     /// the pass's snapshot window; on a stripe its member therefore follows
-    /// from file-creation order like every other file's.
+    /// from file-creation order like every other file's. From then on
+    /// `sweeper` removes it if the sort fails.
     fn finish<R: SortableRecord>(
         &self,
         remaining: &[RunHandle],
         output: Output<'_, R>,
         report: &mut MergeReport,
+        sweeper: &mut SpillSweeper<D>,
     ) -> Result<u64> {
         let before = self.device.stats();
         self.cancel.check()?;
@@ -421,6 +432,7 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
         let delivered = match output {
             Output::File(name) => {
                 let mut file = FileSink::create(&self.device, name)?;
+                sweeper.created_output(name);
                 merge_sources(&mut sources, &mut file, &self.cancel)?
             }
             Output::Sink(sink) => merge_sources(&mut sources, sink, &self.cancel)?,

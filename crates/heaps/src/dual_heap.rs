@@ -17,10 +17,19 @@
 //! The heap holds [`RunRecord`]s and fixes the paper's order itself: both
 //! sides order by run first, so records marked for the next run sink below
 //! every current-run record (§3.3); within a run the TopHeap is ascending
-//! and the BottomHeap descending. Both sides run the crate's one
-//! `sift_up`/`sift_down` pair.
+//! and the BottomHeap descending. A heap built with [`DualHeap::keyed`]
+//! answers that order from cached keys: each side keeps one `u64` per
+//! record beside its records — the record's sort key on the TopHeap, its
+//! complement on the BottomHeap, through [`RunRecord::heap_key`] — and
+//! compares `(run, value)` only where two keys tie. Both sides run the
+//! crate's one keyed `sift_up`/`sift_down` pair.
+//!
+//! At the start of every run, 2WRS re-sorts the records it holds and splits
+//! them between the two sides; [`DualHeap::start_run`] installs the two
+//! parts in `O(n)`, since an ascending array already is a min-heap and a
+//! descending one a max-heap.
 
-use crate::binary_heap::{first_violation, pop_by, push_by};
+use crate::binary_heap::HeapArray;
 use crate::RunRecord;
 use std::cmp::Ordering;
 use std::fmt;
@@ -64,7 +73,8 @@ fn bottom_before<T: Ord>(a: &RunRecord<T>, b: &RunRecord<T>) -> bool {
 /// ```
 /// use twrs_heaps::{DualHeap, HeapSide, RunRecord};
 ///
-/// let mut dual: DualHeap<u32> = DualHeap::new(8);
+/// // Cache each record's value as its sort key.
+/// let mut dual: DualHeap<u32> = DualHeap::keyed(8, |v| u64::from(*v));
 /// dual.push(HeapSide::Top, RunRecord::new(50, 0)).unwrap();
 /// dual.push(HeapSide::Top, RunRecord::new(52, 0)).unwrap();
 /// dual.push(HeapSide::Bottom, RunRecord::new(40, 0)).unwrap();
@@ -78,16 +88,29 @@ fn bottom_before<T: Ord>(a: &RunRecord<T>, b: &RunRecord<T>) -> bool {
 /// assert_eq!(dual.pop(HeapSide::Bottom), Some(RunRecord::new(38, 0)));
 /// assert_eq!(dual.pop(HeapSide::Bottom), Some(RunRecord::new(45, 1)));
 /// assert_eq!(dual.pop(HeapSide::Top), Some(RunRecord::new(50, 0)));
+///
+/// // Run 1 starts on whatever is left, re-sorted and split at index 0:
+/// // all of it forms the new TopHeap.
+/// let mut held: Vec<u32> = dual.drain().into_iter().map(RunRecord::into_value).collect();
+/// held.sort_unstable();
+/// dual.start_run(1, held, 0);
+/// assert_eq!(dual.pop(HeapSide::Top), Some(RunRecord::new(52, 1)));
 /// ```
+#[derive(Clone)]
 pub struct DualHeap<T> {
     /// The TopHeap in standard array layout.
-    top: Vec<RunRecord<T>>,
+    top: HeapArray<RunRecord<T>>,
     /// The BottomHeap in standard array layout.
-    bottom: Vec<RunRecord<T>>,
+    bottom: HeapArray<RunRecord<T>>,
     /// Records the two sides may hold together.
     capacity: usize,
     /// Cumulative pops per side, used by the Useful heuristics.
     pops: [u64; 2],
+    /// The run the cached keys are relative to.
+    run: u64,
+    /// Projects a value onto the sort key the TopHeap caches (the
+    /// BottomHeap caches its complement).
+    sort_key: fn(&T) -> u64,
 }
 
 /// Error returned when pushing into a full [`DualHeap`]; carries the value
@@ -103,15 +126,31 @@ impl<T: fmt::Debug> fmt::Display for DualHeapFull<T> {
 
 impl<T: fmt::Debug> std::error::Error for DualHeapFull<T> {}
 
-impl<T: Ord> DualHeap<T> {
+impl<T: Ord + Clone> DualHeap<T> {
     /// Creates an empty dual heap whose two sides together hold at most
-    /// `capacity` records. Nothing is reserved up front.
+    /// `capacity` records and order them by `(run, value)` alone. Nothing
+    /// is reserved up front.
     pub fn new(capacity: usize) -> Self {
+        Self::keyed(capacity, |_| 0)
+    }
+
+    /// Creates an empty dual heap like [`new`](DualHeap::new) that caches
+    /// each record's `sort_key(&value)` beside it, through
+    /// [`RunRecord::heap_key`], and compares `(run, value)` only where two
+    /// keys tie.
+    ///
+    /// `sort_key` must be monotone with `Ord` (`a <= b` implies
+    /// `sort_key(a) <= sort_key(b)`); a coarse key is fine. Debug builds
+    /// assert it on every comparison the keys decide; a key that breaks it
+    /// misorders both sides.
+    pub fn keyed(capacity: usize, sort_key: fn(&T) -> u64) -> Self {
         DualHeap {
-            top: Vec::new(),
-            bottom: Vec::new(),
+            top: HeapArray::with_capacity(0),
+            bottom: HeapArray::with_capacity(0),
             capacity,
             pops: [0, 0],
+            run: 0,
+            sort_key,
         }
     }
 
@@ -168,7 +207,7 @@ impl<T: Ord> DualHeap<T> {
     /// Returns a reference to the root record of `side` without removing it.
     #[inline]
     pub fn peek(&self, side: HeapSide) -> Option<&RunRecord<T>> {
-        self.side(side).first()
+        self.side(side).records.first()
     }
 
     /// Pushes a record onto `side`.
@@ -184,9 +223,10 @@ impl<T: Ord> DualHeap<T> {
         if self.is_full() {
             return Err(DualHeapFull(record));
         }
+        let key = self.key_of(side, &record);
         match side {
-            HeapSide::Top => push_by(&mut self.top, record, top_before),
-            HeapSide::Bottom => push_by(&mut self.bottom, record, bottom_before),
+            HeapSide::Top => self.top.push(record, key, top_before),
+            HeapSide::Bottom => self.bottom.push(record, key, bottom_before),
         }
         Ok(())
     }
@@ -195,30 +235,70 @@ impl<T: Ord> DualHeap<T> {
     /// freeing room either heap may subsequently use (Figure 4.4).
     pub fn pop(&mut self, side: HeapSide) -> Option<RunRecord<T>> {
         let record = match side {
-            HeapSide::Top => pop_by(&mut self.top, top_before),
-            HeapSide::Bottom => pop_by(&mut self.bottom, bottom_before),
+            HeapSide::Top => self.top.pop(top_before),
+            HeapSide::Bottom => self.bottom.pop(bottom_before),
         }?;
         self.pops[side as usize] += 1;
         Some(record)
     }
 
+    /// Starts run `run` on `sorted`, the records the (empty) heap will hold
+    /// in ascending order: the first `split` of them form the BottomHeap,
+    /// the rest the TopHeap, every one tagged `run`, and `run` becomes the
+    /// run the cached keys are relative to.
+    ///
+    /// Both sides are installed as they are, in `O(n)` with their keys
+    /// computed in the same pass: the upper part in ascending order is a
+    /// valid min-heap, and the lower part reversed a valid max-heap. Each
+    /// side pops its records in the same order as if they had been pushed
+    /// one at a time.
+    ///
+    /// # Panics
+    ///
+    /// When the heap is not empty, `sorted` does not fit its capacity or
+    /// `split` exceeds `sorted.len()`.
+    pub fn start_run(&mut self, run: u64, mut sorted: Vec<T>, split: usize) {
+        assert!(
+            self.is_empty() && sorted.len() <= self.capacity && split <= sorted.len(),
+            "a run starts on an empty dual heap with records that fit it"
+        );
+        self.run = run;
+        sorted[..split].reverse();
+        self.bottom = HeapArray::with_capacity(split);
+        self.top = HeapArray::with_capacity(sorted.len() - split);
+        for (i, value) in sorted.into_iter().enumerate() {
+            let side = if i < split {
+                HeapSide::Bottom
+            } else {
+                HeapSide::Top
+            };
+            let record = RunRecord::new(value, run);
+            let key = self.key_of(side, &record);
+            let array = match side {
+                HeapSide::Top => &mut self.top,
+                HeapSide::Bottom => &mut self.bottom,
+            };
+            array.records.push(record);
+            array.keys.push(key);
+        }
+    }
+
     /// Drains every record from both heaps in unspecified order.
     pub fn drain(&mut self) -> Vec<RunRecord<T>> {
-        let mut records = Vec::with_capacity(self.len());
-        records.append(&mut self.top);
-        records.extend(self.bottom.drain(..).rev());
+        let mut records = self.top.take();
+        records.extend(self.bottom.take().into_iter().rev());
         records
     }
 
     /// Iterates over the records of `side` in unspecified (heap-array)
     /// order.
     pub fn iter_side(&self, side: HeapSide) -> std::slice::Iter<'_, RunRecord<T>> {
-        self.side(side).iter()
+        self.side(side).records.iter()
     }
 
-    /// Validates both heap properties and the shared capacity. Returns a
-    /// description of the first violation found, or `None` when the
-    /// structure is consistent. Intended for tests.
+    /// Validates both heap properties, every cached key and the shared
+    /// capacity. Returns a description of the first violation found, or
+    /// `None` when the structure is consistent. Intended for tests.
     pub fn debug_validate(&self) -> Option<String> {
         if self.len() > self.capacity {
             return Some(format!(
@@ -228,16 +308,30 @@ impl<T: Ord> DualHeap<T> {
                 self.capacity
             ));
         }
-        if let Some(i) = first_violation(&self.top, top_before) {
-            return Some(format!("heap property violated on Top at index {i}"));
+        let top_key = |record: &RunRecord<T>| self.key_of(HeapSide::Top, record);
+        if let Some(i) = self.top.first_violation(top_before, top_key) {
+            return Some(format!("heap property or key violated on Top at index {i}"));
         }
-        if let Some(i) = first_violation(&self.bottom, bottom_before) {
-            return Some(format!("heap property violated on Bottom at index {i}"));
+        let bottom_key = |record: &RunRecord<T>| self.key_of(HeapSide::Bottom, record);
+        if let Some(i) = self.bottom.first_violation(bottom_before, bottom_key) {
+            return Some(format!(
+                "heap property or key violated on Bottom at index {i}"
+            ));
         }
         None
     }
 
-    fn side(&self, side: HeapSide) -> &[RunRecord<T>] {
+    /// The key `side` caches for `record`.
+    #[inline]
+    fn key_of(&self, side: HeapSide, record: &RunRecord<T>) -> u64 {
+        let key = (self.sort_key)(&record.value);
+        match side {
+            HeapSide::Top => record.heap_key(self.run, key),
+            HeapSide::Bottom => record.heap_key(self.run, !key),
+        }
+    }
+
+    fn side(&self, side: HeapSide) -> &HeapArray<RunRecord<T>> {
         match side {
             HeapSide::Top => &self.top,
             HeapSide::Bottom => &self.bottom,
@@ -418,6 +512,75 @@ mod tests {
         dual.push(HeapSide::Bottom, rec(1)).unwrap();
         assert_eq!(dual.free(), usize::MAX - 2);
         assert_eq!(dual.pop(HeapSide::Top), Some(rec(2)));
+    }
+
+    #[test]
+    fn start_run_pops_like_pushing_the_sample_one_record_at_a_time() {
+        let sample: Vec<u32> = (0..41).map(|i| (i * 37) % 23).collect();
+        let mut sorted = sample.clone();
+        sorted.sort_unstable();
+        for split in [0, 1, 17, 40, 41] {
+            let mut installed = DualHeap::keyed(64, |v: &u32| u64::from(*v >> 2));
+            installed.start_run(3, sorted.clone(), split);
+            assert_eq!(installed.debug_validate(), None);
+            let mut pushed = DualHeap::keyed(64, |v: &u32| u64::from(*v >> 2));
+            pushed.start_run(3, Vec::new(), 0);
+            for (i, &v) in sorted.iter().enumerate() {
+                let side = if i < split {
+                    HeapSide::Bottom
+                } else {
+                    HeapSide::Top
+                };
+                pushed.push(side, RunRecord::new(v, 3)).unwrap();
+            }
+            for side in [HeapSide::Top, HeapSide::Bottom] {
+                assert_eq!(installed.len_of(side), pushed.len_of(side));
+                assert_eq!(
+                    drain_side(&mut installed, side),
+                    drain_side(&mut pushed, side)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn start_run_rekeys_records_of_the_new_run() {
+        let mut dual = DualHeap::keyed(8, |v: &u32| u64::from(*v));
+        // Deferred records wait for run 1 with the largest key on both
+        // sides...
+        dual.push(HeapSide::Top, RunRecord::new(5, 1)).unwrap();
+        dual.push(HeapSide::Top, RunRecord::new(50, 0)).unwrap();
+        dual.push(HeapSide::Bottom, RunRecord::new(60, 1)).unwrap();
+        dual.push(HeapSide::Bottom, RunRecord::new(7, 0)).unwrap();
+        assert_eq!(dual.debug_validate(), None);
+        assert_eq!(dual.pop(HeapSide::Top), Some(RunRecord::new(50, 0)));
+        assert_eq!(dual.pop(HeapSide::Bottom), Some(RunRecord::new(7, 0)));
+        // ...and run on their own sort keys once run 1 starts.
+        let mut held: Vec<u32> = values(dual.drain());
+        held.sort_unstable();
+        dual.start_run(1, held, 1);
+        assert_eq!(dual.debug_validate(), None);
+        dual.push(HeapSide::Bottom, RunRecord::new(3, 1)).unwrap();
+        dual.push(HeapSide::Top, RunRecord::new(70, 1)).unwrap();
+        assert_eq!(values(drain_side(&mut dual, HeapSide::Top)), vec![60, 70]);
+        assert_eq!(values(drain_side(&mut dual, HeapSide::Bottom)), vec![5, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a run starts on an empty dual heap")]
+    fn start_run_rejects_a_sample_beyond_the_capacity() {
+        let mut dual: DualHeap<u32> = DualHeap::new(2);
+        dual.start_run(0, vec![1, 2, 3], 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "cached key order disagrees with the heap order")]
+    fn a_non_monotone_sort_key_trips_the_debug_check() {
+        // A sort key that runs against the values' order.
+        let mut dual = DualHeap::keyed(4, |v: &u64| !*v);
+        dual.push(HeapSide::Top, RunRecord::new(1, 0)).unwrap();
+        dual.push(HeapSide::Top, RunRecord::new(2, 0)).unwrap();
     }
 
     #[test]

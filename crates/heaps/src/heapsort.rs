@@ -5,7 +5,8 @@
 //! array: every record is pushed into the heap and then popped back out in
 //! order, giving the familiar `O(n log n)` bound. [`heapsort_via_heap`] is
 //! that literal formulation; [`heapsort`] and [`heapsort_by`] sort in place
-//! on the crate's one `sift_down`. The run generators themselves never sort
+//! on the crate's one `sift_down`, with every cached key equal, so the
+//! comparison decides every step. The run generators themselves never sort
 //! with heapsort: the module is an executable description of §3.2 and an
 //! independent sorting oracle for tests.
 
@@ -22,7 +23,7 @@ use std::cmp::Ordering;
 /// twrs_heaps::heapsort(&mut values);
 /// assert_eq!(values, vec![1, 3, 4, 5, 9]);
 /// ```
-pub fn heapsort<T: Ord>(slice: &mut [T]) {
+pub fn heapsort<T: Ord + Clone>(slice: &mut [T]) {
     heapsort_by(slice, T::cmp)
 }
 
@@ -30,20 +31,22 @@ pub fn heapsort<T: Ord>(slice: &mut [T]) {
 ///
 /// The comparison defines the ascending order of the result, mirroring
 /// [`slice::sort_by`].
-pub fn heapsort_by<T, F>(slice: &mut [T], mut compare: F)
+pub fn heapsort_by<T: Clone, F>(slice: &mut [T], mut compare: F)
 where
     F: FnMut(&T, &T) -> Ordering,
 {
     // Build a max-heap (by `compare`) over the slice itself, then repeatedly
-    // move the root to the back of the shrinking heap region.
+    // move the root to the back of the shrinking heap region. The records
+    // carry no key: all keys are equal, so they never need to move.
     let mut after = |a: &T, b: &T| compare(a, b) == Ordering::Greater;
     let n = slice.len();
+    let mut keys = vec![0; n];
     for i in (0..n / 2).rev() {
-        sift_down(slice, i, &mut after);
+        sift_down(slice, &mut keys, i, &mut after);
     }
     for end in (1..n).rev() {
         slice.swap(0, end);
-        sift_down(&mut slice[..end], 0, &mut after);
+        sift_down(&mut slice[..end], &mut keys, 0, &mut after);
     }
 }
 
@@ -53,7 +56,7 @@ where
 /// This is slower than [`heapsort`] because of the extra allocation but is a
 /// literal transcription of the paper's algorithm, and serves as an oracle in
 /// tests.
-pub fn heapsort_via_heap<T: Ord>(values: Vec<T>) -> Vec<T> {
+pub fn heapsort_via_heap<T: Ord + Clone>(values: Vec<T>) -> Vec<T> {
     BinaryHeap::from_vec(values).drain_sorted()
 }
 

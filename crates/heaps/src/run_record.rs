@@ -6,6 +6,12 @@
 //! the record with its run number and ordering by `(run, value)` achieves
 //! exactly that: the run number is the major sort key, so the heap only
 //! surfaces next-run records once every current-run record has left.
+//!
+//! A heap answers that run-first order from cached `u64` keys, and
+//! [`RunRecord::heap_key`] is the one rule that derives them: a record of
+//! the heap's current run keeps its sort key, an earlier run's record gets
+//! 0 and a later run's `u64::MAX`. Only records whose keys tie are compared
+//! by `(run, value)`.
 
 use std::cmp::Ordering;
 
@@ -14,6 +20,14 @@ use std::cmp::Ordering;
 /// Ordering is lexicographic on `(run, value)`, which makes a min-heap of
 /// `RunRecord`s behave like the paper's replacement-selection heap: records
 /// marked for a later run sink below all records of the current run.
+///
+/// The heaps that run generation uses ([`BinaryHeap::keyed`] for
+/// replacement selection, [`DualHeap::keyed`] for 2WRS) answer this order
+/// from a cached `u64` per record, derived by [`RunRecord::heap_key`], and
+/// compare `(run, value)` only where two keys tie.
+///
+/// [`BinaryHeap::keyed`]: crate::BinaryHeap::keyed
+/// [`DualHeap::keyed`]: crate::DualHeap::keyed
 ///
 /// # Examples
 ///
@@ -43,6 +57,34 @@ impl<T> RunRecord<T> {
     /// Consumes the tag and returns the inner value.
     pub fn into_value(self) -> T {
         self.value
+    }
+
+    /// The key a heap whose current run is `run` caches for this record,
+    /// given `sort_key`, a `u64` that agrees with the heap's order of
+    /// values (the record's sort key on a min-heap, its complement `!key`
+    /// on the BottomHeap): `sort_key` itself for a current-run record, `0`
+    /// for an earlier run's and `u64::MAX` for a later run's.
+    ///
+    /// Keys derived this way agree with the run-first order: whenever two
+    /// differ, the record with the smaller key orders first. A key that
+    /// ties (two records of one earlier or later run, or a current-run key
+    /// of `0` or `u64::MAX`) leaves the comparison to `(run, value)`.
+    ///
+    /// ```
+    /// use twrs_heaps::RunRecord;
+    ///
+    /// let record = RunRecord::new(42_u64, 3);
+    /// assert_eq!(record.heap_key(3, 42), 42);
+    /// assert_eq!(record.heap_key(4, 42), 0);
+    /// assert_eq!(record.heap_key(2, 42), u64::MAX);
+    /// ```
+    #[inline]
+    pub fn heap_key(&self, run: u64, sort_key: u64) -> u64 {
+        match self.run.cmp(&run) {
+            Ordering::Less => 0,
+            Ordering::Equal => sort_key,
+            Ordering::Greater => u64::MAX,
+        }
     }
 
     /// Maps the inner value, keeping the run tag.
@@ -104,6 +146,24 @@ mod tests {
         // Only once the current run is exhausted do next-run records appear.
         assert_eq!(heap.pop(), Some(RunRecord::new(1, 1)));
         assert_eq!(heap.pop(), Some(RunRecord::new(5, 1)));
+    }
+
+    #[test]
+    fn heap_keys_agree_with_the_run_first_order() {
+        // Records of runs 2 to 4 in a heap whose current run is 3, with the
+        // value as sort key: wherever two keys differ, they order the
+        // records the way `Ord` does.
+        let records: Vec<RunRecord<u64>> = (2..5)
+            .flat_map(|run| [0, 1, 7, u64::MAX].map(|v| RunRecord::new(v, run)))
+            .collect();
+        for a in &records {
+            for b in &records {
+                let (ka, kb) = (a.heap_key(3, a.value), b.heap_key(3, b.value));
+                if ka != kb {
+                    assert_eq!(ka < kb, a < b, "{a:?} vs {b:?}");
+                }
+            }
+        }
     }
 
     #[test]

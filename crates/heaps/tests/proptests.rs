@@ -92,6 +92,84 @@ fn sift_matches_reference<T: Ord + Copy>(
     }
 }
 
+/// The textbook upheap of §3.1.1 for the last record of `data`.
+fn reference_upheap<T: Ord>(data: &mut [T]) {
+    let mut idx = data.len() - 1;
+    while idx > 0 && data[idx] < data[(idx - 1) / 2] {
+        data.swap(idx, (idx - 1) / 2);
+        idx = (idx - 1) / 2;
+    }
+}
+
+/// A coarse sort key: eight values share one, so most comparisons between
+/// nearby records tie and fall back to the full order.
+fn coarse(t: &Tagged) -> u64 {
+    u64::from(t.key >> 3)
+}
+
+/// Run-tagged records as a keyed heap orders them: `Top` is the TopHeap
+/// order (runs first, ascending values), `Bottom` the BottomHeap order
+/// (runs first, descending values), each as a plain `Ord` for the
+/// reference.
+type Top = RunRecord<Tagged>;
+type Bottom = RunRecord<Reverse<Tagged>>;
+
+/// Applies one step to `reference` as the two-comparison heap would: push
+/// (`op` 0–1), replace the top (2–3; a push when empty) or pop (4–5).
+fn reference_step<T: Ord>(reference: &mut Vec<T>, op: u8, record: T) {
+    match op {
+        0 | 1 => {
+            reference.push(record);
+            reference_upheap(reference);
+        }
+        2 | 3 if !reference.is_empty() => {
+            reference[0] = record;
+            reference_downheap(reference);
+        }
+        2 | 3 => reference.push(record),
+        _ if reference.is_empty() => {}
+        _ => {
+            let last = reference.len() - 1;
+            reference.swap(0, last);
+            reference.pop();
+            reference_downheap(reference);
+        }
+    }
+}
+
+/// Drives a keyed [`BinaryHeap`] and the reference through the same
+/// pushes, replacements and pops of run-tagged records, the heap's current
+/// run being `current`, and checks after every step that each record, down
+/// to which of two equal ones sits where, is in the same slot.
+fn keyed_sift_matches_reference<T: Ord + Copy + std::fmt::Debug>(
+    current: u64,
+    ops: Vec<(u8, u64, u8, u16)>,
+    wrap: impl Fn(u64, Tagged) -> T,
+    key: fn(&T, u64) -> u64,
+) {
+    let mut heap = BinaryHeap::keyed(usize::MAX, key);
+    heap.start_run(current);
+    let mut reference: Vec<T> = Vec::new();
+    for (op, run, key, tag) in ops {
+        let record = wrap(run, Tagged { key, tag });
+        match op {
+            0 | 1 => heap.push(record).unwrap(),
+            2 | 3 => {
+                heap.replace_top(record);
+            }
+            _ => {
+                heap.pop();
+            }
+        }
+        reference_step(&mut reference, op, record);
+        assert_eq!(heap.debug_validate(), None);
+        assert_eq!(
+            format!("{:?}", heap.iter().as_slice()),
+            format!("{reference:?}")
+        );
+    }
+}
+
 /// The order in which a [`DualHeap`] side pops, as a key for
 /// `std::collections::BinaryHeap` (which pops its largest element): the
 /// TopHeap pops the smallest `(run, value)`, the BottomHeap the earliest run
@@ -153,6 +231,81 @@ proptest! {
             sift_matches_reference(initial, ops, Reverse, |r: &Reverse<Tagged>| r.0);
         } else {
             sift_matches_reference(initial, ops, |t| t, |t: &Tagged| *t);
+        }
+    }
+
+    /// With coarse cached keys (many ties) and run tags 0–3 around the
+    /// current run, keyed `push`, `replace_top` and `pop` sift exactly like
+    /// the two-comparison reference under the full run-first order, on the
+    /// TopHeap and the BottomHeap order alike: every record, down to which
+    /// of two equal ones sits where, ends in the same array slot.
+    #[test]
+    fn keyed_sift_matches_the_two_comparison_reference(
+        current in 0u64..4,
+        ops in prop::collection::vec((0u8..6, 0u64..4, 0u8..64, any::<u16>()), 0..160),
+        descending in any::<bool>(),
+    ) {
+        if descending {
+            keyed_sift_matches_reference(
+                current,
+                ops,
+                |run, t| RunRecord::new(Reverse(t), run),
+                |r: &Bottom, run| r.heap_key(run, !coarse(&r.value.0)),
+            );
+        } else {
+            keyed_sift_matches_reference(
+                current,
+                ops,
+                |run, t| RunRecord::new(t, run),
+                |r: &Top, run| r.heap_key(run, coarse(&r.value)),
+            );
+        }
+    }
+
+    /// Both sides of a keyed [`DualHeap`] sift like the two-comparison
+    /// reference under their full orders, with coarse keys and run tags
+    /// 0–3, slot for slot.
+    #[test]
+    fn dual_heap_keyed_sift_matches_the_two_comparison_reference(
+        current in 0u64..4,
+        ops in prop::collection::vec((0u8..4, 0u64..4, 0u8..64, any::<u16>()), 0..160),
+    ) {
+        let mut dual = DualHeap::keyed(usize::MAX, coarse);
+        dual.start_run(current, Vec::new(), 0);
+        let mut top: Vec<Top> = Vec::new();
+        let mut bottom: Vec<Bottom> = Vec::new();
+        for (op, run, key, tag) in ops {
+            // Bit 0 picks the side, bit 1 a pop over a push.
+            let (on_top, is_pop) = (op & 1 == 0, op & 2 != 0);
+            let value = Tagged { key, tag };
+            let op = if is_pop { 4 } else { 0 };
+            if on_top {
+                if is_pop {
+                    dual.pop(HeapSide::Top);
+                } else {
+                    dual.push(HeapSide::Top, RunRecord::new(value, run)).unwrap();
+                }
+                reference_step(&mut top, op, RunRecord::new(value, run));
+            } else {
+                if is_pop {
+                    dual.pop(HeapSide::Bottom);
+                } else {
+                    dual.push(HeapSide::Bottom, RunRecord::new(value, run)).unwrap();
+                }
+                reference_step(&mut bottom, op, RunRecord::new(Reverse(value), run));
+            }
+            prop_assert_eq!(dual.debug_validate(), None);
+            let layout = |side| -> Vec<(u64, u8, u16)> {
+                dual.iter_side(side).map(|r| (r.run, r.value.key, r.value.tag)).collect()
+            };
+            prop_assert_eq!(
+                layout(HeapSide::Top),
+                top.iter().map(|r| (r.run, r.value.key, r.value.tag)).collect::<Vec<_>>()
+            );
+            prop_assert_eq!(
+                layout(HeapSide::Bottom),
+                bottom.iter().map(|r| (r.run, r.value.0.key, r.value.0.tag)).collect::<Vec<_>>()
+            );
         }
     }
 

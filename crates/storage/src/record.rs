@@ -46,26 +46,32 @@ pub trait FixedSizeRecord: Sized {
 /// a <= b  ⟹  a.sort_key() <= b.sort_key()
 /// ```
 ///
-/// The pipeline uses it in two ways:
+/// The pipeline uses it in three ways:
 ///
+/// * **Heap comparisons during run generation.** Replacement selection's
+///   heap and both sides of the 2WRS dual heap cache every record's key
+///   beside it (its complement on the BottomHeap; records of a later run
+///   take `u64::MAX`) and decide a sift step on the keys alone whenever
+///   they differ; only equal keys fall back to `(run, Ord)`.
 /// * **Merge comparisons.** The k-way merge's loser tree caches every head
 ///   record's key and decides a match on the keys alone whenever they
 ///   differ; only equal keys fall back to `Ord` (and then to run order).
-///   With a key that separates most records, most merge comparisons are
-///   one integer compare.
+///   With a key that separates most records, most heap and merge
+///   comparisons are one integer compare.
 /// * **Key-space arithmetic** that full `Ord` comparisons cannot provide —
 ///   the Mean/Median input heuristics of 2WRS and the victim buffer's
 ///   largest-gap split.
 ///
-/// Because the merge trusts key order, an override that breaks the
-/// monotonicity above **misorders the output**; `SortJob::verify(true)`
-/// catches that, and debug builds assert it in the merge. A coarse key
-/// (many records per key) is fine: ties fall back to `Ord`. The default
-/// implementation (constant `0`) is always correct — every merge match
-/// then costs one extra integer compare before `Ord`, and the heuristics
-/// degrade to their trivial behaviour. Implementors with an ordered
-/// numeric or byte-prefix key should override it (e.g.
-/// `u64::from_be_bytes(prefix)` for an 8-byte string prefix).
+/// Because the heaps and the merge trust key order, an override that
+/// breaks the monotonicity above **misorders the runs and the output**;
+/// `SortJob::verify(true)` catches that, and debug builds assert it in the
+/// heaps and the merge. A coarse key (many records per key) is fine: ties
+/// fall back to `Ord`. The default implementation (constant `0`) is always
+/// correct — every heap and merge comparison then goes to `Ord` after one
+/// extra integer compare, and the heuristics degrade to their trivial
+/// behaviour. Implementors with an ordered numeric or byte-prefix key
+/// should override it (e.g. `u64::from_be_bytes(prefix)` for an 8-byte
+/// string prefix).
 ///
 /// `SortJob` is re-exported by the facade crate; see its documentation for
 /// a worked "bring your own record type" example.
@@ -73,10 +79,12 @@ pub trait FixedSizeRecord: Sized {
 /// [`SortJob`]: https://docs.rs/two_way_replacement_selection
 pub trait SortableRecord: FixedSizeRecord + Ord + Clone + Send + std::fmt::Debug + 'static {
     /// A `u64` projection of the sort key, monotone with respect to `Ord`
-    /// (see the trait documentation). Decides merge comparisons between
-    /// records whose keys differ and feeds the key-space heuristics;
-    /// defaults to `0`, which is always correct but leaves every merge
-    /// comparison to `Ord` and makes the heuristics trivial.
+    /// (see the trait documentation). Decides the run generators' heap
+    /// comparisons and the merge's comparisons between records whose keys
+    /// differ, so an override that breaks monotonicity misorders runs, and
+    /// feeds the key-space heuristics; defaults to `0`, which is always
+    /// correct but leaves every heap and merge comparison to `Ord` and
+    /// makes the heuristics trivial.
     fn sort_key(&self) -> u64 {
         0
     }

@@ -8,7 +8,9 @@
 //!   `.expect("input dataset is readable")` paths), and leaves nothing but
 //!   the dataset on the device: a header that does not fit the file is
 //!   rejected when the dataset is opened, and a page that fails to read
-//!   mid-dataset stops the sort before any merge.
+//!   mid-dataset stops the sort before any merge;
+//! * a sort that fails before its final pass leaves a file that already
+//!   carried the output's name untouched.
 
 mod common;
 
@@ -353,6 +355,30 @@ fn a_read_error_mid_dataset_fails_the_sort_before_any_merge() {
                 .all(|name| name != "out" && !name.contains(".merge.")),
             "{threads} threads: {created:?}"
         );
+    }
+}
+
+#[test]
+fn a_sort_canceled_before_its_final_pass_keeps_a_file_of_the_output_name() {
+    for threads in [1, 4] {
+        let device = SimDevice::with_model(ModelId::Hdd7200);
+        materialize(&device, "out", input().records()).expect("materialise");
+        let before = file_bytes(&device, "out");
+        let cancel = CancellationToken::new();
+        cancel.cancel();
+        let result = SortJob::new(ReplacementSelection::new(MEMORY))
+            .on(&device)
+            .threads(threads)
+            .cancel_token(cancel)
+            .run_iter(input().records(), "out");
+        assert!(
+            matches!(result, Err(SortError::Canceled(_))),
+            "{threads} threads: got {result:?}"
+        );
+        // The sort never created its output, so the file already under
+        // that name is not its to remove.
+        assert_eq!(device.list(), vec!["out".to_string()], "{threads} threads");
+        assert_eq!(file_bytes(&device, "out"), before, "{threads} threads");
     }
 }
 
