@@ -1,10 +1,13 @@
 //! Microbenchmarks of the merge phase: multi-pass k-way merge at several
-//! fan-ins (Figure 6.1 context) vs polyphase merge.
+//! fan-ins (Figure 6.1 context) vs polyphase merge, and the one run reader
+//! every merge input reads through (`run_read`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use twrs_extsort::{
-    polyphase_merge, KWayMerger, LoadSortStore, MergeConfig, RunGenerator, RunHandle,
+    polyphase_merge, ForwardRunBuilder, KWayMerger, LoadSortStore, MergeConfig, ReverseRunBuilder,
+    RunCursor, RunGenerator, RunHandle,
 };
+use twrs_storage::reverse_file::DEFAULT_PAGES_PER_FILE;
 use twrs_storage::ModelId;
 use twrs_storage::{SimDevice, SpillNamer};
 use twrs_workloads::{Distribution, DistributionKind, Record};
@@ -59,5 +62,84 @@ fn bench_merges(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_merges);
+/// Writes `keys` as a forward run (ascending keys) or a reverse run of
+/// `DEFAULT_PAGES_PER_FILE`-page parts (descending keys) and appends its
+/// handle to `runs`.
+fn write_run(
+    device: &SimDevice,
+    namer: &SpillNamer,
+    reverse: bool,
+    keys: impl Iterator<Item = u64>,
+    runs: &mut Vec<RunHandle>,
+) {
+    let mut records = keys.map(Record::from_key);
+    if reverse {
+        let mut run = ReverseRunBuilder::new(device, namer, DEFAULT_PAGES_PER_FILE);
+        records
+            .try_for_each(|record| run.push(&record))
+            .expect("run writes");
+        run.finish_run(runs).expect("run finishes");
+    } else {
+        let mut run = ForwardRunBuilder::new(device, namer);
+        records
+            .try_for_each(|record| run.push(&record))
+            .expect("run writes");
+        run.finish_run(runs).expect("run finishes");
+    }
+}
+
+/// Reads `run` through a `RunCursor` at the merge's default read-ahead, one
+/// batch at a time as an inline merge input does; returns the records read.
+fn read_run(device: &SimDevice, run: &RunHandle) -> u64 {
+    let read_ahead = MergeConfig::default().read_ahead_records;
+    let mut cursor = RunCursor::<Record>::open(device, run).expect("run opens");
+    let mut batch = Vec::with_capacity(read_ahead);
+    let mut records = 0;
+    loop {
+        batch.clear();
+        let read = cursor
+            .read_batch(&mut batch, read_ahead)
+            .expect("run reads");
+        records += read as u64;
+        if read < read_ahead {
+            return records;
+        }
+    }
+}
+
+fn bench_run_read(c: &mut Criterion) {
+    const RECORDS: u64 = 100_000;
+    const QUARTER: u64 = RECORDS / 4;
+    let device = SimDevice::with_model(ModelId::Hdd7200);
+    let namer = SpillNamer::new("read");
+    let mut runs = Vec::new();
+    write_run(&device, &namer, false, 0..RECORDS, &mut runs);
+    // 100,000 16-byte records take seven parts of 63 data pages.
+    write_run(&device, &namer, true, (0..RECORDS).rev(), &mut runs);
+    // A 2WRS run: streams 4 · 3 · 2 · 1, reverse and forward in turn.
+    let mut streams = Vec::new();
+    write_run(&device, &namer, true, (0..QUARTER).rev(), &mut streams);
+    write_run(&device, &namer, false, QUARTER..2 * QUARTER, &mut streams);
+    write_run(
+        &device,
+        &namer,
+        true,
+        (2 * QUARTER..3 * QUARTER).rev(),
+        &mut streams,
+    );
+    write_run(&device, &namer, false, 3 * QUARTER..RECORDS, &mut streams);
+    runs.push(RunHandle::Chain(streams));
+
+    let mut group = c.benchmark_group("run_read");
+    group.sample_size(10);
+    for (name, run) in ["forward", "reverse_parts", "twrs_chain"]
+        .into_iter()
+        .zip(&runs)
+    {
+        group.bench_function(name, |b| b.iter(|| read_run(&device, run)));
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_merges, bench_run_read);
 criterion_main!(benches);

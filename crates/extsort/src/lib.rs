@@ -8,8 +8,9 @@
 //! apples:
 //!
 //! * [`run_generation`] — the [`run_generation::RunGenerator`] trait, the
-//!   description of a generated run set and unified cursors over forward and
-//!   reverse (Appendix A) run files;
+//!   description of a generated run set, the cursor that reads any run
+//!   (forward, reverse Appendix A parts or a 2WRS chain) ascending, and the
+//!   one record source every stage reads;
 //! * [`load_sort_store`] — the Load-Sort-Store baseline of §2.1.1;
 //! * [`replacement_selection`] — classic replacement selection (Algorithm 1);
 //! * [`merge`] — the k-way merge with a tournament (loser) tree, multi-pass

@@ -6,21 +6,23 @@
 //! bounces between their files, so the paper measures an optimal fan-in of
 //! about 10 on its hardware (Figure 6.1). [`KWayMerger`] therefore merges at
 //! most `fan_in` runs per step, queueing intermediate outputs until a single
-//! run remains, and reads every input run through a read-ahead buffer whose
-//! size models the per-run input buffer of the paper's implementation. The
-//! buffer is refilled inline, or — in a threaded sort on a device with
-//! wall-clock latency — by a prefetch thread per run (see
-//! [`parallel`](crate::parallel)).
+//! run remains. Every input run is read through the record source run
+//! generation reads too (see [`run_generation`](crate::run_generation)),
+//! refilled a read-ahead at a time, whose size models the per-run input
+//! buffer of the paper's implementation. The refill reads the run inline,
+//! or — in a threaded sort on a device with wall-clock latency — takes the
+//! next message of a prefetch thread per run (see
+//! [`parallel`](crate::parallel)). A merge input carries no cancellation
+//! token, since one that stopped early would pass for a short run; the
+//! loser-tree loop polls the job's token instead.
 
 use crate::cancel::{CancellationToken, CANCEL_CHECK_INTERVAL};
 use crate::error::{Result, SortError};
 use crate::merge::loser_tree::LoserTree;
-use crate::parallel::BatchReceiver;
-use crate::run_generation::{Device, RunCursor, RunHandle};
+use crate::run_generation::{Device, RecordSource, RunHandle};
 use crate::sink::{FileSink, RecordSink};
 use std::collections::VecDeque;
-use std::thread::JoinHandle;
-use twrs_storage::{SortableRecord, SpillNamer, StorageDevice};
+use twrs_storage::{remove_run_files, SortableRecord, SpillNamer, StorageDevice};
 
 /// Configuration of the k-way merge phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,7 +92,7 @@ impl KWayMerger {
     /// Intermediate runs are created through `namer` and removed as soon as
     /// they have been consumed. Returns the merge report; the output file is
     /// a normal forward run readable with
-    /// [`RunCursor`].
+    /// [`RunCursor`](crate::RunCursor).
     pub fn merge_into<D: Device, R: SortableRecord>(
         &self,
         device: &D,
@@ -174,7 +176,7 @@ pub(crate) fn reduce_to_fan_in<R: SortableRecord, D: Device>(
     })
 }
 
-/// One merge step: opens every run of `batch` as a [`RunInput`], merges
+/// One merge step: opens every run of `batch` as a merge input, merges
 /// them into the new forward run `output` and removes them, since nothing
 /// reads a merged input again; returns the records written.
 pub(crate) fn merge_step<R: SortableRecord, D: Device>(
@@ -198,15 +200,15 @@ pub(crate) fn merge_step<R: SortableRecord, D: Device>(
     Ok(written)
 }
 
-/// Opens one [`RunInput`] per run of `runs`, in order.
+/// Opens one merge input per run of `runs`, in order.
 pub(crate) fn open_sources<R: SortableRecord>(
     device: &dyn StorageDevice,
     runs: &[RunHandle],
     read_ahead: usize,
     prefetch: bool,
-) -> Result<Vec<RunInput<R>>> {
+) -> Result<Vec<RecordSource<R>>> {
     runs.iter()
-        .map(|run| RunInput::open(device, run, read_ahead, prefetch))
+        .map(|run| RecordSource::merge_input(device, run, read_ahead, prefetch))
         .collect()
 }
 
@@ -215,7 +217,7 @@ pub(crate) fn open_sources<R: SortableRecord>(
 /// final pass of file and sink outputs go through here, which is what makes
 /// `run_iter`'s output byte-identical to a hand-rolled [`FileSink`] drain.
 pub(crate) fn merge_sources<R, K>(
-    sources: &mut [RunInput<R>],
+    sources: &mut [RecordSource<R>],
     sink: &mut K,
     cancel: &CancellationToken,
 ) -> Result<u64>
@@ -247,173 +249,20 @@ where
     Ok(written)
 }
 
-/// Removes a run (and, for reverse runs, all its part files) from the
-/// device.
-pub(crate) fn remove_run(
-    device: &dyn twrs_storage::StorageDevice,
-    handle: &RunHandle,
-) -> Result<()> {
-    match handle {
-        RunHandle::Forward(name) => {
-            if device.exists(name) {
-                device.remove(name)?;
-            }
-        }
-        RunHandle::Reverse(name) => {
-            let mut part = 0;
-            loop {
-                let part_name = format!("{name}.part{part}");
-                if device.exists(&part_name) {
-                    device.remove(&part_name)?;
-                    part += 1;
-                } else {
-                    break;
-                }
-            }
-        }
-        RunHandle::Chain(parts) => {
-            for part in parts {
-                remove_run(device, part)?;
-            }
-        }
+/// Removes every file of a run — reverse part files and chain components
+/// included — from the device.
+pub(crate) fn remove_run(device: &dyn StorageDevice, handle: &RunHandle) -> Result<()> {
+    for file in handle.physical() {
+        remove_run_files(device, file.name())?;
     }
     Ok(())
-}
-
-/// One input run of a merge, read `read_ahead` records at a time, inline
-/// or by a prefetch thread — which one is fixed when the run is opened.
-/// Either way the merge takes each record with one `Vec::pop`; the refill
-/// runs out of line.
-pub(crate) struct RunInput<R: SortableRecord> {
-    /// The unread records of the last refill, in *descending* order, so
-    /// the next one is popped off the end.
-    buffer: Vec<R>,
-    refill: Refill<R>,
-}
-
-/// Where a [`RunInput`]'s next batch comes from.
-enum Refill<R: SortableRecord> {
-    /// One batch read on the merging thread, until a short one. The
-    /// cursor lives as long as the input: freed mid-merge, at its run's
-    /// end, it left glibc's heap fragmented enough to raise a streamed
-    /// 2M-record 2WRS sort's peak RSS from 117 to 128 MB on some inputs.
-    Inline {
-        cursor: RunCursor<R>,
-        read_ahead: usize,
-        exhausted: bool,
-    },
-    /// The next message of a prefetch thread, whose handle returns its
-    /// read error, if any, once the channel closes.
-    Prefetch {
-        batches: BatchReceiver<Vec<R>>,
-        worker: JoinHandle<Result<()>>,
-    },
-    /// Nothing more: the prefetch thread has ended.
-    Done,
-}
-
-impl<R: SortableRecord> RunInput<R> {
-    /// Opens `run` on `device`, reading its headers on the calling thread;
-    /// with `prefetch`, a prefetch thread then takes over the cursor.
-    pub(crate) fn open(
-        device: &dyn StorageDevice,
-        run: &RunHandle,
-        read_ahead: usize,
-        prefetch: bool,
-    ) -> Result<Self> {
-        let cursor = RunCursor::open(device, run)?;
-        let read_ahead = read_ahead.max(1);
-        if prefetch {
-            let (batches, worker) = crate::parallel::prefetch(cursor, read_ahead)?;
-            return Ok(RunInput {
-                buffer: Vec::new(),
-                refill: Refill::Prefetch { batches, worker },
-            });
-        }
-        Ok(RunInput {
-            buffer: Vec::with_capacity(buffer_capacity(read_ahead, &cursor)),
-            refill: Refill::Inline {
-                cursor,
-                read_ahead,
-                exhausted: false,
-            },
-        })
-    }
-
-    /// The next record of the run, or `None` at its end.
-    #[inline]
-    pub(crate) fn next_record(&mut self) -> Result<Option<R>> {
-        if self.buffer.is_empty() {
-            self.refill()?;
-        }
-        Ok(self.buffer.pop())
-    }
-
-    /// Refills the empty buffer with the run's next batch, reversed.
-    #[inline(never)]
-    fn refill(&mut self) -> Result<()> {
-        match &mut self.refill {
-            Refill::Inline {
-                cursor,
-                read_ahead,
-                exhausted,
-            } => {
-                if !*exhausted {
-                    *exhausted = cursor.read_batch(&mut self.buffer, *read_ahead)? < *read_ahead;
-                    self.buffer.reverse();
-                }
-            }
-            Refill::Prefetch { batches, .. } => {
-                if !batches.next_into(&mut self.buffer) {
-                    return self.stop_prefetch();
-                }
-            }
-            Refill::Done => {}
-        }
-        Ok(())
-    }
-
-    /// Disconnects a prefetch thread's channel, so a thread blocked on a
-    /// full queue wakes up and ends, and joins it; returns its read error,
-    /// or an error if it panicked.
-    fn stop_prefetch(&mut self) -> Result<()> {
-        let Refill::Prefetch { batches, worker } =
-            std::mem::replace(&mut self.refill, Refill::Done)
-        else {
-            return Ok(());
-        };
-        drop(batches);
-        worker.join().unwrap_or_else(|_| {
-            Err(SortError::JobPanicked(
-                "a merge prefetch thread panicked".into(),
-            ))
-        })
-    }
-}
-
-impl<R: SortableRecord> Drop for RunInput<R> {
-    fn drop(&mut self) {
-        // A run merged to its end has stopped its prefetch thread already;
-        // an abandoned one has nothing left to report.
-        let _ = self.stop_prefetch();
-    }
-}
-
-/// The records one refill of a `read_ahead` buffer can hold: never more
-/// than the run has, so a read-ahead beyond any run length allocates only
-/// what the run needs.
-pub(crate) fn buffer_capacity<R: SortableRecord>(
-    read_ahead: usize,
-    cursor: &RunCursor<R>,
-) -> usize {
-    usize::try_from(cursor.len()).map_or(read_ahead, |len| read_ahead.min(len))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::load_sort_store::LoadSortStore;
-    use crate::run_generation::{RunGenerator, RunSet};
+    use crate::run_generation::{RunCursor, RunGenerator, RunSet};
     use twrs_storage::ModelId;
     use twrs_storage::{SimDevice, SpillNamer, StorageDevice};
     use twrs_workloads::{Distribution, DistributionKind, Record};

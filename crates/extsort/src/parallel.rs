@@ -47,11 +47,10 @@
 
 use crate::cancel::CancellationToken;
 use crate::error::{Result, SortError};
-use crate::merge::kway::{
-    buffer_capacity, merge_step, reduce_to_fan_in, MergeConfig, MergeReport, ReducedRuns,
-};
+use crate::merge::kway::{merge_step, reduce_to_fan_in, MergeConfig, MergeReport, ReducedRuns};
 use crate::run_generation::{
-    Device, Feed, RecordSource, RunCursor, RunGenerator, RunHandle, RunSet, INPUT_BATCH_RECORDS,
+    buffer_capacity, Device, Feed, RecordSource, RunGenerator, RunHandle, RunSet,
+    INPUT_BATCH_RECORDS,
 };
 use crate::sync::lock_or_poison;
 use std::collections::HashMap;
@@ -60,7 +59,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use twrs_storage::{
-    IoStatsSnapshot, PageFile, ScopedDevice, SortableRecord, SpillNamer, StorageDevice,
+    IoStatsSnapshot, PageFile, RunReader, ScopedDevice, SortableRecord, SpillNamer, StorageDevice,
     StorageError,
 };
 
@@ -580,16 +579,16 @@ impl<D: Device> StorageDevice for SpillWriteDevice<D> {
 /// channel its batches arrive on.
 pub(crate) type Prefetch<R> = (BatchReceiver<Vec<R>>, JoinHandle<Result<()>>);
 
-/// Starts a prefetch thread that reads `cursor` in `read_ahead`-record
+/// Starts a prefetch thread that reads `reader` in `read_ahead`-record
 /// batches, [`PREFETCH_BATCHES`] to a message, staying one queued message
 /// ahead of the merge. The thread ends when the run does, when the merge
 /// hangs up, or at a read error, which its handle returns; the channel
 /// closes when it ends.
 pub(crate) fn prefetch<R: SortableRecord>(
-    mut cursor: RunCursor<R>,
+    mut reader: RunReader<R>,
     read_ahead: usize,
 ) -> Result<Prefetch<R>> {
-    let capacity = buffer_capacity(read_ahead.saturating_mul(PREFETCH_BATCHES), &cursor);
+    let capacity = buffer_capacity(read_ahead.saturating_mul(PREFETCH_BATCHES), &reader);
     let (sender, batches) = batch_channel(1);
     let worker = spawn("twrs-prefetch".into(), move || -> Result<()> {
         loop {
@@ -600,7 +599,7 @@ pub(crate) fn prefetch<R: SortableRecord>(
             // make, so the run's pages are read in the same sequence.
             let mut finished = false;
             for _ in 0..PREFETCH_BATCHES {
-                if cursor.read_batch(&mut message, read_ahead)? < read_ahead {
+                if reader.read_batch(&mut message, read_ahead)? < read_ahead {
                     finished = true;
                     break;
                 }
@@ -683,19 +682,20 @@ impl<R> Dealer<R> {
 /// when `spill_writers` is set, and straight to its device otherwise.
 /// Returns every run in shard order — shard 0's runs first — and one
 /// [`ShardReport`] per shard.
-pub(crate) fn generate_sharded<G, D, R>(
+pub(crate) fn generate_sharded<G, D, R, I>(
     generator: &G,
     threads: usize,
     spill_writers: bool,
     device: &D,
     namer: &Arc<SpillNamer>,
     cancel: &CancellationToken,
-    input: &mut RecordSource<'_, R>,
+    input: &mut RecordSource<R, I>,
 ) -> Result<(RunSet, Vec<ShardReport>)>
 where
     G: ShardableGenerator,
     D: Device,
     R: SortableRecord,
+    I: Iterator<Item = R>,
 {
     let mut senders = Vec::with_capacity(threads);
     let mut workers = Vec::with_capacity(threads);
@@ -713,7 +713,11 @@ where
         let spawned = spawn(
             format!("twrs-shard-{index}"),
             move || -> Result<(RunSet, IoStatsSnapshot)> {
-                let mut shard_input = RecordSource::new(Feed::Dealt(messages), cancel);
+                let dealt = Feed::Thread {
+                    messages,
+                    worker: None,
+                };
+                let mut shard_input: RecordSource<R> = RecordSource::new(dealt, cancel);
                 let set = if spill_writers {
                     let spill = SpillWriteDevice::new(scoped.clone(), SPILL_QUEUE_PAGES);
                     let set = generator.generate(&spill, namer.as_ref(), &mut shard_input)?;
@@ -895,6 +899,7 @@ mod tests {
     use super::*;
     use crate::load_sort_store::LoadSortStore;
     use crate::replacement_selection::ReplacementSelection;
+    use crate::run_generation::RunCursor;
     use crate::sort_job::SortJob;
     use twrs_storage::ModelId;
     use twrs_storage::SimDevice;

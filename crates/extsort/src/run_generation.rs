@@ -1,22 +1,30 @@
-//! The run-generation interface shared by every algorithm.
+//! The run-generation interface shared by every algorithm, and the one
+//! record source every stage reads.
 //!
 //! A run-generation algorithm consumes the input stream and produces a set
 //! of sorted runs on a storage device (§2.1.1). Classic replacement
 //! selection and Load-Sort-Store write plain forward runs; two-way
 //! replacement selection additionally writes *reverse* runs in the
 //! Appendix A format (streams whose records were produced in decreasing
-//! order). [`RunHandle`] names either kind and [`RunCursor`] reads both back
-//! in ascending order so the merge phase does not care which algorithm
-//! produced a run. Inside a sort job, every algorithm reads its input
-//! through one record source that refills a batch at a time from a
-//! caller's iterator, a dataset file or a shard's dealt messages.
+//! order). [`RunHandle`] names either kind, or a chain of them, and
+//! [`RunCursor`] maps a handle onto the one storage reader
+//! ([`RunReader`]) that reads any run back in ascending order, so the merge
+//! phase does not care which algorithm produced a run.
+//!
+//! Every record a stage reads comes through one record source: a batch
+//! refilled from a caller's iterator, a run (a dataset a page at a time,
+//! or a merge input a read-ahead at a time) or another thread's messages
+//! (a shard's dealt input, or a merge input's prefetch thread). Run
+//! generation's sources poll the job's cancellation token at every refill;
+//! merge inputs do not, since one that stopped early would pass for a
+//! short run.
 
 use crate::cancel::CancellationToken;
-use crate::error::Result;
+use crate::error::{Result, SortError};
 use crate::parallel::BatchReceiver;
+use std::thread::JoinHandle;
 use twrs_storage::{
-    ReverseRunReader, ReverseRunWriter, RunReader, RunWriter, SortableRecord, SpillNamer,
-    StorageDevice, StorageError,
+    ReverseRunWriter, RunReader, RunWriter, SortableRecord, SpillNamer, StorageDevice,
 };
 
 /// Device bound required by run generation: the reverse-file writer needs to
@@ -136,66 +144,29 @@ pub trait BudgetedGenerator: RunGenerator {
     fn with_budget(&self, memory_records: usize) -> Self;
 }
 
-/// A unified ascending-order reader over either kind of run.
-pub enum RunCursor<R: SortableRecord> {
-    /// Cursor over a forward run file.
-    Forward(RunReader<R>),
-    /// Cursor over a reverse (Appendix A) run.
-    Reverse(ReverseRunReader<R>),
-    /// Cursor over a chain of runs read one after another.
-    Chain {
-        /// The component cursors, in ascending key-range order.
-        parts: Vec<RunCursor<R>>,
-        /// Index of the component currently being read.
-        current: usize,
-    },
-}
+/// Reads a run of any kind back in ascending order.
+pub struct RunCursor<R: SortableRecord>(RunReader<R>);
 
 impl<R: SortableRecord> RunCursor<R> {
-    /// Opens the run named by `handle` on `device`.
+    /// Opens the run named by `handle` on `device`, reading every header
+    /// of its files.
     pub fn open(device: &dyn StorageDevice, handle: &RunHandle) -> Result<Self> {
-        Ok(match handle {
-            RunHandle::Forward(name) => RunCursor::Forward(RunReader::open(device, name)?),
-            RunHandle::Reverse(name) => RunCursor::Reverse(ReverseRunReader::open(device, name)?),
-            RunHandle::Chain(parts) => RunCursor::Chain {
-                parts: parts
-                    .iter()
-                    .map(|p| RunCursor::open(device, p))
-                    .collect::<Result<_>>()?,
-                current: 0,
-            },
-        })
+        Ok(RunCursor(open_run(device, handle)?))
     }
 
     /// Total number of records in the run.
     pub fn len(&self) -> u64 {
-        match self {
-            RunCursor::Forward(r) => r.len(),
-            RunCursor::Reverse(r) => r.len(),
-            RunCursor::Chain { parts, .. } => parts.iter().map(RunCursor::len).sum(),
-        }
+        self.0.len()
     }
 
     /// `true` when the run holds no records.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.0.is_empty()
     }
 
     /// Returns the next record in ascending order, or `None` at the end.
     pub fn next_record(&mut self) -> Result<Option<R>> {
-        match self {
-            RunCursor::Forward(r) => Ok(r.next_record()?),
-            RunCursor::Reverse(r) => Ok(r.next_record()?),
-            RunCursor::Chain { parts, current } => loop {
-                match parts.get_mut(*current) {
-                    Some(part) => match part.next_record()? {
-                        Some(record) => return Ok(Some(record)),
-                        None => *current += 1,
-                    },
-                    None => return Ok(None),
-                }
-            },
-        }
+        Ok(self.0.next_record()?)
     }
 
     /// Appends up to `max` records (ascending) to `out` and returns how
@@ -203,32 +174,31 @@ impl<R: SortableRecord> RunCursor<R> {
     ///
     /// Reads exactly the pages `max` calls to
     /// [`next_record`](RunCursor::next_record) would, at the same moments.
-    /// A chain moves to its next part only once the current part came back
-    /// short, so a batch that fills up inside a part never touches the next
-    /// part's first page.
     pub fn read_batch(&mut self, out: &mut Vec<R>, max: usize) -> Result<usize> {
-        match self {
-            RunCursor::Forward(r) => Ok(r.read_batch(out, max)?),
-            RunCursor::Reverse(r) => Ok(r.read_batch(out, max)?),
-            RunCursor::Chain { parts, current } => {
-                let mut read = 0;
-                while let Some(part) = parts.get_mut(*current) {
-                    read += part.read_batch(out, max - read)?;
-                    if read == max {
-                        break;
-                    }
-                    *current += 1;
-                }
-                Ok(read)
-            }
-        }
+        Ok(self.0.read_batch(out, max)?)
     }
 
     /// Reads the whole remaining run into a vector (mainly for tests).
     pub fn read_all(&mut self) -> Result<Vec<R>> {
-        let mut out = Vec::new();
-        self.read_batch(&mut out, usize::MAX)?;
-        Ok(out)
+        Ok(self.0.read_all()?)
+    }
+}
+
+/// The reader of `handle`'s files: a forward file, the parts of a reverse
+/// run, or a chain's components one after another.
+fn open_run<R: SortableRecord>(
+    device: &dyn StorageDevice,
+    handle: &RunHandle,
+) -> twrs_storage::Result<RunReader<R>> {
+    match handle {
+        RunHandle::Forward(name) => RunReader::open(device, name),
+        RunHandle::Reverse(name) => RunReader::open_reverse(device, name),
+        RunHandle::Chain(parts) => RunReader::concat(
+            parts
+                .iter()
+                .map(|part| open_run(device, part))
+                .collect::<twrs_storage::Result<Vec<_>>>()?,
+        ),
     }
 }
 
@@ -238,98 +208,191 @@ impl<R: SortableRecord> RunCursor<R> {
 pub(crate) const INPUT_BATCH_RECORDS: usize = 256;
 
 /// Where a [`RecordSource`] refills from.
-pub(crate) enum Feed<'a, R: SortableRecord> {
+pub(crate) enum Feed<R: SortableRecord, I = std::iter::Empty<R>> {
     /// A caller's iterator, [`INPUT_BATCH_RECORDS`] records at a time.
-    Iter(&'a mut dyn Iterator<Item = R>),
-    /// A dataset file, one page at a time, so each page is read when its
-    /// first record is wanted.
-    File {
-        reader: RunReader<R>,
-        page_records: usize,
+    Iter(I),
+    /// A run, `batch` records at a time: a dataset one page per refill, so
+    /// each page is read when its first record is wanted, or a merge input
+    /// one read-ahead per refill. The reader lives as long as the source:
+    /// freed mid-merge, at its run's end, it left glibc's heap fragmented
+    /// enough to raise a streamed 2M-record 2WRS sort's peak RSS from 117
+    /// to 128 MB on some inputs.
+    Run { reader: RunReader<R>, batch: usize },
+    /// Another thread's messages: a shard's dealt input, or the batches of
+    /// a merge input's prefetch thread, which is joined once its channel
+    /// closes and returns its read error, if any.
+    Thread {
+        messages: BatchReceiver<Vec<R>>,
+        worker: Option<JoinHandle<Result<()>>>,
     },
-    /// One shard's messages from the threaded dealer.
-    Dealt(BatchReceiver<Vec<R>>),
+    /// Nothing more: the thread has ended.
+    Ended,
 }
 
-impl<R: SortableRecord> Feed<'_, R> {
+impl<R: SortableRecord> Feed<R> {
     /// Opens the dataset `name` on `device`; a corrupt header fails here,
     /// before the sort starts.
     pub(crate) fn dataset(device: &dyn StorageDevice, name: &str) -> Result<Self> {
-        Ok(Feed::File {
+        Ok(Feed::Run {
             reader: RunReader::open(device, name)?,
-            page_records: device.page_size() / R::SIZE,
+            batch: device.page_size() / R::SIZE,
         })
     }
 }
 
-/// The input of run generation: every record a generator or the threaded
-/// dealer reads comes through one of these, one batch per refill.
+/// The one way records enter a stage: every generator, the threaded dealer
+/// and every merge input read through one of these, one batch per refill,
+/// the refill out of line.
 ///
-/// Each refill first polls the job's [`CancellationToken`]. A canceled
-/// job or a read error ends the records early, which a generator cannot
-/// tell from the end of its input, so the generate stage fails afterwards
-/// with [`check`](RecordSource::check) and the token's own check.
-pub(crate) struct RecordSource<'a, R: SortableRecord> {
+/// A run-generation source polls the job's [`CancellationToken`] at each
+/// refill. A canceled job or a read error ends its records early, which a
+/// generator cannot tell from the end of its input, so the generate stage
+/// fails afterwards with [`check`](RecordSource::check) and the token's own
+/// check. A merge input carries no token and returns its read errors from
+/// [`next_record`](RecordSource::next_record).
+pub(crate) struct RecordSource<R: SortableRecord, I = std::iter::Empty<R>> {
     /// The unread records of the current batch, in descending order, so
     /// the next one is popped off the end.
     batch: Vec<R>,
-    feed: Feed<'a, R>,
-    cancel: CancellationToken,
-    error: Option<StorageError>,
+    feed: Feed<R, I>,
+    /// Run generation's token; `None` for a merge input.
+    cancel: Option<CancellationToken>,
+    /// The read error that ended a run-generation source early.
+    error: Option<SortError>,
 }
 
-impl<'a, R: SortableRecord> RecordSource<'a, R> {
-    pub(crate) fn new(feed: Feed<'a, R>, cancel: CancellationToken) -> Self {
+impl<R: SortableRecord, I: Iterator<Item = R>> RecordSource<R, I> {
+    /// A run-generation source over `feed`, stopped by `cancel`.
+    pub(crate) fn new(feed: Feed<R, I>, cancel: CancellationToken) -> Self {
         RecordSource {
             batch: Vec::new(),
             feed,
-            cancel,
+            cancel: Some(cancel),
             error: None,
         }
     }
 
-    /// Fills the empty batch from the feed, unless the job is canceled or
-    /// a read error stopped the source.
+    /// The next record, or `None` at the end of the feed.
+    #[inline]
+    pub(crate) fn next_record(&mut self) -> Result<Option<R>> {
+        if self.batch.is_empty() {
+            self.refill()?;
+        }
+        Ok(self.batch.pop())
+    }
+
+    /// Fills the empty batch from the feed, unless the job is canceled.
     #[inline(never)]
-    fn refill(&mut self) {
-        if self.error.is_some() || self.cancel.is_canceled() {
-            return;
+    fn refill(&mut self) -> Result<()> {
+        if self
+            .cancel
+            .as_ref()
+            .is_some_and(CancellationToken::is_canceled)
+        {
+            return Ok(());
         }
         match &mut self.feed {
             Feed::Iter(input) => self.batch.extend(input.take(INPUT_BATCH_RECORDS)),
-            Feed::File {
-                reader,
-                page_records,
-            } => {
-                if let Err(error) = reader.read_batch(&mut self.batch, *page_records) {
-                    self.error = Some(error);
-                }
+            Feed::Run { reader, batch } => {
+                reader.read_batch(&mut self.batch, *batch)?;
             }
-            Feed::Dealt(messages) => {
+            Feed::Thread { messages, .. } => {
                 // `next_into` hands the message over reversed already.
-                messages.next_into(&mut self.batch);
-                return;
+                return if messages.next_into(&mut self.batch) {
+                    Ok(())
+                } else {
+                    self.end()
+                };
             }
+            Feed::Ended => {}
         }
         self.batch.reverse();
+        Ok(())
     }
 
     /// Fails with the read error that ended the records early, if one did.
     pub(crate) fn check(&mut self) -> Result<()> {
-        self.error.take().map_or(Ok(()), |error| Err(error.into()))
+        self.error.take().map_or(Ok(()), Err)
     }
 }
 
-impl<R: SortableRecord> Iterator for RecordSource<'_, R> {
+impl<R: SortableRecord> RecordSource<R> {
+    /// Opens `run` on `device` as a merge input read `read_ahead` records
+    /// per refill. Its headers are read here; with `prefetch`, a prefetch
+    /// thread then takes over the reader.
+    pub(crate) fn merge_input(
+        device: &dyn StorageDevice,
+        run: &RunHandle,
+        read_ahead: usize,
+        prefetch: bool,
+    ) -> Result<Self> {
+        let reader = open_run(device, run)?;
+        let read_ahead = read_ahead.max(1);
+        let (feed, capacity) = if prefetch {
+            let (messages, worker) = crate::parallel::prefetch(reader, read_ahead)?;
+            let worker = Some(worker);
+            (Feed::Thread { messages, worker }, 0)
+        } else {
+            let capacity = buffer_capacity(read_ahead, &reader);
+            let batch = read_ahead;
+            (Feed::Run { reader, batch }, capacity)
+        };
+        Ok(RecordSource {
+            batch: Vec::with_capacity(capacity),
+            feed,
+            cancel: None,
+            error: None,
+        })
+    }
+}
+
+impl<R: SortableRecord, I> RecordSource<R, I> {
+    /// Ends a thread feed: drops its channel, so a thread blocked on a full
+    /// queue wakes up and ends, and joins the thread; returns its read
+    /// error, or an error if it panicked.
+    fn end(&mut self) -> Result<()> {
+        let Feed::Thread { messages, worker } = std::mem::replace(&mut self.feed, Feed::Ended)
+        else {
+            return Ok(());
+        };
+        drop(messages);
+        worker.map_or(Ok(()), |worker| {
+            worker.join().unwrap_or_else(|_| {
+                Err(SortError::JobPanicked(
+                    "a merge prefetch thread panicked".into(),
+                ))
+            })
+        })
+    }
+}
+
+impl<R: SortableRecord, I> Drop for RecordSource<R, I> {
+    fn drop(&mut self) {
+        // A feed read to its end has joined its thread already; an
+        // abandoned one has nothing left to report.
+        let _ = self.end();
+    }
+}
+
+impl<R: SortableRecord, I: Iterator<Item = R>> Iterator for RecordSource<R, I> {
     type Item = R;
 
+    /// The next record of a run-generation source; a read error ends the
+    /// records and waits for [`check`](RecordSource::check).
     #[inline]
     fn next(&mut self) -> Option<R> {
-        if self.batch.is_empty() {
-            self.refill();
+        if self.batch.is_empty() && self.error.is_none() {
+            self.error = self.refill().err();
         }
         self.batch.pop()
     }
+}
+
+/// The records one refill of a `read_ahead` buffer can hold: never more
+/// than the run has, so a read-ahead beyond any run length allocates only
+/// what the run needs.
+pub(crate) fn buffer_capacity<R: SortableRecord>(read_ahead: usize, run: &RunReader<R>) -> usize {
+    usize::try_from(run.len()).map_or(read_ahead, |len| read_ahead.min(len))
 }
 
 /// Incrementally builds a forward run, opening the file lazily on the first

@@ -257,9 +257,9 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
     ///
     /// Spill files are removed on success *and* on error; a sort that
     /// fails after creating its output file also removes that file.
-    pub(crate) fn run<R: SortableRecord>(
+    pub(crate) fn run<R: SortableRecord, I: Iterator<Item = R>>(
         mut self,
-        input: Feed<'_, R>,
+        input: Feed<R, I>,
         output: Output<'_, R>,
     ) -> Result<SortJobReport> {
         // One I/O client for the duration of the run: on a striped device
@@ -294,9 +294,9 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
 
     /// Runs generate and reduce, then suspends the final merge into a
     /// [`SortedStream`] that owns the remaining spill files.
-    pub(crate) fn stream<R: SortableRecord>(
+    pub(crate) fn stream<R: SortableRecord, I: Iterator<Item = R>>(
         mut self,
-        input: Feed<'_, R>,
+        input: Feed<R, I>,
     ) -> Result<SortedStream<R>> {
         let _io_client = self.device.attach_io_client();
         let sweeper = self.sweeper();
@@ -345,9 +345,9 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
     /// `run_generation` at every thread count; the per-shard scoped
     /// statistics break down the work the shards themselves did (all of the
     /// phase's writes).
-    fn generate<R: SortableRecord>(
+    fn generate<R: SortableRecord, I: Iterator<Item = R>>(
         &mut self,
-        source: &mut RecordSource<'_, R>,
+        source: &mut RecordSource<R, I>,
     ) -> Result<Generated> {
         let before = self.device.stats();
         let started = Instant::now();

@@ -21,8 +21,8 @@
 //! axis measures.
 
 use crate::error::{Result, SortError};
-use crate::merge::kway::RunInput;
 use crate::merge::loser_tree::LoserTree;
+use crate::run_generation::RecordSource;
 use crate::sort_job::SortJobReport;
 #[allow(unused_imports)] // rustdoc link
 use crate::sorter::FinalPassKind;
@@ -65,7 +65,7 @@ type Cleanup = Box<dyn FnOnce() -> Result<()> + Send>;
 /// assert_eq!(smallest, vec![0, 1, 2]);
 /// ```
 pub struct SortedStream<R: SortableRecord> {
-    sources: Vec<RunInput<R>>,
+    sources: Vec<RecordSource<R>>,
     tree: LoserTree<R>,
     report: SortJobReport,
     /// Records yielded so far; bounds `size_hint`.
@@ -82,7 +82,7 @@ impl<R: SortableRecord> SortedStream<R> {
     /// job report up to the suspension point; `cleanup` removes the sort's
     /// spill files and runs exactly once (consumption, close or drop).
     pub(crate) fn new(
-        mut sources: Vec<RunInput<R>>,
+        mut sources: Vec<RecordSource<R>>,
         report: SortJobReport,
         cleanup: Cleanup,
     ) -> Result<Self> {

@@ -25,14 +25,15 @@
 //!   [`io_stats::IoStats`] and shard-pinned views for the parallel sorter;
 //! * [`contention`] — the fair-share slowdown charged while several request
 //!   streams ([`contention::IoClientGuard`]) are admitted to one stripe;
-//! * [`run_file`] — buffered, forward-sequential run writers and readers for
-//!   fixed-size records;
+//! * [`run_file`] — buffered, forward-sequential run writers for
+//!   fixed-size records, and [`run_file::RunReader`], the one reader of a
+//!   run in any format: an ordered list of extents read ascending;
 //! * [`reverse_file`] — the Appendix A file format that stores a stream of
 //!   *decreasing* records so that the merge phase can still read every file
 //!   forward (fixed-size multi-page files written back to front with a
-//!   header page);
+//!   header page), opened as extents of a `RunReader`;
 //! * [`spill`] — naming and lifecycle management for the temporary files of
-//!   a run set.
+//!   a run set, and the one function that removes a run's files.
 //!
 //! Records are serialized through the [`record::FixedSizeRecord`] trait so
 //! the workload crate can define its own record layout without this crate
@@ -65,9 +66,9 @@ pub use model::ModelId;
 pub use page::{PageBuf, DEFAULT_PAGE_SIZE};
 pub use real_device::{DirectIoStatus, RealFileDevice};
 pub use record::{FixedSizeRecord, SortableRecord};
-pub use reverse_file::{ReverseRunReader, ReverseRunWriter};
+pub use reverse_file::ReverseRunWriter;
 pub use run_file::{RunReader, RunWriter};
 pub use scoped::ScopedDevice;
 pub use spec::{AnyDevice, DeviceSpec};
-pub use spill::SpillNamer;
+pub use spill::{remove_run_files, SpillNamer};
 pub use striped::StripedDevice;

@@ -20,12 +20,15 @@
 //!
 //! Part 0 is created first and therefore holds the *largest* records; a
 //! reader that wants ascending order visits the parts from the most recent
-//! one down to part 0 (see [`ReverseRunReader`]).
+//! one down to part 0. [`RunReader::open_reverse`] turns the parts into
+//! that many extents of the one [`RunReader`], so a reverse run is read like
+//! any other.
 
 use crate::device::{PageFile, StorageDevice};
 use crate::error::{Result, StorageError};
 use crate::page::PageBuf;
 use crate::record::FixedSizeRecord;
+use crate::run_file::{check_record_size, Extent, RunReader};
 
 const MAGIC: u32 = 0x5257_5253; // "RWRS"
 
@@ -83,14 +86,16 @@ fn no_open_part() -> StorageError {
     ))
 }
 
-fn part_name(base: &str, index: u64) -> String {
+/// The name of part `index` of the reverse run stored under `base`:
+/// `<base>.part<index>`.
+pub(crate) fn part_name(base: &str, index: u64) -> String {
     format!("{base}.part{index}")
 }
 
 /// Writes a stream of records arriving in decreasing order so that it can be
 /// read back in ascending order with forward I/O only.
 pub struct ReverseRunWriter<R: FixedSizeRecord> {
-    device: Box<dyn CloneableDevice>,
+    device: Box<dyn StorageDevice>,
     base: String,
     pages_per_file: u64,
     slots_per_page: usize,
@@ -104,20 +109,6 @@ pub struct ReverseRunWriter<R: FixedSizeRecord> {
     total_records: u64,
     page: PageBuf,
     _marker: std::marker::PhantomData<R>,
-}
-
-/// Object-safe helper so the writer can create part files on demand without
-/// holding a generic device type.
-trait CloneableDevice: Send {
-    fn create(&self, name: &str) -> Result<Box<dyn PageFile>>;
-}
-
-struct DeviceRef<D: StorageDevice + Clone>(D);
-
-impl<D: StorageDevice + Clone> CloneableDevice for DeviceRef<D> {
-    fn create(&self, name: &str) -> Result<Box<dyn PageFile>> {
-        self.0.create(name)
-    }
 }
 
 impl<R: FixedSizeRecord> ReverseRunWriter<R> {
@@ -145,7 +136,7 @@ impl<R: FixedSizeRecord> ReverseRunWriter<R> {
         }
         let pages_per_file = pages_per_file.max(2);
         Ok(ReverseRunWriter {
-            device: Box::new(DeviceRef(device.clone())),
+            device: Box::new(device.clone()),
             base: base.to_string(),
             pages_per_file,
             slots_per_page,
@@ -258,22 +249,6 @@ impl<R: FixedSizeRecord> ReverseRunWriter<R> {
     }
 }
 
-/// Reads a reverse-ordered run back in ascending order using only forward
-/// page reads.
-pub struct ReverseRunReader<R: FixedSizeRecord> {
-    parts: Vec<PartPlan>,
-    device_files: Vec<Box<dyn PageFile>>,
-    current_part: usize,
-    page: PageBuf,
-    current_page: u64,
-    current_slot: usize,
-    remaining_in_part: u64,
-    total: u64,
-    started: bool,
-    slots_per_page: usize,
-    _marker: std::marker::PhantomData<R>,
-}
-
 #[derive(Debug, Clone, Copy)]
 struct PartPlan {
     start_page: u64,
@@ -308,13 +283,15 @@ impl PartPlan {
     }
 }
 
-impl<R: FixedSizeRecord> ReverseRunReader<R> {
-    /// Opens every part of the reverse run stored under `base`.
+impl<R: FixedSizeRecord> RunReader<R> {
+    /// Opens every part of the reverse run stored under `base`, as one
+    /// extent per part from the most recent part down to part 0, so the
+    /// records come back ascending through forward page reads only.
     ///
     /// A part header whose records cannot fit in its file, or part counts
     /// whose sum overflows, are rejected with
     /// [`StorageError::CorruptHeader`] here, before any record is read.
-    pub fn open(device: &dyn StorageDevice, base: &str) -> Result<Self> {
+    pub fn open_reverse(device: &dyn StorageDevice, base: &str) -> Result<Self> {
         let page_size = device.page_size();
         let slots_per_page = page_size / R::SIZE;
         // Discover parts by probing names until one is missing.
@@ -329,19 +306,13 @@ impl<R: FixedSizeRecord> ReverseRunReader<R> {
         }
         // Ascending order starts at the most recently written part.
         handles.reverse();
-        let mut parts = Vec::with_capacity(handles.len());
+        let mut extents = Vec::with_capacity(handles.len());
         let mut total = 0u64;
         let mut header_page = PageBuf::new(page_size);
-        for file in handles.iter_mut() {
+        for mut file in handles {
             file.read_page(0, header_page.as_bytes_mut())?;
             let header = ReverseHeader::read(&header_page)?;
-            if header.record_size as usize != R::SIZE {
-                return Err(StorageError::CorruptHeader(format!(
-                    "record size mismatch: file has {}, caller expects {}",
-                    header.record_size,
-                    R::SIZE
-                )));
-            }
+            check_record_size::<R>(header.record_size)?;
             let plan = PartPlan {
                 start_page: header.start_page,
                 start_slot: header.start_slot as usize,
@@ -351,112 +322,14 @@ impl<R: FixedSizeRecord> ReverseRunReader<R> {
             total = total.checked_add(plan.record_count).ok_or_else(|| {
                 StorageError::CorruptHeader("reverse part counts overflow".into())
             })?;
-            parts.push(plan);
+            extents.push(Extent {
+                file,
+                page: plan.start_page,
+                slot: plan.start_slot,
+                records: plan.record_count,
+            });
         }
-        Ok(ReverseRunReader {
-            parts,
-            device_files: handles,
-            current_part: 0,
-            page: PageBuf::new(page_size),
-            current_page: 0,
-            current_slot: 0,
-            remaining_in_part: 0,
-            total,
-            started: false,
-            slots_per_page,
-            _marker: std::marker::PhantomData,
-        })
-    }
-
-    /// Total number of records across every part.
-    pub fn len(&self) -> u64 {
-        self.total
-    }
-
-    /// `true` when the stream holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Makes the page holding the next record current, moving to the next
-    /// part and reading pages only as needed; `false` at the end of the
-    /// stream.
-    fn advance(&mut self) -> Result<bool> {
-        loop {
-            if !self.started {
-                let Some(plan) = self.parts.get(self.current_part).copied() else {
-                    return Ok(false);
-                };
-                self.remaining_in_part = plan.record_count;
-                self.current_page = plan.start_page;
-                self.current_slot = plan.start_slot;
-                self.started = true;
-                if self.remaining_in_part > 0 {
-                    let file = &mut self.device_files[self.current_part];
-                    file.read_page(self.current_page, self.page.as_bytes_mut())?;
-                }
-            }
-            if self.remaining_in_part == 0 {
-                self.current_part += 1;
-                self.started = false;
-                continue;
-            }
-            if self.current_slot == self.slots_per_page {
-                self.current_page += 1;
-                self.current_slot = 0;
-                let file = &mut self.device_files[self.current_part];
-                file.read_page(self.current_page, self.page.as_bytes_mut())?;
-            }
-            return Ok(true);
-        }
-    }
-
-    /// Reads the next record in ascending order, or `None` at the end.
-    pub fn next_record(&mut self) -> Result<Option<R>> {
-        if !self.advance()? {
-            return Ok(None);
-        }
-        let record = self.page.decode(self.current_slot);
-        self.current_slot += 1;
-        self.remaining_in_part -= 1;
-        Ok(Some(record))
-    }
-
-    /// Appends up to `max` records (ascending) to `out` and returns how
-    /// many it appended; fewer than `max` only at the end of the stream.
-    ///
-    /// Each page's slots are decoded in one loop. The pages read, and the
-    /// moments they are read at, are exactly those of `max` calls to
-    /// [`ReverseRunReader::next_record`]: a page — a part's first page
-    /// included — is read only once a record on it is wanted.
-    pub fn read_batch(&mut self, out: &mut Vec<R>, max: usize) -> Result<usize> {
-        let mut read = 0;
-        while read < max && self.advance()? {
-            let take = (max - read)
-                .min(self.slots_per_page - self.current_slot)
-                .min(usize::try_from(self.remaining_in_part).unwrap_or(usize::MAX));
-            self.page.decode_into(self.current_slot, take, out);
-            self.current_slot += take;
-            self.remaining_in_part -= take as u64;
-            read += take;
-        }
-        Ok(read)
-    }
-
-    /// Reads the whole remaining stream into a vector (ascending order).
-    pub fn read_all(&mut self) -> Result<Vec<R>> {
-        // `open` bounded every part's count by the pages its file has.
-        let mut out = Vec::with_capacity(usize::try_from(self.total).unwrap_or(0));
-        self.read_batch(&mut out, usize::MAX)?;
-        Ok(out)
-    }
-}
-
-impl<R: FixedSizeRecord> Iterator for ReverseRunReader<R> {
-    type Item = Result<R>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_record().transpose()
+        Ok(Self::from_extents(page_size, extents, total))
     }
 }
 
@@ -476,7 +349,7 @@ mod tests {
             writer.push(&v).unwrap();
         }
         assert_eq!(writer.finish().unwrap(), n);
-        let mut reader = ReverseRunReader::<u64>::open(&device, "rev").unwrap();
+        let mut reader = RunReader::<u64>::open_reverse(&device, "rev").unwrap();
         assert_eq!(reader.len(), n);
         let all = reader.read_all().unwrap();
         let expected: Vec<u64> = (0..n).collect();
@@ -515,7 +388,7 @@ mod tests {
         let writer = ReverseRunWriter::<u64>::with_pages_per_file(&device, "rev", 4).unwrap();
         assert!(writer.is_empty());
         assert_eq!(writer.finish().unwrap(), 0);
-        let mut reader = ReverseRunReader::<u64>::open(&device, "rev").unwrap();
+        let mut reader = RunReader::<u64>::open_reverse(&device, "rev").unwrap();
         assert!(reader.is_empty());
         assert_eq!(reader.next_record().unwrap(), None);
     }
@@ -524,7 +397,7 @@ mod tests {
     fn missing_stream_reports_not_found() {
         let device = SimDevice::with_model(ModelId::Hdd7200);
         assert!(matches!(
-            ReverseRunReader::<u64>::open(&device, "nothing"),
+            RunReader::<u64>::open_reverse(&device, "nothing"),
             Err(StorageError::NotFound(_))
         ));
     }
@@ -538,7 +411,7 @@ mod tests {
             writer.push(&v).unwrap();
         }
         writer.finish().unwrap();
-        let mut reader = ReverseRunReader::<u64>::open(&device, "rev").unwrap();
+        let mut reader = RunReader::<u64>::open_reverse(&device, "rev").unwrap();
         let mut expected = stream.to_vec();
         expected.reverse();
         assert_eq!(reader.read_all().unwrap(), expected);
@@ -571,7 +444,7 @@ mod tests {
 
     fn assert_corrupt(device: &SimDevice) {
         assert!(matches!(
-            ReverseRunReader::<u64>::open(device, "rev"),
+            RunReader::<u64>::open_reverse(device, "rev"),
             Err(StorageError::CorruptHeader(_))
         ));
     }
@@ -614,8 +487,8 @@ mod tests {
         }
         writer.finish().unwrap();
         for max in [1, 3, 7, 8, 9, 16, 50] {
-            let mut one = ReverseRunReader::<u64>::open(&device, "rev").unwrap();
-            let mut batch = ReverseRunReader::<u64>::open(&device, "rev").unwrap();
+            let mut one = RunReader::<u64>::open_reverse(&device, "rev").unwrap();
+            let mut batch = RunReader::<u64>::open_reverse(&device, "rev").unwrap();
             let mut out = Vec::new();
             loop {
                 device.reset_stats();
@@ -643,7 +516,7 @@ mod tests {
         }
         writer.finish().unwrap();
         device.reset_stats();
-        let mut reader = ReverseRunReader::<u64>::open(&device, "rev").unwrap();
+        let mut reader = RunReader::<u64>::open_reverse(&device, "rev").unwrap();
         reader.read_all().unwrap();
         let snap = device.stats();
         // One seek per part file (headers are read at open, data follows

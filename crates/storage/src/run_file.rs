@@ -1,4 +1,4 @@
-//! Forward-sequential run files.
+//! Run files, and the one reader every run is read back through.
 //!
 //! A *run* is a sorted sequence of records produced during run generation
 //! and consumed (strictly forward) by the merge phase (§2.1). A run file
@@ -13,6 +13,14 @@
 //! page 0      : header {magic, record size, record count}
 //! page 1..N   : records, densely packed, last page possibly partial
 //! ```
+//!
+//! [`RunReader`] reads a run in any format: an ordered list of extents,
+//! each a stretch of records in one file from a given page and slot on,
+//! read ascending. [`RunReader::open`] reads a forward file (one extent),
+//! [`RunReader::open_reverse`] the part files of an Appendix A reverse run
+//! (one extent per part, see [`reverse_file`](crate::reverse_file)), and
+//! [`RunReader::concat`] joins runs whose key ranges follow each other,
+//! such as the four streams of a 2WRS run (§4.1).
 
 use crate::device::{PageFile, StorageDevice};
 use crate::error::{Result, StorageError};
@@ -145,16 +153,30 @@ impl<R: FixedSizeRecord> RunWriter<R> {
     }
 }
 
-/// Reads a run file forward, record by record or a batch at a time.
+/// A stretch of a run inside one file: `records` records stored densely
+/// from slot `slot` of page `page` on.
+pub(crate) struct Extent {
+    pub(crate) file: Box<dyn PageFile>,
+    /// The page of the next record.
+    pub(crate) page: u64,
+    /// The slot of the next record on `page`.
+    pub(crate) slot: usize,
+    /// Records not read yet.
+    pub(crate) records: u64,
+}
+
+/// Reads a run in ascending order, record by record or a batch at a time,
+/// whatever its format: forward file, reverse parts or a concatenation of
+/// both.
 pub struct RunReader<R: FixedSizeRecord> {
-    file: Box<dyn PageFile>,
+    /// The run's extents in ascending order; `extents[current]` holds the
+    /// next record.
+    extents: Vec<Extent>,
+    current: usize,
+    /// The page of the next record, once `loaded`.
     page: PageBuf,
+    loaded: bool,
     slots_per_page: usize,
-    /// Next slot of `page` to return; `slots_per_page` when the next record
-    /// lives on the next page, which is read only once it is asked for.
-    slot: usize,
-    current_page: u64,
-    remaining: u64,
     total: u64,
     _marker: std::marker::PhantomData<R>,
 }
@@ -171,34 +193,60 @@ impl<R: FixedSizeRecord> RunReader<R> {
         let mut header_page = PageBuf::new(page_size);
         file.read_page(0, header_page.as_bytes_mut())?;
         let header = RunHeader::read(&header_page)?;
-        if header.record_size as usize != R::SIZE {
-            return Err(StorageError::CorruptHeader(format!(
-                "record size mismatch: file has {}, caller expects {}",
-                header.record_size,
-                R::SIZE
-            )));
-        }
-        let slots_per_page = page_size / R::SIZE;
+        check_record_size::<R>(header.record_size)?;
         let capacity = file
             .num_pages()
             .saturating_sub(1)
-            .saturating_mul(slots_per_page as u64);
+            .saturating_mul((page_size / R::SIZE) as u64);
         if header.record_count > capacity {
             return Err(StorageError::CorruptHeader(format!(
                 "header claims {} records but the data pages hold at most {capacity}",
                 header.record_count
             )));
         }
-        Ok(RunReader {
+        let extent = Extent {
             file,
+            page: 1,
+            slot: 0,
+            records: header.record_count,
+        };
+        Ok(Self::from_extents(
+            page_size,
+            vec![extent],
+            header.record_count,
+        ))
+    }
+
+    /// A reader over `extents`, which hold `total` records in all.
+    pub(crate) fn from_extents(page_size: usize, extents: Vec<Extent>, total: u64) -> Self {
+        RunReader {
+            extents,
+            current: 0,
             page: PageBuf::new(page_size),
-            slots_per_page,
-            slot: slots_per_page,
-            current_page: 0,
-            remaining: header.record_count,
-            total: header.record_count,
+            loaded: false,
+            slots_per_page: page_size / R::SIZE,
+            total,
             _marker: std::marker::PhantomData,
-        })
+        }
+    }
+
+    /// One run made of `parts` read one after another, for runs whose key
+    /// ranges follow each other in ascending order. Opening the parts read
+    /// their headers; this reads nothing.
+    ///
+    /// Record counts whose sum overflows are rejected with
+    /// [`StorageError::CorruptHeader`].
+    pub fn concat(parts: impl IntoIterator<Item = RunReader<R>>) -> Result<Self> {
+        let (mut page_size, mut extents, mut total) = (0, Vec::new(), 0u64);
+        for part in parts {
+            // An empty part may hold no page at all.
+            page_size = page_size.max(part.page.size());
+            total = total
+                .checked_add(part.total)
+                .ok_or_else(|| StorageError::CorruptHeader("run counts overflow".into()))?;
+            extents.extend(part.extents);
+        }
+        Ok(Self::from_extents(page_size, extents, total))
     }
 
     /// Total number of records in the run.
@@ -211,24 +259,30 @@ impl<R: FixedSizeRecord> RunReader<R> {
         self.total == 0
     }
 
-    /// Number of records not yet returned by [`RunReader::next_record`].
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-
-    /// Makes the page holding the next record current, reading it if
-    /// needed; `false` at the end of the run.
+    /// Makes the page holding the next record current, moving to the next
+    /// extent and reading a page only once a record on it is wanted;
+    /// `false` at the end of the run.
     fn advance(&mut self) -> Result<bool> {
-        if self.remaining == 0 {
-            return Ok(false);
+        while let Some(extent) = self.extents.get_mut(self.current) {
+            if extent.records == 0 {
+                self.current += 1;
+                self.loaded = false;
+                continue;
+            }
+            if extent.slot == self.slots_per_page {
+                extent.page += 1;
+                extent.slot = 0;
+                self.loaded = false;
+            }
+            if !self.loaded {
+                extent
+                    .file
+                    .read_page(extent.page, self.page.as_bytes_mut())?;
+                self.loaded = true;
+            }
+            return Ok(true);
         }
-        if self.slot == self.slots_per_page {
-            self.current_page += 1;
-            self.file
-                .read_page(self.current_page, self.page.as_bytes_mut())?;
-            self.slot = 0;
-        }
-        Ok(true)
+        Ok(false)
     }
 
     /// Reads the next record, or `None` at the end of the run.
@@ -236,9 +290,10 @@ impl<R: FixedSizeRecord> RunReader<R> {
         if !self.advance()? {
             return Ok(None);
         }
-        let record = self.page.decode(self.slot);
-        self.slot += 1;
-        self.remaining -= 1;
+        let extent = &mut self.extents[self.current];
+        let record = self.page.decode(extent.slot);
+        extent.slot += 1;
+        extent.records -= 1;
         Ok(Some(record))
     }
 
@@ -247,17 +302,18 @@ impl<R: FixedSizeRecord> RunReader<R> {
     ///
     /// Each page's slots are decoded in one loop. The pages read, and the
     /// moments they are read at, are exactly those of `max` calls to
-    /// [`RunReader::next_record`]: a page is read only once a record on it
-    /// is wanted.
+    /// [`RunReader::next_record`]: a page — an extent's first page
+    /// included — is read only once a record on it is wanted.
     pub fn read_batch(&mut self, out: &mut Vec<R>, max: usize) -> Result<usize> {
         let mut read = 0;
         while read < max && self.advance()? {
+            let extent = &mut self.extents[self.current];
             let take = (max - read)
-                .min(self.slots_per_page - self.slot)
-                .min(usize::try_from(self.remaining).unwrap_or(usize::MAX));
-            self.page.decode_into(self.slot, take, out);
-            self.slot += take;
-            self.remaining -= take as u64;
+                .min(self.slots_per_page - extent.slot)
+                .min(usize::try_from(extent.records).unwrap_or(usize::MAX));
+            self.page.decode_into(extent.slot, take, out);
+            extent.slot += take;
+            extent.records -= take as u64;
             read += take;
         }
         Ok(read)
@@ -265,11 +321,23 @@ impl<R: FixedSizeRecord> RunReader<R> {
 
     /// Reads the whole remaining run into a vector.
     pub fn read_all(&mut self) -> Result<Vec<R>> {
-        // `open` bounded the count by the pages the file really has.
-        let mut out = Vec::with_capacity(usize::try_from(self.remaining).unwrap_or(0));
+        // The openers bounded every count by the pages its file really has.
+        let remaining: u64 = self.extents.iter().map(|extent| extent.records).sum();
+        let mut out = Vec::with_capacity(usize::try_from(remaining).unwrap_or(0));
         self.read_batch(&mut out, usize::MAX)?;
         Ok(out)
     }
+}
+
+/// Rejects a header written for records of another size.
+pub(crate) fn check_record_size<R: FixedSizeRecord>(record_size: u32) -> Result<()> {
+    if record_size as usize == R::SIZE {
+        return Ok(());
+    }
+    Err(StorageError::CorruptHeader(format!(
+        "record size mismatch: file has {record_size}, caller expects {}",
+        R::SIZE
+    )))
 }
 
 impl<R: FixedSizeRecord> Iterator for RunReader<R> {
@@ -313,7 +381,6 @@ mod tests {
         write_run(&device, "run", &values);
         let mut reader = RunReader::<u64>::open(&device, "run").unwrap();
         assert_eq!(reader.read_all().unwrap(), values);
-        assert_eq!(reader.remaining(), 0);
         assert_eq!(reader.next_record().unwrap(), None);
     }
 
@@ -390,29 +457,72 @@ mod tests {
         assert_eq!(reader.read_all().unwrap(), vec![1, 2, 3, 0, 0, 0, 0, 0]);
     }
 
+    /// The shapes of run the one reader covers, over 64-byte pages of 8
+    /// `u64` slots: a forward file of 29 records; and a chain of a reverse
+    /// run of 45 in parts of 2 data pages (the most recent part starting
+    /// mid-page), an empty file and that forward file. A reverse run read
+    /// alone is checked in `reverse_file`.
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        Forward,
+        Chain,
+    }
+
+    /// Opens `shape` on `device`; returns the reader, the files it opened
+    /// and the records it must yield.
+    fn open_shape(device: &SimDevice, shape: Shape) -> (RunReader<u64>, u64, Vec<u64>) {
+        match shape {
+            Shape::Forward => (
+                RunReader::open(device, "fwd").unwrap(),
+                1,
+                (45..74).collect(),
+            ),
+            Shape::Chain => {
+                let parts = [
+                    RunReader::open_reverse(device, "rev").unwrap(),
+                    RunReader::open(device, "empty").unwrap(),
+                    RunReader::open(device, "fwd").unwrap(),
+                ];
+                (RunReader::concat(parts).unwrap(), 5, (0..74).collect())
+            }
+        }
+    }
+
     #[test]
     fn batch_reads_match_record_by_record_reads_page_for_page() {
         let device = SimDevice::custom(64, DiskModel::default());
-        let values: Vec<u64> = (0..29).collect();
-        write_run(&device, "run", &values);
-        for max in [1, 3, 7, 8, 9, 16, 40] {
-            let mut one = RunReader::<u64>::open(&device, "run").unwrap();
-            let mut batch = RunReader::<u64>::open(&device, "run").unwrap();
-            let mut out = Vec::new();
-            loop {
+        write_run(&device, "fwd", &(45..74).collect::<Vec<u64>>());
+        write_run(&device, "empty", &[]);
+        let mut writer =
+            crate::ReverseRunWriter::<u64>::with_pages_per_file(&device, "rev", 3).unwrap();
+        for v in (0..45u64).rev() {
+            writer.push(&v).unwrap();
+        }
+        writer.finish().unwrap();
+        let pages_read = || device.stats().counters.pages_read;
+        for shape in [Shape::Forward, Shape::Chain] {
+            for max in [1, 3, 7, 8, 9, 16, 80] {
                 device.reset_stats();
-                for _ in 0..max {
-                    one.next_record().unwrap();
+                let (mut one, files, expected) = open_shape(&device, shape);
+                // Opening reads each file's header page and nothing else.
+                assert_eq!(pages_read(), files, "{shape:?}");
+                let (mut batch, _, _) = open_shape(&device, shape);
+                let mut out = Vec::new();
+                loop {
+                    device.reset_stats();
+                    for _ in 0..max {
+                        one.next_record().unwrap();
+                    }
+                    let singles = pages_read();
+                    device.reset_stats();
+                    let read = batch.read_batch(&mut out, max).unwrap();
+                    assert_eq!(pages_read(), singles, "{shape:?}, max {max}");
+                    if read < max {
+                        break;
+                    }
                 }
-                let singles = device.stats().counters.pages_read;
-                device.reset_stats();
-                let read = batch.read_batch(&mut out, max).unwrap();
-                assert_eq!(device.stats().counters.pages_read, singles, "max {max}");
-                if read < max {
-                    break;
-                }
+                assert_eq!(out, expected, "{shape:?}, max {max}");
             }
-            assert_eq!(out, values, "max {max}");
         }
     }
 

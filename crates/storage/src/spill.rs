@@ -4,10 +4,12 @@
 //! run generation, plus intermediate merge outputs. [`SpillNamer`] hands out
 //! unique, human-readable names within a namespace so concurrent sorts on
 //! the same device never collide, and remembers what it created so the whole
-//! set can be dropped at the end.
+//! set can be dropped at the end. [`remove_run_files`] removes one run's
+//! files, whatever its format.
 
 use crate::device::StorageDevice;
 use crate::error::Result;
+use crate::reverse_file::part_name;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Allocates unique file names inside a namespace and tracks them for
@@ -48,30 +50,29 @@ impl SpillNamer {
         self.counter.load(Ordering::Relaxed)
     }
 
-    /// Removes every file this namer created that still exists on `device`.
-    ///
-    /// Files already removed by the caller are skipped silently. Reverse-run
-    /// part files (`<name>.partN`) are removed too.
+    /// Removes every file this namer created that still exists on `device`,
+    /// through [`remove_run_files`].
     pub fn cleanup(&self, device: &dyn StorageDevice) -> Result<()> {
         let created = self.created.lock().clone();
-        for name in created {
-            if device.exists(&name) {
-                device.remove(&name)?;
-            }
-            // Reverse-run writers expand one logical name into part files.
-            let mut part = 0;
-            loop {
-                let part_name = format!("{name}.part{part}");
-                if device.exists(&part_name) {
-                    device.remove(&part_name)?;
-                    part += 1;
-                } else {
-                    break;
-                }
-            }
-        }
-        Ok(())
+        created
+            .iter()
+            .try_for_each(|name| remove_run_files(device, name))
     }
+}
+
+/// Removes the run stored under `name`: the file of that name and every
+/// reverse-run part file `<name>.partN`, whichever exist. Files already
+/// removed are skipped silently.
+pub fn remove_run_files(device: &dyn StorageDevice, name: &str) -> Result<()> {
+    if device.exists(name) {
+        device.remove(name)?;
+    }
+    let mut index = 0;
+    while device.exists(&part_name(name, index)) {
+        device.remove(&part_name(name, index))?;
+        index += 1;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -5,8 +5,7 @@
 
 use proptest::prelude::*;
 use twrs_storage::{
-    DeviceSpec, DiskModel, ReverseRunReader, ReverseRunWriter, RunReader, RunWriter, SimDevice,
-    StorageDevice,
+    DeviceSpec, DiskModel, ReverseRunWriter, RunReader, RunWriter, SimDevice, StorageDevice,
 };
 
 proptest! {
@@ -47,7 +46,7 @@ proptest! {
         }
         prop_assert_eq!(writer.finish().unwrap(), values.len() as u64);
 
-        let mut reader = ReverseRunReader::<u64>::open(&device, "rev").unwrap();
+        let mut reader = RunReader::<u64>::open_reverse(&device, "rev").unwrap();
         let mut expected = values;
         expected.reverse(); // ascending
         prop_assert_eq!(reader.read_all().unwrap(), expected);
@@ -160,7 +159,7 @@ proptest! {
             let header = header_bytes(REVERSE_MAGIC, &raw[part * 5..part * 5 + 5], valid, small);
             write_raw(&device, &format!("rev.part{part}"), &header, data_pages);
         }
-        if let Ok(mut reader) = ReverseRunReader::<u64>::open(&device, "rev") {
+        if let Ok(mut reader) = RunReader::<u64>::open_reverse(&device, "rev") {
             let claimed = reader.len();
             prop_assert!(claimed <= parts as u64 * data_pages * 8);
             prop_assert_eq!(reader.read_all().unwrap().len() as u64, claimed);

@@ -2,69 +2,14 @@
 //!
 //! The paper argues (§5.2, Chapter 7) that the six basic shapes are the
 //! building blocks of realistic database inputs: a column anticorrelated
-//! with the current sort order yields a reverse-sorted input, a
-//! two-attribute key stored flat yields a concatenation of sorted inputs,
-//! and so on. This module provides those composition operators so examples
-//! and integration tests can exercise realistic scenarios.
+//! with the current sort order yields a reverse-sorted input, and so on.
+//! This module provides that scenario so examples and integration tests
+//! can exercise it.
 
-use crate::distributions::{Distribution, KEY_RANGE};
+use crate::distributions::KEY_RANGE;
 use crate::record::Record;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// A concatenation of several basic distributions, e.g. "a sorted chunk
-/// followed by a random chunk" (the flat-number/door-number example of
-/// Chapter 7).
-#[derive(Debug, Clone)]
-pub struct Concatenation {
-    parts: Vec<Distribution>,
-}
-
-impl Concatenation {
-    /// Creates an empty concatenation.
-    pub fn new() -> Self {
-        Concatenation { parts: Vec::new() }
-    }
-
-    /// Appends a part to the concatenation.
-    pub fn then(mut self, part: Distribution) -> Self {
-        self.parts.push(part);
-        self
-    }
-
-    /// Total number of records across every part.
-    pub fn len(&self) -> u64 {
-        self.parts.iter().map(Distribution::len).sum()
-    }
-
-    /// `true` when no part produces any records.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterates over the records of every part in order.
-    ///
-    /// Payloads are rewritten to the global input position so they remain a
-    /// unique tie-breaker across parts.
-    pub fn records(&self) -> impl Iterator<Item = Record> + '_ {
-        self.parts
-            .iter()
-            .flat_map(|part| part.records())
-            .enumerate()
-            .map(|(i, r)| Record::new(r.key, i as u64))
-    }
-
-    /// Generates the whole concatenated dataset.
-    pub fn collect(&self) -> Vec<Record> {
-        self.records().collect()
-    }
-}
-
-impl Default for Concatenation {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// A two-column table where column `b` is anticorrelated with column `a`.
 ///
@@ -136,38 +81,6 @@ impl AnticorrelatedTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distributions::DistributionKind;
-
-    #[test]
-    fn concatenation_appends_parts_in_order() {
-        let concat = Concatenation::new()
-            .then(Distribution::exact(DistributionKind::Sorted, 100))
-            .then(Distribution::exact(DistributionKind::ReverseSorted, 50));
-        assert_eq!(concat.len(), 150);
-        let records = concat.collect();
-        assert_eq!(records.len(), 150);
-        // First part ascending, second part descending.
-        assert!(records[..100].windows(2).all(|w| w[0].key <= w[1].key));
-        assert!(records[100..].windows(2).all(|w| w[0].key >= w[1].key));
-    }
-
-    #[test]
-    fn concatenation_payloads_are_global_positions() {
-        let concat = Concatenation::new()
-            .then(Distribution::exact(DistributionKind::Sorted, 10))
-            .then(Distribution::exact(DistributionKind::Sorted, 10));
-        let records = concat.collect();
-        for (i, r) in records.iter().enumerate() {
-            assert_eq!(r.payload, i as u64);
-        }
-    }
-
-    #[test]
-    fn empty_concatenation() {
-        let concat = Concatenation::new();
-        assert!(concat.is_empty());
-        assert_eq!(concat.collect(), Vec::new());
-    }
 
     #[test]
     fn anticorrelated_table_is_sorted_by_a() {

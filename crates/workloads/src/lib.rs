@@ -12,8 +12,8 @@
 //! * [`distributions::Distribution`] — seeded generators for the six
 //!   distributions with the same ±U(1,1000) jitter the paper adds to make
 //!   replicated executions differ;
-//! * [`composite`] — concatenations and the anticorrelated-columns database
-//!   scenario used to motivate the basic shapes;
+//! * [`composite`] — the anticorrelated-columns database scenario used to
+//!   motivate the basic shapes;
 //! * [`dataset`] — helpers to materialise a workload onto a storage device
 //!   and measure how sorted an input already is;
 //! * [`user_event::UserEvent`] — a second, wider record type (32-byte
@@ -36,7 +36,7 @@ pub mod record;
 pub mod user_event;
 
 pub use arrivals::{ArrivalTrace, JobArrival};
-pub use composite::{AnticorrelatedTable, Concatenation};
+pub use composite::AnticorrelatedTable;
 pub use dataset::{materialize, read_dataset, sortedness, DatasetStats};
 pub use distributions::{Distribution, DistributionKind, KEY_RANGE};
 pub use record::Record;

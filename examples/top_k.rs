@@ -30,7 +30,7 @@ fn main() {
         .on(&device)
         .run_iter(input(), "sorted")
         .expect("file sort succeeds");
-    let mut cursor = RecordRunCursor::open(&device, &RunHandle::Forward("sorted".into()))
+    let mut cursor = RunCursor::<Record>::open(&device, &RunHandle::Forward("sorted".into()))
         .expect("open sorted output");
     let mut top_from_file = Vec::with_capacity(k);
     for _ in 0..k {

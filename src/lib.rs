@@ -239,19 +239,6 @@
 //! assert!(report.max_leased <= report.global_memory_records);
 //! ```
 //!
-//! # Migrating from the pre-builder entry points
-//!
-//! | before                                                   | after                                                        |
-//! |----------------------------------------------------------|--------------------------------------------------------------|
-//! | `RunCursor::open(…)` (implicitly `Record`)               | `RecordRunCursor::open(…)` or `RunCursor::<R>::open(…)`      |
-//! | `run_iter(it, "out")` + `RecordRunCursor` scan of `"out"` | `stream_iter(it)` — same records, no `"out"` file, no final write pass |
-//! | `run_iter(it, "out")` + custom post-processing of `"out"` | `sink_iter(it, &mut sink)` with a [`RecordSink`](extsort::RecordSink) |
-//! | a loop of blocking `run_iter` calls over many datasets    | `SortService::submit(tenant, job, input, output)` per dataset, then `JobHandle::wait` — same outputs, jobs overlap under the global budget |
-//! | hand-rolled worker threads + per-job memory bookkeeping   | [`SortService`](extsort::SortService) with a [`MemoryArbiter`](extsort::MemoryArbiter); the arbiter enforces `sum(leases) <= global` at every rebalance |
-//! | killing a worker thread to abandon a sort                 | `JobHandle::cancel()` — the running job observes its [`CancellationToken`](extsort::CancellationToken) at the next phase/page boundary, deletes its spill files, returns its lease and completes `Canceled` |
-//! | a dedicated "high-priority" service instance per tenant tier | one service with [`ServiceConfig::tenant_priority`](extsort::ServiceConfig::tenant_priority)`("gold", `[`Priority::with_weight`](extsort::Priority::with_weight)`(3))` — weighted queue turns and memory caps, one global budget |
-//! | a hard-wired device constructor in CLI/bench plumbing     | parse a [`DeviceSpec`](storage::DeviceSpec) (`"sim:nvme"`, `"real:/path:8192"`) and [`build`](storage::DeviceSpec::build) it — the returned [`AnyDevice`](storage::AnyDevice) plugs into every job/service entry point |
-//!
 //! `run_file` and `stream_file` are provided for the default [`Record`] by
 //! the [`RecordJobExt`] extension trait in the [`prelude`]; for any other
 //! record type use `run_file_as::<R>` / `stream_file_as::<R>`, since a file
@@ -268,13 +255,6 @@ pub use twrs_workloads as workloads;
 
 use extsort::{BoundSortJob, Device, Result, ShardableGenerator, SortJobReport, SortedStream};
 use workloads::Record;
-
-/// Cursor over runs of the default paper [`Record`] —
-/// the pre-redesign `RunCursor`, which was not generic.
-pub type RecordRunCursor = extsort::RunCursor<Record>;
-
-/// Reader over datasets of the default paper [`Record`].
-pub type RecordRunReader = storage::RunReader<Record>;
 
 /// Record-typed `run_file` and `stream_file` for the
 /// [`SortJob`](extsort::SortJob) builder, specialised to the default paper
@@ -306,7 +286,7 @@ impl<G: ShardableGenerator, D: Device> RecordJobExt for BoundSortJob<G, D> {
 
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
-    pub use crate::{RecordJobExt, RecordRunCursor, RecordRunReader};
+    pub use crate::RecordJobExt;
     pub use twrs_core::{
         BufferSetup, InputHeuristic, OutputHeuristic, TwoWayReplacementSelection, TwrsConfig,
     };

@@ -109,7 +109,7 @@ fn materialised_datasets_round_trip_and_sort() {
 
     let mut sorted = expected;
     sorted.sort_unstable();
-    let mut cursor = RecordRunCursor::open(&device, &RunHandle::Forward("table_sorted".into()))
+    let mut cursor = RunCursor::<Record>::open(&device, &RunHandle::Forward("table_sorted".into()))
         .expect("open output");
     assert_eq!(cursor.read_all().expect("read output"), sorted);
 }
@@ -128,7 +128,7 @@ fn polyphase_merge_agrees_with_kway_merge() {
     // Merge one copy with polyphase and compare against a std sort.
     polyphase_merge::<_, Record>(&device, &namer, set.runs, 4, "poly_out")
         .expect("polyphase succeeds");
-    let mut cursor = RecordRunCursor::open(&device, &RunHandle::Forward("poly_out".into()))
+    let mut cursor = RunCursor::<Record>::open(&device, &RunHandle::Forward("poly_out".into()))
         .expect("open output");
     let merged = cursor.read_all().expect("read output");
     let mut expected = input;

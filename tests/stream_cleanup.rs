@@ -32,20 +32,44 @@ fn multi_run_input() -> impl Iterator<Item = Record> {
     Distribution::new(DistributionKind::RandomUniform, 8_000, 31).records()
 }
 
-#[test]
-fn dropping_a_half_consumed_stream_removes_all_device_files() {
+/// 2WRS whose reverse streams take one data page (256 records) per part
+/// file. Over [`alternating_input`] its descending stretches make reverse
+/// runs of several `.partN` files each, at one thread and at four.
+fn twrs_with_small_parts() -> TwoWayReplacementSelection {
+    let mut config = TwrsConfig::recommended(100);
+    config.reverse_pages_per_file = 2;
+    TwoWayReplacementSelection::new(config)
+}
+
+/// Four sections of 2,000 records, two of them descending.
+fn alternating_input() -> impl Iterator<Item = Record> {
+    Distribution::new(DistributionKind::Alternating { sections: 4 }, 8_000, 31).records()
+}
+
+/// Abandons a stream after 100 records, at 1 and 4 threads.
+fn drop_half_consumed<G, I>(generator: impl Fn() -> G, input: fn() -> I, reverse_parts: bool)
+where
+    G: ShardableGenerator,
+    I: Iterator<Item = Record>,
+{
     for threads in [1, 4] {
         let device = SimDevice::with_model(ModelId::Hdd7200);
-        let mut stream = SortJob::new(ReplacementSelection::new(100))
+        let mut stream = SortJob::new(generator())
             .on(&device)
             .threads(threads)
-            .stream_iter(multi_run_input())
+            .stream_iter(input())
             .expect("sort runs");
         // The suspended merge really is backed by files on the device.
         assert!(
             !device.list().is_empty(),
             "threads {threads}: a multi-run sort keeps spill files while suspended"
         );
+        if reverse_parts {
+            assert!(
+                device.list().iter().any(|name| name.ends_with(".part1")),
+                "threads {threads}: a reverse run spans several part files"
+            );
+        }
         // Consume a prefix only, then abandon the stream.
         for _ in 0..100 {
             stream
@@ -63,6 +87,12 @@ fn dropping_a_half_consumed_stream_removes_all_device_files() {
 }
 
 #[test]
+fn dropping_a_half_consumed_stream_removes_all_device_files() {
+    drop_half_consumed(|| ReplacementSelection::new(100), multi_run_input, false);
+    drop_half_consumed(twrs_with_small_parts, alternating_input, true);
+}
+
+#[test]
 fn closing_a_stream_early_reports_cleanup_success() {
     let device = SimDevice::with_model(ModelId::Hdd7200);
     let mut stream = SortJob::new(LoadSortStore::new(100))
@@ -77,18 +107,23 @@ fn closing_a_stream_early_reports_cleanup_success() {
     assert_eq!(device.list(), Vec::<String>::new());
 }
 
-#[test]
-fn a_failing_sink_write_removes_all_device_files() {
+/// Drains a sort into a sink that fails after 50 records, at 1 and 4
+/// threads.
+fn fail_the_sink<G, I>(generator: impl Fn() -> G, input: fn() -> I)
+where
+    G: ShardableGenerator,
+    I: Iterator<Item = Record>,
+{
     for threads in [1, 4] {
         let device = SimDevice::with_model(ModelId::Hdd7200);
         let mut sink = FailingSink {
             accepted: 0,
             limit: 50,
         };
-        let result = SortJob::new(ReplacementSelection::new(100))
+        let result = SortJob::new(generator())
             .on(&device)
             .threads(threads)
-            .sink_iter(multi_run_input(), &mut sink);
+            .sink_iter(input(), &mut sink);
         assert!(
             matches!(
                 result,
@@ -103,6 +138,12 @@ fn a_failing_sink_write_removes_all_device_files() {
             "threads {threads}: a failed sink drain must remove every spill file"
         );
     }
+}
+
+#[test]
+fn a_failing_sink_write_removes_all_device_files() {
+    fail_the_sink(|| ReplacementSelection::new(100), multi_run_input);
+    fail_the_sink(twrs_with_small_parts, alternating_input);
 }
 
 #[test]
