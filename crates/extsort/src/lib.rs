@@ -15,7 +15,10 @@
 //! * [`replacement_selection`] — classic replacement selection (Algorithm 1);
 //! * [`merge`] — the k-way merge with a tournament (loser) tree, multi-pass
 //!   merging with a configurable fan-in and per-run read-ahead (§2.1.2,
-//!   §6.1.1), plus polyphase merge (Table 2.1);
+//!   §6.1.1), plus polyphase merge (Table 2.1). One merge type and one
+//!   merge step serve every pass of every sort: intermediate passes, a
+//!   stripe member's reducer, [`KWayMerger`] and the final pass into a
+//!   file, a sink or a stream;
 //! * [`sort_job`] — [`sort_job::SortJob`], the builder-style front door
 //!   and the only way to run a sort
 //!   (`SortJob::new(g).on(&device).threads(n).run_iter(input, "out")`);
@@ -79,5 +82,5 @@ pub use service::{
 };
 pub use sink::{CallbackSink, ChannelSink, FileSink, RecordSink, VecSink};
 pub use sort_job::{BoundSortJob, SortJob, SortJobReport};
-pub use sorter::{FinalPassKind, PhaseReport, SortReport, SorterConfig};
+pub use sorter::{FinalPassKind, PhaseReport, SortReport};
 pub use stream::SortedStream;

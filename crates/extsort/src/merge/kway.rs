@@ -1,20 +1,27 @@
 //! Multi-pass k-way merging with a bounded fan-in (§2.1.2, §6.1.1).
 //!
 //! The merge phase combines the runs left by run generation into one sorted
-//! file. Merging everything at once is not always best: every run being
+//! output. Merging everything at once is not always best: every run being
 //! merged needs its own input buffer, and with many runs the disk head
 //! bounces between their files, so the paper measures an optimal fan-in of
-//! about 10 on its hardware (Figure 6.1). [`KWayMerger`] therefore merges at
-//! most `fan_in` runs per step, queueing intermediate outputs until a single
-//! run remains. Every input run is read through the record source run
-//! generation reads too (see [`run_generation`](crate::run_generation)),
-//! refilled a read-ahead at a time, whose size models the per-run input
-//! buffer of the paper's implementation. The refill reads the run inline,
-//! or — in a threaded sort on a device with wall-clock latency — takes the
-//! next message of a prefetch thread per run (see
-//! [`parallel`](crate::parallel)). A merge input carries no cancellation
-//! token, since one that stopped early would pass for a short run; the
-//! loser-tree loop polls the job's token instead.
+//! about 10 on its hardware (Figure 6.1). The scheduler therefore merges at
+//! most `fan_in` runs per step, queueing intermediate outputs until few
+//! enough runs remain: at most `fan_in` for the final pass, or one for a
+//! stripe member's reducer (see [`parallel`](crate::parallel)).
+//!
+//! Every merge is one `Merge`: a step's inputs and the loser tree over their
+//! head records. An intermediate step, a per-disk reducer's step,
+//! [`KWayMerger`] and the final pass into a file or a sink drain it into a
+//! sink in one loop; a [`SortedStream`](crate::SortedStream) holds it
+//! suspended and takes one record per `next()`. Every input run is read
+//! through the record source run generation reads too (see
+//! [`run_generation`](crate::run_generation)), refilled a read-ahead at a
+//! time, whose size models the per-run input buffer of the paper's
+//! implementation. The refill reads the run inline, or — in a threaded sort
+//! on a device with wall-clock latency — takes the next message of a
+//! prefetch thread per run. A merge input carries no cancellation token,
+//! since one that stopped early would pass for a short run; the drain loop
+//! polls the job's token instead.
 
 use crate::cancel::{CancellationToken, CANCEL_CHECK_INTERVAL};
 use crate::error::{Result, SortError};
@@ -102,55 +109,41 @@ impl KWayMerger {
     ) -> Result<MergeReport> {
         // Nothing cancels a stand-alone merge.
         let cancel = CancellationToken::new();
-        let ReducedRuns {
-            remaining,
-            mut report,
-        } = reduce_to_fan_in::<R, D>(device, namer, runs, self.config, false, &cancel)?;
+        let config = self.config;
+        let (remaining, mut report) =
+            reduce_to_fan_in::<R>(device, namer, runs, config, config.fan_in, false, &cancel)?;
         // The final step always writes `output`: an empty run when there
         // was no input, a copy when a single run is left.
-        let written = merge_step::<R, D>(
+        report.output_records = merge_step(
             device,
             &remaining,
-            output,
-            self.config.read_ahead_records,
+            config.read_ahead_records,
             false,
             &cancel,
+            &mut report,
+            || FileSink::<R>::create(device, output),
         )?;
-        if !remaining.is_empty() {
-            report.merge_steps += 1;
-        }
-        report.records_written += written;
-        report.output_records = written;
         Ok(report)
     }
 }
 
-/// The runs left after the intermediate merge passes, plus the partial
-/// [`MergeReport`] those passes accumulated. At most `fan_in` runs remain,
-/// so one final merge step — into a file, a sink, or a suspended
-/// [`SortedStream`](crate::stream::SortedStream) — finishes the sort.
-pub(crate) struct ReducedRuns {
-    /// The surviving runs, at most `fan_in` of them, in queue order.
-    pub(crate) remaining: Vec<RunHandle>,
-    /// Steps and records of the intermediate passes only
-    /// (`output_records` still zero — the final pass has not run).
-    pub(crate) report: MergeReport,
-}
-
-/// The intermediate half of the multi-pass merge scheduler: batches at
-/// most `fan_in` runs per step and queues the intermediate outputs until
-/// no more than `fan_in` runs remain, removing consumed inputs as it goes.
-/// Every step reads its inputs inline, or through prefetch threads with
-/// `prefetch` set. The final pass over the survivors is the caller's
-/// business — that is where the file, sink and stream outputs diverge.
-pub(crate) fn reduce_to_fan_in<R: SortableRecord, D: Device>(
-    device: &D,
+/// The merge scheduler: merges the first `fan_in` runs of the queue into a
+/// new run at its back, removing them, until at most `stop_at` runs remain;
+/// returns the survivors in queue order with the report of the steps taken.
+/// `stop_at` is `fan_in` before a final pass, and 1 for a stripe member's
+/// reducer, whose last step merges the few runs left into one. Every step
+/// reads its inputs inline, or through prefetch threads with `prefetch`
+/// set.
+pub(crate) fn reduce_to_fan_in<R: SortableRecord>(
+    device: &dyn StorageDevice,
     namer: &SpillNamer,
     runs: Vec<RunHandle>,
     merge: MergeConfig,
+    stop_at: usize,
     prefetch: bool,
     cancel: &CancellationToken,
-) -> Result<ReducedRuns> {
+) -> Result<(Vec<RunHandle>, MergeReport)> {
+    // A fan-in of 1 would merge one run into one run forever.
     if merge.fan_in < 2 {
         return Err(SortError::InvalidConfig(
             "merge fan-in must be at least 2".into(),
@@ -158,80 +151,124 @@ pub(crate) fn reduce_to_fan_in<R: SortableRecord, D: Device>(
     }
     let mut report = MergeReport::default();
     let mut queue: VecDeque<RunHandle> = runs.into();
-    while queue.len() > merge.fan_in {
+    while queue.len() > stop_at {
         // Pass boundary: the merge scheduler observes a cancel() between
-        // any two intermediate passes.
+        // any two steps.
         cancel.check()?;
-        let batch: Vec<RunHandle> = queue.drain(..merge.fan_in).collect();
+        let batch: Vec<RunHandle> = queue.drain(..merge.fan_in.min(queue.len())).collect();
         let name = namer.next_name("merge");
-        let read_ahead = merge.read_ahead_records;
-        let written = merge_step::<R, D>(device, &batch, &name, read_ahead, prefetch, cancel)?;
-        report.merge_steps += 1;
-        report.records_written += written;
+        merge_step(
+            device,
+            &batch,
+            merge.read_ahead_records,
+            prefetch,
+            cancel,
+            &mut report,
+            || FileSink::<R>::create(device, &name),
+        )?;
         queue.push_back(RunHandle::Forward(name));
     }
-    Ok(ReducedRuns {
-        remaining: queue.into(),
-        report,
-    })
+    Ok((queue.into(), report))
 }
 
-/// One merge step: opens every run of `batch` as a merge input, merges
-/// them into the new forward run `output` and removes them, since nothing
-/// reads a merged input again; returns the records written.
-pub(crate) fn merge_step<R: SortableRecord, D: Device>(
-    device: &D,
-    batch: &[RunHandle],
-    output: &str,
-    read_ahead: usize,
-    prefetch: bool,
-    cancel: &CancellationToken,
-) -> Result<u64> {
-    // Step boundary: a cancel() lands here before the batch's sources
-    // are even opened.
-    cancel.check()?;
-    let mut sources = open_sources::<R>(device, batch, read_ahead, prefetch)?;
-    let mut sink = FileSink::create(device, output)?;
-    let written = merge_sources(&mut sources, &mut sink, cancel)?;
-    drop(sources);
-    for handle in batch {
-        remove_run(device, handle)?;
-    }
-    Ok(written)
-}
-
-/// Opens one merge input per run of `runs`, in order.
-pub(crate) fn open_sources<R: SortableRecord>(
+/// One merge step: opens every run of `runs` as a merge input, creates the
+/// step's sink with `output`, merges the inputs into it and removes them,
+/// since nothing reads a merged input again. Counts the step in `report`
+/// and returns the records written.
+///
+/// Pages move in one order for every step: the inputs' headers, then
+/// whatever creating the sink writes, then each input's first records, then
+/// the merge.
+pub(crate) fn merge_step<R: SortableRecord, K: RecordSink<R>>(
     device: &dyn StorageDevice,
     runs: &[RunHandle],
     read_ahead: usize,
     prefetch: bool,
-) -> Result<Vec<RecordSource<R>>> {
-    runs.iter()
-        .map(|run| RecordSource::merge_input(device, run, read_ahead, prefetch))
-        .collect()
+    cancel: &CancellationToken,
+    report: &mut MergeReport,
+    output: impl FnOnce() -> Result<K>,
+) -> Result<u64> {
+    // Step boundary: a cancel() lands here before any input is opened.
+    cancel.check()?;
+    let mut merge = Merge::open(device, runs, read_ahead, prefetch)?;
+    let sink = output()?;
+    merge.start()?;
+    let written = merge.drain(sink, cancel)?;
+    // Prefetch threads end and are joined before their files go.
+    drop(merge);
+    for run in runs {
+        for file in run.physical() {
+            remove_run_files(device, file.name())?;
+        }
+    }
+    report.merge_steps += u32::from(!runs.is_empty());
+    report.records_written += written;
+    Ok(written)
 }
 
-/// Drains `sources` through a loser tree into `sink`, then finishes the
-/// sink; returns the number of records delivered. Every merge step and the
-/// final pass of file and sink outputs go through here, which is what makes
-/// `run_iter`'s output byte-identical to a hand-rolled [`FileSink`] drain.
-pub(crate) fn merge_sources<R, K>(
-    sources: &mut [RecordSource<R>],
-    sink: &mut K,
-    cancel: &CancellationToken,
-) -> Result<u64>
-where
-    R: SortableRecord,
-    K: RecordSink<R> + ?Sized,
-{
-    let heads = sources
-        .iter_mut()
-        .map(|s| s.next_record())
-        .collect::<Result<_>>()?;
-    let mut tree = LoserTree::new(heads);
-    let mut written = 0u64;
-    if !sources.is_empty() {
+/// One merge step's inputs and the loser tree over their head records:
+/// every merge of a sort runs through one.
+pub(crate) struct Merge<R: SortableRecord> {
+    inputs: Vec<RecordSource<R>>,
+    tree: LoserTree<R>,
+}
+
+impl<R: SortableRecord> Merge<R> {
+    /// Opens one input per run of `runs`, in order, reading only their
+    /// headers; with `prefetch`, a prefetch thread per run then takes over
+    /// its reader.
+    pub(crate) fn open(
+        device: &dyn StorageDevice,
+        runs: &[RunHandle],
+        read_ahead: usize,
+        prefetch: bool,
+    ) -> Result<Self> {
+        let inputs = runs
+            .iter()
+            .map(|run| RecordSource::merge_input(device, run, read_ahead, prefetch))
+            .collect::<Result<_>>()?;
+        Ok(Merge {
+            inputs,
+            tree: LoserTree::new(Vec::new()),
+        })
+    }
+
+    /// Reads every input's first record and plays the tree over them.
+    pub(crate) fn start(&mut self) -> Result<()> {
+        let heads = self
+            .inputs
+            .iter_mut()
+            .map(RecordSource::next_record)
+            .collect::<Result<_>>()?;
+        self.tree = LoserTree::new(heads);
+        Ok(())
+    }
+
+    /// Takes the smallest head record out of the tree, or `None` once every
+    /// input is exhausted. [`refill`](Merge::refill) must follow before the
+    /// next `pop`.
+    #[inline]
+    pub(crate) fn pop(&mut self) -> Option<R> {
+        self.tree.pop()
+    }
+
+    /// Hands the tree the next record of the input the last
+    /// [`pop`](Merge::pop) emptied.
+    #[inline]
+    pub(crate) fn refill(&mut self) -> Result<()> {
+        let next = self.inputs[self.tree.winner()].next_record()?;
+        self.tree.refill(next);
+        Ok(())
+    }
+
+    /// Drains the started merge into `sink` and finishes the sink; returns
+    /// the records written.
+    pub(crate) fn drain(
+        &mut self,
+        mut sink: impl RecordSink<R>,
+        cancel: &CancellationToken,
+    ) -> Result<u64> {
+        let mut written = 0u64;
         loop {
             // Page-grained cancellation point: roughly one output page of
             // small records between checks, so a running merge observes
@@ -239,23 +276,14 @@ where
             if written % CANCEL_CHECK_INTERVAL == 0 {
                 cancel.check()?;
             }
-            let Some(record) = tree.pop() else { break };
+            let Some(record) = self.pop() else { break };
             sink.push(record)?;
             written += 1;
-            tree.refill(sources[tree.winner()].next_record()?);
+            self.refill()?;
         }
+        sink.finish()?;
+        Ok(written)
     }
-    sink.finish()?;
-    Ok(written)
-}
-
-/// Removes every file of a run — reverse part files and chain components
-/// included — from the device.
-pub(crate) fn remove_run(device: &dyn StorageDevice, handle: &RunHandle) -> Result<()> {
-    for file in handle.physical() {
-        remove_run_files(device, file.name())?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -5,7 +5,8 @@
 //! remembering, at every internal node, the loser of the comparison played
 //! there, so only one root-to-leaf path has to be replayed when a source
 //! produces its next record. This is the standard database implementation of
-//! the k-way merge described in §2.1.2.
+//! the k-way merge described in §2.1.2. Inside the crate only the merge
+//! type of [`kway`](crate::merge::kway) builds, pops and refills one.
 //!
 //! Every node caches the [`sort_key`](SortableRecord::sort_key) of its
 //! loser beside the source index, so a replay compares plain integers and
@@ -80,11 +81,6 @@ impl<T: SortableRecord> LoserTree<T> {
         tree
     }
 
-    /// Number of sources the tree was built over.
-    pub fn sources(&self) -> usize {
-        self.heads.len()
-    }
-
     /// The index of the source holding the smallest head record.
     pub fn winner(&self) -> usize {
         self.winner.source
@@ -99,13 +95,13 @@ impl<T: SortableRecord> LoserTree<T> {
 
     /// Installs `next` as the new head of the source the last
     /// [`pop`](LoserTree::pop) emptied (`None` once that source is
-    /// exhausted), replays its leaf-to-root path and returns the new
-    /// winner.
-    pub fn refill(&mut self, next: Option<T>) -> usize {
+    /// exhausted) and replays its leaf-to-root path; the new winner is
+    /// then [`winner`](LoserTree::winner).
+    pub fn refill(&mut self, next: Option<T>) {
         let source = self.winner.source;
         let key = Self::key_of(&next);
         let Some(slot) = self.heads.get_mut(source) else {
-            return source;
+            return;
         };
         *slot = next;
         let mut winner = Player { key, source };
@@ -118,7 +114,6 @@ impl<T: SortableRecord> LoserTree<T> {
             node /= 2;
         }
         self.winner = winner;
-        winner.source
     }
 
     /// The cached key of a head: its `sort_key`, or `u64::MAX` once the

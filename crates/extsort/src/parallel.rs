@@ -31,8 +31,9 @@
 //! On a striped device (`twrs_storage::StripedDevice`) each shard spills
 //! through a member-pinned shard view (shard `i` → member `i % members`),
 //! and before the global merge a per-disk reduction folds every member's
-//! runs into at most one run *on that member*, each by a single-threaded
-//! reducer, so each member's read order and seek count stay deterministic.
+//! runs into at most one run *on that member*, each by the ordinary merge
+//! scheduler on a reducer thread of its own, so each member's read order
+//! and seek count stay deterministic.
 //!
 //! Because [`SortableRecord`] requires a *total* order, the fully merged
 //! output is **byte-identical** for every thread count — the equivalence
@@ -47,7 +48,7 @@
 
 use crate::cancel::CancellationToken;
 use crate::error::{Result, SortError};
-use crate::merge::kway::{merge_step, reduce_to_fan_in, MergeConfig, MergeReport, ReducedRuns};
+use crate::merge::kway::{reduce_to_fan_in, MergeConfig, MergeReport};
 use crate::run_generation::{
     buffer_capacity, Device, Feed, RecordSource, RunGenerator, RunHandle, RunSet,
     INPUT_BATCH_RECORDS,
@@ -802,14 +803,17 @@ where
 ///
 /// `runs` are in shard order, as [`generate_sharded`] returns them, and
 /// `shards` says how many belong to each shard. Generation pinned shard
-/// `i`'s spill files to member `i % members`, so each member's runs can be
-/// merged by a dedicated single-threaded reducer on the member-pinned view
-/// ([`reduce_disk_runs`]) — per-disk read order stays deterministic no
-/// matter how the reducer threads interleave, because each touches a
-/// different disk's head. The survivors (≤ one per member) then feed the
-/// ordinary merge passes, whose final pass reads at most one run per member
-/// and is therefore deterministic too. This is what restores concrete
-/// per-disk seek counters at `threads > 1`.
+/// `i`'s spill files to member `i % members`, so each member's runs are
+/// merged down to one by the ordinary merge scheduler
+/// ([`reduce_to_fan_in`] with one run to stop at) on the member-pinned
+/// view, on its own thread: the merged outputs land on the disk their
+/// inputs live on, and since the reducer reads its inputs inline, one at a
+/// time, each member sees one deterministic read order no matter how the
+/// reducer threads interleave — each touches a different disk's head. The
+/// survivors (≤ one per member) then feed the ordinary merge passes, whose
+/// final pass reads at most one run per member and is therefore
+/// deterministic too. This is what restores concrete per-disk seek
+/// counters at `threads > 1`.
 pub(crate) fn reduce_per_disk<D: Device, R: SortableRecord>(
     device: &D,
     namer: &Arc<SpillNamer>,
@@ -830,12 +834,9 @@ pub(crate) fn reduce_per_disk<D: Device, R: SortableRecord>(
         let view = device.shard_view(disk);
         let namer = Arc::clone(namer);
         let cancel = cancel.clone();
-        let spawned = spawn(
-            format!("twrs-reducer-{disk}"),
-            move || -> Result<(Vec<RunHandle>, MergeReport)> {
-                reduce_disk_runs::<D, R>(&view, namer.as_ref(), member_runs, merge, &cancel)
-            },
-        );
+        let spawned = spawn(format!("twrs-reducer-{disk}"), move || {
+            reduce_to_fan_in::<R>(&view, namer.as_ref(), member_runs, merge, 1, false, &cancel)
+        });
         match spawned {
             Ok(reducer) => reducers.push(reducer),
             Err(e) => {
@@ -852,46 +853,6 @@ pub(crate) fn reduce_per_disk<D: Device, R: SortableRecord>(
         combined.records_written += report.records_written;
     }
     Ok((remaining, combined))
-}
-
-/// Merges one stripe member's runs down to at most one run *on that member*.
-///
-/// Runs single-threaded and reads its inputs inline (no prefetch threads),
-/// so the member observes one strictly deterministic read interleaving — which keeps its seek counters reproducible even when
-/// several generation shards spilled to the same disk. `device` must be the
-/// member-pinned shard view, so the merged output lands on the same disk the
-/// inputs live on.
-fn reduce_disk_runs<D: Device, R: SortableRecord>(
-    device: &D,
-    namer: &SpillNamer,
-    runs: Vec<RunHandle>,
-    merge: MergeConfig,
-    cancel: &CancellationToken,
-) -> Result<(Vec<RunHandle>, MergeReport)> {
-    if runs.len() <= 1 {
-        return Ok((runs, MergeReport::default()));
-    }
-    let ReducedRuns {
-        remaining,
-        mut report,
-    } = reduce_to_fan_in::<R, D>(device, namer, runs, merge, false, cancel)?;
-    if remaining.len() <= 1 {
-        return Ok((remaining, report));
-    }
-    // Pass boundary before the fold into the member's single run.
-    cancel.check()?;
-    let name = namer.next_name("disk");
-    let written = merge_step::<R, D>(
-        device,
-        &remaining,
-        &name,
-        merge.read_ahead_records,
-        false,
-        cancel,
-    )?;
-    report.merge_steps += 1;
-    report.records_written += written;
-    Ok((vec![RunHandle::Forward(name)], report))
 }
 
 #[cfg(test)]

@@ -477,11 +477,7 @@ impl SortService {
         D: Device,
         F: FnOnce(BoundSortJob<G, ScopedDevice<D>>) -> Result<SortJobReport> + Send + 'static,
     {
-        if job.job.threads == 0 {
-            return Err(SortError::InvalidConfig(
-                "a sort job needs at least one thread".into(),
-            ));
-        }
+        job.job.validate()?;
         let requested = job.job.generator.memory_records();
         // One token, three holders: the handle fires it, the worker polls
         // it around admission, and the pipeline polls it at every
@@ -497,9 +493,7 @@ impl SortService {
             let scoped = ScopedDevice::new(device);
             let rebudgeted = SortJob {
                 generator: job.generator.with_budget(granted),
-                threads: job.threads,
-                config: job.config,
-                cancel: job.cancel,
+                ..job
             };
             let report = run(rebudgeted.on(&scoped))?;
             Ok(JobOutput {

@@ -41,6 +41,18 @@ pub trait RecordSink<R: SortableRecord> {
     }
 }
 
+/// A borrowed sink: what a sort is handed by `&mut` drains into the sink
+/// itself.
+impl<R: SortableRecord, K: RecordSink<R> + ?Sized> RecordSink<R> for &mut K {
+    fn push(&mut self, record: R) -> Result<()> {
+        (**self).push(record)
+    }
+
+    fn finish(&mut self) -> Result<()> {
+        (**self).finish()
+    }
+}
+
 /// A sink writing a forward run file on a storage device — the destination
 /// `run_iter`/`run_file` wrap. The file is created eagerly so the name is
 /// visible at once; records stream into it page by page.

@@ -30,12 +30,12 @@
 //! file name cannot reveal it).
 
 use crate::cancel::CancellationToken;
-use crate::error::Result;
+use crate::error::{Result, SortError};
 use crate::merge::kway::MergeConfig;
 use crate::parallel::{ShardReport, ShardableGenerator};
 use crate::run_generation::{Device, Feed};
 use crate::sink::RecordSink;
-use crate::sorter::{FinalPassKind, Output, PhaseReport, Pipeline, SortReport, SorterConfig};
+use crate::sorter::{FinalPassKind, Output, PhaseReport, Pipeline, SortReport};
 use crate::stream::{unique_namespace, SortedStream};
 use twrs_storage::{IoStatsSnapshot, SortableRecord};
 
@@ -180,7 +180,8 @@ impl SortJobReport {
 pub struct SortJob<G> {
     pub(crate) generator: G,
     pub(crate) threads: usize,
-    pub(crate) config: SorterConfig,
+    pub(crate) merge: MergeConfig,
+    pub(crate) verify: bool,
     pub(crate) cancel: CancellationToken,
 }
 
@@ -188,12 +189,13 @@ impl<G> SortJob<G> {
     /// Starts describing a sort that uses `generator` for run generation.
     ///
     /// Defaults: one thread (every stage inline), no verification pass, and
-    /// the default [`MergeConfig`] — a default [`SorterConfig`].
+    /// the default [`MergeConfig`].
     pub fn new(generator: G) -> Self {
         SortJob {
             generator,
             threads: 1,
-            config: SorterConfig::default(),
+            merge: MergeConfig::default(),
+            verify: false,
             cancel: CancellationToken::new(),
         }
     }
@@ -213,20 +215,14 @@ impl<G> SortJob<G> {
     /// Enables or disables the post-merge verification scan (reported in
     /// its own phase window, never polluting the merge attribution).
     pub fn verify(mut self, verify: bool) -> Self {
-        self.config.verify = verify;
-        self
-    }
-
-    /// Replaces the whole pipeline configuration (merge parameters and
-    /// verify flag) in one call.
-    pub fn config(mut self, config: SorterConfig) -> Self {
-        self.config = config;
+        self.verify = verify;
         self
     }
 
     /// Sets the merge-phase configuration (fan-in and per-run read-ahead).
+    /// A fan-in below 2 fails the job before any I/O.
     pub fn merge(mut self, merge: MergeConfig) -> Self {
-        self.config.merge = merge;
+        self.merge = merge;
         self
     }
 
@@ -234,7 +230,7 @@ impl<G> SortJob<G> {
     /// loops poll it at phase/page boundaries; once a clone of the
     /// token is [`cancel`](CancellationToken::cancel)ed, the job stops at
     /// the next boundary, removes its spill files (and any partial output)
-    /// and returns [`SortError::Canceled`](crate::SortError::Canceled). The
+    /// and returns [`SortError::Canceled`]. The
     /// [`SortService`](crate::service::SortService) wires the token of
     /// every submitted job to its [`JobHandle`](crate::service::JobHandle).
     pub fn cancel_token(mut self, cancel: CancellationToken) -> Self {
@@ -251,6 +247,22 @@ impl<G> SortJob<G> {
             job: self,
             device: device.clone(),
         }
+    }
+
+    /// Rejects a job no sort can run — no thread, or a merge fan-in below
+    /// 2 — so that it fails before any I/O, or before a service queues it.
+    pub(crate) fn validate(&self) -> Result<()> {
+        if self.threads == 0 {
+            return Err(SortError::InvalidConfig(
+                "a sort job needs at least one thread".into(),
+            ));
+        }
+        if self.merge.fan_in < 2 {
+            return Err(SortError::InvalidConfig(
+                "merge fan-in must be at least 2".into(),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -274,12 +286,6 @@ impl<G, D: Device> BoundSortJob<G, D> {
     /// Enables or disables the verification scan; see [`SortJob::verify`].
     pub fn verify(mut self, verify: bool) -> Self {
         self.job = self.job.verify(verify);
-        self
-    }
-
-    /// Replaces the pipeline configuration; see [`SortJob::config`].
-    pub fn config(mut self, config: SorterConfig) -> Self {
-        self.job = self.job.config(config);
         self
     }
 
@@ -322,25 +328,14 @@ impl<G, D: Device> BoundSortJob<G, D> {
     pub fn sink_iter<R: SortableRecord, K>(
         self,
         mut input: impl Iterator<Item = R>,
-        sink: &mut K,
+        mut sink: &mut K,
     ) -> Result<SortJobReport>
     where
         G: ShardableGenerator,
         K: RecordSink<R> + ?Sized,
     {
-        // `dyn RecordSink` adapter: `K` may itself be unsized, so reborrow
-        // through a small forwarding shim.
-        struct Reborrow<'a, K: ?Sized>(&'a mut K);
-        impl<R: SortableRecord, K: RecordSink<R> + ?Sized> RecordSink<R> for Reborrow<'_, K> {
-            fn push(&mut self, record: R) -> Result<()> {
-                self.0.push(record)
-            }
-            fn finish(&mut self) -> Result<()> {
-                self.0.finish()
-            }
-        }
         Pipeline::new(self, unique_namespace("sort-sink"))?
-            .run(Feed::Iter(&mut input), Output::Sink(&mut Reborrow(sink)))
+            .run(Feed::Iter(&mut input), Output::Sink(&mut sink))
     }
 
     /// Sorts the records produced by `input` into a lazy [`SortedStream`]:
@@ -382,6 +377,7 @@ impl<G, D: Device> BoundSortJob<G, D> {
     where
         G: ShardableGenerator,
     {
+        self.job.validate()?;
         let input = Feed::dataset(&self.device, input)?;
         Pipeline::new(self, unique_namespace("sort-stream"))?.stream(input)
     }
@@ -401,6 +397,7 @@ impl<G, D: Device> BoundSortJob<G, D> {
     where
         G: ShardableGenerator,
     {
+        self.job.validate()?;
         let input = Feed::<R>::dataset(&self.device, input)?;
         Pipeline::new(self, format!("sort-{output}"))?.run(input, Output::File(output))
     }

@@ -13,9 +13,11 @@
 //! 2. **reduce** merges the runs down to at most the merge fan-in: first
 //!    per disk (sharded sorts on a stripe only), then by intermediate merge
 //!    passes.
-//! 3. **finish** drains the final merge into a [`RecordSink`] — file
+//! 3. **finish** runs the final merge step into a [`RecordSink`] — file
 //!    output is a [`FileSink`] followed by the optional verify scan — or
-//!    suspends it into a [`SortedStream`].
+//!    starts it and suspends it into a [`SortedStream`]. The step is the
+//!    one every intermediate pass runs (see [`kway`](crate::merge::kway)):
+//!    only the sink differs.
 //!
 //! Helper threads run only where there is latency to hide: at
 //! `threads > 1` on a device that has wall-clock latency
@@ -30,10 +32,7 @@
 
 use crate::cancel::CancellationToken;
 use crate::error::{Result, SortError};
-use crate::merge::kway::{
-    merge_sources, open_sources, reduce_to_fan_in, remove_run, MergeConfig, MergeReport,
-    ReducedRuns,
-};
+use crate::merge::kway::{merge_step, reduce_to_fan_in, Merge, MergeConfig, MergeReport};
 use crate::parallel::{generate_sharded, reduce_per_disk, ShardReport, ShardableGenerator};
 use crate::run_generation::{Device, Feed, RecordSource, RunCursor, RunHandle, RunSet};
 use crate::sink::{FileSink, RecordSink};
@@ -42,18 +41,6 @@ use crate::stream::SortedStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use twrs_storage::{IoStatsSnapshot, SortableRecord, SpillNamer};
-
-/// Configuration of the sorting pipeline that is independent of the
-/// run-generation algorithm.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SorterConfig {
-    /// Merge-phase configuration (fan-in and per-run read-ahead).
-    pub merge: MergeConfig,
-    /// When `true`, the output is scanned after the merge and verified to be
-    /// sorted and complete (record count). Intended for tests and examples;
-    /// costs one extra read pass.
-    pub verify: bool,
-}
 
 /// Wall-clock time and I/O attributed to one phase of the sort.
 #[derive(Debug, Clone, Copy)]
@@ -127,7 +114,8 @@ pub struct SortReport {
     /// Merge phase cost.
     pub merge: PhaseReport,
     /// Cost of the optional post-merge verification scan
-    /// ([`SorterConfig::verify`]); `None` when verification was disabled.
+    /// ([`SortJob::verify`](crate::SortJob::verify)); `None` when
+    /// verification was disabled.
     /// Reported separately so the extra read pass never pollutes the merge
     /// phase's I/O attribution.
     pub verify: Option<PhaseReport>,
@@ -226,7 +214,9 @@ pub(crate) struct Pipeline<G, D> {
     /// Whether spill writers and prefetch threads run: at `threads > 1` on
     /// a device with wall-clock latency.
     helpers: bool,
-    config: SorterConfig,
+    merge: MergeConfig,
+    /// Whether a file output is scanned afterwards.
+    verify: bool,
     cancel: CancellationToken,
     device: D,
     namer: Arc<SpillNamer>,
@@ -234,19 +224,16 @@ pub(crate) struct Pipeline<G, D> {
 
 impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
     /// Prepares `job` to run with its spill files named inside
-    /// `namespace`; rejects a zero thread count before any I/O.
+    /// `namespace`; rejects a job no sort can run before any I/O.
     pub(crate) fn new(job: BoundSortJob<G, D>, namespace: String) -> Result<Self> {
         let BoundSortJob { job, device } = job;
-        if job.threads == 0 {
-            return Err(SortError::InvalidConfig(
-                "a sort job needs at least one thread".into(),
-            ));
-        }
+        job.validate()?;
         Ok(Pipeline {
             generator: job.generator,
             threads: job.threads,
             helpers: job.threads > 1 && device.has_wall_clock_latency(),
-            config: job.config,
+            merge: job.merge,
+            verify: job.verify,
             cancel: job.cancel,
             device,
             namer: Arc::new(SpillNamer::new(namespace)),
@@ -275,16 +262,13 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
         let mut source = RecordSource::new(input, self.cancel.clone());
         let generated = self.generate(&mut source)?;
         let started = Instant::now();
-        let ReducedRuns {
-            remaining,
-            report: mut merge_report,
-        } = self.reduce::<R>(&generated)?;
+        let (remaining, mut merge_report) = self.reduce::<R>(&generated)?;
         let final_writes = self.finish(&remaining, output, &mut merge_report, &mut sweeper)?;
         let after_merge = self.device.stats();
         let merge = PhaseReport::from_delta(started.elapsed(), after_merge.since(&generated.after));
         let records = generated.run_set.records;
         let mut report = self.report(generated, merge, merge_report, final_pass, final_writes);
-        if let (Some(name), true) = (file, self.config.verify) {
+        if let (Some(name), true) = (file, self.verify) {
             report.report.verify = Some(self.verify::<R>(name, records, &after_merge)?);
         }
         sweeper.disarm();
@@ -292,8 +276,9 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
         Ok(report)
     }
 
-    /// Runs generate and reduce, then suspends the final merge into a
-    /// [`SortedStream`] that owns the remaining spill files.
+    /// Runs generate and reduce, then opens and starts the final merge and
+    /// suspends it into a [`SortedStream`] that owns the remaining spill
+    /// files.
     pub(crate) fn stream<R: SortableRecord, I: Iterator<Item = R>>(
         mut self,
         input: Feed<R, I>,
@@ -303,29 +288,23 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
         let mut source = RecordSource::new(input, self.cancel.clone());
         let generated = self.generate(&mut source)?;
         let started = Instant::now();
-        let ReducedRuns {
-            remaining,
-            report: merge_report,
-        } = self.reduce::<R>(&generated)?;
+        let (remaining, merge_report) = self.reduce::<R>(&generated)?;
         // The merge window closes at the suspension point, before any
-        // source is opened: reads performed on behalf of the consumer (head
+        // input is opened: reads performed on behalf of the consumer (head
         // pages, read-ahead, prefetch threads) belong to consumption, not to
         // the phases — which also keeps the phase counters deterministic.
         let merge = PhaseReport::from_delta(
             started.elapsed(),
             self.device.stats().since(&generated.after),
         );
-        let read_ahead = self.config.merge.read_ahead_records;
-        let sources = open_sources(&self.device, &remaining, read_ahead, self.helpers)?;
+        let read_ahead = self.merge.read_ahead_records;
+        let mut last = Merge::open(&self.device, &remaining, read_ahead, self.helpers)?;
         let report = self.report(generated, merge, merge_report, FinalPassKind::Streamed, 0);
+        last.start()?;
         let Pipeline { device, namer, .. } = self;
-        let stream = SortedStream::new(
-            sources,
-            report,
-            Box::new(move || namer.cleanup(&device).map_err(SortError::from)),
-        )?;
+        let cleanup = Box::new(move || namer.cleanup(&device).map_err(SortError::from));
         sweeper.disarm();
-        Ok(stream)
+        Ok(SortedStream::new(last, report, cleanup))
     }
 
     fn sweeper(&self) -> SpillSweeper<D> {
@@ -382,8 +361,12 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
     }
 
     /// The reduce stage: merges the generated runs down to at most the
-    /// merge fan-in — per disk first for a sharded sort on a stripe.
-    fn reduce<R: SortableRecord>(&self, generated: &Generated) -> Result<ReducedRuns> {
+    /// merge fan-in — per disk first for a sharded sort on a stripe — and
+    /// returns the survivors with the report of the steps taken.
+    fn reduce<R: SortableRecord>(
+        &self,
+        generated: &Generated,
+    ) -> Result<(Vec<RunHandle>, MergeReport)> {
         let runs = generated.run_set.runs.clone();
         let (runs, disk_report) = match &generated.shards {
             Some(shards) if self.device.stripe_members() > 1 => reduce_per_disk::<D, R>(
@@ -391,61 +374,57 @@ impl<G: ShardableGenerator, D: Device> Pipeline<G, D> {
                 &self.namer,
                 runs,
                 shards,
-                self.config.merge,
+                self.merge,
                 &self.cancel,
             )?,
             _ => (runs, MergeReport::default()),
         };
-        let mut reduced = reduce_to_fan_in::<R, D>(
+        let (runs, mut report) = reduce_to_fan_in::<R>(
             &self.device,
             &self.namer,
             runs,
-            self.config.merge,
+            self.merge,
+            self.merge.fan_in,
             self.helpers,
             &self.cancel,
         )?;
-        reduced.report.merge_steps += disk_report.merge_steps;
-        reduced.report.records_written += disk_report.records_written;
-        Ok(reduced)
+        report.merge_steps += disk_report.merge_steps;
+        report.records_written += disk_report.records_written;
+        Ok((runs, report))
     }
 
-    /// The finish stage of a completed sort: merges the surviving runs
-    /// into `output`, removes them and folds the step into `report`.
-    /// Returns the pages the pass wrote — the output file, header page
-    /// included, or whatever a sink wrote.
+    /// The finish stage of a completed sort: the final merge step into
+    /// `output`, folded into `report`. Returns the pages the pass wrote —
+    /// the output file, header page included, or whatever a sink wrote.
     ///
-    /// An output file is created right after the sources are opened, inside
+    /// An output file is created right after the inputs are opened, inside
     /// the pass's snapshot window; on a stripe its member therefore follows
     /// from file-creation order like every other file's. From then on
     /// `sweeper` removes it if the sort fails.
     fn finish<R: SortableRecord>(
         &self,
-        remaining: &[RunHandle],
+        runs: &[RunHandle],
         output: Output<'_, R>,
         report: &mut MergeReport,
         sweeper: &mut SpillSweeper<D>,
     ) -> Result<u64> {
         let before = self.device.stats();
-        self.cancel.check()?;
-        let read_ahead = self.config.merge.read_ahead_records;
-        let mut sources = open_sources(&self.device, remaining, read_ahead, self.helpers)?;
-        let delivered = match output {
+        let (device, cancel) = (&self.device, &self.cancel);
+        let (read_ahead, prefetch) = (self.merge.read_ahead_records, self.helpers);
+        report.output_records = match output {
             Output::File(name) => {
-                let mut file = FileSink::create(&self.device, name)?;
-                sweeper.created_output(name);
-                merge_sources(&mut sources, &mut file, &self.cancel)?
+                merge_step(device, runs, read_ahead, prefetch, cancel, report, || {
+                    let file = FileSink::<R>::create(device, name)?;
+                    sweeper.created_output(name);
+                    Ok(file)
+                })?
             }
-            Output::Sink(sink) => merge_sources(&mut sources, sink, &self.cancel)?,
+            Output::Sink(sink) => {
+                merge_step(device, runs, read_ahead, prefetch, cancel, report, || {
+                    Ok(sink)
+                })?
+            }
         };
-        drop(sources);
-        for handle in remaining {
-            remove_run(&self.device, handle)?;
-        }
-        if !remaining.is_empty() {
-            report.merge_steps += 1;
-        }
-        report.records_written += delivered;
-        report.output_records = delivered;
         Ok(self.device.stats().counters.pages_written - before.counters.pages_written)
     }
 
@@ -534,13 +513,10 @@ mod tests {
     use twrs_storage::{SimDevice, StorageDevice};
     use twrs_workloads::{materialize, Distribution, DistributionKind, Record};
 
-    fn sorted_config() -> SorterConfig {
-        SorterConfig {
-            merge: MergeConfig {
-                fan_in: 8,
-                read_ahead_records: 64,
-            },
-            verify: true,
+    fn sorted_merge() -> MergeConfig {
+        MergeConfig {
+            fan_in: 8,
+            read_ahead_records: 64,
         }
     }
 
@@ -549,7 +525,8 @@ mod tests {
         let device = SimDevice::with_model(ModelId::Hdd7200);
         let input = Distribution::new(DistributionKind::RandomUniform, 10_000, 1).records();
         let report = SortJob::new(ReplacementSelection::new(200))
-            .config(sorted_config())
+            .merge(sorted_merge())
+            .verify(true)
             .on(&device)
             .run_iter(input, "out")
             .unwrap()
@@ -566,7 +543,8 @@ mod tests {
         let device = SimDevice::with_model(ModelId::Hdd7200);
         let input = Distribution::new(DistributionKind::MixedBalanced, 4_000, 3).records();
         let report = SortJob::new(LoadSortStore::new(128))
-            .config(sorted_config())
+            .merge(sorted_merge())
+            .verify(true)
             .on(&device)
             .run_iter(input, "out")
             .unwrap()
@@ -583,7 +561,8 @@ mod tests {
         let dist = Distribution::new(DistributionKind::ReverseSorted, 3_000, 9);
         materialize(&device, "input", dist.records()).unwrap();
         let report = SortJob::new(ReplacementSelection::new(100))
-            .config(sorted_config())
+            .merge(sorted_merge())
+            .verify(true)
             .on(&device)
             .run_file_as::<Record>("input", "out")
             .unwrap()
@@ -652,7 +631,8 @@ mod tests {
     fn empty_input_sorts_to_empty_output() {
         let device = SimDevice::with_model(ModelId::Hdd7200);
         let report = SortJob::new(LoadSortStore::new(16))
-            .config(sorted_config())
+            .merge(sorted_merge())
+            .verify(true)
             .on(&device)
             .run_iter(std::iter::empty::<Record>(), "out")
             .unwrap()
@@ -666,7 +646,8 @@ mod tests {
         let device = SimDevice::with_model(ModelId::Hdd7200);
         let input = Distribution::new(DistributionKind::RandomUniform, 2_000, 4).records();
         SortJob::new(ReplacementSelection::new(64))
-            .config(sorted_config())
+            .merge(sorted_merge())
+            .verify(true)
             .on(&device)
             .run_iter(input, "final")
             .unwrap();

@@ -6,10 +6,12 @@
 //! dedup, bulk load). [`SortedStream`] removes that pass: after run
 //! generation and the intermediate merge passes have reduced the run count
 //! to at most the merge fan-in, the last merge step is *not* executed.
-//! Instead its input runs — read inline, or by prefetch threads when the
-//! job runs helper threads (see [`sorter`](crate::sorter)) — and the loser
-//! tree are packaged into an iterator that performs the final merge
-//! incrementally, one record per [`next()`](Iterator::next) call.
+//! Instead the step's merge — its input runs, read inline or by prefetch
+//! threads when the job runs helper threads (see [`sorter`](crate::sorter)),
+//! and the loser tree over them that every other merge drains too (see
+//! [`kway`](crate::merge::kway)) — is held suspended by an iterator that
+//! performs the final merge incrementally, one record per
+//! [`next()`](Iterator::next) call.
 //!
 //! The stream owns the sort's spill files. They are removed as soon as the
 //! stream is fully consumed, explicitly [`close`](SortedStream::close)d, or
@@ -21,8 +23,7 @@
 //! axis measures.
 
 use crate::error::{Result, SortError};
-use crate::merge::loser_tree::LoserTree;
-use crate::run_generation::RecordSource;
+use crate::merge::kway::Merge;
 use crate::sort_job::SortJobReport;
 #[allow(unused_imports)] // rustdoc link
 use crate::sorter::FinalPassKind;
@@ -65,42 +66,30 @@ type Cleanup = Box<dyn FnOnce() -> Result<()> + Send>;
 /// assert_eq!(smallest, vec![0, 1, 2]);
 /// ```
 pub struct SortedStream<R: SortableRecord> {
-    sources: Vec<RecordSource<R>>,
-    tree: LoserTree<R>,
+    /// The suspended final merge, started; `None` once the stream has
+    /// finished.
+    merge: Option<Merge<R>>,
     report: SortJobReport,
     /// Records yielded so far; bounds `size_hint`.
     delivered: u64,
-    /// Error from a source refill, parked so the record in hand could still
-    /// be delivered first.
+    /// Error from a refill, parked so the record in hand could still be
+    /// delivered first.
     pending_error: Option<SortError>,
-    finished: bool,
     cleanup: Option<Cleanup>,
 }
 
 impl<R: SortableRecord> SortedStream<R> {
-    /// Suspends a final merge over `sources` into a stream. `report` is the
+    /// Suspends the started final `merge` into a stream. `report` is the
     /// job report up to the suspension point; `cleanup` removes the sort's
     /// spill files and runs exactly once (consumption, close or drop).
-    pub(crate) fn new(
-        mut sources: Vec<RecordSource<R>>,
-        report: SortJobReport,
-        cleanup: Cleanup,
-    ) -> Result<Self> {
-        let heads = sources
-            .iter_mut()
-            .map(|s| s.next_record())
-            .collect::<Result<_>>()?;
-        let tree = LoserTree::new(heads);
-        let finished = sources.is_empty();
-        Ok(SortedStream {
-            sources,
-            tree,
+    pub(crate) fn new(merge: Merge<R>, report: SortJobReport, cleanup: Cleanup) -> Self {
+        SortedStream {
+            merge: Some(merge),
             report,
             delivered: 0,
             pending_error: None,
-            finished,
             cleanup: Some(cleanup),
-        })
+        }
     }
 
     /// The job report as of the moment the final merge was suspended: run
@@ -120,16 +109,15 @@ impl<R: SortableRecord> SortedStream<R> {
     /// surfaces any cleanup error (dropping the stream cleans up too, but
     /// swallows errors).
     pub fn close(mut self) -> Result<()> {
-        self.finished = true;
         self.release()
     }
 
-    /// Joins the merge sources and runs the deferred spill cleanup;
-    /// idempotent.
+    /// Finishes the stream: ends the merge and runs the deferred spill
+    /// cleanup; idempotent.
     fn release(&mut self) -> Result<()> {
-        // Drop the sources first: prefetch threads disconnect and join, so
+        // Drop the merge first: prefetch threads disconnect and join, so
         // no background reader races the file removal below.
-        self.sources.clear();
+        self.merge = None;
         match self.cleanup.take() {
             Some(cleanup) => cleanup(),
             None => Ok(()),
@@ -141,40 +129,28 @@ impl<R: SortableRecord> Iterator for SortedStream<R> {
     type Item = Result<R>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.finished {
-            return None;
-        }
+        let merge = self.merge.as_mut()?;
         if let Some(error) = self.pending_error.take() {
-            self.finished = true;
             let _ = self.release();
             return Some(Err(error));
         }
-        let Some(record) = self.tree.pop() else {
-            // Every source exhausted: the merge is complete. Spill files
+        let Some(record) = merge.pop() else {
+            // Every input exhausted: the merge is complete. Spill files
             // are removed right here, not at drop, so a fully drained
             // stream leaves the device clean immediately; a cleanup
             // failure surfaces as a final `Err` item.
-            self.finished = true;
-            return match self.release() {
-                Ok(()) => None,
-                Err(error) => Some(Err(error)),
-            };
+            return self.release().err().map(Err);
         };
-        let next = match self.sources[self.tree.winner()].next_record() {
-            Ok(next) => next,
-            Err(error) => {
-                // Deliver the record in hand; the error is the next item.
-                self.pending_error = Some(error);
-                None
-            }
-        };
-        self.tree.refill(next);
+        if let Err(error) = merge.refill() {
+            // Deliver the record in hand; the error is the next item.
+            self.pending_error = Some(error);
+        }
         self.delivered += 1;
         Some(Ok(record))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        if self.finished {
+        if self.merge.is_none() {
             (0, Some(0))
         } else {
             // The total is known up front; the +1 leaves room for a
@@ -195,9 +171,8 @@ impl<R: SortableRecord> Drop for SortedStream<R> {
 impl<R: SortableRecord> std::fmt::Debug for SortedStream<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SortedStream")
-            .field("sources", &self.sources.len())
             .field("expected_records", &self.expected_records())
-            .field("finished", &self.finished)
+            .field("finished", &self.merge.is_none())
             .finish_non_exhaustive()
     }
 }

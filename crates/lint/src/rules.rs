@@ -70,15 +70,13 @@ pub const LOCK_ORDER: [(&str, &str, &str); 3] = [
 /// Functions that form a phase loop of the sort pipeline: each must poll
 /// the cooperative cancellation token, so a future phase can't silently
 /// drop preemption. `(file suffix, function name)`.
-pub const CANCEL_POLL_MANIFEST: [(&str, &str); 8] = [
+pub const CANCEL_POLL_MANIFEST: [(&str, &str); 6] = [
     ("crates/extsort/src/run_generation.rs", "refill"),
     ("crates/extsort/src/sorter.rs", "generate"),
-    ("crates/extsort/src/sorter.rs", "finish"),
     ("crates/extsort/src/parallel.rs", "generate_sharded"),
-    ("crates/extsort/src/parallel.rs", "reduce_disk_runs"),
     ("crates/extsort/src/merge/kway.rs", "reduce_to_fan_in"),
     ("crates/extsort/src/merge/kway.rs", "merge_step"),
-    ("crates/extsort/src/merge/kway.rs", "merge_sources"),
+    ("crates/extsort/src/merge/kway.rs", "drain"),
 ];
 
 /// Directory whose files must route device I/O through `ScopedDevice`.

@@ -396,10 +396,10 @@ fn reduce_to_fan_in(cancel: &CancellationToken) -> Result<()> {
 
 fn merge_step(cancel: &CancellationToken) -> Result<()> {
     cancel.check()?;
-    merge_sources()
+    merge.drain()
 }
 
-fn merge_sources() -> Result<()> {
+fn drain() -> Result<()> {
     loop {
         step();
     }
@@ -416,10 +416,10 @@ fn reduce_to_fan_in(cancel: &CancellationToken) -> Result<()> {
 
 fn merge_step(cancel: &CancellationToken) -> Result<()> {
     let mut gated = cancel.gate(&mut input);
-    merge_sources(&mut gated)
+    merge.drain(&mut gated)
 }
 
-fn merge_sources(written: u64) -> Result<()> {
+fn drain(written: u64) -> Result<()> {
     if written % CANCEL_CHECK_INTERVAL == 0 {
         poll()?;
     }
@@ -444,7 +444,7 @@ fn merge_step(cancel: &CancellationToken) -> Result<()> {
     Ok(())
 }
 
-fn merge_sources(written: u64, token: &CancellationToken) -> Result<()> {
+fn drain(written: u64, token: &CancellationToken) -> Result<()> {
     if written % CANCEL_CHECK_INTERVAL == 0 {
         poll(token)?;
     }

@@ -295,7 +295,7 @@ pub mod prelude {
         CompletedJob, FileSink, FinalPassKind, GrantPolicy, JobHandle, JobStatus, LoadSortStore,
         MergeConfig, Priority, RecordSink, ReplacementSelection, RunCursor, RunGenerator,
         RunHandle, ServiceConfig, ServiceReport, ShardableGenerator, SortJob, SortJobReport,
-        SortReport, SortService, SortedStream, SorterConfig, VecSink,
+        SortReport, SortService, SortedStream, VecSink,
     };
     pub use twrs_storage::{
         AnyDevice, DeviceSpec, DirectIoStatus, ModelId, RealFileDevice, ScopedDevice, SimDevice,

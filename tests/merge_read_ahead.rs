@@ -1,4 +1,4 @@
-//! The merge's read-ahead limits and its prefetch failure path.
+//! The merge's read-ahead limits and its read failure paths.
 //!
 //! * A read-ahead of `usize::MAX` records sorts correctly at one and two
 //!   threads, through `run_iter` and a drained `stream_iter`, and does
@@ -7,12 +7,19 @@
 //! * A prefetch thread that dies mid-run makes the stream return an `Err`
 //!   instead of silently ending early. Prefetch threads run only on a
 //!   device with wall-clock latency, so the failing device claims some.
+//! * A merge input whose page fails to read inline — in an intermediate
+//!   step, a stripe member's reducer or the final pass — fails a file, a
+//!   sink and a stream sort with the storage error and leaves nothing on
+//!   the device.
 
+mod common;
+
+use common::TestDevice;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use two_way_replacement_selection::prelude::*;
 use twrs_extsort::SortError;
-use twrs_storage::{IoStats, PageFile};
+use twrs_storage::StorageError;
 
 const RECORDS: u64 = 5_000;
 
@@ -83,92 +90,20 @@ fn unbounded_read_ahead_sorts_like_one_larger_than_every_run() {
     }
 }
 
-/// A simulated disk whose page reads panic once it is armed. It claims
-/// wall-clock latency, so a threaded sort reads its merge inputs through
-/// prefetch threads.
-#[derive(Clone)]
-struct FailingReads {
-    inner: SimDevice,
-    armed: Arc<AtomicBool>,
-}
-
-struct FailingFile {
-    inner: Box<dyn PageFile>,
-    armed: Arc<AtomicBool>,
-}
-
-impl PageFile for FailingFile {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn num_pages(&self) -> u64 {
-        self.inner.num_pages()
-    }
-
-    fn read_page(&mut self, index: u64, buf: &mut [u8]) -> twrs_storage::Result<()> {
-        assert!(!self.armed.load(Ordering::SeqCst), "injected read failure");
-        self.inner.read_page(index, buf)
-    }
-
-    fn write_page(&mut self, index: u64, data: &[u8]) -> twrs_storage::Result<()> {
-        self.inner.write_page(index, data)
-    }
-
-    fn flush(&mut self) -> twrs_storage::Result<()> {
-        self.inner.flush()
-    }
-}
-
-impl FailingReads {
-    fn wrap(&self, inner: Box<dyn PageFile>) -> Box<dyn PageFile> {
-        Box::new(FailingFile {
-            inner,
-            armed: Arc::clone(&self.armed),
-        })
-    }
-}
-
-impl StorageDevice for FailingReads {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn create(&self, name: &str) -> twrs_storage::Result<Box<dyn PageFile>> {
-        Ok(self.wrap(self.inner.create(name)?))
-    }
-
-    fn open(&self, name: &str) -> twrs_storage::Result<Box<dyn PageFile>> {
-        Ok(self.wrap(self.inner.open(name)?))
-    }
-
-    fn remove(&self, name: &str) -> twrs_storage::Result<()> {
-        self.inner.remove(name)
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.inner.exists(name)
-    }
-
-    fn list(&self) -> Vec<String> {
-        self.inner.list()
-    }
-
-    fn io_stats(&self) -> &IoStats {
-        self.inner.io_stats()
-    }
-
-    fn has_wall_clock_latency(&self) -> bool {
-        true
-    }
-}
-
 #[test]
 fn a_prefetch_thread_dying_mid_run_surfaces_as_an_error() {
-    let device = FailingReads {
-        inner: SimDevice::with_model(ModelId::Hdd7200),
-        armed: Arc::new(AtomicBool::new(false)),
-    };
+    // A simulated disk whose page reads panic once it is armed. It claims
+    // wall-clock latency, so a threaded sort reads its merge inputs through
+    // prefetch threads.
+    let armed = Arc::new(AtomicBool::new(false));
+    let fault = Arc::clone(&armed);
+    let device = TestDevice::sim().latency(true).on_page(move |op| {
+        assert!(
+            op.write || !fault.load(Ordering::SeqCst),
+            "injected read failure"
+        );
+        Ok(())
+    });
     // About ten runs of eight pages each meet in one final pass; with a
     // 16-record read-ahead every prefetch thread still has pages to read
     // once the stream is handed over.
@@ -182,7 +117,7 @@ fn a_prefetch_thread_dying_mid_run_surfaces_as_an_error() {
         })
         .stream_iter(input)
         .expect("stream sort runs");
-    device.armed.store(true, Ordering::SeqCst);
+    armed.store(true, Ordering::SeqCst);
     let items: Vec<_> = stream.collect();
     let delivered = items.iter().filter(|item| item.is_ok()).count();
     assert!(
@@ -196,4 +131,105 @@ fn a_prefetch_thread_dying_mid_run_surfaces_as_an_error() {
         Vec::<String>::new(),
         "the failed stream removes its spill files"
     );
+}
+
+/// Where a merge input's page read fails.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    /// The second data page of a generated run, read by a refill of the
+    /// first intermediate step, or of a stripe member's reducer.
+    Intermediate,
+    /// Every read once the final pass has armed the fault: with its first
+    /// output page for a file, its first record for a sink, and after
+    /// `stream_iter` returns for a stream.
+    Final,
+}
+
+/// The disk of [`device`] whose merge inputs fail to read as `fault` says.
+fn failing_merge_device(
+    threads: usize,
+    fault: Fault,
+    armed: &Arc<AtomicBool>,
+) -> TestDevice<AnyDevice> {
+    let armed = Arc::clone(armed);
+    TestDevice::new(device(threads)).on_page(move |op| {
+        if op.write {
+            if op.file == "out" && op.page > 0 {
+                armed.store(true, Ordering::SeqCst);
+            }
+            return Ok(());
+        }
+        let fails = match fault {
+            Fault::Intermediate => op.file.contains(".run.") && op.page == 2,
+            Fault::Final => armed.load(Ordering::SeqCst),
+        };
+        if fails {
+            return Err(StorageError::Io(std::io::Error::other(
+                "injected merge read failure",
+            )));
+        }
+        Ok(())
+    })
+}
+
+#[test]
+fn a_merge_input_failing_to_read_inline_fails_every_output() {
+    // About 21 runs of RS at a 500-record budget: at fan-in 10 two
+    // intermediate steps read generated runs only, and at two threads each
+    // stripe member's reducer merges its shard's runs into one.
+    let input = || Distribution::new(DistributionKind::RandomUniform, 20_000, 11).records();
+    for threads in [1, 2] {
+        for fault in [Fault::Intermediate, Fault::Final] {
+            let label = format!("threads {threads}, {fault:?} fault");
+            let armed = Arc::new(AtomicBool::new(false));
+            let device = failing_merge_device(threads, fault, &armed);
+            let job = || {
+                SortJob::new(ReplacementSelection::new(500))
+                    .on(&device)
+                    .threads(threads)
+            };
+
+            let file = job().run_iter(input(), "out");
+            assert!(
+                matches!(file, Err(SortError::Storage(_))),
+                "run_iter, {label}: got {file:?}"
+            );
+            assert_eq!(device.list(), Vec::<String>::new(), "run_iter, {label}");
+
+            armed.store(false, Ordering::SeqCst);
+            let first_record = Arc::clone(&armed);
+            let mut sink = CallbackSink::new(move |_: Record| {
+                first_record.store(true, Ordering::SeqCst);
+                Ok(())
+            });
+            let sunk = job().sink_iter(input(), &mut sink);
+            assert!(
+                matches!(sunk, Err(SortError::Storage(_))),
+                "sink_iter, {label}: got {sunk:?}"
+            );
+            assert_eq!(device.list(), Vec::<String>::new(), "sink_iter, {label}");
+
+            armed.store(false, Ordering::SeqCst);
+            let stream = job().stream_iter(input());
+            if let Fault::Final = fault {
+                let mut stream = stream.expect("the final pass is suspended unharmed");
+                armed.store(true, Ordering::SeqCst);
+                let items: Vec<_> = stream.by_ref().collect();
+                let delivered = items.iter().take_while(|item| item.is_ok()).count();
+                assert!(delivered > 0, "stream, {label}");
+                assert_eq!(items.len(), delivered + 1, "stream, {label}: one error");
+                assert!(
+                    matches!(items.last(), Some(Err(SortError::Storage(_)))),
+                    "stream, {label}: ends with the read error"
+                );
+                assert!(stream.next().is_none(), "stream, {label}: then nothing");
+            } else {
+                assert!(
+                    matches!(stream, Err(SortError::Storage(_))),
+                    "stream_iter, {label}: got {stream:?}"
+                );
+            }
+            assert_eq!(device.list(), Vec::<String>::new(), "stream, {label}");
+        }
+    }
 }

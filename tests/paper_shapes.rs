@@ -80,17 +80,15 @@ fn chapter_6_conclusion_fewer_runs_means_fewer_merge_steps() {
     // The mechanism behind every Chapter 6 speedup: 2WRS generates fewer
     // runs on structured input, so the merge phase does less work.
     let device = SimDevice::with_model(ModelId::Hdd7200);
-    let config = SorterConfig {
-        merge: MergeConfig {
-            fan_in: 10,
-            read_ahead_records: 512,
-        },
-        verify: true,
+    let merge = MergeConfig {
+        fan_in: 10,
+        read_ahead_records: 512,
     };
     let input = || Distribution::new(DistributionKind::ReverseSorted, RECORDS, 3).records();
 
     let rs_report = SortJob::new(ReplacementSelection::new(MEMORY))
-        .config(config)
+        .merge(merge)
+        .verify(true)
         .on(&device)
         .run_iter(input(), "rs_out")
         .unwrap()
@@ -99,7 +97,8 @@ fn chapter_6_conclusion_fewer_runs_means_fewer_merge_steps() {
     let twrs_report = SortJob::new(TwoWayReplacementSelection::new(TwrsConfig::recommended(
         MEMORY,
     )))
-    .config(config)
+    .merge(merge)
+    .verify(true)
     .on(&device)
     .run_iter(input(), "twrs_out")
     .unwrap()

@@ -20,15 +20,17 @@
 //! A threaded sort starts spill-writer and prefetch threads only on a
 //! device with wall-clock latency, which no simulated device has. So the
 //! generator suites run every threaded sort twice: on a plain `SimDevice`
-//! and on an [`Observed`] one that claims latency, where the helper threads
+//! and on an [`observed`] one that claims latency, where the helper threads
 //! run; both must produce the same bytes and move the same pages. A last
 //! test records which threads touch the device's pages.
 
+mod common;
+
+use common::{file_bytes, TestDevice};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 use two_way_replacement_selection::prelude::*;
-use two_way_replacement_selection::storage::Result as StorageResult;
-use two_way_replacement_selection::storage::{IoClientGuard, IoStats, IoStatsSnapshot, PageFile};
+use two_way_replacement_selection::storage::IoStatsSnapshot;
 
 const SEED: u64 = 41;
 const MEMORY: usize = 300;
@@ -42,145 +44,24 @@ fn merge_config() -> MergeConfig {
     }
 }
 
+/// The names of the threads that touched a page of a device.
+type ThreadNames = Arc<Mutex<BTreeSet<String>>>;
+
 /// A simulated device that answers `latency` when asked whether it has
-/// wall-clock latency, forwards every other call, and records the name of
-/// each thread that reads or writes one of its pages.
-#[derive(Clone)]
-struct Observed {
-    inner: SimDevice,
-    latency: bool,
-    threads: Arc<Mutex<BTreeSet<String>>>,
-}
-
-impl Observed {
-    fn new(latency: bool) -> Self {
-        Observed {
-            inner: SimDevice::with_model(ModelId::Hdd7200),
-            latency,
-            threads: Arc::default(),
-        }
-    }
-
-    /// Names of the threads that touched a page so far.
-    fn thread_names(&self) -> BTreeSet<String> {
-        self.threads.lock().unwrap().clone()
-    }
-
-    fn observe(&self, file: Box<dyn PageFile>) -> Box<dyn PageFile> {
-        Box::new(ObservedFile {
-            inner: file,
-            threads: Arc::clone(&self.threads),
-        })
-    }
-}
-
-struct ObservedFile {
-    inner: Box<dyn PageFile>,
-    threads: Arc<Mutex<BTreeSet<String>>>,
-}
-
-impl ObservedFile {
-    fn record(&self) {
+/// wall-clock latency and records the name of each thread that reads or
+/// writes one of its pages.
+fn observed(latency: bool) -> (TestDevice, ThreadNames) {
+    let threads = ThreadNames::default();
+    let seen = Arc::clone(&threads);
+    let device = TestDevice::sim().latency(latency).on_page(move |_| {
         let name = std::thread::current()
             .name()
             .unwrap_or("<unnamed>")
             .to_string();
-        self.threads.lock().unwrap().insert(name);
-    }
-}
-
-impl PageFile for ObservedFile {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn num_pages(&self) -> u64 {
-        self.inner.num_pages()
-    }
-
-    fn read_page(&mut self, index: u64, buf: &mut [u8]) -> StorageResult<()> {
-        self.record();
-        self.inner.read_page(index, buf)
-    }
-
-    fn write_page(&mut self, index: u64, data: &[u8]) -> StorageResult<()> {
-        self.record();
-        self.inner.write_page(index, data)
-    }
-
-    fn flush(&mut self) -> StorageResult<()> {
-        self.inner.flush()
-    }
-}
-
-impl StorageDevice for Observed {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn create(&self, name: &str) -> StorageResult<Box<dyn PageFile>> {
-        Ok(self.observe(self.inner.create(name)?))
-    }
-
-    fn open(&self, name: &str) -> StorageResult<Box<dyn PageFile>> {
-        Ok(self.observe(self.inner.open(name)?))
-    }
-
-    fn remove(&self, name: &str) -> StorageResult<()> {
-        self.inner.remove(name)
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.inner.exists(name)
-    }
-
-    fn list(&self) -> Vec<String> {
-        self.inner.list()
-    }
-
-    fn io_stats(&self) -> &IoStats {
-        self.inner.io_stats()
-    }
-
-    fn stats(&self) -> IoStatsSnapshot {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
-    }
-
-    fn stripe_members(&self) -> usize {
-        self.inner.stripe_members()
-    }
-
-    fn shard_view(&self, index: usize) -> Self {
-        Observed {
-            inner: self.inner.shard_view(index),
-            ..self.clone()
-        }
-    }
-
-    fn attach_io_client(&self) -> Option<IoClientGuard> {
-        self.inner.attach_io_client()
-    }
-
-    fn has_wall_clock_latency(&self) -> bool {
-        self.latency
-    }
-}
-
-/// Every page of `name` on `device`, so comparisons cover the exact bytes
-/// (headers, payloads and trailing-page padding included).
-fn file_bytes(device: &dyn StorageDevice, name: &str) -> Vec<u8> {
-    let mut file = device.open(name).expect("output exists");
-    let mut bytes = Vec::new();
-    let mut page = vec![0u8; device.page_size()];
-    for index in 0..file.num_pages() {
-        file.read_page(index, &mut page).expect("page readable");
-        bytes.extend_from_slice(&page);
-    }
-    bytes
+        seen.lock().unwrap().insert(name);
+        Ok(())
+    });
+    (device, threads)
 }
 
 /// Sorts `kind` on one thread on a fresh device; returns the output bytes
@@ -317,7 +198,7 @@ where
                 &totals,
             );
             // With helper threads: the same bytes and the same pages.
-            let device = Observed::new(true);
+            let (device, _) = observed(true);
             let (bytes, helped, helped_totals) = sort_on(&device, make(), kind, RECORDS, threads);
             let label = format!("{} with helper threads", kind.label());
             assert_equivalent(
@@ -528,7 +409,7 @@ fn helper_threads_run_only_on_a_device_with_wall_clock_latency() {
     // The names of the threads that touched a page of a sort at `threads`
     // threads, on a device that claims `latency` or not.
     let names = |latency: bool, threads: usize| {
-        let device = Observed::new(latency);
+        let (device, thread_names) = observed(latency);
         let twrs = TwoWayReplacementSelection::new(TwrsConfig::recommended(MEMORY));
         sort_on(
             &device,
@@ -537,7 +418,8 @@ fn helper_threads_run_only_on_a_device_with_wall_clock_latency() {
             RECORDS,
             threads,
         );
-        device.thread_names()
+        let seen = thread_names.lock().unwrap().clone();
+        seen
     };
     for threads in [1, 2, 4] {
         let seen = names(false, threads);

@@ -4,123 +4,35 @@
 //! phase of the pipeline (run generation, intermediate merge, final
 //! pass) the cancel lands in, sequential or parallel.
 //!
-//! The tests drive cancellation from inside the I/O path: a
-//! `TriggerDevice` counts every page read/write and fires the job's
+//! The tests drive cancellation from inside the I/O path: the shared
+//! test device counts every page read/write and fires the job's
 //! `CancellationToken` at a precise operation number, chosen as a
 //! fraction of a calibration run's total. That pins the preemption point
 //! to the sort's I/O timeline instead of wall-clock sleeps.
 
+mod common;
+
+use common::TestDevice;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use two_way_replacement_selection::prelude::*;
 use twrs_extsort::service::RebalanceKind;
 use twrs_extsort::{CancellationToken, SortError};
-use twrs_storage::{IoStats, PageFile};
-
-struct TriggerState {
-    ops: AtomicU64,
-    fire_at: u64,
-    token: CancellationToken,
-}
-
-impl TriggerState {
-    fn tick(&self) {
-        let op = self.ops.fetch_add(1, Ordering::SeqCst) + 1;
-        if op == self.fire_at {
-            self.token.cancel();
-        }
-    }
-}
 
 /// A [`SimDevice`] that fires a [`CancellationToken`] when the
-/// `fire_at`-th page operation (read or write, any file) happens.
-#[derive(Clone)]
-struct TriggerDevice {
-    inner: SimDevice,
-    state: Arc<TriggerState>,
-}
-
-impl TriggerDevice {
-    fn new(fire_at: u64, token: CancellationToken) -> Self {
-        TriggerDevice {
-            inner: SimDevice::with_model(ModelId::Hdd7200),
-            state: Arc::new(TriggerState {
-                ops: AtomicU64::new(0),
-                fire_at,
-                token,
-            }),
+/// `fire_at`-th page operation (read or write, any file) happens, and the
+/// count of operations so far.
+fn trigger_device(fire_at: u64, token: CancellationToken) -> (TestDevice, Arc<AtomicU64>) {
+    let ops = Arc::new(AtomicU64::new(0));
+    let counted = Arc::clone(&ops);
+    let device = TestDevice::sim().on_page(move |_| {
+        if counted.fetch_add(1, Ordering::SeqCst) + 1 == fire_at {
+            token.cancel();
         }
-    }
-
-    fn ops(&self) -> u64 {
-        self.state.ops.load(Ordering::SeqCst)
-    }
-}
-
-struct TriggerFile {
-    inner: Box<dyn PageFile>,
-    state: Arc<TriggerState>,
-}
-
-impl PageFile for TriggerFile {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn num_pages(&self) -> u64 {
-        self.inner.num_pages()
-    }
-
-    fn read_page(&mut self, index: u64, buf: &mut [u8]) -> twrs_storage::Result<()> {
-        self.state.tick();
-        self.inner.read_page(index, buf)
-    }
-
-    fn write_page(&mut self, index: u64, data: &[u8]) -> twrs_storage::Result<()> {
-        self.state.tick();
-        self.inner.write_page(index, data)
-    }
-
-    fn flush(&mut self) -> twrs_storage::Result<()> {
-        self.inner.flush()
-    }
-}
-
-impl StorageDevice for TriggerDevice {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn create(&self, name: &str) -> twrs_storage::Result<Box<dyn PageFile>> {
-        Ok(Box::new(TriggerFile {
-            inner: self.inner.create(name)?,
-            state: self.state.clone(),
-        }))
-    }
-
-    fn open(&self, name: &str) -> twrs_storage::Result<Box<dyn PageFile>> {
-        Ok(Box::new(TriggerFile {
-            inner: self.inner.open(name)?,
-            state: self.state.clone(),
-        }))
-    }
-
-    fn remove(&self, name: &str) -> twrs_storage::Result<()> {
-        self.inner.remove(name)
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.inner.exists(name)
-    }
-
-    fn list(&self) -> Vec<String> {
-        self.inner.list()
-    }
-
-    fn io_stats(&self) -> &IoStats {
-        self.inner.io_stats()
-    }
+        Ok(())
+    });
+    (device, ops)
 }
 
 const GLOBAL_MEMORY: usize = 500;
@@ -134,13 +46,13 @@ fn run_with_trigger(
     threads: usize,
     records: u64,
 ) -> (
-    TriggerDevice,
+    TestDevice,
     twrs_extsort::Result<CompletedJob>,
     ServiceReport,
     u64,
 ) {
     let token = CancellationToken::new();
-    let device = TriggerDevice::new(fire_at, token.clone());
+    let (device, ops) = trigger_device(fire_at, token.clone());
     let service = SortService::new(
         ServiceConfig::new(GLOBAL_MEMORY)
             .workers(1)
@@ -155,7 +67,7 @@ fn run_with_trigger(
     let handle = service.submit("t", job, input.records(), "out").unwrap();
     let outcome = handle.wait();
     let report = service.shutdown();
-    let ops = device.ops();
+    let ops = ops.load(Ordering::SeqCst);
     (device, outcome, report, ops)
 }
 

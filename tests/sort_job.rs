@@ -10,15 +10,17 @@
 //!   rejected when the dataset is opened, and a page that fails to read
 //!   mid-dataset stops the sort before any merge;
 //! * a sort that fails before its final pass leaves a file that already
-//!   carried the output's name untouched.
+//!   carried the output's name untouched;
+//! * a merge fan-in below 2 fails a job before it reads or writes a page,
+//!   and before a service queues it.
 
 mod common;
 
-use common::file_bytes;
+use common::{file_bytes, TestDevice};
 use std::sync::{Arc, Mutex};
 use two_way_replacement_selection::extsort::SortError;
 use two_way_replacement_selection::prelude::*;
-use two_way_replacement_selection::storage::{IoStats, PageBuf, PageFile, StorageError};
+use two_way_replacement_selection::storage::{PageBuf, StorageError};
 use two_way_replacement_selection::workloads::materialize;
 
 const SEED: u64 = 20_107;
@@ -75,7 +77,8 @@ fn builder_defaults_match_an_explicit_default_configuration() {
     let (explicit, explicit_bytes) = sort(
         SortJob::new(ReplacementSelection::new(MEMORY))
             .threads(1)
-            .config(SorterConfig::default()),
+            .merge(MergeConfig::default())
+            .verify(false),
     );
 
     // Defaults: one thread, no shards, no verification pass.
@@ -100,41 +103,6 @@ fn builder_defaults_match_an_explicit_default_configuration() {
     assert_eq!(d.merge.pages_read, e.merge.pages_read);
     assert_eq!(d.merge.seeks, e.merge.seeks);
     assert_eq!(default_bytes, explicit_bytes);
-}
-
-#[test]
-fn builder_config_matches_the_merge_and_verify_setters() {
-    let cfg = SorterConfig {
-        merge: MergeConfig {
-            fan_in: 3,
-            read_ahead_records: 32,
-        },
-        verify: true,
-    };
-    let config_device = SimDevice::with_model(ModelId::Hdd7200);
-    let config_report = SortJob::new(LoadSortStore::new(MEMORY))
-        .config(cfg)
-        .on(&config_device)
-        .run_iter(input().records(), "out")
-        .unwrap();
-
-    let setters_device = SimDevice::with_model(ModelId::Hdd7200);
-    let setters_report = SortJob::new(LoadSortStore::new(MEMORY))
-        .on(&setters_device)
-        .merge(cfg.merge)
-        .verify(cfg.verify)
-        .run_iter(input().records(), "out")
-        .unwrap();
-
-    assert_eq!(
-        config_report.report.merge_report,
-        setters_report.report.merge_report
-    );
-    assert!(config_report.report.verify.is_some());
-    assert_eq!(
-        file_bytes(&config_device, "out"),
-        file_bytes(&setters_device, "out")
-    );
 }
 
 /// Writes a structurally valid run-file header claiming `claimed` records
@@ -238,87 +206,32 @@ fn sort_job_run_file_reports_truncated_input_as_an_error() {
 const FAILING_PAGE: u64 = 40;
 
 /// A [`SimDevice`] whose file `input` fails the read of data page
-/// [`FAILING_PAGE`], and which records the name of every file created on
-/// it.
-#[derive(Clone)]
-struct FailingReadDevice {
-    inner: SimDevice,
-    created: Arc<Mutex<Vec<String>>>,
-}
-
-struct FailingReadFile {
-    inner: Box<dyn PageFile>,
-}
-
-impl PageFile for FailingReadFile {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn num_pages(&self) -> u64 {
-        self.inner.num_pages()
-    }
-
-    fn read_page(&mut self, index: u64, buf: &mut [u8]) -> Result<(), StorageError> {
-        if index == FAILING_PAGE {
+/// [`FAILING_PAGE`], and the names of the files written on it. Every file a
+/// sort creates has its header page written at once, so these are the
+/// names of every file created on it.
+fn failing_read_device() -> (TestDevice, Arc<Mutex<Vec<String>>>) {
+    let created: Arc<Mutex<Vec<String>>> = Arc::default();
+    let written = Arc::clone(&created);
+    let device = TestDevice::sim().on_page(move |op| {
+        if op.write {
+            let mut names = written.lock().unwrap();
+            if !names.iter().any(|name| name == op.file) {
+                names.push(op.file.to_string());
+            }
+        } else if op.file == "input" && op.page == FAILING_PAGE {
             return Err(StorageError::Io(std::io::Error::other(
                 "injected read failure",
             )));
         }
-        self.inner.read_page(index, buf)
-    }
-
-    fn write_page(&mut self, index: u64, data: &[u8]) -> Result<(), StorageError> {
-        self.inner.write_page(index, data)
-    }
-
-    fn flush(&mut self) -> Result<(), StorageError> {
-        self.inner.flush()
-    }
-}
-
-impl StorageDevice for FailingReadDevice {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn create(&self, name: &str) -> Result<Box<dyn PageFile>, StorageError> {
-        self.created.lock().unwrap().push(name.to_string());
-        self.inner.create(name)
-    }
-
-    fn open(&self, name: &str) -> Result<Box<dyn PageFile>, StorageError> {
-        let inner = self.inner.open(name)?;
-        if name == "input" {
-            return Ok(Box::new(FailingReadFile { inner }));
-        }
-        Ok(inner)
-    }
-
-    fn remove(&self, name: &str) -> Result<(), StorageError> {
-        self.inner.remove(name)
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.inner.exists(name)
-    }
-
-    fn list(&self) -> Vec<String> {
-        self.inner.list()
-    }
-
-    fn io_stats(&self) -> &IoStats {
-        self.inner.io_stats()
-    }
+        Ok(())
+    });
+    (device, created)
 }
 
 #[test]
 fn a_read_error_mid_dataset_fails_the_sort_before_any_merge() {
     for threads in [1, 4] {
-        let device = FailingReadDevice {
-            inner: SimDevice::with_model(ModelId::Hdd7200),
-            created: Arc::default(),
-        };
+        let (device, created) = failing_read_device();
         let records = Distribution::new(DistributionKind::RandomUniform, 20_000, SEED).records();
         materialize(&device, "input", records).expect("materialise");
         let job = || {
@@ -342,7 +255,7 @@ fn a_read_error_mid_dataset_fails_the_sort_before_any_merge() {
             vec!["input".to_string()],
             "{threads} threads"
         );
-        let created = device.created.lock().unwrap().clone();
+        let created = created.lock().unwrap().clone();
         // The prefix before the failing page spilled runs; neither the
         // output nor any merge run was ever created.
         assert!(
@@ -380,6 +293,67 @@ fn a_sort_canceled_before_its_final_pass_keeps_a_file_of_the_output_name() {
         assert_eq!(device.list(), vec!["out".to_string()], "{threads} threads");
         assert_eq!(file_bytes(&device, "out"), before, "{threads} threads");
     }
+}
+
+#[test]
+fn a_fan_in_below_two_fails_before_any_io() {
+    let merge = MergeConfig {
+        fan_in: 1,
+        ..MergeConfig::default()
+    };
+    let records = || Distribution::new(DistributionKind::RandomUniform, 20_000, SEED).records();
+    for threads in [1, 4] {
+        let device = SimDevice::with_model(ModelId::Hdd7200);
+        let job = || {
+            SortJob::new(ReplacementSelection::new(500))
+                .on(&device)
+                .threads(threads)
+                .merge(merge)
+        };
+        let file = job().run_iter(records(), "out");
+        assert!(
+            matches!(file, Err(SortError::InvalidConfig(_))),
+            "run_iter ({threads} threads): got {file:?}"
+        );
+        let stream = job().stream_iter(records());
+        assert!(
+            matches!(stream, Err(SortError::InvalidConfig(_))),
+            "stream_iter ({threads} threads): got {stream:?}"
+        );
+        let counters = device.stats().counters;
+        assert_eq!(
+            [counters.pages_written, counters.files_created],
+            [0, 0],
+            "{threads} threads"
+        );
+        assert!(device.list().is_empty(), "{threads} threads");
+        // A dataset input is not even opened.
+        materialize(&device, "input", records()).expect("materialise");
+        let before = device.stats().counters;
+        let file = job().run_file("input", "out");
+        assert!(
+            matches!(file, Err(SortError::InvalidConfig(_))),
+            "run_file ({threads} threads): got {file:?}"
+        );
+        let stream = job().stream_file("input");
+        assert!(
+            matches!(stream, Err(SortError::InvalidConfig(_))),
+            "stream_file ({threads} threads): got {stream:?}"
+        );
+        assert_eq!(device.stats().counters, before, "{threads} threads");
+    }
+    // A service refuses the job at submission: it is never queued and
+    // leases no memory.
+    let device = SimDevice::with_model(ModelId::Hdd7200);
+    let service = SortService::new(ServiceConfig::new(1_000).workers(1)).unwrap();
+    let job = SortJob::new(ReplacementSelection::new(500))
+        .on(&device)
+        .merge(merge);
+    let submitted = service.submit("t", job, records(), "out");
+    assert!(matches!(submitted, Err(SortError::InvalidConfig(_))));
+    let report = service.shutdown();
+    assert_eq!(report.max_leased, 0);
+    assert_eq!(device.stats().counters.files_created, 0);
 }
 
 #[test]
