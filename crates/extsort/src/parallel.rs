@@ -14,9 +14,10 @@
 //! spills through a [`SpillWriteDevice`], whose writer thread performs the
 //! page writes while the heaps keep going, and every run of the merge
 //! passes (not of a stripe's per-disk reduction) is read by a prefetch
-//! thread a few read-ahead batches ahead of the loser tree. On a device whose I/O costs no wall-clock time, like `SimDevice`,
-//! a sharded sort runs only its shards and, on a stripe, its per-disk
-//! reducers.
+//! thread a few read-ahead batches ahead of the loser tree. On a device
+//! whose I/O costs no wall-clock time, like `SimDevice`, a sharded sort
+//! runs only its shards and, on a stripe, its per-disk reducers. A spill
+//! write that fails on a writer thread fails the sort with its own error.
 //!
 //! Every hand-off between threads goes through one bounded batch channel
 //! (`batch_channel`): a message carries 16 parcels to a shard, up to 16
@@ -362,19 +363,12 @@ fn writer_gone() -> StorageError {
 /// [`PageFile::flush`] is a barrier: it returns once every previously
 /// issued write of that file has been applied, which is what makes the run
 /// files safe to read after `RunWriter::finish`. Reads and `open` flush the
-/// queue first and then go straight to the wrapped device.
+/// queue first and then go straight to the wrapped device. Every other
+/// call [forwards](twrs_storage::device::Forward) to the wrapped device.
+#[derive(Clone)]
 pub struct SpillWriteDevice<D: Device> {
     inner: D,
     shared: Arc<SpillShared>,
-}
-
-impl<D: Device> Clone for SpillWriteDevice<D> {
-    fn clone(&self) -> Self {
-        SpillWriteDevice {
-            inner: self.inner.clone(),
-            shared: Arc::clone(&self.shared),
-        }
-    }
 }
 
 impl<D: Device> SpillWriteDevice<D> {
@@ -417,10 +411,11 @@ impl<D: Device> SpillWriteDevice<D> {
 }
 
 /// The writer thread: applies operations in order, remembers the first
-/// failure, skips every write after it and reports it at each later flush.
+/// failure, skips every write after it and reports it at each later flush
+/// (as it was at the first, then through `echo`).
 fn spill_writer_loop(batches: BatchReceiver<SpillBatch>, page_size: usize) {
     let mut files: HashMap<u64, Box<dyn PageFile>> = HashMap::new();
-    let mut failure: Option<String> = None;
+    let mut failure: Option<StorageError> = None;
     while let Some(mut batch) = batches.recv() {
         let mut pages = batch.pages.chunks(page_size.max(1));
         for op in batch.ops.drain(..) {
@@ -438,10 +433,10 @@ fn spill_writer_loop(batches: BatchReceiver<SpillBatch>, page_size: usize) {
                     if failure.is_none() {
                         failure = flush_files(&mut files, file).err();
                     }
-                    let _ = ack.send(match &failure {
-                        Some(msg) => Err(StorageError::Io(std::io::Error::other(msg.clone()))),
-                        None => Ok(()),
-                    });
+                    let _ = ack.send(failure.take().map_or(Ok(()), |e| {
+                        failure = Some(echo(&e));
+                        Err(e)
+                    }));
                 }
                 SpillOp::Detach { file } => {
                     files.remove(&file);
@@ -453,28 +448,35 @@ fn spill_writer_loop(batches: BatchReceiver<SpillBatch>, page_size: usize) {
     }
 }
 
+/// `e`'s kind and message as an I/O error, for the barriers after `e`'s.
+fn echo(e: &StorageError) -> StorageError {
+    StorageError::Io(match e {
+        StorageError::Io(io) => std::io::Error::new(io.kind(), io.to_string()),
+        other => std::io::Error::other(other.to_string()),
+    })
+}
+
 fn apply_write(
     files: &mut HashMap<u64, Box<dyn PageFile>>,
     file: u64,
     page: u64,
     data: &[u8],
-) -> std::result::Result<(), String> {
-    let handle = files
-        .get_mut(&file)
-        .ok_or_else(|| format!("write to unattached spill file {file}"))?;
-    handle.write_page(page, data).map_err(|e| e.to_string())
+) -> twrs_storage::Result<()> {
+    match files.get_mut(&file) {
+        Some(handle) => handle.write_page(page, data),
+        None => Err(StorageError::NotFound(format!("spill file {file}"))),
+    }
 }
 
 /// Flushes attached file `file`, or every attached file for `None`.
 fn flush_files(
     files: &mut HashMap<u64, Box<dyn PageFile>>,
     file: Option<u64>,
-) -> std::result::Result<(), String> {
+) -> twrs_storage::Result<()> {
     match file {
         Some(id) => files.get_mut(&id).map_or(Ok(()), |handle| handle.flush()),
         None => files.values_mut().try_for_each(|handle| handle.flush()),
     }
-    .map_err(|e| e.to_string())
 }
 
 struct SpillPageFile<D: Device> {
@@ -525,9 +527,17 @@ impl<D: Device> Drop for SpillPageFile<D> {
     }
 }
 
-impl<D: Device> StorageDevice for SpillWriteDevice<D> {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
+impl<D: Device> twrs_storage::device::Forward for SpillWriteDevice<D> {
+    fn target(&self) -> &dyn StorageDevice {
+        &self.inner
+    }
+
+    /// The same writer thread over the inner device's shard view.
+    fn shard_view(&self, index: usize) -> Self {
+        SpillWriteDevice {
+            inner: self.inner.shard_view(index),
+            shared: Arc::clone(&self.shared),
+        }
     }
 
     fn create(&self, name: &str) -> twrs_storage::Result<Box<dyn PageFile>> {
@@ -553,22 +563,6 @@ impl<D: Device> StorageDevice for SpillWriteDevice<D> {
     fn remove(&self, name: &str) -> twrs_storage::Result<()> {
         self.barrier()?;
         self.inner.remove(name)
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.inner.exists(name)
-    }
-
-    fn list(&self) -> Vec<String> {
-        self.inner.list()
-    }
-
-    fn io_stats(&self) -> &twrs_storage::IoStats {
-        self.inner.io_stats()
-    }
-
-    fn has_wall_clock_latency(&self) -> bool {
-        self.inner.has_wall_clock_latency()
     }
 }
 
@@ -729,7 +723,7 @@ where
                 } else {
                     generator.generate(&scoped, namer.as_ref(), &mut shard_input)?
                 };
-                Ok((set, scoped.local_stats()))
+                Ok((set, scoped.stats()))
             },
         );
         match spawned {
@@ -1072,102 +1066,6 @@ mod tests {
             direct.read_page(index as u64, &mut buf).unwrap();
             assert_eq!(&buf, page);
         }
-    }
-
-    /// A simulated device whose page writes fail from the `fail_at`-th on
-    /// (0-based, counted over every file).
-    #[derive(Clone)]
-    struct FailingWrites {
-        inner: SimDevice,
-        writes: Arc<AtomicU64>,
-        fail_at: u64,
-    }
-
-    struct FailingFile {
-        inner: Box<dyn PageFile>,
-        writes: Arc<AtomicU64>,
-        fail_at: u64,
-    }
-
-    impl PageFile for FailingFile {
-        fn page_size(&self) -> usize {
-            self.inner.page_size()
-        }
-
-        fn num_pages(&self) -> u64 {
-            self.inner.num_pages()
-        }
-
-        fn read_page(&mut self, index: u64, buf: &mut [u8]) -> twrs_storage::Result<()> {
-            self.inner.read_page(index, buf)
-        }
-
-        fn write_page(&mut self, index: u64, data: &[u8]) -> twrs_storage::Result<()> {
-            if self.writes.fetch_add(1, Ordering::SeqCst) >= self.fail_at {
-                return Err(StorageError::Io(std::io::Error::other("injected")));
-            }
-            self.inner.write_page(index, data)
-        }
-
-        fn flush(&mut self) -> twrs_storage::Result<()> {
-            self.inner.flush()
-        }
-    }
-
-    impl StorageDevice for FailingWrites {
-        fn page_size(&self) -> usize {
-            self.inner.page_size()
-        }
-
-        fn create(&self, name: &str) -> twrs_storage::Result<Box<dyn PageFile>> {
-            Ok(Box::new(FailingFile {
-                inner: self.inner.create(name)?,
-                writes: Arc::clone(&self.writes),
-                fail_at: self.fail_at,
-            }))
-        }
-
-        fn open(&self, name: &str) -> twrs_storage::Result<Box<dyn PageFile>> {
-            self.inner.open(name)
-        }
-
-        fn remove(&self, name: &str) -> twrs_storage::Result<()> {
-            self.inner.remove(name)
-        }
-
-        fn exists(&self, name: &str) -> bool {
-            self.inner.exists(name)
-        }
-
-        fn list(&self) -> Vec<String> {
-            self.inner.list()
-        }
-
-        fn io_stats(&self) -> &twrs_storage::IoStats {
-            self.inner.io_stats()
-        }
-    }
-
-    #[test]
-    fn spill_device_surfaces_the_first_write_error_at_the_next_barrier() {
-        let device = FailingWrites {
-            inner: SimDevice::with_model(ModelId::Hdd7200),
-            writes: Arc::new(AtomicU64::new(0)),
-            fail_at: 2,
-        };
-        let spill = SpillWriteDevice::new(device.clone(), SPILL_QUEUE_PAGES);
-        let page = vec![9u8; device.page_size()];
-        let mut file = spill.create("f").unwrap();
-        // Five writes fit one batch: each is accepted while it is pending.
-        for index in 0..5 {
-            file.write_page(index, &page).unwrap();
-        }
-        let error = file.flush().unwrap_err();
-        assert!(error.to_string().contains("injected"), "{error}");
-        // The writer applied the two writes before the failure, skipped
-        // the rest, and reports the failure at every later barrier.
-        assert!(spill.barrier().is_err());
-        assert_eq!(device.inner.open("f").unwrap().num_pages(), 2);
     }
 
     #[test]

@@ -86,7 +86,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use twrs_storage::{IoStatsSnapshot, ScopedDevice, SortableRecord};
+use twrs_storage::{IoStatsSnapshot, ScopedDevice, SortableRecord, StorageDevice};
 
 /// A tenant's priority class: its *weight* in both schedulers.
 ///
@@ -498,7 +498,7 @@ impl SortService {
             let report = run(rebudgeted.on(&scoped))?;
             Ok(JobOutput {
                 report,
-                io: scoped.local_stats(),
+                io: scoped.stats(),
             })
         });
         let queued = QueuedJob {

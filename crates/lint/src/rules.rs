@@ -31,14 +31,18 @@ pub const NO_DETACHED_THREADS: &str = "no-detached-threads";
 pub const CANCEL_POLL: &str = "cancel-poll";
 /// R5: service code talks to storage only through `ScopedDevice`.
 pub const SCOPED_IO: &str = "scoped-io";
+/// R6: only the manifest's backends and the forwarding layer's blanket
+/// impl implement `StorageDevice` by hand.
+pub const DEVICE_LAYER: &str = "device-layer";
 
 /// Every rule id, in catalog order.
-pub const ALL_RULES: [&str; 5] = [
+pub const ALL_RULES: [&str; 6] = [
     NO_LIB_PANIC,
     LOCK_DISCIPLINE,
     NO_DETACHED_THREADS,
     CANCEL_POLL,
     SCOPED_IO,
+    DEVICE_LAYER,
 ];
 
 /// The declared lock order. A lock may only be acquired while holding
@@ -82,6 +86,16 @@ pub const CANCEL_POLL_MANIFEST: [(&str, &str); 6] = [
 /// Directory whose files must route device I/O through `ScopedDevice`.
 pub const SCOPED_IO_DIR: &str = "crates/extsort/src/service/";
 
+/// The only hand-written `StorageDevice` impls: the three backends and the
+/// blanket impl over `Forward`, whose implementing type is its parameter
+/// `T`. `(file suffix, implementing type)`.
+pub const DEVICE_LAYER_MANIFEST: [(&str, &str); 4] = [
+    ("crates/storage/src/device.rs", "SimDevice"),
+    ("crates/storage/src/device.rs", "T"),
+    ("crates/storage/src/real_device.rs", "RealFileDevice"),
+    ("crates/storage/src/striped.rs", "StripedDevice"),
+];
+
 /// Runs every rule over one scanned file. `path` is repo-relative with
 /// forward slashes; waivers are applied here, after the rules fire.
 pub fn check_file(path: &str, scanned: &ScannedFile) -> Vec<Finding> {
@@ -91,6 +105,7 @@ pub fn check_file(path: &str, scanned: &ScannedFile) -> Vec<Finding> {
     no_detached_threads(path, scanned, &mut findings);
     cancel_poll(path, scanned, &mut findings);
     scoped_io(path, scanned, &mut findings);
+    device_layer(path, scanned, &mut findings);
     findings.retain(|f| !scanned.is_waived(f.rule, f.line));
     findings
 }
@@ -598,5 +613,56 @@ fn scoped_io(path: &str, scanned: &ScannedFile, findings: &mut Vec<Finding>) {
                 ),
             });
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// R6: device-layer
+// ---------------------------------------------------------------------------
+
+fn device_layer(path: &str, scanned: &ScannedFile, findings: &mut Vec<Finding>) {
+    // The manifest's impls expected in this file, and whether each was seen.
+    let mut expected: Vec<(&str, bool)> = DEVICE_LAYER_MANIFEST
+        .iter()
+        .filter(|(suffix, _)| path.ends_with(suffix))
+        .map(|(_, ty)| (*ty, false))
+        .collect();
+    let tokens = &scanned.tokens;
+    for (i, tok) in tokens.iter().enumerate() {
+        // `StorageDevice for` occurs only in an impl header of that trait.
+        if tok.in_test || tok.text != "for" || i == 0 || tokens[i - 1].text != "StorageDevice" {
+            continue;
+        }
+        // The implementing type: the last identifier of the path after `for`.
+        let ty = tokens[i + 1..]
+            .iter()
+            .take_while(|t| t.kind != TokKind::Punct || matches!(t.text.as_str(), ":" | "&"))
+            .take_while(|t| t.text != "where")
+            .filter(|t| t.kind == TokKind::Ident && t.text != "mut")
+            .last()
+            .map_or("", |t| t.text.as_str());
+        match expected.iter_mut().find(|(name, _)| *name == ty) {
+            Some((_, seen)) => *seen = true,
+            None => findings.push(Finding {
+                file: path.to_string(),
+                line: tok.line,
+                rule: DEVICE_LAYER,
+                message: format!(
+                    "`{ty}` implements `StorageDevice` by hand; implement \
+                     `twrs_storage::device::Forward` and override only what the wrapper changes"
+                ),
+            }),
+        }
+    }
+    for (ty, _) in expected.iter().filter(|(_, seen)| !seen) {
+        findings.push(Finding {
+            file: path.to_string(),
+            line: 1,
+            rule: DEVICE_LAYER,
+            message: format!(
+                "`impl StorageDevice for {ty}` from the device-layer manifest was not found; \
+                 update the manifest in crates/lint/src/rules.rs if it moved"
+            ),
+        });
     }
 }

@@ -3,7 +3,7 @@
 //! must report (or not report) the expected finding at the expected line.
 
 use twrs_lint::rules::{
-    CANCEL_POLL, LOCK_DISCIPLINE, NO_DETACHED_THREADS, NO_LIB_PANIC, SCOPED_IO,
+    CANCEL_POLL, DEVICE_LAYER, LOCK_DISCIPLINE, NO_DETACHED_THREADS, NO_LIB_PANIC, SCOPED_IO,
 };
 use twrs_lint::{baseline, baseline_path, check_source, default_root, scan_workspace};
 
@@ -554,6 +554,32 @@ fn build(members: Vec<AnyDevice>, raw_device: &impl StorageDevice) -> Result<()>
         findings_for("crates/extsort/src/service/worker.rs", mixed, SCOPED_IO),
         vec![4]
     );
+}
+
+// -------------------------------------------------------------------------
+// R6: device-layer
+// -------------------------------------------------------------------------
+
+#[test]
+fn r6_allows_hand_written_device_impls_only_where_the_manifest_says() {
+    let src = "\
+impl<D: StorageDevice + Clone> StorageDevice for Wrapper<D> {}
+impl twrs_storage::StorageDevice for crate::Other where Self: Sized {}
+impl<D: StorageDevice> twrs_storage::device::Forward for Wrapper<D> {}
+impl PageFile for Wrapper<Box<dyn PageFile>> {}
+fn run(device: &impl StorageDevice) { for name in device.list() {} }
+#[cfg(test)]
+mod tests { impl StorageDevice for FailingWrites {} }
+";
+    let r6 = |file: &str, src: &str| findings_for(&format!("crates/{file}"), src, DEVICE_LAYER);
+    assert_eq!(r6("extsort/src/parallel.rs", src), vec![1, 2]);
+    // The manifest's impls pass in their own files only, and one that can
+    // no longer be found is reported at line 1.
+    let device = "impl<T: Forward> StorageDevice for T {}\nimpl StorageDevice for SimDevice {}\n";
+    assert_eq!(r6("storage/src/device.rs", device), vec![]);
+    let striped = "impl StorageDevice for StripedDevice {}\n";
+    assert_eq!(r6("storage/src/striped.rs", striped), vec![]);
+    assert_eq!(r6("storage/src/real_device.rs", striped), vec![1, 1]);
 }
 
 // -------------------------------------------------------------------------

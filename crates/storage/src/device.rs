@@ -4,11 +4,12 @@
 //! algorithms and the experiment harness are agnostic to where the runs
 //! live: [`SimDevice`] here, [`RealFileDevice`](crate::real_device::RealFileDevice)
 //! over real files, and [`StripedDevice`](crate::striped::StripedDevice)
-//! over several of either. Every page access flows through a shared
-//! [`IoStats`] so seeks and transfers can be attributed to phases of the
-//! sort; [`SimDevice`] additionally keeps the file contents in memory,
-//! making experiments deterministic and independent of the host file system
-//! (the substitution for the paper's dedicated SATA disk, see DESIGN.md §2).
+//! over several of either; a wrapper around one implements [`Forward`].
+//! Every page access flows through a shared [`IoStats`] so seeks and
+//! transfers can be attributed to phases of the sort; [`SimDevice`]
+//! additionally keeps the file contents in memory, making experiments
+//! deterministic and independent of the host file system (it stands in
+//! for the paper's dedicated SATA disk; see the README's *Device models*).
 
 use crate::contention::IoClientGuard;
 use crate::error::{Result, StorageError};
@@ -116,6 +117,106 @@ pub trait StorageDevice: Send + Sync {
     /// no spill-writer or prefetch thread.
     fn has_wall_clock_latency(&self) -> bool {
         false
+    }
+}
+
+/// A device wrapper. A blanket impl makes it a [`StorageDevice`] whose
+/// calls go to its [`target`](Forward::target) unless overridden here, so
+/// no wrapper can miss a method and answer with the trait's default.
+/// Implement it by path and keep it out of scope where wrappers are
+/// called: with both traits in scope, `wrapper.create(..)` is ambiguous
+/// (E0034).
+pub trait Forward: Send + Sync {
+    /// The device every call not overridden here goes to.
+    fn target(&self) -> &dyn StorageDevice;
+
+    /// This wrapper over the target's [`StorageDevice::shard_view`].
+    fn shard_view(&self, index: usize) -> Self;
+
+    /// See [`StorageDevice::create`].
+    fn create(&self, name: &str) -> Result<Box<dyn PageFile>> {
+        self.target().create(name)
+    }
+
+    /// See [`StorageDevice::open`].
+    fn open(&self, name: &str) -> Result<Box<dyn PageFile>> {
+        self.target().open(name)
+    }
+
+    /// See [`StorageDevice::remove`].
+    fn remove(&self, name: &str) -> Result<()> {
+        self.target().remove(name)
+    }
+
+    /// See [`StorageDevice::has_wall_clock_latency`].
+    fn has_wall_clock_latency(&self) -> bool {
+        self.target().has_wall_clock_latency()
+    }
+
+    /// Statistics the wrapper keeps itself; when `Some`, `io_stats`,
+    /// `stats` and `reset_stats` act on them instead of the target's.
+    fn own_stats(&self) -> Option<&IoStats> {
+        None
+    }
+}
+
+impl<T: Forward> StorageDevice for T {
+    fn page_size(&self) -> usize {
+        self.target().page_size()
+    }
+
+    fn create(&self, name: &str) -> Result<Box<dyn PageFile>> {
+        Forward::create(self, name)
+    }
+
+    fn open(&self, name: &str) -> Result<Box<dyn PageFile>> {
+        Forward::open(self, name)
+    }
+
+    fn remove(&self, name: &str) -> Result<()> {
+        Forward::remove(self, name)
+    }
+
+    fn exists(&self, name: &str) -> bool {
+        self.target().exists(name)
+    }
+
+    fn list(&self) -> Vec<String> {
+        self.target().list()
+    }
+
+    fn io_stats(&self) -> &IoStats {
+        self.own_stats().unwrap_or_else(|| self.target().io_stats())
+    }
+
+    fn stats(&self) -> IoStatsSnapshot {
+        match self.own_stats() {
+            Some(own) => own.snapshot(),
+            None => self.target().stats(),
+        }
+    }
+
+    fn reset_stats(&self) {
+        match self.own_stats() {
+            Some(own) => own.reset(),
+            None => self.target().reset_stats(),
+        }
+    }
+
+    fn stripe_members(&self) -> usize {
+        self.target().stripe_members()
+    }
+
+    fn shard_view(&self, index: usize) -> Self {
+        Forward::shard_view(self, index)
+    }
+
+    fn attach_io_client(&self) -> Option<IoClientGuard> {
+        self.target().attach_io_client()
+    }
+
+    fn has_wall_clock_latency(&self) -> bool {
+        Forward::has_wall_clock_latency(self)
     }
 }
 

@@ -12,6 +12,8 @@
 //!   the fan-in analysis of §6.1.1), and [`real_device::RealFileDevice`],
 //!   real files in a directory, opened with `O_DIRECT` where the
 //!   filesystem supports it (for wall-clock benchmarks);
+//! * [`device::Forward`] — the one forwarding layer: a device wrapper names
+//!   the device it wraps and overrides only what it changes;
 //! * [`io_stats::IoStats`] — counters for sequential page transfers and
 //!   seeks plus the simulated elapsed time, charged access by access under
 //!   one seek rule priced by an [`io_stats::DiskModel`];

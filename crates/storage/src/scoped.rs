@@ -6,7 +6,9 @@
 //! phase costs that sum to the device totals. [`ScopedDevice`] wraps any
 //! device and mirrors every access into a second, scope-local [`IoStats`]
 //! while still forwarding it to the wrapped device (whose shared statistics
-//! keep counting as before).
+//! keep counting as before). As a [`Forward`](crate::device::Forward)
+//! wrapper it overrides `create`, `open` and `remove` and keeps its own
+//! statistics, so `stats()` and `reset_stats()` act on the scope alone.
 //!
 //! Page and file counters of the local statistics always sum exactly to the
 //! device-level deltas. Seeks are the one subtlety: the local statistics
@@ -16,10 +18,9 @@
 //! threads interleave — callers that need cross-thread seek truth should
 //! read the wrapped device's stats.
 
-use crate::contention::IoClientGuard;
 use crate::device::{PageFile, StorageDevice};
 use crate::error::Result;
-use crate::io_stats::{IoStats, IoStatsSnapshot};
+use crate::io_stats::IoStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -27,8 +28,9 @@ use std::sync::Arc;
 /// [`IoStats`], so one thread's share of a concurrent workload can be
 /// attributed.
 ///
-/// Clones share the same local statistics; create one `ScopedDevice` per
-/// scope (worker thread, phase, …) to separate them.
+/// Its [`stats`](StorageDevice::stats) are the scope-local statistics.
+/// Clones share them; create one `ScopedDevice` per scope (worker thread,
+/// phase, …) to separate them.
 #[derive(Clone)]
 pub struct ScopedDevice<D> {
     inner: D,
@@ -49,9 +51,13 @@ impl<D: StorageDevice> ScopedDevice<D> {
         }
     }
 
-    /// Snapshot of the scope-local statistics only.
-    pub fn local_stats(&self) -> IoStatsSnapshot {
-        self.local.snapshot()
+    /// `file` mirroring its page accesses into the local statistics.
+    fn scoped(&self, file: Box<dyn PageFile>) -> Box<dyn PageFile> {
+        Box::new(ScopedPageFile {
+            inner: file,
+            local: self.local.clone(),
+            file_id: self.next_file_id.fetch_add(1, Ordering::Relaxed),
+        })
     }
 }
 
@@ -87,52 +93,9 @@ impl PageFile for ScopedPageFile {
     }
 }
 
-impl<D: StorageDevice + Clone> StorageDevice for ScopedDevice<D> {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn create(&self, name: &str) -> Result<Box<dyn PageFile>> {
-        let file = self.inner.create(name)?;
-        self.local.record_create();
-        Ok(Box::new(ScopedPageFile {
-            inner: file,
-            local: self.local.clone(),
-            file_id: self.next_file_id.fetch_add(1, Ordering::Relaxed),
-        }))
-    }
-
-    fn open(&self, name: &str) -> Result<Box<dyn PageFile>> {
-        let file = self.inner.open(name)?;
-        Ok(Box::new(ScopedPageFile {
-            inner: file,
-            local: self.local.clone(),
-            file_id: self.next_file_id.fetch_add(1, Ordering::Relaxed),
-        }))
-    }
-
-    fn remove(&self, name: &str) -> Result<()> {
-        self.inner.remove(name)?;
-        self.local.record_remove();
-        Ok(())
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.inner.exists(name)
-    }
-
-    fn list(&self) -> Vec<String> {
-        self.inner.list()
-    }
-
-    /// The scope-local statistics (so `stats()` / `reset_stats()` act on the
-    /// scope); the wrapped device keeps the shared statistics.
-    fn io_stats(&self) -> &IoStats {
-        &self.local
-    }
-
-    fn stripe_members(&self) -> usize {
-        self.inner.stripe_members()
+impl<D: StorageDevice + Clone> crate::device::Forward for ScopedDevice<D> {
+    fn target(&self) -> &dyn StorageDevice {
+        &self.inner
     }
 
     /// Re-scopes onto the inner device's shard view: the local statistics
@@ -146,12 +109,24 @@ impl<D: StorageDevice + Clone> StorageDevice for ScopedDevice<D> {
         }
     }
 
-    fn attach_io_client(&self) -> Option<IoClientGuard> {
-        self.inner.attach_io_client()
+    fn create(&self, name: &str) -> Result<Box<dyn PageFile>> {
+        let file = self.inner.create(name)?;
+        self.local.record_create();
+        Ok(self.scoped(file))
     }
 
-    fn has_wall_clock_latency(&self) -> bool {
-        self.inner.has_wall_clock_latency()
+    fn open(&self, name: &str) -> Result<Box<dyn PageFile>> {
+        Ok(self.scoped(self.inner.open(name)?))
+    }
+
+    fn remove(&self, name: &str) -> Result<()> {
+        self.inner.remove(name)?;
+        self.local.record_remove();
+        Ok(())
+    }
+
+    fn own_stats(&self) -> Option<&IoStats> {
+        Some(&self.local)
     }
 }
 
@@ -174,7 +149,7 @@ mod tests {
         f.read_page(0, &mut buf).unwrap();
         assert_eq!(buf, page);
 
-        let local = scoped.local_stats();
+        let local = scoped.stats();
         assert_eq!(local.counters.pages_written, 2);
         assert_eq!(local.counters.pages_read, 1);
         assert_eq!(local.counters.files_created, 1);
@@ -197,7 +172,7 @@ mod tests {
             fb.write_page(i, &page).unwrap();
         }
         b.remove("b").unwrap();
-        let sum = a.local_stats().merged(&b.local_stats());
+        let sum = a.stats().merged(&b.stats());
         let total = shared.stats();
         assert_eq!(sum.counters, total.counters);
         assert_eq!(
@@ -213,7 +188,7 @@ mod tests {
         let clone = scoped.clone();
         let page = vec![0u8; scoped.page_size()];
         clone.create("x").unwrap().write_page(0, &page).unwrap();
-        assert_eq!(scoped.local_stats().counters.pages_written, 1);
+        assert_eq!(scoped.stats().counters.pages_written, 1);
     }
 
     #[test]
@@ -230,6 +205,6 @@ mod tests {
             f.read_page(i, &mut buf).unwrap();
         }
         // Sequential reads on a private head: the initial positioning only.
-        assert_eq!(scoped.local_stats().counters.seeks, 1);
+        assert_eq!(scoped.stats().counters.seeks, 1);
     }
 }

@@ -22,14 +22,12 @@
 //! paths must not contain commas (the list separator).
 //!
 //! [`build`](DeviceSpec::build) returns an [`AnyDevice`] — a closed enum
-//! over the backends that implements [`StorageDevice`] (and is `Clone +
-//! Send + 'static`), so it plugs into `SortJob`/`SortService` like any
-//! concrete device.
+//! over the backends whose [`Forward`](crate::device::Forward) target is
+//! the one it holds (and is `Clone + Send + 'static`), so it plugs into
+//! `SortJob`/`SortService` like any concrete device.
 
-use crate::contention::IoClientGuard;
-use crate::device::{PageFile, SimDevice, StorageDevice};
+use crate::device::{SimDevice, StorageDevice};
 use crate::error::{Result, StorageError};
-use crate::io_stats::{IoStats, IoStatsSnapshot};
 use crate::model::ModelId;
 use crate::page::DEFAULT_PAGE_SIZE;
 use crate::real_device::{DirectIoStatus, RealFileDevice};
@@ -308,8 +306,7 @@ impl FromStr for DeviceSpec {
 }
 
 /// The device an evaluated [`DeviceSpec`] produces: a closed enum over the
-/// simulated and real backends, delegating [`StorageDevice`] to whichever
-/// it holds.
+/// backends, forwarding [`StorageDevice`] to whichever it holds.
 #[derive(Clone)]
 pub enum AnyDevice {
     /// An in-memory simulated device.
@@ -340,81 +337,12 @@ impl AnyDevice {
     }
 }
 
-impl StorageDevice for AnyDevice {
-    fn page_size(&self) -> usize {
+impl crate::device::Forward for AnyDevice {
+    fn target(&self) -> &dyn StorageDevice {
         match self {
-            AnyDevice::Sim(d) => d.page_size(),
-            AnyDevice::Real(d) => d.page_size(),
-            AnyDevice::Striped(d) => d.page_size(),
-        }
-    }
-
-    fn create(&self, name: &str) -> Result<Box<dyn PageFile>> {
-        match self {
-            AnyDevice::Sim(d) => d.create(name),
-            AnyDevice::Real(d) => d.create(name),
-            AnyDevice::Striped(d) => d.create(name),
-        }
-    }
-
-    fn open(&self, name: &str) -> Result<Box<dyn PageFile>> {
-        match self {
-            AnyDevice::Sim(d) => d.open(name),
-            AnyDevice::Real(d) => d.open(name),
-            AnyDevice::Striped(d) => d.open(name),
-        }
-    }
-
-    fn remove(&self, name: &str) -> Result<()> {
-        match self {
-            AnyDevice::Sim(d) => d.remove(name),
-            AnyDevice::Real(d) => d.remove(name),
-            AnyDevice::Striped(d) => d.remove(name),
-        }
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        match self {
-            AnyDevice::Sim(d) => d.exists(name),
-            AnyDevice::Real(d) => d.exists(name),
-            AnyDevice::Striped(d) => d.exists(name),
-        }
-    }
-
-    fn list(&self) -> Vec<String> {
-        match self {
-            AnyDevice::Sim(d) => d.list(),
-            AnyDevice::Real(d) => d.list(),
-            AnyDevice::Striped(d) => d.list(),
-        }
-    }
-
-    fn io_stats(&self) -> &IoStats {
-        match self {
-            AnyDevice::Sim(d) => d.io_stats(),
-            AnyDevice::Real(d) => d.io_stats(),
-            AnyDevice::Striped(d) => d.io_stats(),
-        }
-    }
-
-    fn stats(&self) -> IoStatsSnapshot {
-        match self {
-            AnyDevice::Striped(d) => d.stats(),
-            _ => self.io_stats().snapshot(),
-        }
-    }
-
-    fn reset_stats(&self) {
-        match self {
-            AnyDevice::Striped(d) => d.reset_stats(),
-            _ => self.io_stats().reset(),
-        }
-    }
-
-    fn stripe_members(&self) -> usize {
-        match self {
-            AnyDevice::Striped(d) => d.stripe_members(),
-            _ => 1,
+            AnyDevice::Sim(d) => d,
+            AnyDevice::Real(d) => d,
+            AnyDevice::Striped(d) => d,
         }
     }
 
@@ -422,21 +350,6 @@ impl StorageDevice for AnyDevice {
         match self {
             AnyDevice::Striped(d) => AnyDevice::Striped(d.shard_view(index)),
             other => other.clone(),
-        }
-    }
-
-    fn attach_io_client(&self) -> Option<IoClientGuard> {
-        match self {
-            AnyDevice::Striped(d) => d.attach_io_client(),
-            _ => None,
-        }
-    }
-
-    fn has_wall_clock_latency(&self) -> bool {
-        match self {
-            AnyDevice::Sim(d) => d.has_wall_clock_latency(),
-            AnyDevice::Real(d) => d.has_wall_clock_latency(),
-            AnyDevice::Striped(d) => d.has_wall_clock_latency(),
         }
     }
 }

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use two_way_replacement_selection::prelude::*;
 use two_way_replacement_selection::storage::Result as StorageResult;
-use two_way_replacement_selection::storage::{IoClientGuard, IoStats, IoStatsSnapshot, PageFile};
+use two_way_replacement_selection::storage::{device, PageFile};
 
 /// Every page of `name` on `device`, so comparisons cover the exact bytes
 /// (headers, payloads and trailing-page padding included).
@@ -131,45 +131,9 @@ impl PageFile for HookedFile {
     }
 }
 
-impl<D: StorageDevice + Clone + 'static> StorageDevice for TestDevice<D> {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn create(&self, name: &str) -> StorageResult<Box<dyn PageFile>> {
-        Ok(self.hooked(name, self.inner.create(name)?))
-    }
-
-    fn open(&self, name: &str) -> StorageResult<Box<dyn PageFile>> {
-        Ok(self.hooked(name, self.inner.open(name)?))
-    }
-
-    fn remove(&self, name: &str) -> StorageResult<()> {
-        self.inner.remove(name)
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.inner.exists(name)
-    }
-
-    fn list(&self) -> Vec<String> {
-        self.inner.list()
-    }
-
-    fn io_stats(&self) -> &IoStats {
-        self.inner.io_stats()
-    }
-
-    fn stats(&self) -> IoStatsSnapshot {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
-    }
-
-    fn stripe_members(&self) -> usize {
-        self.inner.stripe_members()
+impl<D: StorageDevice + Clone + 'static> device::Forward for TestDevice<D> {
+    fn target(&self) -> &dyn StorageDevice {
+        &self.inner
     }
 
     fn shard_view(&self, index: usize) -> Self {
@@ -179,8 +143,12 @@ impl<D: StorageDevice + Clone + 'static> StorageDevice for TestDevice<D> {
         }
     }
 
-    fn attach_io_client(&self) -> Option<IoClientGuard> {
-        self.inner.attach_io_client()
+    fn create(&self, name: &str) -> StorageResult<Box<dyn PageFile>> {
+        Ok(self.hooked(name, self.inner.create(name)?))
+    }
+
+    fn open(&self, name: &str) -> StorageResult<Box<dyn PageFile>> {
+        Ok(self.hooked(name, self.inner.open(name)?))
     }
 
     fn has_wall_clock_latency(&self) -> bool {
