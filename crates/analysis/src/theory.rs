@@ -4,7 +4,7 @@
 //! of classic replacement selection and of 2WRS on the six evaluation
 //! inputs, expressed relative to the memory size (the metric of
 //! Table 5.13). They serve as oracles for the integration tests and as the
-//! "paper" column printed by the run-length experiment binary.
+//! "RS theory" and "2WRS theory" columns of `bench_suite --figure 5.13`.
 
 use twrs_workloads::DistributionKind;
 

@@ -4,10 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use twrs_extsort::{
-    polyphase_merge, ForwardRunBuilder, KWayMerger, LoadSortStore, MergeConfig, ReverseRunBuilder,
-    RunCursor, RunGenerator, RunHandle,
+    polyphase_merge, KWayMerger, LoadSortStore, MergeConfig, RunBuilder, RunGenerator, RunHandle,
 };
-use twrs_storage::reverse_file::DEFAULT_PAGES_PER_FILE;
 use twrs_storage::ModelId;
 use twrs_storage::{SimDevice, SpillNamer};
 use twrs_workloads::{Distribution, DistributionKind, Record};
@@ -62,42 +60,32 @@ fn bench_merges(c: &mut Criterion) {
     group.finish();
 }
 
-/// Writes `keys` as a forward run (ascending keys) or a reverse run of
-/// `DEFAULT_PAGES_PER_FILE`-page parts (descending keys) and appends its
-/// handle to `runs`.
+/// Pages per part file of the bench's reverse runs.
+const PAGES_PER_FILE: u64 = 64;
+
+/// Writes the records of the ascending `keys` as one run through `builder`
+/// and appends its handle to `runs`.
 fn write_run(
-    device: &SimDevice,
-    namer: &SpillNamer,
-    reverse: bool,
-    keys: impl Iterator<Item = u64>,
+    mut builder: RunBuilder<'_, SimDevice, Record>,
+    keys: std::ops::Range<u64>,
     runs: &mut Vec<RunHandle>,
 ) {
-    let mut records = keys.map(Record::from_key);
-    if reverse {
-        let mut run = ReverseRunBuilder::new(device, namer, DEFAULT_PAGES_PER_FILE);
-        records
-            .try_for_each(|record| run.push(&record))
-            .expect("run writes");
-        run.finish_run(runs).expect("run finishes");
-    } else {
-        let mut run = ForwardRunBuilder::new(device, namer);
-        records
-            .try_for_each(|record| run.push(&record))
-            .expect("run writes");
-        run.finish_run(runs).expect("run finishes");
-    }
+    let records: Vec<Record> = keys.map(Record::from_key).collect();
+    builder.push_sorted(&records).expect("run writes");
+    builder.finish_run(runs).expect("run finishes");
 }
 
-/// Reads `run` through a `RunCursor` at the merge's default read-ahead, one
-/// batch at a time as an inline merge input does; returns the records read.
+/// Reads `run` through its `RunReader` at the merge's default read-ahead,
+/// one batch at a time as an inline merge input does; returns the records
+/// read.
 fn read_run(device: &SimDevice, run: &RunHandle) -> u64 {
     let read_ahead = MergeConfig::default().read_ahead_records;
-    let mut cursor = RunCursor::<Record>::open(device, run).expect("run opens");
+    let mut reader = run.open::<Record>(device).expect("run opens");
     let mut batch = Vec::with_capacity(read_ahead);
     let mut records = 0;
     loop {
         batch.clear();
-        let read = cursor
+        let read = reader
             .read_batch(&mut batch, read_ahead)
             .expect("run reads");
         records += read as u64;
@@ -112,22 +100,18 @@ fn bench_run_read(c: &mut Criterion) {
     const QUARTER: u64 = RECORDS / 4;
     let device = SimDevice::with_model(ModelId::Hdd7200);
     let namer = SpillNamer::new("read");
+    let forward = || RunBuilder::forward(&device, &namer);
+    let reverse = || RunBuilder::reverse(&device, &namer, PAGES_PER_FILE);
     let mut runs = Vec::new();
-    write_run(&device, &namer, false, 0..RECORDS, &mut runs);
+    write_run(forward(), 0..RECORDS, &mut runs);
     // 100,000 16-byte records take seven parts of 63 data pages.
-    write_run(&device, &namer, true, (0..RECORDS).rev(), &mut runs);
+    write_run(reverse(), 0..RECORDS, &mut runs);
     // A 2WRS run: streams 4 · 3 · 2 · 1, reverse and forward in turn.
     let mut streams = Vec::new();
-    write_run(&device, &namer, true, (0..QUARTER).rev(), &mut streams);
-    write_run(&device, &namer, false, QUARTER..2 * QUARTER, &mut streams);
-    write_run(
-        &device,
-        &namer,
-        true,
-        (2 * QUARTER..3 * QUARTER).rev(),
-        &mut streams,
-    );
-    write_run(&device, &namer, false, 3 * QUARTER..RECORDS, &mut streams);
+    write_run(reverse(), 0..QUARTER, &mut streams);
+    write_run(forward(), QUARTER..2 * QUARTER, &mut streams);
+    write_run(reverse(), 2 * QUARTER..3 * QUARTER, &mut streams);
+    write_run(forward(), 3 * QUARTER..RECORDS, &mut streams);
     runs.push(RunHandle::Chain(streams));
 
     let mut group = c.benchmark_group("run_read");

@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use twrs_core::{BufferSetup, TwoWayReplacementSelection, TwrsConfig};
 use twrs_extsort::{
-    ForwardRunBuilder, LoadSortStore, ReplacementSelection, RunGenerator, RunHandle, RunSet,
+    LoadSortStore, ReplacementSelection, RunBuilder, RunGenerator, RunHandle, RunSet,
 };
 use twrs_heaps::{BinaryHeap, RunRecord};
 use twrs_storage::ModelId;
@@ -104,11 +104,10 @@ fn concrete_rs_generate(
     let mut runs: Vec<RunHandle> = Vec::new();
     let mut total = 0u64;
     let mut current_run = 0u64;
-    let mut builder = ForwardRunBuilder::new(device, namer);
+    let mut builder = RunBuilder::forward(device, namer);
     while let Some(top) = heap.pop() {
         if top.run > current_run {
             total += builder.finish_run(&mut runs).expect("finish run");
-            builder = ForwardRunBuilder::new(device, namer);
             current_run = top.run;
             heap.start_run(current_run);
         }

@@ -77,7 +77,10 @@ const BUFFER_FRACTIONS: [f64; 7] = [0.0002, 0.002, 0.01, 0.02, 0.05, 0.1, 0.2];
 /// One sort-based artefact of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Figure {
-    /// Table 5.13: run length / memory of LSS, RS and three 2WRS setups.
+    /// Table 5.13: run length / memory of LSS, RS and three 2WRS setups,
+    /// beside the closed-form expectations of RS and 2WRS from
+    /// [`twrs_analysis::theory`] (columns "RS theory" and "2WRS theory";
+    /// the paper's own measured numbers are not in this repository).
     RunLengths,
     /// Figure 5.4: 2WRS run length on random input as the buffers grow.
     BufferSweep,
@@ -388,8 +391,8 @@ fn run_length_table(results: &[ScenarioResult]) -> Table {
             "2WRS cfg1",
             "2WRS cfg2",
             "2WRS cfg3",
-            "RS paper",
-            "2WRS paper",
+            "RS theory",
+            "2WRS theory",
         ],
     );
     for row in results.chunks(5) {

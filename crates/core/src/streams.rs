@@ -14,183 +14,138 @@
 //! back in ascending order by construction) yields the whole run sorted,
 //! so the merge phase sees one logical run per [`RunHandle::Chain`].
 //!
-//! [`RunStreams`] owns the four builders for the current run and keeps the
-//! smallest and the largest record written to any of them. That is all the
-//! non-overlap invariant `stream 4 ≤ stream 3 ≤ stream 2 ≤ stream 1` needs
-//! for *any* heuristic: stream 1 grows upward and lies above every other
-//! stream, so it may take a record exactly when the record is ≥ every
-//! record of the run; stream 4, symmetrically, takes a record ≤ every
-//! record of the run. A record that fits neither is simply not accepted,
-//! and the caller defers it to the next run (the same mechanism
-//! replacement selection already uses for records that arrive too late).
+//! [`RunStreams`] holds one [`RunBuilder`] per [`Stream`], in that chain
+//! order, and keeps the smallest and the largest record written to any of
+//! them in the current run. That is all the non-overlap invariant
+//! `stream 4 ≤ stream 3 ≤ stream 2 ≤ stream 1` needs for *any* heuristic:
+//! stream 1 grows upward and lies above every other stream, so it may take
+//! a record exactly when the record is ≥ every record of the run; stream 4,
+//! symmetrically, takes a record ≤ every record of the run. A record that
+//! fits neither is simply not accepted, and the caller defers it to the
+//! next run (the same mechanism replacement selection already uses for
+//! records that arrive too late).
 
-use twrs_extsort::{Device, ForwardRunBuilder, Result, ReverseRunBuilder, RunHandle};
+use twrs_extsort::{Device, Result, RunBuilder, RunHandle};
+use twrs_heaps::HeapSide;
 use twrs_storage::{SortableRecord, SpillNamer};
 
-/// The four output streams of the run currently being generated.
+/// One of the four streams of a run, numbered as in the paper and listed
+/// in chain order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stream {
+    /// Stream 4: the BottomHeap's decreasing stream.
+    Four,
+    /// Stream 3: the victim buffer's lower, increasing stream.
+    Three,
+    /// Stream 2: the victim buffer's upper, decreasing stream.
+    Two,
+    /// Stream 1: the TopHeap's increasing stream.
+    One,
+}
+
+impl Stream {
+    /// The stream a heap emits into: stream 1 for the TopHeap, stream 4
+    /// for the BottomHeap.
+    pub fn of(side: HeapSide) -> Stream {
+        match side {
+            HeapSide::Top => Stream::One,
+            HeapSide::Bottom => Stream::Four,
+        }
+    }
+}
+
+/// The four output streams of the runs of one generation, one run at a
+/// time.
 pub struct RunStreams<'a, D: Device, R: SortableRecord> {
-    stream1: ForwardRunBuilder<'a, D, R>,
-    stream2: ReverseRunBuilder<'a, D, R>,
-    stream3: ForwardRunBuilder<'a, D, R>,
-    stream4: ReverseRunBuilder<'a, D, R>,
+    /// Streams 4, 3, 2 and 1, indexed by [`Stream`].
+    builders: [RunBuilder<'a, D, R>; 4],
 
     /// The smallest and the largest record written to any stream of the
-    /// run; `None` until the first one.
+    /// current run; `None` until the first one.
     bounds: Option<(R, R)>,
-
-    records: u64,
 }
 
 impl<'a, D: Device, R: SortableRecord> RunStreams<'a, D, R> {
-    /// Creates the stream set for a new run. The builders open their files
-    /// on the first record, so an unused stream set costs no I/O.
+    /// Creates the streams of a first run. The builders open their files
+    /// on the first record, so an unused stream costs no I/O.
     pub fn new(device: &'a D, namer: &'a SpillNamer, reverse_pages_per_file: u64) -> Self {
+        let reverse = || RunBuilder::reverse(device, namer, reverse_pages_per_file);
+        let forward = || RunBuilder::forward(device, namer);
         RunStreams {
-            stream1: ForwardRunBuilder::new(device, namer),
-            stream2: ReverseRunBuilder::new(device, namer, reverse_pages_per_file),
-            stream3: ForwardRunBuilder::new(device, namer),
-            stream4: ReverseRunBuilder::new(device, namer, reverse_pages_per_file),
+            builders: [reverse(), forward(), reverse(), forward()],
             bounds: None,
-            records: 0,
         }
     }
 
-    /// Number of records written to the run so far.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    /// `true` when `record` can be appended to stream 1 without breaking
-    /// either its monotonicity or the cross-stream ordering: it is ≥ every
-    /// record of the run.
+    /// `true` when `record` can be appended to `stream` without breaking
+    /// the order between streams: stream 1 takes a record ≥ every record
+    /// of the run, stream 4 one ≤ every record of the run. Streams 3 and 2
+    /// take the records of the victim buffer's range, which the buffer
+    /// checks, so every record is accepted for them here.
     #[inline]
-    pub fn accepts_stream1(&self, record: &R) -> bool {
-        self.bounds.as_ref().is_none_or(|(_, max)| record >= max)
+    pub fn accepts(&self, stream: Stream, record: &R) -> bool {
+        self.bounds.as_ref().is_none_or(|(min, max)| match stream {
+            Stream::One => record >= max,
+            Stream::Four => record <= min,
+            Stream::Three | Stream::Two => true,
+        })
     }
 
-    /// `true` when `record` can be appended to stream 4 without breaking
-    /// either its monotonicity or the cross-stream ordering: it is ≤ every
-    /// record of the run.
-    #[inline]
-    pub fn accepts_stream4(&self, record: &R) -> bool {
-        self.bounds.as_ref().is_none_or(|(min, _)| record <= min)
-    }
-
-    /// Appends a record to stream 1 (the TopHeap's increasing stream); it
-    /// becomes the run's largest.
-    pub fn push_stream1(&mut self, record: R) -> Result<()> {
-        debug_assert!(self.accepts_stream1(&record));
-        self.stream1.push(&record)?;
-        self.records += 1;
-        match &mut self.bounds {
-            Some((_, max)) => *max = record,
-            None => self.bounds = Some((record.clone(), record)),
-        }
+    /// Appends `record` to `stream`.
+    pub fn push(&mut self, stream: Stream, record: R) -> Result<()> {
+        debug_assert!(self.accepts(stream, &record));
+        self.builders[stream as usize].push(&record)?;
+        self.widen(record);
         Ok(())
     }
 
-    /// Appends a record to stream 4 (the BottomHeap's decreasing stream);
-    /// it becomes the run's smallest.
-    pub fn push_stream4(&mut self, record: R) -> Result<()> {
-        debug_assert!(self.accepts_stream4(&record));
-        self.stream4.push(&record)?;
-        self.records += 1;
-        match &mut self.bounds {
-            Some((min, _)) => *min = record,
-            None => self.bounds = Some((record.clone(), record)),
-        }
-        Ok(())
-    }
-
-    /// Appends a batch of records to stream 4. `records` must be sorted
-    /// ascending; they are written in descending order as the reverse-file
-    /// format expects. Used by the run-start bootstrap flush (§4.3:
-    /// "flushes the records to Streams 1 and 4").
-    pub fn push_stream4_from_ascending(&mut self, records: &[R]) -> Result<()> {
-        debug_assert!(records.last().is_none_or(|r| self.accepts_stream4(r)));
-        for record in records.iter().rev() {
-            self.stream4.push(record)?;
-        }
-        self.widen(records);
-        Ok(())
-    }
-
-    /// Appends a batch of ascending records to stream 1. Used by the
-    /// run-start bootstrap flush.
-    pub fn push_stream1_ascending(&mut self, records: &[R]) -> Result<()> {
-        debug_assert!(records.first().is_none_or(|r| self.accepts_stream1(r)));
-        for record in records {
-            self.stream1.push(record)?;
-        }
-        self.widen(records);
-        Ok(())
-    }
-
-    /// Appends a batch of ascending records to stream 3 (the victim
-    /// buffer's lower, increasing stream).
-    pub fn push_stream3_ascending(&mut self, records: &[R]) -> Result<()> {
-        for record in records {
-            self.stream3.push(record)?;
-        }
-        self.widen(records);
-        Ok(())
-    }
-
-    /// Appends a batch of records to stream 2 (the victim buffer's upper,
-    /// decreasing stream). `records` must be sorted ascending; they are
-    /// written in descending order as the reverse-file format expects.
-    pub fn push_stream2_from_ascending(&mut self, records: &[R]) -> Result<()> {
-        for record in records.iter().rev() {
-            self.stream2.push(record)?;
-        }
-        self.widen(records);
-        Ok(())
-    }
-
-    /// Counts a written batch of ascending records and moves the run's
-    /// bounds out to its first and last record.
-    fn widen(&mut self, records: &[R]) {
-        debug_assert!(records.windows(2).all(|w| w[0] <= w[1]));
+    /// Appends a batch of records, sorted ascending, to `stream`, which
+    /// writes it in its own direction.
+    pub fn push_sorted(&mut self, stream: Stream, records: &[R]) -> Result<()> {
         let (Some(first), Some(last)) = (records.first(), records.last()) else {
-            return;
+            return Ok(());
         };
-        self.records += records.len() as u64;
+        debug_assert!(self.accepts(stream, first) && self.accepts(stream, last));
+        self.builders[stream as usize].push_sorted(records)?;
+        self.widen(first.clone());
+        self.widen(last.clone());
+        Ok(())
+    }
+
+    /// Moves the run's bounds out to a record just written.
+    fn widen(&mut self, record: R) {
         match &mut self.bounds {
-            Some((min, max)) => {
-                if first < min {
-                    *min = first.clone();
-                }
-                if last > max {
-                    *max = last.clone();
-                }
-            }
-            None => self.bounds = Some((first.clone(), last.clone())),
+            Some((min, _)) if record < *min => *min = record,
+            Some((_, max)) if record > *max => *max = record,
+            Some(_) => {}
+            None => self.bounds = Some((record.clone(), record)),
         }
     }
 
     /// Closes the run: finishes every non-empty stream file and, when the
     /// run holds at least one record, appends one logical
     /// [`RunHandle::Chain`] (streams in the order 4 · 3 · 2 · 1) to `runs`.
-    /// Returns the number of records in the run.
-    pub fn finish(mut self, runs: &mut Vec<RunHandle>) -> Result<u64> {
+    /// Returns the number of records in the run; the next record starts
+    /// the next run.
+    pub fn finish(&mut self, runs: &mut Vec<RunHandle>) -> Result<u64> {
         let mut parts = Vec::new();
-        self.stream4.finish_run(&mut parts)?;
-        self.stream3.finish_run(&mut parts)?;
-        self.stream2.finish_run(&mut parts)?;
-        self.stream1.finish_run(&mut parts)?;
+        let mut records = 0;
+        for builder in &mut self.builders {
+            records += builder.finish_run(&mut parts)?;
+        }
+        self.bounds = None;
         match parts.len() {
             0 => {}
             1 => runs.extend(parts.pop()),
             _ => runs.push(RunHandle::Chain(parts)),
         }
-        Ok(self.records)
+        Ok(records)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twrs_extsort::RunCursor;
     use twrs_storage::ModelId;
     use twrs_storage::SimDevice;
     use twrs_workloads::Record;
@@ -208,22 +163,23 @@ mod tests {
         // Mimic the paper's example: bootstrap flush puts {39, 40} in
         // stream 3 and {50, 51} in stream 2, the BottomHeap emits 38, 37 to
         // stream 4 and the TopHeap 52, 53 to stream 1.
-        streams.push_stream3_ascending(&[rec(39), rec(40)]).unwrap();
         streams
-            .push_stream2_from_ascending(&[rec(50), rec(51)])
+            .push_sorted(Stream::Three, &[rec(39), rec(40)])
             .unwrap();
-        streams.push_stream4(rec(38)).unwrap();
-        streams.push_stream4(rec(37)).unwrap();
-        streams.push_stream1(rec(52)).unwrap();
-        streams.push_stream1(rec(53)).unwrap();
-        assert_eq!(streams.records(), 8);
+        streams
+            .push_sorted(Stream::Two, &[rec(50), rec(51)])
+            .unwrap();
+        streams.push(Stream::Four, rec(38)).unwrap();
+        streams.push(Stream::Four, rec(37)).unwrap();
+        streams.push(Stream::One, rec(52)).unwrap();
+        streams.push(Stream::One, rec(53)).unwrap();
 
         let mut runs = Vec::new();
         let count = streams.finish(&mut runs).unwrap();
         assert_eq!(count, 8);
         assert_eq!(runs.len(), 1);
-        let mut cursor = RunCursor::<Record>::open(&device, &runs[0]).unwrap();
-        let keys: Vec<u64> = cursor.read_all().unwrap().iter().map(|r| r.key).collect();
+        let mut reader = runs[0].open::<Record>(&device).unwrap();
+        let keys: Vec<u64> = reader.read_all().unwrap().iter().map(|r| r.key).collect();
         assert_eq!(keys, vec![37, 38, 39, 40, 50, 51, 52, 53]);
     }
 
@@ -232,26 +188,26 @@ mod tests {
         let device = SimDevice::with_model(ModelId::Hdd7200);
         let namer = SpillNamer::new("s");
         let mut streams = RunStreams::new(&device, &namer, 4);
-        streams.push_stream4(rec(40)).unwrap();
-        streams.push_stream1(rec(60)).unwrap();
+        streams.push(Stream::Four, rec(40)).unwrap();
+        streams.push(Stream::One, rec(60)).unwrap();
         // Stream 1 may not go below the BottomHeap's first output...
-        assert!(!streams.accepts_stream1(&rec(39)));
+        assert!(!streams.accepts(Stream::One, &rec(39)));
         // ...nor below its own last output.
-        assert!(!streams.accepts_stream1(&rec(55)));
-        assert!(streams.accepts_stream1(&rec(61)));
+        assert!(!streams.accepts(Stream::One, &rec(55)));
+        assert!(streams.accepts(Stream::One, &rec(61)));
         // Stream 4 may not rise above the TopHeap's first output...
-        assert!(!streams.accepts_stream4(&rec(61)));
+        assert!(!streams.accepts(Stream::Four, &rec(61)));
         // ...nor above its own last output.
-        assert!(!streams.accepts_stream4(&rec(45)));
-        assert!(streams.accepts_stream4(&rec(40)));
-        assert!(streams.accepts_stream4(&rec(12)));
+        assert!(!streams.accepts(Stream::Four, &rec(45)));
+        assert!(streams.accepts(Stream::Four, &rec(40)));
+        assert!(streams.accepts(Stream::Four, &rec(12)));
     }
 
     #[test]
     fn empty_run_produces_no_handle() {
         let device = SimDevice::with_model(ModelId::Hdd7200);
         let namer = SpillNamer::new("s");
-        let streams = RunStreams::<_, Record>::new(&device, &namer, 4);
+        let mut streams = RunStreams::<_, Record>::new(&device, &namer, 4);
         let mut runs = Vec::new();
         assert_eq!(streams.finish(&mut runs).unwrap(), 0);
         assert!(runs.is_empty());
@@ -263,7 +219,7 @@ mod tests {
         let namer = SpillNamer::new("s");
         let mut streams = RunStreams::new(&device, &namer, 4);
         for k in 0..10 {
-            streams.push_stream1(rec(k)).unwrap();
+            streams.push(Stream::One, rec(k)).unwrap();
         }
         let mut runs = Vec::new();
         streams.finish(&mut runs).unwrap();
@@ -272,11 +228,34 @@ mod tests {
     }
 
     #[test]
+    fn finishing_a_run_starts_the_next_one() {
+        let device = SimDevice::with_model(ModelId::Hdd7200);
+        let namer = SpillNamer::new("s");
+        let mut streams = RunStreams::new(&device, &namer, 4);
+        streams.push(Stream::Four, rec(40)).unwrap();
+        streams.push(Stream::One, rec(60)).unwrap();
+        let mut runs = Vec::new();
+        assert_eq!(streams.finish(&mut runs).unwrap(), 2);
+        // The next run's bounds start afresh, in new files.
+        assert!(streams.accepts(Stream::One, &rec(0)));
+        streams.push(Stream::One, rec(0)).unwrap();
+        assert_eq!(streams.finish(&mut runs).unwrap(), 1);
+        assert_eq!(runs.len(), 2);
+        assert!(matches!(runs[1], RunHandle::Forward(_)));
+        assert_eq!(namer.created().len(), 3);
+        let keys = |run: &RunHandle| -> Vec<u64> {
+            let records = run.open::<Record>(&device).unwrap().read_all().unwrap();
+            records.iter().map(|r| r.key).collect()
+        };
+        assert_eq!((keys(&runs[0]), keys(&runs[1])), (vec![40, 60], vec![0]));
+    }
+
+    #[test]
     fn acceptance_is_unconstrained_for_a_fresh_run() {
         let device = SimDevice::with_model(ModelId::Hdd7200);
         let namer = SpillNamer::new("s");
         let streams = RunStreams::new(&device, &namer, 4);
-        assert!(streams.accepts_stream1(&rec(0)));
-        assert!(streams.accepts_stream4(&rec(u64::MAX)));
+        assert!(streams.accepts(Stream::One, &rec(0)));
+        assert!(streams.accepts(Stream::Four, &rec(u64::MAX)));
     }
 }

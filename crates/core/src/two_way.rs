@@ -29,7 +29,7 @@ use crate::heuristics::input::InputHeuristicState;
 use crate::heuristics::output::OutputHeuristicState;
 use crate::heuristics::{HeuristicContext, InputHeuristic};
 use crate::input_buffer::InputBuffer;
-use crate::streams::RunStreams;
+use crate::streams::{RunStreams, Stream};
 use crate::victim::VictimBuffer;
 use twrs_extsort::{
     BudgetedGenerator, Device, Result, RunGenerator, RunHandle, RunSet, ShardableGenerator,
@@ -59,6 +59,18 @@ pub struct TwrsRunStats {
     pub cross_emitted_records: u64,
     /// Number of runs generated.
     pub runs: u64,
+}
+
+impl TwrsRunStats {
+    /// The record count of `stream`.
+    fn records_of(&mut self, stream: Stream) -> &mut u64 {
+        match stream {
+            Stream::One => &mut self.stream1_records,
+            Stream::Two => &mut self.stream2_records,
+            Stream::Three => &mut self.stream3_records,
+            Stream::Four => &mut self.stream4_records,
+        }
+    }
 }
 
 /// Two-way replacement selection run generation.
@@ -143,8 +155,6 @@ enum EmitOutcome {
 }
 
 struct Runner<'a, D: Device, R: SortableRecord> {
-    device: &'a D,
-    namer: &'a SpillNamer,
     config: TwrsConfig,
 
     dual: DualHeap<R>,
@@ -154,8 +164,8 @@ struct Runner<'a, D: Device, R: SortableRecord> {
     output_heuristic: OutputHeuristicState,
 
     current_run: u64,
-    /// The streams of the current run; [`Runner::finalize_run`] swaps in a
-    /// fresh set for the next one.
+    /// The streams of the current run; [`Runner::finalize_run`] closes the
+    /// run and leaves them ready for the next one.
     streams: RunStreams<'a, D, R>,
     bootstrap_done: bool,
     first_output: Option<R>,
@@ -168,8 +178,6 @@ struct Runner<'a, D: Device, R: SortableRecord> {
 impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
     fn new(device: &'a D, namer: &'a SpillNamer, config: TwrsConfig) -> Self {
         Runner {
-            device,
-            namer,
             config,
             dual: DualHeap::keyed(config.heap_records(), R::sort_key),
             input_buffer: InputBuffer::new(config.input_buffer_records()),
@@ -321,17 +329,12 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
     }
 
     fn finalize_run(&mut self) -> Result<()> {
-        let fresh = RunStreams::new(self.device, self.namer, self.config.reverse_pages_per_file);
-        let mut streams = std::mem::replace(&mut self.streams, fresh);
         // Whatever is still parked in the victim buffer belongs to the
         // current run: it is sorted and appended to stream 3 (all of it lies
         // between stream 3's last record and stream 2's first record).
         let leftovers = self.victim.drain_sorted();
-        if !leftovers.is_empty() {
-            self.stats.stream3_records += leftovers.len() as u64;
-            streams.push_stream3_ascending(&leftovers)?;
-        }
-        let records = streams.finish(&mut self.runs)?;
+        self.write_sorted(Stream::Three, &leftovers)?;
+        let records = self.streams.finish(&mut self.runs)?;
         self.total_records += records;
         if records > 0 {
             self.stats.runs += 1;
@@ -398,28 +401,10 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
             }
             return Ok(EmitOutcome::Emitted);
         }
-        let streams = &mut self.streams;
-        let (native_fits, cross_fits) = match side {
-            HeapSide::Top => (
-                streams.accepts_stream1(&record),
-                streams.accepts_stream4(&record),
-            ),
-            HeapSide::Bottom => (
-                streams.accepts_stream4(&record),
-                streams.accepts_stream1(&record),
-            ),
-        };
-        if native_fits {
-            match side {
-                HeapSide::Top => {
-                    streams.push_stream1(record)?;
-                    self.stats.stream1_records += 1;
-                }
-                HeapSide::Bottom => {
-                    streams.push_stream4(record)?;
-                    self.stats.stream4_records += 1;
-                }
-            }
+        // The popping heap's own stream, and the opposite heap's.
+        let (native, opposite) = (Stream::of(side), Stream::of(side.opposite()));
+        if self.streams.accepts(native, &record) {
+            self.write(native, record)?;
             return Ok(EmitOutcome::Emitted);
         }
         if self.victim.fits(&record) {
@@ -430,20 +415,11 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
             }
             return Ok(EmitOutcome::Emitted);
         }
-        if cross_fits {
+        if self.streams.accepts(opposite, &record) {
             // The record cannot extend its own heap's stream but slots into
             // the opposite one (e.g. the first records popped right after
             // the bootstrap flush).
-            match side {
-                HeapSide::Top => {
-                    streams.push_stream4(record)?;
-                    self.stats.stream4_records += 1;
-                }
-                HeapSide::Bottom => {
-                    streams.push_stream1(record)?;
-                    self.stats.stream1_records += 1;
-                }
-            }
+            self.write(opposite, record)?;
             self.stats.cross_emitted_records += 1;
             return Ok(EmitOutcome::Emitted);
         }
@@ -462,21 +438,29 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
         // respectively), so streams 2 and 3 only ever exist when the victim
         // buffer later captures records inside the gap.
         let (lower, upper) = self.victim.flush_split();
-        self.stats.stream4_records += lower.len() as u64;
-        self.stats.stream1_records += upper.len() as u64;
-        self.streams.push_stream4_from_ascending(&lower)?;
-        self.streams.push_stream1_ascending(&upper)?;
+        self.write_sorted(Stream::Four, &lower)?;
+        self.write_sorted(Stream::One, &upper)?;
         self.bootstrap_done = true;
         Ok(())
     }
 
     fn flush_victim(&mut self) -> Result<()> {
         let (lower, upper) = self.victim.flush_split();
-        self.stats.stream3_records += lower.len() as u64;
-        self.stats.stream2_records += upper.len() as u64;
-        self.streams.push_stream3_ascending(&lower)?;
-        self.streams.push_stream2_from_ascending(&upper)?;
-        Ok(())
+        self.write_sorted(Stream::Three, &lower)?;
+        self.write_sorted(Stream::Two, &upper)
+    }
+
+    /// Appends `record` to `stream` of the current run and counts it.
+    fn write(&mut self, stream: Stream, record: R) -> Result<()> {
+        *self.stats.records_of(stream) += 1;
+        self.streams.push(stream, record)
+    }
+
+    /// Appends an ascending batch to `stream` of the current run and
+    /// counts it.
+    fn write_sorted(&mut self, stream: Stream, records: &[R]) -> Result<()> {
+        *self.stats.records_of(stream) += records.len() as u64;
+        self.streams.push_sorted(stream, records)
     }
 
     // ---------------------------------------------------------------------
@@ -492,7 +476,7 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
             // buffer, so every record is still usable in the current run.
             return self.current_run;
         }
-        if self.streams.accepts_stream1(record) || self.streams.accepts_stream4(record) {
+        if self.streams.accepts(Stream::One, record) || self.streams.accepts(Stream::Four, record) {
             self.current_run
         } else {
             self.current_run + 1
@@ -505,8 +489,8 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
     fn choose_insert_side(&mut self, record: &R) -> HeapSide {
         let (can_top, can_bottom) = if self.bootstrap_done {
             (
-                self.streams.accepts_stream1(record),
-                self.streams.accepts_stream4(record),
+                self.streams.accepts(Stream::One, record),
+                self.streams.accepts(Stream::Four, record),
             )
         } else {
             // No stream boundary exists yet, but a record that outranks a
@@ -574,7 +558,6 @@ mod tests {
     use super::*;
     use crate::config::BufferSetup;
     use crate::heuristics::output::OutputHeuristic;
-    use twrs_extsort::RunCursor;
     use twrs_storage::ModelId;
     use twrs_storage::SimDevice;
     use twrs_workloads::{Distribution, DistributionKind, Record};
@@ -591,8 +574,8 @@ mod tests {
     fn check_runs(device: &SimDevice, set: &RunSet, mut expected: Vec<Record>) {
         let mut all: Vec<Record> = Vec::new();
         for handle in &set.runs {
-            let mut cursor = RunCursor::<Record>::open(device, handle).unwrap();
-            let run = cursor.read_all().unwrap();
+            let mut reader = handle.open::<Record>(device).unwrap();
+            let run = reader.read_all().unwrap();
             assert!(
                 run.windows(2).all(|w| w[0] <= w[1]),
                 "run is not sorted: {handle:?}"

@@ -17,7 +17,7 @@ use twrs_core::{
     BufferSetup, InputHeuristic, OutputHeuristic, TwoWayReplacementSelection, TwrsConfig,
     TwrsRunStats,
 };
-use twrs_extsort::{RunCursor, RunGenerator};
+use twrs_extsort::RunGenerator;
 use twrs_storage::{ModelId, SimDevice, SpillNamer, StorageDevice};
 use twrs_workloads::{Distribution, DistributionKind, Record};
 
@@ -79,8 +79,10 @@ fn generate(config: TwrsConfig, input: &[Record]) -> Row {
         .expect("2WRS generates its runs");
     let mut all = Vec::with_capacity(input.len());
     for handle in &set.runs {
-        let run = RunCursor::<Record>::open(&device, handle)
-            .and_then(|mut cursor| cursor.read_all())
+        let run = handle
+            .open::<Record>(&device)
+            .expect("run opens")
+            .read_all()
             .expect("run reads back");
         assert!(run.windows(2).all(|w| w[0] <= w[1]), "unsorted run");
         all.extend(run);

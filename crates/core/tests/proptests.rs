@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use twrs_core::{
     BufferSetup, InputHeuristic, OutputHeuristic, TwoWayReplacementSelection, TwrsConfig,
 };
-use twrs_extsort::{RunCursor, RunGenerator};
+use twrs_extsort::RunGenerator;
 use twrs_storage::ModelId;
 use twrs_storage::{SimDevice, SpillNamer};
 use twrs_workloads::Record;
@@ -47,8 +47,8 @@ fn run_twrs(keys: &[u64], memory: usize, config_seed: u64) -> (Vec<Vec<Record>>,
     let set = generator.generate(&device, &namer, &mut input).unwrap();
     let mut runs = Vec::new();
     for handle in &set.runs {
-        let mut cursor = RunCursor::open(&device, handle).unwrap();
-        runs.push(cursor.read_all().unwrap());
+        let mut reader = handle.open(&device).unwrap();
+        runs.push(reader.read_all().unwrap());
     }
     (runs, set.records)
 }

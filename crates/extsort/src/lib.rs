@@ -8,9 +8,11 @@
 //! apples:
 //!
 //! * [`run_generation`] — the [`run_generation::RunGenerator`] trait, the
-//!   description of a generated run set, the cursor that reads any run
-//!   (forward, reverse Appendix A parts or a 2WRS chain) ascending, and the
-//!   one record source every stage reads;
+//!   description of a generated run set, the one [`RunBuilder`] every
+//!   algorithm writes its runs through (forward, or reverse Appendix A
+//!   parts), the [`RunHandle`] that names a run and opens it as a storage
+//!   `RunReader` read ascending (a 2WRS chain included), and the one
+//!   record source every stage reads;
 //! * [`load_sort_store`] — the Load-Sort-Store baseline of §2.1.1;
 //! * [`replacement_selection`] — classic replacement selection (Algorithm 1);
 //! * [`merge`] — the k-way merge with a tournament (loser) tree, multi-pass
@@ -72,10 +74,7 @@ pub use merge::kway::{KWayMerger, MergeConfig};
 pub use merge::polyphase::{polyphase_merge, polyphase_schedule};
 pub use parallel::{shard_budget, ShardReport, ShardableGenerator, SpillWriteDevice};
 pub use replacement_selection::ReplacementSelection;
-pub use run_generation::{
-    BudgetedGenerator, Device, ForwardRunBuilder, ReverseRunBuilder, RunCursor, RunGenerator,
-    RunHandle, RunSet,
-};
+pub use run_generation::{BudgetedGenerator, Device, RunBuilder, RunGenerator, RunHandle, RunSet};
 pub use service::{
     CompletedJob, GrantPolicy, JobHandle, JobStatus, LatencyPercentiles, MemoryArbiter, Priority,
     RebalanceEvent, RebalanceKind, ServiceConfig, ServiceReport, SortService, TenantReport,

@@ -8,7 +8,7 @@
 
 use crate::error::{Result, SortError};
 use crate::parallel::{shard_budget, ShardableGenerator};
-use crate::run_generation::{Device, ForwardRunBuilder, RunGenerator, RunSet};
+use crate::run_generation::{Device, RunBuilder, RunGenerator, RunSet};
 use twrs_storage::{SortableRecord, SpillNamer};
 
 /// Load-Sort-Store run generation.
@@ -62,6 +62,7 @@ impl RunGenerator for LoadSortStore {
         // The buffer grows with the records loaded: a budget beyond the
         // input reserves nothing.
         let mut buffer: Vec<R> = Vec::new();
+        let mut builder = RunBuilder::forward(device, namer);
         loop {
             buffer.clear();
             buffer.extend(input.take(self.memory_records));
@@ -69,10 +70,7 @@ impl RunGenerator for LoadSortStore {
                 break;
             }
             buffer.sort_unstable();
-            let mut builder = ForwardRunBuilder::new(device, namer);
-            for record in &buffer {
-                builder.push(record)?;
-            }
+            builder.push_sorted(&buffer)?;
             total += builder.finish_run(&mut runs)?;
             if buffer.len() < self.memory_records {
                 break;
@@ -88,7 +86,6 @@ impl RunGenerator for LoadSortStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_generation::RunCursor;
     use twrs_storage::ModelId;
     use twrs_storage::SimDevice;
     use twrs_workloads::{Distribution, DistributionKind, Record};
@@ -122,8 +119,8 @@ mod tests {
         let (device, set) = generate(64, 500);
         let mut all: Vec<Record> = Vec::new();
         for handle in &set.runs {
-            let mut cursor = RunCursor::<Record>::open(&device, handle).unwrap();
-            let run = cursor.read_all().unwrap();
+            let mut reader = handle.open::<Record>(&device).unwrap();
+            let run = reader.read_all().unwrap();
             assert!(run.windows(2).all(|w| w[0] <= w[1]));
             all.extend(run);
         }

@@ -10,7 +10,11 @@
 //! stripe member's reducer (see [`parallel`](crate::parallel)).
 //!
 //! Every merge is one `Merge`: a step's inputs and the loser tree over their
-//! head records. An intermediate step, a per-disk reducer's step,
+//! head records. Each input is a run opened through [`RunHandle::open`],
+//! whatever its format, and every merge writes its output through a sink;
+//! a file output is a [`FileSink`], a forward run created after the step
+//! reads its inputs' headers and before their first records, which fixes
+//! the order of the step's page reads and writes (see `merge_step`). An intermediate step, a per-disk reducer's step,
 //! [`KWayMerger`] and the final pass into a file or a sink drain it into a
 //! sink in one loop; a [`SortedStream`](crate::SortedStream) holds it
 //! suspended and takes one record per `next()`. Every input run is read
@@ -99,7 +103,7 @@ impl KWayMerger {
     /// Intermediate runs are created through `namer` and removed as soon as
     /// they have been consumed. Returns the merge report; the output file is
     /// a normal forward run readable with
-    /// [`RunCursor`](crate::RunCursor).
+    /// [`RunReader::open`](twrs_storage::RunReader::open).
     pub fn merge_into<D: Device, R: SortableRecord>(
         &self,
         device: &D,
@@ -290,8 +294,9 @@ impl<R: SortableRecord> Merge<R> {
 mod tests {
     use super::*;
     use crate::load_sort_store::LoadSortStore;
-    use crate::run_generation::{RunCursor, RunGenerator, RunSet};
+    use crate::run_generation::{RunGenerator, RunSet};
     use twrs_storage::ModelId;
+    use twrs_storage::RunReader;
     use twrs_storage::{SimDevice, SpillNamer, StorageDevice};
     use twrs_workloads::{Distribution, DistributionKind, Record};
 
@@ -302,9 +307,8 @@ mod tests {
     }
 
     fn read_output(device: &SimDevice, name: &str) -> Vec<Record> {
-        let mut cursor =
-            RunCursor::<Record>::open(device, &RunHandle::Forward(name.into())).unwrap();
-        cursor.read_all().unwrap()
+        let mut reader = RunReader::<Record>::open(device, name).unwrap();
+        reader.read_all().unwrap()
     }
 
     #[test]

@@ -163,15 +163,13 @@ pub fn polyphase_merge<D: Device, R: SortableRecord>(
 mod tests {
     use super::*;
     use crate::load_sort_store::LoadSortStore;
-    use crate::run_generation::{RunCursor, RunGenerator};
-    use twrs_storage::ModelId;
-    use twrs_storage::SimDevice;
+    use crate::run_generation::RunGenerator;
+    use twrs_storage::{ModelId, RunReader, SimDevice};
     use twrs_workloads::{Distribution, DistributionKind, Record};
 
     /// Reads a polyphase output for verification.
     fn read_output<D: Device, R: SortableRecord>(device: &D, output: &str) -> Result<Vec<R>> {
-        let mut cursor = RunCursor::<R>::open(device, &RunHandle::Forward(output.to_string()))?;
-        cursor.read_all()
+        Ok(RunReader::<R>::open(device, output)?.read_all()?)
     }
 
     #[test]

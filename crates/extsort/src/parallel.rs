@@ -854,9 +854,9 @@ mod tests {
     use super::*;
     use crate::load_sort_store::LoadSortStore;
     use crate::replacement_selection::ReplacementSelection;
-    use crate::run_generation::RunCursor;
     use crate::sort_job::SortJob;
     use twrs_storage::ModelId;
+    use twrs_storage::RunReader;
     use twrs_storage::SimDevice;
     use twrs_workloads::{Distribution, DistributionKind, Record};
 
@@ -868,7 +868,7 @@ mod tests {
     }
 
     fn read_records<D: Device>(device: &D, name: &str) -> Vec<Record> {
-        RunCursor::<Record>::open(device, &RunHandle::Forward(name.into()))
+        RunReader::<Record>::open(device, name)
             .unwrap()
             .read_all()
             .unwrap()

@@ -16,7 +16,7 @@
 
 use crate::error::{Result, SortError};
 use crate::parallel::{shard_budget, ShardableGenerator};
-use crate::run_generation::{Device, ForwardRunBuilder, RunGenerator, RunSet};
+use crate::run_generation::{Device, RunBuilder, RunGenerator, RunSet};
 use twrs_heaps::{BinaryHeap, RunRecord};
 use twrs_storage::{SortableRecord, SpillNamer};
 
@@ -87,7 +87,7 @@ impl RunGenerator for ReplacementSelection {
         let mut runs = Vec::new();
         let mut total = 0u64;
         let mut current_run = 0u64;
-        let mut builder = ForwardRunBuilder::new(device, namer);
+        let mut builder = RunBuilder::forward(device, namer);
 
         while let Some(top) = heap.peek() {
             // Did the top record open the next run? Then every record in
@@ -95,7 +95,6 @@ impl RunGenerator for ReplacementSelection {
             if top.run > current_run {
                 current_run = top.run;
                 total += builder.finish_run(&mut runs)?;
-                builder = ForwardRunBuilder::new(device, namer);
                 heap.start_run(current_run);
                 continue;
             }
@@ -130,7 +129,6 @@ impl RunGenerator for ReplacementSelection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_generation::RunCursor;
     use twrs_storage::ModelId;
     use twrs_storage::SimDevice;
     use twrs_workloads::{Distribution, DistributionKind, Record};
@@ -147,8 +145,8 @@ mod tests {
     fn check_runs_sorted_and_complete(device: &SimDevice, set: &RunSet, mut expected: Vec<Record>) {
         let mut all: Vec<Record> = Vec::new();
         for handle in &set.runs {
-            let mut cursor = RunCursor::<Record>::open(device, handle).unwrap();
-            let run = cursor.read_all().unwrap();
+            let mut reader = handle.open::<Record>(device).unwrap();
+            let run = reader.read_all().unwrap();
             assert!(
                 run.windows(2).all(|w| w[0] <= w[1]),
                 "run {handle:?} is not sorted"

@@ -2,14 +2,14 @@
 //! record source every stage reads.
 //!
 //! A run-generation algorithm consumes the input stream and produces a set
-//! of sorted runs on a storage device (§2.1.1). Classic replacement
-//! selection and Load-Sort-Store write plain forward runs; two-way
-//! replacement selection additionally writes *reverse* runs in the
-//! Appendix A format (streams whose records were produced in decreasing
-//! order). [`RunHandle`] names either kind, or a chain of them, and
-//! [`RunCursor`] maps a handle onto the one storage reader
-//! ([`RunReader`]) that reads any run back in ascending order, so the merge
-//! phase does not care which algorithm produced a run.
+//! of sorted runs on a storage device (§2.1.1). Every algorithm writes its
+//! runs through one [`RunBuilder`]: classic replacement selection and
+//! Load-Sort-Store build plain forward runs; two-way replacement selection
+//! additionally builds *reverse* runs in the Appendix A format (streams
+//! whose records were produced in decreasing order). [`RunHandle`] names
+//! either kind, or a chain of them, and [`RunHandle::open`] returns the one
+//! storage reader ([`RunReader`]) that reads any run back in ascending
+//! order, so the merge phase does not care which algorithm produced a run.
 //!
 //! Every record a stage reads comes through one record source: a batch
 //! refilled from a caller's iterator, a run (a dataset a page at a time,
@@ -58,6 +58,22 @@ impl RunHandle {
             RunHandle::Forward(name) | RunHandle::Reverse(name) => name,
             RunHandle::Chain(parts) => parts.first().map(RunHandle::name).unwrap_or(""),
         }
+    }
+
+    /// Opens the run for reading in ascending order, reading every header
+    /// of its files: a forward file, the parts of a reverse run, or a
+    /// chain's components one after another.
+    pub fn open<R: SortableRecord>(&self, device: &dyn StorageDevice) -> Result<RunReader<R>> {
+        Ok(match self {
+            RunHandle::Forward(name) => RunReader::open(device, name)?,
+            RunHandle::Reverse(name) => RunReader::open_reverse(device, name)?,
+            RunHandle::Chain(parts) => RunReader::concat(
+                parts
+                    .iter()
+                    .map(|part| part.open(device))
+                    .collect::<Result<Vec<_>>>()?,
+            )?,
+        })
     }
 
     /// Every physical file handle reachable from this handle, depth first.
@@ -142,64 +158,6 @@ pub trait BudgetedGenerator: RunGenerator {
     /// Returns a copy of this generator with its memory budget replaced by
     /// `memory_records` (everything else unchanged).
     fn with_budget(&self, memory_records: usize) -> Self;
-}
-
-/// Reads a run of any kind back in ascending order.
-pub struct RunCursor<R: SortableRecord>(RunReader<R>);
-
-impl<R: SortableRecord> RunCursor<R> {
-    /// Opens the run named by `handle` on `device`, reading every header
-    /// of its files.
-    pub fn open(device: &dyn StorageDevice, handle: &RunHandle) -> Result<Self> {
-        Ok(RunCursor(open_run(device, handle)?))
-    }
-
-    /// Total number of records in the run.
-    pub fn len(&self) -> u64 {
-        self.0.len()
-    }
-
-    /// `true` when the run holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Returns the next record in ascending order, or `None` at the end.
-    pub fn next_record(&mut self) -> Result<Option<R>> {
-        Ok(self.0.next_record()?)
-    }
-
-    /// Appends up to `max` records (ascending) to `out` and returns how
-    /// many it appended; fewer than `max` only at the end of the run.
-    ///
-    /// Reads exactly the pages `max` calls to
-    /// [`next_record`](RunCursor::next_record) would, at the same moments.
-    pub fn read_batch(&mut self, out: &mut Vec<R>, max: usize) -> Result<usize> {
-        Ok(self.0.read_batch(out, max)?)
-    }
-
-    /// Reads the whole remaining run into a vector (mainly for tests).
-    pub fn read_all(&mut self) -> Result<Vec<R>> {
-        Ok(self.0.read_all()?)
-    }
-}
-
-/// The reader of `handle`'s files: a forward file, the parts of a reverse
-/// run, or a chain's components one after another.
-fn open_run<R: SortableRecord>(
-    device: &dyn StorageDevice,
-    handle: &RunHandle,
-) -> twrs_storage::Result<RunReader<R>> {
-    match handle {
-        RunHandle::Forward(name) => RunReader::open(device, name),
-        RunHandle::Reverse(name) => RunReader::open_reverse(device, name),
-        RunHandle::Chain(parts) => RunReader::concat(
-            parts
-                .iter()
-                .map(|part| open_run(device, part))
-                .collect::<twrs_storage::Result<Vec<_>>>()?,
-        ),
-    }
 }
 
 /// Records a [`RecordSource`] takes from a caller's iterator per refill;
@@ -326,7 +284,7 @@ impl<R: SortableRecord> RecordSource<R> {
         read_ahead: usize,
         prefetch: bool,
     ) -> Result<Self> {
-        let reader = open_run(device, run)?;
+        let reader = run.open(device)?;
         let read_ahead = read_ahead.max(1);
         let (feed, capacity) = if prefetch {
             let (messages, worker) = crate::parallel::prefetch(reader, read_ahead)?;
@@ -395,98 +353,112 @@ pub(crate) fn buffer_capacity<R: SortableRecord>(read_ahead: usize, run: &RunRea
     usize::try_from(run.len()).map_or(read_ahead, |len| read_ahead.min(len))
 }
 
-/// Incrementally builds a forward run, opening the file lazily on the first
-/// record so empty runs never touch the device. Shared by every
-/// run-generation algorithm (including 2WRS in `twrs-core`).
-pub struct ForwardRunBuilder<'a, D: Device, R: SortableRecord> {
+/// Writes runs one record at a time in one of the two run formats: a
+/// forward run file ([`RunWriter`], records ascending) or a reverse run of
+/// Appendix A part files ([`ReverseRunWriter`], records descending). RS,
+/// LSS and each of the four streams of 2WRS (in `twrs-core`) write through
+/// one.
+///
+/// A run's file is created through the namer (role `run` or `rev`) on its
+/// first record, so an empty run never touches the device.
+pub struct RunBuilder<'a, D: Device, R: SortableRecord> {
     device: &'a D,
     namer: &'a SpillNamer,
-    writer: Option<(RunWriter<R>, String)>,
+    /// Pages per part file of a reverse run; `None` for forward runs.
+    reverse: Option<u64>,
+    /// The open run's writer and name.
+    run: Option<(Writer<R>, String)>,
 }
 
-impl<'a, D: Device, R: SortableRecord> ForwardRunBuilder<'a, D, R> {
-    /// Creates a builder that will allocate run names through `namer`.
-    pub fn new(device: &'a D, namer: &'a SpillNamer) -> Self {
-        ForwardRunBuilder {
+/// The writer of one open run.
+enum Writer<R: SortableRecord> {
+    Forward(RunWriter<R>),
+    Reverse(ReverseRunWriter<R>),
+}
+
+impl<'a, D: Device, R: SortableRecord> RunBuilder<'a, D, R> {
+    /// A builder of forward runs, whose records come in ascending order.
+    pub fn forward(device: &'a D, namer: &'a SpillNamer) -> Self {
+        RunBuilder {
             device,
             namer,
-            writer: None,
+            reverse: None,
+            run: None,
         }
     }
 
-    /// Appends a record to the current run, opening it lazily.
-    pub fn push(&mut self, record: &R) -> Result<()> {
-        if self.writer.is_none() {
-            let name = self.namer.next_name("run");
-            let writer = RunWriter::create(self.device, &name)?;
-            self.writer = Some((writer, name));
+    /// A builder of reverse runs in parts of `pages_per_file` pages (the
+    /// paper's `k`), whose records come in descending order.
+    pub fn reverse(device: &'a D, namer: &'a SpillNamer, pages_per_file: u64) -> Self {
+        RunBuilder {
+            reverse: Some(pages_per_file),
+            ..Self::forward(device, namer)
         }
-        if let Some((writer, _)) = self.writer.as_mut() {
-            writer.push(record)?;
+    }
+
+    /// Appends the next record of the current run in the builder's
+    /// direction, creating the run's file on its first record.
+    pub fn push(&mut self, record: &R) -> Result<()> {
+        let (writer, _) = match &mut self.run {
+            Some(run) => run,
+            None => self.run.insert(self.create()?),
+        };
+        match writer {
+            Writer::Forward(writer) => writer.push(record)?,
+            Writer::Reverse(writer) => writer.push(record)?,
         }
         Ok(())
     }
 
-    /// Closes the current run (if any), appends its handle to `runs` and
-    /// returns how many records it held.
+    /// Appends an ascending batch in the builder's direction: first record
+    /// first to a forward run, last record first to a reverse run. An empty
+    /// batch writes nothing.
+    pub fn push_sorted(&mut self, records: &[R]) -> Result<()> {
+        debug_assert!(records.windows(2).all(|w| w[0] <= w[1]));
+        if self.reverse.is_some() {
+            records
+                .iter()
+                .rev()
+                .try_for_each(|record| self.push(record))
+        } else {
+            records.iter().try_for_each(|record| self.push(record))
+        }
+    }
+
+    /// Closes the current run, if any, and returns how many records it
+    /// held; appends its handle to `runs` when it holds records. The next
+    /// push starts a new run.
     pub fn finish_run(&mut self, runs: &mut Vec<RunHandle>) -> Result<u64> {
-        if let Some((writer, name)) = self.writer.take() {
-            let records = writer.finish()?;
-            if records > 0 {
-                runs.push(RunHandle::Forward(name));
+        let Some((writer, name)) = self.run.take() else {
+            return Ok(0);
+        };
+        let (records, handle) = match writer {
+            Writer::Forward(writer) => (writer.finish()?, RunHandle::Forward(name)),
+            Writer::Reverse(writer) => (writer.finish()?, RunHandle::Reverse(name)),
+        };
+        if records > 0 {
+            runs.push(handle);
+        }
+        Ok(records)
+    }
+
+    /// Names and creates the next run's file.
+    fn create(&self) -> Result<(Writer<R>, String)> {
+        Ok(match self.reverse {
+            None => {
+                let name = self.namer.next_name("run");
+                (
+                    Writer::Forward(RunWriter::create(self.device, &name)?),
+                    name,
+                )
             }
-            return Ok(records);
-        }
-        Ok(0)
-    }
-}
-
-/// Incrementally builds a reverse (Appendix A) run for streams produced in
-/// decreasing order, with the same lazy-open behaviour as
-/// [`ForwardRunBuilder`]. Used by the decreasing streams of 2WRS.
-pub struct ReverseRunBuilder<'a, D: Device, R: SortableRecord> {
-    device: &'a D,
-    namer: &'a SpillNamer,
-    pages_per_file: u64,
-    writer: Option<(ReverseRunWriter<R>, String)>,
-}
-
-impl<'a, D: Device, R: SortableRecord> ReverseRunBuilder<'a, D, R> {
-    /// Creates a builder whose part files will have `pages_per_file` pages.
-    pub fn new(device: &'a D, namer: &'a SpillNamer, pages_per_file: u64) -> Self {
-        ReverseRunBuilder {
-            device,
-            namer,
-            pages_per_file,
-            writer: None,
-        }
-    }
-
-    /// Appends the next (smaller or equal) record of the decreasing stream.
-    pub fn push(&mut self, record: &R) -> Result<()> {
-        if self.writer.is_none() {
-            let name = self.namer.next_name("rev");
-            let writer =
-                ReverseRunWriter::with_pages_per_file(self.device, &name, self.pages_per_file)?;
-            self.writer = Some((writer, name));
-        }
-        if let Some((writer, _)) = self.writer.as_mut() {
-            writer.push(record)?;
-        }
-        Ok(())
-    }
-
-    /// Closes the current run (if any), appends its handle to `runs` and
-    /// returns how many records it held.
-    pub fn finish_run(&mut self, runs: &mut Vec<RunHandle>) -> Result<u64> {
-        if let Some((writer, name)) = self.writer.take() {
-            let records = writer.finish()?;
-            if records > 0 {
-                runs.push(RunHandle::Reverse(name));
+            Some(pages_per_file) => {
+                let name = self.namer.next_name("rev");
+                let writer =
+                    ReverseRunWriter::with_pages_per_file(self.device, &name, pages_per_file)?;
+                (Writer::Reverse(writer), name)
             }
-            return Ok(records);
-        }
-        Ok(0)
+        })
     }
 }
 
@@ -522,40 +494,64 @@ mod tests {
     fn cursor_reads_forward_and_reverse_runs_identically() {
         let device = SimDevice::with_model(ModelId::Hdd7200);
         let namer = SpillNamer::new("t");
+        let keys: Vec<u64> = (0..100).collect();
 
-        // Forward run with ascending records.
-        let mut fwd = ForwardRunBuilder::new(&device, &namer);
-        for k in 0..100u64 {
-            fwd.push(&k).unwrap();
-        }
+        // A forward run of ascending records, one at a time.
+        let mut fwd = RunBuilder::forward(&device, &namer);
+        keys.iter().try_for_each(|k| fwd.push(k)).unwrap();
         let mut runs = Vec::new();
         fwd.finish_run(&mut runs).unwrap();
 
-        // Reverse run receiving the same records in descending order.
-        let mut rev = ReverseRunBuilder::new(&device, &namer, 4);
-        for k in (0..100u64).rev() {
-            rev.push(&k).unwrap();
-        }
+        // A reverse run of 4-page parts given the same ascending batch,
+        // which it writes largest first.
+        let mut rev = RunBuilder::reverse(&device, &namer, 4);
+        rev.push_sorted(&keys).unwrap();
         rev.finish_run(&mut runs).unwrap();
 
-        assert_eq!(runs.len(), 2);
-        let mut first = RunCursor::<u64>::open(&device, &runs[0]).unwrap();
-        let mut second = RunCursor::<u64>::open(&device, &runs[1]).unwrap();
+        assert!(matches!(
+            &runs[..],
+            [RunHandle::Forward(_), RunHandle::Reverse(_)]
+        ));
+        let mut first = runs[0].open::<u64>(&device).unwrap();
+        let mut second = runs[1].open::<u64>(&device).unwrap();
         assert_eq!(first.len(), 100);
         assert_eq!(second.len(), 100);
-        assert_eq!(first.read_all().unwrap(), second.read_all().unwrap());
+        assert_eq!(first.read_all().unwrap(), keys);
+        assert_eq!(second.read_all().unwrap(), keys);
     }
 
     #[test]
     fn empty_builders_produce_no_runs() {
         let device = SimDevice::with_model(ModelId::Hdd7200);
         let namer = SpillNamer::new("t");
-        let mut fwd = ForwardRunBuilder::<_, u64>::new(&device, &namer);
         let mut runs = Vec::new();
+        let mut fwd = RunBuilder::<_, u64>::forward(&device, &namer);
+        fwd.push_sorted(&[]).unwrap();
         assert_eq!(fwd.finish_run(&mut runs).unwrap(), 0);
-        let mut rev = ReverseRunBuilder::<_, u64>::new(&device, &namer, 4);
+        let mut rev = RunBuilder::<_, u64>::reverse(&device, &namer, 4);
+        rev.push_sorted(&[]).unwrap();
         assert_eq!(rev.finish_run(&mut runs).unwrap(), 0);
         assert!(runs.is_empty());
+        assert!(device.list().is_empty(), "no file was created");
+    }
+
+    #[test]
+    fn a_builder_starts_a_new_run_after_each_finish() {
+        let device = SimDevice::with_model(ModelId::Hdd7200);
+        let namer = SpillNamer::new("t");
+        let mut builder = RunBuilder::forward(&device, &namer);
+        let mut runs = Vec::new();
+        for run in 0..3_u64 {
+            builder.push_sorted(&[run, run + 10]).unwrap();
+            assert_eq!(builder.finish_run(&mut runs).unwrap(), 2);
+        }
+        assert_eq!(namer.created().len(), 3);
+        let names: Vec<&str> = runs.iter().map(RunHandle::name).collect();
+        assert_eq!(names, namer.created());
+        assert_eq!(
+            runs[2].open::<u64>(&device).unwrap().read_all().unwrap(),
+            [2, 12]
+        );
     }
 
     #[test]

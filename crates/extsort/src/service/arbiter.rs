@@ -143,22 +143,13 @@ impl MemoryArbiter {
     }
 
     /// Blocks until a grant is available and leases it. The grant is at
-    /// least one record and at most `min(requested, fair share)`; the sum
-    /// of outstanding leases never exceeds the global budget. Equivalent
-    /// to [`lease_cancelable`](MemoryArbiter::lease_cancelable) at weight
-    /// 1 with a token nobody cancels.
-    pub fn lease(&self, requested: usize) -> usize {
-        self.lease_cancelable(requested, 1, &CancellationToken::new())
-            // twrs-lint: allow(no-lib-panic) a fresh token is never canceled
-            .expect("a fresh token is never canceled")
-    }
-
-    /// Like [`lease`](MemoryArbiter::lease), but the grant is a
-    /// `weight`-share cut of the budget and the wait aborts — returning
-    /// `None` without booking anything — once `cancel` trips. Cancellation
-    /// while blocked relies on the canceler calling the crate-private
-    /// `notify_waiters` after firing the token.
-    pub fn lease_cancelable(
+    /// least one record and at most `min(requested, fair share)`, where the
+    /// fair share is a `weight`-share cut of the budget; the sum of
+    /// outstanding leases never exceeds the global budget. The wait aborts
+    /// — returning `None` without booking anything — once `cancel` trips.
+    /// Cancellation while blocked relies on the canceler calling the
+    /// crate-private `notify_waiters` after firing the token.
+    pub fn lease(
         &self,
         requested: usize,
         weight: usize,
@@ -193,16 +184,9 @@ impl MemoryArbiter {
         }
     }
 
-    /// Returns a lease obtained from [`lease`](MemoryArbiter::lease) and
-    /// wakes every waiting admission.
-    pub fn release(&self, granted: usize) {
-        self.release_weighted(granted, 1);
-    }
-
-    /// Returns a lease obtained from
-    /// [`lease_cancelable`](MemoryArbiter::lease_cancelable) with the same
-    /// `weight` and wakes every waiting admission.
-    pub fn release_weighted(&self, granted: usize, weight: usize) {
+    /// Returns a lease obtained from [`lease`](MemoryArbiter::lease) with
+    /// the same `weight` and wakes every waiting admission.
+    pub fn release(&self, granted: usize, weight: usize) {
         let weight = weight.max(1);
         let mut state = lock_or_poison(&self.state);
         debug_assert!(state.leased >= granted && state.active >= 1);
@@ -220,13 +204,13 @@ impl MemoryArbiter {
         self.freed.notify_all();
     }
 
-    /// Wakes every blocked [`lease_cancelable`] so it can re-check its
+    /// Wakes every blocked [`lease`] so it can re-check its
     /// token. Takes the state lock first: a waiter sits either *holding*
     /// the lock (about to check the token) or *inside* the condvar wait,
     /// so a notify issued under the lock can never slip into the gap
     /// between its check and its wait.
     ///
-    /// [`lease_cancelable`]: MemoryArbiter::lease_cancelable
+    /// [`lease`]: MemoryArbiter::lease
     pub(crate) fn notify_waiters(&self) {
         let _state = lock_or_poison(&self.state);
         self.freed.notify_all();
@@ -253,58 +237,65 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// A weight-1 lease that nothing cancels.
+    fn lease(arbiter: &MemoryArbiter, requested: usize) -> usize {
+        arbiter
+            .lease(requested, 1, &CancellationToken::new())
+            .unwrap()
+    }
+
     #[test]
     fn first_job_gets_everything_later_jobs_get_fair_shares() {
         let arbiter = MemoryArbiter::new(900, GrantPolicy::Adaptive).unwrap();
-        let a = arbiter.lease(900);
+        let a = lease(&arbiter, 900);
         // No other active jobs: the whole global budget is on offer.
         assert_eq!(a, 900);
-        arbiter.release(a);
-        let a = arbiter.lease(100);
+        arbiter.release(a, 1);
+        let a = lease(&arbiter, 100);
         // Requested less than the fair share: get what was asked.
         assert_eq!(a, 100);
-        let b = arbiter.lease(900);
+        let b = lease(&arbiter, 900);
         // One job active: capped at half the global budget.
         assert_eq!(b, 450);
-        let c = arbiter.lease(900);
+        let c = lease(&arbiter, 900);
         // Two jobs active: capped at a third.
         assert_eq!(c, 300);
         assert_eq!(arbiter.leased(), 100 + 450 + 300);
         assert!(arbiter.leased() <= arbiter.global());
-        arbiter.release(b);
-        arbiter.release(c);
-        arbiter.release(a);
+        arbiter.release(b, 1);
+        arbiter.release(c, 1);
+        arbiter.release(a, 1);
         assert_eq!(arbiter.leased(), 0);
     }
 
     #[test]
     fn fixed_share_grants_ignore_load() {
         let arbiter = MemoryArbiter::new(1000, GrantPolicy::FixedShare { shares: 4 }).unwrap();
-        let a = arbiter.lease(1000);
-        let b = arbiter.lease(1000);
+        let a = lease(&arbiter, 1000);
+        let b = lease(&arbiter, 1000);
         assert_eq!(a, 250);
         assert_eq!(b, 250);
-        arbiter.release(a);
-        assert_eq!(arbiter.lease(1000), 250);
+        arbiter.release(a, 1);
+        assert_eq!(lease(&arbiter, 1000), 250);
     }
 
     #[test]
     fn lease_blocks_until_memory_frees() {
         let arbiter =
             Arc::new(MemoryArbiter::new(100, GrantPolicy::FixedShare { shares: 1 }).unwrap());
-        let first = arbiter.lease(100);
+        let first = lease(&arbiter, 100);
         assert_eq!(first, 100);
         let waiter = {
             let arbiter = arbiter.clone();
             std::thread::spawn(move || {
-                let grant = arbiter.lease(80);
-                arbiter.release(grant);
+                let grant = lease(&arbiter, 80);
+                arbiter.release(grant, 1);
                 grant
             })
         };
         // Give the waiter time to block, then free the budget.
         std::thread::sleep(std::time::Duration::from_millis(20));
-        arbiter.release(first);
+        arbiter.release(first, 1);
         assert_eq!(waiter.join().unwrap(), 80);
         assert_eq!(arbiter.leased(), 0);
         assert_eq!(arbiter.max_leased(), 100);
@@ -313,12 +304,12 @@ mod tests {
     #[test]
     fn every_event_respects_the_invariant() {
         let arbiter = MemoryArbiter::new(500, GrantPolicy::Adaptive).unwrap();
-        let a = arbiter.lease(400);
-        let c = arbiter.lease(50);
-        arbiter.release(a);
-        let b = arbiter.lease(400);
-        arbiter.release(c);
-        arbiter.release(b);
+        let a = lease(&arbiter, 400);
+        let c = lease(&arbiter, 50);
+        arbiter.release(a, 1);
+        let b = lease(&arbiter, 400);
+        arbiter.release(c, 1);
+        arbiter.release(b, 1);
         let events = arbiter.events();
         assert_eq!(events.len(), 6);
         for event in &events {
@@ -341,49 +332,39 @@ mod tests {
         // FixedShare: a weight-3 tenant's cap is 3 of 4 shares, a
         // weight-1 tenant's is 1 of 4 — and both fit concurrently.
         let arbiter = MemoryArbiter::new(240, GrantPolicy::FixedShare { shares: 4 }).unwrap();
-        let high = arbiter
-            .lease_cancelable(240, 3, &CancellationToken::new())
-            .unwrap();
-        let low = arbiter
-            .lease_cancelable(240, 1, &CancellationToken::new())
-            .unwrap();
+        let high = arbiter.lease(240, 3, &CancellationToken::new()).unwrap();
+        let low = arbiter.lease(240, 1, &CancellationToken::new()).unwrap();
         assert_eq!(high, 180);
         assert_eq!(low, 60);
         assert!(high >= 2 * low);
-        arbiter.release_weighted(high, 3);
-        arbiter.release_weighted(low, 1);
+        arbiter.release(high, 3);
+        arbiter.release(low, 1);
         assert_eq!(arbiter.leased(), 0);
 
         // Adaptive: with one weight-1 job active, a weight-3 arrival gets
         // 3 of the 4 outstanding shares; a lone heavy job is still capped
         // at the global budget.
         let arbiter = MemoryArbiter::new(240, GrantPolicy::Adaptive).unwrap();
-        let alone = arbiter
-            .lease_cancelable(500, 3, &CancellationToken::new())
-            .unwrap();
+        let alone = arbiter.lease(500, 3, &CancellationToken::new()).unwrap();
         assert_eq!(alone, 240);
-        arbiter.release_weighted(alone, 3);
-        let low = arbiter
-            .lease_cancelable(30, 1, &CancellationToken::new())
-            .unwrap();
-        let high = arbiter
-            .lease_cancelable(240, 3, &CancellationToken::new())
-            .unwrap();
+        arbiter.release(alone, 3);
+        let low = arbiter.lease(30, 1, &CancellationToken::new()).unwrap();
+        let high = arbiter.lease(240, 3, &CancellationToken::new()).unwrap();
         assert_eq!(high, shard_budget(240 * 3, 0, 4));
-        arbiter.release_weighted(high, 3);
-        arbiter.release_weighted(low, 1);
+        arbiter.release(high, 3);
+        arbiter.release(low, 1);
     }
 
     #[test]
     fn a_canceled_waiter_unblocks_without_a_lease() {
         let arbiter =
             Arc::new(MemoryArbiter::new(100, GrantPolicy::FixedShare { shares: 1 }).unwrap());
-        let first = arbiter.lease(100);
+        let first = lease(&arbiter, 100);
         let token = CancellationToken::new();
         let waiter = {
             let arbiter = arbiter.clone();
             let token = token.clone();
-            std::thread::spawn(move || arbiter.lease_cancelable(80, 1, &token))
+            std::thread::spawn(move || arbiter.lease(80, 1, &token))
         };
         // Let the waiter block, then cancel and wake it: it must return
         // None with nothing booked, while the original lease stands.
@@ -392,7 +373,7 @@ mod tests {
         arbiter.notify_waiters();
         assert_eq!(waiter.join().unwrap(), None);
         assert_eq!(arbiter.leased(), 100);
-        arbiter.release(first);
+        arbiter.release(first, 1);
         assert_eq!(arbiter.leased(), 0);
     }
 }

@@ -640,10 +640,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             });
         }
         let weight = shared.weight_of(&job.tenant);
-        let Some(granted) = shared
-            .arbiter
-            .lease_cancelable(job.requested, weight, &job.cancel)
-        else {
+        let Some(granted) = shared.arbiter.lease(job.requested, weight, &job.cancel) else {
             shared.record_canceled_queued(&job.state);
             guard.complete(Err(SortError::Canceled(
                 "canceled while waiting for a memory lease".into(),
@@ -655,7 +652,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         // and the job would run to completion. Nothing has touched the
         // device yet, so the lease goes straight back.
         if job.cancel.is_canceled() {
-            shared.arbiter.release_weighted(granted, weight);
+            shared.arbiter.release(granted, weight);
             shared.record_canceled_queued(&job.state);
             guard.complete(Err(SortError::Canceled(
                 "canceled at admission, before the sort started".into(),
@@ -672,7 +669,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         let result =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (job.thunk)(granted)));
         let sort_wall = started.elapsed();
-        shared.arbiter.release_weighted(granted, weight);
+        shared.arbiter.release(granted, weight);
         match result {
             Ok(Ok(output)) => {
                 let mut stats = lock_or_poison(&shared.stats);
@@ -723,13 +720,14 @@ fn worker_loop(shared: &Arc<Shared>) {
 mod tests {
     use super::*;
     use crate::replacement_selection::ReplacementSelection;
-    use crate::run_generation::{RunCursor, RunGenerator, RunHandle, RunSet};
+    use crate::run_generation::{RunGenerator, RunSet};
     use crate::sink::ChannelSink;
+    use twrs_storage::RunReader;
     use twrs_storage::{ModelId, SimDevice, SpillNamer, StorageDevice};
     use twrs_workloads::{Distribution, DistributionKind, Record};
 
     fn read_records(device: &SimDevice, name: &str) -> Vec<Record> {
-        RunCursor::<Record>::open(device, &RunHandle::Forward(name.into()))
+        RunReader::<Record>::open(device, name)
             .unwrap()
             .read_all()
             .unwrap()

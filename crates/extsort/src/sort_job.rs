@@ -409,12 +409,12 @@ mod tests {
     use crate::error::SortError;
     use crate::load_sort_store::LoadSortStore;
     use crate::replacement_selection::ReplacementSelection;
-    use crate::run_generation::{RunCursor, RunHandle};
+    use twrs_storage::RunReader;
     use twrs_storage::{ModelId, SimDevice};
     use twrs_workloads::{Distribution, DistributionKind, Record};
 
     fn read_records(device: &SimDevice, name: &str) -> Vec<Record> {
-        RunCursor::<Record>::open(device, &RunHandle::Forward(name.into()))
+        RunReader::<Record>::open(device, name)
             .unwrap()
             .read_all()
             .unwrap()

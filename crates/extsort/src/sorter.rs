@@ -34,13 +34,13 @@ use crate::cancel::CancellationToken;
 use crate::error::{Result, SortError};
 use crate::merge::kway::{merge_step, reduce_to_fan_in, Merge, MergeConfig, MergeReport};
 use crate::parallel::{generate_sharded, reduce_per_disk, ShardReport, ShardableGenerator};
-use crate::run_generation::{Device, Feed, RecordSource, RunCursor, RunHandle, RunSet};
+use crate::run_generation::{Device, Feed, RecordSource, RunHandle, RunSet};
 use crate::sink::{FileSink, RecordSink};
 use crate::sort_job::{BoundSortJob, SortJobReport};
 use crate::stream::SortedStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use twrs_storage::{IoStatsSnapshot, SortableRecord, SpillNamer};
+use twrs_storage::{IoStatsSnapshot, RunReader, SortableRecord, SpillNamer};
 
 /// Wall-clock time and I/O attributed to one phase of the sort.
 #[derive(Debug, Clone, Copy)]
@@ -481,10 +481,10 @@ pub fn verify_sorted<R: SortableRecord>(
     output: &str,
     expected_records: u64,
 ) -> Result<()> {
-    let mut cursor = RunCursor::<R>::open(device, &RunHandle::Forward(output.to_string()))?;
+    let mut reader = RunReader::<R>::open(device, output)?;
     let mut count = 0u64;
     let mut previous: Option<R> = None;
-    while let Some(record) = cursor.next_record()? {
+    while let Some(record) = reader.next_record()? {
         if let Some(prev) = &previous {
             if &record < prev {
                 return Err(SortError::VerificationFailed(format!(

@@ -7,12 +7,12 @@
 use proptest::prelude::*;
 use twrs_extsort::merge::loser_tree::LoserTree;
 use twrs_extsort::{
-    polyphase_merge, KWayMerger, LoadSortStore, MergeConfig, ReplacementSelection, RunCursor,
-    RunGenerator, RunHandle, SortJob, SpillWriteDevice,
+    polyphase_merge, KWayMerger, LoadSortStore, MergeConfig, ReplacementSelection, RunGenerator,
+    SortJob, SpillWriteDevice,
 };
 use twrs_storage::ModelId;
 use twrs_storage::{
-    FixedSizeRecord, PageFile, SimDevice, SortableRecord, SpillNamer, StorageDevice,
+    FixedSizeRecord, PageFile, RunReader, SimDevice, SortableRecord, SpillNamer, StorageDevice,
 };
 use twrs_workloads::Record;
 
@@ -128,7 +128,7 @@ proptest! {
 
         let mut all: Vec<Record> = Vec::new();
         for handle in &set.runs {
-            let run = RunCursor::<Record>::open(&device, handle)
+            let run = handle.open::<Record>(&device)
                 .unwrap()
                 .read_all()
                 .unwrap();
@@ -158,7 +158,7 @@ proptest! {
             .unwrap();
         prop_assert_eq!(report.report.records as usize, input.len());
 
-        let output = RunCursor::<Record>::open(&device, &RunHandle::Forward("out".into()))
+        let output = RunReader::<Record>::open(&device, "out")
             .unwrap()
             .read_all()
             .unwrap();
@@ -197,7 +197,7 @@ proptest! {
         let report = sort(&par_device, threads);
 
         // Output equals the sorted input (hence the one-thread output).
-        let output = RunCursor::<Record>::open(&par_device, &RunHandle::Forward("out".into()))
+        let output = RunReader::<Record>::open(&par_device, "out")
             .unwrap()
             .read_all()
             .unwrap();
@@ -249,7 +249,7 @@ proptest! {
                     .merge_into::<_, Record>(&device, &namer, set.runs, "out")
                     .unwrap();
             }
-            RunCursor::<Record>::open(&device, &RunHandle::Forward("out".into()))
+            RunReader::<Record>::open(&device, "out")
                 .unwrap()
                 .read_all()
                 .unwrap()

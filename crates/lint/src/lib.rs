@@ -7,22 +7,17 @@
 //! `ScopedDevice`" — that ordinary tests can only probe, not prove at the
 //! source level. This crate makes them machine-checked: a comment- and
 //! string-aware token scanner ([`lexer`]) feeds a per-file rule engine
-//! ([`rules`]) whose catalog is documented in `crates/lint/RULES.md`, and a
-//! ratchet [`baseline`] grandfathers pre-existing findings so the count can
-//! only go down.
+//! ([`rules`]) whose catalog is documented in `crates/lint/RULES.md`.
 //!
 //! Run it with
 //!
 //! ```text
 //! cargo run --release -p twrs-lint -- --check            # CI gate
-//! cargo run --release -p twrs-lint -- --check --json     # machine output
-//! cargo run --release -p twrs-lint -- --update-baseline  # bank a ratchet
 //! ```
 //!
-//! Individual sites are waived inline with
-//! `// twrs-lint: allow(<rule>) <reason>` — the reason is mandatory.
+//! `--check` fails on any finding. The one way to waive a site is inline,
+//! with `// twrs-lint: allow(<rule>) <reason>` — the reason is mandatory.
 
-pub mod baseline;
 pub mod lexer;
 pub mod rules;
 
@@ -112,11 +107,6 @@ pub fn scan_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     Ok(findings)
-}
-
-/// The committed baseline path, relative to the workspace root.
-pub fn baseline_path(root: &Path) -> PathBuf {
-    root.join("crates/lint/baseline.json")
 }
 
 /// Locates the workspace root from this crate's own manifest directory —

@@ -3,55 +3,38 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use twrs_lint::rules::Finding;
-use twrs_lint::{baseline, baseline_path, default_root, scan_workspace};
+use twrs_lint::{default_root, scan_workspace};
 
 const USAGE: &str = "\
 twrs-lint: in-tree static analysis for the twrs workspace
 
 USAGE:
-    cargo run -p twrs-lint -- [--check] [--update-baseline] [--json] [--root <path>]
+    cargo run -p twrs-lint -- [--check] [--root <path>]
 
 OPTIONS:
-    --check             Scan and compare against crates/lint/baseline.json
-                        (the default); exit 1 on any drift.
-    --update-baseline   Scan and rewrite the baseline to match the tree.
-    --json              Emit findings as JSON instead of text.
+    --check             Scan the workspace (the default); exit 1 on any
+                        finding.
     --root <path>       Workspace root (default: inferred from the crate).
 ";
 
-struct Options {
-    update_baseline: bool,
-    json: bool,
-    root: PathBuf,
-}
-
-fn parse_args() -> Result<Options, String> {
-    let mut options = Options {
-        update_baseline: false,
-        json: false,
-        root: default_root(),
-    };
+/// The workspace root to scan, from the command line.
+fn parse_args() -> Result<PathBuf, String> {
+    let mut root = default_root();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--check" => {}
-            "--update-baseline" => options.update_baseline = true,
-            "--json" => options.json = true,
-            "--root" => {
-                let value = args.next().ok_or("--root needs a path".to_string())?;
-                options.root = PathBuf::from(value);
-            }
+            "--root" => root = PathBuf::from(args.next().ok_or("--root needs a path")?),
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    Ok(options)
+    Ok(root)
 }
 
 fn main() -> ExitCode {
-    let options = match parse_args() {
-        Ok(options) => options,
+    let root = match parse_args() {
+        Ok(root) => root,
         Err(message) => {
             if !message.is_empty() {
                 eprintln!("error: {message}\n");
@@ -60,134 +43,21 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match run(&options) {
-        Ok(clean) => {
-            if clean {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
+    let findings = match scan_workspace(&root) {
+        Ok(findings) => findings,
+        Err(e) => {
+            eprintln!("error: scanning {}: {e}", root.display());
+            return ExitCode::from(2);
         }
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn run(options: &Options) -> Result<bool, String> {
-    let findings = scan_workspace(&options.root)
-        .map_err(|e| format!("scanning {}: {e}", options.root.display()))?;
-    let actual = baseline::count(&findings);
-    let baseline_file = baseline_path(&options.root);
-
-    if options.update_baseline {
-        std::fs::write(&baseline_file, baseline::to_json(&actual))
-            .map_err(|e| format!("writing {}: {e}", baseline_file.display()))?;
-        println!(
-            "baseline updated: {} grandfathered finding(s) across {} (file, rule) pair(s)",
-            actual.values().sum::<usize>(),
-            actual.len()
-        );
-        return Ok(true);
-    }
-
-    let committed = match std::fs::read_to_string(&baseline_file) {
-        Ok(text) => baseline::from_json(&text)
-            .map_err(|e| format!("parsing {}: {e}", baseline_file.display()))?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => baseline::Counts::new(),
-        Err(e) => return Err(format!("reading {}: {e}", baseline_file.display())),
     };
-    let drifts = baseline::compare(&committed, &actual);
-
-    if options.json {
-        print!("{}", findings_json(&findings, &drifts));
+    for f in &findings {
+        println!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
+    }
+    if findings.is_empty() {
+        println!("twrs-lint: clean (0 findings)");
+        ExitCode::SUCCESS
     } else {
-        report_text(&findings, &committed, &drifts);
+        println!("twrs-lint: {} finding(s)", findings.len());
+        ExitCode::FAILURE
     }
-    Ok(drifts.is_empty())
-}
-
-fn report_text(findings: &[Finding], committed: &baseline::Counts, drifts: &[baseline::Drift]) {
-    for drift in drifts {
-        if drift.actual > drift.baseline {
-            println!(
-                "{}: rule `{}` has {} finding(s), baseline allows {}:",
-                drift.file, drift.rule, drift.actual, drift.baseline
-            );
-            for finding in findings
-                .iter()
-                .filter(|f| f.file == drift.file && f.rule == drift.rule)
-            {
-                println!(
-                    "  {}:{}: [{}] {}",
-                    finding.file, finding.line, finding.rule, finding.message
-                );
-            }
-        } else {
-            println!(
-                "{}: rule `{}` improved to {} finding(s) (baseline has {}); \
-                 run `cargo run -p twrs-lint -- --update-baseline` to ratchet down",
-                drift.file, drift.rule, drift.actual, drift.baseline
-            );
-        }
-    }
-    let grandfathered: usize = committed.values().sum();
-    if drifts.is_empty() {
-        println!(
-            "twrs-lint: clean ({} finding(s), all {} grandfathered by the baseline)",
-            findings.len(),
-            grandfathered
-        );
-    } else {
-        println!(
-            "twrs-lint: {} (file, rule) pair(s) drifted from the baseline",
-            drifts.len()
-        );
-    }
-}
-
-fn findings_json(findings: &[Finding], drifts: &[baseline::Drift]) -> String {
-    use std::fmt::Write as _;
-    let escape = |s: &str| -> String {
-        s.chars()
-            .flat_map(|c| match c {
-                '"' => vec!['\\', '"'],
-                '\\' => vec!['\\', '\\'],
-                '\n' => vec!['\\', 'n'],
-                c => vec![c],
-            })
-            .collect()
-    };
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"clean\": {},", drifts.is_empty());
-    let _ = writeln!(out, "  \"findings\": [");
-    for (index, f) in findings.iter().enumerate() {
-        let comma = if index + 1 == findings.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{ \"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\" }}{comma}",
-            escape(&f.file),
-            f.line,
-            f.rule,
-            escape(&f.message)
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"drift\": [");
-    for (index, d) in drifts.iter().enumerate() {
-        let comma = if index + 1 == drifts.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{ \"file\": \"{}\", \"rule\": \"{}\", \"baseline\": {}, \"actual\": {} }}{comma}",
-            escape(&d.file),
-            escape(&d.rule),
-            d.baseline,
-            d.actual
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
 }

@@ -1,60 +1,35 @@
-//! Property tests for the lint baseline reader, which parses whatever
-//! `baseline.json` is committed: no input text makes it panic, and every
-//! set of counts survives a write and a read.
+//! Property tests for the lint's source scanner, which reads every library
+//! file of the workspace: no input text makes the lexer or the rules panic.
 
 use proptest::prelude::*;
-use twrs_lint::baseline::{from_json, to_json, Counts};
+use twrs_lint::check_source;
 
-/// Characters file and rule names are drawn from, including every one the
-/// writer must escape or the reader could trip on.
-const NAME_CHARS: [char; 12] = ['a', 'Z', '/', '.', '"', '\\', '\n', ' ', '{', ',', ':', 'é'];
-
-/// Baseline pieces, `|`-separated, so generated texts reach deep into the
-/// reader instead of failing on their first byte.
-const PIECES: &str = "{|}|[|]|,|:|\"|\\| |\n|7|\"format\"|\"twrs-lint-baseline/v1\"|\"grandfathered\"|\"file\"|\"count\"";
-
-fn name(picks: &[usize]) -> String {
-    picks.iter().map(|&i| NAME_CHARS[i]).collect()
-}
+/// Source pieces, `|`-separated, that open, close or escape the lexer's
+/// comment, literal, attribute and waiver states, so generated texts reach
+/// deep into the scanner instead of being one long identifier.
+const PIECES: &str = "\"|'|r#\"|\"#|b'|br\"|\\|//|/*|*/|\n| |#|[|]|{|}|(|)|.|:|!|cfg|test|\
+                      #[cfg(test)]|#[test]|mod|fn|unwrap|expect|panic|thread|spawn|lock|'a|0x1f|\
+                      // twrs-lint: allow(no-lib-panic) a reason|// twrs-lint: allow(|é";
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Arbitrary bytes, decoded as lossy UTF-8, read to `Ok` or `Err`.
+    /// Arbitrary bytes, decoded as lossy UTF-8, scan to some findings.
     #[test]
-    fn arbitrary_text_never_panics_the_reader(
+    fn arbitrary_text_never_panics_the_scanner(
         bytes in prop::collection::vec(any::<u8>(), 0..256),
     ) {
-        let _ = from_json(&String::from_utf8_lossy(&bytes));
+        let _ = check_source("crates/x/src/lib.rs", &String::from_utf8_lossy(&bytes));
     }
 
-    /// Texts assembled from baseline fragments read to `Ok` or `Err`.
+    /// Texts assembled from source fragments scan to some findings, under
+    /// a path every rule applies to.
     #[test]
-    fn baseline_like_text_never_panics_the_reader(
-        picks in prop::collection::vec(any::<usize>(), 0..48),
+    fn source_like_text_never_panics_the_scanner(
+        picks in prop::collection::vec(any::<usize>(), 0..64),
     ) {
         let pieces: Vec<&str> = PIECES.split('|').collect();
         let text: String = picks.iter().map(|&i| pieces[i % pieces.len()]).collect();
-        let _ = from_json(&text);
-    }
-
-    /// Whatever `to_json` writes, `from_json` reads back unchanged — names
-    /// with quotes, backslashes and newlines included.
-    #[test]
-    fn counts_round_trip_through_the_baseline_text(
-        entries in prop::collection::vec(
-            (
-                prop::collection::vec(0..NAME_CHARS.len(), 0..8),
-                prop::collection::vec(0..NAME_CHARS.len(), 0..8),
-                any::<usize>(),
-            ),
-            0..6,
-        ),
-    ) {
-        let counts: Counts = entries
-            .iter()
-            .map(|(file, rule, count)| ((name(file), name(rule)), *count))
-            .collect();
-        prop_assert_eq!(from_json(&to_json(&counts)), Ok(counts));
+        let _ = check_source("crates/extsort/src/service/mod.rs", &text);
     }
 }

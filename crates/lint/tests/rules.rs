@@ -1,11 +1,11 @@
-//! Fixture-based self-tests for the rule catalog, plus the baseline
+//! Fixture-based self-tests for the rule catalog, plus the workspace
 //! self-check: each rule is driven over a small inline source file and
 //! must report (or not report) the expected finding at the expected line.
 
 use twrs_lint::rules::{
     CANCEL_POLL, DEVICE_LAYER, LOCK_DISCIPLINE, NO_DETACHED_THREADS, NO_LIB_PANIC, SCOPED_IO,
 };
-use twrs_lint::{baseline, baseline_path, check_source, default_root, scan_workspace};
+use twrs_lint::{check_source, default_root, scan_workspace};
 
 /// Findings of one rule as `(line, rule)` pairs, so tests pin both.
 fn findings_for(path: &str, source: &str, rule: &str) -> Vec<u32> {
@@ -583,42 +583,15 @@ mod tests { impl StorageDevice for FailingWrites {} }
 }
 
 // -------------------------------------------------------------------------
-// Baseline: ratchet mechanics and the committed-file self-check
+// The workspace self-check
 // -------------------------------------------------------------------------
 
 #[test]
-fn baseline_json_roundtrips_and_detects_drift_both_ways() {
-    let mut counts = baseline::Counts::new();
-    counts.insert(("crates/a/src/lib.rs".into(), NO_LIB_PANIC.into()), 3);
-    counts.insert(("crates/b/src/x.rs".into(), SCOPED_IO.into()), 1);
-    let parsed = baseline::from_json(&baseline::to_json(&counts)).expect("roundtrip");
-    assert_eq!(parsed, counts);
-
-    let mut risen = counts.clone();
-    risen.insert(("crates/a/src/lib.rs".into(), NO_LIB_PANIC.into()), 4);
-    let drift = baseline::compare(&counts, &risen);
-    assert_eq!(drift.len(), 1);
-    assert_eq!((drift[0].baseline, drift[0].actual), (3, 4));
-
-    // An improvement is drift too: it must be banked with --update-baseline.
-    let mut improved = counts.clone();
-    improved.remove(&("crates/b/src/x.rs".into(), SCOPED_IO.into()));
-    let drift = baseline::compare(&counts, &improved);
-    assert_eq!(drift.len(), 1);
-    assert_eq!((drift[0].baseline, drift[0].actual), (1, 0));
-}
-
-#[test]
-fn committed_baseline_matches_a_fresh_workspace_scan() {
-    let root = default_root();
-    let findings = scan_workspace(&root).expect("scan workspace");
-    let actual = baseline::count(&findings);
-    let text = std::fs::read_to_string(baseline_path(&root)).expect("read baseline.json");
-    let committed = baseline::from_json(&text).expect("parse baseline.json");
-    let drift = baseline::compare(&committed, &actual);
+fn a_fresh_workspace_scan_finds_nothing() {
+    let findings = scan_workspace(&default_root()).expect("scan workspace");
     assert!(
-        drift.is_empty(),
-        "baseline.json is out of sync with the tree; run \
-         `cargo run -p twrs-lint -- --update-baseline` and review: {drift:?}"
+        findings.is_empty(),
+        "fix each finding or waive it inline with \
+         `// twrs-lint: allow(<rule>) <reason>`: {findings:#?}"
     );
 }

@@ -27,15 +27,22 @@
 //!   [`io_stats::IoStats`] and shard-pinned views for the parallel sorter;
 //! * [`contention`] — the fair-share slowdown charged while several request
 //!   streams ([`contention::IoClientGuard`]) are admitted to one stripe;
-//! * [`run_file`] — buffered, forward-sequential run writers for
-//!   fixed-size records, and [`run_file::RunReader`], the one reader of a
-//!   run in any format: an ordered list of extents read ascending;
-//! * [`reverse_file`] — the Appendix A file format that stores a stream of
-//!   *decreasing* records so that the merge phase can still read every file
-//!   forward (fixed-size multi-page files written back to front with a
-//!   header page), opened as extents of a `RunReader`;
+//! * [`run_file`] — [`run_file::RunWriter`], the buffered,
+//!   forward-sequential writer of a forward run file of fixed-size records,
+//!   and [`run_file::RunReader`], the one reader of a run in any format: an
+//!   ordered list of extents read ascending;
+//! * [`reverse_file`] — [`reverse_file::ReverseRunWriter`] and the
+//!   Appendix A file format it writes, which stores a stream of
+//!   *decreasing* records so that the merge phase can still read every
+//!   file forward (fixed-size multi-page files written back to front with
+//!   a header page), opened as extents of a `RunReader`;
 //! * [`spill`] — naming and lifecycle management for the temporary files of
 //!   a run set, and the one function that removes a run's files.
+//!
+//! The two writers are the two on-disk run formats. Run generation drives
+//! them through one lazy run builder in `twrs-extsort` (which creates a
+//! run's file on its first record), and a merge writes its output with a
+//! `RunWriter` created before it reads any input record.
 //!
 //! Records are serialized through the [`record::FixedSizeRecord`] trait so
 //! the workload crate can define its own record layout without this crate

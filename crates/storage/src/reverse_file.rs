@@ -23,6 +23,11 @@
 //! one down to part 0. [`RunReader::open_reverse`] turns the parts into
 //! that many extents of the one [`RunReader`], so a reverse run is read like
 //! any other.
+//!
+//! [`ReverseRunWriter`] writes one reverse run; the caller always names its
+//! part size `k` (2WRS takes it from its configuration). Run generation
+//! drives it through `twrs-extsort`'s `RunBuilder::reverse`, which creates
+//! the writer on the run's first record.
 
 use crate::device::{PageFile, StorageDevice};
 use crate::error::{Result, StorageError};
@@ -31,11 +36,6 @@ use crate::record::FixedSizeRecord;
 use crate::run_file::{check_record_size, Extent, RunReader};
 
 const MAGIC: u32 = 0x5257_5253; // "RWRS"
-
-/// Default number of pages per part file. The paper uses k = 1000
-/// (≈ 40 MB files); the default here is smaller so laptop-scale experiments
-/// create a handful of parts.
-pub const DEFAULT_PAGES_PER_FILE: u64 = 64;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ReverseHeader {
@@ -112,15 +112,10 @@ pub struct ReverseRunWriter<R: FixedSizeRecord> {
 }
 
 impl<R: FixedSizeRecord> ReverseRunWriter<R> {
-    /// Starts a reverse-ordered run under `base` on `device`, using
-    /// [`DEFAULT_PAGES_PER_FILE`] pages per part file.
-    pub fn create<D: StorageDevice + Clone + 'static>(device: &D, base: &str) -> Result<Self> {
-        Self::with_pages_per_file(device, base, DEFAULT_PAGES_PER_FILE)
-    }
-
-    /// Starts a reverse-ordered run with an explicit part-file size
-    /// (the paper's `k`, Appendix A.2). `pages_per_file` must be at least 2
-    /// (one header page plus one data page).
+    /// Starts a reverse-ordered run under `base` on `device` in part files
+    /// of `pages_per_file` pages (the paper's `k`, Appendix A.2; it uses
+    /// k = 1000, about 40 MB a file). A `pages_per_file` below 2 (one
+    /// header page plus one data page) is raised to 2.
     pub fn with_pages_per_file<D: StorageDevice + Clone + 'static>(
         device: &D,
         base: &str,

@@ -70,7 +70,6 @@ pub struct RunWriter<R: FixedSizeRecord> {
     slot: usize,
     next_page: u64,
     records: u64,
-    finished: bool,
     _marker: std::marker::PhantomData<R>,
 }
 
@@ -98,7 +97,6 @@ impl<R: FixedSizeRecord> RunWriter<R> {
             slot: 0,
             next_page: 1,
             records: 0,
-            finished: false,
             _marker: std::marker::PhantomData,
         })
     }
@@ -148,7 +146,6 @@ impl<R: FixedSizeRecord> RunWriter<R> {
         .write(&mut header_page);
         self.file.write_page(0, header_page.as_bytes())?;
         self.file.flush()?;
-        self.finished = true;
         Ok(self.records)
     }
 }

@@ -30,11 +30,10 @@ fn main() {
         .on(&device)
         .run_iter(input(), "sorted")
         .expect("file sort succeeds");
-    let mut cursor = RunCursor::<Record>::open(&device, &RunHandle::Forward("sorted".into()))
-        .expect("open sorted output");
+    let mut reader = RunReader::<Record>::open(&device, "sorted").expect("open sorted output");
     let mut top_from_file = Vec::with_capacity(k);
     for _ in 0..k {
-        top_from_file.push(cursor.next_record().expect("read").expect("enough records"));
+        top_from_file.push(reader.next_record().expect("read").expect("enough records"));
     }
     println!(
         "run_iter  : {:>6} pages written total, {:>5} of them in the final pass",

@@ -293,13 +293,13 @@ pub mod prelude {
     pub use twrs_extsort::{
         BoundSortJob, BudgetedGenerator, CallbackSink, CancellationToken, ChannelSink,
         CompletedJob, FileSink, FinalPassKind, GrantPolicy, JobHandle, JobStatus, LoadSortStore,
-        MergeConfig, Priority, RecordSink, ReplacementSelection, RunCursor, RunGenerator,
-        RunHandle, ServiceConfig, ServiceReport, ShardableGenerator, SortJob, SortJobReport,
-        SortReport, SortService, SortedStream, VecSink,
+        MergeConfig, Priority, RecordSink, ReplacementSelection, RunGenerator, RunHandle,
+        ServiceConfig, ServiceReport, ShardableGenerator, SortJob, SortJobReport, SortReport,
+        SortService, SortedStream, VecSink,
     };
     pub use twrs_storage::{
-        AnyDevice, DeviceSpec, DirectIoStatus, ModelId, RealFileDevice, ScopedDevice, SimDevice,
-        SortableRecord, SpillNamer, StorageDevice, StripedDevice,
+        AnyDevice, DeviceSpec, DirectIoStatus, ModelId, RealFileDevice, RunReader, ScopedDevice,
+        SimDevice, SortableRecord, SpillNamer, StorageDevice, StripedDevice,
     };
     pub use twrs_workloads::{ArrivalTrace, Distribution, DistributionKind, JobArrival, Record};
 }

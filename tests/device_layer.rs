@@ -1,10 +1,12 @@
 //! Device wrappers: each answers like the two-disk stripe it wraps (a
 //! scope keeps statistics of its own), and a spill write that fails on the
-//! writer thread surfaces as the device's own error.
+//! writer thread surfaces as the device's own error: an RS forward run's
+//! page, or a 2WRS reverse part's data or header page, inline or on a spill
+//! writer, in a file sort and a stream sort.
 
 mod common;
 
-use common::TestDevice;
+use common::{PageOp, TestDevice};
 use std::io::{Error, ErrorKind};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use two_way_replacement_selection::prelude::*;
@@ -96,4 +98,78 @@ fn a_failed_spill_write_fails_the_sort_with_its_own_error() {
         }
         assert_eq!(device.list(), Vec::<String>::new(), "threads {threads}");
     }
+}
+
+/// The part index of a reverse-run part file `<name>.partN`.
+fn part_index(file: &str) -> Option<u64> {
+    file.rsplit_once(".part")?.1.parse().ok()
+}
+
+/// Sorts with 2WRS whose reverse streams roll into several part files (the
+/// `tests/stream_cleanup.rs` setup) on a device that fails the first page
+/// write `fails` picks as a full disk would, through `run_iter` or
+/// `stream_iter` at one and two threads. The device claims latency, so at
+/// two threads a spill writer meets the failure. Every sort must return
+/// that error and leave no file behind.
+fn a_failed_part_write_fails_the_sort(fails: fn(&PageOp<'_>) -> bool, stream: bool) {
+    for threads in [1, 2] {
+        let failed = AtomicBool::new(false);
+        let device = TestDevice::sim().latency(true).on_page(move |op| {
+            if op.write && fails(&op) && !failed.swap(true, Ordering::SeqCst) {
+                return Err(Error::new(ErrorKind::WriteZero, "disk full").into());
+            }
+            Ok(())
+        });
+        let mut config = TwrsConfig::recommended(100);
+        config.reverse_pages_per_file = 2;
+        let input =
+            Distribution::new(DistributionKind::Alternating { sections: 4 }, 8_000, 31).records();
+        let job = SortJob::new(TwoWayReplacementSelection::new(config))
+            .on(&device)
+            .threads(threads);
+        let result = if stream {
+            job.stream_iter(input).map(drop)
+        } else {
+            job.run_iter(input, "out").map(drop)
+        };
+        let label = format!("stream {stream}, threads {threads}");
+        match result {
+            Err(SortError::Storage(StorageError::Io(e))) => {
+                assert_eq!(e.kind(), ErrorKind::WriteZero, "{label}");
+                assert_eq!(e.to_string(), "disk full", "{label}");
+            }
+            other => panic!("{label}: {other:?}"),
+        }
+        assert_eq!(device.list(), Vec::<String>::new(), "{label}");
+    }
+}
+
+/// The first data page written to a part after the first.
+fn a_later_parts_data_page(op: &PageOp<'_>) -> bool {
+    op.page > 0 && part_index(op.file).is_some_and(|index| index >= 1)
+}
+
+/// A part's header page, written when the part closes.
+fn a_parts_header_page(op: &PageOp<'_>) -> bool {
+    op.page == 0 && part_index(op.file).is_some()
+}
+
+#[test]
+fn a_failed_reverse_part_data_write_fails_a_file_sort() {
+    a_failed_part_write_fails_the_sort(a_later_parts_data_page, false);
+}
+
+#[test]
+fn a_failed_reverse_part_data_write_fails_a_stream_sort() {
+    a_failed_part_write_fails_the_sort(a_later_parts_data_page, true);
+}
+
+#[test]
+fn a_failed_reverse_part_header_write_fails_a_file_sort() {
+    a_failed_part_write_fails_the_sort(a_parts_header_page, false);
+}
+
+#[test]
+fn a_failed_reverse_part_header_write_fails_a_stream_sort() {
+    a_failed_part_write_fails_the_sort(a_parts_header_page, true);
 }

@@ -109,9 +109,8 @@ fn materialised_datasets_round_trip_and_sort() {
 
     let mut sorted = expected;
     sorted.sort_unstable();
-    let mut cursor = RunCursor::<Record>::open(&device, &RunHandle::Forward("table_sorted".into()))
-        .expect("open output");
-    assert_eq!(cursor.read_all().expect("read output"), sorted);
+    let mut reader = RunReader::<Record>::open(&device, "table_sorted").expect("open output");
+    assert_eq!(reader.read_all().expect("read output"), sorted);
 }
 
 #[test]
@@ -128,9 +127,8 @@ fn polyphase_merge_agrees_with_kway_merge() {
     // Merge one copy with polyphase and compare against a std sort.
     polyphase_merge::<_, Record>(&device, &namer, set.runs, 4, "poly_out")
         .expect("polyphase succeeds");
-    let mut cursor = RunCursor::<Record>::open(&device, &RunHandle::Forward("poly_out".into()))
-        .expect("open output");
-    let merged = cursor.read_all().expect("read output");
+    let mut reader = RunReader::<Record>::open(&device, "poly_out").expect("open output");
+    let merged = reader.read_all().expect("read output");
     let mut expected = input;
     expected.sort_unstable();
     assert_eq!(merged, expected);

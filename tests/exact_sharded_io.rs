@@ -100,8 +100,8 @@ fn sort_with<G: ShardableGenerator>(
             let report = job.run_iter(records, "out").expect("file sort runs");
             // Taken before the output is read back for the comparison.
             let io = device_io(device);
-            let sorted = RunCursor::<Record>::open(device, &RunHandle::Forward("out".into()))
-                .and_then(|mut cursor| cursor.read_all())
+            let sorted = RunReader::<Record>::open(device, "out")
+                .and_then(|mut reader| reader.read_all())
                 .expect("output readable");
             device.remove("out").expect("output removable");
             (report, io, sorted)

@@ -60,8 +60,8 @@ fn sort(read_ahead: usize, threads: usize, stream: bool) -> (Vec<Record>, [u128;
     } else {
         job.run_iter(input().into_iter(), "out")
             .expect("file sort runs");
-        RunCursor::<Record>::open(&device, &RunHandle::Forward("out".into()))
-            .and_then(|mut cursor| cursor.read_all())
+        RunReader::<Record>::open(&device, "out")
+            .and_then(|mut reader| reader.read_all())
             .expect("output readable")
     };
     let snap = device.stats();

@@ -9,7 +9,7 @@ use std::time::Duration;
 use two_way_replacement_selection::prelude::*;
 
 fn read_run(device: &SimDevice, name: &str) -> Vec<Record> {
-    RunCursor::<Record>::open(device, &RunHandle::Forward(name.into()))
+    RunReader::<Record>::open(device, name)
         .unwrap()
         .read_all()
         .unwrap()

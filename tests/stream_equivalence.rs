@@ -140,7 +140,7 @@ fn stream_file_matches_run_file_on_a_materialised_dataset() {
         .stream_file("input")
         .expect("stream_file sorts");
     let streamed: Vec<Record> = stream.collect::<Result<_, _>>().unwrap();
-    let filed = RunCursor::<Record>::open(&device, &RunHandle::Forward("out".into()))
+    let filed = RunReader::<Record>::open(&device, "out")
         .unwrap()
         .read_all()
         .unwrap();
@@ -218,8 +218,8 @@ fn sort_on_stripe<G: ShardableGenerator>(
         OutputKind::File => {
             let report = job.run_iter(input, "out").expect("file sort runs");
             let seeks = member_seeks(&device);
-            let records = RunCursor::<Record>::open(&device, &RunHandle::Forward("out".into()))
-                .and_then(|mut cursor| cursor.read_all())
+            let records = RunReader::<Record>::open(&device, "out")
+                .and_then(|mut reader| reader.read_all())
                 .expect("output readable");
             (records, report, seeks)
         }
@@ -246,10 +246,9 @@ fn output_kind_changes_only_the_final_pass_on_a_stripe() {
             .on(&reference_device)
             .run_iter(input, "out")
             .expect("single-disk sort runs");
-        let expected =
-            RunCursor::<Record>::open(&reference_device, &RunHandle::Forward("out".into()))
-                .and_then(|mut cursor| cursor.read_all())
-                .expect("reference output readable");
+        let expected = RunReader::<Record>::open(&reference_device, "out")
+            .and_then(|mut reader| reader.read_all())
+            .expect("reference output readable");
         assert_eq!(expected.len() as u64, reference.report.records);
 
         for threads in [1, 2, 4] {

@@ -74,7 +74,7 @@ fn events(n: u64) -> impl Iterator<Item = UserEvent> + Clone {
 }
 
 fn read_events(device: &SimDevice, name: &str) -> Vec<UserEvent> {
-    RunCursor::<UserEvent>::open(device, &RunHandle::Forward(name.into()))
+    RunReader::<UserEvent>::open(device, name)
         .expect("open output")
         .read_all()
         .expect("read output")
