@@ -40,8 +40,8 @@ fn rs_random_counters_are_pinned() {
         GeneratorKind::Rs,
         SinkMode::File,
         DeterministicCounters {
-            pages_read: 91,
-            pages_written: 104,
+            pages_read: 71,
+            pages_written: 84,
             final_pass_pages_written: 26,
             runs: 11,
             seeks: 45,
@@ -55,11 +55,11 @@ fn lss_random_counters_are_pinned() {
         GeneratorKind::Lss,
         SinkMode::File,
         DeterministicCounters {
-            pages_read: 111,
-            pages_written: 134,
+            pages_read: 102,
+            pages_written: 125,
             final_pass_pages_written: 26,
             runs: 20,
-            seeks: 83,
+            seeks: 69,
         },
     );
 }
@@ -70,11 +70,11 @@ fn twrs_random_counters_are_pinned() {
         GeneratorKind::Twrs,
         SinkMode::File,
         DeterministicCounters {
-            pages_read: 136,
-            pages_written: 159,
+            pages_read: 116,
+            pages_written: 139,
             final_pass_pages_written: 26,
             runs: 11,
-            seeks: 81,
+            seeks: 82,
         },
     );
 }
@@ -130,8 +130,8 @@ fn striped_twrs_counters_are_pinned() {
     assert_eq!(
         result.deterministic(),
         DeterministicCounters {
-            pages_read: 257,
-            pages_written: 309,
+            pages_read: 237,
+            pages_written: 289,
             final_pass_pages_written: 26,
             runs: 45,
             seeks: 189,
@@ -207,9 +207,9 @@ fn golden_scenarios_match_the_committed_baseline() {
     let baseline = twrs_bench::suite::Json::parse(&text).expect("baseline parses");
     let scenarios = baseline.get("scenarios").expect("scenarios object");
     for (slug, pinned) in [
-        ("rs", (91, 104, 11, 45)),
-        ("lss", (111, 134, 20, 83)),
-        ("2wrs", (136, 159, 11, 81)),
+        ("rs", (71, 84, 11, 45)),
+        ("lss", (102, 125, 20, 69)),
+        ("2wrs", (116, 139, 11, 82)),
     ] {
         let id = format!("{slug}-random-record-n6000-m300-t1");
         let entry = scenarios.get(&id).unwrap_or_else(|| panic!("{id} pinned"));

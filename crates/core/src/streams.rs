@@ -178,6 +178,7 @@ mod tests {
         let count = streams.finish(&mut runs).unwrap();
         assert_eq!(count, 8);
         assert_eq!(runs.len(), 1);
+        assert_eq!(runs[0].records(), 8, "the chain sums its four parts");
         let mut reader = runs[0].open::<Record>(&device).unwrap();
         let keys: Vec<u64> = reader.read_all().unwrap().iter().map(|r| r.key).collect();
         assert_eq!(keys, vec![37, 38, 39, 40, 50, 51, 52, 53]);
@@ -224,7 +225,7 @@ mod tests {
         let mut runs = Vec::new();
         streams.finish(&mut runs).unwrap();
         assert_eq!(runs.len(), 1);
-        assert!(matches!(runs[0], RunHandle::Forward(_)));
+        assert!(matches!(runs[0], RunHandle::Forward { records: 10, .. }));
     }
 
     #[test]
@@ -241,7 +242,7 @@ mod tests {
         streams.push(Stream::One, rec(0)).unwrap();
         assert_eq!(streams.finish(&mut runs).unwrap(), 1);
         assert_eq!(runs.len(), 2);
-        assert!(matches!(runs[1], RunHandle::Forward(_)));
+        assert!(matches!(runs[1], RunHandle::Forward { records: 1, .. }));
         assert_eq!(namer.created().len(), 3);
         let keys = |run: &RunHandle| -> Vec<u64> {
             let records = run.open::<Record>(&device).unwrap().read_all().unwrap();

@@ -6,7 +6,7 @@
 //! The pipeline polls it at phase and batch
 //! boundaries — run generation once per batch of its input (256 records
 //! of a caller's iterator, one page of a dataset file, one message to a
-//! shard), the merge scheduler between passes and every
+//! shard), the merge planner between steps and every
 //! [`CANCEL_CHECK_INTERVAL`] merged records — and surfaces a set flag as
 //! [`SortError::Canceled`], which unwinds through the normal error path:
 //! spill files are cleaned up, partial output removed, and the memory

@@ -4,20 +4,27 @@
 //! output. Merging everything at once is not always best: every run being
 //! merged needs its own input buffer, and with many runs the disk head
 //! bounces between their files, so the paper measures an optimal fan-in of
-//! about 10 on its hardware (Figure 6.1). The scheduler therefore merges at
-//! most `fan_in` runs per step, queueing intermediate outputs until few
-//! enough runs remain: at most `fan_in` for the final pass, or one for a
-//! stripe member's reducer (see [`parallel`](crate::parallel)).
+//! about 10 on its hardware (Figure 6.1). The planner therefore merges at
+//! most `fan_in` runs per step until few enough runs remain: `fan_in` for
+//! the final pass, or one for a stripe member's reducer (see
+//! [`parallel`](crate::parallel)). It plans the steps as a merge tree from
+//! the record counts every [`RunHandle`] carries: the first step merges
+//! just enough of the shortest runs that every later step can merge
+//! `fan_in`, and each later step merges the `fan_in` shortest runs left,
+//! merge outputs included (Huffman's pattern, Knuth §5.4.9). Long runs —
+//! 2WRS's on mixed input, say — stay out of the intermediate steps, and no
+//! record is rewritten more often than a tree of that fan-in needs.
 //!
 //! Every merge is one `Merge`: a step's inputs and the loser tree over their
 //! head records. Each input is a run opened through [`RunHandle::open`],
 //! whatever its format, and every merge writes its output through a sink;
 //! a file output is a [`FileSink`], a forward run created after the step
 //! reads its inputs' headers and before their first records, which fixes
-//! the order of the step's page reads and writes (see `merge_step`). An intermediate step, a per-disk reducer's step,
-//! [`KWayMerger`] and the final pass into a file or a sink drain it into a
-//! sink in one loop; a [`SortedStream`](crate::SortedStream) holds it
-//! suspended and takes one record per `next()`. Every input run is read
+//! the order of the step's page reads and writes (see `merge_step`). An
+//! intermediate step, a per-disk reducer's step, [`KWayMerger`] and the
+//! final pass into a file or a sink drain it into a sink in one loop; a
+//! [`SortedStream`](crate::SortedStream) holds it suspended and takes one
+//! record per `next()`. Every input run is read
 //! through the record source run generation reads too (see
 //! [`run_generation`](crate::run_generation)), refilled a read-ahead at a
 //! time, whose size models the per-run input buffer of the paper's
@@ -32,7 +39,6 @@ use crate::error::{Result, SortError};
 use crate::merge::loser_tree::LoserTree;
 use crate::run_generation::{Device, RecordSource, RunHandle};
 use crate::sink::{FileSink, RecordSink};
-use std::collections::VecDeque;
 use twrs_storage::{remove_run_files, SortableRecord, SpillNamer, StorageDevice};
 
 /// Configuration of the k-way merge phase.
@@ -131,17 +137,25 @@ impl KWayMerger {
     }
 }
 
-/// The merge scheduler: merges the first `fan_in` runs of the queue into a
-/// new run at its back, removing them, until at most `stop_at` runs remain;
-/// returns the survivors in queue order with the report of the steps taken.
-/// `stop_at` is `fan_in` before a final pass, and 1 for a stripe member's
-/// reducer, whose last step merges the few runs left into one. Every step
-/// reads its inputs inline, or through prefetch threads with `prefetch`
-/// set.
+/// The merge planner: merges the runs holding the fewest records until
+/// `stop_at` runs remain; returns the survivors with the report of the
+/// steps taken. `stop_at` is `fan_in` before a final pass, and 1 for a
+/// stripe member's reducer, whose last step merges the few runs left into
+/// one. Every step reads its inputs inline, or through prefetch threads
+/// with `prefetch` set.
+///
+/// This is Huffman's optimal merge pattern with dummy runs (Knuth, TAOCP
+/// Vol. 3 §5.4.9): when `(runs − stop_at) mod (fan_in − 1)` is a nonzero
+/// `r`, the first step merges the `r + 1` shortest runs, and every later
+/// step the `fan_in` shortest, so the steps are as few as a queue's,
+/// ⌈(runs − stop_at) / (fan_in − 1)⌉, and every record is written as few
+/// times as a tree of that fan-in allows. A step's inputs keep the order
+/// of `runs`, a tie goes to the earlier run, and each step's output joins
+/// the end, so the plan depends on nothing but the runs' lengths.
 pub(crate) fn reduce_to_fan_in<R: SortableRecord>(
     device: &dyn StorageDevice,
     namer: &SpillNamer,
-    runs: Vec<RunHandle>,
+    mut runs: Vec<RunHandle>,
     merge: MergeConfig,
     stop_at: usize,
     prefetch: bool,
@@ -154,14 +168,19 @@ pub(crate) fn reduce_to_fan_in<R: SortableRecord>(
         ));
     }
     let mut report = MergeReport::default();
-    let mut queue: VecDeque<RunHandle> = runs.into();
-    while queue.len() > stop_at {
-        // Pass boundary: the merge scheduler observes a cancel() between
-        // any two steps.
+    let excess = runs.len().saturating_sub(stop_at) % (merge.fan_in - 1);
+    let mut width = if excess == 0 {
+        merge.fan_in
+    } else {
+        excess + 1
+    };
+    while runs.len() > stop_at {
+        // Pass boundary: the merge planner observes a cancel() between any
+        // two steps.
         cancel.check()?;
-        let batch: Vec<RunHandle> = queue.drain(..merge.fan_in.min(queue.len())).collect();
+        let batch = take_shortest(&mut runs, width);
         let name = namer.next_name("merge");
-        merge_step(
+        let records = merge_step(
             device,
             &batch,
             merge.read_ahead_records,
@@ -170,9 +189,28 @@ pub(crate) fn reduce_to_fan_in<R: SortableRecord>(
             &mut report,
             || FileSink::<R>::create(device, &name),
         )?;
-        queue.push_back(RunHandle::Forward(name));
+        runs.push(RunHandle::Forward { name, records });
+        width = merge.fan_in;
     }
-    Ok((queue.into(), report))
+    Ok((runs, report))
+}
+
+/// Removes the `count` runs holding the fewest records from `runs`, a tie
+/// going to the earlier run, and returns them in their order in `runs`.
+fn take_shortest(runs: &mut Vec<RunHandle>, count: usize) -> Vec<RunHandle> {
+    let mut by_length: Vec<usize> = (0..runs.len()).collect();
+    // A stable sort keeps tied runs in order.
+    by_length.sort_by_key(|&i| runs[i].records());
+    let mut taken = vec![false; runs.len()];
+    for &i in &by_length[..count] {
+        taken[i] = true;
+    }
+    let mut taken = taken.into_iter();
+    let (batch, rest) = std::mem::take(runs)
+        .into_iter()
+        .partition(|_| taken.next() == Some(true));
+    *runs = rest;
+    batch
 }
 
 /// One merge step: opens every run of `runs` as a merge input, creates the
@@ -294,10 +332,10 @@ impl<R: SortableRecord> Merge<R> {
 mod tests {
     use super::*;
     use crate::load_sort_store::LoadSortStore;
-    use crate::run_generation::{RunGenerator, RunSet};
+    use crate::run_generation::{RunBuilder, RunGenerator, RunSet};
     use twrs_storage::ModelId;
     use twrs_storage::RunReader;
-    use twrs_storage::{SimDevice, SpillNamer, StorageDevice};
+    use twrs_storage::{SimDevice, SpillNamer, StorageDevice, StorageError};
     use twrs_workloads::{Distribution, DistributionKind, Record};
 
     fn make_runs(device: &SimDevice, namer: &SpillNamer, records: u64, memory: usize) -> RunSet {
@@ -309,6 +347,67 @@ mod tests {
     fn read_output(device: &SimDevice, name: &str) -> Vec<Record> {
         let mut reader = RunReader::<Record>::open(device, name).unwrap();
         reader.read_all().unwrap()
+    }
+
+    /// The keys of run `i` of `lengths`: `j · lengths + i` for each `j`
+    /// below its length.
+    fn keys_of(lengths: &[u64], i: u64) -> Vec<u64> {
+        (0..lengths[i as usize])
+            .map(|j| j * lengths.len() as u64 + i)
+            .collect()
+    }
+
+    /// Writes one forward run per length, in order, holding `keys_of`.
+    fn runs_of(device: &SimDevice, namer: &SpillNamer, lengths: &[u64]) -> Vec<RunHandle> {
+        let mut builder = RunBuilder::forward(device, namer);
+        let mut runs = Vec::new();
+        for i in 0..lengths.len() as u64 {
+            builder.push_sorted(&keys_of(lengths, i)).unwrap();
+            builder.finish_run(&mut runs).unwrap();
+        }
+        runs
+    }
+
+    /// Every key of `runs` on `device`, sorted, after checking that each
+    /// run is sorted.
+    fn keys_in(device: &SimDevice, runs: &[RunHandle]) -> Vec<u64> {
+        let mut keys = Vec::new();
+        for run in runs {
+            let records = run.open::<u64>(device).unwrap().read_all().unwrap();
+            assert!(records.windows(2).all(|w| w[0] <= w[1]));
+            keys.extend(records);
+        }
+        keys.sort_unstable();
+        keys
+    }
+
+    /// Plans `runs` down to `stop_at` at `fan_in` on `device`.
+    fn reduce(
+        device: &SimDevice,
+        namer: &SpillNamer,
+        runs: Vec<RunHandle>,
+        fan_in: usize,
+        stop_at: usize,
+    ) -> (Vec<RunHandle>, MergeReport) {
+        let merge = MergeConfig {
+            fan_in,
+            read_ahead_records: 8,
+        };
+        let cancel = CancellationToken::new();
+        reduce_to_fan_in::<u64>(device, namer, runs, merge, stop_at, false, &cancel).unwrap()
+    }
+
+    /// The steps and the records written of a queue that merges its first
+    /// `fan_in` runs and appends the result until `stop_at` runs remain.
+    fn queue_tree(lengths: &[u64], fan_in: usize, stop_at: usize) -> (u32, u64) {
+        let mut queue: std::collections::VecDeque<u64> = lengths.iter().copied().collect();
+        let (mut steps, mut written) = (0, 0);
+        while queue.len() > stop_at {
+            let merged: u64 = queue.drain(..fan_in.min(queue.len())).sum();
+            queue.push_back(merged);
+            (steps, written) = (steps + 1, written + merged);
+        }
+        (steps, written)
     }
 
     #[test]
@@ -406,6 +505,84 @@ mod tests {
             merger.merge_into::<_, Record>(&device, &namer, Vec::new(), "out"),
             Err(SortError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn the_planner_merges_the_shortest_runs_first() {
+        let device = SimDevice::with_model(ModelId::Hdd7200);
+        let namer = SpillNamer::new("p");
+        let lengths = [3, 1, 2, 2, 5, 2];
+        let runs = runs_of(&device, &namer, &lengths);
+        let (left, report) = reduce(&device, &namer, runs, 3, 3);
+        // (6 − 3) mod 2 = 1: the first step merges the two shortest runs,
+        // the 1 and the first 2 (a tie goes to the earlier run); the second
+        // merges the other two 2s and the generated 3, which is older than
+        // the first step's output. A queue writes 6 + 9 records instead.
+        assert_eq!(report.merge_steps, 2);
+        assert_eq!(report.records_written, 3 + 7);
+        assert_eq!(queue_tree(&lengths, 3, 3), (2, 6 + 9));
+        // The survivors keep generation order, merge outputs last.
+        let created = namer.created();
+        let survivors: Vec<(&str, u64)> =
+            left.iter().map(|run| (run.name(), run.records())).collect();
+        assert_eq!(
+            survivors,
+            [(&*created[4], 5), (&*created[6], 3), (&*created[7], 7)]
+        );
+        let mut expected: Vec<u64> = (0..6).flat_map(|i| keys_of(&lengths, i)).collect();
+        expected.sort_unstable();
+        assert_eq!(keys_in(&device, &left), expected);
+    }
+
+    #[test]
+    fn a_reducer_plans_its_runs_down_to_one() {
+        // Unequal runs, as a stripe member's reducer sees them.
+        let lengths: Vec<u64> = (0..23_u64).map(|i| 1 + (i * 37) % 60).collect();
+        let mut expected: Vec<u64> = (0..23).flat_map(|i| keys_of(&lengths, i)).collect();
+        expected.sort_unstable();
+        for fan_in in 2..=8 {
+            let device = SimDevice::with_model(ModelId::Hdd7200);
+            let namer = SpillNamer::new("r");
+            let runs = runs_of(&device, &namer, &lengths);
+            let (left, report) = reduce(&device, &namer, runs, fan_in, 1);
+            let (steps, written) = queue_tree(&lengths, fan_in, 1);
+            assert_eq!(report.merge_steps, steps, "fan-in {fan_in}");
+            assert_eq!(report.merge_steps, 22_u32.div_ceil(fan_in as u32 - 1));
+            assert!(report.records_written <= written, "fan-in {fan_in}");
+            assert_eq!(left.len(), 1);
+            assert_eq!(left[0].records(), expected.len() as u64);
+            assert_eq!(keys_in(&device, &left), expected);
+            assert_eq!(device.list(), [left[0].name()], "inputs are removed");
+        }
+    }
+
+    #[test]
+    fn a_handle_whose_count_disagrees_fails_before_any_output() {
+        for fan_in in [2, 10] {
+            let device = SimDevice::with_model(ModelId::Hdd7200);
+            let namer = SpillNamer::new("c");
+            let mut runs = runs_of(&device, &namer, &[40, 30, 50]);
+            let RunHandle::Forward { records, .. } = &mut runs[1] else {
+                unreachable!("runs_of writes forward runs")
+            };
+            *records += 1;
+            let before = device.list();
+            let merged = KWayMerger::new(MergeConfig {
+                fan_in,
+                read_ahead_records: 8,
+            })
+            .merge_into::<_, u64>(&device, &namer, runs, "sorted");
+            // At fan-in 2 the first step, at 10 the final one, opens the
+            // run and fails before it creates its output.
+            assert!(
+                matches!(
+                    merged,
+                    Err(SortError::Storage(StorageError::CorruptHeader(_)))
+                ),
+                "fan-in {fan_in}: {merged:?}"
+            );
+            assert_eq!(device.list(), before, "fan-in {fan_in}");
+        }
     }
 
     #[test]

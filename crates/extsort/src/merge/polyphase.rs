@@ -149,9 +149,11 @@ pub fn polyphase_merge<D: Device, R: SortableRecord>(
                 .filter_map(|i| tapes[*i].pop_front())
                 .collect();
             let name = namer.next_name("tape");
-            merger.merge_into::<D, R>(device, namer, batch, &name)?;
+            let records = merger
+                .merge_into::<D, R>(device, namer, batch, &name)?
+                .output_records;
             merge_steps += 1;
-            tapes[output_tape].push_back(RunHandle::Forward(name));
+            tapes[output_tape].push_back(RunHandle::Forward { name, records });
             if input_indices.iter().any(|i| tapes[*i].is_empty()) {
                 break;
             }

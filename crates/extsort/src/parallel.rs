@@ -33,7 +33,7 @@
 //! through a member-pinned shard view (shard `i` → member `i % members`),
 //! and before the global merge a per-disk reduction folds every member's
 //! runs into at most one run *on that member*, each by the ordinary merge
-//! scheduler on a reducer thread of its own, so each member's read order
+//! planner on a reducer thread of its own, so each member's read order
 //! and seek count stay deterministic.
 //!
 //! Because [`SortableRecord`] requires a *total* order, the fully merged
@@ -798,7 +798,7 @@ where
 /// `runs` are in shard order, as [`generate_sharded`] returns them, and
 /// `shards` says how many belong to each shard. Generation pinned shard
 /// `i`'s spill files to member `i % members`, so each member's runs are
-/// merged down to one by the ordinary merge scheduler
+/// merged down to one by the ordinary merge planner
 /// ([`reduce_to_fan_in`] with one run to stop at) on the member-pinned
 /// view, on its own thread: the merged outputs land on the disk their
 /// inputs live on, and since the reducer reads its inputs inline, one at a

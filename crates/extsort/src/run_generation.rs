@@ -24,7 +24,7 @@ use crate::error::{Result, SortError};
 use crate::parallel::BatchReceiver;
 use std::thread::JoinHandle;
 use twrs_storage::{
-    ReverseRunWriter, RunReader, RunWriter, SortableRecord, SpillNamer, StorageDevice,
+    ReverseRunWriter, RunReader, RunWriter, SortableRecord, SpillNamer, StorageDevice, StorageError,
 };
 
 /// Device bound required by run generation: the reverse-file writer needs to
@@ -33,15 +33,28 @@ pub trait Device: StorageDevice + Clone + Send + 'static {}
 
 impl<D> Device for D where D: StorageDevice + Clone + Send + 'static {}
 
-/// A named run stored on a device.
+/// A named run stored on a device, with the number of records it holds.
+///
+/// The writer that closes a run knows its length, so the handle carries it
+/// and the merge planner reads no page to learn it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunHandle {
     /// A forward run file written by [`RunWriter`]; records are stored in
     /// ascending order.
-    Forward(String),
+    Forward {
+        /// The file's name.
+        name: String,
+        /// The records the file holds.
+        records: u64,
+    },
     /// A reverse run (Appendix A format) written by [`ReverseRunWriter`];
     /// records were produced in descending order but read back ascending.
-    Reverse(String),
+    Reverse {
+        /// The run's base name; its part files add a suffix.
+        name: String,
+        /// The records its parts hold.
+        records: u64,
+    },
     /// A logical run made of several physical runs whose key ranges do not
     /// overlap and that follow each other in ascending order. 2WRS produces
     /// one `Chain` per run, holding its streams 4, 3, 2 and 1 in that order
@@ -55,31 +68,53 @@ impl RunHandle {
     /// its first component (or an empty string for an empty chain).
     pub fn name(&self) -> &str {
         match self {
-            RunHandle::Forward(name) | RunHandle::Reverse(name) => name,
+            RunHandle::Forward { name, .. } | RunHandle::Reverse { name, .. } => name,
             RunHandle::Chain(parts) => parts.first().map(RunHandle::name).unwrap_or(""),
+        }
+    }
+
+    /// The number of records in the run; for a [`RunHandle::Chain`] the sum
+    /// over its parts.
+    pub fn records(&self) -> u64 {
+        match self {
+            RunHandle::Forward { records, .. } | RunHandle::Reverse { records, .. } => *records,
+            RunHandle::Chain(parts) => parts.iter().map(RunHandle::records).sum(),
         }
     }
 
     /// Opens the run for reading in ascending order, reading every header
     /// of its files: a forward file, the parts of a reverse run, or a
     /// chain's components one after another.
+    ///
+    /// Headers that hold another record count than the handle are rejected
+    /// with [`StorageError::CorruptHeader`], before any record is read.
     pub fn open<R: SortableRecord>(&self, device: &dyn StorageDevice) -> Result<RunReader<R>> {
-        Ok(match self {
-            RunHandle::Forward(name) => RunReader::open(device, name)?,
-            RunHandle::Reverse(name) => RunReader::open_reverse(device, name)?,
+        let reader = match self {
+            RunHandle::Forward { name, .. } => RunReader::open(device, name)?,
+            RunHandle::Reverse { name, .. } => RunReader::open_reverse(device, name)?,
             RunHandle::Chain(parts) => RunReader::concat(
                 parts
                     .iter()
                     .map(|part| part.open(device))
                     .collect::<Result<Vec<_>>>()?,
             )?,
-        })
+        };
+        if reader.len() != self.records() {
+            return Err(StorageError::CorruptHeader(format!(
+                "run {} holds {} records, its handle says {}",
+                self.name(),
+                reader.len(),
+                self.records()
+            ))
+            .into());
+        }
+        Ok(reader)
     }
 
     /// Every physical file handle reachable from this handle, depth first.
     pub fn physical(&self) -> Vec<&RunHandle> {
         match self {
-            RunHandle::Forward(_) | RunHandle::Reverse(_) => vec![self],
+            RunHandle::Forward { .. } | RunHandle::Reverse { .. } => vec![self],
             RunHandle::Chain(parts) => parts.iter().flat_map(RunHandle::physical).collect(),
         }
     }
@@ -426,16 +461,23 @@ impl<'a, D: Device, R: SortableRecord> RunBuilder<'a, D, R> {
     }
 
     /// Closes the current run, if any, and returns how many records it
-    /// held; appends its handle to `runs` when it holds records. The next
-    /// push starts a new run.
+    /// held; appends its handle, which carries that count, to `runs` when
+    /// it holds records. The next push starts a new run.
     pub fn finish_run(&mut self, runs: &mut Vec<RunHandle>) -> Result<u64> {
         let Some((writer, name)) = self.run.take() else {
             return Ok(0);
         };
-        let (records, handle) = match writer {
-            Writer::Forward(writer) => (writer.finish()?, RunHandle::Forward(name)),
-            Writer::Reverse(writer) => (writer.finish()?, RunHandle::Reverse(name)),
+        let handle = match writer {
+            Writer::Forward(writer) => RunHandle::Forward {
+                records: writer.finish()?,
+                name,
+            },
+            Writer::Reverse(writer) => RunHandle::Reverse {
+                records: writer.finish()?,
+                name,
+            },
         };
+        let records = handle.records();
         if records > 0 {
             runs.push(handle);
         }
@@ -472,8 +514,14 @@ mod tests {
     fn run_set_metrics() {
         let set = RunSet {
             runs: vec![
-                RunHandle::Forward("a".into()),
-                RunHandle::Forward("b".into()),
+                RunHandle::Forward {
+                    name: "a".into(),
+                    records: 150,
+                },
+                RunHandle::Forward {
+                    name: "b".into(),
+                    records: 250,
+                },
             ],
             records: 400,
         };
@@ -510,7 +558,10 @@ mod tests {
 
         assert!(matches!(
             &runs[..],
-            [RunHandle::Forward(_), RunHandle::Reverse(_)]
+            [
+                RunHandle::Forward { records: 100, .. },
+                RunHandle::Reverse { records: 100, .. }
+            ]
         ));
         let mut first = runs[0].open::<u64>(&device).unwrap();
         let mut second = runs[1].open::<u64>(&device).unwrap();
@@ -597,7 +648,29 @@ mod tests {
 
     #[test]
     fn handles_expose_names() {
-        assert_eq!(RunHandle::Forward("x".into()).name(), "x");
-        assert_eq!(RunHandle::Reverse("y".into()).name(), "y");
+        let forward = RunHandle::Forward {
+            name: "x".into(),
+            records: 3,
+        };
+        let reverse = RunHandle::Reverse {
+            name: "y".into(),
+            records: 4,
+        };
+        assert_eq!(forward.name(), "x");
+        assert_eq!(reverse.name(), "y");
+        assert_eq!(RunHandle::Chain(vec![reverse, forward]).name(), "y");
+    }
+
+    #[test]
+    fn a_chain_holds_the_records_of_its_parts() {
+        let part = |name: &str, records| RunHandle::Forward {
+            name: name.into(),
+            records,
+        };
+        assert_eq!(part("x", 3).records(), 3);
+        let chain = RunHandle::Chain(vec![part("a", 3), part("b", 4)]);
+        assert_eq!(chain.records(), 7);
+        assert_eq!(RunHandle::Chain(vec![chain, part("c", 1)]).records(), 8);
+        assert_eq!(RunHandle::Chain(Vec::new()).records(), 0);
     }
 }

@@ -1,14 +1,17 @@
 //! Property-based tests for the external-sort substrate: every
 //! run-generation algorithm and both merge strategies must sort arbitrary
-//! inputs correctly, the storage round trip must be lossless, the loser
-//! tree must merge stably whatever `sort_key` a record type provides, and
-//! the batched spill writer must leave exactly the pages direct writes do.
+//! inputs correctly, the storage round trip must be lossless, the planned
+//! merge tree must take a queue's steps and write no more records, the
+//! loser tree must merge stably whatever `sort_key` a record type provides,
+//! and the batched spill writer must leave exactly the pages direct writes
+//! do.
 
 use proptest::prelude::*;
+use std::collections::VecDeque;
 use twrs_extsort::merge::loser_tree::LoserTree;
 use twrs_extsort::{
-    polyphase_merge, KWayMerger, LoadSortStore, MergeConfig, ReplacementSelection, RunGenerator,
-    SortJob, SpillWriteDevice,
+    polyphase_merge, KWayMerger, LoadSortStore, MergeConfig, ReplacementSelection, RunBuilder,
+    RunGenerator, SortJob, SpillWriteDevice,
 };
 use twrs_storage::ModelId;
 use twrs_storage::{
@@ -259,6 +262,61 @@ proptest! {
         let kway = run_and_merge(false);
         prop_assert_eq!(&polyphase, &kway);
         prop_assert_eq!(polyphase, sorted_copy(&input));
+    }
+}
+
+/// The steps and the records written, final pass included, of a merge
+/// that queues its runs: it merges the first `fan_in` and appends the
+/// result until at most `fan_in` remain.
+fn queue_tree(lengths: &[u64], fan_in: usize) -> (u32, u64) {
+    let mut queue: VecDeque<u64> = lengths.iter().copied().collect();
+    let (mut steps, mut written) = (0, 0);
+    while queue.len() > fan_in {
+        let merged: u64 = queue.drain(..fan_in).sum();
+        queue.push_back(merged);
+        (steps, written) = (steps + 1, written + merged);
+    }
+    let last: u64 = queue.iter().sum();
+    (steps + u32::from(!queue.is_empty()), written + last)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The planned merge tree sorts runs of any lengths at any fan-in in
+    /// as many steps as a queue of runs takes, and writes no more records.
+    #[test]
+    fn planned_merge_takes_a_queues_steps_and_writes_no_more(
+        lengths in prop::collection::vec(1u64..=2_000, 0..41),
+        fan_in in 2usize..=12,
+    ) {
+        let device = SimDevice::with_model(ModelId::Hdd7200);
+        let namer = SpillNamer::new("prop-plan");
+        let mut builder = RunBuilder::forward(&device, &namer);
+        let mut runs = Vec::new();
+        let mut input = Vec::new();
+        for (i, &length) in (0u64..).zip(&lengths) {
+            let mut keys: Vec<u64> = (0..length)
+                .map(|j| (i * 2_654_435_761 + j * 40_503) % 5_000)
+                .collect();
+            keys.sort_unstable();
+            builder.push_sorted(&keys).unwrap();
+            builder.finish_run(&mut runs).unwrap();
+            input.extend(keys);
+        }
+        let report = KWayMerger::new(MergeConfig { fan_in, read_ahead_records: 64 })
+            .merge_into::<_, u64>(&device, &namer, runs, "out")
+            .unwrap();
+        let output = RunReader::<u64>::open(&device, "out").unwrap().read_all().unwrap();
+        input.sort_unstable();
+        prop_assert_eq!(output, input);
+        let (steps, written) = queue_tree(&lengths, fan_in);
+        prop_assert_eq!(report.merge_steps, steps);
+        prop_assert!(
+            report.records_written <= written,
+            "planned {} > queued {}", report.records_written, written
+        );
+        prop_assert_eq!(device.list(), vec!["out".to_string()]);
     }
 }
 

@@ -10,7 +10,10 @@
 //! boundary, and 2WRS chains whose reverse streams spread over several
 //! part files. Each sort runs at one thread, once through `run_iter` and
 //! once through a fully drained `stream_iter`; a change to how runs are
-//! encoded, decoded or merged must leave every figure here unchanged.
+//! encoded, decoded or merged must leave every figure here unchanged. The
+//! figures pin the planned merge tree, which merges the shortest runs
+//! first (see `twrs_extsort::merge::kway`), as it stands since the tree
+//! replaced a first-in-first-out queue of runs.
 
 use two_way_replacement_selection::prelude::*;
 
@@ -184,85 +187,79 @@ fn rs_forward_runs_pin_exact_io() {
                 3,
                 1,
                 13,
-                [139, 206, 121, 1493450000],
-                [139, 157, 121, 1491000000],
+                [136, 203, 128, 1578550000],
+                [136, 154, 128, 1576100000],
             ),
             (
                 3,
                 100,
                 13,
-                [139, 206, 118, 1456850000],
-                [139, 157, 118, 1454400000],
+                [136, 203, 122, 1505350000],
+                [136, 154, 122, 1502900000],
             ),
             (
                 3,
                 256,
                 13,
-                [139, 206, 121, 1493450000],
-                [139, 157, 121, 1491000000],
+                [136, 203, 128, 1578550000],
+                [136, 154, 128, 1576100000],
             ),
             (
                 3,
                 257,
                 13,
-                [139, 206, 104, 1286050000],
-                [139, 157, 104, 1283600000],
+                [136, 203, 109, 1346750000],
+                [136, 154, 109, 1344300000],
             ),
             (
                 3,
                 1000,
                 13,
-                [139, 206, 45, 566250000],
-                [139, 157, 45, 563800000],
+                [136, 203, 46, 578150000],
+                [136, 154, 46, 575700000],
             ),
             (
                 3,
                 5000,
                 13,
-                [139, 206, 36, 456450000],
-                [139, 157, 36, 454000000],
+                [136, 203, 36, 456150000],
+                [136, 154, 36, 453700000],
             ),
-            (
-                10,
-                1,
-                13,
-                [102, 165, 70, 867350000],
-                [102, 116, 70, 864900000],
-            ),
+            (10, 1, 13, [75, 138, 70, 864650000], [75, 89, 70, 862200000]),
             (
                 10,
                 100,
                 13,
-                [102, 165, 69, 855150000],
-                [102, 116, 69, 852700000],
+                [75, 138, 69, 852450000],
+                [75, 89, 69, 850000000],
             ),
             (
                 10,
                 256,
                 13,
-                [102, 165, 70, 867350000],
-                [102, 116, 70, 864900000],
+                [75, 138, 70, 864650000],
+                [75, 89, 70, 862200000],
             ),
             (
                 10,
                 257,
                 13,
-                [102, 165, 56, 696550000],
-                [102, 116, 56, 694100000],
+                [75, 138, 56, 693850000],
+                [75, 89, 56, 691400000],
             ),
             (
                 10,
                 1000,
                 13,
-                [102, 165, 28, 354950000],
-                [102, 116, 28, 352500000],
+                [75, 138, 28, 352250000],
+                [75, 89, 28, 349800000],
             ),
             (
                 10,
                 5000,
                 13,
-                [102, 165, 28, 354950000],
-                [102, 116, 28, 352500000],
+                [75, 138, 28, 352250000],
+                [75, 89, 28, 349800000],
             ),
         ],
     );
@@ -319,43 +316,43 @@ fn rs_page_aligned_runs_pin_exact_io() {
                 10,
                 1,
                 47,
-                [176, 277, 108, 1340250000],
-                [176, 228, 108, 1337800000],
+                [141, 242, 108, 1336750000],
+                [141, 193, 108, 1334300000],
             ),
             (
                 10,
                 100,
                 47,
-                [176, 277, 108, 1340250000],
-                [176, 228, 108, 1337800000],
+                [141, 242, 109, 1348950000],
+                [141, 193, 109, 1346500000],
             ),
             (
                 10,
                 256,
                 47,
-                [176, 277, 108, 1340250000],
-                [176, 228, 108, 1337800000],
+                [141, 242, 108, 1336750000],
+                [141, 193, 108, 1334300000],
             ),
             (
                 10,
                 257,
                 47,
-                [176, 277, 108, 1340250000],
-                [176, 228, 108, 1337800000],
+                [141, 242, 107, 1324550000],
+                [141, 193, 107, 1322100000],
             ),
             (
                 10,
                 1000,
                 47,
-                [176, 277, 108, 1340250000],
-                [176, 228, 108, 1337800000],
+                [141, 242, 107, 1324550000],
+                [141, 193, 107, 1322100000],
             ),
             (
                 10,
                 5000,
                 47,
-                [176, 277, 104, 1291450000],
-                [176, 228, 104, 1289000000],
+                [141, 242, 104, 1287950000],
+                [141, 193, 104, 1285500000],
             ),
         ],
     );
@@ -380,43 +377,43 @@ fn twrs_chains_over_reverse_part_files_pin_exact_io() {
                 3,
                 1,
                 8,
-                [149, 209, 129, 1591700000],
-                [149, 160, 129, 1589250000],
+                [131, 191, 129, 1589900000],
+                [131, 142, 129, 1587450000],
             ),
             (
                 3,
                 100,
                 8,
-                [149, 209, 125, 1542900000],
-                [149, 160, 125, 1540450000],
+                [131, 191, 124, 1528900000],
+                [131, 142, 124, 1526450000],
             ),
             (
                 3,
                 256,
                 8,
-                [149, 209, 124, 1530700000],
-                [149, 160, 124, 1528250000],
+                [131, 191, 125, 1541100000],
+                [131, 142, 125, 1538650000],
             ),
             (
                 3,
                 257,
                 8,
-                [149, 209, 122, 1506300000],
-                [149, 160, 122, 1503850000],
+                [131, 191, 122, 1504500000],
+                [131, 142, 122, 1502050000],
             ),
             (
                 3,
                 1000,
                 8,
-                [149, 209, 70, 871900000],
-                [149, 160, 70, 869450000],
+                [131, 191, 70, 870100000],
+                [131, 142, 70, 867650000],
             ),
             (
                 3,
                 5000,
                 8,
-                [149, 209, 54, 676700000],
-                [149, 160, 54, 674250000],
+                [131, 191, 54, 674900000],
+                [131, 142, 54, 672450000],
             ),
             (10, 1, 8, [79, 136, 79, 974550000], [79, 87, 79, 972100000]),
             (

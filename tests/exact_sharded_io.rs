@@ -16,7 +16,10 @@
 //! there cover the three generators at threads 4. Each configuration
 //! runs through `run_iter`, a fully drained `stream_iter` and `sink_iter`,
 //! each on a fresh device; a change to how the threads of a sort exchange
-//! work must leave every figure here unchanged.
+//! work must leave every figure here unchanged. The figures pin the
+//! planned merge tree of every reducer and final pass, which merges the
+//! shortest runs first (see `twrs_extsort::merge::kway`), as it stands
+//! since the tree replaced a first-in-first-out queue of runs.
 
 use two_way_replacement_selection::prelude::*;
 use two_way_replacement_selection::storage::IoStatsSnapshot;
@@ -255,9 +258,9 @@ fn rs_on_two_disks_pins_exact_io() {
                 runs: 22,
                 shards: &[[6112, 11, 53], [5888, 11, 52]],
                 io: [
-                    &[[105, 169, 68, 843300000], [102, 117, 66, 816150000]],
-                    &[[105, 120, 68, 840850000], [102, 117, 66, 816150000]],
-                    &[[105, 120, 68, 840850000], [102, 117, 66, 816150000]],
+                    &[[93, 157, 67, 829900000], [90, 105, 63, 778350000]],
+                    &[[93, 108, 67, 827450000], [90, 105, 63, 778350000]],
+                    &[[93, 108, 67, 827450000], [90, 105, 63, 778350000]],
                 ],
             },
             Pin {
@@ -265,9 +268,9 @@ fn rs_on_two_disks_pins_exact_io() {
                 runs: 33,
                 shards: &[[4096, 11, 43], [4064, 11, 43], [3840, 11, 43]],
                 io: [
-                    &[[148, 226, 112, 1385100000], [76, 91, 51, 630550000]],
-                    &[[148, 177, 112, 1382650000], [76, 91, 51, 630550000]],
-                    &[[148, 177, 112, 1382650000], [76, 91, 51, 630550000]],
+                    &[[145, 223, 107, 1323800000], [67, 82, 50, 617450000]],
+                    &[[145, 174, 107, 1321350000], [67, 82, 50, 617450000]],
+                    &[[145, 174, 107, 1321350000], [67, 82, 50, 617450000]],
                 ],
             },
             Pin {
@@ -280,9 +283,9 @@ fn rs_on_two_disks_pins_exact_io() {
                     [2816, 10, 39],
                 ],
                 io: [
-                    &[[130, 208, 99, 1224700000], [128, 156, 95, 1173200000]],
-                    &[[130, 159, 99, 1222250000], [128, 156, 95, 1173200000]],
-                    &[[130, 159, 99, 1222250000], [128, 156, 95, 1173200000]],
+                    &[[128, 206, 98, 1212300000], [121, 149, 92, 1135900000]],
+                    &[[128, 157, 98, 1209850000], [121, 149, 92, 1135900000]],
+                    &[[128, 157, 98, 1209850000], [121, 149, 92, 1135900000]],
                 ],
             },
         ],
@@ -301,20 +304,20 @@ fn rs_on_four_disks_pins_exact_io() {
                 shards: &[[6112, 11, 53], [5888, 11, 52]],
                 io: [
                     &[
-                        [105, 169, 68, 843300000],
-                        [102, 117, 66, 816150000],
+                        [93, 157, 67, 829900000],
+                        [90, 105, 63, 778350000],
                         [0, 0, 0, 0],
                         [0, 0, 0, 0],
                     ],
                     &[
-                        [105, 120, 68, 840850000],
-                        [102, 117, 66, 816150000],
+                        [93, 108, 67, 827450000],
+                        [90, 105, 63, 778350000],
                         [0, 0, 0, 0],
                         [0, 0, 0, 0],
                     ],
                     &[
-                        [105, 120, 68, 840850000],
-                        [102, 117, 66, 816150000],
+                        [93, 108, 67, 827450000],
+                        [90, 105, 63, 778350000],
                         [0, 0, 0, 0],
                         [0, 0, 0, 0],
                     ],
@@ -326,21 +329,21 @@ fn rs_on_four_disks_pins_exact_io() {
                 shards: &[[4096, 11, 43], [4064, 11, 43], [3840, 11, 43]],
                 io: [
                     &[
-                        [75, 139, 53, 657300000],
-                        [76, 91, 51, 630550000],
-                        [73, 88, 51, 630250000],
+                        [68, 132, 51, 632200000],
+                        [67, 82, 50, 617450000],
+                        [66, 81, 48, 592950000],
                         [0, 0, 0, 0],
                     ],
                     &[
-                        [75, 90, 53, 654850000],
-                        [76, 91, 51, 630550000],
-                        [73, 88, 51, 630250000],
+                        [68, 83, 51, 629750000],
+                        [67, 82, 50, 617450000],
+                        [66, 81, 48, 592950000],
                         [0, 0, 0, 0],
                     ],
                     &[
-                        [75, 90, 53, 654850000],
-                        [76, 91, 51, 630550000],
-                        [73, 88, 51, 630250000],
+                        [68, 83, 51, 629750000],
+                        [67, 82, 50, 617450000],
+                        [66, 81, 48, 592950000],
                         [0, 0, 0, 0],
                     ],
                 ],
@@ -356,22 +359,22 @@ fn rs_on_four_disks_pins_exact_io() {
                 ],
                 io: [
                     &[
-                        [66, 130, 47, 583200000],
-                        [65, 80, 47, 580650000],
-                        [66, 81, 48, 592950000],
-                        [53, 66, 41, 506150000],
+                        [60, 124, 47, 582600000],
+                        [59, 74, 46, 567850000],
+                        [60, 75, 47, 580150000],
+                        [52, 65, 40, 493850000],
                     ],
                     &[
-                        [66, 81, 47, 580750000],
-                        [65, 80, 47, 580650000],
-                        [66, 81, 48, 592950000],
-                        [53, 66, 41, 506150000],
+                        [60, 75, 47, 580150000],
+                        [59, 74, 46, 567850000],
+                        [60, 75, 47, 580150000],
+                        [52, 65, 40, 493850000],
                     ],
                     &[
-                        [66, 81, 47, 580750000],
-                        [65, 80, 47, 580650000],
-                        [66, 81, 48, 592950000],
-                        [53, 66, 41, 506150000],
+                        [60, 75, 47, 580150000],
+                        [59, 74, 46, 567850000],
+                        [60, 75, 47, 580150000],
+                        [52, 65, 40, 493850000],
                     ],
                 ],
             },
@@ -390,9 +393,9 @@ fn lss_on_two_disks_pins_exact_io() {
                 runs: 41,
                 shards: &[[6112, 21, 83], [5888, 20, 79]],
                 io: [
-                    &[[133, 210, 97, 1200550000], [133, 160, 95, 1173650000]],
-                    &[[133, 161, 97, 1198100000], [133, 160, 95, 1173650000]],
-                    &[[133, 161, 97, 1198100000], [133, 160, 95, 1173650000]],
+                    &[[126, 203, 96, 1187650000], [120, 147, 88, 1086950000]],
+                    &[[126, 154, 96, 1185200000], [120, 147, 88, 1086950000]],
+                    &[[126, 154, 96, 1185200000], [120, 147, 88, 1086950000]],
                 ],
             },
             Pin {
@@ -400,9 +403,9 @@ fn lss_on_two_disks_pins_exact_io() {
                 runs: 62,
                 shards: &[[4096, 21, 63], [4064, 21, 63], [3840, 20, 60]],
                 io: [
-                    &[[208, 312, 164, 2026800000], [95, 123, 72, 889300000]],
-                    &[[208, 263, 164, 2024350000], [95, 123, 72, 889300000]],
-                    &[[208, 263, 164, 2024350000], [95, 123, 72, 889300000]],
+                    &[[193, 297, 161, 1988700000], [90, 118, 70, 864400000]],
+                    &[[193, 248, 161, 1986250000], [90, 118, 70, 864400000]],
+                    &[[193, 248, 161, 1986250000], [90, 118, 70, 864400000]],
                 ],
             },
             Pin {
@@ -415,9 +418,9 @@ fn lss_on_two_disks_pins_exact_io() {
                     [2816, 19, 57],
                 ],
                 io: [
-                    &[[178, 283, 153, 1889650000], [166, 219, 141, 1739450000]],
-                    &[[178, 234, 153, 1887200000], [166, 219, 141, 1739450000]],
-                    &[[178, 234, 153, 1887200000], [166, 219, 141, 1739450000]],
+                    &[[174, 279, 146, 1803850000], [164, 217, 139, 1714850000]],
+                    &[[174, 230, 146, 1801400000], [164, 217, 139, 1714850000]],
+                    &[[174, 230, 146, 1801400000], [164, 217, 139, 1714850000]],
                 ],
             },
         ],
@@ -436,20 +439,20 @@ fn lss_on_four_disks_pins_exact_io() {
                 shards: &[[6112, 21, 83], [5888, 20, 79]],
                 io: [
                     &[
-                        [133, 210, 97, 1200550000],
-                        [133, 160, 95, 1173650000],
+                        [126, 203, 96, 1187650000],
+                        [120, 147, 88, 1086950000],
                         [0, 0, 0, 0],
                         [0, 0, 0, 0],
                     ],
                     &[
-                        [133, 161, 97, 1198100000],
-                        [133, 160, 95, 1173650000],
+                        [126, 154, 96, 1185200000],
+                        [120, 147, 88, 1086950000],
                         [0, 0, 0, 0],
                         [0, 0, 0, 0],
                     ],
                     &[
-                        [133, 161, 97, 1198100000],
-                        [133, 160, 95, 1173650000],
+                        [126, 154, 96, 1185200000],
+                        [120, 147, 88, 1086950000],
                         [0, 0, 0, 0],
                         [0, 0, 0, 0],
                     ],
@@ -461,21 +464,21 @@ fn lss_on_four_disks_pins_exact_io() {
                 shards: &[[4096, 21, 63], [4064, 21, 63], [3840, 20, 60]],
                 io: [
                     &[
-                        [95, 172, 73, 903950000],
-                        [95, 123, 72, 889300000],
-                        [94, 121, 69, 852550000],
+                        [90, 167, 69, 854650000],
+                        [90, 118, 70, 864400000],
+                        [85, 112, 64, 790650000],
                         [0, 0, 0, 0],
                     ],
                     &[
-                        [95, 123, 73, 901500000],
-                        [95, 123, 72, 889300000],
-                        [94, 121, 69, 852550000],
+                        [90, 118, 69, 852200000],
+                        [90, 118, 70, 864400000],
+                        [85, 112, 64, 790650000],
                         [0, 0, 0, 0],
                     ],
                     &[
-                        [95, 123, 73, 901500000],
-                        [95, 123, 72, 889300000],
-                        [94, 121, 69, 852550000],
+                        [90, 118, 69, 852200000],
+                        [90, 118, 70, 864400000],
+                        [85, 112, 64, 790650000],
                         [0, 0, 0, 0],
                     ],
                 ],
@@ -491,21 +494,21 @@ fn lss_on_four_disks_pins_exact_io() {
                 ],
                 io: [
                     &[
-                        [84, 161, 67, 829650000],
-                        [84, 112, 67, 827200000],
-                        [84, 112, 67, 827200000],
+                        [80, 157, 64, 792650000],
+                        [80, 108, 64, 790200000],
+                        [80, 108, 65, 802400000],
                         [71, 96, 56, 691550000],
                     ],
                     &[
-                        [84, 112, 67, 827200000],
-                        [84, 112, 67, 827200000],
-                        [84, 112, 67, 827200000],
+                        [80, 108, 64, 790200000],
+                        [80, 108, 64, 790200000],
+                        [80, 108, 65, 802400000],
                         [71, 96, 56, 691550000],
                     ],
                     &[
-                        [84, 112, 67, 827200000],
-                        [84, 112, 67, 827200000],
-                        [84, 112, 67, 827200000],
+                        [80, 108, 64, 790200000],
+                        [80, 108, 64, 790200000],
+                        [80, 108, 65, 802400000],
                         [71, 96, 56, 691550000],
                     ],
                 ],
@@ -545,9 +548,9 @@ fn twrs_on_two_disks_pins_exact_io() {
                 runs: 12,
                 shards: &[[3072, 3, 34], [3072, 3, 34], [3040, 3, 34], [2816, 3, 33]],
                 io: [
-                    &[[102, 163, 62, 769650000], [100, 112, 62, 767000000]],
-                    &[[102, 114, 62, 767200000], [100, 112, 62, 767000000]],
-                    &[[102, 114, 62, 767200000], [100, 112, 62, 767000000]],
+                    &[[92, 153, 60, 744250000], [89, 101, 59, 729300000]],
+                    &[[92, 104, 60, 741800000], [89, 101, 59, 729300000]],
+                    &[[92, 104, 60, 741800000], [89, 101, 59, 729300000]],
                 ],
             },
         ],
@@ -654,9 +657,9 @@ fn rs_on_one_disk_pins_pages_at_four_threads() {
                 [2816, 10, 39],
             ],
             io: [
-                &[[227, 332, 217, 2675350000]],
-                &[[227, 283, 217, 2672900000]],
-                &[[227, 283, 217, 2672900000]],
+                &[[227, 332, 221, 2724150000]],
+                &[[227, 283, 221, 2721700000]],
+                &[[227, 283, 221, 2721700000]],
             ],
         }],
     );
@@ -677,9 +680,9 @@ fn lss_on_one_disk_pins_pages_at_four_threads() {
                 [2816, 19, 57],
             ],
             io: [
-                &[[314, 471, 301, 3711450000]],
-                &[[314, 422, 301, 3709000000]],
-                &[[314, 422, 301, 3709000000]],
+                &[[313, 470, 298, 3674750000]],
+                &[[313, 421, 298, 3672300000]],
+                &[[313, 421, 298, 3672300000]],
             ],
         }],
     );
@@ -695,9 +698,9 @@ fn twrs_on_one_disk_pins_pages_at_four_threads() {
             runs: 12,
             shards: &[[3072, 3, 34], [3072, 3, 34], [3040, 3, 34], [2816, 3, 33]],
             io: [
-                &[[166, 238, 151, 1862400000]],
-                &[[166, 189, 151, 1859950000]],
-                &[[166, 189, 151, 1859950000]],
+                &[[158, 230, 143, 1764000000]],
+                &[[158, 181, 143, 1761550000]],
+                &[[158, 181, 143, 1761550000]],
             ],
         }],
     );
